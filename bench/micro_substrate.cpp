@@ -1,12 +1,13 @@
 // Microbenchmarks of the substrate data structures (real CPU time, via
-// google-benchmark): data-tree operations, tuple matching, and the wire
-// codec. These are the hot paths under every simulated request.
+// google-benchmark): data-tree operations, tuple matching, the wire codec and
+// the event loop. These are the hot paths under every simulated request.
 
 #include <benchmark/benchmark.h>
 
 #include "bench/gbench_json.h"
 #include "edc/common/codec.h"
 #include "edc/ds/tuple_space.h"
+#include "edc/sim/event_loop.h"
 #include "edc/zab/messages.h"
 #include "edc/zk/data_tree.h"
 
@@ -184,6 +185,24 @@ void BM_ProposalDecodeView(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_ProposalDecodeView)->Arg(64)->Arg(1024);
+
+// The DsClient retry-timer pattern: arm a 1 s timer per request and cancel it
+// when the reply arrives, with range(0) other timers queued. Cancelled keys
+// are compacted away, so the heap stays near its live size however many
+// timers were ever armed; "queued" reports the heap size at the end.
+void BM_EventLoopScheduleCancel(benchmark::State& state) {
+  EventLoop loop;
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    loop.Schedule(Seconds(3600) + i, [] {});
+  }
+  for (auto _ : state) {
+    TimerId id = loop.Schedule(Seconds(1), [] {});
+    benchmark::DoNotOptimize(id);
+    loop.Cancel(id);
+  }
+  state.counters["queued"] = static_cast<double>(loop.queued());
+}
+BENCHMARK(BM_EventLoopScheduleCancel)->Arg(64)->Arg(4096);
 
 }  // namespace
 }  // namespace edc

@@ -5,6 +5,7 @@
 # (docs/observability.md), the sharded coordination plane (docs/sharding.md),
 # the dynamic-membership suite (docs/reconfig.md),
 # the bytecode-VM conformance tier (docs/bytecode_vm.md),
+# the raw PBFT ordering, view-change and batching tier (src/edc/bft/replica.h),
 # and the lint tier (docs/static_analysis.md):
 # edc-lint golden tests, edc-lint over the example scripts, and clang-tidy
 # when available. Any failure aborts.
@@ -77,7 +78,7 @@ run_lint_tier
 
 cd "$BUILD_DIR"
 echo "== tier-1 tests =="
-ctest --output-on-failure -j "$JOBS" -LE 'chaos|model|obs|lint|shard|pipeline|reconfig|vm'
+ctest --output-on-failure -j "$JOBS" -LE 'chaos|model|obs|lint|shard|pipeline|reconfig|vm|bft'
 echo "== chaos tests =="
 ctest --output-on-failure -j "$JOBS" -L chaos
 echo "== model-conformance tests =="
@@ -92,6 +93,8 @@ echo "== dynamic membership (reconfig) tests =="
 ctest --output-on-failure -j "$JOBS" --no-tests=error -L reconfig
 echo "== bytecode VM conformance tests =="
 ctest --output-on-failure -j "$JOBS" --no-tests=error -L vm
+echo "== PBFT ordering, view-change and batching tests =="
+ctest --output-on-failure -j "$JOBS" --no-tests=error -L bft
 # Spotlight the recovery/crash-restart families (docs/bft_recovery.md): these
 # already ran inside the tiers above, but --no-tests=error makes the gate fail
 # loudly if a rename or CMake edit silently drops them from discovery.

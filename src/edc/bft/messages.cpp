@@ -35,6 +35,70 @@ uint64_t BftRequest::Digest(uint64_t seq, SimTime ts) const {
   return Fnv1a64(enc.buffer(), h);
 }
 
+uint64_t BatchDigest(uint64_t seq, SimTime ts, const BftBatch& batch) {
+  Encoder enc;
+  enc.PutU64(seq);
+  enc.PutI64(ts);
+  enc.PutVarint(batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    enc.PutU64(batch[i].Digest(seq, ts + static_cast<SimTime>(i)));
+  }
+  return Fnv1a64(enc.buffer());
+}
+
+namespace {
+
+void EncodeBatch(Encoder& enc, const BftBatch& batch) {
+  enc.PutVarint(batch.size());
+  for (const BftRequest& r : batch) {
+    r.Encode(enc);
+  }
+}
+
+Result<BftBatch> DecodeBatch(Decoder& dec) {
+  auto n = dec.GetVarint();
+  if (!n.ok()) {
+    return n.status();
+  }
+  BftBatch batch;
+  for (uint64_t i = 0; i < *n; ++i) {
+    auto r = BftRequest::Decode(dec);
+    if (!r.ok()) {
+      return r.status();
+    }
+    batch.push_back(std::move(*r));
+  }
+  return batch;
+}
+
+void EncodePreparedEntry(Encoder& enc, const PreparedEntry& e) {
+  enc.PutU64(e.view);
+  enc.PutU64(e.seq);
+  enc.PutI64(e.ts);
+  EncodeBatch(enc, e.batch);
+}
+
+Result<PreparedEntry> DecodePreparedEntry(Decoder& dec) {
+  PreparedEntry e;
+  auto view = dec.GetU64();
+  auto seq = dec.GetU64();
+  auto ts = dec.GetI64();
+  if (!view.ok() || !seq.ok() || !ts.ok()) {
+    return ErrorCode::kDecodeError;
+  }
+  auto batch = DecodeBatch(dec);
+  if (!batch.ok()) {
+    return batch.status();
+  }
+  e.view = *view;
+  e.seq = *seq;
+  e.ts = *ts;
+  e.batch = std::move(*batch);
+  return e;
+}
+
+}  // namespace
+
 std::vector<uint8_t> EncodeBftRequest(const BftRequest& m) {
   Encoder enc;
   m.Encode(enc);
@@ -51,7 +115,7 @@ std::vector<uint8_t> EncodePrePrepare(const PrePrepareMsg& m) {
   enc.PutU64(m.view);
   enc.PutU64(m.seq);
   enc.PutI64(m.ts);
-  m.request.Encode(enc);
+  EncodeBatch(enc, m.batch);
   return enc.Release();
 }
 
@@ -64,14 +128,14 @@ Result<PrePrepareMsg> DecodePrePrepare(const std::vector<uint8_t>& buf) {
   if (!view.ok() || !seq.ok() || !ts.ok()) {
     return ErrorCode::kDecodeError;
   }
-  auto req = BftRequest::Decode(dec);
-  if (!req.ok()) {
-    return req.status();
+  auto batch = DecodeBatch(dec);
+  if (!batch.ok()) {
+    return batch.status();
   }
   m.view = *view;
   m.seq = *seq;
   m.ts = *ts;
-  m.request = std::move(*req);
+  m.batch = std::move(*batch);
   return m;
 }
 
@@ -119,33 +183,6 @@ Result<ReplyMsg> DecodeReplyMsg(const std::vector<uint8_t>& buf) {
   m.payload = std::move(*payload);
   return m;
 }
-
-namespace {
-
-void EncodePreparedEntry(Encoder& enc, const PreparedEntry& e) {
-  enc.PutU64(e.seq);
-  enc.PutI64(e.ts);
-  e.request.Encode(enc);
-}
-
-Result<PreparedEntry> DecodePreparedEntry(Decoder& dec) {
-  PreparedEntry e;
-  auto seq = dec.GetU64();
-  auto ts = dec.GetI64();
-  if (!seq.ok() || !ts.ok()) {
-    return ErrorCode::kDecodeError;
-  }
-  auto req = BftRequest::Decode(dec);
-  if (!req.ok()) {
-    return req.status();
-  }
-  e.seq = *seq;
-  e.ts = *ts;
-  e.request = std::move(*req);
-  return e;
-}
-
-}  // namespace
 
 std::vector<uint8_t> EncodeViewChange(const ViewChangeMsg& m) {
   Encoder enc;

@@ -40,17 +40,24 @@ struct BftRequest {
   uint64_t req_id = 0;
   std::vector<uint8_t> payload;
 
-  bool is_noop() const { return client == 0; }
   void Encode(Encoder& enc) const;
   static Result<BftRequest> Decode(Decoder& dec);
   uint64_t Digest(uint64_t seq, SimTime ts) const;
 };
 
+// The requests ordered under one sequence number. Request i executes at
+// timestamp ts + i; an empty batch is the no-op that pads view-change gaps.
+using BftBatch = std::vector<BftRequest>;
+
+// Folds the per-request digests (request i digested at ts + i) into the one
+// digest PREPARE and COMMIT vote on.
+uint64_t BatchDigest(uint64_t seq, SimTime ts, const BftBatch& batch);
+
 struct PrePrepareMsg {
   uint64_t view = 0;
   uint64_t seq = 0;
   SimTime ts = 0;  // deterministic timestamp assigned by the primary
-  BftRequest request;
+  BftBatch batch;
 };
 
 struct PhaseMsg {  // PREPARE and COMMIT
@@ -65,10 +72,14 @@ struct ReplyMsg {
   std::vector<uint8_t> payload;
 };
 
+// A prepared certificate as carried by VIEW-CHANGE and NEW-VIEW: `view` is
+// the view the batch was pre-prepared (and prepared) in, so the new primary
+// can keep, per sequence number, the certificate from the highest view.
 struct PreparedEntry {
+  uint64_t view = 0;
   uint64_t seq = 0;
   SimTime ts = 0;
-  BftRequest request;
+  BftBatch batch;
 };
 
 struct ViewChangeMsg {

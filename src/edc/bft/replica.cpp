@@ -31,6 +31,8 @@ void BftReplica::Start() {
   vc_target_ = 0;
   next_seq_ = 0;
   last_executed_ = 0;
+  executed_ops_ = 0;
+  flush_scheduled_ = false;
   last_ts_ = 0;
   last_exec_ts_ = 0;
   entries_.clear();
@@ -160,7 +162,7 @@ void BftReplica::Process(Packet&& pkt) {
     case BftMsgType::kNewView: {
       auto m = DecodeNewView(pkt.payload);
       if (m.ok()) {
-        OnNewView(std::move(*m));
+        OnNewView(pkt.src, std::move(*m));
       }
       break;
     }
@@ -197,9 +199,10 @@ bool BftReplica::AlreadyOrdered(const BftRequest& req) const {
     return true;
   }
   for (const auto& [seq, entry] : entries_) {
-    if (entry.has_request && entry.request.client == req.client &&
-        entry.request.req_id == req.req_id) {
-      return true;
+    for (const BftRequest& ordered : entry.batch) {
+      if (ordered.client == req.client && ordered.req_id == req.req_id) {
+        return true;
+      }
     }
   }
   return false;
@@ -231,39 +234,66 @@ void BftReplica::OnRequest(BftRequest&& req) {
   }
   pending_.push_back(std::move(req));
   if (is_primary() && !view_changing_) {
-    ProposePending();
+    ScheduleFlush();
   } else {
     ArmRequestTimer();
   }
 }
 
+void BftReplica::ScheduleFlush() {
+  // A zero-cost item behind every packet already queued on the core: the
+  // requests among those packets join this batch. On an idle core it runs at
+  // the current instant, so a lone request is not delayed.
+  if (flush_scheduled_) {
+    return;
+  }
+  flush_scheduled_ = true;
+  uint64_t gen = generation_;
+  cpu_->Submit(0, [this, gen]() {
+    if (gen != generation_ || !running_) {
+      return;
+    }
+    flush_scheduled_ = false;
+    if (is_primary() && !view_changing_) {
+      ProposePending();
+    }
+  });
+}
+
 void BftReplica::ProposePending() {
   // Stop at the high watermark: proposals beyond (low + window] would be
-  // rejected by every backup. The rest of the queue drains when the next
-  // stable checkpoint advances the window (MakeStable re-calls this).
-  while (!pending_.empty() && next_seq_ < low_watermark_ + config_.watermark_window) {
-    BftRequest req = std::move(pending_.front());
-    pending_.pop_front();
+  // rejected by every backup. The queue drains when the next stable
+  // checkpoint advances the window (MakeStable re-calls this).
+  if (pending_.empty()) {
+    return;
+  }
+  if (next_seq_ >= low_watermark_ + config_.watermark_window) {
+    ArmRequestTimer();
+    return;
+  }
+  BftBatch batch;
+  for (BftRequest& req : pending_) {
     if (!AlreadyOrdered(req)) {
-      Propose(std::move(req));
+      batch.push_back(std::move(req));
     }
   }
-  if (!pending_.empty()) {
-    ArmRequestTimer();
+  pending_.clear();
+  if (!batch.empty()) {
+    Propose(std::move(batch));
   }
 }
 
-void BftReplica::Propose(BftRequest req) {
+void BftReplica::Propose(BftBatch batch) {
   uint64_t seq = ++next_seq_;
   SimTime ts = std::max(last_ts_ + 1, loop_->now());
-  last_ts_ = ts;
+  last_ts_ = ts + static_cast<SimTime>(batch.size()) - 1;
 
   Entry& entry = entries_[seq];
   entry.view = view_;
   entry.ts = ts;
-  entry.digest = req.Digest(seq, ts);
-  entry.request = req;
-  entry.has_request = true;
+  entry.digest = BatchDigest(seq, ts, batch);
+  entry.batch = batch;
+  entry.has_batch = true;
   entry.prepares.insert(config_.self);  // pre-prepare counts as the primary's prepare
 
   if (equivocate_) {
@@ -275,11 +305,11 @@ void BftReplica::Propose(BftRequest req) {
         continue;
       }
       bogus += 1;
-      PrePrepareMsg msg{view_, seq, bogus, req};
+      PrePrepareMsg msg{view_, seq, bogus, entry.batch};
       SendTo(peer, BftMsgType::kPrePrepare, EncodePrePrepare(msg));
     }
   } else {
-    PrePrepareMsg msg{view_, seq, ts, req};
+    PrePrepareMsg msg{view_, seq, ts, std::move(batch)};
     BroadcastToReplicas(BftMsgType::kPrePrepare, EncodePrePrepare(msg));
   }
   CheckPrepared(seq);
@@ -292,15 +322,16 @@ void BftReplica::OnPrePrepare(NodeId from, PrePrepareMsg&& msg) {
   if (msg.seq <= last_executed_ || !InWindow(msg.seq)) {
     return;
   }
+  uint64_t digest = BatchDigest(msg.seq, msg.ts, msg.batch);
   Entry& entry = entries_[msg.seq];
-  if (entry.has_request && entry.digest != msg.request.Digest(msg.seq, msg.ts)) {
+  if (entry.has_batch && entry.digest != digest) {
     return;  // conflicting pre-prepare; keep the first
   }
   entry.view = msg.view;
   entry.ts = msg.ts;
-  entry.digest = msg.request.Digest(msg.seq, msg.ts);
-  entry.request = std::move(msg.request);
-  entry.has_request = true;
+  entry.digest = digest;
+  entry.batch = std::move(msg.batch);
+  entry.has_batch = true;
   entry.prepares.insert(from);          // primary's pre-prepare
   entry.prepares.insert(config_.self);  // our own prepare
   PhaseMsg prepare{view_, msg.seq, entry.digest};
@@ -318,7 +349,7 @@ void BftReplica::OnPrepare(NodeId from, const PhaseMsg& msg) {
     return;
   }
   Entry& entry = entries_[msg.seq];
-  if (entry.has_request && entry.digest != msg.digest) {
+  if (entry.has_batch && entry.digest != msg.digest) {
     return;  // mismatching digest (equivocating primary)
   }
   entry.prepares.insert(from);
@@ -331,7 +362,7 @@ void BftReplica::CheckPrepared(uint64_t seq) {
     return;
   }
   Entry& entry = it->second;
-  if (!entry.has_request || entry.sent_commit || entry.prepares.size() < PrepareQuorum()) {
+  if (!entry.has_batch || entry.sent_commit || entry.prepares.size() < PrepareQuorum()) {
     return;
   }
   entry.sent_commit = true;
@@ -350,7 +381,7 @@ void BftReplica::OnCommit(NodeId from, const PhaseMsg& msg) {
     return;
   }
   Entry& entry = entries_[msg.seq];
-  if (entry.has_request && entry.digest != msg.digest) {
+  if (entry.has_batch && entry.digest != msg.digest) {
     return;
   }
   entry.commits.insert(from);
@@ -363,7 +394,7 @@ void BftReplica::CheckCommitted(uint64_t seq) {
     return;
   }
   Entry& entry = it->second;
-  if (entry.has_request && entry.sent_commit && entry.commits.size() >= CommitQuorum()) {
+  if (entry.has_batch && entry.sent_commit && entry.commits.size() >= CommitQuorum()) {
     TryExecute();
   }
 }
@@ -375,46 +406,16 @@ void BftReplica::TryExecute() {
       break;
     }
     Entry& entry = it->second;
-    if (!entry.has_request || !entry.sent_commit || entry.commits.size() < CommitQuorum() ||
+    if (!entry.has_batch || !entry.sent_commit || entry.commits.size() < CommitQuorum() ||
         entry.executed) {
       break;
     }
     entry.executed = true;
     ++last_executed_;
-    last_exec_ts_ = entry.ts;
-    if (!entry.request.is_noop()) {
-      MarkExecuted(entry.request.client, entry.request.req_id);
-      // Execute (and the reply it sends) runs under the context captured when
-      // the request arrived, so the reply path stays attributed to it.
-      TraceContext prev;
-      bool restored = false;
-      if (obs_ != nullptr) {
-        auto rit = request_trace_.find({entry.request.client, entry.request.req_id});
-        if (rit != request_trace_.end()) {
-          obs_->tracer.RecordSpanIn(rit->second.ctx, "bft.order", Stage::kOther,
-                                    config_.self, rit->second.at, loop_->now());
-          prev = obs_->tracer.current();
-          obs_->tracer.SetCurrent(rit->second.ctx);
-          request_trace_.erase(rit);
-          restored = true;
-        }
-      }
-      BftExecOutcome outcome =
-          callbacks_->Execute(last_executed_, entry.ts, entry.request);
-      if (outcome.cpu_cost > 0) {
-        cpu_->Submit(outcome.cpu_cost, []() {});  // occupy the core
-      }
-      if (restored) {
-        obs_->tracer.SetCurrent(prev);
-      }
+    for (size_t i = 0; i < entry.batch.size(); ++i) {
+      ExecuteRequest(entry.batch[i], entry.ts + static_cast<SimTime>(i));
     }
-    // Remove any matching buffered copy and disarm the timer if idle.
-    for (auto p = pending_.begin(); p != pending_.end(); ++p) {
-      if (p->client == entry.request.client && p->req_id == entry.request.req_id) {
-        pending_.erase(p);
-        break;
-      }
-    }
+    last_exec_ts_ = entry.ts + static_cast<SimTime>(std::max<size_t>(entry.batch.size(), 1)) - 1;
     entries_.erase(it);
     if (last_executed_ % config_.checkpoint_interval == 0) {
       TakeLocalCheckpoint();
@@ -428,6 +429,39 @@ void BftReplica::TryExecute() {
   }
   if (is_primary() && !view_changing_) {
     ProposePending();
+  }
+}
+
+void BftReplica::ExecuteRequest(const BftRequest& req, SimTime ts) {
+  MarkExecuted(req.client, req.req_id);
+  // Execute (and the reply it sends) runs under the context captured when
+  // the request arrived, so the reply path stays attributed to it.
+  TraceContext prev;
+  bool restored = false;
+  if (obs_ != nullptr) {
+    auto rit = request_trace_.find({req.client, req.req_id});
+    if (rit != request_trace_.end()) {
+      obs_->tracer.RecordSpanIn(rit->second.ctx, "bft.order", Stage::kOther, config_.self,
+                                rit->second.at, loop_->now());
+      prev = obs_->tracer.current();
+      obs_->tracer.SetCurrent(rit->second.ctx);
+      request_trace_.erase(rit);
+      restored = true;
+    }
+  }
+  BftExecOutcome outcome = callbacks_->Execute(++executed_ops_, ts, req);
+  if (outcome.cpu_cost > 0) {
+    cpu_->Submit(outcome.cpu_cost, []() {});  // occupy the core
+  }
+  if (restored) {
+    obs_->tracer.SetCurrent(prev);
+  }
+  // Drop any buffered copy so the request timer can disarm.
+  for (auto p = pending_.begin(); p != pending_.end(); ++p) {
+    if (p->client == req.client && p->req_id == req.req_id) {
+      pending_.erase(p);
+      break;
+    }
   }
 }
 
@@ -471,6 +505,7 @@ std::vector<uint8_t> BftReplica::ComposeCheckpoint() {
   // byte-for-byte and the digest doubles as the transfer integrity check.
   Encoder enc;
   enc.PutU64(last_executed_);
+  enc.PutU64(executed_ops_);
   enc.PutI64(last_exec_ts_);
   enc.PutVarint(executed_reqs_.size());
   for (const auto& [client, dedup] : executed_reqs_) {
@@ -602,7 +637,7 @@ void BftReplica::AddCheckpointVote(NodeId from, uint64_t seq, uint64_t digest,
       bool reachable = true;
       for (uint64_t s = last_executed_ + 1; s <= seq; ++s) {
         auto it = entries_.find(s);
-        if (it == entries_.end() || !it->second.has_request) {
+        if (it == entries_.end() || !it->second.has_batch) {
           reachable = false;
           break;
         }
@@ -698,9 +733,10 @@ void BftReplica::MaybeInstallState() {
 bool BftReplica::InstallCheckpoint(uint64_t seq, const std::vector<uint8_t>& state) {
   Decoder dec(state);
   auto exec = dec.GetU64();
+  auto ops = dec.GetU64();
   auto exec_ts = dec.GetI64();
   auto nclients = dec.GetVarint();
-  if (!exec.ok() || !exec_ts.ok() || !nclients.ok() || *exec != seq) {
+  if (!exec.ok() || !ops.ok() || !exec_ts.ok() || !nclients.ok() || *exec != seq) {
     return false;
   }
   std::map<NodeId, ClientDedup> dedup;
@@ -738,6 +774,7 @@ bool BftReplica::InstallCheckpoint(uint64_t seq, const std::vector<uint8_t>& sta
   // produce no new checkpoints, and therefore never reach this path.
   view_changing_ = false;
   last_executed_ = seq;
+  executed_ops_ = *ops;
   last_exec_ts_ = *exec_ts;
   last_ts_ = std::max(last_ts_, last_exec_ts_);
   executed_reqs_ = std::move(dedup);
@@ -840,8 +877,8 @@ void BftReplica::StartViewChange(uint64_t new_view) {
   msg.new_view = new_view;
   msg.last_executed = last_executed_;
   for (const auto& [seq, entry] : entries_) {
-    if (entry.has_request && entry.prepares.size() >= PrepareQuorum()) {
-      msg.prepared.push_back(PreparedEntry{seq, entry.ts, entry.request});
+    if (entry.has_batch && entry.prepares.size() >= PrepareQuorum()) {
+      msg.prepared.push_back(PreparedEntry{entry.view, seq, entry.ts, entry.batch});
     }
   }
   EDC_LOG(kDebug) << "replica " << config_.self << " view-change to " << new_view;
@@ -868,13 +905,15 @@ void BftReplica::OnViewChange(NodeId from, ViewChangeMsg&& msg) {
       PrimaryOf(new_view) != config_.self) {
     return;
   }
-  // We are the new primary: re-propose the union of prepared entries.
+  // We are the new primary: re-propose, per sequence number, the batch
+  // prepared in the highest view any quorum member reports.
   std::map<uint64_t, PreparedEntry> merged;
-  uint64_t min_exec = UINT64_MAX;
   for (const auto& [node, vc] : quorum) {
-    min_exec = std::min(min_exec, vc.last_executed);
     for (const PreparedEntry& e : vc.prepared) {
-      merged.emplace(e.seq, e);
+      auto [it, inserted] = merged.emplace(e.seq, e);
+      if (!inserted && e.view > it->second.view) {
+        it->second = e;
+      }
     }
   }
   NewViewMsg nv;
@@ -888,19 +927,21 @@ void BftReplica::OnViewChange(NodeId from, ViewChangeMsg&& msg) {
     if (it != merged.end()) {
       nv.reproposed.push_back(it->second);
     } else {
-      // Pad ordering gaps with no-ops.
+      // Pad ordering gaps with no-ops (empty batches).
       PreparedEntry noop;
+      noop.view = new_view;
       noop.seq = seq;
       noop.ts = ++last_ts_;
       nv.reproposed.push_back(noop);
     }
   }
   BroadcastToReplicas(BftMsgType::kNewView, EncodeNewView(nv));
-  OnNewView(std::move(nv));
+  OnNewView(config_.self, std::move(nv));
 }
 
-void BftReplica::OnNewView(NewViewMsg&& msg) {
-  if (msg.new_view <= view_) {
+void BftReplica::OnNewView(NodeId from, NewViewMsg&& msg) {
+  // Only the primary of the new view may install it.
+  if (msg.new_view <= view_ || from != PrimaryOf(msg.new_view)) {
     return;
   }
   view_ = msg.new_view;
@@ -930,9 +971,9 @@ void BftReplica::AdoptEntry(const PreparedEntry& e, uint64_t view) {
   Entry& entry = entries_[e.seq];
   entry.view = view;
   entry.ts = e.ts;
-  entry.digest = e.request.Digest(e.seq, e.ts);
-  entry.request = e.request;
-  entry.has_request = true;
+  entry.digest = BatchDigest(e.seq, e.ts, e.batch);
+  entry.batch = e.batch;
+  entry.has_batch = true;
   entry.prepares.insert(PrimaryOf(view));
   entry.prepares.insert(config_.self);
   PhaseMsg prepare{view, e.seq, entry.digest};

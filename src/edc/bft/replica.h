@@ -7,21 +7,38 @@
 // primary's pre-prepare) and COMMIT (2f+1) before executing in sequence
 // order.
 //
+// Batching (as in BFT-SMaRt): one sequence number orders a batch of
+// requests, and PREPARE/COMMIT vote on a digest that folds the per-request
+// digests. When the primary buffers a request it queues one zero-cost flush
+// item on its own CpuQueue; the item runs after every packet already queued
+// on the core, so the requests among them join the batch, and it proposes
+// everything pending as one PRE-PREPARE. On an idle core the flush runs at
+// the same simulated instant, so a lone request goes out as a batch of one
+// without delay. The primary also flushes after execution, after a stable
+// checkpoint and on entering a new view. There is no batch-size or delay
+// knob. Execution unpacks the batch: Execute() is called once per request
+// with an op number that rises by one across batches and the timestamp
+// batch ts + index, which strictly increases because the primary stamps the
+// next batch past the previous one's last request.
+//
 // View change (simplified but quorum-sound): a backup that buffers a client
 // request and sees no execution within `request_timeout` broadcasts
-// VIEW-CHANGE carrying its prepared entries; on 2f+1 such messages the new
-// primary re-proposes the union of prepared entries (gaps padded with no-ops)
-// in a NEW-VIEW, then re-proposes any still-unordered buffered requests.
-// Because every committed entry is prepared at 2f+1 replicas, it appears in
-// any 2f+1-message view-change quorum, so committed state survives primary
-// failure. Fault injection for tests: SetEquivocate() makes a Byzantine
-// primary stamp different timestamps per backup, which prevents agreement and
-// drives the ensemble through a view change.
+// VIEW-CHANGE carrying its prepared batches, each tagged with the view it
+// was prepared in. On 2f+1 such messages the new primary re-proposes, per
+// sequence number, the batch prepared in the highest view (gaps padded with
+// empty no-op batches) in a NEW-VIEW, then re-proposes any still-unordered
+// buffered requests. Replicas accept a NEW-VIEW only from the new view's
+// primary. Because every committed batch is prepared at 2f+1 replicas, it
+// appears in any 2f+1-message view-change quorum, so committed state
+// survives primary failure. Fault injection for tests: SetEquivocate() makes
+// a Byzantine primary stamp different timestamps per backup, which prevents
+// agreement and drives the ensemble through a view change.
 //
 // Checkpoints, log GC and state transfer (docs/bft_recovery.md): every
-// `checkpoint_interval` executed sequence numbers a replica fingerprints its
-// full state (service snapshot + bounded request-dedup summary) and
-// broadcasts CHECKPOINT(seq, digest). On 2f+1 matching digests the
+// `checkpoint_interval` executed sequence numbers (batches, as in PBFT) a
+// replica fingerprints its full state (a header with the executed sequence
+// number and op count, the service snapshot and the bounded request-dedup
+// summary) and broadcasts CHECKPOINT(seq, digest). On 2f+1 matching digests the
 // checkpoint is stable: the low watermark advances to it, entries at or
 // below it are garbage-collected, and pre-prepares outside
 // (low, low + watermark_window] are rejected. A replica that detects f+1
@@ -85,7 +102,7 @@ struct BftConfig {
   NodeId self = 0;
   int f = 1;
   Duration request_timeout = Millis(300);
-  // Checkpoint every K executed sequence numbers...
+  // Checkpoint every K executed sequence numbers (batches)...
   uint64_t checkpoint_interval = 8;
   // ...and accept pre-prepares only within (low, low + window]. Must be a
   // multiple of checkpoint_interval and at least 2x it, or ordering can
@@ -118,6 +135,7 @@ class BftReplica {
   uint64_t view() const { return view_; }
   bool is_primary() const { return running_ && PrimaryOf(view_) == config_.self; }
   uint64_t last_executed() const { return last_executed_; }
+  uint64_t executed_ops() const { return executed_ops_; }
 
   // Checkpoint/GC observability (harness invariants and recovery tests).
   uint64_t low_watermark() const { return low_watermark_; }
@@ -142,8 +160,8 @@ class BftReplica {
     uint64_t view = 0;
     SimTime ts = 0;
     uint64_t digest = 0;
-    bool has_request = false;
-    BftRequest request;
+    bool has_batch = false;
+    BftBatch batch;
     std::set<NodeId> prepares;
     std::set<NodeId> commits;
     bool sent_commit = false;
@@ -173,20 +191,22 @@ class BftReplica {
   void Process(Packet&& pkt);
 
   void OnRequest(BftRequest&& req);
+  void ScheduleFlush();
   void ProposePending();
-  void Propose(BftRequest req);
+  void Propose(BftBatch batch);
   void OnPrePrepare(NodeId from, PrePrepareMsg&& msg);
   void OnPrepare(NodeId from, const PhaseMsg& msg);
   void OnCommit(NodeId from, const PhaseMsg& msg);
   void CheckPrepared(uint64_t seq);
   void CheckCommitted(uint64_t seq);
   void TryExecute();
+  void ExecuteRequest(const BftRequest& req, SimTime ts);
 
   void ArmRequestTimer();
   void OnRequestTimeout();
   void StartViewChange(uint64_t new_view);
   void OnViewChange(NodeId from, ViewChangeMsg&& msg);
-  void OnNewView(NewViewMsg&& msg);
+  void OnNewView(NodeId from, NewViewMsg&& msg);
   void AdoptEntry(const PreparedEntry& e, uint64_t view);
 
   bool AlreadyOrdered(const BftRequest& req) const;
@@ -222,9 +242,11 @@ class BftReplica {
   bool view_changing_ = false;
   uint64_t vc_target_ = 0;  // highest view we have demanded a change to
   uint64_t next_seq_ = 0;  // primary only
-  uint64_t last_executed_ = 0;
+  uint64_t last_executed_ = 0;  // sequence numbers (batches)
+  uint64_t executed_ops_ = 0;   // requests; the op number Execute() receives
+  bool flush_scheduled_ = false;  // primary: a batch flush is queued on the core
   SimTime last_ts_ = 0;
-  SimTime last_exec_ts_ = 0;  // ts of the last executed entry (checkpointed)
+  SimTime last_exec_ts_ = 0;  // ts of the last executed request (checkpointed)
 
   std::map<uint64_t, Entry> entries_;  // by seq, within the watermark window
   std::deque<BftRequest> pending_;     // buffered, not yet pre-prepared

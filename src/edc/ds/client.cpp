@@ -84,7 +84,7 @@ void DsClient::ArmRetry(uint64_t req_id) {
       delay -= static_cast<Duration>(jitter_rng_.UniformU64(span + 1));
     }
   }
-  loop_->Schedule(delay, [this, req_id]() {
+  arm->second.retry_timer = loop_->Schedule(delay, [this, req_id]() {
     auto it = calls_.find(req_id);
     if (!alive_ || it == calls_.end()) {
       return;
@@ -135,6 +135,7 @@ void DsClient::HandlePacket(Packet&& pkt) {
   }
   ReplyCb done = std::move(it->second.done);
   uint64_t req_id = reply->req_id;
+  loop_->Cancel(it->second.retry_timer);
   calls_.erase(it);
   Result<DsReply> result{Status(ErrorCode::kInternal, "")};
   auto decoded = DsReply::Decode(reply->payload);
@@ -309,6 +310,9 @@ void DsClient::AcknowledgeExtension(const std::string& name, ReplyCb done) {
 
 void DsClient::Kill() {
   alive_ = false;
+  for (const auto& [req_id, call] : calls_) {
+    loop_->Cancel(call.retry_timer);
+  }
   calls_.clear();
   leases_.clear();
   loop_->Cancel(renew_timer_);

@@ -126,6 +126,7 @@ class DsClient : public NetworkNode, public DsApi {
     std::map<std::string, int> votes;  // encoded reply -> count
     int attempts = 0;
     Duration backoff = 0;  // next retransmit delay
+    TimerId retry_timer = kInvalidTimer;  // cancelled once the reply vote completes
   };
 
   void Transmit(uint64_t req_id);

@@ -1,9 +1,24 @@
 #include "edc/sim/event_loop.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
 namespace edc {
+
+namespace {
+
+// TimerId layout: generation in the high 32 bits, slot + 1 in the low 32, so
+// no valid id equals kInvalidTimer.
+TimerId MakeId(uint32_t slot, uint32_t gen) {
+  return (static_cast<uint64_t>(gen) << 32) | (static_cast<uint64_t>(slot) + 1);
+}
+
+// Below this many keys the heap is never compacted: the cancelled keys cost
+// less than the rebuild.
+constexpr size_t kMinCompactSize = 64;
+
+}  // namespace
 
 TimerId EventLoop::Schedule(Duration delay, Callback cb) {
   if (delay < 0) {
@@ -17,39 +32,79 @@ TimerId EventLoop::ScheduleAt(SimTime at, Callback cb) {
   if (at < now_) {
     at = now_;
   }
-  TimerId id = next_id_++;
-  Event ev{at, next_seq_++, id, std::move(cb), EventContext{}};
-  if (capture_) {
-    ev.ctx = capture_();
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
   }
-  queue_.push(std::move(ev));
-  return id;
+  Slot& s = slots_[slot];
+  s.cb = std::move(cb);
+  if (capture_) {
+    s.ctx = capture_();
+  }
+  heap_.push_back(Key{at, next_seq_++, slot, s.gen});
+  std::push_heap(heap_.begin(), heap_.end(), KeyLater());
+  return MakeId(slot, s.gen);
+}
+
+void EventLoop::FreeSlot(uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.cb = nullptr;
+  s.ctx = EventContext{};
+  if (++s.gen == 0) {
+    s.gen = 1;
+  }
+  free_slots_.push_back(slot);
 }
 
 void EventLoop::Cancel(TimerId id) {
-  if (id != kInvalidTimer) {
-    cancelled_.insert(id);
+  if (id == kInvalidTimer) {
+    return;
+  }
+  uint64_t slot = (id & 0xffffffffu) - 1;
+  auto gen = static_cast<uint32_t>(id >> 32);
+  if (slot >= slots_.size() || slots_[slot].gen != gen) {
+    return;  // already fired or cancelled
+  }
+  FreeSlot(static_cast<uint32_t>(slot));
+  ++cancelled_;
+  if (heap_.size() >= kMinCompactSize && cancelled_ * 2 >= heap_.size()) {
+    Compact();
   }
 }
 
+void EventLoop::Compact() {
+  auto stale = [this](const Key& k) { return slots_[k.slot].gen != k.gen; };
+  heap_.erase(std::remove_if(heap_.begin(), heap_.end(), stale), heap_.end());
+  std::make_heap(heap_.begin(), heap_.end(), KeyLater());
+  cancelled_ = 0;
+}
+
 bool EventLoop::PopAndRun() {
-  // const_cast to move the callback out: priority_queue::top() is const, but
-  // we pop immediately after, so the move never breaks heap invariants.
-  Event ev = std::move(const_cast<Event&>(queue_.top()));
-  queue_.pop();
-  auto it = cancelled_.find(ev.id);
-  if (it != cancelled_.end()) {
-    cancelled_.erase(it);
+  std::pop_heap(heap_.begin(), heap_.end(), KeyLater());
+  Key key = heap_.back();
+  heap_.pop_back();
+  Slot& s = slots_[key.slot];
+  if (s.gen != key.gen) {
+    --cancelled_;
     return false;
   }
-  assert(ev.at >= now_);
-  now_ = ev.at;
+  Callback cb = std::move(s.cb);
+  EventContext ctx = s.ctx;
+  // Freed before the callback runs, so a callback that cancels its own id
+  // (or re-arms a timer stored in the same variable) is a no-op on it.
+  FreeSlot(key.slot);
+  assert(key.at >= now_);
+  now_ = key.at;
   if (activate_) {
-    activate_(ev.ctx);
-    ev.cb();
+    activate_(ctx);
+    cb();
     activate_(EventContext{});
   } else {
-    ev.cb();
+    cb();
   }
   ++events_processed_;
   return true;
@@ -58,7 +113,7 @@ bool EventLoop::PopAndRun() {
 uint64_t EventLoop::Run() {
   stopped_ = false;
   uint64_t n = 0;
-  while (!queue_.empty() && !stopped_) {
+  while (!heap_.empty() && !stopped_) {
     if (PopAndRun()) {
       ++n;
     }
@@ -69,7 +124,7 @@ uint64_t EventLoop::Run() {
 uint64_t EventLoop::RunUntil(SimTime deadline) {
   stopped_ = false;
   uint64_t n = 0;
-  while (!queue_.empty() && !stopped_ && queue_.top().at <= deadline) {
+  while (!heap_.empty() && !stopped_ && heap_.front().at <= deadline) {
     if (PopAndRun()) {
       ++n;
     }

@@ -3,14 +3,21 @@
 // Events fire in (time, insertion-sequence) order, so two events scheduled
 // for the same instant run in the order they were scheduled — this, plus the
 // seeded Rng, is what makes whole-cluster runs replayable.
+//
+// The queue is a binary heap of small (time, seq, slot, generation) keys over
+// an arena of callback slots. A TimerId names a slot and its generation, so
+// Cancel() is exact and O(1): it frees the slot (and the callback's captures)
+// at once, and an id whose event already fired or was cancelled no longer
+// matches its slot's generation and is ignored. The cancelled event's key
+// stays in the heap until it reaches the top or until cancelled keys make up
+// half the heap, when the heap is compacted. Compaction keeps every surviving
+// key, so firing order is unchanged.
 
 #ifndef EDC_SIM_EVENT_LOOP_H_
 #define EDC_SIM_EVENT_LOOP_H_
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "edc/sim/time.h"
@@ -35,7 +42,8 @@ class EventLoop {
   TimerId Schedule(Duration delay, Callback cb);
   TimerId ScheduleAt(SimTime at, Callback cb);
 
-  // Cancels a pending timer; no-op if it already fired or was cancelled.
+  // Cancels a pending timer and releases its callback; no-op if it already
+  // fired or was cancelled.
   void Cancel(TimerId id);
 
   // Runs until no events remain or Stop() is called. Returns events processed.
@@ -65,35 +73,47 @@ class EventLoop {
     activate_ = std::move(activate);
   }
 
-  size_t pending() const { return queue_.size() - cancelled_.size(); }
+  // Events scheduled and neither fired nor cancelled.
+  size_t pending() const { return heap_.size() - cancelled_; }
+  // Heap keys, including cancelled ones not yet compacted away.
+  size_t queued() const { return heap_.size(); }
+  // Cancelled keys still in the heap (at most half of it, or a few).
+  size_t cancelled() const { return cancelled_; }
   uint64_t events_processed() const { return events_processed_; }
 
  private:
-  struct Event {
+  struct Key {
     SimTime at;
     uint64_t seq;
-    TimerId id;
-    Callback cb;
-    EventContext ctx;
+    uint32_t slot;
+    uint32_t gen;
   };
-  struct EventLater {
-    bool operator()(const Event& a, const Event& b) const {
+  struct KeyLater {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.at != b.at) {
         return a.at > b.at;
       }
       return a.seq > b.seq;
     }
   };
+  struct Slot {
+    Callback cb;
+    EventContext ctx;
+    uint32_t gen = 1;  // bumped whenever the slot is freed; never 0
+  };
 
   bool PopAndRun();
+  void FreeSlot(uint32_t slot);
+  void Compact();
 
   SimTime now_ = 0;
   uint64_t next_seq_ = 1;
-  TimerId next_id_ = 1;
   bool stopped_ = false;
   uint64_t events_processed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
-  std::unordered_set<TimerId> cancelled_;
+  std::vector<Key> heap_;
+  size_t cancelled_ = 0;  // keys in heap_ whose slot was freed by Cancel()
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_slots_;
   ContextCapture capture_;
   ContextActivate activate_;
 };

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -37,14 +38,24 @@ ClusterFixture MakeEdsCluster() {
   return ClusterFixture(fo);
 }
 
-// Issues `n` distinct out() ops from client 0 and settles until all replied.
+// Issues `n` distinct out() ops from client 0 in sequential rounds (each op
+// once the previous one replied) and settles until all replied. A concurrent
+// burst would be ordered in one or two PBFT batches; one op per round gives
+// each op its own sequence number, so the run crosses n / 8 checkpoint
+// boundaries at the default interval.
 void RunOuts(ClusterFixture& fx, int n, const std::string& tag) {
   int done = 0;
-  for (int i = 0; i < n; ++i) {
+  std::function<void(int)> issue = [&](int i) {
     DsTuple tuple{DsField{std::string("/r")}, DsField{tag + std::to_string(i)},
                   DsField{static_cast<int64_t>(i)}};
-    fx.ds_client(0)->Out(std::move(tuple), [&done](Result<DsReply>) { ++done; });
-  }
+    fx.ds_client(0)->Out(std::move(tuple), [&, i](Result<DsReply>) {
+      ++done;
+      if (i + 1 < n) {
+        issue(i + 1);
+      }
+    });
+  };
+  issue(0);
   SimTime deadline = fx.loop().now() + Seconds(20);
   while (done < n && fx.loop().now() < deadline) {
     fx.Settle(Millis(100));

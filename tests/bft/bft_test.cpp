@@ -2,173 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "edc/common/rng.h"
-#include "edc/sim/cpu.h"
-#include "edc/sim/network.h"
+#include "tests/bft/bft_cluster.h"
 
 namespace edc {
 namespace {
-
-std::vector<uint8_t> Bytes(const std::string& s) {
-  return std::vector<uint8_t>(s.begin(), s.end());
-}
-std::string Str(const std::vector<uint8_t>& b) { return std::string(b.begin(), b.end()); }
-
-// Deterministic state machine: applies "add:<n>" requests to a counter and
-// replies with the post-state, so divergence between replicas is visible to
-// the voting client.
-class CounterReplica : public NetworkNode, public BftCallbacks {
- public:
-  CounterReplica(EventLoop* loop, Network* net, NodeId id, std::vector<NodeId> members)
-      : cpu(loop, 1) {
-    BftConfig cfg;
-    cfg.members = std::move(members);
-    cfg.self = id;
-    cfg.f = 1;
-    replica = std::make_unique<BftReplica>(loop, net, &cpu, CostModel{}, cfg, this);
-    net->Register(id, this);
-  }
-
-  void HandlePacket(Packet&& pkt) override {
-    if (IsBftPacket(pkt.type)) {
-      replica->HandlePacket(std::move(pkt));
-    }
-  }
-
-  BftExecOutcome Execute(uint64_t seq, SimTime ts, const BftRequest& request) override {
-    EXPECT_EQ(seq, last_seq + 1);
-    EXPECT_GT(ts, last_ts);
-    last_seq = seq;
-    last_ts = ts;
-    std::string body = Str(request.payload);
-    if (body.rfind("add:", 0) == 0) {
-      counter += std::stoll(body.substr(4));
-    }
-    order.push_back(body);
-    replica->SendReply(request.client, request.req_id, Bytes(std::to_string(counter)));
-    return BftExecOutcome{};
-  }
-
-  CpuQueue cpu;
-  std::unique_ptr<BftReplica> replica;
-  int64_t counter = 0;
-  uint64_t last_seq = 0;
-  SimTime last_ts = -1;
-  std::vector<std::string> order;
-};
-
-// Client that multicasts a request to all replicas and accepts a reply once
-// f+1 matching responses arrive; retransmits on timeout.
-class VotingClient : public NetworkNode {
- public:
-  VotingClient(EventLoop* loop, Network* net, NodeId id, std::vector<NodeId> replicas, int f)
-      : loop_(loop), net_(net), id_(id), replicas_(std::move(replicas)), f_(f) {
-    net->Register(id, this);
-  }
-
-  void Send(const std::string& body, std::function<void(std::string)> done) {
-    uint64_t req_id = ++next_req_;
-    calls_[req_id] = Call{body, std::move(done), {}};
-    Transmit(req_id);
-    ArmRetry(req_id);
-  }
-
-  void HandlePacket(Packet&& pkt) override {
-    if (pkt.type != static_cast<uint32_t>(BftMsgType::kReply)) {
-      return;
-    }
-    auto reply = DecodeReplyMsg(pkt.payload);
-    if (!reply.ok()) {
-      return;
-    }
-    auto it = calls_.find(reply->req_id);
-    if (it == calls_.end()) {
-      return;
-    }
-    std::string body = Str(reply->payload);
-    int votes = ++it->second.votes[body];
-    if (votes >= f_ + 1) {
-      auto done = std::move(it->second.done);
-      calls_.erase(it);
-      done(body);
-    }
-  }
-
-  size_t outstanding() const { return calls_.size(); }
-
- private:
-  struct Call {
-    std::string body;
-    std::function<void(std::string)> done;
-    std::map<std::string, int> votes;
-  };
-
-  void Transmit(uint64_t req_id) {
-    auto it = calls_.find(req_id);
-    if (it == calls_.end()) {
-      return;
-    }
-    BftRequest req;
-    req.client = id_;
-    req.req_id = req_id;
-    req.payload = Bytes(it->second.body);
-    for (NodeId r : replicas_) {
-      Packet pkt;
-      pkt.src = id_;
-      pkt.dst = r;
-      pkt.type = static_cast<uint32_t>(BftMsgType::kRequest);
-      pkt.payload = EncodeBftRequest(req);
-      net_->Send(std::move(pkt));
-    }
-  }
-
-  void ArmRetry(uint64_t req_id) {
-    loop_->Schedule(Millis(800), [this, req_id]() {
-      if (calls_.count(req_id) > 0) {
-        Transmit(req_id);
-        ArmRetry(req_id);
-      }
-    });
-  }
-
-  EventLoop* loop_;
-  Network* net_;
-  NodeId id_;
-  std::vector<NodeId> replicas_;
-  int f_;
-  uint64_t next_req_ = 0;
-  std::map<uint64_t, Call> calls_;
-};
-
-class BftClusterTest : public ::testing::Test {
- protected:
-  void Boot(int n = 4) {
-    net_ = std::make_unique<Network>(&loop_, Rng(3), LinkParams{});
-    std::vector<NodeId> members;
-    for (int i = 1; i <= n; ++i) {
-      members.push_back(static_cast<NodeId>(i));
-    }
-    for (NodeId id : members) {
-      replicas_.push_back(std::make_unique<CounterReplica>(&loop_, net_.get(), id, members));
-    }
-    for (auto& r : replicas_) {
-      r->replica->Start();
-    }
-    client_ = std::make_unique<VotingClient>(&loop_, net_.get(), 100, members, 1);
-  }
-
-  void Settle(Duration d = Seconds(2)) { loop_.RunUntil(loop_.now() + d); }
-
-  EventLoop loop_;
-  std::unique_ptr<Network> net_;
-  std::vector<std::unique_ptr<CounterReplica>> replicas_;
-  std::unique_ptr<VotingClient> client_;
-};
 
 TEST_F(BftClusterTest, OrdersAndExecutesOnAllReplicas) {
   Boot();
@@ -314,6 +155,66 @@ TEST_F(BftClusterTest, SevenReplicasF2ToleratesTwoCrashes) {
   Settle();
   EXPECT_TRUE(done);
   EXPECT_EQ(shells[0]->executed, 1);
+}
+
+// A NEW-VIEW is only valid from the primary of the view it installs. A
+// backup (replica 3) forging NEW-VIEW(1) with a made-up batch must neither
+// move anyone to view 1 nor get its batch executed.
+TEST_F(BftClusterTest, ForgedNewViewFromBackupIsIgnored) {
+  Boot();
+  NewViewMsg forged;
+  forged.new_view = 1;  // primary of view 1 is replica 2, not 3
+  PreparedEntry entry;
+  entry.view = 1;
+  entry.seq = 1;
+  entry.ts = 5;
+  entry.batch.push_back(BftRequest{kClient, 99, Bytes("add:100")});
+  forged.reproposed.push_back(entry);
+  for (NodeId dst : {1u, 2u, 4u}) {
+    Forge(3, dst, BftMsgType::kNewView, EncodeNewView(forged));
+  }
+  Settle(Millis(100));
+  for (auto& r : replicas_) {
+    EXPECT_EQ(r->replica->view(), 0u);
+    EXPECT_EQ(r->counter, 0);
+  }
+  std::string result;
+  client_->Send("add:1", [&](std::string r) { result = r; });
+  Settle();
+  EXPECT_EQ(result, "1");
+  for (auto& r : replicas_) {
+    EXPECT_EQ(r->replica->view(), 0u);
+    EXPECT_EQ(r->order, (std::vector<std::string>{"add:1"}));
+  }
+}
+
+// Two VIEW-CHANGE messages for view 2 report different prepared batches at
+// sequence number 1: replica 1's from view 0, replica 2's from view 1. The
+// new primary (replica 3) must re-propose the view-1 batch, whichever
+// message it merges first.
+TEST_F(BftClusterTest, ViewChangeKeepsBatchPreparedInHighestView) {
+  Boot();
+  auto view_change = [](uint64_t prepared_view, SimTime ts, const std::string& body,
+                        uint64_t req_id) {
+    ViewChangeMsg vc;
+    vc.new_view = 2;
+    PreparedEntry e;
+    e.view = prepared_view;
+    e.seq = 1;
+    e.ts = ts;
+    e.batch.push_back(BftRequest{kClient, req_id, Bytes(body)});
+    vc.prepared.push_back(e);
+    return EncodeViewChange(vc);
+  };
+  Forge(1, 3, BftMsgType::kViewChange, view_change(0, Millis(1), "add:1", 1));
+  Forge(2, 3, BftMsgType::kViewChange, view_change(1, Millis(2), "add:2", 2));
+  Settle();
+  for (auto& r : replicas_) {
+    EXPECT_EQ(r->replica->view(), 2u);
+    EXPECT_EQ(r->replica->last_executed(), 1u);
+    EXPECT_EQ(r->order, (std::vector<std::string>{"add:2"}));
+    EXPECT_EQ(r->counter, 2);
+  }
 }
 
 }  // namespace

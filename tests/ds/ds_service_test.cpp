@@ -35,6 +35,27 @@ TEST(DsServiceTest, OutThenRdpOnAllReplicas) {
   EXPECT_EQ(data, "v");
 }
 
+// A call's 1 s retransmit timer is cancelled when its f+1 reply vote
+// completes, so finished calls leave nothing behind in the event queue.
+TEST(DsServiceTest, CompletedCallsCancelTheirRetryTimers) {
+  DsCluster cluster;
+  cluster.Start();
+  DsClient* client = cluster.AddClient();
+  cluster.Settle();
+  const size_t idle = cluster.loop.pending();
+  int done = 0;
+  for (int i = 0; i < 50; ++i) {
+    client->Out(ObjectTuple("/t" + std::to_string(i), "v"), [&](Result<DsReply> r) {
+      EXPECT_TRUE(r.ok());
+      ++done;
+    });
+  }
+  cluster.Settle(Millis(200));  // well inside the first retransmit delay
+  ASSERT_EQ(done, 50);
+  EXPECT_EQ(client->outstanding(), 0u);
+  EXPECT_LE(cluster.loop.pending(), idle);
+}
+
 TEST(DsServiceTest, RdpMissIsNoNode) {
   DsCluster cluster;
   cluster.Start();

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
@@ -14,8 +15,12 @@
 namespace edc {
 namespace {
 
+// gtest prints a parameter that has no PrintTo as its raw bytes, and the test
+// names ctest lists carry that print. `reserved` fills the padding after
+// `kind`, which would otherwise print stale stack bytes.
 struct SystemParam {
   SystemKind kind;
+  int32_t reserved = 0;
   const char* name;
 };
 
@@ -36,10 +41,10 @@ class RecipeTest : public ::testing::TestWithParam<SystemParam> {
 
 INSTANTIATE_TEST_SUITE_P(
     AllSystems, RecipeTest,
-    ::testing::Values(SystemParam{SystemKind::kZooKeeper, "ZooKeeper"},
-                      SystemParam{SystemKind::kExtensibleZooKeeper, "EZK"},
-                      SystemParam{SystemKind::kDepSpace, "DepSpace"},
-                      SystemParam{SystemKind::kExtensibleDepSpace, "EDS"}),
+    ::testing::Values(SystemParam{.kind = SystemKind::kZooKeeper, .name = "ZooKeeper"},
+                      SystemParam{.kind = SystemKind::kExtensibleZooKeeper, .name = "EZK"},
+                      SystemParam{.kind = SystemKind::kDepSpace, .name = "DepSpace"},
+                      SystemParam{.kind = SystemKind::kExtensibleDepSpace, .name = "EDS"}),
     [](const ::testing::TestParamInfo<SystemParam>& info) { return info.param.name; });
 
 TEST_P(RecipeTest, CoordApiConformance) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace edc {
 namespace {
 
@@ -92,6 +94,10 @@ struct BadCase {
   const char* name;
   const char* src;
 };
+
+// Prints a case by name, so the test names ctest lists do not carry the
+// addresses of the case's strings, which change from run to run.
+void PrintTo(const BadCase& c, std::ostream* os) { *os << c.name; }
 
 class ParserRejectTest : public ::testing::TestWithParam<BadCase> {};
 
