@@ -8,13 +8,16 @@
 # the raw PBFT ordering, view-change and batching tier (src/edc/bft/replica.h),
 # and the lint tier (docs/static_analysis.md):
 # edc-lint golden tests, edc-lint over the example scripts, and clang-tidy
-# when available. Any failure aborts.
+# when available; last, the benchmark's own unit tests (perfbench/README.md),
+# which build perfbench against the extension-manager and registry API of
+# this checkout. Any failure aborts.
 #
 # Usage: scripts/check.sh [--lint] [build-dir]   (default build dir: build)
 #   --lint   run only the lint tier (golden tests + edc-lint + clang-tidy)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
+ROOT="$(pwd)"
 
 LINT_ONLY=0
 if [[ "${1:-}" == "--lint" ]]; then
@@ -113,4 +116,6 @@ ctest --output-on-failure -j "$JOBS" --no-tests=error \
 echo "== spotlight: membership-episode schedule sweep =="
 ctest --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'ReconfigScheduleSweep\.'
+echo "== perfbench unit tests =="
+(cd "$ROOT" && python3 perfbench/run.py --test)
 echo "All checks passed."

@@ -1,0 +1,283 @@
+#include "edc/ext/core.h"
+
+#include <map>
+#include <utility>
+
+#include "edc/common/logging.h"
+#include "edc/common/strings.h"
+#include "edc/script/builtins.h"
+#include "edc/script/parser.h"
+#include "edc/sim/costs.h"
+
+namespace edc {
+
+namespace {
+
+enum class HostFn {
+  kClientId, kNow, kRandom, kRead, kExists, kChildren, kSubObjects, kBlock,
+  kCreate, kDelete, kUpdate, kCas,
+};
+
+constexpr uint8_t kStateOp = 1;  // subject to the state-op budget
+constexpr uint8_t kWrites = 2;   // mutating: subject to the /em guard
+constexpr uint8_t kCreates = 4;  // subject to the object-creation budget
+constexpr uint8_t kEphemeral = 8;
+constexpr uint8_t kSequential = 16;
+constexpr uint8_t kMutation = kStateOp | kWrites;
+constexpr uint8_t kCreation = kMutation | kCreates;
+
+constexpr uint8_t kBoth = kEzkHost | kEdsHost;
+constexpr uint8_t kReads = kBoth | kReadOnlyHost;
+
+// The service-API host functions (the state-proxy interface of Fig. 2).
+struct HostSpec {
+  HostFn fn;
+  bool deterministic;
+  uint8_t sets;      // HostSet bits exposing the function
+  size_t arity;
+  int path_arg;      // index of the str path argument, -1 = none
+  uint8_t flags;
+};
+
+const std::map<std::string, HostSpec>& HostTable() {
+  static const auto* kTable = new std::map<std::string, HostSpec>{
+      {"client_id", {HostFn::kClientId, true, kReads, 0, -1, 0}},
+      {"now", {HostFn::kNow, false, kEzkHost, 0, -1, 0}},
+      {"random", {HostFn::kRandom, false, kEzkHost, 1, -1, 0}},
+      {"read_object", {HostFn::kRead, true, kReads, 1, 0, kStateOp}},
+      {"exists", {HostFn::kExists, true, kReads, 1, 0, kStateOp}},
+      {"children", {HostFn::kChildren, true, kReads, 1, 0, kStateOp}},
+      {"sub_objects", {HostFn::kSubObjects, true, kReads, 1, 0, kStateOp}},
+      {"block", {HostFn::kBlock, true, kBoth, 1, 0, kStateOp}},
+      {"create", {HostFn::kCreate, true, kBoth, 2, 0, kCreation}},
+      {"create_ephemeral", {HostFn::kCreate, true, kBoth, 2, 0, kCreation | kEphemeral}},
+      {"create_sequential", {HostFn::kCreate, true, kEzkHost, 2, 0, kCreation | kSequential}},
+      // monitor(data, path): an ephemeral tied to the invoking client.
+      {"monitor", {HostFn::kCreate, true, kBoth, 2, 1, kCreation | kEphemeral}},
+      {"delete_object", {HostFn::kDelete, true, kBoth, 1, 0, kMutation}},
+      {"update", {HostFn::kUpdate, true, kBoth, 2, 0, kMutation}},
+      {"cas", {HostFn::kCas, true, kBoth, 3, 0, kMutation}},
+  };
+  return *kTable;
+}
+
+const HostSpec* FindHost(const std::string& name, HostSet set) {
+  auto it = HostTable().find(name);
+  return it != HostTable().end() && (it->second.sets & set) != 0 ? &it->second : nullptr;
+}
+
+Result<Value> ProxyError(const Status& s) { return ScriptError(s.ToString()); }
+
+}  // namespace
+
+bool SandboxHost::HasFunction(const std::string& name) const {
+  return FindHost(name, set_) != nullptr;
+}
+
+Result<Value> SandboxHost::Call(const std::string& name, std::vector<Value>& args) {
+  const HostSpec* spec = FindHost(name, set_);
+  if (spec == nullptr) {
+    return ScriptError("unknown host function '" + name + "'");
+  }
+  if ((spec->flags & kStateOp) != 0 && proxy_->state_ops() >= limits_.max_state_ops) {
+    return Status(ErrorCode::kExtensionLimit, "state-operation budget exceeded");
+  }
+  if (args.size() != spec->arity) {
+    return ScriptError(name + " expects " + std::to_string(spec->arity) + " argument(s)");
+  }
+  if (spec->path_arg >= 0 && !args[spec->path_arg].is_str()) {
+    return ScriptError(name + ": expected str argument");
+  }
+  static const std::string kNoPath;
+  const std::string& path = spec->path_arg >= 0 ? args[spec->path_arg].AsStr() : kNoPath;
+  if ((spec->flags & kCreates) != 0 && created_ >= limits_.max_created_objects) {
+    return Status(ErrorCode::kExtensionLimit, "object-creation budget exceeded");
+  }
+  if ((spec->flags & kWrites) != 0 && PathIsUnder(path, kEmRoot)) {
+    return ScriptError("extensions may not touch the /em namespace");
+  }
+  // Collection cap (§4.1.2): the static cost pass bounds foreach loops over
+  // these lists by max_collection_items, so the runtime must never hand
+  // back more.
+  auto capped = [this](Result<ValueList> list) -> Result<Value> {
+    if (!list.ok()) {
+      return ProxyError(list.status());
+    }
+    if (list->size() > limits_.max_collection_items) {
+      list->resize(limits_.max_collection_items);
+    }
+    return Value::List(std::move(*list));
+  };
+  auto done = [](const Status& s) -> Result<Value> {
+    return s.ok() ? Result<Value>(Value(true)) : ProxyError(s);
+  };
+  switch (spec->fn) {
+    case HostFn::kClientId:
+      return Value(std::to_string(proxy_->client()));
+    case HostFn::kNow:
+      return Value(proxy_->Now());
+    case HostFn::kRandom:
+      if (!args[0].is_int() || args[0].AsInt() <= 0) {
+        return ScriptError("random: expected positive int bound");
+      }
+      return Value(proxy_->Random(args[0].AsInt()));
+    case HostFn::kRead:
+      return proxy_->Read(path);
+    case HostFn::kExists:
+      return Value(proxy_->Exists(path));
+    case HostFn::kChildren:
+      return capped(proxy_->Children(path));
+    case HostFn::kSubObjects:
+      return capped(proxy_->SubObjects(path));
+    case HostFn::kBlock:
+      return proxy_->Block(path);
+    case HostFn::kCreate: {
+      // The data is whichever of the two arguments is not the path.
+      auto actual = proxy_->Create(path, args[1 - spec->path_arg].ToString(),
+                                   (spec->flags & kEphemeral) != 0,
+                                   (spec->flags & kSequential) != 0);
+      if (!actual.ok()) {
+        return ProxyError(actual.status());
+      }
+      ++created_;
+      return Value(*actual);
+    }
+    case HostFn::kDelete:
+      return done(proxy_->Delete(path));
+    case HostFn::kUpdate:
+      return done(proxy_->Update(path, args[1].ToString()));
+    case HostFn::kCas: {
+      auto swapped = proxy_->Cas(path, args[1].ToString(), args[2].ToString());
+      return swapped.ok() ? Result<Value>(Value(*swapped)) : ProxyError(swapped.status());
+    }
+  }
+  return ScriptError("unknown host function '" + name + "'");
+}
+
+ExtensionManagerCore::ExtensionManagerCore(const ExtensionLimits& limits, HostSet set)
+    : limits_(limits), set_(set) {
+  verifier_config_.allowed_functions = CoreAllowedFunctions();
+  for (const auto& [name, spec] : HostTable()) {
+    if ((spec.sets & set) != 0) {
+      verifier_config_.allowed_functions[name] = spec.deterministic;
+    }
+  }
+  // Active replication executes every extension on every replica, so the
+  // EDS white list must be fully deterministic; primary-backup EZK may use
+  // nondeterministic functions (§4.1.1).
+  verifier_config_.require_deterministic = set != kEzkHost;
+  // Certification (§4.2): a handler whose proven step bound fits the runtime
+  // budget runs unmetered. The cost pass relies on the sandbox capping
+  // collection results, so both sides must agree on the cap. The analyzer
+  // seeds handler inputs and its string-length top from the *actual*
+  // runtime limits: a tighter budget gets tighter (still sound) bounds, and
+  // max_steps below a handler's bound rejects certification instead of
+  // mis-certifying.
+  verifier_config_.certify_max_steps = limits_.max_steps;
+  verifier_config_.collection_functions = {"children", "sub_objects"};
+  verifier_config_.max_collection_items = limits_.max_collection_items;
+  verifier_config_.max_input_bytes = limits_.max_input_bytes;
+  verifier_config_.max_value_bytes = limits_.max_value_bytes;
+}
+
+Status ExtensionManagerCore::CheckRegistration(const std::string& source,
+                                               Duration* cpu) const {
+  *cpu += static_cast<Duration>(source.size()) * CostModel{}.ext_verify_cpu_per_byte;
+  auto program = ParseProgram(source);
+  if (!program.ok()) {
+    return program.status();
+  }
+  if (auto s = VerifyProgram(**program, verifier_config_); !s.ok()) {
+    return s;
+  }
+  for (const Subscription& sub : (*program)->subscriptions) {
+    if (PathIsUnder(sub.pattern, kEmRoot)) {
+      return Status(ErrorCode::kExtensionRejected,
+                    "subscriptions may not target the /em namespace");
+    }
+  }
+  return Status::Ok();
+}
+
+Status ExtensionManagerCore::Load(const std::string& name, uint64_t owner,
+                                  const std::string& source, Obs* obs) {
+  Status s = registry_.Load(name, owner, source, verifier_config_);
+  if (s.ok() && obs != nullptr) {
+    obs->metrics.GetCounter("ext.compiled")
+        ->Add(static_cast<int64_t>(registry_.Find(name)->compiled->handlers.size()));
+  }
+  return s;
+}
+
+Invocation ExtensionManagerCore::RunOperation(const LoadedExtension& ext,
+                                              const std::string& kind,
+                                              const std::string& path,
+                                              const std::string& data, StateProxy* proxy,
+                                              Obs* obs) {
+  const char* handler = OpHandlerFor(kind);
+  std::vector<Value> args;
+  if (handler != nullptr && ext.program->handlers.count(handler) > 0) {
+    args.emplace_back(path);
+    if (kind == "create" || kind == "update" || kind == "cas") {
+      args.emplace_back(data);
+    }
+  } else {
+    handler = "handle_op";
+    args.push_back(
+        Value::Map({{"type", Value(kind)}, {"path", Value(path)}, {"data", Value(data)}}));
+  }
+  return Settle(ext.name, Invoke(ext, handler, std::move(args), proxy, set_, obs));
+}
+
+const char* ExtensionManagerCore::EventHandler(const LoadedExtension& ext,
+                                               const std::string& kind) {
+  for (const char* handler : {EventHandlerFor(kind), "handle_event"}) {
+    if (handler != nullptr && ext.program->handlers.count(handler) > 0) {
+      return handler;
+    }
+  }
+  return nullptr;
+}
+
+Invocation ExtensionManagerCore::RunEvent(const LoadedExtension& ext, const char* handler,
+                                          const std::string& path, StateProxy* proxy,
+                                          Obs* obs) {
+  return Settle(ext.name, Invoke(ext, handler, {Value(path)}, proxy, set_, obs));
+}
+
+Invocation ExtensionManagerCore::Invoke(const LoadedExtension& ext, const std::string& handler,
+                                        std::vector<Value> args, StateProxy* proxy,
+                                        HostSet set, Obs* obs) {
+  SandboxHost host(proxy, limits_, set);
+  HandlerRun run = RunExtensionHandler(ext, handler, std::move(args), &host, limits_);
+  CostModel costs;
+  Invocation inv;
+  inv.cpu = costs.ext_invoke_cpu + run.steps_used * costs.ext_step_cpu;
+  if (obs != nullptr) {
+    obs->metrics.GetCounter("ext.invocations")->Increment();
+    obs->metrics.GetCounter("ext.steps")->Add(run.steps_used);
+    if (run.certified) {
+      obs->metrics.GetCounter("ext.certified")->Increment();
+    }
+    if (run.vm_dispatched) {
+      obs->metrics.GetCounter("ext.vm_dispatches")->Increment();
+    }
+  }
+  inv.result = std::move(run.result);
+  return inv;
+}
+
+Invocation ExtensionManagerCore::Settle(const std::string& name, Invocation inv) {
+  // strike_limit counts *consecutive* failures: a success clears them.
+  if (inv.result.ok()) {
+    if (LoadedExtension* ext = registry_.Find(name)) {
+      ext->strikes = 0;
+    }
+  } else if (registry_.RecordStrike(name, limits_.strike_limit)) {
+    EDC_LOG(kWarn) << "evicting misbehaving extension '" << name << "'";
+    inv.evict = true;
+  }
+  return inv;
+}
+
+}  // namespace edc

@@ -21,8 +21,7 @@
 
 #include "edc/ds/hooks.h"
 #include "edc/ds/server.h"
-#include "edc/ext/registry.h"
-#include "edc/script/interpreter.h"
+#include "edc/ext/core.h"
 
 namespace edc {
 
@@ -37,24 +36,17 @@ class DsExtensionManager : public DsServerHooks {
   bool AllowUnblock(NodeId client, const DsTemplate& templ, const DsTuple& tuple) override;
   void OnStateReloaded() override;
 
-  const ExtensionRegistry& registry() const { return registry_; }
-  const VerifierConfig& verifier_config() const { return verifier_config_; }
+  const ExtensionRegistry& registry() const { return core_.registry(); }
+  const VerifierConfig& verifier_config() const { return core_.verifier_config(); }
 
  private:
-  static std::string KindOf(const DsOp& op);
-  // Target path of the operation in the object model (<path, data> tuples).
-  static std::string PathOf(const DsOp& op);
-
   DsExecOutcome HandleEmTraffic(DsExecContext* ctx, NodeId client, const DsOp& op);
-  DsExecOutcome RunOperationExtension(const LoadedExtension& ext, DsExecContext* ctx,
-                                      NodeId client, const DsOp& op);
-  void RunEventExtension(LoadedExtension* ext, DsExecContext* ctx, const std::string& kind,
-                         const std::string& path);
+  // Removes the extension's /em tuples and unloads it. Every replica runs
+  // this at the same point of the order, so eviction is deterministic too.
+  void Deregister(DsExecContext* ctx, std::string name);
 
   DsServer* server_;
-  ExtensionLimits limits_;
-  VerifierConfig verifier_config_;
-  ExtensionRegistry registry_;
+  ExtensionManagerCore core_;
 };
 
 }  // namespace edc

@@ -54,9 +54,6 @@ struct ExtensionLimits {
   // split() of their inputs get finite certified step bounds
   // (docs/static_analysis.md).
   size_t max_input_bytes = 2048;
-  // When true, handlers certified at registration (proven step bound within
-  // max_steps) run without the per-node step-limit check (§4.2).
-  bool enable_metering_elision = true;
   // When true, handlers that compiled to bytecode at registration dispatch
   // through the register VM instead of the tree-walking interpreter
   // (docs/bytecode_vm.md). Results, error Statuses and steps_used are
@@ -73,8 +70,8 @@ struct LoadedExtension {
   std::set<uint64_t> acks;
   uint64_t reg_order = 0;
   int strikes = 0;
-  // Per-handler analysis verdicts from registration time; drives metering
-  // elision for certified handlers.
+  // Per-handler analysis verdicts from registration time; certified
+  // handlers run with metering elided (§4.2).
   std::map<std::string, HandlerReport> reports;
   // Bytecode for the certified handlers (compiled once at registration;
   // uncertified or uncompilable handlers are absent and keep interpreting).
@@ -92,13 +89,12 @@ struct LoadedExtension {
 struct HandlerRun {
   Result<Value> result = Value();
   int64_t steps_used = 0;     // identical on either engine
-  bool certified = false;     // analyzer verdict for the handler
-  bool metered = false;       // step-limit check was active
+  bool certified = false;     // analyzer verdict; certified runs unmetered
   bool vm_dispatched = false; // ran on the bytecode VM (vs interpreter)
 };
 
-// Shared dispatch path for the EZK and EDS bindings: builds the ExecBudget
-// from `limits` (metering elision for certified handlers), runs
+// Engine dispatch under ExtensionManagerCore::Invoke: builds the ExecBudget
+// from `limits` (metering elided for certified handlers), runs
 // `handler_name` on the bytecode VM when a compiled form exists and
 // limits.enable_vm is set, and falls back to the interpreter otherwise.
 HandlerRun RunExtensionHandler(const LoadedExtension& ext, const std::string& handler_name,

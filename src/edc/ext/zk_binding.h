@@ -4,9 +4,10 @@
 //   * replica-side subscription matching routes extension-subscribed
 //     operations (even reads) through the primary;
 //   * at the primary's preprocessor stage, the matching extension executes
-//     inside a sandbox whose state proxy is the leader's PrepSession — every
-//     state change lands in one multi-transaction, and the extension result
-//     is piggybacked on it (§5.1.2);
+//     in the shared sandbox (edc/ext/core.h) over a state proxy on the
+//     leader's PrepSession — every state change lands in one
+//     multi-transaction, and the extension result is piggybacked on it
+//     (§5.1.2);
 //   * registrations are standard creates under /em: verified, compiled, and
 //     rewritten to carry the owner before replication; every replica's
 //     manager rebuilds its registry from the applied transactions (or from a
@@ -22,13 +23,11 @@
 #define EDC_EXT_ZK_BINDING_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "edc/common/rng.h"
-#include "edc/ext/registry.h"
-#include "edc/script/interpreter.h"
+#include "edc/ext/core.h"
 #include "edc/zk/hooks.h"
 #include "edc/zk/server.h"
 
@@ -47,19 +46,13 @@ class ZkExtensionManager : public ZkServerHooks {
   bool SuppressNotification(uint64_t session, const ZkEvent& event) const override;
   void OnStateReloaded() override;
 
-  const ExtensionRegistry& registry() const { return registry_; }
-  const VerifierConfig& verifier_config() const { return verifier_config_; }
+  const ExtensionRegistry& registry() const { return core_.registry(); }
+  const VerifierConfig& verifier_config() const { return core_.verifier_config(); }
 
   // Maximum extension-triggered transaction chain length.
   static constexpr uint8_t kMaxEventDepth = 4;
 
  private:
-  // Op type -> subscription kind ("read", "block", ...); empty = unmatchable.
-  static std::string KindOf(const ZkOp& op);
-
-  // Runs `handler` of `ext` against `prep`; fills outcome.
-  ZkPrepOutcome RunOperationExtension(const LoadedExtension& ext, PrepSession* prep,
-                                      uint64_t session, const ZkOp& op);
   void RunEventExtensions(const ZkEvent& event, const std::string& kind, uint8_t depth);
   void EvictExtension(const std::string& name);
 
@@ -67,9 +60,7 @@ class ZkExtensionManager : public ZkServerHooks {
   void ObserveAppliedOp(const ZkTxnOp& op);
 
   ZkServer* server_;
-  ExtensionLimits limits_;
-  VerifierConfig verifier_config_;
-  ExtensionRegistry registry_;
+  ExtensionManagerCore core_;
   Rng ext_rng_{0xE27};  // leader-only nondeterminism source for random()
 };
 

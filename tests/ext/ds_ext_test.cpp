@@ -4,8 +4,10 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "edc/harness/fixture.h"
 #include "tests/ds/ds_cluster.h"
 
 namespace edc {
@@ -39,7 +41,9 @@ extension queue_remove {
 
 class EdsCluster : public DsCluster {
  public:
-  explicit EdsCluster(ExtensionLimits limits = ExtensionLimits{}) {
+  explicit EdsCluster(ExtensionLimits limits = ExtensionLimits{},
+                      DsServerOptions options = DsServerOptions{})
+      : DsCluster(21, std::move(options)) {
     for (auto& server : servers) {
       managers.push_back(std::make_unique<DsExtensionManager>(server.get(), limits));
     }
@@ -183,10 +187,9 @@ TEST(EdsExtensionTest, QueueExtensionFifo) {
   EXPECT_EQ(code, ErrorCode::kExtensionError);  // empty queue
 }
 
-TEST(EdsExtensionTest, ExtensionWritesRespectAccessControl) {
-  // The state ops an extension performs pass through the access-control
-  // layer above the EM (Fig. 4): a client that may not write cannot gain
-  // privileges by invoking an extension (§4.1.2).
+// A custom access policy: client 100 is read-only, everyone else may do
+// anything — including touch /em, which the default rule forbids.
+DsServerOptions ReadOnlyClient100Policy() {
   DsServerOptions options;
   options.access.check = [](NodeId client, DsOpType type, const DsTuple*,
                             const DsTemplate*) -> Status {
@@ -196,20 +199,14 @@ TEST(EdsExtensionTest, ExtensionWritesRespectAccessControl) {
     }
     return Status::Ok();
   };
-  EdsCluster cluster;
-  // Rebuild servers with the restrictive ACL.
-  cluster.servers.clear();
-  cluster.managers.clear();
-  for (NodeId id : cluster.members) {
-    auto server = std::make_unique<DsServer>(&cluster.loop, cluster.net.get(), id,
-                                             cluster.members, CostModel{}, options);
-    cluster.net->Register(id, server.get());
-    cluster.servers.push_back(std::move(server));
-  }
-  for (auto& server : cluster.servers) {
-    cluster.managers.push_back(
-        std::make_unique<DsExtensionManager>(server.get(), ExtensionLimits{}));
-  }
+  return options;
+}
+
+TEST(EdsExtensionTest, ExtensionWritesRespectAccessControl) {
+  // The state ops an extension performs pass through the access-control
+  // layer above the EM (Fig. 4): a client that may not write cannot gain
+  // privileges by invoking an extension (§4.1.2).
+  EdsCluster cluster(ExtensionLimits{}, ReadOnlyClient100Policy());
   cluster.Start();
   DsClient* readonly = cluster.AddClient();  // id 100
   DsClient* writer = cluster.AddClient();    // id 101
@@ -222,6 +219,77 @@ TEST(EdsExtensionTest, ExtensionWritesRespectAccessControl) {
   EXPECT_EQ(FieldToString(
                 (*cluster.servers[0]->space().Rdp(ObjectTemplate("/ctr")))[1]),
             "0");
+}
+
+// The sandbox keeps extensions out of /em by itself: a custom access policy
+// that lets the invoking client write there does not let its extension
+// overwrite another extension's registration with cas().
+TEST(EdsExtensionTest, CasCannotOverwriteRegistrationUnderCustomPolicy) {
+  EdsCluster cluster(ExtensionLimits{}, ReadOnlyClient100Policy());
+  cluster.Start();
+  DsClient* owner = cluster.AddClient();     // id 100
+  DsClient* attacker = cluster.AddClient();  // id 101
+  ASSERT_TRUE(RegisterAndWait(cluster, owner, "ctr_increment", kCounterExt).ok());
+  ASSERT_TRUE(RegisterAndWait(cluster, attacker, "smash", R"(
+    extension smash {
+      on op read "/smash";
+      fn read(p) {
+        let reg = read_object("/em/ctr_increment");
+        return cas("/em/ctr_increment", get(reg, "data"), "junk");
+      }
+    })").ok());
+  Status smashed = Status::Ok();
+  attacker->Rdp(ObjectTemplate("/smash"), [&](Result<DsReply> r) { smashed = r.status(); });
+  cluster.Settle();
+  EXPECT_EQ(smashed.code(), ErrorCode::kExtensionError);
+  EXPECT_EQ(smashed.message(), "extensions may not touch the /em namespace");
+  for (auto& server : cluster.servers) {
+    auto tuple = server->space().Rdp(ObjectTemplate("/em/ctr_increment"));
+    ASSERT_TRUE(tuple.ok());
+    auto reg = DecodeRegistration(FieldToString((*tuple)[1]));
+    ASSERT_TRUE(reg.ok());
+    EXPECT_EQ(reg->first, owner->id());
+  }
+}
+
+// Event-handler failures count toward strike_limit like op-handler ones:
+// an on_deleted handler that always fails is deregistered, identically on
+// every replica.
+TEST(EdsExtensionTest, FailingEventExtensionIsEvictedOnAllReplicas) {
+  FixtureOptions options;
+  options.system = SystemKind::kExtensibleDepSpace;
+  options.limits.strike_limit = 2;
+  ClusterFixture fix(options);
+  fix.Start();
+  CoordClient* client = fix.coord(0);
+  Status reg = Status(ErrorCode::kInternal);
+  client->RegisterExtension("crashy", R"(
+    extension crashy {
+      on event deleted "/m/*";
+      fn on_deleted(p) { return error("always fails"); }
+    })", [&](Status s) { reg = s; });
+  fix.Settle(Seconds(1));
+  ASSERT_TRUE(reg.ok()) << reg.ToString();
+  for (int i = 0; i < 2; ++i) {
+    const std::string path = "/m/o" + std::to_string(i);
+    client->Create(path, "v", [](Result<std::string>) {});
+    fix.Settle(Millis(200));
+    client->Delete(path, [](Status) {});
+    fix.Settle(Millis(200));
+  }
+  fix.Settle(Seconds(1));
+  for (auto& server : fix.ds_servers) {
+    EXPECT_FALSE(server->space().HasMatch(ObjectTemplate("/em/crashy")));
+  }
+  std::string why;
+  EXPECT_TRUE(fix.CheckEdsInvariants(&why)) << why;
+  // The name is free again: a fresh registration succeeds.
+  reg = Status(ErrorCode::kInternal);
+  client->RegisterExtension("crashy", R"(
+    extension crashy { on op read "/c"; fn read(p) { return 1; } })",
+                            [&](Status s) { reg = s; });
+  fix.Settle(Seconds(1));
+  EXPECT_TRUE(reg.ok()) << reg.ToString();
 }
 
 TEST(EdsExtensionTest, BlockingExtensionDefersReply) {

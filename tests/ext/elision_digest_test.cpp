@@ -1,9 +1,9 @@
-// Determinism-under-certification: running the identical seeded scenario
-// with metering elision enabled vs disabled must produce byte-identical
-// packet traces and replica state. Elision only removes the step-limit
-// comparison for certified handlers; steps are still counted, so the
-// simulated CPU charge — and with it every delivery time in the digest —
-// cannot move (docs/static_analysis.md, "verification pays once").
+// Determinism across execution engines: running the identical seeded
+// scenario with certified handlers dispatched to the bytecode VM vs the
+// tree-walking interpreter must produce byte-identical packet traces and
+// replica state. Both engines count steps instruction-for-instruction the
+// same, so the simulated CPU charge — and with it every delivery time in the
+// digest — cannot move (docs/bytecode_vm.md, "verification pays once").
 
 #include <gtest/gtest.h>
 
@@ -30,21 +30,17 @@ struct RunSig {
   uint64_t state_hash = 0;
   int64_t invocations = 0;
   int64_t certified = 0;
-  int64_t elided = 0;
   int64_t vm_dispatches = 0;
 };
 
 // Registers the counter extension and bumps it repeatedly; the handler is
-// loop-free and whitelisted, so the analyzer certifies it and the elision
-// path actually runs when enabled.
-RunSig RunCounterWorkload(SystemKind system, uint64_t seed, bool elide,
-                          bool vm = true) {
+// loop-free and whitelisted, so the analyzer certifies it and compiles it.
+RunSig RunCounterWorkload(SystemKind system, uint64_t seed, bool vm) {
   FixtureOptions options;
   options.system = system;
   options.num_clients = 1;
   options.seed = seed;
   options.observability = true;  // counters only; proven non-perturbing
-  options.limits.enable_metering_elision = elide;
   options.limits.enable_vm = vm;
   ClusterFixture fix(options);
   fix.faults().EnablePacketTrace();
@@ -83,24 +79,8 @@ RunSig RunCounterWorkload(SystemKind system, uint64_t seed, bool elide,
   sig.state_hash = h;
   sig.invocations = fix.obs().metrics.CounterValue("ext.invocations");
   sig.certified = fix.obs().metrics.CounterValue("ext.certified");
-  sig.elided = fix.obs().metrics.CounterValue("ext.metering_elided");
   sig.vm_dispatches = fix.obs().metrics.CounterValue("ext.vm_dispatches");
   return sig;
-}
-
-TEST(ElisionDigestTest, EzkDigestsIdenticalWithElisionOnAndOff) {
-  RunSig off = RunCounterWorkload(SystemKind::kExtensibleZooKeeper, 71, false);
-  RunSig on = RunCounterWorkload(SystemKind::kExtensibleZooKeeper, 71, true);
-
-  // The workload really exercised certified handlers, and elision really
-  // toggled: same invocations, elided only in the "on" run.
-  EXPECT_GT(off.invocations, 0);
-  EXPECT_EQ(off.certified, off.invocations);
-  EXPECT_EQ(off.elided, 0);
-  EXPECT_EQ(on.elided, on.invocations);
-
-  EXPECT_EQ(on.packet_digest, off.packet_digest);
-  EXPECT_EQ(on.state_hash, off.state_hash);
 }
 
 // Same property for the bytecode VM: dispatching certified handlers to
@@ -108,9 +88,9 @@ TEST(ElisionDigestTest, EzkDigestsIdenticalWithElisionOnAndOff) {
 // steps_used is charged instruction-for-instruction identically, so the
 // simulated CPU time — and therefore every packet timestamp — cannot move.
 TEST(ElisionDigestTest, EzkDigestsIdenticalWithVmOnAndOff) {
-  RunSig interp = RunCounterWorkload(SystemKind::kExtensibleZooKeeper, 71, true,
+  RunSig interp = RunCounterWorkload(SystemKind::kExtensibleZooKeeper, 71,
                                      /*vm=*/false);
-  RunSig vm = RunCounterWorkload(SystemKind::kExtensibleZooKeeper, 71, true,
+  RunSig vm = RunCounterWorkload(SystemKind::kExtensibleZooKeeper, 71,
                                  /*vm=*/true);
 
   // The toggle really routed execution: every certified invocation went
@@ -124,9 +104,9 @@ TEST(ElisionDigestTest, EzkDigestsIdenticalWithVmOnAndOff) {
 }
 
 TEST(ElisionDigestTest, EdsDigestsIdenticalWithVmOnAndOff) {
-  RunSig interp = RunCounterWorkload(SystemKind::kExtensibleDepSpace, 83, true,
+  RunSig interp = RunCounterWorkload(SystemKind::kExtensibleDepSpace, 83,
                                      /*vm=*/false);
-  RunSig vm = RunCounterWorkload(SystemKind::kExtensibleDepSpace, 83, true,
+  RunSig vm = RunCounterWorkload(SystemKind::kExtensibleDepSpace, 83,
                                  /*vm=*/true);
 
   EXPECT_GT(vm.invocations, 0);
@@ -182,7 +162,6 @@ RunSig RunTwoPhaseWorkload(uint64_t seed, bool vm) {
   sig.state_hash = h;
   sig.invocations = fix.obs().metrics.CounterValue("ext.invocations");
   sig.certified = fix.obs().metrics.CounterValue("ext.certified");
-  sig.elided = fix.obs().metrics.CounterValue("ext.metering_elided");
   sig.vm_dispatches = fix.obs().metrics.CounterValue("ext.vm_dispatches");
   return sig;
 }
@@ -201,18 +180,6 @@ TEST(ElisionDigestTest, TwoPhaseDigestsIdenticalWithVmOnAndOff) {
 
   EXPECT_EQ(vm.packet_digest, interp.packet_digest);
   EXPECT_EQ(vm.state_hash, interp.state_hash);
-}
-
-TEST(ElisionDigestTest, EdsDigestsIdenticalWithElisionOnAndOff) {
-  RunSig off = RunCounterWorkload(SystemKind::kExtensibleDepSpace, 83, false);
-  RunSig on = RunCounterWorkload(SystemKind::kExtensibleDepSpace, 83, true);
-
-  EXPECT_GT(off.invocations, 0);
-  EXPECT_EQ(off.elided, 0);
-  EXPECT_GT(on.elided, 0);
-
-  EXPECT_EQ(on.packet_digest, off.packet_digest);
-  EXPECT_EQ(on.state_hash, off.state_hash);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "edc/ext/core.h"
+
 namespace edc {
 namespace {
 
@@ -95,6 +97,33 @@ TEST(ExtensionRegistryTest, StrikesAccumulateToLimit) {
   EXPECT_FALSE(registry.RecordStrike("flaky", 0));
   // Unknown names never strike.
   EXPECT_FALSE(registry.RecordStrike("ghost", 1));
+}
+
+// strike_limit counts consecutive runtime failures (ExtensionLimits): the
+// manager core clears an extension's strikes whenever it succeeds.
+TEST(ExtensionRegistryTest, AlternatingFailuresNeverReachStrikeLimit) {
+  ExtensionLimits limits;
+  limits.strike_limit = 2;
+  ExtensionManagerCore core(limits, kEzkHost);
+  ASSERT_TRUE(core.registry()
+                  .Load("flaky", 1, R"(extension flaky {
+                    on op update "/f";
+                    fn update(p, d) { if (d == "bad") { return error("bad"); } return 1; }
+                  })", core.verifier_config())
+                  .ok());
+  // The handler makes no host calls, so it needs no state proxy.
+  auto run = [&](const std::string& data) {
+    return core.RunOperation(*core.registry().Find("flaky"), "update", "/f", data, nullptr,
+                             nullptr);
+  };
+  for (int i = 0; i < 5; ++i) {
+    Invocation failed = run("bad");
+    EXPECT_FALSE(failed.result.ok());
+    EXPECT_FALSE(failed.evict);
+    EXPECT_TRUE(run("ok").result.ok());
+  }
+  EXPECT_FALSE(run("bad").evict);
+  EXPECT_TRUE(run("bad").evict);
 }
 
 TEST(ExtensionRegistryTest, RegistrationBlobRoundTrips) {

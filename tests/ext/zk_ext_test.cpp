@@ -318,6 +318,110 @@ TEST(EzkExtensionTest, StrikeLimitEvictsCrashLoopingExtension) {
   EXPECT_FALSE(cluster.Leader()->tree().Exists("/em/crashy"));
 }
 
+// strike_limit counts consecutive failures: the queue extension's normal
+// "empty queue" errors, each followed by a successful removal, never add up
+// to an eviction; two failures in a row still do.
+TEST(EzkExtensionTest, StrikesResetOnSuccessfulInvocation) {
+  ExtensionLimits limits;
+  limits.strike_limit = 2;
+  EzkCluster cluster(limits);
+  cluster.Start();
+  ZkClient* client = cluster.AddClient();
+  client->Create("/queue", "", false, false, [](Result<std::string>) {});
+  cluster.Settle();
+  ASSERT_TRUE(RegisterAndWait(cluster, client, "queue_remove", kQueueExt).ok());
+  auto remove_head = [&]() {
+    ErrorCode code = ErrorCode::kInternal;
+    ZkOp op;
+    op.type = ZkOpType::kGetData;
+    op.path = "/queue-head";
+    client->Request(op, [&](const ZkReplyMsg& reply) { code = reply.code; });
+    cluster.Settle();
+    return code;
+  };
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(remove_head(), ErrorCode::kExtensionError);  // empty queue
+    client->Create("/queue/e" + std::to_string(i), "x", false, false,
+                   [](Result<std::string>) {});
+    cluster.Settle();
+    EXPECT_EQ(remove_head(), ErrorCode::kOk);
+  }
+  cluster.Settle();
+  for (auto& mgr : cluster.managers) {
+    EXPECT_TRUE(mgr->registry().Contains("queue_remove"));
+  }
+  EXPECT_EQ(remove_head(), ErrorCode::kExtensionError);
+  EXPECT_EQ(remove_head(), ErrorCode::kExtensionError);
+  cluster.Settle();
+  for (auto& mgr : cluster.managers) {
+    EXPECT_FALSE(mgr->registry().Contains("queue_remove"));
+  }
+}
+
+// An extension may not write under /em with any host function. monitor()
+// used to skip the guard, so an unrelated client's extension could create
+// the acknowledgment node of a victim session and make a third party's
+// extension intercept the victim's requests.
+TEST(EzkExtensionTest, MonitorCannotForgeAcknowledgment) {
+  EzkCluster cluster;
+  cluster.Start();
+  ZkClient* owner = cluster.AddClient(1);
+  ZkClient* attacker = cluster.AddClient(2);
+  ZkClient* victim = cluster.AddClient(3);
+  owner->Create("/ctr", "0", false, false, [](Result<std::string>) {});
+  cluster.Settle();
+  ASSERT_TRUE(RegisterAndWait(cluster, owner, "ctr_increment", kCounterExt).ok());
+  const std::string ack = "/em/ctr_increment/ack-" + std::to_string(victim->session());
+  ASSERT_TRUE(RegisterAndWait(cluster, attacker, "forger",
+                              "extension forger { on op read \"/forge\"; fn read(p) { "
+                              "return monitor(\"x\", \"" + ack + "\"); } }")
+                  .ok());
+  ZkReplyMsg forged;
+  ZkOp op;
+  op.type = ZkOpType::kGetData;
+  op.path = "/forge";
+  attacker->Request(op, [&](const ZkReplyMsg& reply) { forged = reply; });
+  cluster.Settle();
+  EXPECT_EQ(forged.code, ErrorCode::kExtensionError);
+  EXPECT_EQ(forged.value, "extensions may not touch the /em namespace");
+  for (auto& server : cluster.servers) {
+    EXPECT_FALSE(server->tree().Exists(ack));
+  }
+  // The victim never acknowledged, so its read is not intercepted.
+  EXPECT_EQ(Increment(cluster, victim).code(), ErrorCode::kNoNode);
+}
+
+// cas() used to skip the /em guard too, so an extension could overwrite a
+// registration blob that replicas decode when they reload from the tree.
+TEST(EzkExtensionTest, CasCannotOverwriteRegistration) {
+  EzkCluster cluster;
+  cluster.Start();
+  ZkClient* owner = cluster.AddClient(1);
+  ZkClient* attacker = cluster.AddClient(2);
+  ASSERT_TRUE(RegisterAndWait(cluster, owner, "ctr_increment", kCounterExt).ok());
+  ASSERT_TRUE(RegisterAndWait(cluster, attacker, "smash", R"(
+    extension smash {
+      on op read "/smash";
+      fn read(p) {
+        let reg = read_object("/em/ctr_increment");
+        return cas("/em/ctr_increment", get(reg, "data"), "junk");
+      }
+    })").ok());
+  ZkReplyMsg smashed;
+  ZkOp op;
+  op.type = ZkOpType::kGetData;
+  op.path = "/smash";
+  attacker->Request(op, [&](const ZkReplyMsg& reply) { smashed = reply; });
+  cluster.Settle();
+  EXPECT_EQ(smashed.code, ErrorCode::kExtensionError);
+  EXPECT_EQ(smashed.value, "extensions may not touch the /em namespace");
+  for (auto& server : cluster.servers) {
+    auto reg = DecodeRegistration(server->tree().Get("/em/ctr_increment")->data);
+    ASSERT_TRUE(reg.ok());
+    EXPECT_EQ(reg->first, owner->session());
+  }
+}
+
 TEST(EzkExtensionTest, ExtensionsSurviveReplicaRestart) {
   EzkCluster cluster;
   cluster.Start();
