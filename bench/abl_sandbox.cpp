@@ -1,17 +1,16 @@
 // Ablation: cost of the sandbox's per-step metering and value-size
-// accounting (§4.1.2), and of tree-walking itself. Compares interpreter
-// throughput on compute-heavy scripts under different budgets, measures the
-// raw steps/second the metered interpreter sustains, and stacks the bytecode
-// VM (docs/bytecode_vm.md) on top: BM_Vm* are the certified-dispatch
-// counterparts of BM_Elided*, and BM_InterpreterFallback* pin what an
-// uncertified handler pays for staying on the tree walker.
+// accounting (§4.1.2). Every handler runs on the bytecode VM
+// (docs/bytecode_vm.md); these rows compare the two budgets it runs under on
+// compute-heavy scripts. BM_MeteredVm* is an uncertified handler, which pays
+// the step-limit compare per instruction; BM_Vm* is a certified one, whose
+// proven bound lets the sandbox elide that compare. BM_BudgetExhaustion pins
+// what hitting the step limit costs.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
 
 #include "bench/gbench_json.h"
-#include "edc/script/interpreter.h"
 #include "edc/script/parser.h"
 #include "edc/script/vm/compiler.h"
 #include "edc/script/vm/vm.h"
@@ -55,95 +54,23 @@ extension strings {
 }
 )";
 
-void BM_MeteredArithmetic(benchmark::State& state) {
-  auto program = ParseProgram(kComputeScript);
-  NullHost host;
-  int64_t steps = 0;
-  for (auto _ : state) {
-    Interpreter interp(program->get(), &host, ExecBudget{});
-    auto out = interp.Invoke("read", {Value("/x")});
-    benchmark::DoNotOptimize(out);
-    steps += interp.stats().steps_used;
-  }
-  state.counters["steps_per_s"] =
-      benchmark::Counter(static_cast<double>(steps), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_MeteredArithmetic);
-
-void BM_ElidedArithmetic(benchmark::State& state) {
-  // The certified path: the static analyzer proved a step bound within
-  // budget, so the binding hands the interpreter an unmetered budget
-  // (docs/static_analysis.md). Steps are still counted — only the per-node
-  // limit comparison disappears. Delta vs BM_MeteredArithmetic is the
-  // per-invocation win that verification buys once at registration.
-  auto program = ParseProgram(kComputeScript);
-  NullHost host;
-  ExecBudget elided;
-  elided.metered = false;
-  int64_t steps = 0;
-  for (auto _ : state) {
-    Interpreter interp(program->get(), &host, elided);
-    auto out = interp.Invoke("read", {Value("/x")});
-    benchmark::DoNotOptimize(out);
-    steps += interp.stats().steps_used;
-  }
-  state.counters["steps_per_s"] =
-      benchmark::Counter(static_cast<double>(steps), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_ElidedArithmetic);
-
-void BM_MeteredStrings(benchmark::State& state) {
-  auto program = ParseProgram(kStringScript);
-  NullHost host;
-  for (auto _ : state) {
-    Interpreter interp(program->get(), &host, ExecBudget{});
-    auto out = interp.Invoke("read", {Value("/x")});
-    benchmark::DoNotOptimize(out);
-  }
-}
-BENCHMARK(BM_MeteredStrings);
-
-void BM_ElidedStrings(benchmark::State& state) {
-  auto program = ParseProgram(kStringScript);
-  NullHost host;
-  ExecBudget elided;
-  elided.metered = false;
-  for (auto _ : state) {
-    Interpreter interp(program->get(), &host, elided);
-    auto out = interp.Invoke("read", {Value("/x")});
-    benchmark::DoNotOptimize(out);
-  }
-}
-BENCHMARK(BM_ElidedStrings);
-
-// Compiles the single handler of `source` into a one-entry module; aborts if
-// the compiler refuses (the bench scripts are all certified shapes).
+// Compiles the handlers of `source` as registration does; aborts if the
+// compiler refuses (the bench scripts are all verified shapes).
 CompiledModule CompileBenchModule(const char* source) {
   auto program = ParseProgram(source);
-  CompiledModule module;
-  for (const auto& [name, handler] : (*program)->handlers) {
-    CompiledHandler compiled;
-    if (!CompileHandler(handler, CompileOptions{}, 0, &compiled)) {
-      std::abort();
-    }
-    module.handlers.emplace(name, std::move(compiled));
+  auto module = CompileProgram(**program, CompileOptions{});
+  if (!module.ok()) {
+    std::abort();
   }
-  return module;
+  return std::move(*module);
 }
 
-void BM_VmArithmetic(benchmark::State& state) {
-  // The full certified hot path: registration compiled the handler to
-  // register bytecode, so dispatch skips both the per-node limit check and
-  // the tree walk. Delta vs BM_ElidedArithmetic is what compilation buys on
-  // top of metering elision; steps_used stays identical to both interpreter
-  // rows by construction.
-  CompiledModule module = CompileBenchModule(kComputeScript);
+// Runs handler `read` of `module` under `budget` for the benchmark loop.
+void RunVm(benchmark::State& state, const CompiledModule& module, ExecBudget budget) {
   NullHost host;
-  ExecBudget elided;
-  elided.metered = false;
   int64_t steps = 0;
   for (auto _ : state) {
-    Vm vm(&module, &host, elided);
+    Vm vm(&module, &host, budget);
     auto out = vm.Invoke("read", {Value("/x")});
     benchmark::DoNotOptimize(out);
     steps += vm.stats().steps_used;
@@ -151,49 +78,48 @@ void BM_VmArithmetic(benchmark::State& state) {
   state.counters["steps_per_s"] =
       benchmark::Counter(static_cast<double>(steps), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_VmArithmetic);
 
-void BM_VmStrings(benchmark::State& state) {
-  CompiledModule module = CompileBenchModule(kStringScript);
-  NullHost host;
+ExecBudget Certified() {
   ExecBudget elided;
   elided.metered = false;
-  for (auto _ : state) {
-    Vm vm(&module, &host, elided);
-    auto out = vm.Invoke("read", {Value("/x")});
-    benchmark::DoNotOptimize(out);
-  }
+  return elided;
+}
+
+void BM_MeteredVmArithmetic(benchmark::State& state) {
+  // An uncertified handler: the same bytecode, run with the step-limit
+  // compare on every instruction.
+  RunVm(state, CompileBenchModule(kComputeScript), ExecBudget{});
+}
+BENCHMARK(BM_MeteredVmArithmetic);
+
+void BM_VmArithmetic(benchmark::State& state) {
+  // The certified hot path: the analyzer proved a step bound within budget,
+  // so the sandbox runs the handler unmetered. Steps are still counted;
+  // only the limit compare disappears, and steps_used equals the metered
+  // row's by construction.
+  RunVm(state, CompileBenchModule(kComputeScript), Certified());
+}
+BENCHMARK(BM_VmArithmetic);
+
+void BM_MeteredVmStrings(benchmark::State& state) {
+  RunVm(state, CompileBenchModule(kStringScript), ExecBudget{});
+}
+BENCHMARK(BM_MeteredVmStrings);
+
+void BM_VmStrings(benchmark::State& state) {
+  RunVm(state, CompileBenchModule(kStringScript), Certified());
 }
 BENCHMARK(BM_VmStrings);
 
-void BM_InterpreterFallbackArithmetic(benchmark::State& state) {
-  // The uncertified ablation row: same script, but the registry found no
-  // compiled handler, so execution falls back to the fully metered tree
-  // walker. Identical numbers to BM_MeteredArithmetic by construction — the
-  // row exists so the JSON snapshot names the fallback cost explicitly.
-  auto program = ParseProgram(kComputeScript);
-  NullHost host;
-  int64_t steps = 0;
-  for (auto _ : state) {
-    Interpreter interp(program->get(), &host, ExecBudget{});
-    auto out = interp.Invoke("read", {Value("/x")});
-    benchmark::DoNotOptimize(out);
-    steps += interp.stats().steps_used;
-  }
-  state.counters["steps_per_s"] =
-      benchmark::Counter(static_cast<double>(steps), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_InterpreterFallbackArithmetic);
-
 void BM_BudgetExhaustion(benchmark::State& state) {
   // Hitting the step limit must be cheap (it is the defense, not the attack).
-  auto program = ParseProgram(kComputeScript);
+  CompiledModule module = CompileBenchModule(kComputeScript);
   NullHost host;
   ExecBudget tight;
   tight.max_steps = state.range(0);
   for (auto _ : state) {
-    Interpreter interp(program->get(), &host, tight);
-    auto out = interp.Invoke("read", {Value("/x")});
+    Vm vm(&module, &host, tight);
+    auto out = vm.Invoke("read", {Value("/x")});
     benchmark::DoNotOptimize(out);
   }
 }

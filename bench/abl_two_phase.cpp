@@ -1,17 +1,16 @@
-// Ablation: 2PC participant throughput, tree walker vs bytecode VM.
+// Ablation: 2PC participant throughput on the bytecode VM, metered vs
+// certified.
 //
 // The two_phase recipe (prepare/commit/abort over split()-encoded op lists)
-// was the one built-in handler the pre-interval cost pass could not certify:
-// it stayed on the fully metered interpreter while every other recipe ran
-// elided or compiled. The interval/length abstract domain's amortized
-// total-length accounting now proves a 66,882-step bound (docs/
-// static_analysis.md), so the handler certifies, compiles, and dispatches to
-// the register VM. These rows measure what that buys per transaction:
+// was the one built-in handler the pre-interval cost pass could not certify.
+// The interval/length abstract domain's amortized total-length accounting
+// now proves a 66,882-step bound (docs/static_analysis.md), so the handler
+// certifies and runs unmetered. These rows measure what that buys per
+// transaction:
 //
-//   BM_MeteredInterpreterPrepareCommit  pre-PR reality: metered tree walk
-//   BM_ElidedInterpreterPrepareCommit   certification only (no limit checks)
-//   BM_VmPrepareCommit                  certification + bytecode dispatch
-//   BM_VmPrepareAbort                   abort path on the VM, for symmetry
+//   BM_MeteredVmPrepareCommit  uncertified: a limit compare per instruction
+//   BM_VmPrepareCommit         certified: metering elided
+//   BM_VmPrepareAbort          abort path, certified, for symmetry
 //
 // The host is a plain in-memory map mirroring the binding's read_object/
 // exists/create/update/delete_object contract, so the numbers isolate script
@@ -25,7 +24,6 @@
 
 #include "bench/gbench_json.h"
 #include "edc/recipes/scripts.h"
-#include "edc/script/interpreter.h"
 #include "edc/script/parser.h"
 #include "edc/script/vm/compiler.h"
 #include "edc/script/vm/vm.h"
@@ -78,80 +76,38 @@ constexpr char kTxid[] = "t42";
 
 CompiledModule CompileTwoPhase() {
   auto program = ParseProgram(kTwoPhaseExtension);
-  CompiledModule module;
-  for (const auto& [name, handler] : (*program)->handlers) {
-    CompiledHandler compiled;
-    if (!CompileHandler(handler, CompileOptions{}, 0, &compiled)) {
-      std::abort();  // the 2PC handler must stay compilable
-    }
-    module.handlers.emplace(name, std::move(compiled));
+  auto module = CompileProgram(**program, CompileOptions{});
+  if (!module.ok()) {
+    std::abort();  // the 2PC handler must stay compilable
   }
-  return module;
+  return std::move(*module);
 }
 
 // Runs prepare+commit (or prepare+abort) cycles. The same txid repeats:
 // commit/abort release every lock and delete the stage entry, so each cycle
 // sees the same state and the loop is steady-state by construction.
-template <typename Engine>
-int64_t RunCycle(Engine& engine, const char* finish_oid, const char* finish_spec) {
-  auto prep = engine.Invoke(
+int64_t RunCycle(Vm& vm, const char* finish_oid, const char* finish_spec) {
+  auto prep = vm.Invoke(
       "update", {Value("/2pc-prepare"), Value(std::string(kPrepareSpec))});
   if (!prep.ok() || prep->AsStr() != "prepared") {
     std::abort();
   }
-  auto fin = engine.Invoke(
+  auto fin = vm.Invoke(
       "update", {Value(std::string(finish_oid)), Value(std::string(finish_spec))});
   if (!fin.ok()) {
     std::abort();
   }
-  return engine.stats().steps_used;
+  return vm.stats().steps_used;
 }
 
-void BM_MeteredInterpreterPrepareCommit(benchmark::State& state) {
-  auto program = ParseProgram(kTwoPhaseExtension);
-  MapHost host;
-  int64_t steps = 0;
-  int64_t txns = 0;
-  for (auto _ : state) {
-    Interpreter interp(program->get(), &host, ExecBudget{});
-    steps += RunCycle(interp, "/2pc-commit", kTxid);
-    ++txns;
-  }
-  state.counters["txns_per_s"] =
-      benchmark::Counter(static_cast<double>(txns), benchmark::Counter::kIsRate);
-  state.counters["steps_per_s"] =
-      benchmark::Counter(static_cast<double>(steps), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_MeteredInterpreterPrepareCommit);
-
-void BM_ElidedInterpreterPrepareCommit(benchmark::State& state) {
-  auto program = ParseProgram(kTwoPhaseExtension);
-  MapHost host;
-  ExecBudget elided;
-  elided.metered = false;
-  int64_t steps = 0;
-  int64_t txns = 0;
-  for (auto _ : state) {
-    Interpreter interp(program->get(), &host, elided);
-    steps += RunCycle(interp, "/2pc-commit", kTxid);
-    ++txns;
-  }
-  state.counters["txns_per_s"] =
-      benchmark::Counter(static_cast<double>(txns), benchmark::Counter::kIsRate);
-  state.counters["steps_per_s"] =
-      benchmark::Counter(static_cast<double>(steps), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_ElidedInterpreterPrepareCommit);
-
-void BM_VmPrepareCommit(benchmark::State& state) {
+// Prepare+commit cycles on the VM under `budget`.
+void RunPrepareCommit(benchmark::State& state, ExecBudget budget) {
   CompiledModule module = CompileTwoPhase();
   MapHost host;
-  ExecBudget elided;
-  elided.metered = false;
   int64_t steps = 0;
   int64_t txns = 0;
   for (auto _ : state) {
-    Vm vm(&module, &host, elided);
+    Vm vm(&module, &host, budget);
     steps += RunCycle(vm, "/2pc-commit", kTxid);
     ++txns;
   }
@@ -159,6 +115,17 @@ void BM_VmPrepareCommit(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(txns), benchmark::Counter::kIsRate);
   state.counters["steps_per_s"] =
       benchmark::Counter(static_cast<double>(steps), benchmark::Counter::kIsRate);
+}
+
+void BM_MeteredVmPrepareCommit(benchmark::State& state) {
+  RunPrepareCommit(state, ExecBudget{});
+}
+BENCHMARK(BM_MeteredVmPrepareCommit);
+
+void BM_VmPrepareCommit(benchmark::State& state) {
+  ExecBudget elided;
+  elided.metered = false;
+  RunPrepareCommit(state, elided);
 }
 BENCHMARK(BM_VmPrepareCommit);
 

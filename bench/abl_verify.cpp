@@ -11,9 +11,10 @@
 #include "edc/script/analysis/analyzer.h"
 #include "edc/recipes/scripts.h"
 #include "edc/script/builtins.h"
-#include "edc/script/interpreter.h"
 #include "edc/script/parser.h"
 #include "edc/script/verifier.h"
+#include "edc/script/vm/compiler.h"
+#include "edc/script/vm/vm.h"
 
 namespace edc {
 namespace {
@@ -29,8 +30,8 @@ VerifierConfig BenchConfig() {
   return cfg;
 }
 
-// A host returning canned objects so the interpreter can run the real queue
-// extension without a server.
+// A host returning canned objects so the VM can run the real queue extension
+// without a server.
 class CannedHost : public ScriptHost {
  public:
   bool HasFunction(const std::string& name) const override {
@@ -90,14 +91,23 @@ void BM_RegistryLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_RegistryLoad);
 
-void BM_ExtensionInvocation(benchmark::State& state) {
+// Runs the queue extension's `read` on the VM, compiled as registration
+// compiles it, under `budget`.
+void RunQueueHandler(benchmark::State& state, ExecBudget budget) {
   auto program = ParseProgram(kQueueExtension);
+  auto module = CompileProgram(**program, CompileOptions{});
   CannedHost host;
   for (auto _ : state) {
-    Interpreter interp(program->get(), &host, ExecBudget{});
-    auto out = interp.Invoke("read", {Value("/queue/head")});
+    Vm vm(&*module, &host, budget);
+    auto out = vm.Invoke("read", {Value("/queue/head")});
     benchmark::DoNotOptimize(out);
   }
+}
+
+void BM_ExtensionInvocation(benchmark::State& state) {
+  // An uncertified handler's invocation: metered, a limit compare per
+  // instruction.
+  RunQueueHandler(state, ExecBudget{});
 }
 BENCHMARK(BM_ExtensionInvocation);
 
@@ -105,15 +115,9 @@ void BM_CertifiedInvocation(benchmark::State& state) {
   // Same invocation with the metering the analyzer's certificate makes
   // redundant elided; delta vs BM_ExtensionInvocation is the recurring
   // per-request payoff of verifying once at registration.
-  auto program = ParseProgram(kQueueExtension);
-  CannedHost host;
   ExecBudget elided;
   elided.metered = false;
-  for (auto _ : state) {
-    Interpreter interp(program->get(), &host, elided);
-    auto out = interp.Invoke("read", {Value("/queue/head")});
-    benchmark::DoNotOptimize(out);
-  }
+  RunQueueHandler(state, elided);
 }
 BENCHMARK(BM_CertifiedInvocation);
 

@@ -4,7 +4,8 @@
 # model-conformance sweeps (docs/model_checking.md), the observability layer
 # (docs/observability.md), the sharded coordination plane (docs/sharding.md),
 # the dynamic-membership suite (docs/reconfig.md),
-# the bytecode-VM conformance tier (docs/bytecode_vm.md),
+# the bytecode-VM tier: the test oracle's units and the VM-vs-oracle
+# conformance suite and step-budget sweep (docs/bytecode_vm.md),
 # the raw PBFT ordering, view-change and batching tier (src/edc/bft/replica.h),
 # and the lint tier (docs/static_analysis.md):
 # edc-lint golden tests, edc-lint over the example scripts, and clang-tidy
@@ -94,7 +95,7 @@ echo "== pipeline determinism tests =="
 ctest --output-on-failure -j "$JOBS" --no-tests=error -L pipeline
 echo "== dynamic membership (reconfig) tests =="
 ctest --output-on-failure -j "$JOBS" --no-tests=error -L reconfig
-echo "== bytecode VM conformance tests =="
+echo "== bytecode VM tests (oracle units, VM-vs-oracle conformance, budget sweep) =="
 ctest --output-on-failure -j "$JOBS" --no-tests=error -L vm
 echo "== PBFT ordering, view-change and batching tests =="
 ctest --output-on-failure -j "$JOBS" --no-tests=error -L bft
@@ -107,6 +108,9 @@ ctest --output-on-failure -j "$JOBS" --no-tests=error \
 echo "== spotlight: EDS schedule sweep (crash-restart grammar) =="
 ctest --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'DsScheduleSweep\.'
+echo "== spotlight: VM vs oracle at every step budget (docs/bytecode_vm.md) =="
+ctest --output-on-failure -j "$JOBS" --no-tests=error \
+  -R 'VmBudgetSweepTest\.'
 echo "== spotlight: observability zero-perturbation guarantee =="
 ctest --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'ObsDeterminismTest\.'

@@ -36,7 +36,7 @@ struct DsExecOutcome {
   bool has_result = false;
   std::string result;
   bool deferred = false;   // reply comes later via an unblock
-  Duration cpu_cost = 0;   // interpreter time, charged per replica
+  Duration cpu_cost = 0;   // extension execution time, charged per replica
 };
 
 class DsServerHooks {

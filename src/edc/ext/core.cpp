@@ -5,6 +5,7 @@
 
 #include "edc/common/logging.h"
 #include "edc/common/strings.h"
+#include "edc/script/analysis/diagnostics.h"
 #include "edc/script/builtins.h"
 #include "edc/script/parser.h"
 #include "edc/sim/costs.h"
@@ -183,6 +184,15 @@ ExtensionManagerCore::ExtensionManagerCore(const ExtensionLimits& limits, HostSe
 Status ExtensionManagerCore::CheckRegistration(const std::string& source,
                                                Duration* cpu) const {
   *cpu += static_cast<Duration>(source.size()) * CostModel{}.ext_verify_cpu_per_byte;
+  // The source cap is enforced before parsing: the parser and the analyzer
+  // recurse over the source, and a large enough one exhausts the stack. The
+  // Status is the verifier's own EDC-E001 rejection.
+  if (source.size() > verifier_config_.max_source_bytes) {
+    return Status(ErrorCode::kExtensionRejected,
+                  "verification failed at line 1: source exceeds " +
+                      std::to_string(verifier_config_.max_source_bytes) + " bytes [" +
+                      kDiagSourceTooLarge + "]");
+  }
   auto program = ParseProgram(source);
   if (!program.ok()) {
     return program.status();
@@ -196,7 +206,9 @@ Status ExtensionManagerCore::CheckRegistration(const std::string& source,
                     "subscriptions may not target the /em namespace");
     }
   }
-  return Status::Ok();
+  // Load compiles again at apply time; a refusal must reject the request
+  // here, before the registration is written.
+  return CompileProgram(**program, ExtensionCompileOptions(verifier_config_)).status();
 }
 
 Status ExtensionManagerCore::Load(const std::string& name, uint64_t owner,

@@ -94,7 +94,9 @@ class ExtensionManagerCore {
   const ExtensionRegistry& registry() const { return registry_; }
   const VerifierConfig& verifier_config() const { return verifier_config_; }
 
-  // Registration checks (§3.6): parse, verify, no /em subscriptions. Adds
+  // Registration checks (§3.6): source cap, parse, verify, no /em
+  // subscriptions, compile (so Load cannot refuse a registration that
+  // passed). Adds
   // the verification CPU to `*cpu` whether or not the source passes.
   Status CheckRegistration(const std::string& source, Duration* cpu) const;
   // Installs a replicated registration and counts its compiled handlers.

@@ -6,10 +6,16 @@
 #include "edc/common/strings.h"
 #include "edc/script/analysis/registry_lint.h"
 #include "edc/script/parser.h"
-#include "edc/script/vm/compiler.h"
 #include "edc/script/vm/vm.h"
 
 namespace edc {
+
+CompileOptions ExtensionCompileOptions(const VerifierConfig& config) {
+  CompileOptions options;
+  options.collection_functions = config.collection_functions;
+  options.max_collection_items = static_cast<int64_t>(config.max_collection_items);
+  return options;
+}
 
 Status ExtensionRegistry::Load(const std::string& name, uint64_t owner,
                                const std::string& source, const VerifierConfig& config) {
@@ -21,19 +27,20 @@ Status ExtensionRegistry::Load(const std::string& name, uint64_t owner,
   if (auto s = ToVerifierStatus(report); !s.ok()) {
     return s;
   }
+  // Compile every handler once, here, so every later invocation dispatches
+  // straight into bytecode ("verification pays once", §4.2). A handler the
+  // compiler refuses rejects the registration: the VM is the only engine.
+  auto compiled = CompileProgram(**program, ExtensionCompileOptions(config));
+  if (!compiled.ok()) {
+    return compiled.status();
+  }
   LoadedExtension ext;
   ext.name = name;
   ext.owner = owner;
   ext.program = std::move(*program);
   ext.reg_order = next_order_++;
   ext.reports = std::move(report.handlers);
-  // Compile the certified handlers once, here, so every later invocation
-  // dispatches straight into bytecode ("verification pays once", §4.2).
-  CompileOptions copts;
-  copts.collection_functions = config.collection_functions;
-  copts.max_collection_items = static_cast<int64_t>(config.max_collection_items);
-  ext.compiled = std::make_shared<const CompiledModule>(
-      CompileProgram(*ext.program, ext.reports, copts));
+  ext.compiled = std::make_shared<const CompiledModule>(std::move(*compiled));
   extensions_[name] = std::move(ext);
   RefreshLint();
   return Status::Ok();
@@ -59,10 +66,10 @@ HandlerRun RunExtensionHandler(const LoadedExtension& ext, const std::string& ha
   budget.max_input_bytes = limits.max_input_bytes;
   budget.max_collection_items = limits.max_collection_items;
   budget.metered = !run.certified;
-  // Argument ingest check, identical on both engines (pre-dispatch, zero
-  // steps): the analyzer seeded the handler's parameter bounds from
-  // max_input_bytes, so an oversized argument must never reach a certified
-  // handler — the proven step bound would not cover it.
+  // Argument ingest check (pre-dispatch, zero steps): the analyzer seeded
+  // the handler's parameter bounds from max_input_bytes, so an oversized
+  // argument must never reach a certified handler — the proven step bound
+  // would not cover it.
   for (const Value& arg : args) {
     bool oversized = false;
     if (arg.is_list()) {
@@ -79,19 +86,10 @@ HandlerRun RunExtensionHandler(const LoadedExtension& ext, const std::string& ha
       return run;
     }
   }
-  const CompiledHandler* compiled =
-      (limits.enable_vm && ext.compiled != nullptr) ? ext.compiled->Find(handler_name)
-                                                    : nullptr;
-  if (compiled != nullptr) {
-    Vm vm(ext.compiled.get(), host, budget);
-    run.result = vm.Run(*compiled, std::move(args));
-    run.steps_used = vm.stats().steps_used;
-    run.vm_dispatched = true;
-    return run;
-  }
-  Interpreter interp(ext.program.get(), host, budget);
-  run.result = interp.Invoke(handler_name, std::move(args));
-  run.steps_used = interp.stats().steps_used;
+  Vm vm(ext.compiled.get(), host, budget);
+  run.result = vm.Invoke(handler_name, std::move(args));
+  run.steps_used = vm.stats().steps_used;
+  run.vm_dispatched = true;
   return run;
 }
 
@@ -121,6 +119,11 @@ void ExtensionRegistry::RemoveAck(const std::string& name, uint64_t client) {
 }
 
 LoadedExtension* ExtensionRegistry::Find(const std::string& name) {
+  auto it = extensions_.find(name);
+  return it == extensions_.end() ? nullptr : &it->second;
+}
+
+const LoadedExtension* ExtensionRegistry::Find(const std::string& name) const {
   auto it = extensions_.find(name);
   return it == extensions_.end() ? nullptr : &it->second;
 }

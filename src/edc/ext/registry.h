@@ -25,15 +25,16 @@
 #include "edc/common/result.h"
 #include "edc/script/analysis/analyzer.h"
 #include "edc/script/ast.h"
-#include "edc/script/interpreter.h"
 #include "edc/script/verifier.h"
 #include "edc/script/vm/bytecode.h"
+#include "edc/script/vm/compiler.h"
+#include "edc/script/vm/vm.h"
 
 namespace edc {
 
 // Resource-consumption bounds enforced by the sandbox (§4.1.2).
 struct ExtensionLimits {
-  int64_t max_steps = 100000;          // interpreter steps per invocation
+  int64_t max_steps = 100000;          // VM steps (AST nodes) per invocation
   size_t max_value_bytes = 64 * 1024;  // largest intermediate value
   size_t max_state_ops = 256;          // coordination-state accesses per invocation
   size_t max_created_objects = 64;     // objects created per invocation
@@ -54,13 +55,6 @@ struct ExtensionLimits {
   // split() of their inputs get finite certified step bounds
   // (docs/static_analysis.md).
   size_t max_input_bytes = 2048;
-  // When true, handlers that compiled to bytecode at registration dispatch
-  // through the register VM instead of the tree-walking interpreter
-  // (docs/bytecode_vm.md). Results, error Statuses and steps_used are
-  // identical on both engines; this switch exists so the equivalence can be
-  // checked end to end (tests/ext/elision_digest_test.cpp) and as a
-  // kill switch.
-  bool enable_vm = true;
 };
 
 struct LoadedExtension {
@@ -73,8 +67,7 @@ struct LoadedExtension {
   // Per-handler analysis verdicts from registration time; certified
   // handlers run with metering elided (§4.2).
   std::map<std::string, HandlerReport> reports;
-  // Bytecode for the certified handlers (compiled once at registration;
-  // uncertified or uncompilable handlers are absent and keep interpreting).
+  // Bytecode for every handler, compiled once at registration.
   std::shared_ptr<const CompiledModule> compiled;
 
   // True iff `handler` was certified by the static analyzer (proven
@@ -88,23 +81,27 @@ struct LoadedExtension {
 // Outcome of one handler dispatch through RunExtensionHandler.
 struct HandlerRun {
   Result<Value> result = Value();
-  int64_t steps_used = 0;     // identical on either engine
-  bool certified = false;     // analyzer verdict; certified runs unmetered
-  bool vm_dispatched = false; // ran on the bytecode VM (vs interpreter)
+  int64_t steps_used = 0;
+  bool certified = false;      // analyzer verdict; certified runs unmetered
+  bool vm_dispatched = false;  // reached the VM (false: argument ingest cap)
 };
 
-// Engine dispatch under ExtensionManagerCore::Invoke: builds the ExecBudget
-// from `limits` (metering elided for certified handlers), runs
-// `handler_name` on the bytecode VM when a compiled form exists and
-// limits.enable_vm is set, and falls back to the interpreter otherwise.
+// Handler dispatch under ExtensionManagerCore::Invoke: applies the argument
+// ingest cap, builds the ExecBudget from `limits` (metering elided for
+// certified handlers, metered otherwise) and runs `handler_name` on the
+// bytecode VM.
 HandlerRun RunExtensionHandler(const LoadedExtension& ext, const std::string& handler_name,
                                std::vector<Value> args, ScriptHost* host,
                                const ExtensionLimits& limits);
 
+// Compiler options matching `config`'s collection cap (the foreach
+// loop-bound annotation).
+CompileOptions ExtensionCompileOptions(const VerifierConfig& config);
+
 class ExtensionRegistry {
  public:
-  // Parses, verifies and installs `source` under `name`. kExtensionRejected
-  // on any verifier violation.
+  // Parses, verifies, compiles and installs `source` under `name`.
+  // kExtensionRejected on any verifier violation or compile refusal.
   Status Load(const std::string& name, uint64_t owner, const std::string& source,
               const VerifierConfig& config);
   void Unload(const std::string& name);
@@ -115,6 +112,7 @@ class ExtensionRegistry {
 
   bool Contains(const std::string& name) const { return extensions_.count(name) > 0; }
   LoadedExtension* Find(const std::string& name);
+  const LoadedExtension* Find(const std::string& name) const;
   size_t size() const { return extensions_.size(); }
 
   // Is `client` allowed to trigger this extension (§3.6)?

@@ -7,7 +7,7 @@
 // violation. Per-handler results carry the certification verdict the
 // extension registry stores and the bindings use for metering elision:
 // a certified handler has a proven step bound within the execution budget,
-// so the interpreter can skip the per-node limit check (§4.2, "verification
+// so the VM can skip the per-instruction limit check (§4.2, "verification
 // pays once").
 
 #ifndef EDC_SCRIPT_ANALYSIS_ANALYZER_H_

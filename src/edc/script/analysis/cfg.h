@@ -5,7 +5,7 @@
 // one branch node per `if` condition, one loop-head node per `foreach` (the
 // loop head evaluates the list, binds the loop variable, and has a back edge
 // from the body). The resolver assigns every variable *occurrence* a unique
-// definition id honoring the interpreter's block scoping (a name may shadow
+// definition id honoring the language's block scoping (a name may shadow
 // an outer binding), which is what makes liveness/reaching-defs precise in
 // the presence of shadowing.
 
@@ -41,7 +41,7 @@ struct ResolvedNames {
   std::vector<Diagnostic> diags;
 };
 
-// Resolves all names in `handler`, mirroring the interpreter's scope rules.
+// Resolves all names in `handler`, mirroring the language's scope rules.
 ResolvedNames ResolveNames(const Handler& handler);
 
 // ---- Control-flow graph ----

@@ -46,7 +46,7 @@ int DefiniteTruth(const AbsValue& v) {
 }
 
 // Scoped environment mapping variable names to abstract values. Mirrors the
-// interpreter's scope stack so shadowing resolves identically.
+// language's block scoping so shadowing resolves identically.
 class AbsEnv {
  public:
   void Push() { scopes_.emplace_back(); }

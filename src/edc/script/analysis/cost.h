@@ -1,8 +1,8 @@
 // Worst-case step-cost bounding for CoordScript handlers (paper §4.1.1/§4.2),
 // built on the interval/length abstract domain in domains.h.
 //
-// The interpreter charges exactly one ExecBudget step per statement executed
-// and one per expression node evaluated. This pass mirrors that accounting
+// Execution charges exactly one ExecBudget step per statement executed and
+// one per expression node evaluated. This pass mirrors that accounting
 // symbolically:
 //
 //   cost(expr)            = 1 + sum(cost(children))        (short-circuit and
@@ -36,9 +36,9 @@
 // diagnostics-enabled pass over the stabilized environments.
 //
 // A handler whose total bound is finite is `bounded`; if the bound also fits
-// the execution budget it is *certified* and the interpreter may elide
-// per-node limit checks (metering elision) — the certificate proves the check
-// can never fire.
+// the execution budget it is *certified* and the VM may elide its step-limit
+// checks (metering elision) — the certificate proves the check can never
+// fire.
 
 #ifndef EDC_SCRIPT_ANALYSIS_COST_H_
 #define EDC_SCRIPT_ANALYSIS_COST_H_

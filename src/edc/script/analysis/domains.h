@@ -18,8 +18,8 @@
 // <= N + total_len instead of N * (max_len + 1): the amortization that makes
 // two_phase's nested foreach-over-split handlers certifiable.
 //
-// Every transfer function here is *sound* with respect to the interpreter
-// and VM semantics (builtins.cpp, interpreter.cpp): the abstract result
+// Every transfer function here is *sound* with respect to the language's
+// semantics (builtins.cpp, vm/vm.cpp): the abstract result
 // over-approximates every concrete result the runtime can produce on the
 // success path, relying on three runtime-enforced caps:
 //   - max_value_bytes: no materialized value exceeds it (global length top),

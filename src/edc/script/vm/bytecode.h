@@ -1,24 +1,26 @@
-// Register bytecode for certified CoordScript handlers (ROADMAP item 3).
+// Register bytecode for verified CoordScript handlers (paper §4.2).
 //
-// The tree-walking interpreter pays a virtual-dispatch + scope-map toll on
-// every AST node; for handlers the static analyzer has *certified* (proven
-// worst-case step bound within the execution budget, docs/static_analysis.md)
-// we can afford a one-time compile at registration and run a flat register
-// machine on the hot path instead. The contract that makes the swap safe:
+// CoordScript's semantics are those of a tree walk over the AST
+// (docs/coordscript.md): every AST node evaluated costs one ExecBudget step,
+// charged before the node runs. Registration compiles every verified handler
+// once into a flat register machine that keeps those semantics exactly:
 //
-//   * Step accounting is instruction-for-instruction identical to the
-//     interpreter. Every instruction carries the number of ExecBudget steps
-//     the interpreter would have charged by the time it reaches the same
-//     point (its own AST node plus any parent nodes folded into it), charged
-//     *before* the instruction executes — so steps_used agrees with the
-//     interpreter at every observable exit: normal return, runtime error,
-//     value-size abort. Replica digests and simulated timing cannot move.
-//   * Error Status codes, messages and line attribution replicate the
-//     interpreter byte for byte.
-//   * Anything the compiler cannot lower faithfully (e.g. a variable the
-//     scoping pass could not resolve) simply fails to compile; the binding
-//     falls back to the interpreter. Compilation is an optimization, never a
-//     semantic fork.
+//   * Step accounting is node-for-node identical to the tree walk. Every
+//     instruction carries the number of steps the tree walk would have
+//     charged by the time it reaches the same point (its own AST node plus
+//     any parent nodes folded into it), charged *before* the instruction
+//     executes — so steps_used agrees with the tree walk at every observable
+//     exit: normal return, runtime error, value-size abort. Replica digests
+//     and simulated timing cannot move.
+//   * The step limit is exact. charge_lines records, per folded charge, the
+//     line of its AST node, so an exhausted budget stops at max_steps + 1
+//     and names the node the tree walk would have stopped on.
+//   * Error Status codes, messages and line attribution are byte for byte
+//     those of the tree walk. The test-only oracle in tests/oracle/ is that
+//     tree walk; the vm-labelled tests compare the two.
+//   * Compilation is compile-or-reject: a handler the compiler cannot lower
+//     faithfully fails the registration (kExtensionRejected). Verified code
+//     never does — undeclared names are verifier errors EDC-E010/E011.
 //
 // See docs/bytecode_vm.md for the instruction-set walkthrough and the
 // step-accounting equivalence argument.
@@ -38,17 +40,17 @@ namespace edc {
 enum class OpCode : uint8_t {
   // dst = constants[aux]
   kLoadConst,
-  // dst = constants[aux], then value-size check (a folded expression whose
-  // interpreter counterpart ran CheckSize: string concat / list literal).
+  // dst = constants[aux], then value-size check (a folded string concat or
+  // list literal, whose tree-walk counterpart checks the value size).
   kLoadConstChecked,
   // dst = reg[a]  (variable reads; charges the kVar node's step)
   kMove,
   // dst = -reg[a] (unsigned-wrap negation; type-checked) / !Truthy(reg[a])
   kNeg,
   kNot,
-  // dst = reg[a] <op> reg[b], with the interpreter's exact type checks,
+  // dst = reg[a] <op> reg[b], with the tree walk's exact type checks,
   // wrap-around arithmetic and division/modulo guards. kAdd also handles
-  // string concatenation (+ size check), mirroring EvalBinary.
+  // string concatenation (+ size check).
   kAdd,
   kSub,
   kMul,
@@ -68,7 +70,7 @@ enum class OpCode : uint8_t {
   kJumpIfFalse,
   // if Truthy(reg[a]) pc = aux
   kJumpIfTrue,
-  // dst = reg[a][reg[b]] (list / map / string indexing, interpreter checks)
+  // dst = reg[a][reg[b]] (list / map / string indexing and checks)
   kIndex,
   // dst = list(reg[a] .. reg[a + b - 1]), then value-size check
   kMakeList,
@@ -113,12 +115,13 @@ struct CompiledHandler {
   std::vector<Instruction> code;
   std::vector<Value> constants;
   std::vector<std::string> host_names;  // kCallHost targets, by aux index
-  int64_t step_bound = 0;               // analyzer-proven worst case
+  // Source line of every step charge, in code order: code[i]'s charges are
+  // the code[i].steps entries after those of code[0..i). Read only when the
+  // step limit fires.
+  std::vector<int32_t> charge_lines;
 };
 
-// All handlers of one extension that compiled successfully. Handlers that
-// were not certified (or hit an unsupported construct) are simply absent and
-// keep running through the interpreter.
+// Every handler of one verified extension, compiled at registration.
 struct CompiledModule {
   std::map<std::string, CompiledHandler> handlers;
 

@@ -11,43 +11,53 @@ namespace edc {
 
 namespace {
 
-// Result of folding a pure literal subtree. `steps` is the number of
-// ExecBudget steps the interpreter charges to evaluate the subtree — the
-// *dynamic* count, so a short-circuited right operand contributes nothing.
-// `checked` marks values the interpreter passes through CheckSize (string
-// concatenation, list literals); such folds must re-run the size check at
-// runtime against the actual budget, and are not reusable as operands of a
-// further fold (an enclosing fold would skip their check point, diverging
-// under a small max_value_bytes).
+// Result of folding a pure literal subtree. `lines` holds one entry per
+// ExecBudget step the tree walk charges to evaluate the subtree, in charge
+// order, each the line of the charged node — the *dynamic* count, so a
+// short-circuited right operand contributes nothing. `checked` marks values
+// the tree walk passes through its size check (string concatenation, list
+// literals); such folds must re-run the size check at runtime against the
+// actual budget, and are not reusable as operands of a further fold (an
+// enclosing fold would skip their check point, diverging under a small
+// max_value_bytes).
 struct Fold {
   Value value;
-  uint32_t steps = 0;
+  std::vector<int32_t> lines;
   bool checked = false;
 };
+
+// The charge of `expr` itself followed by those of its folded operands.
+std::vector<int32_t> Charges(const Expr& expr, std::initializer_list<const Fold*> operands) {
+  std::vector<int32_t> lines{expr.line};
+  for (const Fold* f : operands) {
+    lines.insert(lines.end(), f->lines.begin(), f->lines.end());
+  }
+  return lines;
+}
 
 std::optional<Fold> TryFold(const Expr& expr) {
   switch (expr.kind) {
     case Expr::Kind::kLiteral:
-      return Fold{expr.literal, 1, false};
+      return Fold{expr.literal, {expr.line}, false};
     case Expr::Kind::kUnary: {
       auto v = TryFold(*expr.lhs);
       if (!v || v->checked) {
         return std::nullopt;
       }
       if (expr.unary_op == UnaryOp::kNot) {
-        return Fold{Value(!v->value.Truthy()), 1 + v->steps, false};
+        return Fold{Value(!v->value.Truthy()), Charges(expr, {&*v}), false};
       }
       if (!v->value.is_int()) {
         return std::nullopt;  // runtime type error; leave it to execution
       }
       return Fold{Value(static_cast<int64_t>(
                       0 - static_cast<uint64_t>(v->value.AsInt()))),
-                  1 + v->steps, false};
+                  Charges(expr, {&*v}), false};
     }
     case Expr::Kind::kBinary: {
       // Short-circuit operators fold even with an unfoldable right operand
-      // when the left decides the result — mirroring the interpreter, the
-      // right side then contributes no steps.
+      // when the left decides the result — as in the tree walk, the right
+      // side then contributes no steps.
       if (expr.binary_op == BinaryOp::kAnd || expr.binary_op == BinaryOp::kOr) {
         auto l = TryFold(*expr.lhs);
         if (!l || l->checked) {
@@ -55,16 +65,16 @@ std::optional<Fold> TryFold(const Expr& expr) {
         }
         bool lt = l->value.Truthy();
         if (expr.binary_op == BinaryOp::kAnd && !lt) {
-          return Fold{Value(false), 1 + l->steps, false};
+          return Fold{Value(false), Charges(expr, {&*l}), false};
         }
         if (expr.binary_op == BinaryOp::kOr && lt) {
-          return Fold{Value(true), 1 + l->steps, false};
+          return Fold{Value(true), Charges(expr, {&*l}), false};
         }
         auto r = TryFold(*expr.rhs);
         if (!r || r->checked) {
           return std::nullopt;
         }
-        return Fold{Value(r->value.Truthy()), 1 + l->steps + r->steps, false};
+        return Fold{Value(r->value.Truthy()), Charges(expr, {&*l, &*r}), false};
       }
       auto l = TryFold(*expr.lhs);
       auto r = TryFold(*expr.rhs);
@@ -73,16 +83,16 @@ std::optional<Fold> TryFold(const Expr& expr) {
       }
       const Value& a = l->value;
       const Value& b = r->value;
-      uint32_t steps = 1 + l->steps + r->steps;
+      std::vector<int32_t> lines = Charges(expr, {&*l, &*r});
       switch (expr.binary_op) {
         case BinaryOp::kAdd:
           if (a.is_str() || b.is_str()) {
-            return Fold{Value(a.ToString() + b.ToString()), steps, true};
+            return Fold{Value(a.ToString() + b.ToString()), lines, true};
           }
           if (a.is_int() && b.is_int()) {
             return Fold{Value(static_cast<int64_t>(static_cast<uint64_t>(a.AsInt()) +
                                                    static_cast<uint64_t>(b.AsInt()))),
-                        steps, false};
+                        lines, false};
           }
           return std::nullopt;
         case BinaryOp::kSub:
@@ -95,23 +105,23 @@ std::optional<Fold> TryFold(const Expr& expr) {
           uint64_t ua = static_cast<uint64_t>(a.AsInt());
           uint64_t ub = static_cast<uint64_t>(b.AsInt());
           if (expr.binary_op == BinaryOp::kSub) {
-            return Fold{Value(static_cast<int64_t>(ua - ub)), steps, false};
+            return Fold{Value(static_cast<int64_t>(ua - ub)), lines, false};
           }
           if (expr.binary_op == BinaryOp::kMul) {
-            return Fold{Value(static_cast<int64_t>(ua * ub)), steps, false};
+            return Fold{Value(static_cast<int64_t>(ua * ub)), lines, false};
           }
-          // Division / modulo: fold only when the interpreter would succeed.
+          // Division / modulo: fold only when the operation would succeed.
           if (b.AsInt() == 0 || (a.AsInt() == INT64_MIN && b.AsInt() == -1)) {
             return std::nullopt;
           }
           return Fold{Value(expr.binary_op == BinaryOp::kDiv ? a.AsInt() / b.AsInt()
                                                              : a.AsInt() % b.AsInt()),
-                      steps, false};
+                      lines, false};
         }
         case BinaryOp::kEq:
-          return Fold{Value(a.Equals(b)), steps, false};
+          return Fold{Value(a.Equals(b)), lines, false};
         case BinaryOp::kNe:
-          return Fold{Value(!a.Equals(b)), steps, false};
+          return Fold{Value(!a.Equals(b)), lines, false};
         case BinaryOp::kLt:
         case BinaryOp::kLe:
         case BinaryOp::kGt:
@@ -129,14 +139,14 @@ std::optional<Fold> TryFold(const Expr& expr) {
                      : expr.binary_op == BinaryOp::kLe ? cmp <= 0
                      : expr.binary_op == BinaryOp::kGt ? cmp > 0
                                                        : cmp >= 0;
-          return Fold{Value(out), steps, false};
+          return Fold{Value(out), lines, false};
         }
         default:
           return std::nullopt;
       }
     }
     case Expr::Kind::kListLit: {
-      uint32_t steps = 1;
+      std::vector<int32_t> lines{expr.line};
       ValueList items;
       items.reserve(expr.args.size());
       for (const ExprPtr& item : expr.args) {
@@ -144,10 +154,10 @@ std::optional<Fold> TryFold(const Expr& expr) {
         if (!v || v->checked) {
           return std::nullopt;
         }
-        steps += v->steps;
+        lines.insert(lines.end(), v->lines.begin(), v->lines.end());
         items.push_back(v->value);
       }
-      return Fold{Value::List(std::move(items)), steps, true};
+      return Fold{Value::List(std::move(items)), lines, true};
     }
     default:
       return std::nullopt;
@@ -158,10 +168,9 @@ class HandlerCompiler {
  public:
   explicit HandlerCompiler(const CompileOptions& options) : options_(options) {}
 
-  bool Compile(const Handler& handler, int64_t step_bound, CompiledHandler* out) {
+  bool Compile(const Handler& handler, CompiledHandler* out) {
     out_ = out;
     out_->name = handler.name;
-    out_->step_bound = step_bound;
     out_->num_params = static_cast<uint16_t>(handler.params.size());
     scopes_.clear();
     scopes_.emplace_back();
@@ -192,24 +201,28 @@ class HandlerCompiler {
     return r;
   }
 
-  // Emits with the accumulated pending step charge folded in. Charges always
-  // land on the earliest instruction executed at or after the corresponding
-  // interpreter StepOk() call; nothing observable (an abort, or Invoke
-  // returning) can occur in between, so steps_used agrees with the
-  // interpreter at every exit from the handler.
-  Instruction* Emit(OpCode op, uint16_t dst, uint16_t a, uint16_t b, uint32_t aux,
-                    int line) {
+  // Charges the step of the AST node on `line`: it lands on the next emitted
+  // instruction.
+  void Charge(int line) { pending_.push_back(line); }
+
+  // Emits with the pending step charges folded in. Charges always land on
+  // the earliest instruction executed at or after the point where the tree
+  // walk charges them, in the tree walk's order; nothing observable (an
+  // abort, or the handler returning) can occur in between, so steps_used
+  // agrees with the tree walk at every exit from the handler, and the side
+  // table names the node at which any budget runs out.
+  void Emit(OpCode op, uint16_t dst, uint16_t a, uint16_t b, uint32_t aux, int line) {
     Instruction insn;
     insn.op = op;
     insn.dst = dst;
     insn.a = a;
     insn.b = b;
     insn.aux = aux;
-    insn.steps = pending_;
+    insn.steps = static_cast<uint32_t>(pending_.size());
     insn.line = line;
-    pending_ = 0;
+    out_->charge_lines.insert(out_->charge_lines.end(), pending_.begin(), pending_.end());
+    pending_.clear();
     out_->code.push_back(insn);
-    return &out_->code.back();
   }
 
   uint32_t Here() const { return static_cast<uint32_t>(out_->code.size()); }
@@ -246,26 +259,27 @@ class HandlerCompiler {
 
   void CompileStmt(const Stmt& stmt) {
     uint16_t saved = next_reg_;
-    pending_ += 1;  // the interpreter's per-statement StepOk()
+    Charge(stmt.line);  // every statement costs a step
     switch (stmt.kind) {
       case Stmt::Kind::kLet: {
         auto it = scopes_.back().find(stmt.name);
-        uint16_t dst;
         if (it != scopes_.back().end()) {
           // Re-let in the same scope overwrites the existing binding.
-          dst = it->second;
-        } else {
-          dst = Alloc();
-          saved = next_reg_;  // the new variable's register outlives the stmt
-          scopes_.back()[stmt.name] = dst;
+          CompileExprInto(stmt.expr.get(), it->second);
+          break;
         }
+        uint16_t dst = Alloc();
+        saved = next_reg_;  // the new variable's register outlives the stmt
+        // The name comes into scope only after its initializer, which still
+        // reads any outer binding it shadows (`let n = n + 1;`).
         CompileExprInto(stmt.expr.get(), dst);
+        scopes_.back()[stmt.name] = dst;
         break;
       }
       case Stmt::Kind::kAssign: {
         const uint16_t* dst = FindVar(stmt.name);
         if (dst == nullptr) {
-          // The interpreter reports this lazily at runtime (only if the
+          // A tree walk reports this lazily at runtime (only if the
           // statement executes); refuse to compile rather than change when
           // the error surfaces.
           ok_ = false;
@@ -373,7 +387,7 @@ class HandlerCompiler {
     if (expr.kind == Expr::Kind::kVar) {
       const uint16_t* reg = FindVar(expr.name);
       if (reg != nullptr) {
-        pending_ += 1;
+        Charge(expr.line);
         return *reg;
       }
       ok_ = false;
@@ -400,16 +414,16 @@ class HandlerCompiler {
       return;
     }
     if (auto fold = TryFold(*expr)) {
+      pending_.insert(pending_.end(), fold->lines.begin(), fold->lines.end());
       Emit(fold->checked ? OpCode::kLoadConstChecked : OpCode::kLoadConst, dst, 0, 0,
-           AddConst(std::move(fold->value)), expr->line)
-          ->steps += fold->steps;
+           AddConst(std::move(fold->value)), expr->line);
       return;
     }
     switch (expr->kind) {
       case Expr::Kind::kLiteral:
         // Handled by TryFold; kept as a safety net.
-        Emit(OpCode::kLoadConst, dst, 0, 0, AddConst(expr->literal), expr->line)
-            ->steps += 1;
+        Charge(expr->line);
+        Emit(OpCode::kLoadConst, dst, 0, 0, AddConst(expr->literal), expr->line);
         return;
       case Expr::Kind::kVar: {
         const uint16_t* reg = FindVar(expr->name);
@@ -417,11 +431,12 @@ class HandlerCompiler {
           ok_ = false;
           return;
         }
-        Emit(OpCode::kMove, dst, *reg, 0, 0, expr->line)->steps += 1;
+        Charge(expr->line);
+        Emit(OpCode::kMove, dst, *reg, 0, 0, expr->line);
         return;
       }
       case Expr::Kind::kUnary: {
-        pending_ += 1;
+        Charge(expr->line);
         uint16_t v = CompileOperand(*expr->lhs);
         Emit(expr->unary_op == UnaryOp::kNot ? OpCode::kNot : OpCode::kNeg, dst, v, 0,
              0, expr->line);
@@ -431,14 +446,14 @@ class HandlerCompiler {
         CompileBinaryInto(*expr, dst);
         return;
       case Expr::Kind::kIndex: {
-        pending_ += 1;
+        Charge(expr->line);
         uint16_t base = CompileOperand(*expr->lhs);
         uint16_t idx = CompileOperand(*expr->rhs);
         Emit(OpCode::kIndex, dst, base, idx, 0, expr->line);
         return;
       }
       case Expr::Kind::kCall: {
-        pending_ += 1;
+        Charge(expr->line);
         // Arguments live in a contiguous temp block so the VM can move them
         // straight into the callee's argument vector.
         uint16_t base = next_reg_;
@@ -459,7 +474,7 @@ class HandlerCompiler {
         return;
       }
       case Expr::Kind::kListLit: {
-        pending_ += 1;
+        Charge(expr->line);
         uint16_t base = next_reg_;
         for (const ExprPtr& item : expr->args) {
           uint16_t t = Alloc();
@@ -474,7 +489,7 @@ class HandlerCompiler {
   }
 
   void CompileBinaryInto(const Expr& expr, uint16_t dst) {
-    pending_ += 1;
+    Charge(expr.line);
     if (expr.binary_op == BinaryOp::kAnd || expr.binary_op == BinaryOp::kOr) {
       bool is_and = expr.binary_op == BinaryOp::kAnd;
       uint16_t l = CompileOperand(*expr.lhs);
@@ -541,31 +556,27 @@ class HandlerCompiler {
   uint16_t max_reg_ = 0;
   uint16_t next_iter_ = 0;
   uint16_t max_iter_ = 0;
-  uint32_t pending_ = 0;
+  std::vector<int32_t> pending_;  // lines of the charges not yet emitted
   bool ok_ = true;
 };
 
 }  // namespace
 
 bool CompileHandler(const Handler& handler, const CompileOptions& options,
-                    int64_t step_bound, CompiledHandler* out) {
+                    CompiledHandler* out) {
   HandlerCompiler compiler(options);
-  return compiler.Compile(handler, step_bound, out);
+  return compiler.Compile(handler, out);
 }
 
-CompiledModule CompileProgram(const Program& program,
-                              const std::map<std::string, HandlerReport>& reports,
-                              const CompileOptions& options) {
+Result<CompiledModule> CompileProgram(const Program& program, const CompileOptions& options) {
   CompiledModule module;
   for (const auto& [name, handler] : program.handlers) {
-    auto report = reports.find(name);
-    if (report == reports.end() || !report->second.certified) {
-      continue;
-    }
     CompiledHandler compiled;
-    if (CompileHandler(handler, options, report->second.step_bound, &compiled)) {
-      module.handlers.emplace(name, std::move(compiled));
+    if (!CompileHandler(handler, options, &compiled)) {
+      return Status(ErrorCode::kExtensionRejected,
+                    "handler '" + name + "' could not be compiled");
     }
+    module.handlers.emplace(name, std::move(compiled));
   }
   return module;
 }

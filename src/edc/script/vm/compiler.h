@@ -1,11 +1,12 @@
-// AST -> register bytecode compiler for certified CoordScript handlers.
+// AST -> register bytecode compiler for verified CoordScript handlers.
 //
 // Lowering performed here (docs/bytecode_vm.md):
 //   * static scope resolution — every variable becomes a register; shadowing
-//     and block lifetimes mirror the interpreter's scope stack exactly
-//   * constant folding of pure literal subtrees, carrying the interpreter's
+//     and block lifetimes mirror the tree walk's scope stack exactly
+//   * constant folding of pure literal subtrees, carrying the tree walk's
 //     dynamic step count for the folded nodes (short-circuit aware) so
-//     accounting is unchanged
+//     accounting is unchanged, and each folded charge's source line for
+//     exact step-limit attribution
 //   * builtin calls resolved to BuiltinsByIndex() indices at compile time
 //   * short-circuit && / || lowered to conditional jumps
 //   * foreach lowered to cached-iterator instructions, annotated with the
@@ -13,20 +14,19 @@
 //     collection cap) and type-check-free when the source is a list literal
 //
 // The compiler refuses anything it cannot lower with bit-identical semantics
-// and step accounting (e.g. a variable the scoping passes could not resolve,
-// which the interpreter reports lazily at runtime): the handler is then
-// simply absent from the CompiledModule and the binding keeps interpreting
-// it. Compilation never changes behavior, only speed.
+// and step accounting (a variable the scoping passes could not resolve,
+// which a tree walk would report lazily at runtime; a handler past the
+// 65535-register file). The registry then rejects the registration: there
+// is no second engine to fall back to.
 
 #ifndef EDC_SCRIPT_VM_COMPILER_H_
 #define EDC_SCRIPT_VM_COMPILER_H_
 
 #include <cstdint>
-#include <map>
 #include <set>
 #include <string>
 
-#include "edc/script/analysis/analyzer.h"
+#include "edc/common/result.h"
 #include "edc/script/ast.h"
 #include "edc/script/vm/bytecode.h"
 
@@ -42,14 +42,11 @@ struct CompileOptions {
 // Compiles one handler. Returns false (leaving *out unspecified) on any
 // construct the compiler cannot lower faithfully.
 bool CompileHandler(const Handler& handler, const CompileOptions& options,
-                    int64_t step_bound, CompiledHandler* out);
+                    CompiledHandler* out);
 
-// Compiles every handler the analyzer certified (reports[name].certified).
-// Handlers that are uncertified or fail to compile are absent from the
-// returned module and fall back to the interpreter.
-CompiledModule CompileProgram(const Program& program,
-                              const std::map<std::string, HandlerReport>& reports,
-                              const CompileOptions& options);
+// Compiles every handler of a verified program, certified or not.
+// kExtensionRejected naming the first handler the compiler refused.
+Result<CompiledModule> CompileProgram(const Program& program, const CompileOptions& options);
 
 }  // namespace edc
 

@@ -1,5 +1,6 @@
 #include "edc/script/vm/vm.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 
@@ -30,15 +31,19 @@ struct IterSlot {
 
 }  // namespace
 
+Vm::Vm(const CompiledModule* module, ScriptHost* host, ExecBudget budget)
+    : module_(module),
+      host_(host),
+      budget_(budget),
+      // A negative budget stops at the first charge, exactly like a zero one.
+      step_limit_(budget.metered ? std::max<int64_t>(budget.max_steps, 0) : INT64_MAX) {}
+
 Result<Value> Vm::Invoke(const std::string& name, std::vector<Value> args) {
-  const CompiledHandler* handler = module_->Find(name);
-  if (handler == nullptr) {
+  const CompiledHandler* found = module_->Find(name);
+  if (found == nullptr) {
     return Status(ErrorCode::kExtensionError, "no handler '" + name + "'");
   }
-  return Run(*handler, std::move(args));
-}
-
-Result<Value> Vm::Run(const CompiledHandler& handler, std::vector<Value> args) {
+  const CompiledHandler& handler = *found;
   std::vector<Value> regs(handler.num_registers);
   for (size_t i = 0; i < handler.num_params; ++i) {
     regs[i] = i < args.size() ? std::move(args[i]) : Value();
@@ -49,10 +54,8 @@ Result<Value> Vm::Run(const CompiledHandler& handler, std::vector<Value> args) {
   for (uint32_t pc = 0;; ++pc) {
     const Instruction& insn = code[pc];
     stats_.steps_used += insn.steps;
-    if (budget_.metered && stats_.steps_used > budget_.max_steps) {
-      // Unreachable for certified handlers (proven bound <= max_steps);
-      // kept as defense in depth.
-      return LimitError(insn.line, "step budget exceeded");
+    if (stats_.steps_used > step_limit_) [[unlikely]] {
+      return StepLimitError(handler, pc, stats_.steps_used - insn.steps);
     }
     switch (insn.op) {
       case OpCode::kLoadConst:
@@ -256,8 +259,7 @@ Result<Value> Vm::Run(const CompiledHandler& handler, std::vector<Value> args) {
         if (!out.ok()) {
           return out;
         }
-        // Builtin and host results alike obey max_value_bytes, mirroring
-        // the interpreter's EvalCall.
+        // Builtin and host results alike obey max_value_bytes.
         if (out->ApproxSize() > budget_.max_value_bytes) {
           return LimitError(insn.line, "value size limit exceeded");
         }
@@ -270,7 +272,9 @@ Result<Value> Vm::Run(const CompiledHandler& handler, std::vector<Value> args) {
           }
         } else {
           // Host results additionally obey the element-wise ingest cap
-          // (max_input_bytes), mirroring Interpreter::CheckHostResult.
+          // (max_input_bytes): the runtime contract behind the analyzer's
+          // input seeding (docs/static_analysis.md) — without it no
+          // split()-heavy loop could ever have a finite certified bound.
           if (out->is_list()) {
             for (const Value& item : out->AsList()) {
               if (item.ApproxSize() > budget_.max_input_bytes) {
@@ -311,6 +315,22 @@ Result<Value> Vm::Run(const CompiledHandler& handler, std::vector<Value> args) {
         return Value();
     }
   }
+}
+
+Status Vm::StepLimitError(const CompiledHandler& handler, uint32_t pc, int64_t charged) {
+  // code[pc]'s charges start at this offset of the side table: the tree walk
+  // order of every AST node charge is the instruction order, then the order
+  // within each instruction.
+  size_t first = 0;
+  for (uint32_t i = 0; i < pc; ++i) {
+    first += handler.code[i].steps;
+  }
+  // The earlier instructions fit, so charges [0, fit) of this one do too and
+  // charge `fit` is the one that crosses the limit.
+  int64_t fit = step_limit_ - charged;
+  stats_.steps_used = charged + fit + 1;
+  return LimitError(handler.charge_lines[first + static_cast<size_t>(fit)],
+                    "step budget exceeded");
 }
 
 }  // namespace edc

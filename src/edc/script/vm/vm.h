@@ -1,50 +1,93 @@
-// Register-machine executor for compiled CoordScript handlers.
+// Register-machine executor for compiled CoordScript handlers: the one
+// execution engine of the extension sandbox (paper §4.1–§4.2).
 //
-// Drop-in replacement for the tree-walking Interpreter on certified
-// handlers: same Invoke contract, same ExecStats, byte-identical error
-// Statuses, and steps_used that agrees with the interpreter at every exit
-// (each instruction charges the steps its folded AST nodes would have cost
-// *before* executing — see bytecode.h).
+// Every handler that passes registration-time verification is compiled
+// (compiler.h) and runs here, certified or not. Execution is metered in
+// ExecBudget steps: each instruction charges the steps of the AST nodes
+// folded into it before it executes (see bytecode.h), so steps_used is the
+// number of AST nodes a tree walk of the same handler would have evaluated.
+// Exhaustion returns kExtensionLimit; script-level failures (type errors,
+// error(...), out-of-range access) return kExtensionError. Neither can
+// disturb host state beyond what the ScriptHost has already admitted —
+// state access goes exclusively through host functions, which the
+// sandbox's state proxy guards (§4.1.2).
 //
-// The step-limit check is defense in depth only: every handler that reaches
-// the VM was certified by the static analyzer, so its proven worst-case
-// bound fits the budget and the limit cannot fire. (An instruction carrying
-// several folded node charges reports the limit at instruction granularity,
-// which is why uncertified code must not be run metered-to-the-edge here.)
+// The step limit is exact: a run that exhausts its budget stops with
+// steps_used == max_steps + 1 and names the source line of the AST node
+// whose charge crossed the limit, even when that charge is folded into an
+// instruction carrying several. The hot path pays one add and one compare
+// per instruction; the attribution reads CompiledHandler::charge_lines only
+// on the (cold) limit path.
 
 #ifndef EDC_SCRIPT_VM_VM_H_
 #define EDC_SCRIPT_VM_VM_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "edc/common/result.h"
-#include "edc/script/interpreter.h"
 #include "edc/script/value.h"
 #include "edc/script/vm/bytecode.h"
 
 namespace edc {
 
+// Service-state and environment functions injected by the extension sandbox.
+class ScriptHost {
+ public:
+  virtual ~ScriptHost() = default;
+  virtual bool HasFunction(const std::string& name) const = 0;
+  virtual Result<Value> Call(const std::string& name, std::vector<Value>& args) = 0;
+};
+
+struct ExecBudget {
+  int64_t max_steps = 100000;
+  size_t max_value_bytes = 64 * 1024;
+  // Ingest cap on values crossing the host boundary into the script: each
+  // host-call result (element-wise for lists — the list itself is governed
+  // by max_value_bytes and max_collection_items) must fit in this many
+  // ApproxSize bytes. The static analyzer seeds its input string-length
+  // intervals from the same number, so the cap is what makes certified step
+  // bounds finite for split()-heavy handlers (docs/static_analysis.md).
+  size_t max_input_bytes = 2048;
+  // Cap on the length of any list a *builtin* returns (split, append, keys,
+  // sort_by); exceeding it aborts with kExtensionLimit. List literals are
+  // exempt (their length is statically exact). The analyzer's cardinality
+  // transfer functions assume this cap is enforced here.
+  size_t max_collection_items = 256;
+  // Metering elision (§4.2): when false, the step-limit check is skipped.
+  // Only safe for handlers the static analyzer *certified* — their proven
+  // worst-case step bound fits max_steps, so the check can never fire.
+  // steps_used is still counted either way: the execution cost model (and
+  // therefore simulated timing) is identical on both paths.
+  bool metered = true;
+};
+
+struct ExecStats {
+  int64_t steps_used = 0;
+};
+
 class Vm {
  public:
   // `module` and `host` must outlive the VM.
-  Vm(const CompiledModule* module, ScriptHost* host, ExecBudget budget)
-      : module_(module), host_(host), budget_(budget) {}
+  Vm(const CompiledModule* module, ScriptHost* host, ExecBudget budget);
 
   // Runs compiled handler `name` with `args` (missing parameters become
-  // null, extra args are dropped), mirroring Interpreter::Invoke.
+  // null, extra args are dropped). Returns the handler's return value, or
+  // null if it falls off the end.
   Result<Value> Invoke(const std::string& name, std::vector<Value> args);
-
-  // Runs an already-resolved handler (the bindings resolve once per dispatch
-  // via CompiledModule::Find and skip the by-name lookup here).
-  Result<Value> Run(const CompiledHandler& handler, std::vector<Value> args);
 
   const ExecStats& stats() const { return stats_; }
 
  private:
+  // Cold path: instruction `pc` pushed steps_used past step_limit_. Rewinds
+  // steps_used to the charge that crossed it and names that charge's line.
+  Status StepLimitError(const CompiledHandler& handler, uint32_t pc, int64_t charged);
+
   const CompiledModule* module_;
   ScriptHost* host_;
   ExecBudget budget_;
+  int64_t step_limit_;  // max_steps when metered, INT64_MAX when elided
   ExecStats stats_;
 };
 

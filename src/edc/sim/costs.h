@@ -39,7 +39,7 @@ struct CostModel {
   // Extension machinery.
   Duration ext_match_cpu = Nanos(400);    // subscription check per request
   Duration ext_invoke_cpu = Micros(1);    // sandbox setup per invocation
-  Duration ext_step_cpu = Nanos(80);     // per interpreter step
+  Duration ext_step_cpu = Nanos(80);     // per VM step (one AST node)
   Duration ext_verify_cpu_per_byte = Nanos(60);  // registration-time verify+compile
 
   // Client-side CPU is not modeled (clients in the paper run on separate,

@@ -32,7 +32,7 @@ struct ZkPrepOutcome {
   Status status;          // non-OK: error reply, nothing broadcast
   bool has_result = false;
   std::string result;     // piggybacked extension result
-  Duration extra_cpu = 0; // interpreter + sandbox time to charge
+  Duration extra_cpu = 0; // extension execution + sandbox time to charge
 };
 
 class ZkServerHooks {

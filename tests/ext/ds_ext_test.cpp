@@ -8,7 +8,9 @@
 #include <vector>
 
 #include "edc/harness/fixture.h"
+#include "edc/obs/obs.h"
 #include "tests/ds/ds_cluster.h"
+#include "tests/ext/over_budget_ext.h"
 
 namespace edc {
 namespace {
@@ -290,6 +292,70 @@ TEST(EdsExtensionTest, FailingEventExtensionIsEvictedOnAllReplicas) {
                             [&](Status s) { reg = s; });
   fix.Settle(Seconds(1));
   EXPECT_TRUE(reg.ok()) << reg.ToString();
+}
+
+// An uncertified handler (EDC-W006: its bound is over budget) is compiled at
+// registration and runs on the VM, metered, inline on every replica. Within
+// the budget it answers what the oracle answers; past it the client gets the
+// oracle's exact kExtensionLimit Status, and every replica records the same
+// strike.
+TEST(EdsExtensionTest, UncertifiedHandlerRunsMeteredOnVm) {
+  ExtensionLimits limits;
+  limits.max_steps = kOverBudgetMaxSteps;
+  limits.strike_limit = 3;
+  EdsCluster cluster(limits);
+  Obs obs;
+  for (auto& server : cluster.servers) {
+    server->SetObs(&obs);
+  }
+  cluster.Start();
+  DsClient* client = cluster.AddClient();
+  for (const char* path : {"/d/c0", "/d/c1"}) {
+    client->Out(ObjectTuple(path, ""), [](Result<DsReply>) {});
+  }
+  cluster.Settle();
+  ASSERT_TRUE(RegisterAndWait(cluster, client, "cube", kOverBudgetExt).ok());
+  for (auto& mgr : cluster.managers) {
+    ASSERT_NE(mgr->registry().Find("cube"), nullptr);
+    EXPECT_FALSE(mgr->registry().Find("cube")->Certified("read"));
+  }
+
+  auto cube = [&]() {
+    Result<std::string> result = Status(ErrorCode::kInternal);
+    client->Rdp(ObjectTemplate("/cube"), [&](Result<DsReply> r) {
+      result = r.ok() ? Result<std::string>(r->value) : r.status();
+    });
+    cluster.Settle();
+    return result;
+  };
+  auto strikes = [&]() {
+    std::vector<int> out;
+    for (auto& mgr : cluster.managers) {
+      out.push_back(mgr->registry().Find("cube")->strikes);
+    }
+    return out;
+  };
+
+  Result<Value> oracle_within = OverBudgetOracleRun(2, limits);
+  ASSERT_TRUE(oracle_within.ok());
+  Result<std::string> within = cube();
+  ASSERT_TRUE(within.ok()) << within.status().ToString();
+  EXPECT_EQ(*within, oracle_within->ToString());
+  EXPECT_EQ(strikes(), std::vector<int>(4, 0));
+
+  client->Out(ObjectTuple("/d/c2", ""), [](Result<DsReply>) {});
+  cluster.Settle();
+  Result<Value> oracle_past = OverBudgetOracleRun(3, limits);
+  ASSERT_EQ(oracle_past.status().code(), ErrorCode::kExtensionLimit);
+  Result<std::string> past = cube();
+  EXPECT_EQ(past.status().code(), oracle_past.status().code());
+  EXPECT_EQ(past.status().message(), oracle_past.status().message());
+  EXPECT_EQ(strikes(), std::vector<int>(4, 1));
+
+  // Two requests, executed by each of the four replicas.
+  EXPECT_EQ(obs.metrics.CounterValue("ext.invocations"), 8);
+  EXPECT_EQ(obs.metrics.CounterValue("ext.vm_dispatches"), 8);
+  EXPECT_EQ(obs.metrics.CounterValue("ext.certified"), 0);
 }
 
 TEST(EdsExtensionTest, BlockingExtensionDefersReply) {

@@ -1,9 +1,12 @@
-// Determinism across execution engines: running the identical seeded
-// scenario with certified handlers dispatched to the bytecode VM vs the
-// tree-walking interpreter must produce byte-identical packet traces and
-// replica state. Both engines count steps instruction-for-instruction the
-// same, so the simulated CPU charge — and with it every delivery time in the
-// digest — cannot move (docs/bytecode_vm.md, "verification pays once").
+// Determinism across execution engines, pinned: these seeded EZK, EDS and
+// 2PC scenarios must produce the packet-trace and replica-state digests
+// below. They were recorded when certified handlers could still be sent to
+// the tree-walking interpreter instead of the bytecode VM, and both engines
+// gave exactly these digests. The VM charges steps node for node as the
+// tree walk does, so the simulated CPU charge — and with it every delivery
+// time in the digest — cannot move (docs/bytecode_vm.md, "verification pays
+// once"). A change to the VM, the compiler or the cost model that moves
+// simulated time fails here.
 
 #include <gtest/gtest.h>
 
@@ -35,13 +38,12 @@ struct RunSig {
 
 // Registers the counter extension and bumps it repeatedly; the handler is
 // loop-free and whitelisted, so the analyzer certifies it and compiles it.
-RunSig RunCounterWorkload(SystemKind system, uint64_t seed, bool vm) {
+RunSig RunCounterWorkload(SystemKind system, uint64_t seed) {
   FixtureOptions options;
   options.system = system;
   options.num_clients = 1;
   options.seed = seed;
   options.observability = true;  // counters only; proven non-perturbing
-  options.limits.enable_vm = vm;
   ClusterFixture fix(options);
   fix.faults().EnablePacketTrace();
   fix.Start();
@@ -83,54 +85,50 @@ RunSig RunCounterWorkload(SystemKind system, uint64_t seed, bool vm) {
   return sig;
 }
 
-// Same property for the bytecode VM: dispatching certified handlers to
-// compiled code instead of the tree walker must be invisible to the digest.
-// steps_used is charged instruction-for-instruction identically, so the
-// simulated CPU time — and therefore every packet timestamp — cannot move.
+// What both engines gave before the tree walker left the production path
+// (with the VM on and off, the runs agreed bit for bit).
+constexpr uint64_t kEzkPacketDigest = 0x7660aa6679d2b8beull;
+constexpr uint64_t kEzkStateHash = 0xf65ebd62e60b17f0ull;
+constexpr uint64_t kEdsPacketDigest = 0x6834057c76e904c2ull;
+constexpr uint64_t kEdsStateHash = 0x58641ec600424a23ull;
+constexpr uint64_t kTwoPhasePacketDigest = 0xf61e18a0f6bba2b0ull;
+constexpr uint64_t kTwoPhaseStateHash = 0x74c7268124fdb9d9ull;
+
 TEST(ElisionDigestTest, EzkDigestsIdenticalWithVmOnAndOff) {
-  RunSig interp = RunCounterWorkload(SystemKind::kExtensibleZooKeeper, 71,
-                                     /*vm=*/false);
-  RunSig vm = RunCounterWorkload(SystemKind::kExtensibleZooKeeper, 71,
-                                 /*vm=*/true);
+  RunSig run = RunCounterWorkload(SystemKind::kExtensibleZooKeeper, 71);
 
-  // The toggle really routed execution: every certified invocation went
-  // through the VM in one run and none in the other.
-  EXPECT_GT(vm.invocations, 0);
-  EXPECT_EQ(vm.vm_dispatches, vm.invocations);
-  EXPECT_EQ(interp.vm_dispatches, 0);
+  // Every invocation is certified and dispatched to the VM.
+  EXPECT_EQ(run.invocations, 8);
+  EXPECT_EQ(run.certified, run.invocations);
+  EXPECT_EQ(run.vm_dispatches, run.invocations);
 
-  EXPECT_EQ(vm.packet_digest, interp.packet_digest);
-  EXPECT_EQ(vm.state_hash, interp.state_hash);
+  EXPECT_EQ(run.packet_digest, kEzkPacketDigest);
+  EXPECT_EQ(run.state_hash, kEzkStateHash);
 }
 
 TEST(ElisionDigestTest, EdsDigestsIdenticalWithVmOnAndOff) {
-  RunSig interp = RunCounterWorkload(SystemKind::kExtensibleDepSpace, 83,
-                                     /*vm=*/false);
-  RunSig vm = RunCounterWorkload(SystemKind::kExtensibleDepSpace, 83,
-                                 /*vm=*/true);
+  RunSig run = RunCounterWorkload(SystemKind::kExtensibleDepSpace, 83);
 
-  EXPECT_GT(vm.invocations, 0);
-  EXPECT_GT(vm.vm_dispatches, 0);
-  EXPECT_EQ(interp.vm_dispatches, 0);
+  // Four replicas each execute the eight increments.
+  EXPECT_EQ(run.invocations, 32);
+  EXPECT_EQ(run.certified, run.invocations);
+  EXPECT_EQ(run.vm_dispatches, run.invocations);
 
-  EXPECT_EQ(vm.packet_digest, interp.packet_digest);
-  EXPECT_EQ(vm.state_hash, interp.state_hash);
+  EXPECT_EQ(run.packet_digest, kEdsPacketDigest);
+  EXPECT_EQ(run.state_hash, kEdsStateHash);
 }
 
 // The 2PC participant is the stress case for the interval/length analysis:
 // nested foreach over split() results, certified only via the amortized
-// total-length bound. Moving it from the metered tree walker onto the VM
-// must be invisible to the packet trace and replica state — this is the
-// end-to-end proof that the newly-certified handler's dispatch change is
-// digest-neutral.
-RunSig RunTwoPhaseWorkload(uint64_t seed, bool vm) {
+// total-length bound. Its digests pin that running it on the VM is
+// invisible to the packet trace and replica state.
+RunSig RunTwoPhaseWorkload(uint64_t seed) {
   FixtureOptions options;
   options.system = SystemKind::kExtensibleZooKeeper;
   options.num_clients = 1;
   options.num_shards = 2;
   options.seed = seed;
   options.observability = true;
-  options.limits.enable_vm = vm;
   ClusterFixture fix(options);
   fix.faults().EnablePacketTrace();
   fix.Start();
@@ -167,19 +165,15 @@ RunSig RunTwoPhaseWorkload(uint64_t seed, bool vm) {
 }
 
 TEST(ElisionDigestTest, TwoPhaseDigestsIdenticalWithVmOnAndOff) {
-  RunSig interp = RunTwoPhaseWorkload(101, /*vm=*/false);
-  RunSig vm = RunTwoPhaseWorkload(101, /*vm=*/true);
+  RunSig run = RunTwoPhaseWorkload(101);
 
-  // Every prepare/commit invocation is certified and, with the VM on, every
-  // one of them dispatched to compiled code.
-  EXPECT_GT(vm.invocations, 0);
-  EXPECT_EQ(vm.certified, vm.invocations);
-  EXPECT_EQ(vm.vm_dispatches, vm.invocations);
-  EXPECT_EQ(interp.vm_dispatches, 0);
-  EXPECT_EQ(interp.invocations, vm.invocations);
+  // Every prepare/commit invocation is certified and dispatched to the VM.
+  EXPECT_EQ(run.invocations, 8);
+  EXPECT_EQ(run.certified, run.invocations);
+  EXPECT_EQ(run.vm_dispatches, run.invocations);
 
-  EXPECT_EQ(vm.packet_digest, interp.packet_digest);
-  EXPECT_EQ(vm.state_hash, interp.state_hash);
+  EXPECT_EQ(run.packet_digest, kTwoPhasePacketDigest);
+  EXPECT_EQ(run.state_hash, kTwoPhaseStateHash);
 }
 
 }  // namespace

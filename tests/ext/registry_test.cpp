@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "edc/ext/core.h"
+#include "edc/script/parser.h"
 
 namespace edc {
 namespace {
@@ -124,6 +125,34 @@ TEST(ExtensionRegistryTest, AlternatingFailuresNeverReachStrikeLimit) {
   }
   EXPECT_FALSE(run("bad").evict);
   EXPECT_TRUE(run("bad").evict);
+}
+
+// The source cap holds before the parser runs: a client-supplied source
+// nested deeply enough to exhaust the parser's stack is refused with the
+// verifier's own EDC-E001 Status, and still pays the verification CPU.
+TEST(ExtensionRegistryTest, OversizedSourceIsRejectedBeforeParsing) {
+  ExtensionManagerCore core(ExtensionLimits{}, kEzkHost);
+  const size_t cap = core.verifier_config().max_source_bytes;
+  std::string parseable = "extension big { on op read \"/x\"; fn read(o) {\n";
+  while (parseable.size() <= cap) {
+    parseable += "let v" + std::to_string(parseable.size()) + " = 0;\n";
+  }
+  parseable += "return 0; } }";
+  auto program = ParseProgram(parseable);
+  ASSERT_TRUE(program.ok());
+  Status verifier = VerifyProgram(**program, core.verifier_config());
+  EXPECT_NE(verifier.message().find("[EDC-E001]"), std::string::npos) << verifier.ToString();
+
+  Duration cpu = 0;
+  EXPECT_EQ(core.CheckRegistration(parseable, &cpu).ToString(), verifier.ToString());
+  EXPECT_GT(cpu, 0);
+
+  const size_t depth = 200000;
+  std::string nested = "extension deep { on op read \"/x\"; fn read(o) { return " +
+                       std::string(depth, '(') + "1" + std::string(depth, ')') + "; } }";
+  cpu = 0;
+  EXPECT_EQ(core.CheckRegistration(nested, &cpu).ToString(), verifier.ToString());
+  EXPECT_GT(cpu, 0);
 }
 
 TEST(ExtensionRegistryTest, RegistrationBlobRoundTrips) {

@@ -6,6 +6,9 @@
 #include <string>
 #include <vector>
 
+#include "edc/obs/obs.h"
+#include "edc/script/analysis/analyzer.h"
+#include "tests/ext/over_budget_ext.h"
 #include "tests/zk/zk_cluster.h"
 
 namespace edc {
@@ -356,6 +359,68 @@ TEST(EzkExtensionTest, StrikesResetOnSuccessfulInvocation) {
   for (auto& mgr : cluster.managers) {
     EXPECT_FALSE(mgr->registry().Contains("queue_remove"));
   }
+}
+
+// An uncertified handler (EDC-W006: its bound is over budget) is compiled at
+// registration and runs on the VM, metered. Within the budget it answers
+// what the oracle answers; past it the client gets the oracle's exact
+// kExtensionLimit Status, and the primary, which ran it, records a strike.
+TEST(EzkExtensionTest, UncertifiedHandlerRunsMeteredOnVm) {
+  ExtensionLimits limits;
+  limits.max_steps = kOverBudgetMaxSteps;
+  limits.strike_limit = 3;
+  EzkCluster cluster(limits);
+  Obs obs;
+  for (auto& server : cluster.servers) {
+    server->SetObs(&obs);
+  }
+  cluster.Start();
+  ZkClient* client = cluster.AddClient();
+  for (const char* path : {"/d", "/d/c0", "/d/c1"}) {
+    client->Create(path, "", false, false, [](Result<std::string>) {});
+  }
+  cluster.Settle();
+  ASSERT_TRUE(RegisterAndWait(cluster, client, "cube", kOverBudgetExt).ok());
+  auto program = ParseProgram(kOverBudgetExt);
+  ASSERT_TRUE(program.ok());
+  AnalysisReport report = AnalyzeProgram(**program, cluster.managers[0]->verifier_config());
+  ASSERT_EQ(report.diagnostics.size(), 1u);
+  EXPECT_EQ(report.diagnostics[0].code, kDiagCostOverBudget);
+  EXPECT_FALSE(report.handlers.at("read").certified);
+
+  auto cube = [&]() {
+    Result<std::string> result = Status(ErrorCode::kInternal);
+    ZkOp op;
+    op.type = ZkOpType::kGetData;
+    op.path = "/cube";
+    client->Request(op, [&](const ZkReplyMsg& reply) {
+      result = reply.code == ErrorCode::kOk ? Result<std::string>(reply.value)
+                                            : Status(reply.code, reply.value);
+    });
+    cluster.Settle();
+    return result;
+  };
+  const ExtensionRegistry& primary = cluster.managers[cluster.Leader()->id() - 1]->registry();
+
+  Result<Value> oracle_within = OverBudgetOracleRun(2, limits);
+  ASSERT_TRUE(oracle_within.ok());
+  Result<std::string> within = cube();
+  ASSERT_TRUE(within.ok()) << within.status().ToString();
+  EXPECT_EQ(*within, oracle_within->ToString());
+  EXPECT_EQ(primary.Find("cube")->strikes, 0);
+
+  client->Create("/d/c2", "", false, false, [](Result<std::string>) {});
+  cluster.Settle();
+  Result<Value> oracle_past = OverBudgetOracleRun(3, limits);
+  ASSERT_EQ(oracle_past.status().code(), ErrorCode::kExtensionLimit);
+  Result<std::string> past = cube();
+  EXPECT_EQ(past.status().code(), oracle_past.status().code());
+  EXPECT_EQ(past.status().message(), oracle_past.status().message());
+  EXPECT_EQ(primary.Find("cube")->strikes, 1);
+
+  EXPECT_EQ(obs.metrics.CounterValue("ext.invocations"), 2);
+  EXPECT_EQ(obs.metrics.CounterValue("ext.vm_dispatches"), 2);
+  EXPECT_EQ(obs.metrics.CounterValue("ext.certified"), 0);
 }
 
 // An extension may not write under /em with any host function. monitor()

@@ -1,4 +1,4 @@
-#include "edc/script/interpreter.h"
+#include "tests/oracle/interpreter.h"
 
 #include <utility>
 

@@ -1,12 +1,13 @@
-// Cross-validation of the static analyzer against the interpreter.
+// Cross-validation of the static analyzer against execution, and of the
+// bytecode VM against the test oracle (tests/oracle/interpreter.h).
 //
 // A seeded generator produces hundreds of random CoordScript handlers from a
 // small grammar (lets, assigns, ifs, foreach over literals and capped host
 // collections, host mutations, nondeterministic calls). For every program:
 //
 //  * Cost soundness: if the analyzer certified the handler, its actual
-//    interpreted step count — against a host that returns collections at the
-//    full configured cap — must never exceed the proven static bound.
+//    step count — against a host that returns collections at the full
+//    configured cap — must never exceed the proven static bound.
 //  * Determinism soundness: if two executions that differ only in their
 //    nondeterministic environment (now/random) diverge in replicated effects
 //    (mutation log, return value, outcome), the determinism taint pass must
@@ -20,18 +21,17 @@
 #include <string>
 #include <vector>
 
-#include "edc/common/rng.h"
 #include "edc/script/analysis/analyzer.h"
-#include "edc/script/interpreter.h"
 #include "edc/script/parser.h"
 #include "edc/script/verifier.h"
 #include "edc/script/vm/compiler.h"
 #include "edc/script/vm/vm.h"
+#include "tests/oracle/interpreter.h"
+#include "tests/script/vm_corpus.h"
 
 namespace edc {
 namespace {
 
-constexpr size_t kCollectionCap = 4;
 constexpr int kNumSeeds = 220;
 
 VerifierConfig CrossValConfig(bool deterministic) {
@@ -44,186 +44,9 @@ VerifierConfig CrossValConfig(bool deterministic) {
   cfg.allowed_functions["random"] = false;
   cfg.require_deterministic = deterministic;
   cfg.collection_functions = {"children"};
-  cfg.max_collection_items = kCollectionCap;
+  cfg.max_collection_items = kGenCollectionCap;
   return cfg;
 }
-
-// Host mirroring the sandbox contract: collections capped at kCollectionCap,
-// mutations logged, nondeterminism parameterized so two "replicas" can be
-// fed different environments.
-class CrossValHost : public ScriptHost {
- public:
-  CrossValHost(int64_t now_value, uint64_t random_seed)
-      : now_value_(now_value), rng_(random_seed) {}
-
-  const std::vector<std::string>& mutations() const { return mutations_; }
-
-  bool HasFunction(const std::string& name) const override {
-    return name == "children" || name == "update" || name == "create" ||
-           name == "now" || name == "random";
-  }
-
-  Result<Value> Call(const std::string& name, std::vector<Value>& args) override {
-    if (name == "now") {
-      return Value(now_value_);
-    }
-    if (name == "random") {
-      int64_t bound = !args.empty() && args[0].is_int() ? args[0].AsInt() : 8;
-      return Value(static_cast<int64_t>(rng_.UniformU64(
-          static_cast<uint64_t>(bound > 0 ? bound : 8))));
-    }
-    if (name == "children") {
-      ValueList names;
-      for (size_t i = 0; i < kCollectionCap; ++i) {
-        names.emplace_back("c" + std::to_string(i));
-      }
-      return Value::List(std::move(names));
-    }
-    // update / create: replicated-state effects, logged for divergence
-    // comparison.
-    std::string entry = name;
-    for (const Value& a : args) {
-      entry += "|" + a.ToString();
-    }
-    mutations_.push_back(std::move(entry));
-    return Value(true);
-  }
-
- private:
-  int64_t now_value_;
-  Rng rng_;
-  std::vector<std::string> mutations_;
-};
-
-// ---- Random program generation ----
-
-class ProgramGen {
- public:
-  explicit ProgramGen(uint64_t seed) : rng_(seed) {}
-
-  std::string Generate() {
-    src_ = "extension gen {\n  on op read \"/x\";\n  fn read(oid) {\n";
-    vars_ = {"oid_len"};
-    src_ += "    let oid_len = len(oid);\n";
-    size_t n = 2 + rng_.UniformU64(5);
-    for (size_t i = 0; i < n; ++i) {
-      EmitStmt(2, 0);
-    }
-    if (rng_.UniformU64(2) == 0) {
-      src_ += "    return " + IntExpr(0) + ";\n";
-    }
-    src_ += "  }\n}\n";
-    return src_;
-  }
-
- private:
-  void Indent(int depth) { src_ += std::string(static_cast<size_t>(depth) * 2, ' '); }
-
-  std::string NewVar() {
-    std::string name = "v" + std::to_string(var_counter_++);
-    vars_.push_back(name);
-    return name;
-  }
-
-  std::string PickVar() { return vars_[rng_.UniformU64(vars_.size())]; }
-
-  // Integer-typed expression. Depth-limited so programs stay small.
-  std::string IntExpr(int depth) {
-    switch (rng_.UniformU64(depth >= 2 ? 4 : 6)) {
-      case 0:
-        return std::to_string(rng_.UniformU64(10));
-      case 1:
-      case 2:
-        return PickVar();
-      case 3:
-        return rng_.UniformU64(2) == 0 ? "now()" : "random(8)";
-      case 4:
-        return "(" + IntExpr(depth + 1) + " + " + IntExpr(depth + 1) + ")";
-      default:
-        return "(" + IntExpr(depth + 1) + " * " + IntExpr(depth + 1) + ")";
-    }
-  }
-
-  std::string CondExpr() {
-    return IntExpr(1) + (rng_.UniformU64(2) == 0 ? " < " : " == ") + IntExpr(1);
-  }
-
-  void EmitBlock(int depth, int nest) {
-    size_t saved = vars_.size();
-    size_t n = 1 + rng_.UniformU64(2);
-    for (size_t i = 0; i < n; ++i) {
-      EmitStmt(depth, nest);
-    }
-    vars_.resize(saved);  // interpreter block scoping
-  }
-
-  void EmitStmt(int depth, int nest) {
-    uint64_t pick = rng_.UniformU64(nest >= 2 ? 4 : 6);
-    switch (pick) {
-      case 0: {
-        Indent(depth);
-        src_ += "let " + NewVar() + " = " + IntExpr(0) + ";\n";
-        return;
-      }
-      case 1: {
-        Indent(depth);
-        src_ += PickVar() + " = " + IntExpr(0) + ";\n";
-        return;
-      }
-      case 2: {
-        Indent(depth);
-        src_ += "update(\"/sink\", str(" + IntExpr(0) + "));\n";
-        return;
-      }
-      case 3: {
-        Indent(depth);
-        src_ += "create(\"/out/" + std::to_string(rng_.UniformU64(4)) +
-                "\", str(" + IntExpr(0) + "));\n";
-        return;
-      }
-      case 4: {
-        Indent(depth);
-        src_ += "if (" + CondExpr() + ") {\n";
-        EmitBlock(depth + 1, nest + 1);
-        Indent(depth);
-        if (rng_.UniformU64(2) == 0) {
-          src_ += "} else {\n";
-          EmitBlock(depth + 1, nest + 1);
-          Indent(depth);
-        }
-        src_ += "}\n";
-        return;
-      }
-      default: {
-        Indent(depth);
-        std::string loop_var = "it" + std::to_string(var_counter_++);
-        if (rng_.UniformU64(2) == 0) {
-          size_t len = rng_.UniformU64(4);
-          std::string lit = "[";
-          for (size_t i = 0; i < len; ++i) {
-            lit += (i > 0 ? ", " : "") + std::to_string(rng_.UniformU64(10));
-          }
-          lit += "]";
-          src_ += "foreach (" + loop_var + " in " + lit + ") {\n";
-          vars_.push_back(loop_var);  // int-typed loop variable
-        } else {
-          src_ += "foreach (" + loop_var + " in children(\"/dir\")) {\n";
-          // String-typed loop variable: not added to the int-var pool.
-        }
-        EmitBlock(depth + 1, nest + 1);
-        vars_.erase(std::remove(vars_.begin(), vars_.end(), loop_var), vars_.end());
-        Indent(depth);
-        src_ += "}\n";
-        return;
-      }
-    }
-  }
-
-  Rng rng_;
-  std::string src_;
-  std::vector<std::string> vars_;
-  int var_counter_ = 0;
-};
 
 struct ExecOutcome {
   bool ok = false;
@@ -249,28 +72,18 @@ ExecOutcome Execute(const Program& program, int64_t now_value, uint64_t random_s
   return o;
 }
 
-// Bytecode-VM twin of Execute(): compiles `read` directly (certification is a
-// dispatch policy, not a compilability requirement) and runs it on the VM.
-// Returns false if the handler does not compile.
-bool ExecuteVm(const Program& program, int64_t now_value, uint64_t random_seed,
-               ExecOutcome* o) {
-  CompileOptions opts;
-  opts.collection_functions = {"children"};
-  opts.max_collection_items = kCollectionCap;
-  CompiledModule module;
-  CompiledHandler compiled;
-  if (!CompileHandler(program.handlers.at("read"), opts, 0, &compiled)) {
-    return false;
-  }
-  module.handlers.emplace("read", std::move(compiled));
+// Bytecode-VM twin of Execute(), running the module registration built.
+ExecOutcome ExecuteVm(const CompiledModule& module, int64_t now_value,
+                      uint64_t random_seed, ExecBudget budget = ExecBudget{}) {
   CrossValHost host(now_value, random_seed);
-  Vm vm(&module, &host, ExecBudget{});
+  Vm vm(&module, &host, budget);
   auto out = vm.Invoke("read", {Value("/x")});
-  o->ok = out.ok();
-  o->result = out.ok() ? out->ToString() : out.status().ToString();
-  o->mutations = host.mutations();
-  o->steps = vm.stats().steps_used;
-  return true;
+  ExecOutcome o;
+  o.ok = out.ok();
+  o.result = out.ok() ? out->ToString() : out.status().ToString();
+  o.mutations = host.mutations();
+  o.steps = vm.stats().steps_used;
+  return o;
 }
 
 TEST(AnalysisCrossValTest, CertifiedBoundsAreSoundAndDivergenceIsFlagged) {
@@ -327,25 +140,42 @@ TEST(AnalysisCrossValTest, CertifiedBoundsAreSoundAndDivergenceIsFlagged) {
   EXPECT_GE(flagged, divergent);
 }
 
-// The compiled engine must be observationally identical to the tree walker on
-// the full generated corpus: same outcome, same rendered result/error, same
-// mutation log, and — load-bearing for replica digests — the same steps_used.
-// The generator covers folding-heavy arithmetic, shadowing, nested control
-// flow, host mutations and nondeterministic calls, so this is the volume
-// backstop behind the hand-written parity cases in vm_test.cpp.
+// The VM must be observationally identical to the oracle on the full
+// generated corpus: same outcome, same rendered result/error, same mutation
+// log, and — load-bearing for replica digests — the same steps_used. The
+// generator covers folding-heavy arithmetic, shadowing, nested control flow,
+// host mutations and nondeterministic calls, so this is the volume backstop
+// behind the hand-written parity cases in vm_test.cpp. Registration compiles
+// every handler the analyzer accepts, certified or not, so CompileProgram
+// must emit every handler of every accepted program.
 TEST(AnalysisCrossValTest, VmMatchesInterpreterOnGeneratedCorpus) {
-  int compiled = 0;
+  int accepted = 0;
+  int certified = 0;
+  int uncertified = 0;
   for (uint64_t seed = 1; seed <= kNumSeeds; ++seed) {
     ProgramGen gen(seed);
     std::string src = gen.Generate();
     auto program = ParseProgram(src);
     ASSERT_TRUE(program.ok()) << "seed " << seed;
 
-    ExecOutcome vm_run;
-    if (!ExecuteVm(**program, 1000, 1, &vm_run)) {
-      continue;  // compiler refused: interpreter fallback, nothing to diff
+    // A tight certification threshold splits the corpus between certified
+    // and uncertified handlers; registration must compile both.
+    VerifierConfig cfg = CrossValConfig(false);
+    cfg.certify_max_steps = 60;
+    AnalysisReport report = AnalyzeProgram(**program, cfg);
+    if (!report.ok()) {
+      continue;
     }
-    ++compiled;
+    ++accepted;
+    bool is_certified = report.handlers.at("read").certified;
+    certified += is_certified ? 1 : 0;
+    uncertified += is_certified ? 0 : 1;
+    auto module = CompileProgram(**program, GenCompileOptions());
+    ASSERT_TRUE(module.ok()) << "seed " << seed << ": " << module.status().ToString()
+                             << "\n" << src;
+    ASSERT_EQ(module->handlers.size(), (*program)->handlers.size()) << "seed " << seed;
+
+    ExecOutcome vm_run = ExecuteVm(*module, 1000, 1);
     ExecOutcome interp_run = Execute(**program, 1000, 1);
     EXPECT_EQ(interp_run.ok, vm_run.ok) << "seed " << seed << "\n" << src;
     EXPECT_EQ(interp_run.result, vm_run.result) << "seed " << seed << "\n" << src;
@@ -353,9 +183,11 @@ TEST(AnalysisCrossValTest, VmMatchesInterpreterOnGeneratedCorpus) {
     EXPECT_EQ(interp_run.steps, vm_run.steps)
         << "seed " << seed << ": step accounting diverged\n" << src;
   }
-  // The generator only emits resolvable variables, so every program must
-  // lower — a fallback here means the compiler lost coverage.
-  EXPECT_EQ(compiled, kNumSeeds);
+  // The generator emits only declared names and whitelisted calls, so the
+  // analyzer accepts every program.
+  EXPECT_EQ(accepted, kNumSeeds);
+  EXPECT_GE(certified, 20);
+  EXPECT_GE(uncertified, 20);
 }
 
 // Certified handlers run with metering elided must leave behind the same
@@ -366,21 +198,17 @@ TEST(AnalysisCrossValTest, ElisionNeverChangesStepAccounting) {
     ProgramGen gen(seed);
     auto program = ParseProgram(gen.Generate());
     ASSERT_TRUE(program.ok());
+    auto module = CompileProgram(**program, GenCompileOptions());
+    ASSERT_TRUE(module.ok());
 
-    CrossValHost host_a(1000, 1);
-    ExecBudget metered;
-    Interpreter a(program->get(), &host_a, metered);
-    auto ra = a.Invoke("read", {Value("/x")});
-
-    CrossValHost host_b(1000, 1);
+    ExecOutcome a = ExecuteVm(*module, 1000, 1);
     ExecBudget elided;
     elided.metered = false;
-    Interpreter b(program->get(), &host_b, elided);
-    auto rb = b.Invoke("read", {Value("/x")});
+    ExecOutcome b = ExecuteVm(*module, 1000, 1, elided);
 
-    ASSERT_EQ(ra.ok(), rb.ok());
-    EXPECT_EQ(a.stats().steps_used, b.stats().steps_used) << "seed " << seed;
-    EXPECT_EQ(host_a.mutations(), host_b.mutations()) << "seed " << seed;
+    ASSERT_EQ(a.ok, b.ok);
+    EXPECT_EQ(a.steps, b.steps) << "seed " << seed;
+    EXPECT_EQ(a.mutations, b.mutations) << "seed " << seed;
   }
 }
 
@@ -393,9 +221,6 @@ TEST(AnalysisCrossValTest, ElisionNeverChangesStepAccounting) {
 // analyzer's bound must dominate the real step count on every certified
 // program, and the VM must stay observationally identical on the corpus.
 
-constexpr size_t kSplitCap = 64;       // builtin collection cap for this arm
-constexpr size_t kSplitInputCap = 512; // host-result ingest cap for this arm
-
 VerifierConfig SplitArmConfig() {
   VerifierConfig cfg;
   cfg.allowed_functions = CoreAllowedFunctions();
@@ -404,148 +229,6 @@ VerifierConfig SplitArmConfig() {
   cfg.max_collection_items = kSplitCap;
   cfg.max_input_bytes = kSplitInputCap;
   return cfg;
-}
-
-// Host whose fetch() returns a deterministic pseudo-random string (seeded, so
-// interpreter and VM replays see the identical sequence) with separator
-// characters mixed in. Lengths push against the ingest cap; the Value header
-// overhead (16 bytes) is left as headroom.
-class SplitHost : public ScriptHost {
- public:
-  explicit SplitHost(uint64_t seed) : rng_(seed) {}
-
-  const std::vector<std::string>& mutations() const { return mutations_; }
-
-  bool HasFunction(const std::string& name) const override {
-    return name == "fetch" || name == "update";
-  }
-
-  Result<Value> Call(const std::string& name, std::vector<Value>& args) override {
-    if (name == "fetch") {
-      static constexpr char kAlphabet[] = "abcdefgh;:./";
-      size_t len = 32 + rng_.UniformU64(kSplitInputCap - 64);
-      std::string s;
-      s.reserve(len);
-      for (size_t i = 0; i < len; ++i) {
-        s += kAlphabet[rng_.UniformU64(sizeof(kAlphabet) - 1)];
-      }
-      return Value(std::move(s));
-    }
-    std::string entry = name;
-    for (const Value& a : args) {
-      entry += "|" + a.ToString();
-    }
-    mutations_.push_back(std::move(entry));
-    return Value(true);
-  }
-
- private:
-  Rng rng_;
-  std::vector<std::string> mutations_;
-};
-
-class SplitGen {
- public:
-  explicit SplitGen(uint64_t seed) : rng_(seed) {}
-
-  std::string Generate() {
-    src_ =
-        "extension sgen {\n  on op read \"/x\";\n  fn read(oid) {\n"
-        "    let total = 0;\n"
-        "    let blob = fetch(\"/blob\");\n";
-    size_t n = 1 + rng_.UniformU64(3);
-    for (size_t i = 0; i < n; ++i) {
-      EmitSplitLoop(2, 0, i == 0 ? "blob" : StrSource());
-    }
-    src_ += "    return total;\n  }\n}\n";
-    return src_;
-  }
-
- private:
-  void Indent(int depth) { src_ += std::string(static_cast<size_t>(depth) * 2, ' '); }
-
-  std::string Sep() {
-    static constexpr const char* kSeps[] = {"\";\"", "\":\"", "\".\"", "\"/\""};
-    return kSeps[rng_.UniformU64(4)];
-  }
-
-  std::string StrSource() {
-    switch (rng_.UniformU64(3)) {
-      case 0:
-        return "oid";
-      case 1:
-        return "blob";
-      default:
-        return "substr(blob, 0, " + std::to_string(8 + rng_.UniformU64(200)) + ")";
-    }
-  }
-
-  void EmitSplitLoop(int depth, int nest, const std::string& source) {
-    std::string v = "p" + std::to_string(var_counter_++);
-    Indent(depth);
-    src_ += "foreach (" + v + " in split(" + source + ", " + Sep() + ")) {\n";
-    size_t n = 1 + rng_.UniformU64(2);
-    for (size_t i = 0; i < n; ++i) {
-      EmitBodyStmt(depth + 1, nest, v);
-    }
-    Indent(depth);
-    src_ += "}\n";
-  }
-
-  void EmitBodyStmt(int depth, int nest, const std::string& piece) {
-    uint64_t pick = rng_.UniformU64(nest >= 1 ? 4 : 5);
-    switch (pick) {
-      case 0:
-        Indent(depth);
-        src_ += "total = total + len(" + piece + ");\n";
-        return;
-      case 1:
-        Indent(depth);
-        src_ += "if (len(" + piece + ") > " + std::to_string(rng_.UniformU64(8)) +
-                ") {\n";
-        Indent(depth + 1);
-        src_ += "total = total + 1;\n";
-        Indent(depth);
-        src_ += "}\n";
-        return;
-      case 2:
-        Indent(depth);
-        src_ += "update(\"/sink\", " + piece + ");\n";
-        return;
-      case 3: {
-        // Guarded get(): index provably in range after the len() check, so
-        // this must never trip EDC-W008 or a runtime OOB.
-        std::string parts = "q" + std::to_string(var_counter_++);
-        size_t idx = rng_.UniformU64(3);
-        Indent(depth);
-        src_ += "let " + parts + " = split(" + piece + ", " + Sep() + ");\n";
-        Indent(depth);
-        src_ += "if (len(" + parts + ") > " + std::to_string(idx) + ") {\n";
-        Indent(depth + 1);
-        src_ += "total = total + len(get(" + parts + ", " + std::to_string(idx) +
-                "));\n";
-        Indent(depth);
-        src_ += "}\n";
-        return;
-      }
-      default:
-        // Nested foreach over a split of the current piece: the amortized
-        // (total-length) accounting is what keeps this certifiable.
-        EmitSplitLoop(depth, nest + 1, piece);
-        return;
-    }
-  }
-
-  Rng rng_;
-  std::string src_;
-  int var_counter_ = 0;
-};
-
-ExecBudget SplitArmBudget() {
-  ExecBudget budget;
-  budget.max_collection_items = kSplitCap;
-  budget.max_input_bytes = kSplitInputCap;
-  return budget;
 }
 
 TEST(AnalysisCrossValTest, SplitHeavyBoundsAreSoundAndVmMatches) {
@@ -586,15 +269,11 @@ TEST(AnalysisCrossValTest, SplitHeavyBoundsAreSoundAndVmMatches) {
     // VM twin under the identical budget and an identically-seeded host: the
     // corpus is all builtins + host calls, so everything must compile, and
     // outcome/result/mutations/steps must match byte for byte.
-    CompileOptions opts;
-    opts.max_collection_items = static_cast<int64_t>(kSplitCap);
-    CompiledModule module;
-    CompiledHandler compiled;
-    ASSERT_TRUE(CompileHandler((*program)->handlers.at("read"), opts, 0, &compiled))
-        << "seed " << seed << ": compiler refused a split-arm program\n" << src;
-    module.handlers.emplace("read", std::move(compiled));
+    auto module = CompileProgram(**program, SplitArmCompileOptions());
+    ASSERT_TRUE(module.ok()) << "seed " << seed << ": " << module.status().ToString()
+                             << "\n" << src;
     SplitHost vm_host(seed * 7919);
-    Vm vm(&module, &vm_host, SplitArmBudget());
+    Vm vm(&*module, &vm_host, SplitArmBudget());
     auto vm_out = vm.Invoke("read", {Value("/req/part.a;part.b:tail")});
     EXPECT_EQ(out.ok(), vm_out.ok()) << "seed " << seed << "\n" << src;
     EXPECT_EQ(out.ok() ? out->ToString() : out.status().ToString(),

@@ -5,9 +5,10 @@
 #include <algorithm>
 
 #include "edc/script/analysis/lint.h"
-#include "edc/script/interpreter.h"
 #include "edc/script/parser.h"
 #include "edc/script/verifier.h"
+#include "edc/script/vm/compiler.h"
+#include "edc/script/vm/vm.h"
 
 namespace edc {
 namespace {
@@ -31,6 +32,23 @@ AnalysisReport Analyze(const char* src, const VerifierConfig& cfg) {
   auto prog = ParseProgram(src);
   EXPECT_TRUE(prog.ok()) << prog.status().ToString();
   return AnalyzeProgram(**prog, cfg);
+}
+
+// Runs handler `read` of `program` on the bytecode VM, the engine the
+// sandbox dispatches every handler to.
+struct VmRun {
+  Result<Value> result = Value();
+  int64_t steps = 0;
+};
+
+VmRun RunRead(const Program& program, const std::string& arg, ExecBudget budget) {
+  auto module = CompileProgram(program, CompileOptions{});
+  EXPECT_TRUE(module.ok()) << module.status().ToString();
+  Vm vm(&*module, nullptr, budget);
+  VmRun run;
+  run.result = vm.Invoke("read", {Value(arg)});
+  run.steps = vm.stats().steps_used;
+  return run;
 }
 
 bool HasCode(const AnalysisReport& report, const std::string& code) {
@@ -190,10 +208,9 @@ TEST(AnalysisTest, CostBoundCoversListLiteralLoop) {
       }
     })");
   ASSERT_TRUE(prog.ok());
-  Interpreter interp(prog->get(), nullptr, ExecBudget{});
-  auto out = interp.Invoke("read", {Value("/x")});
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_LE(interp.stats().steps_used, hr.step_bound);
+  VmRun run = RunRead(**prog, "/x", ExecBudget{});
+  ASSERT_TRUE(run.result.ok()) << run.result.status().ToString();
+  EXPECT_LE(run.steps, hr.step_bound);
 }
 
 TEST(AnalysisTest, CollectionLoopBoundedByCap) {
@@ -392,21 +409,18 @@ TEST(AnalysisTest, MeteringElisionCountsStepsIdentically) {
     })");
   ASSERT_TRUE(prog.ok());
 
-  ExecBudget metered;
-  Interpreter a(prog->get(), nullptr, metered);
-  auto ra = a.Invoke("read", {Value("/x")});
-  ASSERT_TRUE(ra.ok());
+  VmRun a = RunRead(**prog, "/x", ExecBudget{});
+  ASSERT_TRUE(a.result.ok());
 
   ExecBudget elided;
   elided.metered = false;
-  Interpreter b(prog->get(), nullptr, elided);
-  auto rb = b.Invoke("read", {Value("/x")});
-  ASSERT_TRUE(rb.ok());
+  VmRun b = RunRead(**prog, "/x", elided);
+  ASSERT_TRUE(b.result.ok());
 
   // Identical results AND identical step counts: the timing model (and thus
   // replica digests) cannot tell the two paths apart.
-  EXPECT_TRUE(ra->Equals(*rb));
-  EXPECT_EQ(a.stats().steps_used, b.stats().steps_used);
+  EXPECT_TRUE(a.result->Equals(*b.result));
+  EXPECT_EQ(a.steps, b.steps);
 }
 
 TEST(AnalysisTest, UnmeteredBudgetIgnoresStepLimit) {
@@ -427,15 +441,13 @@ TEST(AnalysisTest, UnmeteredBudgetIgnoresStepLimit) {
 
   ExecBudget tiny;
   tiny.max_steps = 10;
-  Interpreter a(prog->get(), nullptr, tiny);
-  auto ra = a.Invoke("read", {Value("/x")});
-  EXPECT_EQ(ra.status().code(), ErrorCode::kExtensionLimit);
+  VmRun a = RunRead(**prog, "/x", tiny);
+  EXPECT_EQ(a.result.status().code(), ErrorCode::kExtensionLimit);
 
   tiny.metered = false;  // as if certified: the limit check is gone
-  Interpreter b(prog->get(), nullptr, tiny);
-  auto rb = b.Invoke("read", {Value("/x")});
-  ASSERT_TRUE(rb.ok());
-  EXPECT_EQ(rb->AsInt(), 16);
+  VmRun b = RunRead(**prog, "/x", tiny);
+  ASSERT_TRUE(b.result.ok());
+  EXPECT_EQ(b.result->AsInt(), 16);
 }
 
 // ---- Interval-domain precision diagnostics (EDC-W007..W009) ----
@@ -635,9 +647,8 @@ TEST(AnalysisTest, TinyStepBudgetRejectsDefaultCertifiableHandler) {
   ASSERT_TRUE(prog.ok());
   ExecBudget tiny;
   tiny.max_steps = 10;
-  Interpreter interp(prog->get(), nullptr, tiny);
-  auto run = interp.Invoke("read", {Value("/a/b.c/d")});
-  EXPECT_EQ(run.status().code(), ErrorCode::kExtensionLimit);
+  VmRun run = RunRead(**prog, "/a/b.c/d", tiny);
+  EXPECT_EQ(run.result.status().code(), ErrorCode::kExtensionLimit);
 }
 
 TEST(AnalysisTest, LintFormatsDiagnosticsAndSummary) {

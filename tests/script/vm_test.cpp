@@ -4,7 +4,7 @@
 // file pins the individual contracts: builtin index resolution, compile
 // refusal on unlowerable constructs, step-accounting parity on success and on
 // every abort path, the INT64_MIN wrap-around fixes, and the host-result
-// size-limit enforcement — each checked on both engines.
+// size-limit enforcement — each checked on the VM and the test oracle.
 
 #include "edc/script/vm/vm.h"
 
@@ -16,9 +16,9 @@
 #include <vector>
 
 #include "edc/script/builtins.h"
-#include "edc/script/interpreter.h"
 #include "edc/script/parser.h"
 #include "edc/script/vm/compiler.h"
+#include "tests/oracle/interpreter.h"
 
 namespace edc {
 namespace {
@@ -91,7 +91,7 @@ EngineRun RunVm(const Program& program, const std::string& handler,
                 std::vector<Value> args, ExecBudget budget) {
   const Handler& h = program.handlers.at(handler);
   CompiledHandler compiled;
-  EXPECT_TRUE(CompileHandler(h, TestCompileOptions(), 0, &compiled))
+  EXPECT_TRUE(CompileHandler(h, TestCompileOptions(), &compiled))
       << "handler '" << handler << "' failed to compile";
   VmFakeHost host;
   CompiledModule module;
@@ -149,7 +149,7 @@ TEST(VmCompilerTest, RefusesUnresolvableVariable) {
   ASSERT_TRUE(program.ok());
   CompiledHandler out;
   EXPECT_FALSE(CompileHandler((*program)->handlers.at("handle_op"),
-                              TestCompileOptions(), 0, &out));
+                              TestCompileOptions(), &out));
 }
 
 TEST(VmCompilerTest, RefusesAssignToUndeclared) {
@@ -159,7 +159,7 @@ TEST(VmCompilerTest, RefusesAssignToUndeclared) {
   ASSERT_TRUE(program.ok());
   CompiledHandler out;
   EXPECT_FALSE(CompileHandler((*program)->handlers.at("handle_op"),
-                              TestCompileOptions(), 0, &out));
+                              TestCompileOptions(), &out));
 }
 
 TEST(VmCompilerTest, CompilesEveryRecipeShape) {
@@ -179,7 +179,7 @@ TEST(VmCompilerTest, CompilesEveryRecipeShape) {
   ASSERT_TRUE(program.ok());
   CompiledHandler out;
   EXPECT_TRUE(CompileHandler((*program)->handlers.at("handle_op"),
-                             TestCompileOptions(), 0, &out));
+                             TestCompileOptions(), &out));
   EXPECT_GT(out.code.size(), 0u);
 }
 
@@ -218,6 +218,59 @@ TEST(VmParityTest, ForeachScopingAndShadowing) {
         return str(sum) + ":" + r;
       } })", "handle_op", {Value(static_cast<int64_t>(0))});
   EXPECT_EQ(r.result, "130:6");
+}
+
+// A `let` that shadows a name evaluates its initializer against the outer
+// binding: the new name only comes into scope after the statement.
+TEST(VmParityTest, ShadowingLetReadsTheOuterBinding) {
+  EngineRun param = ExpectBothEngines(R"(
+    extension m { on op any "/x";
+      fn handle_op(oid) {
+        let oid = oid + "/x";   // the body block shadows the parameter
+        return oid;
+      } })", "handle_op", {Value("/a")});
+  EXPECT_TRUE(param.ok);
+  EXPECT_EQ(param.result, "/a/x");
+
+  EngineRun local = ExpectBothEngines(R"(
+    extension m { on op any "/x";
+      fn handle_op(c) {
+        let n = 5;
+        let seen = 0;
+        if (c) {
+          let n = n + 1;        // shadows the outer local
+          seen = n;
+        }
+        return str(n) + ":" + str(seen);
+      } })", "handle_op", {Value(true)});
+  EXPECT_TRUE(local.ok);
+  EXPECT_EQ(local.result, "5:6");
+
+  EngineRun loop = ExpectBothEngines(R"(
+    extension m { on op any "/x";
+      fn handle_op(r) {
+        let acc = 0;
+        foreach (x in [1, 2, 3]) {
+          let x = x * 2;        // shadows the loop variable
+          let junk = [x, x];    // reuses the registers a stale temp could leave
+          acc = acc + x;
+        }
+        return acc;
+      } })", "handle_op", {});
+  EXPECT_TRUE(loop.ok);
+  EXPECT_EQ(loop.result, "12");
+
+  EngineRun relet = ExpectBothEngines(R"(
+    extension m { on op any "/x";
+      fn handle_op(r) {
+        let n = 1;
+        let n = n + 1;          // same scope: overwrites the binding in place
+        let xs = [n];
+        let xs = [xs, n];
+        return str(n) + ":" + str(len(xs));
+      } })", "handle_op", {});
+  EXPECT_TRUE(relet.ok);
+  EXPECT_EQ(relet.result, "2:2");
 }
 
 TEST(VmParityTest, IndexingListsMapsStrings) {
@@ -368,20 +421,32 @@ TEST(VmParityTest, StepsMatchAcrossEnginesOnAbortPaths) {
   EXPECT_FALSE(r.ok);  // division by zero; ExpectBothEngines checked steps
 }
 
-TEST(VmParityTest, CompiledModuleOnlyContainsCertifiedHandlers) {
+// Registration compiles every handler, certified or not; the analyzer's
+// verdict only decides metering.
+TEST(VmParityTest, CompiledModuleContainsEveryHandler) {
   auto program = ParseProgram(R"(
     extension m { on op any "/x";
       fn handle_op(r) { return 1; }
       fn read(oid) { return 2; } })");
   ASSERT_TRUE(program.ok());
-  std::map<std::string, HandlerReport> reports;
-  reports["handle_op"].certified = true;
-  reports["handle_op"].step_bound = 10;
-  reports["read"].certified = false;
-  CompiledModule module = CompileProgram(**program, reports, TestCompileOptions());
-  EXPECT_NE(module.Find("handle_op"), nullptr);
-  EXPECT_EQ(module.Find("read"), nullptr);
-  EXPECT_EQ(module.Find("handle_op")->step_bound, 10);
+  auto module = CompileProgram(**program, TestCompileOptions());
+  ASSERT_TRUE(module.ok()) << module.status().ToString();
+  ASSERT_NE(module->Find("handle_op"), nullptr);
+  ASSERT_NE(module->Find("read"), nullptr);
+}
+
+// A handler the compiler refuses rejects the whole program: there is no
+// second engine to run it on.
+TEST(VmCompilerTest, CompileProgramRejectsUnlowerableHandler) {
+  auto program = ParseProgram(R"(
+    extension m { on op any "/x";
+      fn handle_op(r) { return 1; }
+      fn read(oid) { return missing_var; } })");
+  ASSERT_TRUE(program.ok());
+  auto module = CompileProgram(**program, TestCompileOptions());
+  ASSERT_FALSE(module.ok());
+  EXPECT_EQ(module.status().code(), ErrorCode::kExtensionRejected);
+  EXPECT_NE(module.status().message().find("'read'"), std::string::npos);
 }
 
 }  // namespace
