@@ -1,10 +1,9 @@
 // Ablation: cost of the sandbox's per-step metering and value-size
 // accounting (§4.1.2). Every handler runs on the bytecode VM
-// (docs/bytecode_vm.md); these rows compare the two budgets it runs under on
-// compute-heavy scripts. BM_MeteredVm* is an uncertified handler, which pays
-// the step-limit compare per instruction; BM_Vm* is a certified one, whose
-// proven bound lets the sandbox elide that compare. BM_BudgetExhaustion pins
-// what hitting the step limit costs.
+// (docs/bytecode_vm.md), metered: one step add and one limit compare per
+// instruction, certified or not. BM_Vm* run compute-heavy scripts under the
+// default budget; BM_BudgetExhaustion pins what hitting the step limit
+// costs.
 
 #include <benchmark/benchmark.h>
 
@@ -79,35 +78,13 @@ void RunVm(benchmark::State& state, const CompiledModule& module, ExecBudget bud
       benchmark::Counter(static_cast<double>(steps), benchmark::Counter::kIsRate);
 }
 
-ExecBudget Certified() {
-  ExecBudget elided;
-  elided.metered = false;
-  return elided;
-}
-
-void BM_MeteredVmArithmetic(benchmark::State& state) {
-  // An uncertified handler: the same bytecode, run with the step-limit
-  // compare on every instruction.
-  RunVm(state, CompileBenchModule(kComputeScript), ExecBudget{});
-}
-BENCHMARK(BM_MeteredVmArithmetic);
-
 void BM_VmArithmetic(benchmark::State& state) {
-  // The certified hot path: the analyzer proved a step bound within budget,
-  // so the sandbox runs the handler unmetered. Steps are still counted;
-  // only the limit compare disappears, and steps_used equals the metered
-  // row's by construction.
-  RunVm(state, CompileBenchModule(kComputeScript), Certified());
+  RunVm(state, CompileBenchModule(kComputeScript), ExecBudget{});
 }
 BENCHMARK(BM_VmArithmetic);
 
-void BM_MeteredVmStrings(benchmark::State& state) {
-  RunVm(state, CompileBenchModule(kStringScript), ExecBudget{});
-}
-BENCHMARK(BM_MeteredVmStrings);
-
 void BM_VmStrings(benchmark::State& state) {
-  RunVm(state, CompileBenchModule(kStringScript), Certified());
+  RunVm(state, CompileBenchModule(kStringScript), ExecBudget{});
 }
 BENCHMARK(BM_VmStrings);
 

@@ -1,16 +1,14 @@
-// Ablation: 2PC participant throughput on the bytecode VM, metered vs
-// certified.
+// Ablation: 2PC participant throughput on the bytecode VM.
 //
 // The two_phase recipe (prepare/commit/abort over split()-encoded op lists)
 // was the one built-in handler the pre-interval cost pass could not certify.
 // The interval/length abstract domain's amortized total-length accounting
-// now proves a 66,882-step bound (docs/static_analysis.md), so the handler
-// certifies and runs unmetered. These rows measure what that buys per
+// now proves a 66,882-step bound (docs/static_analysis.md). Certified or
+// not, it runs metered like every handler. These rows measure one
 // transaction:
 //
-//   BM_MeteredVmPrepareCommit  uncertified: a limit compare per instruction
-//   BM_VmPrepareCommit         certified: metering elided
-//   BM_VmPrepareAbort          abort path, certified, for symmetry
+//   BM_VmPrepareCommit  prepare + commit
+//   BM_VmPrepareAbort   prepare + abort, for symmetry
 //
 // The host is a plain in-memory map mirroring the binding's read_object/
 // exists/create/update/delete_object contract, so the numbers isolate script
@@ -100,14 +98,13 @@ int64_t RunCycle(Vm& vm, const char* finish_oid, const char* finish_spec) {
   return vm.stats().steps_used;
 }
 
-// Prepare+commit cycles on the VM under `budget`.
-void RunPrepareCommit(benchmark::State& state, ExecBudget budget) {
+void BM_VmPrepareCommit(benchmark::State& state) {
   CompiledModule module = CompileTwoPhase();
   MapHost host;
   int64_t steps = 0;
   int64_t txns = 0;
   for (auto _ : state) {
-    Vm vm(&module, &host, budget);
+    Vm vm(&module, &host, ExecBudget{});
     steps += RunCycle(vm, "/2pc-commit", kTxid);
     ++txns;
   }
@@ -116,27 +113,14 @@ void RunPrepareCommit(benchmark::State& state, ExecBudget budget) {
   state.counters["steps_per_s"] =
       benchmark::Counter(static_cast<double>(steps), benchmark::Counter::kIsRate);
 }
-
-void BM_MeteredVmPrepareCommit(benchmark::State& state) {
-  RunPrepareCommit(state, ExecBudget{});
-}
-BENCHMARK(BM_MeteredVmPrepareCommit);
-
-void BM_VmPrepareCommit(benchmark::State& state) {
-  ExecBudget elided;
-  elided.metered = false;
-  RunPrepareCommit(state, elided);
-}
 BENCHMARK(BM_VmPrepareCommit);
 
 void BM_VmPrepareAbort(benchmark::State& state) {
   CompiledModule module = CompileTwoPhase();
   MapHost host;
-  ExecBudget elided;
-  elided.metered = false;
   int64_t txns = 0;
   for (auto _ : state) {
-    Vm vm(&module, &host, elided);
+    Vm vm(&module, &host, ExecBudget{});
     RunCycle(vm, "/2pc-abort", kTxid);
     ++txns;
   }

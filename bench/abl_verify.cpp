@@ -91,35 +91,19 @@ void BM_RegistryLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_RegistryLoad);
 
-// Runs the queue extension's `read` on the VM, compiled as registration
-// compiles it, under `budget`.
-void RunQueueHandler(benchmark::State& state, ExecBudget budget) {
+void BM_ExtensionInvocation(benchmark::State& state) {
+  // The queue extension's `read` on the VM, compiled as registration
+  // compiles it and metered like every run.
   auto program = ParseProgram(kQueueExtension);
   auto module = CompileProgram(**program, CompileOptions{});
   CannedHost host;
   for (auto _ : state) {
-    Vm vm(&*module, &host, budget);
+    Vm vm(&*module, &host, ExecBudget{});
     auto out = vm.Invoke("read", {Value("/queue/head")});
     benchmark::DoNotOptimize(out);
   }
 }
-
-void BM_ExtensionInvocation(benchmark::State& state) {
-  // An uncertified handler's invocation: metered, a limit compare per
-  // instruction.
-  RunQueueHandler(state, ExecBudget{});
-}
 BENCHMARK(BM_ExtensionInvocation);
-
-void BM_CertifiedInvocation(benchmark::State& state) {
-  // Same invocation with the metering the analyzer's certificate makes
-  // redundant elided; delta vs BM_ExtensionInvocation is the recurring
-  // per-request payoff of verifying once at registration.
-  ExecBudget elided;
-  elided.metered = false;
-  RunQueueHandler(state, elided);
-}
-BENCHMARK(BM_CertifiedInvocation);
 
 void BM_SubscriptionMatch(benchmark::State& state) {
   // The per-request cost every operation pays on an extensible server.

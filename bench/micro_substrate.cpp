@@ -1,13 +1,21 @@
 // Microbenchmarks of the substrate data structures (real CPU time, via
-// google-benchmark): data-tree operations, tuple matching, the wire codec and
-// the event loop. These are the hot paths under every simulated request.
+// google-benchmark): data-tree operations, tuple matching, one EDS queue
+// handler invocation, the wire codec, the event loop and the network. These
+// are the hot paths under every simulated request.
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <vector>
+
 #include "bench/gbench_json.h"
 #include "edc/common/codec.h"
+#include "edc/ds/server.h"
 #include "edc/ds/tuple_space.h"
+#include "edc/ext/ds_binding.h"
+#include "edc/recipes/scripts.h"
 #include "edc/sim/event_loop.h"
+#include "edc/sim/network.h"
 #include "edc/zab/messages.h"
 #include "edc/zk/data_tree.h"
 
@@ -68,7 +76,9 @@ void BM_TreeSerialize(benchmark::State& state) {
 }
 BENCHMARK(BM_TreeSerialize)->Arg(100)->Arg(1000);
 
-void BM_TupleMatch(benchmark::State& state) {
+// Exact-path lookup of one object among range(0) tuples: the index visits
+// only the tuples with that path, so the cost should not grow with the space.
+void BM_TupleExactMatch(benchmark::State& state) {
   TupleSpace space;
   for (int i = 0; i < state.range(0); ++i) {
     space.Out(ObjectTuple("/obj/" + std::to_string(i), "data"), i, 1, 0);
@@ -79,20 +89,64 @@ void BM_TupleMatch(benchmark::State& state) {
     benchmark::DoNotOptimize(match);
   }
 }
-BENCHMARK(BM_TupleMatch)->Arg(10)->Arg(100)->Arg(1000);
+BENCHMARK(BM_TupleExactMatch)->Arg(16)->Arg(256)->Arg(4096);
 
-void BM_TuplePrefixScan(benchmark::State& state) {
+// A path-prefix read of one 16-object directory (the queue's shape) in a
+// space of range(0) tuples spread over range(0)/16 such directories.
+void BM_TuplePrefixMatch(benchmark::State& state) {
   TupleSpace space;
   for (int i = 0; i < state.range(0); ++i) {
-    space.Out(ObjectTuple("/queue/e" + std::to_string(i), ""), i, 1, 0);
+    space.Out(ObjectTuple("/d" + std::to_string(i % (state.range(0) / 16)) + "/e" +
+                              std::to_string(i),
+                          ""),
+              i, 1, 0);
   }
-  DsTemplate templ = ObjectPrefixTemplate("/queue");
+  DsTemplate templ = ObjectPrefixTemplate("/d0");
   for (auto _ : state) {
     auto all = space.RdAll(templ);
     benchmark::DoNotOptimize(all);
   }
 }
-BENCHMARK(BM_TuplePrefixScan)->Arg(10)->Arg(100);
+BENCHMARK(BM_TuplePrefixMatch)->Arg(16)->Arg(256)->Arg(4096);
+
+// One remove of the EDS queue recipe (Fig. 7) as a replica executes it: the
+// extension manager matches the op, and the handler runs on the VM behind the
+// SandboxHost and the EDS state proxy (sub_objects over range(0) elements,
+// min_by, delete_object). An out then refills the queue, so every iteration
+// sees the same depth.
+void BM_QueueHandlerInvocation(benchmark::State& state) {
+  constexpr NodeId kClient = 101;
+  EventLoop loop;
+  Network net(&loop, Rng(1), LinkParams{});
+  DsServer server(&loop, &net, 1, {1, 2, 3, 4}, CostModel{}, DsServerOptions{});
+  DsExtensionManager manager(&server, ExtensionLimits{});
+  DsOp reg;
+  reg.type = DsOpType::kOut;
+  reg.tuple = ObjectTuple("/em/queue_remove", kQueueExtension);
+  SimTime ts = 1;
+  DsExecContext setup(&server, kClient, 0, ts++);
+  if (!manager.HandleOperation(&setup, kClient, reg).status.ok()) {
+    state.SkipWithError("queue extension did not register");
+    return;
+  }
+  int64_t next = 0;
+  for (; next < state.range(0); ++next) {
+    (void)setup.Out(ObjectTuple("/queue/e" + std::to_string(next), "v"), 0);
+  }
+  DsOp remove;
+  remove.type = DsOpType::kRdp;
+  remove.templ = ObjectTemplate("/queue/head");
+  for (auto _ : state) {
+    DsExecContext ctx(&server, kClient, 1, ts++);
+    DsExecOutcome outcome = manager.HandleOperation(&ctx, kClient, remove);
+    if (!outcome.status.ok()) {
+      state.SkipWithError("queue remove failed");
+      return;
+    }
+    (void)ctx.Out(ObjectTuple("/queue/e" + std::to_string(next++), "v"), 0);
+  }
+}
+BENCHMARK(BM_QueueHandlerInvocation)->Arg(25)->Arg(256);
 
 void BM_CodecEncodeDecode(benchmark::State& state) {
   std::string payload(static_cast<size_t>(state.range(0)), 'p');
@@ -203,6 +257,52 @@ void BM_EventLoopScheduleCancel(benchmark::State& state) {
   state.counters["queued"] = static_cast<double>(loop.queued());
 }
 BENCHMARK(BM_EventLoopScheduleCancel)->Arg(64)->Arg(4096);
+
+// Schedule one event and run it, with range(0) other timers queued behind
+// it: the cost of every simulated hop through the event kernel.
+void BM_EventLoopSchedulePop(benchmark::State& state) {
+  EventLoop loop;
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    loop.Schedule(Seconds(3600) + i, [] {});
+  }
+  int64_t ran = 0;
+  for (auto _ : state) {
+    loop.Schedule(Micros(1), [&ran] { ++ran; });
+    loop.RunUntil(loop.now() + Micros(1));
+  }
+  benchmark::DoNotOptimize(ran);
+}
+BENCHMARK(BM_EventLoopSchedulePop)->Arg(64)->Arg(4096);
+
+class SinkNode : public NetworkNode {
+ public:
+  void HandlePacket(Packet&& pkt) override { bytes_ += pkt.payload.size(); }
+  size_t bytes() const { return bytes_; }
+
+ private:
+  size_t bytes_ = 0;
+};
+
+// Network::Send of one 64-byte packet between two of range(0) registered
+// nodes, and its delivery.
+void BM_NetworkSend(benchmark::State& state) {
+  EventLoop loop;
+  Network net(&loop, Rng(1), LinkParams{});
+  std::vector<SinkNode> nodes(static_cast<size_t>(state.range(0)));
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    net.Register(static_cast<NodeId>(i + 1), &nodes[i]);
+  }
+  Packet pkt;
+  pkt.src = 1;
+  pkt.dst = 2;
+  pkt.payload.assign(64, 0xab);
+  for (auto _ : state) {
+    net.Send(pkt);
+    loop.RunUntil(loop.now() + Millis(1));
+  }
+  benchmark::DoNotOptimize(nodes[1].bytes());
+}
+BENCHMARK(BM_NetworkSend)->Arg(4)->Arg(64);
 
 }  // namespace
 }  // namespace edc

@@ -111,6 +111,15 @@ ctest --output-on-failure -j "$JOBS" --no-tests=error \
 echo "== spotlight: VM vs oracle at every step budget (docs/bytecode_vm.md) =="
 ctest --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'VmBudgetSweepTest\.'
+# The indexed tuple space must answer exactly as a linear scan would, and
+# the EDS queue run (sub_objects, lease expiry, crash-restart by state
+# transfer) must keep the digests recorded before the index existed.
+echo "== spotlight: EDS queue digest, recorded before the tuple-space index =="
+ctest --output-on-failure -j "$JOBS" --no-tests=error \
+  -R 'ElisionDigestTest\.EdsQueueDigestsPinned'
+echo "== spotlight: indexed tuple space vs linear-scan oracle =="
+ctest --output-on-failure -j "$JOBS" --no-tests=error \
+  -R 'TupleSpaceDiffTest\.'
 echo "== spotlight: observability zero-perturbation guarantee =="
 ctest --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'ObsDeterminismTest\.'

@@ -35,7 +35,7 @@ void BftReplica::Start() {
   flush_scheduled_ = false;
   last_ts_ = 0;
   last_exec_ts_ = 0;
-  entries_.clear();
+  ClearEntries();
   pending_.clear();
   executed_reqs_.clear();
   view_changes_.clear();
@@ -192,26 +192,62 @@ void BftReplica::Process(Packet&& pkt) {
   }
 }
 
+namespace {
+
+// Adds `id` to a sorted id list unless present: usually an append.
+void InsertId(std::vector<uint64_t>& ids, uint64_t id) {
+  if (ids.empty() || ids.back() < id) {
+    ids.push_back(id);
+    return;
+  }
+  auto it = std::lower_bound(ids.begin(), ids.end(), id);
+  if (*it != id) {
+    ids.insert(it, id);
+  }
+}
+
+}  // namespace
+
 bool BftReplica::AlreadyOrdered(const BftRequest& req) const {
   auto it = executed_reqs_.find(req.client);
   if (it != executed_reqs_.end() &&
-      (req.req_id <= it->second.floor || it->second.ids.count(req.req_id) > 0)) {
+      (req.req_id <= it->second.floor ||
+       std::binary_search(it->second.ids.begin(), it->second.ids.end(), req.req_id))) {
     return true;
   }
-  for (const auto& [seq, entry] : entries_) {
-    for (const BftRequest& ordered : entry.batch) {
-      if (ordered.client == req.client && ordered.req_id == req.req_id) {
-        return true;
-      }
+  return ordered_in_window_.count({req.client, req.req_id}) > 0;
+}
+
+void BftReplica::SetBatch(Entry& entry, BftBatch batch) {
+  for (const BftRequest& old : entry.batch) {
+    auto it = ordered_in_window_.find({old.client, old.req_id});
+    if (--it->second == 0) {
+      ordered_in_window_.erase(it);
     }
   }
-  return false;
+  for (const BftRequest& req : batch) {
+    ++ordered_in_window_[{req.client, req.req_id}];
+  }
+  entry.batch = std::move(batch);
+}
+
+void BftReplica::EraseEntries(std::map<uint64_t, Entry>::iterator first,
+                              std::map<uint64_t, Entry>::iterator last) {
+  for (auto it = first; it != last; ++it) {
+    SetBatch(it->second, {});
+  }
+  entries_.erase(first, last);
+}
+
+void BftReplica::ClearEntries() {
+  entries_.clear();
+  ordered_in_window_.clear();
 }
 
 void BftReplica::MarkExecuted(NodeId client, uint64_t req_id) {
   ClientDedup& dedup = executed_reqs_[client];
   if (req_id > dedup.floor) {
-    dedup.ids.insert(req_id);
+    InsertId(dedup.ids, req_id);
   }
 }
 
@@ -292,7 +328,7 @@ void BftReplica::Propose(BftBatch batch) {
   entry.view = view_;
   entry.ts = ts;
   entry.digest = BatchDigest(seq, ts, batch);
-  entry.batch = batch;
+  SetBatch(entry, batch);
   entry.has_batch = true;
   entry.prepares.insert(config_.self);  // pre-prepare counts as the primary's prepare
 
@@ -330,7 +366,7 @@ void BftReplica::OnPrePrepare(NodeId from, PrePrepareMsg&& msg) {
   entry.view = msg.view;
   entry.ts = msg.ts;
   entry.digest = digest;
-  entry.batch = std::move(msg.batch);
+  SetBatch(entry, std::move(msg.batch));
   entry.has_batch = true;
   entry.prepares.insert(from);          // primary's pre-prepare
   entry.prepares.insert(config_.self);  // our own prepare
@@ -416,7 +452,7 @@ void BftReplica::TryExecute() {
       ExecuteRequest(entry.batch[i], entry.ts + static_cast<SimTime>(i));
     }
     last_exec_ts_ = entry.ts + static_cast<SimTime>(std::max<size_t>(entry.batch.size(), 1)) - 1;
-    entries_.erase(it);
+    EraseEntries(it, std::next(it));
     if (last_executed_ % config_.checkpoint_interval == 0) {
       TakeLocalCheckpoint();
     }
@@ -527,7 +563,8 @@ void BftReplica::GcDedup() {
     if (floor > dedup.floor) {
       dedup.floor = floor;
     }
-    dedup.ids.erase(dedup.ids.begin(), dedup.ids.upper_bound(dedup.floor));
+    dedup.ids.erase(dedup.ids.begin(),
+                    std::upper_bound(dedup.ids.begin(), dedup.ids.end(), dedup.floor));
   }
 }
 
@@ -689,7 +726,7 @@ void BftReplica::MakeStable(uint64_t seq) {
   // Log GC: everything at or below the stable checkpoint is re-creatable
   // from the checkpoint itself; pre-prepares outside the new window are
   // rejected from here on.
-  entries_.erase(entries_.begin(), entries_.upper_bound(seq));
+  EraseEntries(entries_.begin(), entries_.upper_bound(seq));
   own_checkpoints_.erase(own_checkpoints_.begin(), own_checkpoints_.lower_bound(seq));
   checkpoint_votes_.erase(checkpoint_votes_.begin(), checkpoint_votes_.lower_bound(seq));
   offered_states_.erase(offered_states_.begin(), offered_states_.upper_bound(seq));
@@ -754,7 +791,7 @@ bool BftReplica::InstallCheckpoint(uint64_t seq, const std::vector<uint8_t>& sta
       if (!id.ok()) {
         return false;
       }
-      d.ids.insert(*id);
+      InsertId(d.ids, *id);
     }
   }
   auto service = ReadFramed(dec);
@@ -780,7 +817,7 @@ bool BftReplica::InstallCheckpoint(uint64_t seq, const std::vector<uint8_t>& sta
   executed_reqs_ = std::move(dedup);
   next_seq_ = std::max(next_seq_, seq);
   low_watermark_ = seq;
-  entries_.erase(entries_.begin(), entries_.upper_bound(seq));
+  EraseEntries(entries_.begin(), entries_.upper_bound(seq));
   own_checkpoints_[seq] = digest;
   own_state_seq_ = seq;
   own_state_ = state;
@@ -946,7 +983,7 @@ void BftReplica::OnNewView(NodeId from, NewViewMsg&& msg) {
   }
   view_ = msg.new_view;
   view_changing_ = false;
-  entries_.clear();
+  ClearEntries();
   view_changes_.erase(msg.new_view);
   next_seq_ = last_executed_;
   for (const PreparedEntry& e : msg.reproposed) {
@@ -972,7 +1009,7 @@ void BftReplica::AdoptEntry(const PreparedEntry& e, uint64_t view) {
   entry.view = view;
   entry.ts = e.ts;
   entry.digest = BatchDigest(e.seq, e.ts, e.batch);
-  entry.batch = e.batch;
+  SetBatch(entry, e.batch);
   entry.has_batch = true;
   entry.prepares.insert(PrimaryOf(view));
   entry.prepares.insert(config_.self);

@@ -57,8 +57,10 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <set>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -174,7 +176,7 @@ class BftReplica {
   // the same sequence number are byte-identical).
   struct ClientDedup {
     uint64_t floor = 0;
-    std::set<uint64_t> ids;
+    std::vector<uint64_t> ids;  // sorted; a client's ids mostly arrive in order
   };
 
   size_t PrepareQuorum() const { return static_cast<size_t>(2 * config_.f + 1); }
@@ -208,6 +210,13 @@ class BftReplica {
   void OnViewChange(NodeId from, ViewChangeMsg&& msg);
   void OnNewView(NodeId from, NewViewMsg&& msg);
   void AdoptEntry(const PreparedEntry& e, uint64_t view);
+
+  // Every change to the batches held in entries_ goes through these three,
+  // so ordered_in_window_ always indexes exactly those batches' requests.
+  void SetBatch(Entry& entry, BftBatch batch);
+  void EraseEntries(std::map<uint64_t, Entry>::iterator first,
+                    std::map<uint64_t, Entry>::iterator last);
+  void ClearEntries();
 
   bool AlreadyOrdered(const BftRequest& req) const;
   void MarkExecuted(NodeId client, uint64_t req_id);
@@ -249,6 +258,14 @@ class BftReplica {
   SimTime last_exec_ts_ = 0;  // ts of the last executed request (checkpointed)
 
   std::map<uint64_t, Entry> entries_;  // by seq, within the watermark window
+  // (client, req_id) of the requests in entries_' batches -> number of
+  // batches holding it; AlreadyOrdered's window check.
+  struct RequestIdHash {
+    size_t operator()(const std::pair<NodeId, uint64_t>& id) const {
+      return std::hash<uint64_t>{}((id.second * 0x9E3779B97F4A7C15ull) ^ id.first);
+    }
+  };
+  std::unordered_map<std::pair<NodeId, uint64_t>, uint32_t, RequestIdHash> ordered_in_window_;
   std::deque<BftRequest> pending_;     // buffered, not yet pre-prepared
   std::map<NodeId, ClientDedup> executed_reqs_;  // bounded dedup
 

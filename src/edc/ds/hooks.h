@@ -43,12 +43,10 @@ class DsServerHooks {
  public:
   virtual ~DsServerHooks() = default;
 
-  // Bottom-of-stack interception: does an extension (registered/acknowledged
-  // by `client`) — or the extension manager itself (/em traffic) — claim
-  // this operation?
-  virtual bool MatchesOperation(NodeId client, const DsOp& op) const = 0;
-
-  // Execute the matching extension (or registration) deterministically.
+  // Bottom-of-stack interception: if an extension (registered/acknowledged
+  // by `client`) — or the extension manager itself (/em traffic) — claims
+  // this operation, execute it deterministically and return handled = true;
+  // otherwise return an unhandled outcome and the server executes it.
   virtual DsExecOutcome HandleOperation(DsExecContext* ctx, NodeId client,
                                         const DsOp& op) = 0;
 
@@ -60,6 +58,10 @@ class DsServerHooks {
   // A blocked operation of `client` is about to unblock with `tuple`;
   // event extensions may veto (re-block) it (§5.2.2).
   virtual bool AllowUnblock(NodeId client, const DsTemplate& templ, const DsTuple& tuple) = 0;
+
+  // The tuple inserted with `seq` left the space (inp, replace, lease expiry
+  // or an unblocked in). Not called when the whole state is replaced.
+  virtual void OnTupleRemoved(uint64_t seq) = 0;
 
   // Full state replaced; rebuild registry from the tuple space.
   virtual void OnStateReloaded() = 0;

@@ -145,6 +145,11 @@ DsServer::DsServer(EventLoop* loop, Network* net, NodeId id, std::vector<NodeId>
   cfg.watermark_window = options_.watermark_window;
   cfg.dedup_window = options_.dedup_window;
   bft_ = std::make_unique<BftReplica>(loop, net, &cpu_, costs, cfg, this);
+  space_.SetRemovalListener([this](const DsEntry& e) {
+    if (hooks_ != nullptr) {
+      hooks_->OnTupleRemoved(e.seq);
+    }
+  });
 }
 
 void DsServer::Start() {
@@ -315,7 +320,7 @@ BftExecOutcome DsServer::Execute(uint64_t seq, SimTime ts, const BftRequest& req
   }
 
   DsExecOutcome outcome;
-  if (hooks_ != nullptr && hooks_->MatchesOperation(request.client, *op)) {
+  if (hooks_ != nullptr) {
     outcome = hooks_->HandleOperation(&ctx, request.client, *op);
     extra_cpu += outcome.cpu_cost;
   }

@@ -21,6 +21,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "edc/bft/replica.h"
@@ -74,6 +75,11 @@ class DsExecContext {
   Result<DsTuple> Rdp(const DsTemplate& templ);
   Result<DsTuple> Inp(const DsTemplate& templ);
   std::vector<DsEntry> RdAll(const DsTemplate& templ);
+  // RdAll without the copies: calls `visit(const DsEntry&)` on each match in
+  // insertion order until it returns false. The visit must not change the
+  // space. A template access control denies visits nothing.
+  template <typename Visit>
+  void ForEachMatch(const DsTemplate& templ, Visit&& visit);
   Status Cas(const DsTemplate& templ, DsTuple tuple, Duration lease);
   Status Replace(const DsTemplate& templ, DsTuple tuple);
   size_t Renew(const DsTemplate& templ, Duration lease);
@@ -194,6 +200,14 @@ class DsServer : public NetworkNode, public BftCallbacks {
   int64_t ops_executed_ = 0;
   ExecObserver exec_observer_;
 };
+
+template <typename Visit>
+void DsExecContext::ForEachMatch(const DsTemplate& templ, Visit&& visit) {
+  ++state_ops_;
+  if (server_->CheckAccess(client_, DsOpType::kRdAll, nullptr, &templ).ok()) {
+    server_->space_.ForEachMatch(templ, std::forward<Visit>(visit));
+  }
+}
 
 }  // namespace edc
 

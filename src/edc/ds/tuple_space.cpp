@@ -14,36 +14,119 @@ void TupleSpace::Out(DsTuple tuple, SimTime now, NodeId owner, Duration lease) {
   entry.ctime = now;
   entry.deadline = lease > 0 ? now + lease : 0;
   entry.owner = owner;
-  entries_.push_back(std::move(entry));
+  Insert(std::move(entry));
+}
+
+namespace {
+
+// The indexed prefixes under which a string first field `s` is listed: each
+// p that `s` continues with a '/', so that FieldMatches(Prefix(p), s), other
+// than "" and "/" (those two match nearly every path; they scan).
+template <typename Fn>
+void ForEachIndexedPrefixOf(const std::string& s, Fn&& fn) {
+  for (size_t i = s[0] == '/' ? 2 : 1; i < s.size(); ++i) {
+    if (s[i] == '/') {
+      fn(s.substr(0, i));
+    }
+  }
+}
+
+}  // namespace
+
+void TupleSpace::Insert(DsEntry entry) {
+  uint64_t seq = entry.seq;
+  const DsEntry& e = entries_.emplace_hint(entries_.end(), seq, std::move(entry))->second;
+  if (!e.tuple.empty()) {
+    by_first_.emplace(e.tuple[0], &e);
+    if (const auto* path = std::get_if<std::string>(&e.tuple[0]); path && !path->empty()) {
+      ForEachIndexedPrefixOf(*path, [this, &e](std::string prefix) {
+        EntrySet& matches = by_prefix_[std::move(prefix)];
+        matches.insert(matches.end(), &e);  // seqs only grow
+      });
+    }
+  }
+  if (e.deadline != 0) {
+    leases_.emplace(e.deadline, seq);
+  }
+}
+
+DsTuple TupleSpace::Remove(const DsEntry& entry) {
+  if (on_removed_) {
+    on_removed_(entry);
+  }
+  if (!entry.tuple.empty()) {
+    auto [it, end] = by_first_.equal_range(entry.tuple[0]);
+    while (it->second != &entry) {
+      ++it;
+    }
+    by_first_.erase(it);
+    if (const auto* path = std::get_if<std::string>(&entry.tuple[0]); path && !path->empty()) {
+      ForEachIndexedPrefixOf(*path, [this, &entry](const std::string& prefix) {
+        auto bucket = by_prefix_.find(prefix);
+        bucket->second.erase(&entry);
+        if (bucket->second.empty()) {
+          by_prefix_.erase(bucket);
+        }
+      });
+    }
+  }
+  if (entry.deadline != 0) {
+    leases_.erase({entry.deadline, entry.seq});
+  }
+  auto node = entries_.extract(entry.seq);
+  return std::move(node.mapped().tuple);
+}
+
+void TupleSpace::Clear() {
+  entries_.clear();
+  by_first_.clear();
+  by_prefix_.clear();
+  leases_.clear();
+  next_seq_ = 1;
+}
+
+const TupleSpace::EntrySet* TupleSpace::IndexedMatches(const DsTField& first) const {
+  static const EntrySet kNone;
+  const auto* prefix = std::get_if<std::string>(&first.value);
+  if (prefix == nullptr) {
+    return &kNone;  // a prefix matches string fields only
+  }
+  if (prefix->empty() || *prefix == "/") {
+    return nullptr;
+  }
+  auto it = by_prefix_.find(*prefix);
+  return it == by_prefix_.end() ? &kNone : &it->second;
+}
+
+const DsEntry* TupleSpace::FirstMatch(const DsTemplate& templ) const {
+  const DsEntry* first = nullptr;
+  ForEachMatch(templ, [&first](const DsEntry& e) {
+    first = &e;
+    return false;
+  });
+  return first;
 }
 
 Result<DsTuple> TupleSpace::Rdp(const DsTemplate& templ) const {
-  for (const DsEntry& e : entries_) {
-    if (TupleMatches(templ, e.tuple)) {
-      return e.tuple;
-    }
+  if (const DsEntry* e = FirstMatch(templ)) {
+    return e->tuple;
   }
   return Status(ErrorCode::kNoNode, "no matching tuple");
 }
 
 Result<DsTuple> TupleSpace::Inp(const DsTemplate& templ) {
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (TupleMatches(templ, it->tuple)) {
-      DsTuple t = std::move(it->tuple);
-      entries_.erase(it);
-      return t;
-    }
+  if (const DsEntry* e = FirstMatch(templ)) {
+    return Remove(*e);
   }
   return Status(ErrorCode::kNoNode, "no matching tuple");
 }
 
 std::vector<DsEntry> TupleSpace::RdAll(const DsTemplate& templ) const {
   std::vector<DsEntry> out;
-  for (const DsEntry& e : entries_) {
-    if (TupleMatches(templ, e.tuple)) {
-      out.push_back(e);
-    }
-  }
+  ForEachMatch(templ, [&out](const DsEntry& e) {
+    out.push_back(e);
+    return true;
+  });
   return out;
 }
 
@@ -70,44 +153,45 @@ Status TupleSpace::Replace(const DsTemplate& templ, DsTuple tuple, SimTime now, 
 }
 
 size_t TupleSpace::Renew(const DsTemplate& templ, NodeId owner, SimTime now, Duration lease) {
-  size_t renewed = 0;
-  for (DsEntry& e : entries_) {
-    if (e.deadline != 0 && e.owner == owner && TupleMatches(templ, e.tuple)) {
-      e.deadline = now + lease;
-      ++renewed;
+  std::vector<uint64_t> renewed;
+  ForEachMatch(templ, [&renewed, owner](const DsEntry& e) {
+    if (e.deadline != 0 && e.owner == owner) {
+      renewed.push_back(e.seq);
     }
+    return true;
+  });
+  for (uint64_t seq : renewed) {
+    DsEntry& e = entries_.at(seq);
+    leases_.erase({e.deadline, seq});
+    e.deadline = now + lease;
+    leases_.emplace(e.deadline, seq);
   }
-  return renewed;
+  return renewed.size();
 }
 
 std::vector<DsTuple> TupleSpace::Expire(SimTime now) {
   std::vector<DsTuple> expired;
-  auto it = entries_.begin();
-  while (it != entries_.end()) {
-    if (it->deadline != 0 && it->deadline <= now) {
-      expired.push_back(std::move(it->tuple));
-      it = entries_.erase(it);
-    } else {
-      ++it;
-    }
+  if (leases_.empty() || leases_.begin()->first > now) {
+    return expired;
+  }
+  std::vector<uint64_t> due;
+  for (auto it = leases_.begin(); it != leases_.end() && it->first <= now; ++it) {
+    due.push_back(it->second);
+  }
+  std::sort(due.begin(), due.end());  // insertion order
+  for (uint64_t seq : due) {
+    expired.push_back(Remove(entries_.at(seq)));
   }
   return expired;
 }
 
-bool TupleSpace::HasMatch(const DsTemplate& templ) const {
-  for (const DsEntry& e : entries_) {
-    if (TupleMatches(templ, e.tuple)) {
-      return true;
-    }
-  }
-  return false;
-}
+bool TupleSpace::HasMatch(const DsTemplate& templ) const { return FirstMatch(templ) != nullptr; }
 
 std::vector<uint8_t> TupleSpace::Serialize() const {
   Encoder enc;
   enc.PutU64(next_seq_);
   enc.PutVarint(entries_.size());
-  for (const DsEntry& e : entries_) {
+  for (const auto& [seq, e] : entries_) {
     EncodeTuple(enc, e.tuple);
     enc.PutU64(e.seq);
     enc.PutI64(e.ctime);
@@ -120,8 +204,7 @@ std::vector<uint8_t> TupleSpace::Serialize() const {
 uint64_t TupleSpace::Digest() const { return Fnv1a64(Serialize()); }
 
 Status TupleSpace::Load(const std::vector<uint8_t>& snapshot) {
-  entries_.clear();
-  next_seq_ = 1;
+  Clear();
   if (snapshot.empty()) {
     return Status::Ok();
   }
@@ -131,7 +214,7 @@ Status TupleSpace::Load(const std::vector<uint8_t>& snapshot) {
   if (!next_seq.ok() || !n.ok()) {
     return Status(ErrorCode::kDecodeError, "tuple space header");
   }
-  next_seq_ = *next_seq;
+  uint64_t last_seq = 0;
   for (uint64_t i = 0; i < *n; ++i) {
     DsEntry e;
     auto tuple = DecodeTuple(dec);
@@ -140,15 +223,22 @@ Status TupleSpace::Load(const std::vector<uint8_t>& snapshot) {
     auto deadline = dec.GetI64();
     auto owner = dec.GetU32();
     if (!tuple.ok() || !seq.ok() || !ctime.ok() || !deadline.ok() || !owner.ok()) {
+      Clear();
       return Status(ErrorCode::kDecodeError, "tuple space entry");
     }
+    if ((i > 0 && *seq <= last_seq) || *seq >= *next_seq) {
+      Clear();
+      return Status(ErrorCode::kDecodeError, "tuple space entry seqs out of order");
+    }
+    last_seq = *seq;
     e.tuple = std::move(*tuple);
     e.seq = *seq;
     e.ctime = *ctime;
     e.deadline = *deadline;
     e.owner = *owner;
-    entries_.push_back(std::move(e));
+    Insert(std::move(e));
   }
+  next_seq_ = *next_seq;
   return Status::Ok();
 }
 

@@ -167,13 +167,14 @@ ExtensionManagerCore::ExtensionManagerCore(const ExtensionLimits& limits, HostSe
   // EDS white list must be fully deterministic; primary-backup EZK may use
   // nondeterministic functions (§4.1.1).
   verifier_config_.require_deterministic = set != kEzkHost;
-  // Certification (§4.2): a handler whose proven step bound fits the runtime
-  // budget runs unmetered. The cost pass relies on the sandbox capping
-  // collection results, so both sides must agree on the cap. The analyzer
-  // seeds handler inputs and its string-length top from the *actual*
-  // runtime limits: a tighter budget gets tighter (still sound) bounds, and
-  // max_steps below a handler's bound rejects certification instead of
-  // mis-certifying.
+  // Certification (§4.2): a handler's proven step bound fits the runtime
+  // budget. It is a diagnostic (the ext.certified counter); every handler
+  // still runs under the step limit. The cost pass relies on the sandbox
+  // capping collection results, so both sides must agree on the cap. The
+  // analyzer seeds handler inputs and its string-length top from the
+  // *actual* runtime limits: a tighter budget gets tighter (still sound)
+  // bounds, and max_steps below a handler's bound rejects certification
+  // instead of mis-certifying.
   verifier_config_.certify_max_steps = limits_.max_steps;
   verifier_config_.collection_functions = {"children", "sub_objects"};
   verifier_config_.max_collection_items = limits_.max_collection_items;

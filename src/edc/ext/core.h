@@ -90,6 +90,7 @@ class ExtensionManagerCore {
  public:
   ExtensionManagerCore(const ExtensionLimits& limits, HostSet set);
 
+  const ExtensionLimits& limits() const { return limits_; }
   ExtensionRegistry& registry() { return registry_; }
   const ExtensionRegistry& registry() const { return registry_; }
   const VerifierConfig& verifier_config() const { return verifier_config_; }

@@ -1,5 +1,6 @@
 #include "edc/ext/ds_binding.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "edc/common/logging.h"
@@ -31,37 +32,54 @@ Value EntryToValue(const DsEntry& entry) {
 
 // The EDS state proxy over <path, data> object tuples: every access goes
 // through the DsExecContext, so the access-control and policy layers above
-// the extension manager still apply (Fig. 4).
+// the extension manager still apply (Fig. 4). Reads visit the matching
+// tuples in place and stop as soon as the answer is known; objects come
+// from the manager's view cache.
 class DsStateProxy : public StateProxy {
  public:
-  explicit DsStateProxy(DsExecContext* ctx) : ctx_(ctx) {}
+  DsStateProxy(DsExecContext* ctx, ObjectViews* views, size_t max_items)
+      : ctx_(ctx), views_(views), max_items_(max_items) {}
 
   bool blocked() const { return blocked_; }
 
   uint64_t client() const override { return ctx_->client(); }
   size_t state_ops() const override { return ctx_->state_ops(); }
   Value Read(const std::string& path) override {
-    auto entries = ctx_->RdAll(ObjectTemplate(path));
-    return entries.empty() ? Value() : EntryToValue(entries.front());
+    Value obj;
+    ctx_->ForEachMatch(ObjectTemplate(path), [this, &obj](const DsEntry& e) {
+      obj = views_->Get(e);
+      return false;
+    });
+    return obj;
   }
   bool Exists(const std::string& path) override {
-    return !ctx_->RdAll(ObjectTemplate(path)).empty();
+    bool found = false;
+    ctx_->ForEachMatch(ObjectTemplate(path), [&found](const DsEntry&) {
+      found = true;
+      return false;
+    });
+    return found;
   }
+  // Collections stop at the sandbox's cap, which keeps the first items.
   Result<ValueList> Children(const std::string& parent) override {
     ValueList names;
-    for (const DsEntry& e : ctx_->RdAll(ObjectPrefixTemplate(parent))) {
+    ctx_->ForEachMatch(ObjectPrefixTemplate(parent), [this, &parent, &names](const DsEntry& e) {
       std::string path = TuplePath(e.tuple);
       if (ParentPath(path) == parent) {
         names.emplace_back(BaseName(path));
       }
-    }
+      return names.size() < max_items_;
+    });
     return names;
   }
   Result<ValueList> SubObjects(const std::string& parent) override {
     ValueList objs;
-    for (const DsEntry& e : ctx_->RdAll(ObjectPrefixTemplate(parent))) {
-      objs.push_back(EntryToValue(e));
-    }
+    // Queue-sized lists fit without growing; larger ones grow from here.
+    objs.reserve(std::min<size_t>(max_items_, 64));
+    ctx_->ForEachMatch(ObjectPrefixTemplate(parent), [this, &objs](const DsEntry& e) {
+      objs.push_back(views_->Get(e));
+      return objs.size() < max_items_;
+    });
     return objs;
   }
   // Ephemerals and monitors are lease tuples the client keeps renewing.
@@ -96,6 +114,8 @@ class DsStateProxy : public StateProxy {
 
  private:
   DsExecContext* ctx_;
+  ObjectViews* views_;
+  size_t max_items_;
   bool blocked_ = false;
 };
 
@@ -159,18 +179,6 @@ DsExtensionManager::DsExtensionManager(DsServer* server, ExtensionLimits limits)
   server_->SetHooks(this);
 }
 
-bool DsExtensionManager::MatchesOperation(NodeId client, const DsOp& op) const {
-  std::string path = PathOf(op);
-  if (PathIsUnder(path, kEmRoot)) {
-    return true;  // extension-manager traffic is always ours
-  }
-  std::string kind = KindOf(op);
-  if (kind.empty() || path.empty()) {
-    return false;
-  }
-  return core_.registry().MatchOperation(client, kind, path) != nullptr;
-}
-
 DsExecOutcome DsExtensionManager::HandleOperation(DsExecContext* ctx, NodeId client,
                                                   const DsOp& op) {
   std::string path = PathOf(op);
@@ -179,12 +187,15 @@ DsExecOutcome DsExtensionManager::HandleOperation(DsExecContext* ctx, NodeId cli
   }
   DsExecOutcome outcome;
   std::string kind = KindOf(op);
+  if (kind.empty() || path.empty()) {
+    return outcome;
+  }
   const LoadedExtension* ext = core_.registry().MatchOperation(client, kind, path);
   if (ext == nullptr) {
     return outcome;
   }
   outcome.handled = true;
-  DsStateProxy proxy(ctx);
+  DsStateProxy proxy(ctx, &views_, core_.limits().max_collection_items);
   Invocation inv =
       core_.RunOperation(*ext, kind, path, TupleData(op.tuple), &proxy, server_->obs());
   outcome.cpu_cost = inv.cpu;
@@ -278,7 +289,7 @@ void DsExtensionManager::DispatchEvents(DsExecContext* ctx,
       }
       // Event handlers run inline on every replica; the hook has no CPU
       // charge to report, so their steps are counted but not charged.
-      DsStateProxy proxy(ctx);
+      DsStateProxy proxy(ctx, &views_, core_.limits().max_collection_items);
       Invocation inv = core_.RunEvent(*ext, handler, path, &proxy, server_->obs());
       if (!inv.result.ok()) {
         EDC_LOG(kDebug) << "event extension '" << ext->name
@@ -304,7 +315,7 @@ bool DsExtensionManager::AllowUnblock(NodeId client, const DsTemplate& /*templ*/
     // A read-only veto: the sandbox exposes only reads, issued through a
     // scratch context with the waiting client's access rights.
     DsExecContext scratch(server_, client, 0, 0);
-    DsStateProxy proxy(&scratch);
+    DsStateProxy proxy(&scratch, &views_, core_.limits().max_collection_items);
     Invocation inv = core_.Invoke(*ext, "on_unblocked", {Value(path)}, &proxy, kReadOnlyHost,
                                   server_->obs());
     // Convention: a falsy return re-blocks the operation (§5.2.2).
@@ -315,7 +326,10 @@ bool DsExtensionManager::AllowUnblock(NodeId client, const DsTemplate& /*templ*/
   return true;
 }
 
+void DsExtensionManager::OnTupleRemoved(uint64_t seq) { views_.Drop(seq); }
+
 void DsExtensionManager::OnStateReloaded() {
+  views_.Clear();
   ExtensionRegistry& registry = core_.registry();
   registry.Clear();
   for (const DsEntry& e : server_->space().RdAll(ObjectPrefixTemplate(kEmRoot))) {
@@ -337,6 +351,14 @@ void DsExtensionManager::OnStateReloaded() {
       }
     }
   }
+}
+
+Value ObjectViews::Get(const DsEntry& entry) {
+  auto [it, inserted] = views_.try_emplace(entry.seq);
+  if (inserted) {
+    it->second = EntryToValue(entry);
+  }
+  return it->second;
 }
 
 }  // namespace edc

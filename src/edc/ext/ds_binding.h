@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "edc/ds/hooks.h"
@@ -25,19 +26,36 @@
 
 namespace edc {
 
+// The object map ({path, data, ctime, owner}) handlers see for each tuple,
+// built once per tuple and shared: Values are immutable, so every read of
+// the tuple can hand out the same one. Keyed by the tuple's unique seq; the
+// manager drops a view when its tuple leaves the space and drops them all
+// when the state is reloaded, so the cache never outgrows the live tuples.
+class ObjectViews {
+ public:
+  Value Get(const DsEntry& entry);
+  void Drop(uint64_t seq) { views_.erase(seq); }
+  void Clear() { views_.clear(); }
+  size_t size() const { return views_.size(); }
+
+ private:
+  std::unordered_map<uint64_t, Value> views_;
+};
+
 class DsExtensionManager : public DsServerHooks {
  public:
   DsExtensionManager(DsServer* server, ExtensionLimits limits);
 
   // DsServerHooks.
-  bool MatchesOperation(NodeId client, const DsOp& op) const override;
   DsExecOutcome HandleOperation(DsExecContext* ctx, NodeId client, const DsOp& op) override;
   void DispatchEvents(DsExecContext* ctx, const std::vector<DsEvent>& events) override;
   bool AllowUnblock(NodeId client, const DsTemplate& templ, const DsTuple& tuple) override;
+  void OnTupleRemoved(uint64_t seq) override;
   void OnStateReloaded() override;
 
   const ExtensionRegistry& registry() const { return core_.registry(); }
   const VerifierConfig& verifier_config() const { return core_.verifier_config(); }
+  const ObjectViews& views() const { return views_; }
 
  private:
   DsExecOutcome HandleEmTraffic(DsExecContext* ctx, NodeId client, const DsOp& op);
@@ -47,6 +65,7 @@ class DsExtensionManager : public DsServerHooks {
 
   DsServer* server_;
   ExtensionManagerCore core_;
+  ObjectViews views_;
 };
 
 }  // namespace edc

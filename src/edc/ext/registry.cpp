@@ -65,7 +65,6 @@ HandlerRun RunExtensionHandler(const LoadedExtension& ext, const std::string& ha
   budget.max_value_bytes = limits.max_value_bytes;
   budget.max_input_bytes = limits.max_input_bytes;
   budget.max_collection_items = limits.max_collection_items;
-  budget.metered = !run.certified;
   // Argument ingest check (pre-dispatch, zero steps): the analyzer seeded
   // the handler's parameter bounds from max_input_bytes, so an oversized
   // argument must never reach a certified handler — the proven step bound

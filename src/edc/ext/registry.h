@@ -64,8 +64,8 @@ struct LoadedExtension {
   std::set<uint64_t> acks;
   uint64_t reg_order = 0;
   int strikes = 0;
-  // Per-handler analysis verdicts from registration time; certified
-  // handlers run with metering elided (§4.2).
+  // Per-handler analysis verdicts from registration time (§4.2); the
+  // certification they carry is a diagnostic, every run is metered.
   std::map<std::string, HandlerReport> reports;
   // Bytecode for every handler, compiled once at registration.
   std::shared_ptr<const CompiledModule> compiled;
@@ -82,14 +82,13 @@ struct LoadedExtension {
 struct HandlerRun {
   Result<Value> result = Value();
   int64_t steps_used = 0;
-  bool certified = false;      // analyzer verdict; certified runs unmetered
+  bool certified = false;      // analyzer verdict; a diagnostic, every run is metered
   bool vm_dispatched = false;  // reached the VM (false: argument ingest cap)
 };
 
 // Handler dispatch under ExtensionManagerCore::Invoke: applies the argument
-// ingest cap, builds the ExecBudget from `limits` (metering elided for
-// certified handlers, metered otherwise) and runs `handler_name` on the
-// bytecode VM.
+// ingest cap, builds the ExecBudget from `limits` and runs `handler_name`
+// on the bytecode VM, metered whether or not the handler is certified.
 HandlerRun RunExtensionHandler(const LoadedExtension& ext, const std::string& handler_name,
                                std::vector<Value> args, ScriptHost* host,
                                const ExtensionLimits& limits);

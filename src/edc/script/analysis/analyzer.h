@@ -5,10 +5,9 @@
 // variable, unreachable code), worst-case cost bounding, and determinism
 // taint — and accumulates diagnostics instead of stopping at the first
 // violation. Per-handler results carry the certification verdict the
-// extension registry stores and the bindings use for metering elision:
-// a certified handler has a proven step bound within the execution budget,
-// so the VM can skip the per-instruction limit check (§4.2, "verification
-// pays once").
+// extension registry stores and reports (the ext.certified counter): a
+// certified handler has a proven step bound within the execution budget
+// (§4.2, "verification pays once"). The VM still meters every run.
 
 #ifndef EDC_SCRIPT_ANALYSIS_ANALYZER_H_
 #define EDC_SCRIPT_ANALYSIS_ANALYZER_H_

@@ -36,9 +36,8 @@
 // diagnostics-enabled pass over the stabilized environments.
 //
 // A handler whose total bound is finite is `bounded`; if the bound also fits
-// the execution budget it is *certified* and the VM may elide its step-limit
-// checks (metering elision) — the certificate proves the check can never
-// fire.
+// the execution budget it is *certified*: the certificate proves the VM's
+// step-limit check can never fire for it (the check still runs).
 
 #ifndef EDC_SCRIPT_ANALYSIS_COST_H_
 #define EDC_SCRIPT_ANALYSIS_COST_H_

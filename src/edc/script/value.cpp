@@ -1,6 +1,8 @@
 #include "edc/script/value.h"
 
+#include <memory>
 #include <string>
+#include <utility>
 
 namespace edc {
 
@@ -67,6 +69,24 @@ bool Value::Equals(const Value& other) const {
   return false;
 }
 
+Value Value::List(ValueList items) {
+  size_t size = 24;
+  for (const Value& v : items) {
+    size += v.ApproxSize();
+  }
+  return Value(std::make_shared<const Collection<ValueList>>(
+      Collection<ValueList>{std::move(items), size}));
+}
+
+Value Value::Map(ValueMap items) {
+  size_t size = 24;
+  for (const auto& [k, v] : items) {
+    size += 16 + k.size() + v.ApproxSize();
+  }
+  return Value(
+      std::make_shared<const Collection<ValueMap>>(Collection<ValueMap>{std::move(items), size}));
+}
+
 size_t Value::ApproxSize() const {
   switch (type()) {
     case Type::kNull:
@@ -75,20 +95,10 @@ size_t Value::ApproxSize() const {
       return 8;
     case Type::kStr:
       return 16 + AsStr().size();
-    case Type::kList: {
-      size_t n = 24;
-      for (const Value& v : AsList()) {
-        n += v.ApproxSize();
-      }
-      return n;
-    }
-    case Type::kMap: {
-      size_t n = 24;
-      for (const auto& [k, v] : AsMap()) {
-        n += 16 + k.size() + v.ApproxSize();
-      }
-      return n;
-    }
+    case Type::kList:
+      return std::get<ListPtr>(v_)->approx_size;
+    case Type::kMap:
+      return std::get<MapPtr>(v_)->approx_size;
   }
   return 8;
 }

@@ -32,8 +32,8 @@ class Value {
   Value(int i) : v_(static_cast<int64_t>(i)) {}  // NOLINT(runtime/explicit)
   Value(std::string s) : v_(std::move(s)) {}     // NOLINT(runtime/explicit)
   Value(const char* s) : v_(std::string(s)) {}   // NOLINT(runtime/explicit)
-  static Value List(ValueList items) { return Value(std::make_shared<ValueList>(std::move(items))); }
-  static Value Map(ValueMap items) { return Value(std::make_shared<ValueMap>(std::move(items))); }
+  static Value List(ValueList items);
+  static Value Map(ValueMap items);
 
   Type type() const { return static_cast<Type>(v_.index()); }
   bool is_null() const { return type() == Type::kNull; }
@@ -46,15 +46,16 @@ class Value {
   bool AsBool() const { return std::get<bool>(v_); }
   int64_t AsInt() const { return std::get<int64_t>(v_); }
   const std::string& AsStr() const { return std::get<std::string>(v_); }
-  const ValueList& AsList() const { return *std::get<std::shared_ptr<ValueList>>(v_); }
-  const ValueMap& AsMap() const { return *std::get<std::shared_ptr<ValueMap>>(v_); }
+  const ValueList& AsList() const { return std::get<ListPtr>(v_)->items; }
+  const ValueMap& AsMap() const { return std::get<MapPtr>(v_)->items; }
 
   // Truthiness: null/false/0/""/empty collections are falsy.
   bool Truthy() const;
 
   bool Equals(const Value& other) const;
 
-  // Rough in-memory footprint, used for sandbox value-size accounting.
+  // Rough in-memory footprint, used for sandbox value-size accounting. O(1):
+  // a list or map records its size when it is built.
   size_t ApproxSize() const;
 
   // Debug / reply rendering.
@@ -63,12 +64,18 @@ class Value {
   static const char* TypeName(Type t);
 
  private:
-  explicit Value(std::shared_ptr<ValueList> l) : v_(std::move(l)) {}
-  explicit Value(std::shared_ptr<ValueMap> m) : v_(std::move(m)) {}
+  template <typename Items>
+  struct Collection {
+    Items items;
+    size_t approx_size;
+  };
+  using ListPtr = std::shared_ptr<const Collection<ValueList>>;
+  using MapPtr = std::shared_ptr<const Collection<ValueMap>>;
 
-  std::variant<std::monostate, bool, int64_t, std::string, std::shared_ptr<ValueList>,
-               std::shared_ptr<ValueMap>>
-      v_;
+  explicit Value(ListPtr l) : v_(std::move(l)) {}
+  explicit Value(MapPtr m) : v_(std::move(m)) {}
+
+  std::variant<std::monostate, bool, int64_t, std::string, ListPtr, MapPtr> v_;
 };
 
 }  // namespace edc

@@ -34,9 +34,9 @@ struct VerifierConfig {
   // Full callable white list: name -> deterministic. Must include the host
   // (service API) functions the sandbox will expose.
   std::map<std::string, bool> allowed_functions;
-  // Certification threshold for metering elision: a handler whose statically
-  // proven worst-case step bound is <= this is marked certified. Must match
-  // the ExecBudget::max_steps the binding runs with.
+  // Certification threshold: a handler whose statically proven worst-case
+  // step bound is <= this is marked certified (a diagnostic; every handler
+  // runs metered). Must match the ExecBudget::max_steps the binding runs with.
   int64_t certify_max_steps = 100000;
   // Host functions returning collections whose size the sandbox caps at
   // `max_collection_items` (the cost pass relies on this cap being enforced

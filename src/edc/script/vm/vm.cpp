@@ -36,7 +36,7 @@ Vm::Vm(const CompiledModule* module, ScriptHost* host, ExecBudget budget)
       host_(host),
       budget_(budget),
       // A negative budget stops at the first charge, exactly like a zero one.
-      step_limit_(budget.metered ? std::max<int64_t>(budget.max_steps, 0) : INT64_MAX) {}
+      step_limit_(std::max<int64_t>(budget.max_steps, 0)) {}
 
 Result<Value> Vm::Invoke(const std::string& name, std::vector<Value> args) {
   const CompiledHandler* found = module_->Find(name);

@@ -55,12 +55,6 @@ struct ExecBudget {
   // exempt (their length is statically exact). The analyzer's cardinality
   // transfer functions assume this cap is enforced here.
   size_t max_collection_items = 256;
-  // Metering elision (§4.2): when false, the step-limit check is skipped.
-  // Only safe for handlers the static analyzer *certified* — their proven
-  // worst-case step bound fits max_steps, so the check can never fire.
-  // steps_used is still counted either way: the execution cost model (and
-  // therefore simulated timing) is identical on both paths.
-  bool metered = true;
 };
 
 struct ExecStats {
@@ -87,7 +81,7 @@ class Vm {
   const CompiledModule* module_;
   ScriptHost* host_;
   ExecBudget budget_;
-  int64_t step_limit_;  // max_steps when metered, INT64_MAX when elided
+  int64_t step_limit_;  // max_steps, floored at 0
   ExecStats stats_;
 };
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 namespace edc {
 namespace {
 
@@ -128,6 +131,39 @@ TEST(TupleSpaceTest, SerializeLoadRoundTrip) {
   EXPECT_EQ(copy.size(), 2u);
   EXPECT_EQ(copy.Serialize(), bytes);
   EXPECT_TRUE(copy.HasMatch(ObjectTemplate("/a")));
+}
+
+// The index and the extension manager's object views key on seq, so a
+// snapshot must list unique seqs in insertion order, all below its next seq.
+TEST(TupleSpaceTest, LoadRejectsSeqsOutOfOrder) {
+  auto image = [](uint64_t next_seq, std::vector<uint64_t> seqs) {
+    Encoder enc;
+    enc.PutU64(next_seq);
+    enc.PutVarint(seqs.size());
+    for (uint64_t seq : seqs) {
+      EncodeTuple(enc, T("/a", "x"));
+      enc.PutU64(seq);
+      enc.PutI64(10);
+      enc.PutI64(0);
+      enc.PutU32(1);
+    }
+    return enc.Release();
+  };
+  TupleSpace space;
+  ASSERT_TRUE(space.Load(image(4, {1, 3})).ok());
+  EXPECT_EQ(space.size(), 2u);
+  EXPECT_EQ(space.Serialize(), image(4, {1, 3}));
+
+  for (const auto& [next_seq, seqs] :
+       std::vector<std::pair<uint64_t, std::vector<uint64_t>>>{
+           {4, {3, 1}}, {4, {2, 2}}, {3, {1, 3}}, {3, {3}}}) {
+    Status s = space.Load(image(next_seq, seqs));
+    EXPECT_EQ(s.code(), ErrorCode::kDecodeError);
+    EXPECT_EQ(space.size(), 0u);  // a rejected image leaves the space empty
+  }
+  // The space stays usable after a rejected image.
+  space.Out(T("/b", ""), 20, 1, 0);
+  EXPECT_TRUE(space.HasMatch(ObjectTemplate("/b")));
 }
 
 }  // namespace

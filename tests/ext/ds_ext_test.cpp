@@ -189,6 +189,46 @@ TEST(EdsExtensionTest, QueueExtensionFifo) {
   EXPECT_EQ(code, ErrorCode::kExtensionError);  // empty queue
 }
 
+// The managers' shared object views follow the tuple space: one per live
+// tuple a handler has read, dropped when the tuple leaves (through the
+// handler or any other op) and all dropped when the state is reloaded.
+TEST(EdsExtensionTest, ObjectViewsFollowLiveTuples) {
+  EdsCluster cluster;
+  cluster.Start();
+  DsClient* client = cluster.AddClient();
+  ASSERT_TRUE(RegisterAndWait(cluster, client, "queue_remove", kQueueExt).ok());
+  for (int i = 0; i < 3; ++i) {
+    client->Out(ObjectTuple("/queue/e" + std::to_string(i), "p" + std::to_string(i)),
+                [](Result<DsReply>) {});
+    cluster.Settle(Millis(100));
+  }
+  cluster.Settle();
+  for (auto& mgr : cluster.managers) {
+    EXPECT_EQ(mgr->views().size(), 0u);  // built on first read only
+  }
+
+  std::string data;
+  client->Rdp(ObjectTemplate("/queue-head"), [&](Result<DsReply> r) {
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    data = r->value;
+  });
+  cluster.Settle();
+  EXPECT_EQ(data, "p0");
+  for (auto& mgr : cluster.managers) {
+    EXPECT_EQ(mgr->views().size(), 2u);  // e1 and e2; e0 left with its view
+  }
+
+  client->Inp(ObjectTemplate("/queue/e1"), [](Result<DsReply>) {});
+  cluster.Settle();
+  for (auto& mgr : cluster.managers) {
+    EXPECT_EQ(mgr->views().size(), 1u);
+  }
+
+  cluster.servers[0]->Crash();
+  cluster.servers[0]->Restart();
+  EXPECT_EQ(cluster.managers[0]->views().size(), 0u);
+}
+
 // A custom access policy: client 100 is read-only, everyone else may do
 // anything — including touch /em, which the default rule forbids.
 DsServerOptions ReadOnlyClient100Policy() {

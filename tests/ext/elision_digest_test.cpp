@@ -10,10 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 
 #include "edc/common/result.h"
 #include "edc/harness/fixture.h"
+#include "edc/recipes/recipes.h"
 #include "edc/recipes/scripts.h"
 #include "edc/recipes/two_phase.h"
 
@@ -174,6 +176,122 @@ TEST(ElisionDigestTest, TwoPhaseDigestsIdenticalWithVmOnAndOff) {
 
   EXPECT_EQ(run.packet_digest, kTwoPhasePacketDigest);
   EXPECT_EQ(run.state_hash, kTwoPhaseStateHash);
+}
+
+// The EDS queue extension (Fig. 7) against every path of the replica state
+// that the tuple space and the extension manager keep: sub_objects and
+// delete_object on every remove, a lease tuple inside the queue that
+// expires after its owner stops renewing it, and a replica that crashes and
+// rejoins by state transfer (its extension registry and everything derived
+// from the tuple space are rebuilt from the transferred snapshot). These
+// digests were recorded before the tuple space was indexed and object views
+// were shared: neither may move a packet or a tuple.
+struct QueueSig {
+  uint64_t packet_digest = 0;
+  uint64_t state_hash = 0;
+  int64_t invocations = 0;
+  uint64_t state_transfers = 0;
+  std::string removed;  // the values the removes returned, in order
+  int failed_removes = 0;
+  bool lease_left = true;
+};
+
+QueueSig RunQueueWorkload(uint64_t seed) {
+  FixtureOptions options;
+  options.system = SystemKind::kExtensibleDepSpace;
+  options.num_clients = 2;
+  options.seed = seed;
+  options.observability = true;
+  ClusterFixture fix(options);
+  fix.faults().EnablePacketTrace();
+  fix.Start();
+
+  DistributedQueue q0(fix.coord(0), /*use_extension=*/true);
+  DistributedQueue q1(fix.coord(1), /*use_extension=*/true);
+  QueueSig sig;
+  EventLoop& loop = fix.loop();
+  SimTime t0 = loop.now();
+  auto at = [&loop, t0](Duration d, std::function<void()> fn) {
+    loop.ScheduleAt(t0 + d, std::move(fn));
+  };
+  at(Millis(10), [&q0]() { q0.Setup([](Status) {}); });
+  at(Millis(400), [&q0, &q1]() {
+    q0.Attach([](Status) {});
+    q1.Attach([](Status) {});
+  });
+  auto add = [&](int i) {
+    DistributedQueue& q = i % 2 == 0 ? q0 : q1;
+    q.Add("e" + std::to_string(100 + i), "v" + std::to_string(i), [](Status) {});
+  };
+  for (int i = 0; i < 30; ++i) {
+    at(Millis(500) + Millis(50) * i, [&add, i]() { add(i); });
+  }
+  for (int i = 30; i < 50; ++i) {
+    at(Millis(5000) + Millis(50) * (i - 30), [&add, i]() { add(i); });
+  }
+  // A queue element held by a lease that its owner stops renewing: the
+  // extension lists it (it is younger than the head) until it expires.
+  const std::string lease_path = "/queue/lease-c1";
+  at(Millis(2000), [&fix, lease_path]() { fix.coord(1)->Monitor(lease_path, [](Status) {}); });
+  at(Millis(2100), [&fix, lease_path]() {
+    // The lease's renewal template pins both fields (DsClient::OutLease).
+    fix.ds_client(1)->ReleaseLease(
+        DsTemplate{DsTField::Exact(DsField{lease_path}),
+                   DsTField::Exact(DsField{fix.coord(1)->tag()})});
+  });
+  for (int i = 0; i < 35; ++i) {
+    at(Millis(1000) + Millis(200) * i, [&q0, &q1, &sig, i]() {
+      DistributedQueue& q = i % 2 == 0 ? q0 : q1;
+      q.Remove([&sig](Result<std::string> r) {
+        if (r.ok()) {
+          sig.removed += *r + ",";
+        } else {
+          ++sig.failed_removes;
+        }
+      });
+    });
+  }
+  FaultPlan plan;
+  plan.CrashAt(t0 + Millis(1200), 3).RestartAt(t0 + Millis(4500), 3);
+  fix.RunPlan(plan);
+  fix.Settle(Seconds(12));
+
+  std::string why;
+  EXPECT_TRUE(fix.CheckEdsInvariants(&why)) << why;
+  sig.packet_digest = fix.faults().TraceDigest();
+  uint64_t h = 1469598103934665603ull;
+  for (auto& s : fix.ds_servers) {
+    h = Fnv1aMix(h, s->space().Digest());
+  }
+  sig.state_hash = h;
+  sig.invocations = fix.obs().metrics.CounterValue("ext.invocations");
+  sig.state_transfers = fix.ds_servers[2]->bft().state_transfers();
+  sig.lease_left = fix.ds_servers[0]->space().HasMatch(ObjectTemplate(lease_path));
+  return sig;
+}
+
+constexpr uint64_t kEdsQueuePacketDigest = 0xfd1342c62dd7c797ull;
+constexpr uint64_t kEdsQueueStateHash = 0x8822318cb144c21bull;
+
+TEST(ElisionDigestTest, EdsQueueDigestsPinned) {
+  QueueSig run = RunQueueWorkload(97);
+
+  EXPECT_EQ(run.failed_removes, 0);
+  EXPECT_FALSE(run.lease_left) << "the released lease tuple must have expired";
+  EXPECT_GE(run.state_transfers, 1u) << "replica 3 must rejoin by state transfer";
+  // The queue stays FIFO through the crash window; the lease element never
+  // reaches the head before it expires.
+  std::string fifo;
+  for (int i = 0; i < 35; ++i) {
+    fifo += "v" + std::to_string(i) + ",";
+  }
+  EXPECT_EQ(run.removed, fifo);
+  // 35 removes on each of four replicas, less those replica 3 missed while
+  // down and received as state.
+  EXPECT_EQ(run.invocations, 123);
+
+  EXPECT_EQ(run.packet_digest, kEdsQueuePacketDigest);
+  EXPECT_EQ(run.state_hash, kEdsQueueStateHash);
 }
 
 }  // namespace

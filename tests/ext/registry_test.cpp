@@ -181,5 +181,33 @@ TEST(ExtensionRegistryTest, ClearResetsEverything) {
   EXPECT_FALSE(registry.Contains("a"));
 }
 
+class NoHost : public ScriptHost {
+ public:
+  bool HasFunction(const std::string&) const override { return false; }
+  Result<Value> Call(const std::string&, std::vector<Value>&) override {
+    return Status(ErrorCode::kExtensionError, "no host");
+  }
+};
+
+// Certification is a diagnostic: a certified handler still runs under the
+// step limit, so an unsound bound could never let it run past max_steps.
+TEST(ExtensionRegistryTest, CertifiedHandlersAreStillMetered) {
+  ExtensionRegistry registry;
+  ASSERT_TRUE(registry.Load("a", 1, kReadExt, Cfg()).ok());
+  const LoadedExtension& ext = *registry.Find("a");
+  ASSERT_TRUE(ext.Certified("read"));
+  NoHost host;
+  ExtensionLimits limits;
+  HandlerRun full = RunExtensionHandler(ext, "read", {Value("/x")}, &host, limits);
+  ASSERT_TRUE(full.result.ok());
+  ASSERT_GT(full.steps_used, 0);
+
+  limits.max_steps = full.steps_used - 1;
+  HandlerRun cut = RunExtensionHandler(ext, "read", {Value("/x")}, &host, limits);
+  EXPECT_TRUE(cut.certified);
+  EXPECT_EQ(cut.result.code(), ErrorCode::kExtensionLimit);
+  EXPECT_EQ(cut.steps_used, full.steps_used);  // stops at max_steps + 1
+}
+
 }  // namespace
 }  // namespace edc

@@ -55,7 +55,7 @@ class Interpreter {
   // The error Status is built out of line only on the (cold) failure path.
   bool StepOk() {
     ++stats_.steps_used;
-    return !budget_.metered || stats_.steps_used <= budget_.max_steps;
+    return stats_.steps_used <= budget_.max_steps;
   }
   Status StepLimitError(int line) const;
   Status CheckSize(const Value& v, int line);

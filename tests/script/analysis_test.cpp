@@ -395,61 +395,6 @@ TEST(AnalysisTest, VerifierStatusKeepsLegacyFormat) {
   EXPECT_NE(s.message().find("[EDC-E012]"), std::string::npos);
 }
 
-TEST(AnalysisTest, MeteringElisionCountsStepsIdentically) {
-  auto prog = ParseProgram(R"(
-    extension e {
-      on op read "/x";
-      fn read(o) {
-        let total = 0;
-        foreach (v in [1, 2, 3, 4, 5]) {
-          total = total + v;
-        }
-        return total;
-      }
-    })");
-  ASSERT_TRUE(prog.ok());
-
-  VmRun a = RunRead(**prog, "/x", ExecBudget{});
-  ASSERT_TRUE(a.result.ok());
-
-  ExecBudget elided;
-  elided.metered = false;
-  VmRun b = RunRead(**prog, "/x", elided);
-  ASSERT_TRUE(b.result.ok());
-
-  // Identical results AND identical step counts: the timing model (and thus
-  // replica digests) cannot tell the two paths apart.
-  EXPECT_TRUE(a.result->Equals(*b.result));
-  EXPECT_EQ(a.steps, b.steps);
-}
-
-TEST(AnalysisTest, UnmeteredBudgetIgnoresStepLimit) {
-  auto prog = ParseProgram(R"(
-    extension e {
-      on op read "/x";
-      fn read(o) {
-        let n = 0;
-        foreach (a in [1, 2, 3, 4]) {
-          foreach (b in [1, 2, 3, 4]) {
-            n = n + 1;
-          }
-        }
-        return n;
-      }
-    })");
-  ASSERT_TRUE(prog.ok());
-
-  ExecBudget tiny;
-  tiny.max_steps = 10;
-  VmRun a = RunRead(**prog, "/x", tiny);
-  EXPECT_EQ(a.result.status().code(), ErrorCode::kExtensionLimit);
-
-  tiny.metered = false;  // as if certified: the limit check is gone
-  VmRun b = RunRead(**prog, "/x", tiny);
-  ASSERT_TRUE(b.result.ok());
-  EXPECT_EQ(b.result->AsInt(), 16);
-}
-
 // ---- Interval-domain precision diagnostics (EDC-W007..W009) ----
 
 TEST(AnalysisTest, DivisionByPossiblyZeroIntervalWarns) {

@@ -105,8 +105,8 @@ TEST(VmConformanceTest, ExampleBrokenSweeperIsRejectedAtRegistration) {
 
 // Every recipe handler compiles at registration and keeps the analyzer's
 // verdict: all six recipes certify (two_phase/update through the interval
-// domain's amortized total-length bound, docs/static_analysis.md), so the
-// production benches run them unmetered under a positive proven bound.
+// domain's amortized total-length bound, docs/static_analysis.md), each
+// with a positive proven bound.
 TEST(VmConformanceTest, AllCertifiedRecipeHandlersCompile) {
   const std::tuple<const char*, const char*> recipes[] = {
       {"counter", kCounterExtension},   {"queue", kQueueExtension},
