@@ -8,7 +8,7 @@
 // The extension here writes `k` objects of `bytes` each per invocation; we
 // report inter-server bytes per operation for both systems.
 
-#include "bench/common.h"
+#include "bench/runner.h"
 
 namespace edc {
 namespace {
@@ -42,39 +42,23 @@ extension fan_writer {
 )";
 }
 
-struct FanoutResult {
-  double inter_server_kb_per_op = 0;
-  double ops_per_sec = 0;
-  RunStats stats;
-  uint64_t seed = 0;
-};
-
-FanoutResult RunOne(SystemKind system, int k, size_t bytes) {
-  FixtureOptions options;
-  options.system = system;
-  options.num_clients = 4;
-  options.seed = 8000 + static_cast<uint64_t>(k);
-  options.observability = true;
-  CoordFixture fixture(options);
-  fixture.Start();
-
+// JSON columns: kb_per_op reports the inter-SERVER bytes (the quantity this
+// ablation is about); the rest are the closed loop's.
+Sample FanoutRun(CoordFixture& fixture, int k, size_t bytes) {
   CoordClient* owner = fixture.coord(0);
-  bool ready = false;
-  owner->Create("/trigger", "", [&](Result<std::string>) {
-    owner->RegisterExtension("fan_writer", WriterExtension(k),
-                             [&](Status s) { ready = s.ok(); });
-  });
-  WaitFor(fixture, ready, "fanout setup");
-  size_t acked = 1;
-  bool all = false;
-  for (size_t i = 1; i < fixture.num_clients(); ++i) {
-    fixture.coord(i)->AcknowledgeExtension("fan_writer", [&](Status) {
-      if (++acked == fixture.num_clients()) {
-        all = true;
+  MustSetup(fixture, "fanout setup", 1, [&](size_t, CoordClient::Cb done) {
+    owner->Create("/trigger", "", [&, done](Result<std::string> r) {
+      if (!r.ok()) {
+        done(r.status());
+        return;
       }
+      owner->RegisterExtension("fan_writer", WriterExtension(k), done);
     });
-  }
-  WaitFor(fixture, all, "fanout acks");
+  });
+  MustSetup(fixture, "fanout ack", fixture.num_clients() - 1,
+            [&](size_t i, CoordClient::Cb done) {
+              fixture.coord(i + 1)->AcknowledgeExtension("fan_writer", std::move(done));
+            });
 
   const std::string payload(bytes, 'w');
   ClosedLoop driver(&fixture, [&](size_t i, std::function<void()> done) {
@@ -98,46 +82,44 @@ FanoutResult RunOne(SystemKind system, int k, size_t bytes) {
   // enough for the per-op comparison as warmup << measure.
   int64_t inter_server = (fixture.net().total_bytes_sent() - total_before) -
                          (client_traffic() - client_before);
-  FanoutResult out;
-  out.seed = options.seed;
-  out.ops_per_sec = stats.ThroughputOpsPerSec();
   int64_t total_ops = static_cast<int64_t>(
       static_cast<double>(stats.ops) * ToSeconds(kWarmup + kMeasure) / ToSeconds(kMeasure));
-  out.inter_server_kb_per_op =
-      total_ops > 0 ? static_cast<double>(inter_server) / 1024.0 /
-                          static_cast<double>(total_ops)
-                    : 0.0;
-  out.stats = stats;
-  return out;
+  Sample sample = StatsSample(stats);
+  sample.kb_per_op =
+      PerOp(static_cast<double>(inter_server) / 1024.0, static_cast<double>(total_ops));
+  sample.cells = {sample.kb_per_op, sample.ops_per_s};
+  return sample;
 }
 
 void Main() {
-  BenchTable table({"system", "objects_written", "payload_bytes", "server_kb_per_op",
-                    "kops_per_s"});
-  BenchJson json("abl_fanout");
-  for (SystemKind system :
-       {SystemKind::kExtensibleZooKeeper, SystemKind::kExtensibleDepSpace}) {
+  Sweep sweep{
+      .name = "abl_fanout",
+      .title = "=== Ablation (§6.3): inter-server bytes per extension invocation ===\n"
+               "EZK ships state deltas (grows with the write set); EDS ships the\n"
+               "triggering request (grows with the payload, not the object count).\n",
+      .seeds = 1,
+      .seed_base = 8000,
+      .key_columns = {"system", "objects_written", "payload_bytes"},
+      .columns = {{"server_kb_per_op", 3}, {"kops_per_s", 2, 1000}}};
+  for (SystemKind system : {SystemKind::kExtensibleZooKeeper, SystemKind::kExtensibleDepSpace}) {
     for (int k : {1, 4, 16}) {
-      for (size_t bytes : {size_t{16}, size_t{256}, size_t{1024}}) {
-        FanoutResult r = RunOne(system, k, bytes);
-        table.AddRow({SystemName(system), std::to_string(k), std::to_string(bytes),
-                      Fmt(r.inter_server_kb_per_op, 3), Fmt(r.ops_per_sec / 1000.0)});
-        // Row label carries the configuration; kb_per_op here reports the
-        // inter-SERVER bytes (the quantity this ablation is about).
-        json.AddCustomRow(std::string(SystemName(system)) + "/k" + std::to_string(k) +
-                              "/b" + std::to_string(bytes),
-                          4, r.seed, r.ops_per_sec,
-                          static_cast<double>(r.stats.latency.Percentile(0.5)) / 1e6,
-                          static_cast<double>(r.stats.latency.Percentile(0.99)) / 1e6,
-                          r.inter_server_kb_per_op, &r.stats.stages);
+      for (size_t bytes : {16, 256, 1024}) {
+        FixtureOptions options;
+        options.system = system;
+        options.num_clients = 4;
+        options.observability = true;
+        // Row label carries the configuration.
+        sweep.points.push_back(
+            {std::string(SystemName(system)) + "/k" + std::to_string(k) + "/b" +
+                 std::to_string(bytes),
+             4,
+             {SystemName(system), std::to_string(k), std::to_string(bytes)},
+             options, static_cast<uint64_t>(k),
+             [k, bytes](CoordFixture& f) { return FanoutRun(f, k, bytes); }});
       }
     }
   }
-  std::printf("=== Ablation (§6.3): inter-server bytes per extension invocation ===\n");
-  std::printf("EZK ships state deltas (grows with the write set); EDS ships the\n"
-              "triggering request (grows with the payload, not the object count).\n\n");
-  table.Print();
-  json.Write();
+  RunAndReport(sweep);
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 // to server saturation — ~20x for EZK over ZooKeeper at 50 clients, with
 // EZK latency ~2 ms and EDS ~3 ms.
 
-#include "bench/common.h"
+#include "bench/runner.h"
 
 namespace edc {
 namespace {
@@ -15,52 +15,33 @@ constexpr Duration kWarmup = Seconds(1);
 constexpr Duration kMeasure = Seconds(3);
 constexpr int kSeeds = 3;
 
+Sample CounterRun(CoordFixture& fixture, SystemKind system) {
+  RecipeLoopRun run =
+      RunRecipeLoop(fixture, SetupRecipe<SharedCounter>(fixture, IsExtensible(system)),
+                    kWarmup, kMeasure, CounterIncrement);
+  Sample sample = StatsSample(run.stats);
+  sample.cells = {sample.ops_per_s, run.stats.MeanLatencyMs(),
+                  PerOp(static_cast<double>(run.retries), static_cast<double>(run.stats.ops))};
+  return sample;
+}
+
 void Main() {
-  BenchTable table({"system", "clients", "kops_per_s", "avg_lat_ms", "retries/op"});
-  BenchJson json("fig06_counter");
-  double zk50 = 0;
-  double ezk50 = 0;
+  Sweep sweep{.name = "fig06_counter",
+              .title = "=== Fig. 6: shared counter (avg of " + std::to_string(kSeeds) +
+                       " runs) ===",
+              .seeds = kSeeds,
+              .seed_base = 1000,
+              .key_columns = {"system", "clients"},
+              .columns = {{"kops_per_s", 2, 1000}, {"avg_lat_ms"}, {"retries/op"}}};
   for (SystemKind system : AllSystems()) {
     for (size_t clients : ClientSweep(1)) {
-      SeededAverages avg;
-      RunAggregate retries_per_op;
-      for (int seed = 0; seed < kSeeds; ++seed) {
-        FixtureOptions options;
-        options.system = system;
-        options.num_clients = clients;
-        options.seed = 1000 + static_cast<uint64_t>(seed);
-        options.observability = true;
-        options.retain_spans = TraceExportRequested();
-        CoordFixture fixture(options);
-        fixture.Start();
-        auto counters = SetupRecipe<SharedCounter>(fixture, IsExtensible(system));
-        ClosedLoop driver(&fixture, [&](size_t i, std::function<void()> done) {
-          counters[i]->Increment([done = std::move(done)](Result<int64_t>) { done(); });
-        });
-        RunStats stats = driver.Run(kWarmup, kMeasure);
-        json.AddRow(system, clients, options.seed, stats);
-        MaybeExportTrace(fixture, "fig06_counter_" + std::string(SystemName(system)) +
-                                      "_c" + std::to_string(clients) + "_s" +
-                                      std::to_string(seed));
-        avg.throughput.Add(stats.ThroughputOpsPerSec());
-        avg.latency_ms.Add(stats.MeanLatencyMs());
-        int64_t total_retries = 0;
-        for (auto& counter : counters) {
-          total_retries += counter->retries();
-        }
-        retries_per_op.Add(stats.ops > 0 ? static_cast<double>(total_retries) /
-                                               static_cast<double>(stats.ops)
-                                         : 0.0);
-      }
-      if (clients == 50 && system == SystemKind::kZooKeeper) {
-        zk50 = avg.throughput.Mean();
-      }
-      if (clients == 50 && system == SystemKind::kExtensibleZooKeeper) {
-        ezk50 = avg.throughput.Mean();
-      }
-      table.AddRow({SystemName(system), std::to_string(clients),
-                    Fmt(avg.throughput.Mean() / 1000.0), Fmt(avg.latency_ms.Mean()),
-                    Fmt(retries_per_op.Mean())});
+      FixtureOptions options;
+      options.system = system;
+      options.num_clients = clients;
+      options.observability = true;
+      sweep.points.push_back(
+          {SystemName(system), clients, {SystemName(system), std::to_string(clients)},
+           options, 0, [system](CoordFixture& f) { return CounterRun(f, system); }});
     }
   }
   // Ablation: EZK at 50 clients with the pre-pipeline replication plane —
@@ -68,38 +49,20 @@ void Main() {
   // pipelined EZK row above is entirely the replication pipeline's doing
   // (docs/replication_pipeline.md); the paper-shape speedup is computed from
   // the pipelined rows.
-  double ezk50_depth1 = 0;
-  {
-    SeededAverages avg;
-    for (int seed = 0; seed < kSeeds; ++seed) {
-      FixtureOptions options;
-      options.system = SystemKind::kExtensibleZooKeeper;
-      options.num_clients = 50;
-      options.seed = 1000 + static_cast<uint64_t>(seed);
-      options.observability = true;
-      options.zk_server.log = LegacyLogStoreConfig();
-      options.zk_server.zab_ack_aggregation = false;
-      CoordFixture fixture(options);
-      fixture.Start();
-      auto counters = SetupRecipe<SharedCounter>(fixture, true);
-      ClosedLoop driver(&fixture, [&](size_t i, std::function<void()> done) {
-        counters[i]->Increment([done = std::move(done)](Result<int64_t>) { done(); });
-      });
-      RunStats stats = driver.Run(kWarmup, kMeasure);
-      json.AddCustomRow("ezk-depth1", 50, options.seed, stats.ThroughputOpsPerSec(),
-                        static_cast<double>(stats.latency.Percentile(0.5)) / 1e6,
-                        static_cast<double>(stats.latency.Percentile(0.99)) / 1e6,
-                        stats.KbPerOp(), &stats.stages);
-      avg.throughput.Add(stats.ThroughputOpsPerSec());
-      avg.latency_ms.Add(stats.MeanLatencyMs());
-    }
-    ezk50_depth1 = avg.throughput.Mean();
-    table.AddRow({"ezk-depth1", "50", Fmt(avg.throughput.Mean() / 1000.0),
-                  Fmt(avg.latency_ms.Mean()), "0.00"});
-  }
-  std::printf("=== Fig. 6: shared counter (avg of %d runs) ===\n", kSeeds);
-  table.Print();
-  json.Write();
+  FixtureOptions depth1;
+  depth1.system = SystemKind::kExtensibleZooKeeper;
+  depth1.num_clients = 50;
+  depth1.observability = true;
+  depth1.zk_server.log = LegacyLogStoreConfig();
+  depth1.zk_server.zab_ack_aggregation = false;
+  sweep.points.push_back({"ezk-depth1", 50, {"ezk-depth1", "50"}, depth1, 0, [](CoordFixture& f) {
+                            return CounterRun(f, SystemKind::kExtensibleZooKeeper);
+                          }});
+
+  SweepResult result = RunAndReport(sweep);
+  double zk50 = result.Means("ZooKeeper", 50)[0];
+  double ezk50 = result.Means("EZK", 50)[0];
+  double ezk50_depth1 = result.Means("ezk-depth1", 50)[0];
   if (zk50 > 0) {
     std::printf("\nshape check: EZK/ZooKeeper speedup at 50 clients = %.1fx "
                 "(paper: ~20x)\n",

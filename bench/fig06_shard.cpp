@@ -7,7 +7,7 @@
 // client-bound (target: >= 3x from 1 to 4 shards while a single ensemble is
 // saturated).
 
-#include "bench/common.h"
+#include "bench/runner.h"
 
 namespace edc {
 namespace {
@@ -16,71 +16,52 @@ constexpr Duration kWarmup = Seconds(1);
 constexpr Duration kMeasure = Seconds(2);
 constexpr int kSeeds = 2;
 constexpr size_t kClients = 64;
+const std::vector<size_t> kShards{1, 4, 8, 16};
 
-const std::vector<size_t>& ShardSweep() {
-  static const std::vector<size_t> kShards{1, 4, 8, 16};
-  return kShards;
+Sample CounterRun(CoordFixture& fixture) {
+  RecipeLoopRun run =
+      RunRecipeLoop(fixture, SetupShardedRecipe<SharedCounter>(fixture, true, "/f"),
+                    kWarmup, kMeasure, CounterIncrement);
+  Sample sample = StatsSample(run.stats);
+  sample.cells = {sample.ops_per_s, run.stats.MeanLatencyMs()};
+  return sample;
+}
+
+// Aggregate throughput against the same system's 1-shard point, which leads
+// each system's block of points.
+double VsOneShard(const SweepResult& result, size_t p) {
+  double base = result.means[p - p % kShards.size()][0];
+  return base > 0 ? result.means[p][0] / base : 0;
 }
 
 void Main() {
-  BenchTable table({"system", "shards", "clients", "kops_per_s", "avg_lat_ms", "vs_1sh"});
-  BenchJson json("fig06_shard");
-  std::vector<SystemKind> systems{SystemKind::kExtensibleZooKeeper,
-                                  SystemKind::kExtensibleDepSpace};
-  double ezk_speedup4 = 0;
-  double eds_speedup4 = 0;
-  for (SystemKind system : systems) {
-    double base = 0;
-    for (size_t shards : ShardSweep()) {
-      SeededAverages avg;
-      for (int seed = 0; seed < kSeeds; ++seed) {
-        FixtureOptions options;
-        options.system = system;
-        options.num_clients = kClients;
-        options.num_shards = shards;
-        options.seed = 6000 + static_cast<uint64_t>(seed);
-        options.observability = true;
-        options.retain_spans = TraceExportRequested();
-        CoordFixture fixture(options);
-        fixture.Start();
-        auto counters = SetupShardedRecipe<SharedCounter>(fixture, true, "/f");
-        ClosedLoop driver(&fixture, [&](size_t i, std::function<void()> done) {
-          counters[i]->Increment([done = std::move(done)](Result<int64_t>) { done(); });
-        });
-        RunStats stats = driver.Run(kWarmup, kMeasure);
-        std::string label =
-            std::string(SystemName(system)) + "-" + std::to_string(shards) + "sh";
-        json.AddCustomRow(label, kClients, options.seed, stats.ThroughputOpsPerSec(),
-                          static_cast<double>(stats.latency.Percentile(0.5)) / 1e6,
-                          static_cast<double>(stats.latency.Percentile(0.99)) / 1e6,
-                          stats.KbPerOp(), &stats.stages);
-        MaybeExportTrace(fixture, "fig06_shard_" + label + "_s" + std::to_string(seed));
-        avg.throughput.Add(stats.ThroughputOpsPerSec());
-        avg.latency_ms.Add(stats.MeanLatencyMs());
-      }
-      double tput = avg.throughput.Mean();
-      if (shards == 1) {
-        base = tput;
-      }
-      double speedup = base > 0 ? tput / base : 0;
-      if (shards == 4 && system == SystemKind::kExtensibleZooKeeper) {
-        ezk_speedup4 = speedup;
-      }
-      if (shards == 4 && system == SystemKind::kExtensibleDepSpace) {
-        eds_speedup4 = speedup;
-      }
-      table.AddRow({std::string(SystemName(system)) + "-" + std::to_string(shards) + "sh",
-                    std::to_string(shards), std::to_string(kClients),
-                    Fmt(tput / 1000.0), Fmt(avg.latency_ms.Mean()), Fmt(speedup)});
+  Sweep sweep{.name = "fig06_shard",
+              .title = "=== Fig. 6 (sharded): shared counter, " + std::to_string(kClients) +
+                       " clients (avg of " + std::to_string(kSeeds) + " runs) ===",
+              .seeds = kSeeds,
+              .seed_base = 6000,
+              .key_columns = {"system", "shards", "clients"},
+              .columns = {{"kops_per_s", 2, 1000},
+                          {"avg_lat_ms"},
+                          {.name = "vs_1sh", .derive = VsOneShard}}};
+  for (SystemKind system : {SystemKind::kExtensibleZooKeeper, SystemKind::kExtensibleDepSpace}) {
+    for (size_t shards : kShards) {
+      FixtureOptions options;
+      options.system = system;
+      options.num_clients = kClients;
+      options.num_shards = shards;
+      options.observability = true;
+      std::string label = std::string(SystemName(system)) + "-" + std::to_string(shards) + "sh";
+      sweep.points.push_back({label, kClients,
+                              {label, std::to_string(shards), std::to_string(kClients)},
+                              options, 0, CounterRun});
     }
   }
-  std::printf("=== Fig. 6 (sharded): shared counter, %zu clients (avg of %d runs) ===\n",
-              kClients, kSeeds);
-  table.Print();
-  json.Write();
+  SweepResult result = RunAndReport(sweep);
   std::printf("\nshape check: 1->4 shard aggregate speedup EZK = %.1fx, EDS = %.1fx "
               "(target: >= 3x)\n",
-              ezk_speedup4, eds_speedup4);
+              VsOneShard(result, result.Find("EZK-4sh", kClients)),
+              VsOneShard(result, result.Find("EDS-4sh", kClients)));
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 // while the extension variant stays flat; EZK/EDS outperform by ~17x/24x.
 // DepSpace-family clients send ~4x the bytes (requests go to all replicas).
 
-#include "bench/common.h"
+#include "bench/runner.h"
 
 namespace edc {
 namespace {
@@ -16,68 +16,42 @@ constexpr Duration kWarmup = Seconds(1);
 constexpr Duration kMeasure = Seconds(3);
 constexpr int kSeeds = 3;
 
+Sample QueueRun(CoordFixture& fixture, SystemKind system) {
+  RecipeLoopRun run =
+      RunRecipeLoop(fixture, SetupRecipe<DistributedQueue>(fixture, IsExtensible(system)),
+                    kWarmup, kMeasure, QueueAddRemove(fixture.num_clients()));
+  Sample sample = StatsSample(run.stats);
+  Sample per_op = QueueSample(run.stats);
+  double ops = static_cast<double>(run.stats.ops) * 2.0;
+  sample.cells = {per_op.ops_per_s, per_op.kb_per_op,
+                  PerOp(static_cast<double>(run.retries), ops)};
+  return sample;
+}
+
 void Main() {
-  BenchTable table({"system", "clients", "kops_per_s", "client_kb_per_op", "retries/op"});
-  BenchJson json("fig08_queue");
-  double zk50 = 0;
-  double ezk50 = 0;
-  double ds50 = 0;
-  double eds50 = 0;
+  Sweep sweep{.name = "fig08_queue",
+              .title = "=== Fig. 8: distributed queue (avg of " + std::to_string(kSeeds) +
+                       " runs) ===",
+              .seeds = kSeeds,
+              .seed_base = 2000,
+              .key_columns = {"system", "clients"},
+              .columns = {{"kops_per_s", 2, 1000}, {"client_kb_per_op", 3}, {"retries/op"}}};
   for (SystemKind system : AllSystems()) {
     for (size_t clients : ClientSweep(1)) {
-      SeededAverages avg;
-      RunAggregate retries_per_op;
-      for (int seed = 0; seed < kSeeds; ++seed) {
-        FixtureOptions options;
-        options.system = system;
-        options.num_clients = clients;
-        options.seed = 2000 + static_cast<uint64_t>(seed);
-        options.observability = true;
-        options.retain_spans = TraceExportRequested();
-        CoordFixture fixture(options);
-        fixture.Start();
-        auto queues = SetupRecipe<DistributedQueue>(fixture, IsExtensible(system));
-        // Each client repeatedly adds one element, then removes the head
-        // (paper §6.1.2); elements carry an empty payload.
-        auto op_counters = std::make_shared<std::vector<int64_t>>(clients, 0);
-        ClosedLoop driver(&fixture, [&, op_counters](size_t i,
-                                                     std::function<void()> done) {
-          std::string id = "c" + std::to_string(i) + "-" +
-                           std::to_string(++(*op_counters)[i]);
-          queues[i]->Add(id, "", [&, i, done = std::move(done)](Status) {
-            queues[i]->Remove([done = std::move(done)](Result<std::string>) { done(); });
-          });
-        });
-        RunStats stats = driver.Run(kWarmup, kMeasure);
-        json.AddRow(system, clients, options.seed, stats);
-        MaybeExportTrace(fixture, "fig08_queue_" + std::string(SystemName(system)) +
-                                      "_c" + std::to_string(clients) + "_s" +
-                                      std::to_string(seed));
-        // One completed iteration = 2 operations (add + remove).
-        double ops = static_cast<double>(stats.ops) * 2.0;
-        avg.throughput.Add(ops / ToSeconds(kMeasure));
-        avg.kb_per_op.Add(ops > 0 ? static_cast<double>(stats.client_bytes) / 1024.0 / ops
-                                  : 0.0);
-        int64_t total_retries = 0;
-        for (auto& queue : queues) {
-          total_retries += queue->retries();
-        }
-        retries_per_op.Add(ops > 0 ? static_cast<double>(total_retries) / ops : 0.0);
-      }
-      double thr = avg.throughput.Mean();
-      if (clients == 50) {
-        if (system == SystemKind::kZooKeeper) zk50 = thr;
-        if (system == SystemKind::kExtensibleZooKeeper) ezk50 = thr;
-        if (system == SystemKind::kDepSpace) ds50 = thr;
-        if (system == SystemKind::kExtensibleDepSpace) eds50 = thr;
-      }
-      table.AddRow({SystemName(system), std::to_string(clients), Fmt(thr / 1000.0),
-                    Fmt(avg.kb_per_op.Mean(), 3), Fmt(retries_per_op.Mean())});
+      FixtureOptions options;
+      options.system = system;
+      options.num_clients = clients;
+      options.observability = true;
+      sweep.points.push_back(
+          {SystemName(system), clients, {SystemName(system), std::to_string(clients)},
+           options, 0, [system](CoordFixture& f) { return QueueRun(f, system); }});
     }
   }
-  std::printf("=== Fig. 8: distributed queue (avg of %d runs) ===\n", kSeeds);
-  table.Print();
-  json.Write();
+  SweepResult result = RunAndReport(sweep);
+  double zk50 = result.Means("ZooKeeper", 50)[0];
+  double ezk50 = result.Means("EZK", 50)[0];
+  double ds50 = result.Means("DepSpace", 50)[0];
+  double eds50 = result.Means("EDS", 50)[0];
   if (zk50 > 0 && ds50 > 0) {
     std::printf("\nshape check: EZK/ZooKeeper = %.1fx (paper: ~17x), "
                 "EDS/DepSpace = %.1fx (paper: ~24x)\n",

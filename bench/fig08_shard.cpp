@@ -6,7 +6,7 @@
 // add+remove throughput should scale with the shard count until the fixed
 // 64-client offered load becomes the bottleneck.
 
-#include "bench/common.h"
+#include "bench/runner.h"
 
 namespace edc {
 namespace {
@@ -15,83 +15,52 @@ constexpr Duration kWarmup = Seconds(1);
 constexpr Duration kMeasure = Seconds(2);
 constexpr int kSeeds = 2;
 constexpr size_t kClients = 64;
+const std::vector<size_t> kShards{1, 4, 8, 16};
 
-const std::vector<size_t>& ShardSweep() {
-  static const std::vector<size_t> kShards{1, 4, 8, 16};
-  return kShards;
+Sample QueueRun(CoordFixture& fixture) {
+  RecipeLoopRun run =
+      RunRecipeLoop(fixture, SetupShardedRecipe<DistributedQueue>(fixture, true, "/q"),
+                    kWarmup, kMeasure, QueueAddRemove(kClients));
+  Sample sample = QueueSample(run.stats);
+  sample.cells = {sample.ops_per_s, sample.kb_per_op};
+  return sample;
+}
+
+// Aggregate throughput against the same system's 1-shard point, which leads
+// each system's block of points.
+double VsOneShard(const SweepResult& result, size_t p) {
+  double base = result.means[p - p % kShards.size()][0];
+  return base > 0 ? result.means[p][0] / base : 0;
 }
 
 void Main() {
-  BenchTable table(
-      {"system", "shards", "clients", "kops_per_s", "client_kb_per_op", "vs_1sh"});
-  BenchJson json("fig08_shard");
-  std::vector<SystemKind> systems{SystemKind::kExtensibleZooKeeper,
-                                  SystemKind::kExtensibleDepSpace};
-  double ezk_speedup4 = 0;
-  double eds_speedup4 = 0;
-  for (SystemKind system : systems) {
-    double base = 0;
-    for (size_t shards : ShardSweep()) {
-      SeededAverages avg;
-      for (int seed = 0; seed < kSeeds; ++seed) {
-        FixtureOptions options;
-        options.system = system;
-        options.num_clients = kClients;
-        options.num_shards = shards;
-        options.seed = 8000 + static_cast<uint64_t>(seed);
-        options.observability = true;
-        options.retain_spans = TraceExportRequested();
-        CoordFixture fixture(options);
-        fixture.Start();
-        auto queues = SetupShardedRecipe<DistributedQueue>(fixture, true, "/q");
-        auto op_counters = std::make_shared<std::vector<int64_t>>(kClients, 0);
-        ClosedLoop driver(&fixture, [&, op_counters](size_t i,
-                                                     std::function<void()> done) {
-          std::string id =
-              "c" + std::to_string(i) + "-" + std::to_string(++(*op_counters)[i]);
-          queues[i]->Add(id, "", [&, i, done = std::move(done)](Status) {
-            queues[i]->Remove([done = std::move(done)](Result<std::string>) { done(); });
-          });
-        });
-        RunStats stats = driver.Run(kWarmup, kMeasure);
-        // One completed iteration = 2 operations (add + remove).
-        double ops = static_cast<double>(stats.ops) * 2.0;
-        double ops_per_s = ops / ToSeconds(kMeasure);
-        double kb_per_op =
-            ops > 0 ? static_cast<double>(stats.client_bytes) / 1024.0 / ops : 0.0;
-        std::string label =
-            std::string(SystemName(system)) + "-" + std::to_string(shards) + "sh";
-        json.AddCustomRow(label, kClients, options.seed, ops_per_s,
-                          static_cast<double>(stats.latency.Percentile(0.5)) / 1e6,
-                          static_cast<double>(stats.latency.Percentile(0.99)) / 1e6,
-                          kb_per_op, &stats.stages);
-        MaybeExportTrace(fixture, "fig08_shard_" + label + "_s" + std::to_string(seed));
-        avg.throughput.Add(ops_per_s);
-        avg.kb_per_op.Add(kb_per_op);
-      }
-      double tput = avg.throughput.Mean();
-      if (shards == 1) {
-        base = tput;
-      }
-      double speedup = base > 0 ? tput / base : 0;
-      if (shards == 4 && system == SystemKind::kExtensibleZooKeeper) {
-        ezk_speedup4 = speedup;
-      }
-      if (shards == 4 && system == SystemKind::kExtensibleDepSpace) {
-        eds_speedup4 = speedup;
-      }
-      table.AddRow({std::string(SystemName(system)) + "-" + std::to_string(shards) + "sh",
-                    std::to_string(shards), std::to_string(kClients),
-                    Fmt(tput / 1000.0), Fmt(avg.kb_per_op.Mean()), Fmt(speedup)});
+  Sweep sweep{.name = "fig08_shard",
+              .title = "=== Fig. 8 (sharded): distributed queue, " + std::to_string(kClients) +
+                       " clients (avg of " + std::to_string(kSeeds) + " runs) ===",
+              .seeds = kSeeds,
+              .seed_base = 8000,
+              .key_columns = {"system", "shards", "clients"},
+              .columns = {{"kops_per_s", 2, 1000},
+                          {"client_kb_per_op"},
+                          {.name = "vs_1sh", .derive = VsOneShard}}};
+  for (SystemKind system : {SystemKind::kExtensibleZooKeeper, SystemKind::kExtensibleDepSpace}) {
+    for (size_t shards : kShards) {
+      FixtureOptions options;
+      options.system = system;
+      options.num_clients = kClients;
+      options.num_shards = shards;
+      options.observability = true;
+      std::string label = std::string(SystemName(system)) + "-" + std::to_string(shards) + "sh";
+      sweep.points.push_back({label, kClients,
+                              {label, std::to_string(shards), std::to_string(kClients)},
+                              options, 0, QueueRun});
     }
   }
-  std::printf("=== Fig. 8 (sharded): distributed queue, %zu clients (avg of %d runs) ===\n",
-              kClients, kSeeds);
-  table.Print();
-  json.Write();
+  SweepResult result = RunAndReport(sweep);
   std::printf("\nshape check: 1->4 shard aggregate speedup EZK = %.1fx, EDS = %.1fx "
               "(target: >= 3x)\n",
-              ezk_speedup4, eds_speedup4);
+              VsOneShard(result, result.Find("EZK-4sh", kClients)),
+              VsOneShard(result, result.Find("EDS-4sh", kClients)));
 }
 
 }  // namespace

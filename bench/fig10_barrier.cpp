@@ -7,7 +7,7 @@
 // traditional recipe (which needs create + subObjects + block/create, plus a
 // fetch after the unblock notification).
 
-#include "bench/common.h"
+#include "bench/runner.h"
 
 namespace edc {
 namespace {
@@ -15,30 +15,18 @@ namespace {
 constexpr int kSeeds = 3;
 constexpr int kRounds = 20;  // measured barrier rounds per run
 
-struct BarrierRun {
-  double latency_ms = 0;      // mean time from round start to last release
-  double latency_p99_ms = 0;  // tail across the measured rounds
-  double kb_per_op = 0;       // client bytes per enter operation
-  double rounds_per_sec = 0;
-  StageSums stages;           // one breakdown per round (round = the "op")
-};
-
-BarrierRun RunOne(SystemKind system, size_t clients, uint64_t seed) {
-  FixtureOptions options;
-  options.system = system;
-  options.num_clients = clients;
-  options.seed = seed;
-  options.observability = true;
-  CoordFixture fixture(options);
-  fixture.Start();
-  auto barriers =
-      SetupRecipe<DistributedBarrier>(fixture, IsExtensible(system),
-                                      static_cast<int>(clients));
+// JSON columns: ops/s is rounds per second, p50 the mean round latency (start
+// to last release), p99 its tail, KB/op the client bytes per enter, and the
+// stage breakdown has one trace per round (round = the "op").
+Sample BarrierRun(CoordFixture& fixture, SystemKind system) {
+  size_t clients = fixture.num_clients();
+  auto barriers = SetupRecipe<DistributedBarrier>(fixture, IsExtensible(system),
+                                                  static_cast<int>(clients));
 
   Recorder round_latency;
   int64_t bytes_before = fixture.ClientBytesSent();
   int64_t enters = 0;
-  StageSums stages;
+  Sample sample;
   Tracer& tracer = fixture.obs().tracer;
   SimTime run_start = fixture.loop().now();
 
@@ -73,49 +61,44 @@ BarrierRun RunOne(SystemKind system, size_t clients, uint64_t seed) {
     WaitFor(fixture, all_released, "barrier round", Seconds(30));
     round_latency.Record(last_release - start);
     if (root.active()) {
-      stages.Add(tracer.FinishTrace(root, last_release));
+      sample.stages.Add(tracer.FinishTrace(root, last_release));
     }
-    bool reset_done = false;
-    barriers[0]->Reset([&](Status) { reset_done = true; });
-    WaitFor(fixture, reset_done, "barrier reset", Seconds(30));
+    MustSetup(
+        fixture, "barrier reset", 1,
+        [&](size_t, CoordClient::Cb done) { barriers[0]->Reset(std::move(done)); },
+        Seconds(30));
   }
 
-  BarrierRun out;
-  out.latency_ms = round_latency.Mean() / 1e6;
-  out.latency_p99_ms = static_cast<double>(round_latency.Percentile(0.99)) / 1e6;
-  out.kb_per_op = static_cast<double>(fixture.ClientBytesSent() - bytes_before) / 1024.0 /
-                  static_cast<double>(enters);
   Duration elapsed = fixture.loop().now() - run_start;
-  out.rounds_per_sec =
-      elapsed > 0 ? static_cast<double>(kRounds) / ToSeconds(elapsed) : 0.0;
-  out.stages = stages;
-  return out;
+  sample.ops_per_s = elapsed > 0 ? static_cast<double>(kRounds) / ToSeconds(elapsed) : 0.0;
+  sample.p50_ms = round_latency.Mean() / 1e6;
+  sample.p99_ms = static_cast<double>(round_latency.Percentile(0.99)) / 1e6;
+  sample.kb_per_op = static_cast<double>(fixture.ClientBytesSent() - bytes_before) / 1024.0 /
+                     static_cast<double>(enters);
+  sample.cells = {sample.p50_ms, sample.kb_per_op};
+  return sample;
 }
 
 void Main() {
-  BenchTable table({"system", "clients", "avg_lat_ms", "client_kb_per_op"});
-  BenchJson json("fig10_barrier");
+  Sweep sweep{.name = "fig10_barrier",
+              .title = "=== Fig. 10: distributed barrier (avg of " + std::to_string(kSeeds) +
+                       " runs, " + std::to_string(kRounds) + " rounds each) ===",
+              .seeds = kSeeds,
+              .seed_base = 3000,
+              .key_columns = {"system", "clients"},
+              .columns = {{"avg_lat_ms"}, {"client_kb_per_op", 3}}};
   for (SystemKind system : AllSystems()) {
     for (size_t clients : ClientSweep(2)) {
-      RunAggregate latency;
-      RunAggregate kb;
-      for (int seed = 0; seed < kSeeds; ++seed) {
-        uint64_t s = 3000 + static_cast<uint64_t>(seed);
-        BarrierRun run = RunOne(system, clients, s);
-        latency.Add(run.latency_ms);
-        kb.Add(run.kb_per_op);
-        json.AddCustomRow(SystemName(system), clients, s, run.rounds_per_sec,
-                          run.latency_ms, run.latency_p99_ms, run.kb_per_op,
-                          &run.stages);
-      }
-      table.AddRow({SystemName(system), std::to_string(clients), Fmt(latency.Mean()),
-                    Fmt(kb.Mean(), 3)});
+      FixtureOptions options;
+      options.system = system;
+      options.num_clients = clients;
+      options.observability = true;
+      sweep.points.push_back(
+          {SystemName(system), clients, {SystemName(system), std::to_string(clients)},
+           options, 0, [system](CoordFixture& f) { return BarrierRun(f, system); }});
     }
   }
-  std::printf("=== Fig. 10: distributed barrier (avg of %d runs, %d rounds each) ===\n",
-              kSeeds, kRounds);
-  table.Print();
-  json.Write();
+  RunAndReport(sweep);
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 // (ZK) / ~45% (DS) lower signaling latency; DepSpace trails everyone because
 // it has no deletion notifications (clients poll).
 
-#include "bench/common.h"
+#include "bench/runner.h"
 
 namespace edc {
 namespace {
@@ -17,21 +17,11 @@ constexpr Duration kWarmup = Seconds(1);
 constexpr Duration kMeasure = Seconds(4);
 constexpr int kSeeds = 3;
 
-struct ElectionRun {
-  double changes_per_sec = 0;
-  double signal_latency_ms = 0;
-  double signal_latency_p99_ms = 0;
-  StageSums stages;
-};
-
-ElectionRun RunOne(SystemKind system, size_t clients, uint64_t seed) {
-  FixtureOptions options;
-  options.system = system;
-  options.num_clients = clients;
-  options.seed = seed;
-  options.observability = true;
-  CoordFixture fixture(options);
-  fixture.Start();
+// JSON columns: ops/s is leader changes per second, p50 the mean signaling
+// latency (abdication -> successor elected), p99 its tail; the stage
+// breakdown has one trace per candidacy (issue -> elected).
+Sample ElectionRun(CoordFixture& fixture, SystemKind system) {
+  size_t clients = fixture.num_clients();
   auto elections = SetupRecipe<LeaderElection>(fixture, IsExtensible(system));
 
   struct Ctx {
@@ -52,7 +42,6 @@ ElectionRun RunOne(SystemKind system, size_t clients, uint64_t seed) {
 
   // Every candidate loops: becomeLeader -> (on election) abdicate -> repeat.
   std::function<void(size_t)> campaign = [ctx, &campaign](size_t i) {
-    // One trace per candidacy: covers issue -> elected.
     Tracer& tracer = ctx->fixture->obs().tracer;
     TraceContext prev = tracer.current();
     TraceContext root;
@@ -97,39 +86,36 @@ ElectionRun RunOne(SystemKind system, size_t clients, uint64_t seed) {
     campaign(i);
   }
   fixture.loop().RunUntil(ctx->measure_end);
-  ElectionRun out;
-  out.changes_per_sec = static_cast<double>(ctx->changes) / ToSeconds(kMeasure);
-  out.signal_latency_ms = ctx->signal_latency.Mean() / 1e6;
-  out.signal_latency_p99_ms =
-      static_cast<double>(ctx->signal_latency.Percentile(0.99)) / 1e6;
-  out.stages = ctx->stages;
+  Sample sample;
+  sample.ops_per_s = static_cast<double>(ctx->changes) / ToSeconds(kMeasure);
+  sample.p50_ms = ctx->signal_latency.Mean() / 1e6;
+  sample.p99_ms = static_cast<double>(ctx->signal_latency.Percentile(0.99)) / 1e6;
+  sample.stages = ctx->stages;
+  sample.cells = {sample.ops_per_s, sample.p50_ms};
   fixture.loop().RunUntil(ctx->measure_end + Seconds(2));
-  return out;
+  return sample;
 }
 
 void Main() {
-  BenchTable table({"system", "clients", "changes_per_s", "signal_lat_ms"});
-  BenchJson json("fig12_election");
+  Sweep sweep{.name = "fig12_election",
+              .title = "=== Fig. 12: leader election stress (avg of " +
+                       std::to_string(kSeeds) + " runs) ===",
+              .seeds = kSeeds,
+              .seed_base = 4000,
+              .key_columns = {"system", "clients"},
+              .columns = {{"changes_per_s", 1}, {"signal_lat_ms"}}};
   for (SystemKind system : AllSystems()) {
     for (size_t clients : ClientSweep(2)) {
-      RunAggregate changes;
-      RunAggregate latency;
-      for (int seed = 0; seed < kSeeds; ++seed) {
-        uint64_t s = 4000 + static_cast<uint64_t>(seed);
-        ElectionRun run = RunOne(system, clients, s);
-        changes.Add(run.changes_per_sec);
-        latency.Add(run.signal_latency_ms);
-        json.AddCustomRow(SystemName(system), clients, s, run.changes_per_sec,
-                          run.signal_latency_ms, run.signal_latency_p99_ms, 0.0,
-                          &run.stages);
-      }
-      table.AddRow({SystemName(system), std::to_string(clients), Fmt(changes.Mean(), 1),
-                    Fmt(latency.Mean())});
+      FixtureOptions options;
+      options.system = system;
+      options.num_clients = clients;
+      options.observability = true;
+      sweep.points.push_back(
+          {SystemName(system), clients, {SystemName(system), std::to_string(clients)},
+           options, 0, [system](CoordFixture& f) { return ElectionRun(f, system); }});
     }
   }
-  std::printf("=== Fig. 12: leader election stress (avg of %d runs) ===\n", kSeeds);
-  table.Print();
-  json.Write();
+  RunAndReport(sweep);
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 // ordered update path); read latency stays essentially flat (reads take the
 // fast path at the connected replica and bypass the extension machinery).
 
-#include "bench/common.h"
+#include "bench/runner.h"
 
 namespace edc {
 namespace {
@@ -19,67 +19,26 @@ constexpr int kSeeds = 3;
 constexpr size_t kRegularClients = 30;  // 15 readers + 15 writers
 const std::string kPayload(256, 'x');   // typical coordination object size
 
-struct MixedRun {
-  double queue_kops = 0;
-  double read_ms = 0;
-  double write_ms = 0;
-  double read_p99_ms = 0;
-  double write_p99_ms = 0;
-  StageSums stages;
-};
-
-MixedRun RunOne(SystemKind system, size_t queue_clients, uint64_t seed) {
-  FixtureOptions options;
-  options.system = system;
-  options.num_clients = queue_clients + kRegularClients;
-  options.seed = seed;
-  options.observability = true;
-  CoordFixture fixture(options);
-  fixture.Start();
-
-  // Queue clients are 0..queue_clients-1.
-  std::vector<std::unique_ptr<DistributedQueue>> queues;
-  for (size_t i = 0; i < queue_clients; ++i) {
-    queues.push_back(
-        std::make_unique<DistributedQueue>(fixture.coord(i), IsExtensible(system)));
-  }
-  bool ready = false;
-  queues[0]->Setup([&](Status s) { ready = s.ok(); });
-  WaitFor(fixture, ready, "queue setup");
-  size_t attached = 1;
-  bool all = queue_clients == 1;
-  for (size_t i = 1; i < queue_clients; ++i) {
-    queues[i]->Attach([&](Status) {
-      if (++attached == queue_clients) {
-        all = true;
-      }
-    });
-  }
-  WaitFor(fixture, all, "queue attach");
-
-  // Regular clients own one 256-byte object each.
-  size_t created = 0;
-  bool objects_ready = false;
-  for (size_t r = 0; r < kRegularClients; ++r) {
-    size_t idx = queue_clients + r;
-    fixture.coord(idx)->Create("/reg-" + std::to_string(r), kPayload,
-                               [&](Result<std::string>) {
-                                 if (++created == kRegularClients) {
-                                   objects_ready = true;
-                                 }
-                               });
-  }
-  WaitFor(fixture, objects_ready, "regular objects");
+// JSON columns: ops/s is the queue throughput; p50/p99 report the regular
+// writers' mean and tail latency (the latency the figure is about).
+Sample MixedRun(CoordFixture& fixture, SystemKind system, size_t queue_clients) {
+  // Queue clients are 0..queue_clients-1; the regular clients follow, and
+  // own one 256-byte object each.
+  auto queues = SetupRecipeOn<DistributedQueue>(fixture, queue_clients, IsExtensible(system));
+  MustSetup(fixture, "regular object", kRegularClients, [&](size_t r, CoordClient::Cb done) {
+    fixture.coord(queue_clients + r)
+        ->Create("/reg-" + std::to_string(r), kPayload,
+                 [done = std::move(done)](Result<std::string> res) { done(res.status()); });
+  });
 
   Recorder read_latency;
   Recorder write_latency;
+  QueueAddRemove queue_op(queue_clients);
   auto queue_ops = std::make_shared<std::vector<int64_t>>(queue_clients, 0);
   ClosedLoop driver(&fixture, [&, queue_ops](size_t i, std::function<void()> done) {
     if (i < queue_clients) {
-      std::string id = "c" + std::to_string(i) + "-" + std::to_string(++(*queue_ops)[i]);
-      queues[i]->Add(id, "", [&, i, done = std::move(done)](Status) {
-        queues[i]->Remove([done = std::move(done)](Result<std::string>) { done(); });
-      });
+      ++(*queue_ops)[i];
+      queue_op(*queues[i], i, std::move(done));
       return;
     }
     size_t r = i - queue_clients;
@@ -100,52 +59,44 @@ MixedRun RunOne(SystemKind system, size_t queue_clients, uint64_t seed) {
   });
   RunStats stats = driver.Run(kWarmup, kMeasure);
 
-  MixedRun out;
   int64_t queue_total = 0;
   for (int64_t n : *queue_ops) {
     queue_total += n;
   }
-  out.queue_kops = static_cast<double>(queue_total) * 2.0 /
-                   ToSeconds(kWarmup + kMeasure) / 1000.0;
-  out.read_ms = read_latency.Mean() / 1e6;
-  out.write_ms = write_latency.Mean() / 1e6;
-  out.read_p99_ms = static_cast<double>(read_latency.Percentile(0.99)) / 1e6;
-  out.write_p99_ms = static_cast<double>(write_latency.Percentile(0.99)) / 1e6;
-  out.stages = stats.stages;
-  return out;
+  double queue_kops =
+      static_cast<double>(queue_total) * 2.0 / ToSeconds(kWarmup + kMeasure) / 1000.0;
+  Sample sample;
+  sample.ops_per_s = queue_kops * 1000.0;
+  sample.p50_ms = write_latency.Mean() / 1e6;
+  sample.p99_ms = static_cast<double>(write_latency.Percentile(0.99)) / 1e6;
+  sample.stages = stats.stages;
+  sample.cells = {queue_kops, read_latency.Mean() / 1e6, sample.p50_ms};
+  return sample;
 }
 
 void Main() {
-  BenchTable table(
-      {"system", "queue_clients", "queue_kops_per_s", "reg_read_ms", "reg_write_ms"});
-  BenchJson json("fig13_regular");
-  for (SystemKind system :
-       {SystemKind::kExtensibleZooKeeper, SystemKind::kExtensibleDepSpace}) {
-    for (size_t queue_clients : {size_t{1}, size_t{5}, size_t{10}, size_t{20},
-                                 size_t{35}, size_t{50}}) {
-      RunAggregate kops;
-      RunAggregate read_ms;
-      RunAggregate write_ms;
-      for (int seed = 0; seed < kSeeds; ++seed) {
-        uint64_t s = 5000 + static_cast<uint64_t>(seed);
-        MixedRun run = RunOne(system, queue_clients, s);
-        kops.Add(run.queue_kops);
-        read_ms.Add(run.read_ms);
-        write_ms.Add(run.write_ms);
-        // ops/s = queue throughput; p50/p99 report the regular writers' view
-        // (the latency the figure is about).
-        json.AddCustomRow(SystemName(system), queue_clients, s, run.queue_kops * 1000.0,
-                          run.write_ms, run.write_p99_ms, 0.0, &run.stages);
-      }
-      table.AddRow({SystemName(system), std::to_string(queue_clients), Fmt(kops.Mean()),
-                    Fmt(read_ms.Mean(), 3), Fmt(write_ms.Mean(), 3)});
+  Sweep sweep{.name = "fig13_regular",
+              .title = "=== Fig. 13: impact of the queue extension on regular clients "
+                       "(avg of " +
+                       std::to_string(kSeeds) + " runs) ===",
+              .seeds = kSeeds,
+              .seed_base = 5000,
+              .key_columns = {"system", "queue_clients"},
+              .columns = {{"queue_kops_per_s"}, {"reg_read_ms", 3}, {"reg_write_ms", 3}}};
+  for (SystemKind system : {SystemKind::kExtensibleZooKeeper, SystemKind::kExtensibleDepSpace}) {
+    for (size_t queue_clients : {1, 5, 10, 20, 35, 50}) {
+      FixtureOptions options;
+      options.system = system;
+      options.num_clients = queue_clients + kRegularClients;
+      options.observability = true;
+      sweep.points.push_back({SystemName(system), queue_clients,
+                              {SystemName(system), std::to_string(queue_clients)}, options,
+                              0, [system, queue_clients](CoordFixture& f) {
+                                return MixedRun(f, system, queue_clients);
+                              }});
     }
   }
-  std::printf("=== Fig. 13: impact of the queue extension on regular clients "
-              "(avg of %d runs) ===\n",
-              kSeeds);
-  table.Print();
-  json.Write();
+  RunAndReport(sweep);
 }
 
 }  // namespace

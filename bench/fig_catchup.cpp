@@ -13,7 +13,7 @@
 // justification for shipping state instead of history. Catch-up time follows
 // the bytes through the modeled link bandwidth.
 
-#include "bench/common.h"
+#include "bench/runner.h"
 
 namespace edc {
 namespace {
@@ -29,43 +29,24 @@ constexpr size_t kKeys = 16;
 
 // Sequential sync write; dies loudly on failure (bench precondition).
 void MustWrite(CoordFixture& fx, size_t i) {
-  bool done = false;
-  auto check = [&done, i](Status s) {
-    if (!s.ok()) {
-      std::fprintf(stderr, "FATAL: write %zu failed: %s\n", i, s.ToString().c_str());
-      std::exit(1);
-    }
-    done = true;
-  };
   std::string path = "/n" + std::to_string(i % kKeys);
   std::string value = "v" + std::to_string(i);
-  if (i < kKeys) {
-    fx.zk_client(0)->Create(path, value, false, false, [check](Result<std::string> r) {
-      check(r.ok() ? Status::Ok() : r.status());
-    });
-  } else {
-    fx.zk_client(0)->SetData(path, value, -1, check);
-  }
-  WaitFor(fx, done, "backlog write");
+  MustSetup(fx, "backlog write", 1, [&](size_t, CoordClient::Cb done) {
+    if (i < kKeys) {
+      fx.zk_client(0)->Create(path, value, false, false,
+                              [done = std::move(done)](Result<std::string> r) {
+                                done(r.status());
+                              });
+    } else {
+      fx.zk_client(0)->SetData(path, value, -1, std::move(done));
+    }
+  });
 }
 
-struct CatchupRun {
-  double catchup_ms = 0;
-  double joiner_kb = 0;
-};
-
-CatchupRun RunOne(bool snapshot_ship, size_t log_len, uint64_t seed) {
-  FixtureOptions options;
-  options.system = SystemKind::kZooKeeper;
-  options.num_clients = 1;
-  options.seed = seed;
-  options.zk_server.zab_snapshot_every = snapshot_ship ? 16 : 0;
-  // A constrained link (10 Mbit/s) so the shipped bytes show up in the
-  // catch-up time instead of disappearing into LAN serialization slack.
-  options.link.bandwidth_bps = 1e7;
-  CoordFixture fixture(options);
-  fixture.Start();
-
+// JSON columns: "clients" doubles as the swept log length; ops/s is the
+// catch-up rate in log entries per second, p50 the raw time, and KB/op the
+// bytes shipped to the joiner.
+Sample CatchupRun(CoordFixture& fixture, size_t log_len) {
   for (size_t i = 0; i < log_len; ++i) {
     MustWrite(fixture, i);
   }
@@ -102,40 +83,39 @@ CatchupRun RunOne(bool snapshot_ship, size_t log_len, uint64_t seed) {
     std::fprintf(stderr, "FATAL: joiner never caught up at log_len=%zu\n", log_len);
     std::exit(1);
   }
-  CatchupRun out;
-  out.catchup_ms = static_cast<double>(fixture.loop().now() - start) / 1e6;
-  out.joiner_kb =
+  double catchup_ms = static_cast<double>(fixture.loop().now() - start) / 1e6;
+  Sample sample;
+  sample.ops_per_s = static_cast<double>(log_len) / (catchup_ms / 1e3);
+  sample.p50_ms = catchup_ms;
+  sample.kb_per_op =
       static_cast<double>(fixture.net().StatsFor(kJoiner).bytes_received) / 1024.0;
-  return out;
+  sample.cells = {catchup_ms, sample.kb_per_op};
+  return sample;
 }
 
 void Main() {
-  BenchTable table({"mode", "log_len", "catchup_ms", "joiner_kb"});
-  BenchJson json("fig_catchup");
+  Sweep sweep{.name = "fig_catchup",
+              .title = "=== Joiner catch-up: snapshot-ship vs full replay (avg of " +
+                       std::to_string(kSeeds) + " runs) ===",
+              .seeds = kSeeds,
+              .seed_base = 9100,
+              .key_columns = {"mode", "log_len"},
+              .columns = {{"catchup_ms"}, {"joiner_kb"}}};
   for (bool snapshot_ship : {false, true}) {
     const char* mode = snapshot_ship ? "snapshot-ship" : "full-replay";
-    for (size_t log_len : {25u, 50u, 100u, 200u, 400u}) {
-      RunAggregate catchup;
-      RunAggregate kb;
-      for (int seed = 0; seed < kSeeds; ++seed) {
-        uint64_t s = 9100 + static_cast<uint64_t>(seed);
-        CatchupRun run = RunOne(snapshot_ship, log_len, s);
-        catchup.Add(run.catchup_ms);
-        kb.Add(run.joiner_kb);
-        // Columns: "clients" doubles as the swept log length; ops_per_s is
-        // the catch-up rate in log entries per second; p50 the raw time;
-        // kb_per_op the bytes shipped to the joiner.
-        json.AddCustomRow(mode, log_len, s,
-                          static_cast<double>(log_len) / (run.catchup_ms / 1e3),
-                          run.catchup_ms, 0.0, run.joiner_kb);
-      }
-      table.AddRow({mode, std::to_string(log_len), Fmt(catchup.Mean()), Fmt(kb.Mean())});
+    for (size_t log_len : {25, 50, 100, 200, 400}) {
+      FixtureOptions options;
+      options.system = SystemKind::kZooKeeper;
+      options.num_clients = 1;
+      options.zk_server.zab_snapshot_every = snapshot_ship ? 16 : 0;
+      // A constrained link (10 Mbit/s) so the shipped bytes show up in the
+      // catch-up time instead of disappearing into LAN serialization slack.
+      options.link.bandwidth_bps = 1e7;
+      sweep.points.push_back({mode, log_len, {mode, std::to_string(log_len)}, options, 0,
+                              [log_len](CoordFixture& f) { return CatchupRun(f, log_len); }});
     }
   }
-  std::printf("=== Joiner catch-up: snapshot-ship vs full replay (avg of %d runs) ===\n",
-              kSeeds);
-  table.Print();
-  json.Write();
+  RunAndReport(sweep);
 }
 
 }  // namespace

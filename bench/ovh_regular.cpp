@@ -4,7 +4,7 @@
 // measured < 0.4%). The cost that remains is the per-request subscription
 // check, which is also charged here.
 
-#include "bench/common.h"
+#include "bench/runner.h"
 
 namespace edc {
 namespace {
@@ -12,33 +12,16 @@ namespace {
 constexpr Duration kWarmup = Seconds(1);
 constexpr Duration kMeasure = Seconds(4);
 constexpr int kSeeds = 3;
+constexpr size_t kClients = 20;
 const std::string kPayload(256, 'x');
 
-struct Latencies {
-  double read_ms = 0;
-  double write_ms = 0;
-  RunStats stats;
-};
-
-Latencies RunOne(SystemKind system, uint64_t seed) {
-  FixtureOptions options;
-  options.system = system;
-  options.num_clients = 20;
-  options.seed = seed;
-  options.observability = true;
-  CoordFixture fixture(options);
-  fixture.Start();
-  size_t created = 0;
-  bool ready = false;
-  for (size_t i = 0; i < fixture.num_clients(); ++i) {
-    fixture.coord(i)->Create("/o-" + std::to_string(i), kPayload,
-                             [&](Result<std::string>) {
-                               if (++created == fixture.num_clients()) {
-                                 ready = true;
-                               }
-                             });
-  }
-  WaitFor(fixture, ready, "objects");
+// Even clients read their own 256-byte object, odd clients overwrite theirs.
+Sample RegularRun(CoordFixture& fixture) {
+  MustSetup(fixture, "object", fixture.num_clients(), [&](size_t i, CoordClient::Cb done) {
+    fixture.coord(i)->Create(
+        "/o-" + std::to_string(i), kPayload,
+        [done = std::move(done)](Result<std::string> res) { done(res.status()); });
+  });
 
   Recorder read_latency;
   Recorder write_latency;
@@ -58,45 +41,40 @@ Latencies RunOne(SystemKind system, uint64_t seed) {
                                });
     }
   });
-  Latencies out;
-  out.stats = driver.Run(kWarmup, kMeasure);
-  out.read_ms = read_latency.Mean() / 1e6;
-  out.write_ms = write_latency.Mean() / 1e6;
-  return out;
+  Sample sample = StatsSample(driver.Run(kWarmup, kMeasure));
+  sample.cells = {read_latency.Mean() / 1e6, write_latency.Mean() / 1e6};
+  return sample;
 }
 
 void Main() {
-  BenchTable table({"system", "read_ms", "write_ms"});
-  BenchJson json("ovh_regular");
-  double lat[4][2] = {};
-  int row = 0;
+  Sweep sweep{.name = "ovh_regular",
+              .title = "=== §6.2: regular-operation overhead of extensibility hooks "
+                       "(no extensions registered) ===",
+              .seeds = kSeeds,
+              .seed_base = 6000,
+              .key_columns = {"system"},
+              .columns = {{"read_ms", 4}, {"write_ms", 4}}};
   for (SystemKind system : AllSystems()) {
-    RunAggregate read_ms;
-    RunAggregate write_ms;
-    for (int seed = 0; seed < kSeeds; ++seed) {
-      uint64_t s = 6000 + static_cast<uint64_t>(seed);
-      Latencies l = RunOne(system, s);
-      read_ms.Add(l.read_ms);
-      write_ms.Add(l.write_ms);
-      json.AddRow(system, 20, s, l.stats);
-    }
-    lat[row][0] = read_ms.Mean();
-    lat[row][1] = write_ms.Mean();
-    ++row;
-    table.AddRow({SystemName(system), Fmt(read_ms.Mean(), 4), Fmt(write_ms.Mean(), 4)});
+    FixtureOptions options;
+    options.system = system;
+    options.num_clients = kClients;
+    options.observability = true;
+    sweep.points.push_back(
+        {SystemName(system), kClients, {SystemName(system)}, options, 0, RegularRun});
   }
-  std::printf("=== §6.2: regular-operation overhead of extensibility hooks "
-              "(no extensions registered) ===\n");
-  table.Print();
-  json.Write();
-  auto pct = [](double base, double ext) {
-    return base > 0 ? (ext - base) / base * 100.0 : 0.0;
+  SweepResult result = RunAndReport(sweep);
+  auto pct = [&](SystemKind base, SystemKind ext, size_t column) {
+    double b = result.Means(SystemName(base), kClients)[column];
+    double e = result.Means(SystemName(ext), kClients)[column];
+    return b > 0 ? (e - b) / b * 100.0 : 0.0;
   };
   std::printf("\nshape check (paper: < 0.4%% overhead):\n");
-  std::printf("  EZK vs ZooKeeper: read %+.2f%%, write %+.2f%%\n", pct(lat[0][0], lat[1][0]),
-              pct(lat[0][1], lat[1][1]));
-  std::printf("  EDS vs DepSpace:  read %+.2f%%, write %+.2f%%\n", pct(lat[2][0], lat[3][0]),
-              pct(lat[2][1], lat[3][1]));
+  std::printf("  EZK vs ZooKeeper: read %+.2f%%, write %+.2f%%\n",
+              pct(SystemKind::kZooKeeper, SystemKind::kExtensibleZooKeeper, 0),
+              pct(SystemKind::kZooKeeper, SystemKind::kExtensibleZooKeeper, 1));
+  std::printf("  EDS vs DepSpace:  read %+.2f%%, write %+.2f%%\n",
+              pct(SystemKind::kDepSpace, SystemKind::kExtensibleDepSpace, 0),
+              pct(SystemKind::kDepSpace, SystemKind::kExtensibleDepSpace, 1));
 }
 
 }  // namespace

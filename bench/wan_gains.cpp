@@ -3,7 +3,7 @@
 // expensive, so the extension-based recipes' advantage grows beyond the LAN
 // numbers.
 
-#include "bench/common.h"
+#include "bench/runner.h"
 
 namespace edc {
 namespace {
@@ -12,20 +12,13 @@ constexpr Duration kWarmup = Seconds(1);
 constexpr Duration kMeasure = Seconds(4);
 constexpr size_t kClients = 20;
 
-RunStats CounterRun(SystemKind system, const LinkParams& link, uint64_t seed) {
-  FixtureOptions options;
-  options.system = system;
-  options.num_clients = kClients;
-  options.seed = seed;
-  options.link = link;
-  options.observability = true;
-  CoordFixture fixture(options);
-  fixture.Start();
-  auto counters = SetupRecipe<SharedCounter>(fixture, IsExtensible(system));
-  ClosedLoop driver(&fixture, [&](size_t i, std::function<void()> done) {
-    counters[i]->Increment([done = std::move(done)](Result<int64_t>) { done(); });
-  });
-  return driver.Run(kWarmup, kMeasure);
+Sample CounterRun(CoordFixture& fixture, SystemKind system) {
+  RecipeLoopRun run =
+      RunRecipeLoop(fixture, SetupRecipe<SharedCounter>(fixture, IsExtensible(system)),
+                    kWarmup, kMeasure, CounterIncrement);
+  Sample sample = StatsSample(run.stats);
+  sample.cells = {sample.ops_per_s};
+  return sample;
 }
 
 void Main() {
@@ -33,35 +26,40 @@ void Main() {
   LinkParams wan;
   wan.latency = Millis(20);
   wan.jitter = Millis(2);
-
-  BenchTable table({"network", "system", "counter_ops_per_s"});
-  BenchJson json("wan_gains");
-  double thr[2][2] = {};
   const char* nets[2] = {"LAN(0.1ms)", "WAN(20ms)"};
   LinkParams links[2] = {lan, wan};
   SystemKind systems[2] = {SystemKind::kZooKeeper, SystemKind::kExtensibleZooKeeper};
+
+  Sweep sweep{.name = "wan_gains",
+              .title = "=== §6.3: extension gains on wide-area links (shared counter, " +
+                       std::to_string(kClients) + " clients) ===",
+              .seeds = 1,
+              .seed_base = 7000,
+              .key_columns = {"network", "system"},
+              .columns = {{"counter_ops_per_s", 1}}};
   for (int n = 0; n < 2; ++n) {
-    for (int s = 0; s < 2; ++s) {
-      uint64_t seed = 7000 + static_cast<uint64_t>(n);
-      RunStats stats = CounterRun(systems[s], links[n], seed);
-      thr[n][s] = stats.ThroughputOpsPerSec();
-      table.AddRow({nets[n], SystemName(systems[s]), Fmt(thr[n][s], 1)});
+    for (SystemKind system : systems) {
+      FixtureOptions options;
+      options.system = system;
+      options.num_clients = kClients;
+      options.link = links[n];
+      options.observability = true;
       // Row label carries the network so LAN and WAN rows stay apart.
-      json.AddCustomRow(std::string(nets[n]) + "/" + SystemName(systems[s]), kClients,
-                        seed, thr[n][s],
-                        static_cast<double>(stats.latency.Percentile(0.5)) / 1e6,
-                        static_cast<double>(stats.latency.Percentile(0.99)) / 1e6,
-                        stats.KbPerOp(), &stats.stages);
+      sweep.points.push_back({std::string(nets[n]) + "/" + SystemName(system), kClients,
+                              {nets[n], SystemName(system)}, options,
+                              static_cast<uint64_t>(n),
+                              [system](CoordFixture& f) { return CounterRun(f, system); }});
     }
   }
-  std::printf("=== §6.3: extension gains on wide-area links (shared counter, "
-              "%zu clients) ===\n",
-              kClients);
-  table.Print();
-  json.Write();
+  SweepResult result = RunAndReport(sweep);
+  auto speedup = [&](const char* net) {
+    std::string prefix = std::string(net) + "/";
+    return result.Means(prefix + "EZK", kClients)[0] /
+           result.Means(prefix + "ZooKeeper", kClients)[0];
+  };
   std::printf("\nshape check: EZK/ZooKeeper speedup LAN = %.1fx, WAN = %.1fx "
               "(paper: WAN gain exceeds LAN gain)\n",
-              thr[0][1] / thr[0][0], thr[1][1] / thr[1][0]);
+              speedup(nets[0]), speedup(nets[1]));
 }
 
 }  // namespace

@@ -11,7 +11,9 @@
 # edc-lint golden tests, edc-lint over the example scripts, and clang-tidy
 # when available; last, the benchmark's own unit tests (perfbench/README.md),
 # which build perfbench against the extension-manager and registry API of
-# this checkout. Any failure aborts.
+# this checkout. A spotlight re-runs the deterministic bench gate (label
+# bench): three benches whose stdout must match bench_results/. Any failure
+# aborts.
 #
 # Usage: scripts/check.sh [--lint] [build-dir]   (default build dir: build)
 #   --lint   run only the lint tier (golden tests + edc-lint + clang-tidy)
@@ -129,6 +131,10 @@ ctest --output-on-failure -j "$JOBS" --no-tests=error \
 echo "== spotlight: membership-episode schedule sweep =="
 ctest --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'ReconfigScheduleSweep\.'
+# Every column of fig_catchup, fig10_barrier and wan_gains is simulated time,
+# so their stdout must match the committed bench_results/<name>.txt.
+echo "== spotlight: deterministic bench gate (bench_results/*.txt) =="
+ctest --output-on-failure -j "$JOBS" --no-tests=error -L bench
 echo "== perfbench unit tests =="
 (cd "$ROOT" && python3 perfbench/run.py --test)
 echo "All checks passed."

@@ -1,4 +1,4 @@
-// Closed-loop workload driver and table output for the figure benches.
+// Closed-loop workload driver for the figure benches.
 //
 // Mirrors the paper's methodology (§6): every client continuously re-issues
 // the operation under test (at most one outstanding request per client);
@@ -147,55 +147,6 @@ class ClosedLoop {
   CoordFixture* fixture_;
   OpFn op_;
 };
-
-// Fixed-width table printer for paper-style output.
-class BenchTable {
- public:
-  explicit BenchTable(std::vector<std::string> headers) : headers_(std::move(headers)) {}
-
-  void AddRow(std::vector<std::string> cells) { rows_.push_back(std::move(cells)); }
-
-  void Print() const {
-    std::vector<size_t> widths(headers_.size());
-    for (size_t c = 0; c < headers_.size(); ++c) {
-      widths[c] = headers_[c].size();
-    }
-    for (const auto& row : rows_) {
-      for (size_t c = 0; c < row.size() && c < widths.size(); ++c) {
-        widths[c] = std::max(widths[c], row[c].size());
-      }
-    }
-    PrintRow(headers_, widths);
-    std::string sep;
-    for (size_t c = 0; c < widths.size(); ++c) {
-      sep += std::string(widths[c] + 2, '-');
-    }
-    std::printf("%s\n", sep.c_str());
-    for (const auto& row : rows_) {
-      PrintRow(row, widths);
-    }
-  }
-
- private:
-  static void PrintRow(const std::vector<std::string>& cells,
-                       const std::vector<size_t>& widths) {
-    std::string line;
-    for (size_t c = 0; c < cells.size() && c < widths.size(); ++c) {
-      line += cells[c];
-      line += std::string(widths[c] - cells[c].size() + 2, ' ');
-    }
-    std::printf("%s\n", line.c_str());
-  }
-
-  std::vector<std::string> headers_;
-  std::vector<std::vector<std::string>> rows_;
-};
-
-inline std::string Fmt(double v, int precision = 2) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
-  return buf;
-}
 
 }  // namespace edc
 

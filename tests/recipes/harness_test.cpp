@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "bench/common.h"
+#include "bench/runner.h"
 #include "edc/harness/driver.h"
 #include "edc/harness/fixture.h"
 
@@ -53,6 +53,75 @@ TEST(HarnessTest, ClosedLoopMeasuresOnlyTheWindow) {
   EXPECT_LT(stats.MeanLatencyMs(), 50.0);
   // Latency samples only from inside the window.
   EXPECT_EQ(static_cast<int64_t>(stats.latency.count()), stats.ops);
+}
+
+// The bench runner's seed loop, rows and means must reproduce a hand-written
+// per-seed ClosedLoop loop exactly: every published figure depends on it.
+TEST(HarnessTest, RunnerMatchesHandWrittenSeedLoop) {
+  constexpr Duration kWarmup = Millis(200);
+  constexpr Duration kMeasure = Millis(500);
+  FixtureOptions options;
+  options.system = SystemKind::kZooKeeper;
+  options.num_clients = 2;
+  Sweep sweep{.name = "runner_test",
+              .title = "runner test",
+              .seeds = 2,
+              .seed_base = 1000,
+              .key_columns = {"system"},
+              .columns = {{"kops_per_s", 3, 1000}, {"avg_lat_ms", 4}}};
+  sweep.points.push_back({"ZooKeeper", 2, {"ZooKeeper"}, options, 0, [&](CoordFixture& f) {
+                            RecipeLoopRun run = RunRecipeLoop(
+                                f, SetupRecipe<SharedCounter>(f, false), kWarmup, kMeasure,
+                                CounterIncrement);
+                            Sample sample = StatsSample(run.stats);
+                            sample.cells = {sample.ops_per_s, run.stats.MeanLatencyMs()};
+                            return sample;
+                          }});
+  SweepResult result = RunSweep(sweep);
+
+  // One JSON row per (point, seed).
+  ASSERT_EQ(result.rows.size(), 2u);
+  std::string json = FormatJson(result);
+  size_t json_rows = 0;
+  for (size_t at = json.find("\"seed\""); at != std::string::npos;
+       at = json.find("\"seed\"", at + 1)) {
+    ++json_rows;
+  }
+  EXPECT_EQ(json_rows, 2u);
+
+  // Each row equals a hand-written ClosedLoop run on the same seed.
+  for (int seed = 0; seed < 2; ++seed) {
+    FixtureOptions hand_options = options;
+    hand_options.seed = 1000 + static_cast<uint64_t>(seed);
+    CoordFixture fixture(hand_options);
+    fixture.Start();
+    auto counters = SetupRecipe<SharedCounter>(fixture, false);
+    ClosedLoop driver(&fixture, [&](size_t i, std::function<void()> done) {
+      counters[i]->Increment([done = std::move(done)](Result<int64_t>) { done(); });
+    });
+    RunStats stats = driver.Run(kWarmup, kMeasure);
+    ASSERT_GT(stats.ops, 0);
+    const SweepRow& row = result.rows[static_cast<size_t>(seed)];
+    EXPECT_EQ(row.point, 0u);
+    EXPECT_EQ(row.seed, hand_options.seed);
+    EXPECT_EQ(row.sample.ops_per_s, stats.ThroughputOpsPerSec());
+    EXPECT_EQ(row.sample.p50_ms, static_cast<double>(stats.latency.Percentile(0.5)) / 1e6);
+    EXPECT_EQ(row.sample.p99_ms, static_cast<double>(stats.latency.Percentile(0.99)) / 1e6);
+    EXPECT_EQ(row.sample.kb_per_op, stats.KbPerOp());
+    EXPECT_EQ(row.sample.cells[1], stats.MeanLatencyMs());
+  }
+
+  // The table cell is the mean of the per-seed values, in display units.
+  const Sample& a = result.rows[0].sample;
+  const Sample& b = result.rows[1].sample;
+  ASSERT_EQ(result.means.size(), 1u);
+  EXPECT_EQ(result.means[0][0], (a.cells[0] + b.cells[0]) / 2);
+  EXPECT_EQ(result.means[0][1], (a.cells[1] + b.cells[1]) / 2);
+  std::string table = FormatTable(result);
+  EXPECT_NE(table.find("ZooKeeper  " + Fmt(result.means[0][0] / 1000, 3) + " "),
+            std::string::npos)
+      << table;
+  EXPECT_NE(table.find(" " + Fmt(result.means[0][1], 4) + " "), std::string::npos) << table;
 }
 
 TEST(HarnessTest, ClientBytesMonotonic) {
