@@ -33,38 +33,29 @@ Sample MixedRun(CoordFixture& fixture, SystemKind system, size_t queue_clients) 
 
   Recorder read_latency;
   Recorder write_latency;
+  Recorder queue_iterations;  // count(): iterations completed in the window
   QueueAddRemove queue_op(queue_clients);
-  auto queue_ops = std::make_shared<std::vector<int64_t>>(queue_clients, 0);
-  ClosedLoop driver(&fixture, [&, queue_ops](size_t i, std::function<void()> done) {
+  MeasureWindow window(fixture, kWarmup, kMeasure);
+  ClosedLoop driver(&fixture, [&](size_t i, std::function<void()> done) {
     if (i < queue_clients) {
-      ++(*queue_ops)[i];
-      queue_op(*queues[i], i, std::move(done));
+      queue_op(*queues[i], i, window.Timed(queue_iterations, std::move(done)));
       return;
     }
     size_t r = i - queue_clients;
-    SimTime start = fixture.loop().now();
+    std::string path = "/reg-" + std::to_string(r);
     if (r < kRegularClients / 2) {
-      fixture.coord(i)->Read("/reg-" + std::to_string(r),
-                             [&, start, done = std::move(done)](Result<std::string>) {
-                               read_latency.Record(fixture.loop().now() - start);
-                               done();
-                             });
+      fixture.coord(i)->Read(path, [done = window.Timed(read_latency, std::move(done))](
+                                       Result<std::string>) { done(); });
     } else {
-      fixture.coord(i)->Update("/reg-" + std::to_string(r), kPayload,
-                               [&, start, done = std::move(done)](Status) {
-                                 write_latency.Record(fixture.loop().now() - start);
-                                 done();
-                               });
+      fixture.coord(i)->Update(path, kPayload,
+                               [done = window.Timed(write_latency, std::move(done))](
+                                   Status) { done(); });
     }
   });
   RunStats stats = driver.Run(kWarmup, kMeasure);
 
-  int64_t queue_total = 0;
-  for (int64_t n : *queue_ops) {
-    queue_total += n;
-  }
-  double queue_kops =
-      static_cast<double>(queue_total) * 2.0 / ToSeconds(kWarmup + kMeasure) / 1000.0;
+  double queue_kops = static_cast<double>(queue_iterations.count()) * 2.0 /
+                      ToSeconds(kMeasure) / 1000.0;
   Sample sample;
   sample.ops_per_s = queue_kops * 1000.0;
   sample.p50_ms = write_latency.Mean() / 1e6;

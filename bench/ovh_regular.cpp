@@ -25,20 +25,16 @@ Sample RegularRun(CoordFixture& fixture) {
 
   Recorder read_latency;
   Recorder write_latency;
+  MeasureWindow window(fixture, kWarmup, kMeasure);
   ClosedLoop driver(&fixture, [&](size_t i, std::function<void()> done) {
-    SimTime start = fixture.loop().now();
+    std::string path = "/o-" + std::to_string(i);
     if (i % 2 == 0) {
-      fixture.coord(i)->Read("/o-" + std::to_string(i),
-                             [&, start, done = std::move(done)](Result<std::string>) {
-                               read_latency.Record(fixture.loop().now() - start);
-                               done();
-                             });
+      fixture.coord(i)->Read(path, [done = window.Timed(read_latency, std::move(done))](
+                                       Result<std::string>) { done(); });
     } else {
-      fixture.coord(i)->Update("/o-" + std::to_string(i), kPayload,
-                               [&, start, done = std::move(done)](Status) {
-                                 write_latency.Record(fixture.loop().now() - start);
-                                 done();
-                               });
+      fixture.coord(i)->Update(path, kPayload,
+                               [done = window.Timed(write_latency, std::move(done))](
+                                   Status) { done(); });
     }
   });
   Sample sample = StatsSample(driver.Run(kWarmup, kMeasure));

@@ -183,6 +183,35 @@ RecipeLoopRun RunRecipeLoop(CoordFixture& fixture,
   return run;
 }
 
+// ClosedLoop's measure window, for benches that keep per-class samples: as
+// in RunStats, only ops issued and completed inside the window count.
+// Construct it just before ClosedLoop::Run, with the same warmup and measure.
+class MeasureWindow {
+ public:
+  MeasureWindow(CoordFixture& fixture, Duration warmup, Duration measure)
+      : fixture_(&fixture),
+        start_(fixture.loop().now() + warmup),
+        end_(start_ + measure) {}
+
+  // Wraps the completion of an op issued now: its latency lands in
+  // `recorder` if the op falls inside the window.
+  std::function<void()> Timed(Recorder& recorder, std::function<void()> done) const {
+    SimTime issued = fixture_->loop().now();
+    return [this, &recorder, issued, done = std::move(done)]() {
+      SimTime now = fixture_->loop().now();
+      if (issued >= start_ && now <= end_) {
+        recorder.Record(now - issued);
+      }
+      done();
+    };
+  }
+
+ private:
+  CoordFixture* fixture_;
+  SimTime start_;
+  SimTime end_;
+};
+
 // One run's result: the JSON columns, all in simulated time, and the row's
 // numeric table cells, which the runner averages over the seeds.
 struct Sample {
@@ -223,7 +252,7 @@ struct Point {
   // The runner sets only the seed, and span retention when a trace export
   // is requested.
   FixtureOptions options;
-  uint64_t seed_offset = 0;       // first seed = the sweep's seed_base + this
+  uint64_t seed_offset = 0;  // first seed = the sweep's seed_base + this
   // One seed's run on a started fixture.
   std::function<Sample(CoordFixture&)> run;
 };
