@@ -108,7 +108,6 @@ void Main() {
         options.system = system;
         options.num_clients = 4;
         options.observability = true;
-        // Row label carries the configuration.
         sweep.points.push_back(
             {std::string(SystemName(system)) + "/k" + std::to_string(k) + "/b" +
                  std::to_string(bytes),

@@ -16,7 +16,6 @@ constexpr Duration kWarmup = Seconds(1);
 constexpr Duration kMeasure = Seconds(2);
 constexpr int kSeeds = 2;
 constexpr size_t kClients = 64;
-const std::vector<size_t> kShards{1, 4, 8, 16};
 
 Sample CounterRun(CoordFixture& fixture) {
   RecipeLoopRun run =
@@ -25,13 +24,6 @@ Sample CounterRun(CoordFixture& fixture) {
   Sample sample = StatsSample(run.stats);
   sample.cells = {sample.ops_per_s, run.stats.MeanLatencyMs()};
   return sample;
-}
-
-// Aggregate throughput against the same system's 1-shard point, which leads
-// each system's block of points.
-double VsOneShard(const SweepResult& result, size_t p) {
-  double base = result.means[p - p % kShards.size()][0];
-  return base > 0 ? result.means[p][0] / base : 0;
 }
 
 void Main() {
@@ -45,7 +37,7 @@ void Main() {
                           {"avg_lat_ms"},
                           {.name = "vs_1sh", .derive = VsOneShard}}};
   for (SystemKind system : {SystemKind::kExtensibleZooKeeper, SystemKind::kExtensibleDepSpace}) {
-    for (size_t shards : kShards) {
+    for (size_t shards : ShardSweep()) {
       FixtureOptions options;
       options.system = system;
       options.num_clients = kClients;

@@ -15,7 +15,6 @@ constexpr Duration kWarmup = Seconds(1);
 constexpr Duration kMeasure = Seconds(2);
 constexpr int kSeeds = 2;
 constexpr size_t kClients = 64;
-const std::vector<size_t> kShards{1, 4, 8, 16};
 
 Sample QueueRun(CoordFixture& fixture) {
   RecipeLoopRun run =
@@ -24,13 +23,6 @@ Sample QueueRun(CoordFixture& fixture) {
   Sample sample = QueueSample(run.stats);
   sample.cells = {sample.ops_per_s, sample.kb_per_op};
   return sample;
-}
-
-// Aggregate throughput against the same system's 1-shard point, which leads
-// each system's block of points.
-double VsOneShard(const SweepResult& result, size_t p) {
-  double base = result.means[p - p % kShards.size()][0];
-  return base > 0 ? result.means[p][0] / base : 0;
 }
 
 void Main() {
@@ -44,7 +36,7 @@ void Main() {
                           {"client_kb_per_op"},
                           {.name = "vs_1sh", .derive = VsOneShard}}};
   for (SystemKind system : {SystemKind::kExtensibleZooKeeper, SystemKind::kExtensibleDepSpace}) {
-    for (size_t shards : kShards) {
+    for (size_t shards : ShardSweep()) {
       FixtureOptions options;
       options.system = system;
       options.num_clients = kClients;

@@ -192,6 +192,9 @@ class MeasureWindow {
       : fixture_(&fixture),
         start_(fixture.loop().now() + warmup),
         end_(start_ + measure) {}
+  // Timed() completions hold this window's address.
+  MeasureWindow(const MeasureWindow&) = delete;
+  MeasureWindow& operator=(const MeasureWindow&) = delete;
 
   // Wraps the completion of an op issued now: its latency lands in
   // `recorder` if the op falls inside the window.
@@ -313,6 +316,20 @@ class SweepResult {
   const Sweep* sweep_;
 };
 
+// The sharded benches' sweep (docs/sharding.md): each system's points run
+// 1, 4, 8 and 16 shards, in this order.
+inline const std::vector<size_t>& ShardSweep() {
+  static const std::vector<size_t> kShards{1, 4, 8, 16};
+  return kShards;
+}
+
+// A sharded point's first cell (its aggregate throughput) against that of
+// the 1-shard point leading its system's block.
+inline double VsOneShard(const SweepResult& result, size_t p) {
+  double base = result.means[p - p % ShardSweep().size()][0];
+  return base > 0 ? result.means[p][0] / base : 0;
+}
+
 // True when the user asked for Perfetto trace dumps (EDC_TRACE_DIR set); the
 // runner then turns on span retention, which is otherwise off to bound
 // memory.
@@ -321,12 +338,9 @@ inline bool TraceExportRequested() {
   return dir != nullptr && *dir != '\0';
 }
 
-// When EDC_TRACE_DIR is set, dumps the fixture's retained spans as Chrome
-// trace_event JSON (openable in Perfetto) to $EDC_TRACE_DIR/TRACE_<name>.json.
-inline void MaybeExportTrace(CoordFixture& fixture, std::string name) {
-  if (!TraceExportRequested()) {
-    return;
-  }
+// Dumps the fixture's retained spans as Chrome trace_event JSON (openable in
+// Perfetto) to $EDC_TRACE_DIR/TRACE_<name>.json.
+inline void ExportTrace(CoordFixture& fixture, std::string name) {
   std::replace(name.begin(), name.end(), '/', '_');
   std::string dir = std::getenv("EDC_TRACE_DIR");
   std::error_code ec;
@@ -358,10 +372,9 @@ inline SweepResult RunSweep(const Sweep& sweep) {
                      sweep.name.c_str(), point.label.c_str(), sample.cells.size(), averaged);
         std::exit(1);
       }
-      if (options.observability) {
-        MaybeExportTrace(fixture, sweep.name + "_" + point.label + "_c" +
-                                      std::to_string(point.clients) + "_s" +
-                                      std::to_string(s));
+      if (options.retain_spans) {
+        ExportTrace(fixture, sweep.name + "_" + point.label + "_c" +
+                                 std::to_string(point.clients) + "_s" + std::to_string(s));
       }
       for (size_t c = 0; c < averaged; ++c) {
         cells[c].Add(sample.cells[c]);

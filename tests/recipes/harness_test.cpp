@@ -1,4 +1,4 @@
-// Sanity tests for the benchmark harness itself (fixture + closed loop).
+// Sanity tests for the benchmark harness itself (fixture, closed loop, bench runner).
 
 #include <gtest/gtest.h>
 
