@@ -11,10 +11,12 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
 #include <string>
 
 #include "edc/common/result.h"
 #include "edc/harness/fixture.h"
+#include "edc/harness/invariants.h"
 #include "edc/recipes/recipes.h"
 #include "edc/recipes/scripts.h"
 #include "edc/recipes/two_phase.h"
@@ -292,6 +294,138 @@ TEST(ElisionDigestTest, EdsQueueDigestsPinned) {
 
   EXPECT_EQ(run.packet_digest, kEdsQueuePacketDigest);
   EXPECT_EQ(run.state_hash, kEdsQueueStateHash);
+}
+
+// The EZK counter through every Zab recovery path: a follower that crashes
+// and restarts replays its log and catches up by DIFF; a follower that
+// restarts behind the leader's compacted log floor catches up by SNAP; and
+// a leader cut off from its followers logs a proposal no one else has,
+// crashes, and on restart is cut back by TRUNC to the new leader's log.
+// These digests were recorded while each replica still kept a decoded copy
+// of its log beside the LogStore: reading the history out of the LogStore
+// may not move a packet or an applied transaction.
+struct FailoverSig {
+  uint64_t packet_digest = 0;
+  uint64_t state_hash = 0;
+  int increments_ok = 0;
+  bool leader_changed = false;
+  bool logs_agree = false;
+};
+
+FailoverSig RunEzkFailoverWorkload(uint64_t seed) {
+  FixtureOptions options;
+  options.system = SystemKind::kExtensibleZooKeeper;
+  options.num_clients = 3;
+  options.seed = seed;
+  ClusterFixture fix(options);
+  fix.faults().EnablePacketTrace();
+  fix.Start();
+
+  ZkServer* leader = nullptr;
+  std::vector<NodeId> followers;
+  for (auto& s : fix.zk_servers) {
+    if (s->zab().is_leader()) {
+      leader = s.get();
+    } else {
+      followers.push_back(s->id());
+    }
+  }
+  EXPECT_NE(leader, nullptr);
+  EXPECT_EQ(followers.size(), 2u);
+  if (leader == nullptr || followers.size() != 2) {
+    return {};
+  }
+  NodeId old_leader = leader->id();
+  NodeId lagger = followers.front();
+  // A client whose session lives on the old leader: its write during the
+  // partition reaches that replica's log and no other.
+  size_t leader_client = 0;
+  for (size_t i = 0; i < fix.num_clients(); ++i) {
+    if (fix.zk_client(i)->current_server() == old_leader) {
+      leader_client = i;
+    }
+  }
+
+  FailoverSig sig;
+  EventLoop& loop = fix.loop();
+  SimTime t0 = loop.now();
+  auto at = [&loop, t0](Duration d, std::function<void()> fn) {
+    loop.ScheduleAt(t0 + d, std::move(fn));
+  };
+  std::vector<std::unique_ptr<SharedCounter>> counters;
+  for (size_t i = 0; i < fix.num_clients(); ++i) {
+    counters.push_back(std::make_unique<SharedCounter>(fix.coord(i), /*use_extension=*/true));
+  }
+  auto bump = [&counters, &sig](size_t client) {
+    counters[client]->Increment([&sig](Result<int64_t> r) {
+      if (r.ok()) {
+        ++sig.increments_ok;
+      }
+    });
+  };
+  at(Millis(10), [&counters]() { counters[0]->Setup([](Status) {}); });
+  at(Millis(300), [&counters]() {
+    counters[1]->Attach([](Status) {});
+    counters[2]->Attach([](Status) {});
+  });
+  auto bumps = [&](Duration from, int n) {
+    for (int i = 0; i < n; ++i) {
+      at(from + Millis(60) * i, [&bump, i]() { bump(static_cast<size_t>(i) % 3); });
+    }
+  };
+  bumps(Millis(500), 8);
+  // DIFF: the lagger misses five increments and replays its log on restart.
+  at(Millis(1500), [&fix, lagger]() { fix.faults().Crash(lagger); });
+  bumps(Millis(1600), 5);
+  at(Millis(2300), [&fix, lagger]() { fix.faults().Restart(lagger); });
+  bumps(Millis(2600), 4);
+  // SNAP: the leader compacts past the lagger's last zxid while it is down.
+  at(Millis(3000), [&fix, lagger]() { fix.faults().Crash(lagger); });
+  bumps(Millis(3100), 5);
+  at(Millis(3700), [leader]() { leader->zab().CompactLog(); });
+  at(Millis(4000), [&fix, lagger]() { fix.faults().Restart(lagger); });
+  bumps(Millis(4300), 4);
+  // TRUNC: the partitioned leader logs a write its followers never see,
+  // crashes, and restarts after they elected a leader without it.
+  at(Millis(5000), [&fix, old_leader, followers]() {
+    fix.faults().Partition({old_leader}, followers);
+  });
+  at(Millis(5010), [&bump, leader_client]() { bump(leader_client); });
+  at(Millis(5050), [&fix, old_leader]() { fix.faults().Crash(old_leader); });
+  at(Millis(5600), [&fix]() { fix.faults().Heal(); });
+  at(Millis(5700), [&fix, old_leader]() { fix.faults().Restart(old_leader); });
+  bumps(Millis(6500), 6);
+  fix.Settle(Seconds(12));
+
+  sig.packet_digest = fix.faults().TraceDigest();
+  uint64_t h = 1469598103934665603ull;
+  for (auto& s : fix.zk_servers) {
+    for (const auto& [zxid, txn_hash] : s->applied_log()) {
+      h = Fnv1aMix(h, zxid);
+      h = Fnv1aMix(h, txn_hash);
+    }
+    if (s->zab().is_leader() && s->id() != old_leader) {
+      sig.leader_changed = true;
+    }
+  }
+  sig.state_hash = h;
+  sig.logs_agree = PrefixConsistentLogs(fix.zk_servers);
+  return sig;
+}
+
+constexpr uint64_t kEzkFailoverPacketDigest = 0xd8954340c93c4f06ull;
+constexpr uint64_t kEzkFailoverStateHash = 0xc11c7053c0acad13ull;
+
+TEST(ElisionDigestTest, EzkFailoverDigestsPinned) {
+  FailoverSig run = RunEzkFailoverWorkload(43);
+
+  EXPECT_TRUE(run.leader_changed) << "the partitioned leader must have been replaced";
+  EXPECT_TRUE(run.logs_agree);
+  // 33 increments are issued; those caught in a crash window fail.
+  EXPECT_EQ(run.increments_ok, 28);
+
+  EXPECT_EQ(run.packet_digest, kEzkFailoverPacketDigest);
+  EXPECT_EQ(run.state_hash, kEzkFailoverStateHash);
 }
 
 }  // namespace
