@@ -1,7 +1,7 @@
 // Microbenchmarks of the substrate data structures (real CPU time, via
 // google-benchmark): data-tree operations, tuple matching, one EDS queue
-// handler invocation, the wire codec, the event loop and the network. These
-// are the hot paths under every simulated request.
+// handler invocation, the wire codec, the log store, the event loop and the
+// network. These are the hot paths under every simulated request.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +13,7 @@
 #include "edc/ds/server.h"
 #include "edc/ds/tuple_space.h"
 #include "edc/ext/ds_binding.h"
+#include "edc/logstore/logstore.h"
 #include "edc/recipes/scripts.h"
 #include "edc/sim/event_loop.h"
 #include "edc/sim/network.h"
@@ -239,6 +240,31 @@ void BM_ProposalDecodeView(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_ProposalDecodeView)->Arg(64)->Arg(1024);
+
+// One record appended to the log and run until published: the LogStore
+// copies it into its arena once, then the group-commit timer and the fsync
+// completion run on the simulated clock. Every 4096 records the head is
+// dropped, as log compaction would, so the arena stays bounded;
+// "held_B_per_record" is the arena's bytes per record just before a drop.
+void BM_LogStoreAppendPublish(benchmark::State& state) {
+  EventLoop loop;
+  LogStore log(&loop, LogStoreConfig{});
+  std::vector<uint8_t> record(static_cast<size_t>(state.range(0)), 0xab);
+  constexpr size_t kKeep = 4096;
+  double held_per_record = 0;
+  for (auto _ : state) {
+    log.Append(record, nullptr);
+    loop.Run();
+    if (log.durable_size() == kKeep) {
+      held_per_record = static_cast<double>(log.bytes_held()) / kKeep;
+      log.DropHead(kKeep);
+    }
+  }
+  benchmark::DoNotOptimize(log.durable_size());
+  state.counters["held_B_per_record"] = held_per_record;
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_LogStoreAppendPublish)->Arg(64)->Arg(1024);
 
 // The DsClient retry-timer pattern: arm a 1 s timer per request and cancel it
 // when the reply arrives, with range(0) other timers queued. Cancelled keys

@@ -119,6 +119,15 @@ ctest --output-on-failure -j "$JOBS" --no-tests=error \
 echo "== spotlight: EDS queue digest, recorded before the tuple-space index =="
 ctest --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'ElisionDigestTest\.EdsQueueDigestsPinned'
+# The Zab log lives only in the LogStore: the EZK failover digests (replay,
+# DIFF, SNAP, TRUNC) recorded while ZabNode still kept its own copy, and the
+# LogStore ownership rules (spans, cuts with batches in flight, blocks).
+echo "== spotlight: EZK failover digest, recorded before the single-copy log =="
+ctest --output-on-failure -j "$JOBS" --no-tests=error \
+  -R 'ElisionDigestTest\.EzkFailoverDigestsPinned'
+echo "== spotlight: LogStore ownership rules and TRUNC with appends in flight =="
+ctest --output-on-failure -j "$JOBS" --no-tests=error \
+  -R 'LogStoreOwnershipTest\.|PipelineZabTrunc\.'
 echo "== spotlight: indexed tuple space vs linear-scan oracle =="
 ctest --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'TupleSpaceDiffTest\.'

@@ -1,6 +1,7 @@
 #include "edc/logstore/logstore.h"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
 #include "edc/common/hash.h"
@@ -66,8 +67,42 @@ void LogStore::SetObs(Obs* obs, uint32_t track) {
   }
 }
 
-void LogStore::Append(std::vector<uint8_t> record, DurableCallback on_durable) {
-  Pending p{std::move(record), std::move(on_durable), TraceContext{}, 0};
+std::span<const uint8_t> LogStore::record(size_t i) const {
+  uint64_t prev = index_[i];
+  uint64_t cur = index_[i + 1];
+  size_t begin = BlockOf(prev) == BlockOf(cur) ? EndOf(prev) : 0;
+  const Block& block = blocks_[BlockOf(cur) - first_block_];
+  return {block.bytes.get() + begin, EndOf(cur) - begin};
+}
+
+void LogStore::Place(std::span<const uint8_t> record) {
+  // The tail block is the one the last indexed record ends in (or, with no
+  // records, the one the last dropped record ended in, if still held).
+  size_t fill = blocks_.empty() ? 0 : EndOf(index_.back());
+  if (blocks_.empty() || blocks_.back().capacity - fill < record.size()) {
+    size_t capacity = std::max(kBlockBytes, record.size());
+    blocks_.push_back(Block{std::unique_ptr<uint8_t[]>(new uint8_t[capacity]), capacity});
+    bytes_held_ += capacity;
+    fill = 0;
+  }
+  if (!record.empty()) {
+    std::memcpy(blocks_.back().bytes.get() + fill, record.data(), record.size());
+  }
+  uint64_t block = first_block_ + blocks_.size() - 1;
+  index_.push_back(block << 32 | (fill + record.size()));
+}
+
+void LogStore::TrimTailBlocks() {
+  while (!blocks_.empty() && first_block_ + blocks_.size() - 1 > BlockOf(index_.back())) {
+    bytes_held_ -= blocks_.back().capacity;
+    blocks_.pop_back();
+  }
+}
+
+void LogStore::Append(std::span<const uint8_t> record, DurableCallback on_durable) {
+  Place(record);
+  pending_bytes_ += record.size();
+  Pending p{std::move(on_durable), TraceContext{}, 0};
   if (obs_ != nullptr) {
     p.ctx = obs_->tracer.current();
     p.at = loop_->now();
@@ -103,10 +138,8 @@ void LogStore::Flush() {
     return;
   }
   size_t batch_records = pending_.size();
-  size_t batch_bytes = 0;
-  for (const Pending& p : pending_) {
-    batch_bytes += p.record.size();
-  }
+  size_t batch_bytes = pending_bytes_;
+  pending_bytes_ = 0;
   Duration write_time = static_cast<Duration>(static_cast<double>(batch_bytes) * 8.0 /
                                               config_.disk_bandwidth_bps * 1e9);
   // Submit to the pipeline channel that frees up first (lowest index on
@@ -165,9 +198,9 @@ void LogStore::PublishDurablePrefix() {
     Batch batch = std::move(inflight_.front());
     inflight_.pop_front();
     published = true;
-    for (Pending& p : batch.entries) {
-      records_.push_back(std::move(p.record));
-    }
+    size_t skipped = std::min(batch.entries.size(), dropped_unpublished_);
+    dropped_unpublished_ -= skipped;
+    durable_ += batch.entries.size() - skipped;
     for (Pending& p : batch.entries) {
       // Each append waited append-to-submission on the group-commit window
       // and submission-to-publication on the (pipelined) fsync: record both
@@ -202,22 +235,58 @@ void LogStore::PublishDurablePrefix() {
 }
 
 void LogStore::Truncate(size_t first_removed) {
-  if (first_removed < records_.size()) {
-    records_.resize(first_removed);
+  if (first_removed >= appended_size()) {
+    return;
   }
+  // Cut from the tail: the accumulating batch first, then submitted batches
+  // newest first, then the durable records. A submitted batch keeps its
+  // fsync slot (the device write was issued), just without the cut records.
+  size_t unpublished = std::min(appended_size() - first_removed, appended_size() - durable_);
+  size_t n = std::min(unpublished, pending_.size());
+  for (size_t i = appended_size() - n; i < appended_size(); ++i) {
+    pending_bytes_ -= record(i).size();
+  }
+  pending_.erase(pending_.end() - static_cast<ptrdiff_t>(n), pending_.end());
+  unpublished -= n;
+  for (auto it = inflight_.rbegin(); unpublished > 0 && it != inflight_.rend(); ++it) {
+    n = std::min(unpublished, it->entries.size());
+    it->entries.erase(it->entries.end() - static_cast<ptrdiff_t>(n), it->entries.end());
+    unpublished -= n;
+  }
+  durable_ = std::min(durable_, first_removed);
+  index_.resize(first_removed + 1);
+  TrimTailBlocks();
 }
 
 void LogStore::DropHead(size_t count) {
-  if (count >= records_.size()) {
-    records_.clear();
+  count = std::min(count, appended_size());
+  if (count == 0) {
+    return;
+  }
+  if (count > durable_) {
+    dropped_unpublished_ += count - durable_;
+    durable_ = 0;
   } else {
-    records_.erase(records_.begin(), records_.begin() + static_cast<ptrdiff_t>(count));
+    durable_ -= count;
+  }
+  index_.erase(index_.begin(), index_.begin() + static_cast<ptrdiff_t>(count));
+  // Free every block before the one the first kept record lives in (with no
+  // records left, keep the tail block for later appends).
+  uint64_t keep_from = BlockOf(index_[index_.size() > 1 ? 1 : 0]);
+  while (!blocks_.empty() && first_block_ < keep_from) {
+    bytes_held_ -= blocks_.front().capacity;
+    blocks_.pop_front();
+    ++first_block_;
   }
 }
 
 void LogStore::DropUnsynced() {
   pending_.clear();
+  pending_bytes_ = 0;
   inflight_.clear();
+  dropped_unpublished_ = 0;
+  index_.resize(durable_ + 1);
+  TrimTailBlocks();
   flush_scheduled_ = false;
   window_ = InitialWindow(config_);
   ++flush_epoch_;
@@ -228,16 +297,17 @@ void LogStore::DropUnsynced() {
 
 std::vector<uint8_t> LogStore::SerializeImage() const {
   std::vector<uint8_t> image;
-  for (const std::vector<uint8_t>& record : records_) {
-    PutU32(&image, static_cast<uint32_t>(record.size()));
-    PutU64(&image, Fnv1a64(record));
-    image.insert(image.end(), record.begin(), record.end());
+  for (size_t i = 0; i < durable_; ++i) {
+    std::span<const uint8_t> rec = record(i);
+    PutU32(&image, static_cast<uint32_t>(rec.size()));
+    PutU64(&image, Fnv1a64(rec.data(), rec.size()));
+    image.insert(image.end(), rec.begin(), rec.end());
   }
   return image;
 }
 
 Result<size_t> LogStore::RestoreImage(const std::vector<uint8_t>& image) {
-  std::vector<std::vector<uint8_t>> restored;
+  std::vector<std::span<const uint8_t>> restored;
   size_t pos = 0;
   while (pos < image.size()) {
     if (image.size() - pos < kRecordHeaderBytes) {
@@ -248,20 +318,22 @@ Result<size_t> LogStore::RestoreImage(const std::vector<uint8_t>& image) {
     if (image.size() - pos - kRecordHeaderBytes < length) {
       break;  // torn payload: keep the clean prefix
     }
-    std::vector<uint8_t> record(image.begin() + static_cast<ptrdiff_t>(pos + kRecordHeaderBytes),
-                                image.begin() +
-                                    static_cast<ptrdiff_t>(pos + kRecordHeaderBytes + length));
-    if (Fnv1a64(record) != checksum) {
+    std::span<const uint8_t> rec(image.data() + pos + kRecordHeaderBytes, length);
+    if (Fnv1a64(rec.data(), rec.size()) != checksum) {
       // A complete record whose bytes don't match its checksum is corruption,
       // not a crash mid-write; refuse the image rather than silently dropping
       // interior history.
       return Status(ErrorCode::kDecodeError, "log record checksum mismatch");
     }
-    restored.push_back(std::move(record));
+    restored.push_back(rec);
     pos += kRecordHeaderBytes + length;
   }
-  records_ = std::move(restored);
-  return records_.size();
+  Truncate(0);
+  for (std::span<const uint8_t> rec : restored) {
+    Place(rec);
+  }
+  durable_ = restored.size();
+  return restored.size();
 }
 
 }  // namespace edc

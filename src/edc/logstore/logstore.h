@@ -8,12 +8,13 @@
 // concurrent fsync channels: while one batch's fsync is in flight the next
 // batch accumulates and is submitted without waiting, so the log is no
 // longer limited to one batch per fsync. Batches may complete out of order
-// across channels, but records_, durability callbacks and spans are always
-// published strictly in submission order (see docs/replication_pipeline.md
-// for the ordering invariants). The group-commit window itself adapts to
-// load when `adaptive_window` is set: it doubles when batches fill up and
-// halves when they run near-empty, deterministically, so two runs of the
-// same schedule see the same window trajectory.
+// across channels, but the durable watermark, durability callbacks and spans
+// are always published strictly in submission order (see
+// docs/replication_pipeline.md for the ordering invariants). The
+// group-commit window itself adapts to load when `adaptive_window` is set:
+// it doubles when batches fill up and halves when they run near-empty,
+// deterministically, so two runs of the same schedule see the same window
+// trajectory.
 //
 // The log's contents survive simulated crashes (the in-memory image models
 // the on-disk file), which is what lets a recovering replica replay its
@@ -22,6 +23,11 @@
 // completed at the device but that are still waiting behind an earlier
 // in-flight batch — so recovery always truncates to the published durable
 // prefix.
+//
+// The store holds the only copy of each record, durable or in flight: Append
+// copies the bytes once into an append-only arena of fixed-size blocks that
+// never move, and record(i) returns a view into it. A view stays valid until
+// a Truncate, DropHead or DropUnsynced removes that record.
 
 #ifndef EDC_LOGSTORE_LOGSTORE_H_
 #define EDC_LOGSTORE_LOGSTORE_H_
@@ -29,6 +35,8 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "edc/common/result.h"
@@ -83,9 +91,14 @@ class LogStore {
   LogStore(const LogStore&) = delete;
   LogStore& operator=(const LogStore&) = delete;
 
-  // Appends a record; `on_durable` fires once the record's batch is durable
-  // AND every earlier batch has been published (record-order semantics).
-  void Append(std::vector<uint8_t> record, DurableCallback on_durable);
+  // Arena block size. A record never straddles two blocks; a record larger
+  // than a block gets a block of its own.
+  static constexpr size_t kBlockBytes = 64 * 1024;
+
+  // Appends a copy of `record` as record appended_size(); `on_durable` fires
+  // once the record's batch is durable AND every earlier batch has been
+  // published (record-order semantics).
+  void Append(std::span<const uint8_t> record, DurableCallback on_durable);
 
   // Fires once after every publication run that completed at least one batch
   // (i.e. once per group of in-order durable callbacks), after those
@@ -93,22 +106,31 @@ class LogStore {
   // batch instead of one per record.
   void SetBatchDurableCallback(std::function<void()> cb) { batch_cb_ = std::move(cb); }
 
-  // Durable records, in append order. Records that have been appended but not
-  // yet synced-and-published are NOT visible here (a crash would lose them).
-  const std::vector<std::vector<uint8_t>>& records() const { return records_; }
+  // Records [0, durable_size()) are published: a crash keeps them. Records
+  // [durable_size(), appended_size()) are in flight: a crash loses them.
+  size_t durable_size() const { return durable_; }
+  size_t appended_size() const { return index_.size() - 1; }
+  // Record i < appended_size(), in append order.
+  std::span<const uint8_t> record(size_t i) const;
+  // Bytes of arena blocks currently allocated.
+  size_t bytes_held() const { return bytes_held_; }
 
-  // Drops durable records with index >= first_removed (log truncation after
-  // snapshot or divergence repair).
+  // Drops every record with index >= first_removed (log truncation after
+  // snapshot or divergence repair), in-flight ones included: their
+  // durability callbacks never run. Their batches keep their fsync slots.
   void Truncate(size_t first_removed);
 
-  // Drops the first `count` durable records (checkpoint + log rotation).
+  // Drops the first `count` records (checkpoint + log rotation) and frees
+  // the arena blocks no remaining record uses. In-flight records dropped
+  // this way are still written (their bytes count toward their batch's
+  // fsync) and still run their durability callbacks when it publishes.
   void DropHead(size_t count);
 
   // Drops in-flight appends, modeling a crash before fsync: the accumulating
   // batch and every submitted-but-unpublished batch are lost, even if their
   // device-level fsync had already completed — only the published prefix
-  // (records()) survives. The adaptive window resets to its initial value,
-  // as a restarted process would rebuild it from scratch.
+  // (durable_size()) survives. The adaptive window resets to its initial
+  // value, as a restarted process would rebuild it from scratch.
   void DropUnsynced();
 
   // On-disk image of the durable records: each record framed as u32 length +
@@ -116,19 +138,19 @@ class LogStore {
   // order. This is the file a crash may tear mid-write.
   std::vector<uint8_t> SerializeImage() const;
 
-  // Replaces the durable records with the contents of `image`. A truncated
-  // trailing record (torn write — the image simply ends early) is discarded
-  // and the clean prefix is restored; a record whose checksum does not match
-  // its payload (corruption, not truncation) rejects the whole image with
-  // kDecodeError and leaves the store unchanged. Returns the number of
-  // records restored.
+  // Replaces every record (in-flight ones are cut as by Truncate(0)) with the
+  // durable records in `image`. A truncated trailing record (torn write —
+  // the image simply ends early) is discarded and the clean prefix is
+  // restored; a record whose checksum does not match its payload
+  // (corruption, not truncation) rejects the whole image with kDecodeError
+  // and leaves the store unchanged. Returns the number of records restored.
   Result<size_t> RestoreImage(const std::vector<uint8_t>& image);
 
   // Durable snapshot section (models the fsynced snapshot file that sits next
   // to the log): a single opaque state image covering every transaction up to
   // and including `zxid`. Written atomically (rename-into-place semantics),
   // so it survives DropUnsynced; the caller is responsible for only storing a
-  // snapshot after a successful install/serialize. Records() then holds only
+  // snapshot after a successful install/serialize. The records then hold only
   // the log suffix after `zxid` — snapshot_zxid() is the log floor a recovery
   // or a state-transfer donor must respect.
   void StoreSnapshot(uint64_t zxid, std::vector<uint8_t> image) {
@@ -161,8 +183,9 @@ class LogStore {
   void SetObs(Obs* obs, uint32_t track);
 
  private:
+  // An appended record's bookkeeping until it publishes; its bytes are in
+  // the arena.
   struct Pending {
-    std::vector<uint8_t> record;
     DurableCallback cb;
     TraceContext ctx;   // appender's context (inactive when obs is off)
     SimTime at = 0;     // append time, for the group-commit wait span
@@ -175,7 +198,20 @@ class LogStore {
     bool durable = false;  // device fsync done; publication may still wait
   };
 
+  struct Block {
+    std::unique_ptr<uint8_t[]> bytes;
+    size_t capacity = 0;
+  };
+
   static Duration InitialWindow(const LogStoreConfig& config);
+
+  // Index entries pack (block sequence number << 32 | end offset in block).
+  static uint64_t BlockOf(uint64_t entry) { return entry >> 32; }
+  static size_t EndOf(uint64_t entry) { return static_cast<uint32_t>(entry); }
+  // Copies `record` into the arena and indexes it.
+  void Place(std::span<const uint8_t> record);
+  // Frees trailing blocks no indexed record uses (after a cut).
+  void TrimTailBlocks();
 
   void Flush();
   void AdaptWindow(size_t batch_records);
@@ -183,8 +219,21 @@ class LogStore {
 
   EventLoop* loop_;
   LogStoreConfig config_;
-  std::vector<std::vector<uint8_t>> records_;
+  // Arena: blocks_[k] has sequence number first_block_ + k. index_[i + 1]
+  // locates record i: it ends at EndOf() in block BlockOf(), and starts
+  // where record i - 1 ends if both share a block, else at offset 0.
+  // index_[0] is the end of the last record dropped from the head.
+  std::deque<Block> blocks_;
+  uint64_t first_block_ = 0;
+  std::vector<uint64_t> index_{0};
+  size_t bytes_held_ = 0;
+  size_t durable_ = 0;  // published records at the front of index_
+  // Unpublished records DropHead already removed from the index: the
+  // oldest ones, submitted batches first, then the accumulating one. Their
+  // publication moves no watermark.
+  size_t dropped_unpublished_ = 0;
   std::vector<Pending> pending_;
+  size_t pending_bytes_ = 0;  // record bytes of pending_, dropped ones included
   std::deque<Batch> inflight_;          // submission order; front = oldest
   std::vector<SimTime> channel_free_at_;  // per-channel device availability
   Duration window_;                     // live adaptive window

@@ -15,8 +15,23 @@ std::vector<uint8_t> EncodeZabMembership(const ZabMembership& m) {
   return enc.Release();
 }
 
-Result<ZabMembership> DecodeZabMembership(const std::vector<uint8_t>& buf) {
-  Decoder dec(buf);
+Result<ZabRecordView> DecodeZabRecordView(std::span<const uint8_t> record) {
+  Decoder dec(record.data(), record.size());
+  ZabRecordView v;
+  auto zxid = dec.GetU64();
+  auto flags = dec.GetU8();
+  auto n = dec.GetVarint();
+  if (!zxid.ok() || !flags.ok() || !n.ok() || dec.remaining() != *n) {
+    return Status(ErrorCode::kDecodeError, "malformed log record");
+  }
+  v.zxid = *zxid;
+  v.flags = *flags;
+  v.txn = record.subspan(record.size() - dec.remaining());
+  return v;
+}
+
+Result<ZabMembership> DecodeZabMembership(std::span<const uint8_t> buf) {
+  Decoder dec(buf.data(), buf.size());
   ZabMembership m;
   auto nv = dec.GetVarint();
   if (!nv.ok()) {
@@ -141,11 +156,12 @@ Result<FollowerInfo> DecodeFollowerInfo(const std::vector<uint8_t>& buf) {
 std::vector<uint8_t> EncodeDiffMsg(const DiffMsg& m) {
   Encoder enc;
   enc.PutU64(m.committed_zxid);
-  enc.PutVarint(m.proposals.size());
-  for (const ZabProposal& p : m.proposals) {
-    p.Encode(enc);
+  enc.PutVarint(m.records.size());
+  std::vector<uint8_t> out = enc.Release();
+  for (std::span<const uint8_t> record : m.records) {
+    out.insert(out.end(), record.begin(), record.end());
   }
-  return enc.Release();
+  return out;
 }
 
 Result<DiffMsg> DecodeDiffMsg(const std::vector<uint8_t>& buf) {
@@ -160,12 +176,19 @@ Result<DiffMsg> DecodeDiffMsg(const std::vector<uint8_t>& buf) {
   if (!n.ok()) {
     return n.status();
   }
+  size_t pos = buf.size() - dec.remaining();
   for (uint64_t i = 0; i < *n; ++i) {
-    auto p = ZabProposal::Decode(dec);
-    if (!p.ok()) {
-      return p.status();
+    // A record is u64 zxid + u8 flags + varint length + txn.
+    Decoder rec(buf.data() + pos, buf.size() - pos);
+    auto zxid = rec.GetU64();
+    auto flags = rec.GetU8();
+    auto len = rec.GetVarint();
+    if (!zxid.ok() || !flags.ok() || !len.ok() || rec.remaining() < *len) {
+      return Status(ErrorCode::kDecodeError, "truncated buffer");
     }
-    m.proposals.push_back(std::move(*p));
+    size_t size = buf.size() - pos - rec.remaining() + *len;
+    m.records.emplace_back(buf.data() + pos, size);
+    pos += size;
   }
   return m;
 }

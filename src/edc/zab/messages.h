@@ -6,6 +6,7 @@
 #define EDC_ZAB_MESSAGES_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "edc/common/codec.h"
@@ -83,6 +84,19 @@ struct ZabProposal {
   }
 };
 
+// A log record viewed in place. Every Zab log record is a proposal frame as
+// ZabProposal::Encode writes it (u64 zxid, u8 flags, varint txn length,
+// txn); the view borrows the record's bytes.
+struct ZabRecordView {
+  uint64_t zxid = 0;
+  uint8_t flags = 0;
+  std::span<const uint8_t> txn;
+
+  bool is_reconfig() const { return (flags & kReconfigFlag) != 0; }
+};
+
+Result<ZabRecordView> DecodeZabRecordView(std::span<const uint8_t> record);
+
 // An ensemble membership: the voter set (quorums are majorities of it) plus
 // the observer set (receive the proposal/commit stream, never vote, never
 // count toward acks, never lead). Reconfiguration replicates the *full* next
@@ -111,7 +125,7 @@ struct ZabMembership {
 };
 
 std::vector<uint8_t> EncodeZabMembership(const ZabMembership& m);
-Result<ZabMembership> DecodeZabMembership(const std::vector<uint8_t>& buf);
+Result<ZabMembership> DecodeZabMembership(std::span<const uint8_t> buf);
 
 // Snapshot wire/durable wrapper: the service-layer state image plus the
 // membership in force at the snapshot frontier, so a joiner installing a
@@ -147,10 +161,12 @@ struct FollowerInfo {
 };
 
 // kDiff payload: proposals after the follower's last zxid, plus the commit
-// frontier so the follower can deliver immediately.
+// frontier so the follower can deliver immediately. Each proposal travels as
+// its log record verbatim, so the spans borrow the sender's log when
+// encoding and the packet buffer when decoded.
 struct DiffMsg {
   uint64_t committed_zxid = 0;
-  std::vector<ZabProposal> proposals;
+  std::vector<std::span<const uint8_t>> records;
 };
 
 // kSnap payload.
@@ -206,6 +222,7 @@ Result<LeaderInfo> DecodeLeaderInfo(const std::vector<uint8_t>& buf);
 std::vector<uint8_t> EncodeFollowerInfo(const FollowerInfo& m);
 Result<FollowerInfo> DecodeFollowerInfo(const std::vector<uint8_t>& buf);
 std::vector<uint8_t> EncodeDiffMsg(const DiffMsg& m);
+// Validates every record frame; the result borrows `buf`.
 Result<DiffMsg> DecodeDiffMsg(const std::vector<uint8_t>& buf);
 std::vector<uint8_t> EncodeSnapMsg(const SnapMsg& m);
 Result<SnapMsg> DecodeSnapMsg(const std::vector<uint8_t>& buf);

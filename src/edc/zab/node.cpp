@@ -41,7 +41,15 @@ ZabMembership ZabNode::BootMembership() const {
 }
 
 uint64_t ZabNode::last_logged() const {
-  return history_.empty() ? base_zxid_ : history_.back().zxid;
+  return log_size() == 0 ? base_zxid_ : Entry(log_size() - 1).zxid;
+}
+
+ZabRecordView ZabNode::Entry(size_t i) const {
+  // Only this node writes its log, and Start() cut any record that does not
+  // decode, so every entry decodes.
+  auto view = DecodeZabRecordView(log_->record(i));
+  assert(view.ok());
+  return *view;
 }
 
 SimTime ZabNode::PeerLastSeen(NodeId peer) const {
@@ -97,7 +105,6 @@ void ZabNode::ArmTimer(TimerId* slot, Duration delay, std::function<void()> fn) 
 
 void ZabNode::Start() {
   ++generation_;
-  history_.clear();
   membership_ = BootMembership();
   base_zxid_ = 0;
   committed_zxid_ = 0;
@@ -120,24 +127,25 @@ void ZabNode::Start() {
       log_->Truncate(0);
     }
   }
-  for (const auto& record : log_->records()) {
-    Decoder dec(record);
-    auto p = ZabProposal::Decode(dec);
-    if (p.ok()) {
-      // Latest-config rule: the newest reconfig entry in the durable log
-      // governs (commit status is unknowable at boot; see membership_ docs).
-      if (p->is_reconfig()) {
-        auto m = DecodeZabMembership(p->txn);
-        if (m.ok()) {
-          m->version = p->zxid;
-          membership_ = std::move(*m);
-        }
+  for (size_t i = 0; i < log_size(); ++i) {
+    auto p = DecodeZabRecordView(log_->record(i));
+    if (!p.ok()) {
+      // A record that does not decode ends the history this log can replay.
+      log_->Truncate(i);
+      break;
+    }
+    // Latest-config rule: the newest reconfig entry in the durable log
+    // governs (commit status is unknowable at boot; see membership_ docs).
+    if (p->is_reconfig()) {
+      auto m = DecodeZabMembership(p->txn);
+      if (m.ok()) {
+        m->version = p->zxid;
+        membership_ = std::move(*m);
       }
-      history_.push_back(std::move(*p));
     }
   }
   ResetAdmission();
-  current_epoch_ = history_.empty() ? ZxidEpoch(base_zxid_) : ZxidEpoch(history_.back().zxid);
+  current_epoch_ = ZxidEpoch(last_logged());
   delivered_count_ = 0;
   synced_ = false;
   broadcast_active_ = false;
@@ -347,25 +355,24 @@ void ZabNode::OnFollowerInfo(NodeId from, const FollowerInfo& info) {
     snap.epoch = current_epoch_;
     snap.snapshot = EncodeZabSnapshot({membership_, callbacks_->TakeSnapshot()});
     SendTo(from, ZabMsgType::kSnap, EncodeSnapMsg(snap));
-    DiffMsg tail;
-    tail.committed_zxid = committed_zxid_;
-    for (const ZabProposal& p : history_) {
-      if (p.zxid > committed_zxid_) {
-        tail.proposals.push_back(p);
-      }
-    }
-    SendTo(from, ZabMsgType::kDiff, EncodeDiffMsg(tail));
+    SendTo(from, ZabMsgType::kDiff, EncodeDiffMsg(DiffAfter(committed_zxid_)));
   } else {
-    DiffMsg diff;
-    diff.committed_zxid = committed_zxid_;
-    for (const ZabProposal& p : history_) {
-      if (p.zxid > info.last_zxid) {
-        diff.proposals.push_back(p);
-      }
-    }
-    SendTo(from, ZabMsgType::kDiff, EncodeDiffMsg(diff));
+    SendTo(from, ZabMsgType::kDiff, EncodeDiffMsg(DiffAfter(info.last_zxid)));
   }
   SendTo(from, ZabMsgType::kNewLeader, EncodeEpochMsg({current_epoch_, committed_zxid_}));
+}
+
+DiffMsg ZabNode::DiffAfter(uint64_t after_zxid) const {
+  DiffMsg diff;
+  diff.committed_zxid = committed_zxid_;
+  size_t first = log_size();
+  while (first > 0 && Entry(first - 1).zxid > after_zxid) {
+    --first;
+  }
+  for (size_t i = first; i < log_size(); ++i) {
+    diff.records.push_back(log_->record(i));
+  }
+  return diff;
 }
 
 void ZabNode::OnAckNewLeader(NodeId from, const FollowerInfo& info) {
@@ -413,8 +420,8 @@ Status ZabNode::ProposeReconfig(ZabMembership next) {
 }
 
 bool ZabNode::HasPendingReconfig() const {
-  for (size_t i = delivered_count_; i < history_.size(); ++i) {
-    if (history_[i].is_reconfig()) {
+  for (size_t i = delivered_count_; i < log_size(); ++i) {
+    if (Entry(i).is_reconfig()) {
       return true;
     }
   }
@@ -474,32 +481,31 @@ bool ZabNode::BroadcastInternal(std::vector<uint8_t> txn, uint8_t flags) {
   if (role_ != Role::kLeading || !broadcast_active_) {
     return false;
   }
-  ZabProposal proposal;
-  proposal.zxid = MakeZxid(current_epoch_, ++counter_);
-  proposal.flags = flags;
-  proposal.txn = std::move(txn);
+  ProposeMsg msg;
+  msg.epoch = current_epoch_;
+  msg.proposal.zxid = MakeZxid(current_epoch_, ++counter_);
+  msg.proposal.flags = flags;
+  msg.proposal.txn = std::move(txn);
+  uint64_t zxid = msg.proposal.zxid;
   if (obs_ != nullptr) {
     m_proposals_->Increment();
     const TraceContext& ctx = obs_->tracer.current();
     if (ctx.active()) {
-      proposal_trace_[proposal.zxid] = ProposalTrace{ctx, loop_->now()};
+      proposal_trace_[zxid] = ProposalTrace{ctx, loop_->now()};
     }
   }
   // Single-pass arena encode: the kPropose frame is built once in the reused
-  // arena; the wire payload is the whole frame and the durable log record is
-  // its proposal suffix (epoch header stripped), so the txn bytes are
-  // serialized exactly once instead of once per consumer.
+  // arena; the wire payload is the whole frame and the log record is its
+  // proposal suffix (epoch header stripped), which the LogStore copies into
+  // its own arena: the txn bytes are serialized once and stored once.
   arena_.Clear();
-  EncodeProposeMsgInto({current_epoch_, proposal}, arena_);
-  const std::vector<uint8_t>& frame = arena_.buffer();
-  std::vector<uint8_t> record(frame.begin() + kProposeHeaderBytes, frame.end());
-  uint64_t zxid = proposal.zxid;
-  history_.push_back(std::move(proposal));
-  BroadcastMsg(ZabMsgType::kPropose, frame);
+  EncodeProposeMsgInto(msg, arena_);
+  std::span<const uint8_t> frame = arena_.buffer();
+  BroadcastMsg(ZabMsgType::kPropose, arena_.buffer());
   // The proposal streams out immediately — durability of earlier proposals
   // is NOT awaited; the LogStore pipelines this append behind any fsync
   // still in flight, and the self-ack below lands whenever its batch does.
-  AppendRecordDurable(zxid, std::move(record), [this, zxid]() {
+  AppendRecordDurable(zxid, frame.subspan(kProposeHeaderBytes), [this, zxid]() {
     RecordAck(config_.self, zxid);
     TryCommit();
   });
@@ -535,8 +541,9 @@ void ZabNode::TryCommit() {
   // undelivered zxid while a quorum's windows cover it. Acks may arrive out
   // of order across pipelined batches, but the scan is strictly in history
   // order, so a gap can never commit before everything preceding it.
-  while (delivered_count_ < history_.size()) {
-    uint64_t zxid = history_[delivered_count_].zxid;
+  while (delivered_count_ < log_size()) {
+    ZabRecordView entry = Entry(delivered_count_);
+    uint64_t zxid = entry.zxid;
     // Only voters' windows count — and because a reconfig entry swaps
     // membership_ the moment it commits (below), entries behind it in the
     // same scan are already judged against the *new* quorum, exactly the
@@ -551,7 +558,7 @@ void ZabNode::TryCommit() {
       break;
     }
     committed_zxid_ = zxid;
-    bool reconfig = history_[delivered_count_].is_reconfig();
+    bool reconfig = entry.is_reconfig();
     // Deliver + COMMIT fanout run under the proposing operation's context so
     // the reply path (and follower commit work) stays attributed to it.
     TraceContext prev;
@@ -569,7 +576,7 @@ void ZabNode::TryCommit() {
       }
     }
     if (!reconfig) {
-      callbacks_->OnDeliver(zxid, history_[delivered_count_].txn);
+      callbacks_->OnDeliver(zxid, entry.txn);
     }
     ++delivered_count_;
     // The COMMIT fans out to the *old* membership on purpose: a node the
@@ -579,7 +586,7 @@ void ZabNode::TryCommit() {
     if (restored) {
       obs_->tracer.SetCurrent(prev);
     }
-    if (reconfig && !ActivateMembership(zxid, history_[delivered_count_ - 1].txn)) {
+    if (reconfig && !ActivateMembership(zxid, entry.txn)) {
       return;  // this node retired (it was removed)
     }
   }
@@ -606,52 +613,43 @@ void ZabNode::ResetLeaderTimeout() {
   });
 }
 
-void ZabNode::OnDiff(DiffMsg&& msg) {
+void ZabNode::OnDiff(const DiffMsg& msg) {
   if (role_ != Role::kFollowing) {
     return;
   }
-  // Re-log the whole diff through one arena buffer (one growing allocation
-  // per batch, record boundaries tracked by offset) instead of a fresh
-  // encoder per proposal.
   // Contiguity gate (mirrors OnPropose): cumulative acks claim everything up
   // to the acked zxid, so the log may never hold a gap. A diff whose first
   // new proposal does not extend our log contiguously — e.g. the in-flight
   // DIFF behind a SNAP whose install failed — is dropped wholesale and the
   // sync handshake restarts from our true position.
+  std::vector<ZabRecordView> entries;
+  entries.reserve(msg.records.size());
   uint64_t expect_after = last_logged();
-  for (const ZabProposal& p : msg.proposals) {
-    if (p.zxid <= expect_after) {
+  for (std::span<const uint8_t> record : msg.records) {
+    auto p = DecodeZabRecordView(record);
+    if (!p.ok()) {
+      return;
+    }
+    entries.push_back(*p);
+    if (p->zxid <= expect_after) {
       continue;
     }
-    uint64_t expected = ZxidEpoch(expect_after) == ZxidEpoch(p.zxid)
+    uint64_t expected = ZxidEpoch(expect_after) == ZxidEpoch(p->zxid)
                             ? expect_after + 1
-                            : MakeZxid(ZxidEpoch(p.zxid), 1);
-    if (p.zxid != expected || ZxidEpoch(p.zxid) < ZxidEpoch(expect_after)) {
+                            : MakeZxid(ZxidEpoch(p->zxid), 1);
+    if (p->zxid != expected || ZxidEpoch(p->zxid) < ZxidEpoch(expect_after)) {
       synced_ = false;
       SendTo(leader_, ZabMsgType::kFollowerInfo, EncodeFollowerInfo({last_logged()}));
       ResetLeaderTimeout();
       return;
     }
-    expect_after = p.zxid;
+    expect_after = p->zxid;
   }
-  arena_.Clear();
-  std::vector<uint64_t> zxids;
-  std::vector<size_t> offsets;
-  for (ZabProposal& p : msg.proposals) {
-    if (p.zxid <= last_logged()) {
-      continue;
+  // Each record is appended straight out of the packet payload.
+  for (size_t i = 0; i < entries.size(); ++i) {
+    if (entries[i].zxid > last_logged()) {
+      AppendRecordDurable(entries[i].zxid, msg.records[i], nullptr);
     }
-    offsets.push_back(arena_.size());
-    p.Encode(arena_);
-    zxids.push_back(p.zxid);
-    history_.push_back(std::move(p));
-  }
-  offsets.push_back(arena_.size());
-  const std::vector<uint8_t>& buf = arena_.buffer();
-  for (size_t i = 0; i < zxids.size(); ++i) {
-    std::vector<uint8_t> record(buf.begin() + static_cast<ptrdiff_t>(offsets[i]),
-                                buf.begin() + static_cast<ptrdiff_t>(offsets[i + 1]));
-    AppendRecordDurable(zxids[i], std::move(record), nullptr);
   }
   DeliverUpTo(msg.committed_zxid);
   if (role_ != Role::kFollowing) {
@@ -666,18 +664,16 @@ void ZabNode::OnTrunc(const ZxidMsg& msg) {
   }
   size_t keep = 0;
   bool dropped_reconfig = false;
-  while (keep < history_.size() && history_[keep].zxid <= msg.zxid) {
+  while (keep < log_size() && Entry(keep).zxid <= msg.zxid) {
     ++keep;
   }
-  for (size_t i = keep; i < history_.size(); ++i) {
-    dropped_reconfig |= history_[i].is_reconfig();
+  for (size_t i = keep; i < log_size(); ++i) {
+    dropped_reconfig |= Entry(i).is_reconfig();
   }
-  history_.resize(keep);
-  // The durable log may contain fewer records (unsynced appends were lost in
-  // a crash) but never more than history_; align conservatively.
-  if (log_->records().size() > keep) {
-    log_->Truncate(keep);
-  }
+  // The cut reaches in-flight appends too: they never publish, so neither
+  // the log nor the durable watermark (and with it our acks) passes it.
+  log_->Truncate(keep);
+  durable_zxid_ = std::min(durable_zxid_, last_logged());
   if (dropped_reconfig) {
     // A never-committed reconfig we had provisionally adopted (latest-config
     // rule at boot) just left the log; fall back to the durable evidence.
@@ -707,7 +703,6 @@ void ZabNode::OnSnap(SnapMsg&& msg) {
   // the snapshot file): only after this may the log prefix be forgotten, or
   // a crash between the two would leave a suffix-only log with no base.
   log_->StoreSnapshot(msg.snapshot_zxid, std::move(msg.snapshot));
-  history_.clear();
   log_->Truncate(0);
   base_zxid_ = msg.snapshot_zxid;
   committed_zxid_ = msg.snapshot_zxid;
@@ -767,20 +762,15 @@ void ZabNode::OnPropose(const ProposeFrameView& msg) {
     ResetLeaderTimeout();
     return;
   }
-  // Zero-copy append: the durable log record is the proposal frame sliced
-  // straight out of the packet payload — no re-encode on the follower.
-  ZabProposal p;
-  p.zxid = msg.zxid;
-  p.flags = msg.flags;  // a reconfig entry must stay a reconfig entry
-  p.txn.assign(msg.txn, msg.txn + msg.txn_size);
-  history_.push_back(std::move(p));
-  std::vector<uint8_t> record(msg.record, msg.record + msg.record_size);
+  // The log record is the proposal frame sliced straight out of the packet
+  // payload — no re-encode on the follower, and one copy into the log.
+  std::span<const uint8_t> record(msg.record, msg.record_size);
   uint64_t zxid = msg.zxid;
   if (config_.ack_aggregation) {
     // OnLocalBatchDurable sends one cumulative kAck per durable batch.
-    AppendRecordDurable(zxid, std::move(record), nullptr);
+    AppendRecordDurable(zxid, record, nullptr);
   } else {
-    AppendRecordDurable(zxid, std::move(record), [this, zxid]() {
+    AppendRecordDurable(zxid, record, [this, zxid]() {
       if (role_ == Role::kFollowing && synced_) {
         SendTo(leader_, ZabMsgType::kAck, EncodeZxidMsg({current_epoch_, zxid}));
       }
@@ -861,15 +851,15 @@ void ZabNode::OnHeartbeat(NodeId from, const EpochMsg& msg) {
 // ------------------------------------------------------------------ shared
 
 void ZabNode::DeliverUpTo(uint64_t frontier) {
-  while (delivered_count_ < history_.size() &&
-         history_[delivered_count_].zxid <= frontier) {
-    committed_zxid_ = history_[delivered_count_].zxid;
-    const ZabProposal& entry = history_[delivered_count_];
+  while (delivered_count_ < log_size()) {
+    ZabRecordView entry = Entry(delivered_count_);
+    if (entry.zxid > frontier) {
+      break;
+    }
+    committed_zxid_ = entry.zxid;
     if (entry.is_reconfig()) {
-      uint64_t zxid = entry.zxid;
-      std::vector<uint8_t> txn = entry.txn;  // copy: activation may mutate history_
       ++delivered_count_;
-      if (!ActivateMembership(zxid, txn)) {
+      if (!ActivateMembership(entry.zxid, entry.txn)) {
         return;  // this node retired (it was removed)
       }
     } else {
@@ -881,17 +871,10 @@ void ZabNode::DeliverUpTo(uint64_t frontier) {
   MaybeAutoCompact();
 }
 
-void ZabNode::AppendDurable(ZabProposal proposal, std::function<void()> on_durable) {
-  Encoder enc;
-  uint64_t zxid = proposal.zxid;
-  proposal.Encode(enc);
-  AppendRecordDurable(zxid, enc.Release(), std::move(on_durable));
-}
-
-void ZabNode::AppendRecordDurable(uint64_t zxid, std::vector<uint8_t> record,
+void ZabNode::AppendRecordDurable(uint64_t zxid, std::span<const uint8_t> record,
                                   std::function<void()> on_durable) {
   uint64_t gen = generation_;
-  log_->Append(std::move(record), [this, gen, zxid, cb = std::move(on_durable)]() {
+  log_->Append(record, [this, gen, zxid, cb = std::move(on_durable)]() {
     if (gen != generation_) {
       return;
     }
@@ -904,16 +887,7 @@ void ZabNode::AppendRecordDurable(uint64_t zxid, std::vector<uint8_t> record,
   });
 }
 
-const ZabProposal* ZabNode::FindInHistory(uint64_t zxid) const {
-  for (const ZabProposal& p : history_) {
-    if (p.zxid == zxid) {
-      return &p;
-    }
-  }
-  return nullptr;
-}
-
-bool ZabNode::ActivateMembership(uint64_t zxid, const std::vector<uint8_t>& txn) {
+bool ZabNode::ActivateMembership(uint64_t zxid, std::span<const uint8_t> txn) {
   auto next = DecodeZabMembership(txn);
   if (!next.ok()) {
     return true;  // malformed entry: leave the current membership in force
@@ -959,7 +933,8 @@ void ZabNode::RecomputeMembershipFromLog() {
       version = base_zxid_;
     }
   }
-  for (const ZabProposal& p : history_) {
+  for (size_t i = 0; i < log_size(); ++i) {
+    ZabRecordView p = Entry(i);
     if (p.is_reconfig()) {
       auto nm = DecodeZabMembership(p.txn);
       if (nm.ok()) {
@@ -988,8 +963,7 @@ void ZabNode::MaybeAutoCompact() {
 
 void ZabNode::CompactLog() {
   size_t drop = 0;
-  while (drop < history_.size() && history_[drop].zxid <= committed_zxid_ &&
-         drop < delivered_count_) {
+  while (drop < delivered_count_ && Entry(drop).zxid <= committed_zxid_) {
     ++drop;
   }
   if (drop == 0) {
@@ -997,16 +971,15 @@ void ZabNode::CompactLog() {
   }
   // Delivery tracks the commit frontier on every role, so the dropped prefix
   // is exactly the delivered prefix and the service state machine currently
-  // *is* the state at history_[drop-1].zxid: pair them in a durable snapshot
+  // *is* the state at Entry(drop-1).zxid: pair them in a durable snapshot
   // (with the membership in force there) before forgetting the records. A
   // restart then installs the snapshot and replays only the kept suffix, and
   // a lagging peer whose zxid predates the new base gets the SNAP path.
   ZabSnapshot snap;
   snap.membership = membership_;
   snap.state = callbacks_->TakeSnapshot();
-  base_zxid_ = history_[drop - 1].zxid;
+  base_zxid_ = Entry(drop - 1).zxid;
   log_->StoreSnapshot(base_zxid_, EncodeZabSnapshot(snap));
-  history_.erase(history_.begin(), history_.begin() + static_cast<ptrdiff_t>(drop));
   delivered_count_ -= drop;
   log_->DropHead(drop);
 }
@@ -1065,9 +1038,10 @@ void ZabNode::Process(Packet&& pkt) {
       break;
     }
     case ZabMsgType::kDiff: {
+      // The records borrow pkt.payload, alive for the whole Process call.
       auto m = DecodeDiffMsg(pkt.payload);
       if (m.ok()) {
-        OnDiff(std::move(*m));
+        OnDiff(*m);
       }
       break;
     }

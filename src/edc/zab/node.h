@@ -52,6 +52,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "edc/logstore/logstore.h"
@@ -69,7 +70,8 @@ class ZabCallbacks {
   virtual ~ZabCallbacks() = default;
   // Committed transactions, strictly in zxid order. Reconfiguration entries
   // are consumed by the protocol layer and never reach this hook.
-  virtual void OnDeliver(uint64_t zxid, const std::vector<uint8_t>& txn) = 0;
+  // `txn` views the node's log and is valid only for the call.
+  virtual void OnDeliver(uint64_t zxid, std::span<const uint8_t> txn) = 0;
   // Role transitions (leader elected, lost leadership, new epoch).
   virtual void OnRoleChange(bool leader, NodeId leader_id, uint32_t epoch) = 0;
   // State transfer hooks. InstallSnapshot must be transactional: on any
@@ -166,6 +168,9 @@ class ZabNode {
   uint32_t epoch() const { return current_epoch_; }
   uint64_t last_committed() const { return committed_zxid_; }
   uint64_t last_logged() const;
+  // Highest zxid the local log has made contiguously durable since boot:
+  // what this node's cumulative acks claim.
+  uint64_t last_durable() const { return durable_zxid_; }
 
   // Leader-side peer liveness: sim time we last heard anything protocol-level
   // from `peer` this leadership term (heartbeat acks, proposal acks, sync
@@ -219,7 +224,7 @@ class ZabNode {
   // entry, fires OnMembershipChange, and retires this node when the new
   // membership drops it. Returns false exactly when the node retired (the
   // caller must stop touching state).
-  bool ActivateMembership(uint64_t zxid, const std::vector<uint8_t>& txn);
+  bool ActivateMembership(uint64_t zxid, std::span<const uint8_t> txn);
   // Re-derives membership from durable evidence (snapshot + the last
   // reconfig entry still in the log) after a truncation discarded entries.
   void RecomputeMembershipFromLog();
@@ -240,6 +245,9 @@ class ZabNode {
   // Leading.
   void BecomeLeader();
   void OnFollowerInfo(NodeId from, const FollowerInfo& info);
+  // The log entries after `after_zxid` (a suffix: zxids increase along the
+  // log), borrowed from the log, behind the current commit frontier.
+  DiffMsg DiffAfter(uint64_t after_zxid) const;
   void OnAckNewLeader(NodeId from, const FollowerInfo& info);
   void OnAck(NodeId from, const ZxidMsg& msg);
   void OnHeartbeatAck(NodeId from, const EpochMsg& msg);
@@ -255,7 +263,7 @@ class ZabNode {
   void OnPropose(const ProposeFrameView& msg);
   void OnLocalBatchDurable();
   void OnCommitMsg(const ZxidMsg& msg);
-  void OnDiff(DiffMsg&& msg);
+  void OnDiff(const DiffMsg& msg);
   void OnTrunc(const ZxidMsg& msg);
   void OnSnap(SnapMsg&& msg);
   void OnNewLeader(const EpochMsg& msg);
@@ -264,13 +272,15 @@ class ZabNode {
   void ResetLeaderTimeout();
 
   // Shared.
+  // Log entry i: record i of the LogStore, viewed in place. Valid until the
+  // next log mutation that removes it (Truncate, DropHead, DropUnsynced).
+  ZabRecordView Entry(size_t i) const;
+  size_t log_size() const { return log_->appended_size(); }
   void DeliverUpTo(uint64_t frontier);
-  void AppendDurable(ZabProposal proposal, std::function<void()> on_durable);
-  // Appends pre-encoded proposal-frame bytes (the hot path: the frame was
-  // already built once for the wire) and tracks the local durable watermark.
-  void AppendRecordDurable(uint64_t zxid, std::vector<uint8_t> record,
+  // Appends proposal-frame bytes the caller already holds (the wire frame's
+  // proposal slice) and tracks the local durable watermark.
+  void AppendRecordDurable(uint64_t zxid, std::span<const uint8_t> record,
                            std::function<void()> on_durable);
-  const ZabProposal* FindInHistory(uint64_t zxid) const;
   void ArmTimer(TimerId* slot, Duration delay, std::function<void()> fn);
 
   EventLoop* loop_;
@@ -302,12 +312,12 @@ class ZabNode {
   // ever reaching the entry that admits it.
   bool admitted_ = false;
 
-  // Log state. `history_` mirrors the durable log plus in-flight appends;
-  // entries at index i have zxid history_[i].zxid, all > base_zxid_.
-  std::vector<ZabProposal> history_;
+  // Log state. The LogStore's records, durable and in flight, are the
+  // history: entry i is Entry(i), with zxids strictly increasing and all
+  // > base_zxid_.
   uint64_t base_zxid_ = 0;  // zxid covered by the latest installed snapshot
   uint64_t committed_zxid_ = 0;
-  size_t delivered_count_ = 0;  // prefix of history_ already delivered
+  size_t delivered_count_ = 0;  // prefix of the log already delivered
 
   // Election state.
   uint64_t election_round_ = 0;
@@ -333,9 +343,8 @@ class ZabNode {
   uint64_t durable_zxid_ = 0;  // highest zxid locally durable this boot
   uint64_t acked_zxid_ = 0;    // highest zxid acked to the current leader
 
-  // Reused per-batch encode arena for the proposal hot path (leader frame
-  // build + follower DIFF re-logging): one growing buffer per batch instead
-  // of one allocation per message.
+  // Reused encode buffer for the leader's proposal frames: one growing
+  // buffer instead of one allocation per message.
   Encoder arena_;
 
   TimerId election_timer_ = kInvalidTimer;

@@ -641,8 +641,8 @@ bool ZkServer::TxnIsDeferred(const ZkTxn& txn) {
   return false;
 }
 
-void ZkServer::OnDeliver(uint64_t zxid, const std::vector<uint8_t>& txn_bytes) {
-  uint64_t txn_hash = Fnv1a64(txn_bytes);
+void ZkServer::OnDeliver(uint64_t zxid, std::span<const uint8_t> txn_bytes) {
+  uint64_t txn_hash = Fnv1a64(txn_bytes.data(), txn_bytes.size());
   applied_log_.emplace_back(zxid, txn_hash);
   auto txn = ZkTxn::Decode(txn_bytes);
   if (!txn.ok()) {

@@ -17,6 +17,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -107,7 +108,7 @@ class ZkServer : public NetworkNode, public ZabCallbacks {
   void HandlePacket(Packet&& pkt) override;
 
   // ZabCallbacks.
-  void OnDeliver(uint64_t zxid, const std::vector<uint8_t>& txn) override;
+  void OnDeliver(uint64_t zxid, std::span<const uint8_t> txn) override;
   void OnRoleChange(bool leader, NodeId leader_id, uint32_t epoch) override;
   std::vector<uint8_t> TakeSnapshot() override;
   // Transactional: decodes every section into temporaries and swaps only on

@@ -53,8 +53,8 @@ std::vector<uint8_t> ZkTxn::Encode() const {
   return enc.Release();
 }
 
-Result<ZkTxn> ZkTxn::Decode(const std::vector<uint8_t>& buf) {
-  Decoder dec(buf);
+Result<ZkTxn> ZkTxn::Decode(std::span<const uint8_t> buf) {
+  Decoder dec(buf.data(), buf.size());
   ZkTxn txn;
   auto session = dec.GetU64();
   auto req_id = dec.GetU64();

@@ -11,6 +11,7 @@
 #define EDC_ZK_TXN_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -55,7 +56,7 @@ struct ZkTxn {
   uint8_t ext_depth = 0;
 
   std::vector<uint8_t> Encode() const;
-  static Result<ZkTxn> Decode(const std::vector<uint8_t>& buf);
+  static Result<ZkTxn> Decode(std::span<const uint8_t> buf);
 };
 
 }  // namespace edc

@@ -3,20 +3,27 @@
 // Pins the PR 7 LogStore pipelining contract from docs/replication_pipeline.md:
 //   * depth 1 + fixed window reproduces the legacy serial fsync timing exactly;
 //   * deeper pipelines overlap fsyncs (a batch is submitted while earlier
-//     batches' fsyncs are in flight) but publication — records(), durable
-//     callbacks, the batch hook — stays strictly in submission order even
+//     batches' fsyncs are in flight) but publication — the durable
+//     watermark, durable callbacks, the batch hook — stays strictly in
+//     submission order even
 //     when channels complete out of order at the device;
 //   * a crash (DropUnsynced) at ANY boundary between submitted batches
 //     truncates to the published durable prefix, which round-trips through
 //     SerializeImage/RestoreImage;
 //   * adaptive group-commit sizing is fully deterministic: the same append
 //     schedule produces the same window trajectory, sync count and callback
-//     order on every run, and the same records under every pipeline depth.
+//     order on every run, and the same records under every pipeline depth;
+//   * the store owns the only copy of each record (docs/replication_pipeline.md,
+//     "Who owns the bytes"): a view from record(i) survives later appends,
+//     cuts and head drops remove exactly the records they name (in-flight
+//     ones included), and the arena holds little beyond the payload.
 
 #include "edc/logstore/logstore.h"
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,6 +34,20 @@ namespace edc {
 namespace {
 
 std::vector<uint8_t> Rec(uint8_t tag, size_t n = 8) { return std::vector<uint8_t>(n, tag); }
+
+std::vector<uint8_t> At(const LogStore& log, size_t i) {
+  std::span<const uint8_t> r = log.record(i);
+  return {r.begin(), r.end()};
+}
+
+// The durable records, copied out of the store.
+std::vector<std::vector<uint8_t>> Durable(const LogStore& log) {
+  std::vector<std::vector<uint8_t>> out;
+  for (size_t i = 0; i < log.durable_size(); ++i) {
+    out.push_back(At(log, i));
+  }
+  return out;
+}
 
 // 8-byte record at 2e9 bits/s: 8 * 8 / 2e9 * 1e9 = 32 ns of write time.
 constexpr Duration kWrite8 = 32;
@@ -104,8 +125,8 @@ TEST(PipelineLogStoreTest, OutOfOrderDeviceCompletionPublishesInSubmissionOrder)
       Micros(80) + static_cast<Duration>((1 << 20) * 8.0 / 2e9 * 1e9);
   EXPECT_EQ(at[0], batch1_durable);
   EXPECT_EQ(at[1], batch1_durable);  // gated: published in the same run
-  ASSERT_EQ(log.records().size(), 2u);
-  EXPECT_EQ(log.records()[1], Rec(2));
+  ASSERT_EQ(log.durable_size(), 2u);
+  EXPECT_EQ(At(log, 1), Rec(2));
   // Both batches published in one run => one cumulative batch notification.
   EXPECT_EQ(batch_hook_fires, 1);
 }
@@ -126,13 +147,13 @@ TEST(PipelineLogStoreTest, CrashLosesDeviceDurableButUnpublishedBatches) {
   loop.ScheduleAt(Micros(200), [&] { log.DropUnsynced(); });
   loop.Run();
   EXPECT_EQ(durable, 0);
-  EXPECT_TRUE(log.records().empty());
+  EXPECT_EQ(log.durable_size(), 0u);
   // The store keeps working after the crash.
   log.Append(Rec(3), [&] { ++durable; });
   loop.Run();
   EXPECT_EQ(durable, 1);
-  ASSERT_EQ(log.records().size(), 1u);
-  EXPECT_EQ(log.records()[0], Rec(3));
+  ASSERT_EQ(log.durable_size(), 1u);
+  EXPECT_EQ(At(log, 0), Rec(3));
 }
 
 TEST(PipelineLogStoreTest, CrashAtEveryBatchBoundaryTruncatesToDurablePrefix) {
@@ -181,9 +202,9 @@ TEST(PipelineLogStoreTest, CrashAtEveryBatchBoundaryTruncatesToDurablePrefix) {
       log.DropUnsynced();
     });
     loop.Run();
-    ASSERT_EQ(log.records().size(), static_cast<size_t>(j)) << "crash after batch " << j;
+    ASSERT_EQ(log.durable_size(), static_cast<size_t>(j)) << "crash after batch " << j;
     for (int i = 0; i < j; ++i) {
-      EXPECT_EQ(log.records()[i], Rec(static_cast<uint8_t>(i + 1)));
+      EXPECT_EQ(At(log, i), Rec(static_cast<uint8_t>(i + 1)));
     }
     // Recovery truncates to this durable prefix: image round-trip.
     EventLoop loop2;
@@ -191,7 +212,7 @@ TEST(PipelineLogStoreTest, CrashAtEveryBatchBoundaryTruncatesToDurablePrefix) {
     auto n = restored.RestoreImage(log.SerializeImage());
     ASSERT_TRUE(n.status().ok());
     EXPECT_EQ(*n, static_cast<size_t>(j));
-    EXPECT_EQ(restored.records(), log.records());
+    EXPECT_EQ(Durable(restored), Durable(log));
   }
 }
 
@@ -263,8 +284,9 @@ WorkloadResult RunWorkload(const LogStoreConfig& cfg) {
                     [&append, i] { append(static_cast<uint8_t>(100 + i)); });
   }
   loop.Run();
-  for (const auto& rec : log.records()) {
-    r.records_hash = Fnv1a64(rec, r.records_hash);
+  for (size_t i = 0; i < log.durable_size(); ++i) {
+    std::span<const uint8_t> rec = log.record(i);
+    r.records_hash = Fnv1a64(rec.data(), rec.size(), r.records_hash);
   }
   r.syncs = log.syncs();
   return r;
@@ -338,6 +360,179 @@ TEST(PipelineLogStoreTest, BatchHookFiresOncePerPublicationRun) {
   loop.Run();
   EXPECT_EQ(durable, 6);
   EXPECT_EQ(fires, 3);  // cumulative: one per batch, not one per record
+}
+
+
+// --- Ownership: the store holds the only copy of each record -------------
+
+TEST(LogStoreOwnershipTest, RecordViewSurvivesAppendsThatOpenNewBlocks) {
+  EventLoop loop;
+  LogStore log(&loop, LogStoreConfig{});
+  log.Append(Rec(0x5a, 100), nullptr);
+  std::span<const uint8_t> first = log.record(0);  // in flight, still viewable
+  loop.Run();
+  ASSERT_EQ(log.durable_size(), 1u);
+  ASSERT_EQ(log.record(0).data(), first.data());
+  size_t blocks_before = log.bytes_held() / LogStore::kBlockBytes;
+  for (int i = 0; i < 10000; ++i) {
+    log.Append(Rec(static_cast<uint8_t>(i), 100), nullptr);
+    if (i % 1000 == 999) {
+      loop.Run();
+    }
+  }
+  loop.Run();
+  ASSERT_EQ(log.durable_size(), 10001u);
+  EXPECT_GT(log.bytes_held() / LogStore::kBlockBytes, blocks_before + 10);
+  EXPECT_EQ(log.record(0).data(), first.data());
+  EXPECT_EQ(std::vector<uint8_t>(first.begin(), first.end()), Rec(0x5a, 100));
+  for (int i = 0; i < 10000; ++i) {
+    ASSERT_EQ(At(log, i + 1), Rec(static_cast<uint8_t>(i), 100)) << "record " << i + 1;
+  }
+}
+
+// Three durable records, then records 3..4 in a submitted batch whose fsync
+// is in flight and 5..6 still accumulating. Records fire `fired` as they
+// publish.
+struct InflightLog {
+  InflightLog() : log(&loop, Config()) {
+    for (uint8_t i = 0; i < 3; ++i) {
+      Add(i);
+    }
+    loop.Run();
+    Add(3);
+    Add(4);
+    loop.RunUntil(loop.now() + Micros(30));  // window (20us) passed, fsync (60us) not
+    Add(5);
+    Add(6);
+  }
+  static LogStoreConfig Config() {
+    LogStoreConfig cfg;
+    cfg.adaptive_window = false;
+    return cfg;
+  }
+  void Add(uint8_t i) {
+    log.Append(Rec(i, 10 + i), [this, i] { fired.insert(i); });
+  }
+  EventLoop loop;
+  LogStore log;
+  std::set<int> fired;
+};
+
+TEST(LogStoreOwnershipTest, CutsWithBatchesInFlightLeaveExactlyTheKeptRecords) {
+  {
+    InflightLog t;
+    ASSERT_EQ(t.log.durable_size(), 3u);
+    ASSERT_EQ(t.log.appended_size(), 7u);
+    ASSERT_EQ(t.log.inflight_batches(), 1u);
+    t.log.DropUnsynced();
+    EXPECT_EQ(t.log.appended_size(), 3u);
+    t.loop.Run();
+    EXPECT_EQ(t.fired, (std::set<int>{0, 1, 2}));
+    EXPECT_EQ(t.log.durable_size(), 3u);
+    EXPECT_EQ(t.log.appended_size(), 3u);
+    for (uint8_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(At(t.log, i), Rec(i, 10 + i));
+    }
+  }
+  {
+    // The cut falls inside the submitted batch: record 3 survives and
+    // publishes with its batch; 4..6 never do.
+    InflightLog t;
+    t.log.Truncate(4);
+    EXPECT_EQ(t.log.appended_size(), 4u);
+    t.loop.Run();
+    EXPECT_EQ(t.fired, (std::set<int>{0, 1, 2, 3}));
+    ASSERT_EQ(t.log.durable_size(), 4u);
+    ASSERT_EQ(t.log.appended_size(), 4u);
+    EXPECT_EQ(At(t.log, 3), Rec(3, 13));
+    // The next append takes the freed slot.
+    t.log.Append(Rec(9, 19), nullptr);
+    t.loop.Run();
+    ASSERT_EQ(t.log.durable_size(), 5u);
+    EXPECT_EQ(At(t.log, 4), Rec(9, 19));
+  }
+  {
+    // A cut below the durable watermark takes every in-flight record too.
+    InflightLog t;
+    t.log.Truncate(1);
+    t.loop.Run();
+    EXPECT_EQ(t.fired, (std::set<int>{0, 1, 2}));
+    ASSERT_EQ(t.log.durable_size(), 1u);
+    ASSERT_EQ(t.log.appended_size(), 1u);
+    EXPECT_EQ(At(t.log, 0), Rec(0, 10));
+  }
+}
+
+TEST(LogStoreOwnershipTest, DropHeadFreesWholeLeadingBlocks) {
+  EventLoop loop;
+  LogStore log(&loop, LogStoreConfig{});
+  // 1000-byte records: 65 fit in a block, so 200 records span four blocks.
+  const size_t per_block = LogStore::kBlockBytes / 1000;
+  for (int i = 0; i < 200; ++i) {
+    log.Append(Rec(static_cast<uint8_t>(i), 1000), nullptr);
+  }
+  loop.Run();
+  ASSERT_EQ(log.bytes_held(), 4 * LogStore::kBlockBytes);
+  // Dropping into the second block frees only the first.
+  log.DropHead(per_block + 5);
+  EXPECT_EQ(log.bytes_held(), 3 * LogStore::kBlockBytes);
+  ASSERT_EQ(log.durable_size(), 200 - per_block - 5);
+  for (size_t i = 0; i < log.durable_size(); ++i) {
+    ASSERT_EQ(At(log, i), Rec(static_cast<uint8_t>(i + per_block + 5), 1000)) << i;
+  }
+  // Dropping exactly to a block boundary frees the block before it.
+  log.DropHead(per_block - 5);
+  EXPECT_EQ(log.bytes_held(), 2 * LogStore::kBlockBytes);
+  EXPECT_EQ(At(log, 0), Rec(static_cast<uint8_t>(2 * per_block), 1000));
+  // Dropping everything keeps only the tail block for later appends, and
+  // in-flight records dropped this way still report durability.
+  int durable = 0;
+  log.Append(Rec(7, 1000), [&] { ++durable; });
+  log.DropHead(log.appended_size());
+  EXPECT_EQ(log.appended_size(), 0u);
+  EXPECT_EQ(log.bytes_held(), LogStore::kBlockBytes);
+  log.Append(Rec(8, 1000), [&] { ++durable; });
+  loop.Run();
+  EXPECT_EQ(durable, 2);
+  ASSERT_EQ(log.durable_size(), 1u);
+  EXPECT_EQ(At(log, 0), Rec(8, 1000));
+  // The dropped record was still written: the device paid for its bytes.
+  EXPECT_EQ(log.appended_bytes(), 202 * 1000);
+}
+
+TEST(LogStoreOwnershipTest, RecordLargerThanABlockGetsItsOwn) {
+  EventLoop loop;
+  LogStore log(&loop, LogStoreConfig{});
+  const size_t big = 2 * LogStore::kBlockBytes + 7;
+  log.Append(Rec(1, 10), nullptr);
+  log.Append(Rec(2, big), nullptr);
+  log.Append(Rec(3, 10), nullptr);
+  loop.Run();
+  ASSERT_EQ(log.durable_size(), 3u);
+  EXPECT_EQ(log.bytes_held(), 2 * LogStore::kBlockBytes + big);
+  EXPECT_EQ(At(log, 0), Rec(1, 10));
+  EXPECT_EQ(At(log, 1), Rec(2, big));
+  EXPECT_EQ(At(log, 2), Rec(3, 10));
+  // The image framing is unchanged by where the bytes live.
+  EventLoop loop2;
+  LogStore restored(&loop2, LogStoreConfig{});
+  ASSERT_TRUE(restored.RestoreImage(log.SerializeImage()).status().ok());
+  EXPECT_EQ(Durable(restored), Durable(log));
+}
+
+TEST(LogStoreOwnershipTest, HeldBytesStayCloseToThePayload) {
+  EventLoop loop;
+  LogStore log(&loop, LogStoreConfig{});
+  size_t payload = 0;
+  const size_t records = 5000;
+  for (size_t i = 0; i < records; ++i) {
+    size_t n = 1 + (i * 37) % 300;
+    payload += n;
+    log.Append(Rec(static_cast<uint8_t>(i), n), nullptr);
+  }
+  loop.Run();
+  EXPECT_GE(log.bytes_held(), payload);
+  EXPECT_LE(log.bytes_held(), payload + LogStore::kBlockBytes + 8 * records);
 }
 
 }  // namespace

@@ -153,7 +153,7 @@ class HeartbeatShell : public NetworkNode, public ZabCallbacks {
       zab->HandlePacket(std::move(pkt));
     }
   }
-  void OnDeliver(uint64_t, const std::vector<uint8_t>&) override {}
+  void OnDeliver(uint64_t, std::span<const uint8_t>) override {}
   void OnRoleChange(bool, NodeId, uint32_t) override {}
   std::vector<uint8_t> TakeSnapshot() override { return {}; }
   bool InstallSnapshot(uint64_t, const std::vector<uint8_t>&) override { return true; }

@@ -2,10 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 namespace edc {
 namespace {
 
 std::vector<uint8_t> Rec(uint8_t tag, size_t n = 8) { return std::vector<uint8_t>(n, tag); }
+
+std::vector<uint8_t> At(const LogStore& log, size_t i) {
+  std::span<const uint8_t> r = log.record(i);
+  return {r.begin(), r.end()};
+}
+
+// The durable records, copied out of the store.
+std::vector<std::vector<uint8_t>> Durable(const LogStore& log) {
+  std::vector<std::vector<uint8_t>> out;
+  for (size_t i = 0; i < log.durable_size(); ++i) {
+    out.push_back(At(log, i));
+  }
+  return out;
+}
 
 TEST(LogStoreTest, AppendBecomesDurableAfterFsync) {
   EventLoop loop;
@@ -13,11 +30,11 @@ TEST(LogStoreTest, AppendBecomesDurableAfterFsync) {
   bool durable = false;
   log.Append(Rec(1), [&] { durable = true; });
   EXPECT_FALSE(durable);
-  EXPECT_TRUE(log.records().empty());
+  EXPECT_EQ(log.durable_size(), 0u);
   loop.Run();
   EXPECT_TRUE(durable);
-  ASSERT_EQ(log.records().size(), 1u);
-  EXPECT_EQ(log.records()[0], Rec(1));
+  ASSERT_EQ(log.durable_size(), 1u);
+  EXPECT_EQ(At(log, 0), Rec(1));
 }
 
 TEST(LogStoreTest, GroupCommitBatchesConcurrentAppends) {
@@ -42,7 +59,7 @@ TEST(LogStoreTest, SeparatedAppendsSyncSeparately) {
   log.Append(Rec(2), nullptr);
   loop.Run();
   EXPECT_EQ(log.syncs(), 2);
-  EXPECT_EQ(log.records().size(), 2u);
+  EXPECT_EQ(log.durable_size(), 2u);
 }
 
 TEST(LogStoreTest, DurabilityOrderMatchesAppendOrder) {
@@ -53,8 +70,8 @@ TEST(LogStoreTest, DurabilityOrderMatchesAppendOrder) {
   log.Append(Rec(2), [&] { order.push_back(2); });
   loop.Run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
-  EXPECT_EQ(log.records()[0], Rec(1));
-  EXPECT_EQ(log.records()[1], Rec(2));
+  EXPECT_EQ(At(log, 0), Rec(1));
+  EXPECT_EQ(At(log, 1), Rec(2));
 }
 
 TEST(LogStoreTest, DropUnsyncedLosesPendingAppends) {
@@ -65,7 +82,8 @@ TEST(LogStoreTest, DropUnsyncedLosesPendingAppends) {
   log.DropUnsynced();  // crash before fsync
   loop.Run();
   EXPECT_FALSE(durable);
-  EXPECT_TRUE(log.records().empty());
+  EXPECT_EQ(log.durable_size(), 0u);
+  EXPECT_EQ(log.appended_size(), 0u);
 }
 
 TEST(LogStoreTest, TruncateDropsTail) {
@@ -76,8 +94,8 @@ TEST(LogStoreTest, TruncateDropsTail) {
   }
   loop.Run();
   log.Truncate(2);
-  ASSERT_EQ(log.records().size(), 2u);
-  EXPECT_EQ(log.records()[1], Rec(1));
+  ASSERT_EQ(log.durable_size(), 2u);
+  EXPECT_EQ(At(log, 1), Rec(1));
 }
 
 TEST(LogStoreTest, DropHeadCompacts) {
@@ -88,10 +106,10 @@ TEST(LogStoreTest, DropHeadCompacts) {
   }
   loop.Run();
   log.DropHead(3);
-  ASSERT_EQ(log.records().size(), 2u);
-  EXPECT_EQ(log.records()[0], Rec(3));
+  ASSERT_EQ(log.durable_size(), 2u);
+  EXPECT_EQ(At(log, 0), Rec(3));
   log.DropHead(99);
-  EXPECT_TRUE(log.records().empty());
+  EXPECT_EQ(log.durable_size(), 0u);
 }
 
 TEST(LogStoreTest, AppendAfterCrashStartsFreshBatch) {
@@ -103,8 +121,8 @@ TEST(LogStoreTest, AppendAfterCrashStartsFreshBatch) {
   log.Append(Rec(2), [&] { durable = true; });
   loop.Run();
   EXPECT_TRUE(durable);
-  ASSERT_EQ(log.records().size(), 1u);
-  EXPECT_EQ(log.records()[0], Rec(2));
+  ASSERT_EQ(log.durable_size(), 1u);
+  EXPECT_EQ(At(log, 0), Rec(2));
 }
 
 // Builds a durable log with records of varying sizes and returns it.
@@ -126,7 +144,7 @@ TEST(LogStoreTest, ImageRoundTrips) {
   Result<size_t> n = restored.RestoreImage(image);
   ASSERT_TRUE(n.status().ok()) << n.status().ToString();
   EXPECT_EQ(*n, 4u);
-  EXPECT_EQ(restored.records(), log.records());
+  EXPECT_EQ(Durable(restored), Durable(log));
 }
 
 TEST(LogStoreTest, EmptyImageRestoresEmptyLog) {
@@ -136,7 +154,7 @@ TEST(LogStoreTest, EmptyImageRestoresEmptyLog) {
   Result<size_t> n = log.RestoreImage({});
   ASSERT_TRUE(n.status().ok());
   EXPECT_EQ(*n, 0u);
-  EXPECT_TRUE(log.records().empty());
+  EXPECT_EQ(log.durable_size(), 0u);
 }
 
 // Crash-point sweep: truncate the serialized image at EVERY byte boundary
@@ -156,8 +174,8 @@ TEST(LogStoreTest, TruncatedImageRecoversCleanPrefixAtEveryByte) {
   size_t prefix_bytes = prefix_log.SerializeImage().size();
   ASSERT_LT(prefix_bytes, image.size());
 
-  std::vector<std::vector<uint8_t>> expected(log.records().begin(),
-                                             log.records().begin() + 3);
+  std::vector<std::vector<uint8_t>> expected = Durable(log);
+  expected.resize(3);
   for (size_t cut = prefix_bytes; cut < image.size(); ++cut) {
     std::vector<uint8_t> torn(image.begin(), image.begin() + static_cast<ptrdiff_t>(cut));
     EventLoop loop2;
@@ -165,7 +183,7 @@ TEST(LogStoreTest, TruncatedImageRecoversCleanPrefixAtEveryByte) {
     Result<size_t> n = restored.RestoreImage(torn);
     ASSERT_TRUE(n.status().ok()) << "cut at byte " << cut << ": " << n.status().ToString();
     EXPECT_EQ(*n, 3u) << "cut at byte " << cut;
-    EXPECT_EQ(restored.records(), expected) << "cut at byte " << cut;
+    EXPECT_EQ(Durable(restored), expected) << "cut at byte " << cut;
   }
 
   // The untruncated image still restores all four.
@@ -188,11 +206,11 @@ TEST(LogStoreTest, CorruptedImageRejectedCleanly) {
   EventLoop loop2;
   LogStore restored(&loop2, LogStoreConfig{});
   FillLog(&loop2, &restored, 1);
-  std::vector<std::vector<uint8_t>> before = restored.records();
+  std::vector<std::vector<uint8_t>> before = Durable(restored);
   Result<size_t> n = restored.RestoreImage(image);
   ASSERT_FALSE(n.status().ok());
   EXPECT_EQ(n.status().code(), ErrorCode::kDecodeError);
-  EXPECT_EQ(restored.records(), before);  // store unchanged on rejection
+  EXPECT_EQ(Durable(restored), before);  // store unchanged on rejection
 }
 
 // Corrupting a length header either tears the tail (length now runs past the

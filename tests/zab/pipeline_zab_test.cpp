@@ -18,6 +18,10 @@
 //    rescued by the leader's heartbeat restarting the sync handshake)
 //    holds with a pipelined proposal backlog: the DIFF carries the backlog
 //    and the cumulative AckNewLeader ack commits all of it at once.
+//  * A TRUNC that arrives while the follower's append batch is in flight
+//    cuts that batch too: the log keeps exactly the prefix the leader
+//    named, the durable watermark (what acks claim) never passes it, and
+//    a restart replays nothing beyond it.
 //  * The PR 2 schedule explorer, pointed at an aggressively pipelined
 //    configuration, passes the conformance checker across a seeded sweep of
 //    crash/partition/delay schedules (multi-batch crash-point coverage).
@@ -29,6 +33,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,7 +52,7 @@ namespace edc {
 namespace {
 
 std::vector<uint8_t> Txn(const std::string& s) { return std::vector<uint8_t>(s.begin(), s.end()); }
-std::string TxnStr(const std::vector<uint8_t>& b) { return std::string(b.begin(), b.end()); }
+std::string TxnStr(std::span<const uint8_t> b) { return std::string(b.begin(), b.end()); }
 
 class PipelineReplica : public NetworkNode, public ZabCallbacks {
  public:
@@ -65,7 +70,7 @@ class PipelineReplica : public NetworkNode, public ZabCallbacks {
     }
   }
 
-  void OnDeliver(uint64_t zxid, const std::vector<uint8_t>& txn) override {
+  void OnDeliver(uint64_t zxid, std::span<const uint8_t> txn) override {
     delivered.push_back(TxnStr(txn));
     delivered_zxids.push_back(zxid);
     state += TxnStr(txn) + ";";
@@ -386,6 +391,98 @@ TEST(PipelineZabLiveness, UnsyncedFollowerWithPipelinedBacklogResyncsFromHeartbe
   }
   for (size_t k = 1; k < f1->delivered_zxids.size(); ++k) {
     EXPECT_EQ(f1->delivered_zxids[k], f1->delivered_zxids[k - 1] + 1);
+  }
+}
+
+// --- TRUNC while appends are in flight --------------------------------------
+
+// Swallows whatever the follower under test sends to its scripted peers.
+class SinkNode : public NetworkNode {
+ public:
+  void HandlePacket(Packet&&) override {}
+};
+
+Packet FromLeader(ZabMsgType type, std::vector<uint8_t> payload) {
+  Packet pkt;
+  pkt.src = 1;
+  pkt.dst = 2;
+  pkt.type = static_cast<uint32_t>(type);
+  pkt.payload = std::move(payload);
+  return pkt;
+}
+
+Packet Propose(uint32_t counter) {
+  ZabProposal p;
+  p.zxid = MakeZxid(1, counter);
+  p.txn = Txn("t" + std::to_string(counter));
+  return FromLeader(ZabMsgType::kPropose, EncodeProposeMsg({1, p}));
+}
+
+TEST(PipelineZabTrunc, TruncCutsInFlightAppendsAndSurvivesRestart) {
+  // A follower holds zxids 1..3 durable and 4..5 in a batch whose fsync is
+  // still in flight when the leader's TRUNC to zxid 2 arrives. The cut must
+  // reach the in-flight batch: once it publishes, the log holds exactly the
+  // kept prefix, the durable watermark (what acks claim) never passes the
+  // cut, and a restart replays only the kept prefix.
+  EventLoop loop;
+  Network net(&loop, Rng(5), LinkParams{});
+  SinkNode leader_sink;
+  SinkNode peer_sink;
+  net.Register(1, &leader_sink);
+  net.Register(3, &peer_sink);
+  LogStoreConfig log_cfg;
+  log_cfg.adaptive_window = false;
+  ZabConfig cfg;
+  cfg.members = {1, 2, 3};
+  PipelineReplica follower(&loop, &net, 2, log_cfg, cfg);
+  ZabNode& zab = *follower.zab;
+  const uint64_t cut = MakeZxid(1, 2);
+  auto step = [&loop](Duration d) { loop.RunUntil(loop.now() + d); };
+
+  zab.Start();
+  zab.HandlePacket(FromLeader(ZabMsgType::kLeaderInfo, EncodeLeaderInfo({1, 1})));
+  zab.HandlePacket(FromLeader(ZabMsgType::kDiff, EncodeDiffMsg(DiffMsg{})));
+  zab.HandlePacket(FromLeader(ZabMsgType::kNewLeader, EncodeEpochMsg({1, 0})));
+  for (uint32_t i = 1; i <= 3; ++i) {
+    zab.HandlePacket(Propose(i));
+  }
+  step(Millis(1));
+  ASSERT_TRUE(zab.is_active_follower());
+  ASSERT_EQ(follower.log.durable_size(), 3u);
+  ASSERT_EQ(zab.last_durable(), MakeZxid(1, 3));
+
+  zab.HandlePacket(Propose(4));
+  zab.HandlePacket(Propose(5));
+  // Past the group-commit window, short of the fsync: one batch in flight.
+  step(Micros(40));
+  ASSERT_EQ(follower.log.appended_size(), 5u);
+  ASSERT_EQ(follower.log.durable_size(), 3u);
+  ASSERT_EQ(follower.log.inflight_batches(), 1u);
+
+  zab.HandlePacket(FromLeader(ZabMsgType::kTrunc, EncodeZxidMsg({1, cut})));
+  step(Micros(5));  // the TRUNC's CPU charge; the fsync is still in flight
+  ASSERT_EQ(follower.log.inflight_batches(), 1u);
+  ASSERT_EQ(follower.log.appended_size(), 2u);
+  EXPECT_LE(zab.last_durable(), cut);
+  for (int i = 0; i < 20; ++i) {
+    step(Micros(50));
+    EXPECT_LE(zab.last_durable(), cut) << "after " << (i + 1) * 50 << "us";
+  }
+  EXPECT_EQ(follower.log.inflight_batches(), 0u);
+  ASSERT_EQ(follower.log.appended_size(), 2u);
+  EXPECT_EQ(follower.log.durable_size(), 2u);
+  EXPECT_EQ(zab.last_logged(), cut);
+
+  zab.Crash();
+  zab.Restart();
+  ASSERT_EQ(follower.log.appended_size(), 2u);
+  EXPECT_EQ(zab.last_logged(), cut);
+  EXPECT_EQ(zab.last_durable(), cut);
+  for (uint32_t i = 0; i < 2; ++i) {
+    auto entry = DecodeZabRecordView(follower.log.record(i));
+    ASSERT_TRUE(entry.ok());
+    EXPECT_EQ(entry->zxid, MakeZxid(1, i + 1));
+    EXPECT_EQ(TxnStr(entry->txn), "t" + std::to_string(i + 1));
   }
 }
 

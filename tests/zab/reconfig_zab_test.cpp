@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -21,7 +22,7 @@ namespace edc {
 namespace {
 
 std::vector<uint8_t> Txn(const std::string& s) { return std::vector<uint8_t>(s.begin(), s.end()); }
-std::string TxnStr(const std::vector<uint8_t>& b) { return std::string(b.begin(), b.end()); }
+std::string TxnStr(std::span<const uint8_t> b) { return std::string(b.begin(), b.end()); }
 
 class Replica : public NetworkNode, public ZabCallbacks {
  public:
@@ -38,7 +39,7 @@ class Replica : public NetworkNode, public ZabCallbacks {
     }
   }
 
-  void OnDeliver(uint64_t zxid, const std::vector<uint8_t>& txn) override {
+  void OnDeliver(uint64_t zxid, std::span<const uint8_t> txn) override {
     delivered.push_back(TxnStr(txn));
     delivered_zxids.push_back(zxid);
     state += TxnStr(txn) + ";";

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -15,7 +16,7 @@ namespace edc {
 namespace {
 
 std::vector<uint8_t> Txn(const std::string& s) { return std::vector<uint8_t>(s.begin(), s.end()); }
-std::string TxnStr(const std::vector<uint8_t>& b) { return std::string(b.begin(), b.end()); }
+std::string TxnStr(std::span<const uint8_t> b) { return std::string(b.begin(), b.end()); }
 
 // A minimal replica shell: routes packets to the Zab node and records
 // deliveries. Snapshots are the concatenation of delivered strings, so state
@@ -37,7 +38,7 @@ class TestReplica : public NetworkNode, public ZabCallbacks {
     }
   }
 
-  void OnDeliver(uint64_t zxid, const std::vector<uint8_t>& txn) override {
+  void OnDeliver(uint64_t zxid, std::span<const uint8_t> txn) override {
     delivered.push_back(TxnStr(txn));
     delivered_zxids.push_back(zxid);
     state += TxnStr(txn) + ";";
