@@ -153,15 +153,23 @@ void BM_CodecEncodeDecode(benchmark::State& state) {
   std::string payload(static_cast<size_t>(state.range(0)), 'p');
   for (auto _ : state) {
     Encoder enc;
-    enc.PutU64(12345);
-    enc.PutString("/some/path/to/node");
-    enc.PutString(payload);
-    enc.PutVarint(777);
+    enc.U64(12345);
+    enc.Str("/some/path/to/node");
+    enc.Str(payload);
+    enc.Varint(777);
     Decoder dec(enc.buffer());
-    benchmark::DoNotOptimize(dec.GetU64());
-    benchmark::DoNotOptimize(dec.GetString());
-    benchmark::DoNotOptimize(dec.GetString());
-    benchmark::DoNotOptimize(dec.GetVarint());
+    uint64_t id = 0;
+    std::string path;
+    std::string data;
+    uint64_t version = 0;
+    dec.U64(id);
+    dec.Str(path);
+    dec.Str(data);
+    dec.Varint(version);
+    benchmark::DoNotOptimize(id);
+    benchmark::DoNotOptimize(path);
+    benchmark::DoNotOptimize(data);
+    benchmark::DoNotOptimize(version);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
 }
@@ -176,22 +184,31 @@ BENCHMARK(BM_CodecEncodeDecode)->Arg(64)->Arg(1024);
 // the leader side, and the two below it measure the follower side
 // (decode + re-encode vs borrow a view and copy the record slice).
 
-ZabProposal MakeProposal(size_t txn_size) {
-  ZabProposal p;
-  p.zxid = MakeZxid(3, 12345);
-  p.txn.assign(txn_size, 0xab);
-  return p;
+// The pre-arena follower shape: a kPropose decoded into a proposal that owns
+// a copy of its txn.
+struct OwnedPropose {
+  uint32_t epoch = 0;
+  uint64_t zxid = 0;
+  uint8_t flags = 0;
+  std::vector<uint8_t> txn;
+};
+
+template <class Io>
+void Fields(Io& io, OwnedPropose& m) {
+  io.U32(m.epoch);
+  io.U64(m.zxid);
+  io.U8(m.flags);
+  io.Bytes(m.txn);
 }
 
 void BM_ProposalEncodePerMessage(benchmark::State& state) {
-  ZabProposal p = MakeProposal(static_cast<size_t>(state.range(0)));
+  std::vector<uint8_t> txn(static_cast<size_t>(state.range(0)), 0xab);
+  ZabRecordView p{MakeZxid(3, 12345), 0, txn};
   for (auto _ : state) {
     // Legacy shape: one Encoder for the wire frame, one to re-encode the
     // proposal as the log record.
-    std::vector<uint8_t> frame = EncodeProposeMsg({3, p});
-    Encoder rec;
-    p.Encode(rec);
-    std::vector<uint8_t> record = rec.Release();
+    std::vector<uint8_t> frame = EncodeMsg(ProposeMsg{3, p});
+    std::vector<uint8_t> record = EncodeMsg(p);
     benchmark::DoNotOptimize(frame);
     benchmark::DoNotOptimize(record);
   }
@@ -200,11 +217,12 @@ void BM_ProposalEncodePerMessage(benchmark::State& state) {
 BENCHMARK(BM_ProposalEncodePerMessage)->Arg(64)->Arg(1024);
 
 void BM_ProposalEncodeArena(benchmark::State& state) {
-  ZabProposal p = MakeProposal(static_cast<size_t>(state.range(0)));
+  std::vector<uint8_t> txn(static_cast<size_t>(state.range(0)), 0xab);
+  ProposeMsg msg{3, {MakeZxid(3, 12345), 0, txn}};
   Encoder arena;
   for (auto _ : state) {
     arena.Clear();
-    EncodeProposeMsgInto({3, p}, arena);
+    Fields(arena, msg);
     const std::vector<uint8_t>& frame = arena.buffer();
     std::vector<uint8_t> record(frame.begin() + kProposeHeaderBytes, frame.end());
     benchmark::DoNotOptimize(frame.data());
@@ -215,13 +233,11 @@ void BM_ProposalEncodeArena(benchmark::State& state) {
 BENCHMARK(BM_ProposalEncodeArena)->Arg(64)->Arg(1024);
 
 void BM_ProposalDecodeAndRelog(benchmark::State& state) {
-  ZabProposal p = MakeProposal(static_cast<size_t>(state.range(0)));
-  std::vector<uint8_t> packet = EncodeProposeMsg({3, p});
+  std::vector<uint8_t> txn(static_cast<size_t>(state.range(0)), 0xab);
+  std::vector<uint8_t> packet = EncodeMsg(ProposeMsg{3, {MakeZxid(3, 12345), 0, txn}});
   for (auto _ : state) {
-    auto msg = DecodeProposeMsg(packet);
-    Encoder rec;
-    msg->proposal.Encode(rec);
-    std::vector<uint8_t> record = rec.Release();
+    auto msg = DecodeMsg<OwnedPropose>(packet);
+    std::vector<uint8_t> record = EncodeMsg(ZabRecordView{msg->zxid, msg->flags, msg->txn});
     benchmark::DoNotOptimize(record);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
@@ -229,12 +245,12 @@ void BM_ProposalDecodeAndRelog(benchmark::State& state) {
 BENCHMARK(BM_ProposalDecodeAndRelog)->Arg(64)->Arg(1024);
 
 void BM_ProposalDecodeView(benchmark::State& state) {
-  ZabProposal p = MakeProposal(static_cast<size_t>(state.range(0)));
-  std::vector<uint8_t> packet = EncodeProposeMsg({3, p});
+  std::vector<uint8_t> txn(static_cast<size_t>(state.range(0)), 0xab);
+  std::vector<uint8_t> packet = EncodeMsg(ProposeMsg{3, {MakeZxid(3, 12345), 0, txn}});
   for (auto _ : state) {
     auto view = DecodeProposeMsgView(packet);
-    std::vector<uint8_t> record(view->record, view->record + view->record_size);
-    benchmark::DoNotOptimize(view->txn);
+    std::vector<uint8_t> record(view->record.begin(), view->record.end());
+    benchmark::DoNotOptimize(view->proposal.txn);
     benchmark::DoNotOptimize(record);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));

@@ -40,9 +40,8 @@ struct BftRequest {
   uint64_t req_id = 0;
   std::vector<uint8_t> payload;
 
-  void Encode(Encoder& enc) const;
-  static Result<BftRequest> Decode(Decoder& dec);
   uint64_t Digest(uint64_t seq, SimTime ts) const;
+  bool operator==(const BftRequest&) const = default;
 };
 
 // The requests ordered under one sequence number. Request i executes at
@@ -58,18 +57,24 @@ struct PrePrepareMsg {
   uint64_t seq = 0;
   SimTime ts = 0;  // deterministic timestamp assigned by the primary
   BftBatch batch;
+
+  bool operator==(const PrePrepareMsg&) const = default;
 };
 
 struct PhaseMsg {  // PREPARE and COMMIT
   uint64_t view = 0;
   uint64_t seq = 0;
   uint64_t digest = 0;
+
+  bool operator==(const PhaseMsg&) const = default;
 };
 
 struct ReplyMsg {
   uint64_t req_id = 0;
   uint64_t view = 0;
   std::vector<uint8_t> payload;
+
+  bool operator==(const ReplyMsg&) const = default;
 };
 
 // A prepared certificate as carried by VIEW-CHANGE and NEW-VIEW: `view` is
@@ -80,17 +85,23 @@ struct PreparedEntry {
   uint64_t seq = 0;
   SimTime ts = 0;
   BftBatch batch;
+
+  bool operator==(const PreparedEntry&) const = default;
 };
 
 struct ViewChangeMsg {
   uint64_t new_view = 0;
   uint64_t last_executed = 0;
   std::vector<PreparedEntry> prepared;
+
+  bool operator==(const ViewChangeMsg&) const = default;
 };
 
 struct NewViewMsg {
   uint64_t new_view = 0;
   std::vector<PreparedEntry> reproposed;
+
+  bool operator==(const NewViewMsg&) const = default;
 };
 
 // Broadcast after every K-th execution: `digest` fingerprints the full
@@ -101,11 +112,15 @@ struct CheckpointMsg {
   uint64_t view = 0;
   uint64_t seq = 0;
   uint64_t digest = 0;
+
+  bool operator==(const CheckpointMsg&) const = default;
 };
 
 // A lagging replica asks peers for checkpoint state above `last_executed`.
 struct StateRequestMsg {
   uint64_t last_executed = 0;
+
+  bool operator==(const StateRequestMsg&) const = default;
 };
 
 // Peer's reply: its current state snapshot at `seq` (= its last executed
@@ -116,26 +131,81 @@ struct StateResponseMsg {
   uint64_t seq = 0;
   uint64_t digest = 0;
   std::vector<uint8_t> state;
+
+  bool operator==(const StateResponseMsg&) const = default;
 };
 
-std::vector<uint8_t> EncodeBftRequest(const BftRequest& m);
-Result<BftRequest> DecodeBftRequest(const std::vector<uint8_t>& buf);
-std::vector<uint8_t> EncodePrePrepare(const PrePrepareMsg& m);
-Result<PrePrepareMsg> DecodePrePrepare(const std::vector<uint8_t>& buf);
-std::vector<uint8_t> EncodePhaseMsg(const PhaseMsg& m);
-Result<PhaseMsg> DecodePhaseMsg(const std::vector<uint8_t>& buf);
-std::vector<uint8_t> EncodeReplyMsg(const ReplyMsg& m);
-Result<ReplyMsg> DecodeReplyMsg(const std::vector<uint8_t>& buf);
-std::vector<uint8_t> EncodeViewChange(const ViewChangeMsg& m);
-Result<ViewChangeMsg> DecodeViewChange(const std::vector<uint8_t>& buf);
-std::vector<uint8_t> EncodeNewView(const NewViewMsg& m);
-Result<NewViewMsg> DecodeNewView(const std::vector<uint8_t>& buf);
-std::vector<uint8_t> EncodeCheckpoint(const CheckpointMsg& m);
-Result<CheckpointMsg> DecodeCheckpoint(const std::vector<uint8_t>& buf);
-std::vector<uint8_t> EncodeStateRequest(const StateRequestMsg& m);
-Result<StateRequestMsg> DecodeStateRequest(const std::vector<uint8_t>& buf);
-std::vector<uint8_t> EncodeStateResponse(const StateResponseMsg& m);
-Result<StateResponseMsg> DecodeStateResponse(const std::vector<uint8_t>& buf);
+// Wire formats (common/codec.h), fields in wire order.
+
+template <class Io>
+void Fields(Io& io, BftRequest& m) {
+  io.U32(m.client);
+  io.U64(m.req_id);
+  io.Bytes(m.payload);
+}
+
+template <class Io>
+void Fields(Io& io, PrePrepareMsg& m) {
+  io.U64(m.view);
+  io.U64(m.seq);
+  io.I64(m.ts);
+  io.List(m.batch);
+}
+
+template <class Io>
+void Fields(Io& io, PhaseMsg& m) {
+  io.U64(m.view);
+  io.U64(m.seq);
+  io.U64(m.digest);
+}
+
+template <class Io>
+void Fields(Io& io, ReplyMsg& m) {
+  io.U64(m.req_id);
+  io.U64(m.view);
+  io.Bytes(m.payload);
+}
+
+template <class Io>
+void Fields(Io& io, PreparedEntry& m) {
+  io.U64(m.view);
+  io.U64(m.seq);
+  io.I64(m.ts);
+  io.List(m.batch);
+}
+
+template <class Io>
+void Fields(Io& io, ViewChangeMsg& m) {
+  io.U64(m.new_view);
+  io.U64(m.last_executed);
+  io.List(m.prepared);
+}
+
+template <class Io>
+void Fields(Io& io, NewViewMsg& m) {
+  io.U64(m.new_view);
+  io.List(m.reproposed);
+}
+
+template <class Io>
+void Fields(Io& io, CheckpointMsg& m) {
+  io.U64(m.view);
+  io.U64(m.seq);
+  io.U64(m.digest);
+}
+
+template <class Io>
+void Fields(Io& io, StateRequestMsg& m) {
+  io.U64(m.last_executed);
+}
+
+template <class Io>
+void Fields(Io& io, StateResponseMsg& m) {
+  io.U64(m.view);
+  io.U64(m.seq);
+  io.U64(m.digest);
+  io.Bytes(m.state);
+}
 
 }  // namespace edc
 

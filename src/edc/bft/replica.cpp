@@ -105,7 +105,7 @@ void BftReplica::BroadcastToReplicas(BftMsgType type, const std::vector<uint8_t>
 
 void BftReplica::SendReply(NodeId client, uint64_t req_id, std::vector<uint8_t> payload) {
   ReplyMsg reply{req_id, view_, std::move(payload)};
-  SendTo(client, BftMsgType::kReply, EncodeReplyMsg(reply));
+  SendTo(client, BftMsgType::kReply, EncodeMsg(reply));
 }
 
 void BftReplica::HandlePacket(Packet&& pkt) {
@@ -125,63 +125,63 @@ void BftReplica::HandlePacket(Packet&& pkt) {
 void BftReplica::Process(Packet&& pkt) {
   switch (static_cast<BftMsgType>(pkt.type)) {
     case BftMsgType::kRequest: {
-      auto m = DecodeBftRequest(pkt.payload);
+      auto m = DecodeMsg<BftRequest>(pkt.payload);
       if (m.ok()) {
         OnRequest(std::move(*m));
       }
       break;
     }
     case BftMsgType::kPrePrepare: {
-      auto m = DecodePrePrepare(pkt.payload);
+      auto m = DecodeMsg<PrePrepareMsg>(pkt.payload);
       if (m.ok()) {
         OnPrePrepare(pkt.src, std::move(*m));
       }
       break;
     }
     case BftMsgType::kPrepare: {
-      auto m = DecodePhaseMsg(pkt.payload);
+      auto m = DecodeMsg<PhaseMsg>(pkt.payload);
       if (m.ok()) {
         OnPrepare(pkt.src, *m);
       }
       break;
     }
     case BftMsgType::kCommit: {
-      auto m = DecodePhaseMsg(pkt.payload);
+      auto m = DecodeMsg<PhaseMsg>(pkt.payload);
       if (m.ok()) {
         OnCommit(pkt.src, *m);
       }
       break;
     }
     case BftMsgType::kViewChange: {
-      auto m = DecodeViewChange(pkt.payload);
+      auto m = DecodeMsg<ViewChangeMsg>(pkt.payload);
       if (m.ok()) {
         OnViewChange(pkt.src, std::move(*m));
       }
       break;
     }
     case BftMsgType::kNewView: {
-      auto m = DecodeNewView(pkt.payload);
+      auto m = DecodeMsg<NewViewMsg>(pkt.payload);
       if (m.ok()) {
         OnNewView(pkt.src, std::move(*m));
       }
       break;
     }
     case BftMsgType::kCheckpoint: {
-      auto m = DecodeCheckpoint(pkt.payload);
+      auto m = DecodeMsg<CheckpointMsg>(pkt.payload);
       if (m.ok()) {
         OnCheckpoint(pkt.src, *m);
       }
       break;
     }
     case BftMsgType::kStateRequest: {
-      auto m = DecodeStateRequest(pkt.payload);
+      auto m = DecodeMsg<StateRequestMsg>(pkt.payload);
       if (m.ok()) {
         OnStateRequest(pkt.src, *m);
       }
       break;
     }
     case BftMsgType::kStateResponse: {
-      auto m = DecodeStateResponse(pkt.payload);
+      auto m = DecodeMsg<StateResponseMsg>(pkt.payload);
       if (m.ok()) {
         OnStateResponse(pkt.src, std::move(*m));
       }
@@ -342,11 +342,11 @@ void BftReplica::Propose(BftBatch batch) {
       }
       bogus += 1;
       PrePrepareMsg msg{view_, seq, bogus, entry.batch};
-      SendTo(peer, BftMsgType::kPrePrepare, EncodePrePrepare(msg));
+      SendTo(peer, BftMsgType::kPrePrepare, EncodeMsg(msg));
     }
   } else {
     PrePrepareMsg msg{view_, seq, ts, std::move(batch)};
-    BroadcastToReplicas(BftMsgType::kPrePrepare, EncodePrePrepare(msg));
+    BroadcastToReplicas(BftMsgType::kPrePrepare, EncodeMsg(msg));
   }
   CheckPrepared(seq);
 }
@@ -374,7 +374,7 @@ void BftReplica::OnPrePrepare(NodeId from, PrePrepareMsg&& msg) {
   if (m_prepares_ != nullptr) {
     m_prepares_->Increment();
   }
-  BroadcastToReplicas(BftMsgType::kPrepare, EncodePhaseMsg(prepare));
+  BroadcastToReplicas(BftMsgType::kPrepare, EncodeMsg(prepare));
   CheckPrepared(msg.seq);
   ArmRequestTimer();
 }
@@ -407,7 +407,7 @@ void BftReplica::CheckPrepared(uint64_t seq) {
   if (m_commits_ != nullptr) {
     m_commits_->Increment();
   }
-  BroadcastToReplicas(BftMsgType::kCommit, EncodePhaseMsg(commit));
+  BroadcastToReplicas(BftMsgType::kCommit, EncodeMsg(commit));
   CheckCommitted(seq);
 }
 
@@ -505,31 +505,19 @@ void BftReplica::ExecuteRequest(const BftRequest& req, SimTime ts) {
 
 namespace {
 
-// LogStore::SerializeImage framing for the embedded service snapshot: u32
-// length + u64 FNV-1a checksum + payload, little-endian.
-void AppendFramed(Encoder& enc, const std::vector<uint8_t>& payload) {
-  enc.PutU32(static_cast<uint32_t>(payload.size()));
-  enc.PutU64(Fnv1a64(payload));
-  for (uint8_t b : payload) {
-    enc.PutU8(b);
-  }
-}
-
-Result<std::vector<uint8_t>> ReadFramed(Decoder& dec) {
-  auto len = dec.GetU32();
-  auto sum = dec.GetU64();
-  if (!len.ok() || !sum.ok() || dec.remaining() < *len) {
-    return Status(ErrorCode::kDecodeError, "truncated snapshot frame");
-  }
-  std::vector<uint8_t> payload;
-  payload.reserve(*len);
-  for (uint32_t i = 0; i < *len; ++i) {
-    payload.push_back(*dec.GetU8());
-  }
-  if (Fnv1a64(payload) != *sum) {
-    return Status(ErrorCode::kDecodeError, "snapshot frame checksum mismatch");
-  }
-  return payload;
+// The checkpoint header ahead of the framed service snapshot, fields in wire
+// order. `Dedup` is the replica's map of client -> executed request ids.
+template <class Io, class Dedup>
+void CheckpointHeader(Io& io, uint64_t& last_executed, uint64_t& executed_ops,
+                      SimTime& last_exec_ts, Dedup& executed_reqs) {
+  io.U64(last_executed);
+  io.U64(executed_ops);
+  io.I64(last_exec_ts);
+  io.List(executed_reqs, [&](auto& client) {
+    io.U32(client.first);
+    io.U64(client.second.floor);
+    io.List(client.second.ids, [&](uint64_t& id) { io.U64(id); });
+  });
 }
 
 }  // namespace
@@ -540,19 +528,8 @@ std::vector<uint8_t> BftReplica::ComposeCheckpoint() {
   // GcDedup's case), so replicas at the same sequence number agree
   // byte-for-byte and the digest doubles as the transfer integrity check.
   Encoder enc;
-  enc.PutU64(last_executed_);
-  enc.PutU64(executed_ops_);
-  enc.PutI64(last_exec_ts_);
-  enc.PutVarint(executed_reqs_.size());
-  for (const auto& [client, dedup] : executed_reqs_) {
-    enc.PutU32(client);
-    enc.PutU64(dedup.floor);
-    enc.PutVarint(dedup.ids.size());
-    for (uint64_t id : dedup.ids) {
-      enc.PutU64(id);
-    }
-  }
-  AppendFramed(enc, callbacks_->TakeSnapshot());
+  CheckpointHeader(enc, last_executed_, executed_ops_, last_exec_ts_, executed_reqs_);
+  enc.Frame(callbacks_->TakeSnapshot());
   return enc.Release();
 }
 
@@ -582,7 +559,7 @@ void BftReplica::TakeLocalCheckpoint() {
   if (m_checkpoints_ != nullptr) {
     m_checkpoints_->Increment();
   }
-  BroadcastToReplicas(BftMsgType::kCheckpoint, EncodeCheckpoint(msg));
+  BroadcastToReplicas(BftMsgType::kCheckpoint, EncodeMsg(msg));
   AddCheckpointVote(config_.self, msg.seq, msg.digest, view_);
 }
 
@@ -601,13 +578,13 @@ void BftReplica::OnStateRequest(NodeId from, const StateRequestMsg& msg) {
   if (own_state_seq_ > msg.last_executed && !own_state_.empty() &&
       own_state_seq_ != last_executed_) {
     StateResponseMsg resp{view_, own_state_seq_, Fnv1a64(own_state_), own_state_};
-    SendTo(from, BftMsgType::kStateResponse, EncodeStateResponse(resp));
+    SendTo(from, BftMsgType::kStateResponse, EncodeMsg(resp));
   }
   if (last_executed_ > msg.last_executed) {
     std::vector<uint8_t> state = ComposeCheckpoint();
     uint64_t digest = Fnv1a64(state);
     StateResponseMsg resp{view_, last_executed_, digest, std::move(state)};
-    SendTo(from, BftMsgType::kStateResponse, EncodeStateResponse(resp));
+    SendTo(from, BftMsgType::kStateResponse, EncodeMsg(resp));
   }
 }
 
@@ -684,7 +661,7 @@ void BftReplica::AddCheckpointVote(NodeId from, uint64_t seq, uint64_t digest,
         if (last_executed_ < seq && fetch_target_ < seq) {
           fetch_target_ = seq;
           StateRequestMsg req{last_executed_};
-          BroadcastToReplicas(BftMsgType::kStateRequest, EncodeStateRequest(req));
+          BroadcastToReplicas(BftMsgType::kStateRequest, EncodeMsg(req));
         }
       }
     }
@@ -769,36 +746,18 @@ void BftReplica::MaybeInstallState() {
 
 bool BftReplica::InstallCheckpoint(uint64_t seq, const std::vector<uint8_t>& state) {
   Decoder dec(state);
-  auto exec = dec.GetU64();
-  auto ops = dec.GetU64();
-  auto exec_ts = dec.GetI64();
-  auto nclients = dec.GetVarint();
-  if (!exec.ok() || !ops.ok() || !exec_ts.ok() || !nclients.ok() || *exec != seq) {
-    return false;
-  }
+  uint64_t exec = 0;
+  uint64_t ops = 0;
+  SimTime exec_ts = 0;
   std::map<NodeId, ClientDedup> dedup;
-  for (uint64_t i = 0; i < *nclients; ++i) {
-    auto client = dec.GetU32();
-    auto floor = dec.GetU64();
-    auto nids = dec.GetVarint();
-    if (!client.ok() || !floor.ok() || !nids.ok()) {
-      return false;
-    }
-    ClientDedup& d = dedup[*client];
-    d.floor = *floor;
-    for (uint64_t j = 0; j < *nids; ++j) {
-      auto id = dec.GetU64();
-      if (!id.ok()) {
-        return false;
-      }
-      InsertId(d.ids, *id);
-    }
-  }
-  auto service = ReadFramed(dec);
-  if (!service.ok()) {
+  CheckpointHeader(dec, exec, ops, exec_ts, dedup);
+  dec.Check(exec == seq);
+  std::span<const uint8_t> service;
+  dec.Check(dec.Frame(service));
+  if (!dec.ok()) {
     return false;
   }
-  if (auto s = callbacks_->RestoreSnapshot(*service); !s.ok()) {
+  if (auto s = callbacks_->RestoreSnapshot({service.begin(), service.end()}); !s.ok()) {
     EDC_LOG(kWarn) << "replica " << config_.self << " snapshot restore failed: "
                    << s.message();
     return false;
@@ -811,8 +770,8 @@ bool BftReplica::InstallCheckpoint(uint64_t seq, const std::vector<uint8_t>& sta
   // produce no new checkpoints, and therefore never reach this path.
   view_changing_ = false;
   last_executed_ = seq;
-  executed_ops_ = *ops;
-  last_exec_ts_ = *exec_ts;
+  executed_ops_ = ops;
+  last_exec_ts_ = exec_ts;
   last_ts_ = std::max(last_ts_, last_exec_ts_);
   executed_reqs_ = std::move(dedup);
   next_seq_ = std::max(next_seq_, seq);
@@ -845,7 +804,7 @@ void BftReplica::ScheduleCatchupProbe() {
   }
   --probe_budget_;
   StateRequestMsg req{last_executed_};
-  BroadcastToReplicas(BftMsgType::kStateRequest, EncodeStateRequest(req));
+  BroadcastToReplicas(BftMsgType::kStateRequest, EncodeMsg(req));
   uint64_t gen = generation_;
   loop_->Schedule(config_.request_timeout * 2, [this, gen]() {
     if (gen != generation_ || !running_) {
@@ -889,7 +848,7 @@ void BftReplica::OnRequestTimeout() {
     // in fact executing without us (we slept through a partition), peers
     // answer with a checkpoint and the transfer path rejoins us.
     StateRequestMsg probe{last_executed_};
-    BroadcastToReplicas(BftMsgType::kStateRequest, EncodeStateRequest(probe));
+    BroadcastToReplicas(BftMsgType::kStateRequest, EncodeMsg(probe));
     StartViewChange(vc_target_ + 1);
     return;
   }
@@ -903,7 +862,7 @@ void BftReplica::OnRequestTimeout() {
     return;
   }
   StateRequestMsg probe{last_executed_};
-  BroadcastToReplicas(BftMsgType::kStateRequest, EncodeStateRequest(probe));
+  BroadcastToReplicas(BftMsgType::kStateRequest, EncodeMsg(probe));
   StartViewChange(view_ + 1);
 }
 
@@ -920,7 +879,7 @@ void BftReplica::StartViewChange(uint64_t new_view) {
   }
   EDC_LOG(kDebug) << "replica " << config_.self << " view-change to " << new_view;
   view_changes_[new_view][config_.self] = msg;
-  BroadcastToReplicas(BftMsgType::kViewChange, EncodeViewChange(msg));
+  BroadcastToReplicas(BftMsgType::kViewChange, EncodeMsg(msg));
   ArmRequestTimer();  // keep escalating if this view change stalls
   OnViewChange(config_.self, std::move(msg));
 }
@@ -972,7 +931,7 @@ void BftReplica::OnViewChange(NodeId from, ViewChangeMsg&& msg) {
       nv.reproposed.push_back(noop);
     }
   }
-  BroadcastToReplicas(BftMsgType::kNewView, EncodeNewView(nv));
+  BroadcastToReplicas(BftMsgType::kNewView, EncodeMsg(nv));
   OnNewView(config_.self, std::move(nv));
 }
 
@@ -1017,7 +976,7 @@ void BftReplica::AdoptEntry(const PreparedEntry& e, uint64_t view) {
   if (m_prepares_ != nullptr) {
     m_prepares_->Increment();
   }
-  BroadcastToReplicas(BftMsgType::kPrepare, EncodePhaseMsg(prepare));
+  BroadcastToReplicas(BftMsgType::kPrepare, EncodeMsg(prepare));
   CheckPrepared(e.seq);
 }
 

@@ -101,7 +101,7 @@ std::vector<DsModelReply> DsModel::Execute(SimTime ts, NodeId client, uint64_t r
 
   Expire(ts);
 
-  auto op = DsOp::Decode(payload);
+  auto op = DecodeMsg<DsOp>(payload);
   if (!op.ok()) {
     reply_error(Status(ErrorCode::kDecodeError));
     return replies;

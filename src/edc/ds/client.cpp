@@ -57,8 +57,8 @@ void DsClient::Transmit(uint64_t req_id) {
   BftRequest req;
   req.client = id_;
   req.req_id = req_id;
-  req.payload = it->second.op.Encode();
-  std::vector<uint8_t> encoded = EncodeBftRequest(req);
+  req.payload = EncodeMsg(it->second.op);
+  std::vector<uint8_t> encoded = EncodeMsg(req);
   for (NodeId replica : replicas_.servers) {
     Packet pkt;
     pkt.src = id_;
@@ -120,7 +120,7 @@ void DsClient::HandlePacket(Packet&& pkt) {
   if (!alive_ || pkt.type != static_cast<uint32_t>(BftMsgType::kReply)) {
     return;
   }
-  auto reply = DecodeReplyMsg(pkt.payload);
+  auto reply = DecodeMsg<ReplyMsg>(pkt.payload);
   if (!reply.ok()) {
     return;
   }
@@ -138,7 +138,7 @@ void DsClient::HandlePacket(Packet&& pkt) {
   loop_->Cancel(it->second.retry_timer);
   calls_.erase(it);
   Result<DsReply> result{Status(ErrorCode::kInternal, "")};
-  auto decoded = DsReply::Decode(reply->payload);
+  auto decoded = DecodeMsg<DsReply>(reply->payload);
   if (!decoded.ok()) {
     result = decoded.status();
   } else if (decoded->code != ErrorCode::kOk) {

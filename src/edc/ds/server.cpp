@@ -191,56 +191,32 @@ void DsServer::HandlePacket(Packet&& pkt) {
 
 std::vector<uint8_t> DsServer::TakeSnapshot() {
   Encoder enc;
-  enc.PutBytes(space_.Serialize());
-  enc.PutU64(next_waiter_order_);
-  enc.PutVarint(waiters_.size());
-  for (const Waiter& w : waiters_) {
-    EncodeTemplate(enc, w.templ);
-    enc.PutU32(w.client);
-    enc.PutU64(w.req_id);
-    enc.PutBool(w.consume);
-    enc.PutU64(w.order);
-  }
-  enc.PutVarint(map_version_);
+  enc.Bytes(space_.Serialize());
+  enc.U64(next_waiter_order_);
+  enc.List(waiters_);
+  enc.Varint(map_version_);
   return enc.Release();
 }
 
 Status DsServer::RestoreSnapshot(const std::vector<uint8_t>& snapshot) {
   Decoder dec(snapshot);
-  auto image = dec.GetBytes();
-  auto order = dec.GetU64();
-  auto n = dec.GetVarint();
-  if (!image.ok() || !order.ok() || !n.ok()) {
-    return Status(ErrorCode::kDecodeError, "snapshot header");
-  }
+  std::span<const uint8_t> image;
+  uint64_t order = 0;
   std::vector<Waiter> waiters;
-  for (uint64_t i = 0; i < *n; ++i) {
-    Waiter w;
-    auto templ = DecodeTemplate(dec);
-    auto client = dec.GetU32();
-    auto req_id = dec.GetU64();
-    auto consume = dec.GetBool();
-    auto worder = dec.GetU64();
-    if (!templ.ok() || !client.ok() || !req_id.ok() || !consume.ok() || !worder.ok()) {
-      return Status(ErrorCode::kDecodeError, "snapshot waiter");
-    }
-    w.templ = std::move(*templ);
-    w.client = *client;
-    w.req_id = *req_id;
-    w.consume = *consume;
-    w.order = *worder;
-    waiters.push_back(std::move(w));
+  uint64_t map_version = 0;
+  dec.Bytes(image);
+  dec.U64(order);
+  dec.List(waiters);
+  dec.Varint(map_version);
+  if (!dec.ok()) {
+    return dec.status();
   }
-  auto map_version = dec.GetVarint();
-  if (!map_version.ok()) {
-    return Status(ErrorCode::kDecodeError, "snapshot map version");
-  }
-  if (auto s = space_.Load(*image); !s.ok()) {
+  if (auto s = space_.Load(image); !s.ok()) {
     return s;
   }
-  next_waiter_order_ = *order;
+  next_waiter_order_ = order;
   waiters_ = std::move(waiters);
-  map_version_ = *map_version;
+  map_version_ = map_version;
   if (hooks_ != nullptr) {
     hooks_->OnStateReloaded();  // rebuild the extension registry from /em tuples
   }
@@ -269,7 +245,7 @@ Status DsServer::CheckPolicy(const DsOp& op) const {
 }
 
 void DsServer::Reply(NodeId client, uint64_t req_id, const DsReply& reply) {
-  bft_->SendReply(client, req_id, reply.Encode());
+  bft_->SendReply(client, req_id, EncodeMsg(reply));
 }
 
 BftExecOutcome DsServer::Execute(uint64_t seq, SimTime ts, const BftRequest& request) {
@@ -286,7 +262,7 @@ BftExecOutcome DsServer::Execute(uint64_t seq, SimTime ts, const BftRequest& req
     ctx.events().push_back(DsEvent{DsEvent::Type::kDeleted, std::move(expired)});
   }
 
-  auto op = DsOp::Decode(request.payload);
+  auto op = DecodeMsg<DsOp>(request.payload);
   if (!op.ok()) {
     DsReply reply;
     reply.code = ErrorCode::kDecodeError;

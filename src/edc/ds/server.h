@@ -172,6 +172,15 @@ class DsServer : public NetworkNode, public BftCallbacks {
     uint64_t req_id = 0;
     bool consume = false;
     uint64_t order = 0;
+
+    template <class Io>
+    friend void Fields(Io& io, Waiter& w) {
+      io.List(w.templ);
+      io.U32(w.client);
+      io.U64(w.req_id);
+      io.Bool(w.consume);
+      io.U64(w.order);
+    }
   };
 
   Status CheckAccess(NodeId client, DsOpType type, const DsTuple* tuple,

@@ -189,56 +189,34 @@ bool TupleSpace::HasMatch(const DsTemplate& templ) const { return FirstMatch(tem
 
 std::vector<uint8_t> TupleSpace::Serialize() const {
   Encoder enc;
-  enc.PutU64(next_seq_);
-  enc.PutVarint(entries_.size());
-  for (const auto& [seq, e] : entries_) {
-    EncodeTuple(enc, e.tuple);
-    enc.PutU64(e.seq);
-    enc.PutI64(e.ctime);
-    enc.PutI64(e.deadline);
-    enc.PutU32(e.owner);
-  }
+  enc.U64(next_seq_);
+  enc.List(entries_, [&](auto& e) { Fields(enc, e.second); });
   return enc.Release();
 }
 
 uint64_t TupleSpace::Digest() const { return Fnv1a64(Serialize()); }
 
-Status TupleSpace::Load(const std::vector<uint8_t>& snapshot) {
+Status TupleSpace::Load(std::span<const uint8_t> snapshot) {
   Clear();
   if (snapshot.empty()) {
     return Status::Ok();
   }
   Decoder dec(snapshot);
-  auto next_seq = dec.GetU64();
-  auto n = dec.GetVarint();
-  if (!next_seq.ok() || !n.ok()) {
-    return Status(ErrorCode::kDecodeError, "tuple space header");
+  uint64_t next_seq = 0;
+  std::vector<DsEntry> entries;
+  dec.U64(next_seq);
+  dec.List(entries);
+  if (!dec.ok()) {
+    return Status(ErrorCode::kDecodeError, "tuple space entry");
   }
-  uint64_t last_seq = 0;
-  for (uint64_t i = 0; i < *n; ++i) {
-    DsEntry e;
-    auto tuple = DecodeTuple(dec);
-    auto seq = dec.GetU64();
-    auto ctime = dec.GetI64();
-    auto deadline = dec.GetI64();
-    auto owner = dec.GetU32();
-    if (!tuple.ok() || !seq.ok() || !ctime.ok() || !deadline.ok() || !owner.ok()) {
-      Clear();
-      return Status(ErrorCode::kDecodeError, "tuple space entry");
-    }
-    if ((i > 0 && *seq <= last_seq) || *seq >= *next_seq) {
+  for (size_t i = 0; i < entries.size(); ++i) {
+    if ((i > 0 && entries[i].seq <= entries[i - 1].seq) || entries[i].seq >= next_seq) {
       Clear();
       return Status(ErrorCode::kDecodeError, "tuple space entry seqs out of order");
     }
-    last_seq = *seq;
-    e.tuple = std::move(*tuple);
-    e.seq = *seq;
-    e.ctime = *ctime;
-    e.deadline = *deadline;
-    e.owner = *owner;
-    Insert(std::move(e));
+    Insert(std::move(entries[i]));
   }
-  next_seq_ = *next_seq;
+  next_seq_ = next_seq;
   return Status::Ok();
 }
 

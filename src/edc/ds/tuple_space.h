@@ -27,6 +27,7 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -45,6 +46,15 @@ struct DsEntry {
   SimTime deadline = 0;   // 0 = no lease
   NodeId owner = 0;       // client that inserted it (lease renewal rights)
 };
+
+template <class Io>
+void Fields(Io& io, DsEntry& m) {
+  io.List(m.tuple);
+  io.U64(m.seq);
+  io.I64(m.ctime);
+  io.I64(m.deadline);
+  io.U32(m.owner);
+}
 
 class TupleSpace {
  public:
@@ -98,7 +108,7 @@ class TupleSpace {
   // leaving the space empty) an image whose entry seqs are not strictly
   // increasing or not below its next seq: the index and the object views
   // built over the space rely on unique seqs in insertion order.
-  Status Load(const std::vector<uint8_t>& snapshot);
+  Status Load(std::span<const uint8_t> snapshot);
 
   // Order-sensitive fingerprint of the whole space (FNV-1a over the
   // serialized form). Replicas that executed the same ordered history agree

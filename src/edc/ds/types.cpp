@@ -68,169 +68,4 @@ DsTemplate ObjectPrefixTemplate(const std::string& prefix) {
   return DsTemplate{DsTField::Prefix(prefix), DsTField::Any()};
 }
 
-void EncodeField(Encoder& enc, const DsField& f) {
-  if (std::holds_alternative<int64_t>(f)) {
-    enc.PutU8(0);
-    enc.PutI64(std::get<int64_t>(f));
-  } else {
-    enc.PutU8(1);
-    enc.PutString(std::get<std::string>(f));
-  }
-}
-
-Result<DsField> DecodeField(Decoder& dec) {
-  auto tag = dec.GetU8();
-  if (!tag.ok()) {
-    return tag.status();
-  }
-  if (*tag == 0) {
-    auto v = dec.GetI64();
-    if (!v.ok()) {
-      return v.status();
-    }
-    return DsField{*v};
-  }
-  if (*tag == 1) {
-    auto s = dec.GetString();
-    if (!s.ok()) {
-      return s.status();
-    }
-    return DsField{std::move(*s)};
-  }
-  return ErrorCode::kDecodeError;
-}
-
-void EncodeTuple(Encoder& enc, const DsTuple& t) {
-  enc.PutVarint(t.size());
-  for (const DsField& f : t) {
-    EncodeField(enc, f);
-  }
-}
-
-Result<DsTuple> DecodeTuple(Decoder& dec) {
-  auto n = dec.GetVarint();
-  if (!n.ok()) {
-    return n.status();
-  }
-  DsTuple t;
-  for (uint64_t i = 0; i < *n; ++i) {
-    auto f = DecodeField(dec);
-    if (!f.ok()) {
-      return f.status();
-    }
-    t.push_back(std::move(*f));
-  }
-  return t;
-}
-
-void EncodeTemplate(Encoder& enc, const DsTemplate& t) {
-  enc.PutVarint(t.size());
-  for (const DsTField& f : t) {
-    enc.PutU8(static_cast<uint8_t>(f.kind));
-    EncodeField(enc, f.value);
-  }
-}
-
-Result<DsTemplate> DecodeTemplate(Decoder& dec) {
-  auto n = dec.GetVarint();
-  if (!n.ok()) {
-    return n.status();
-  }
-  DsTemplate t;
-  for (uint64_t i = 0; i < *n; ++i) {
-    auto kind = dec.GetU8();
-    if (!kind.ok() || *kind > static_cast<uint8_t>(DsTField::Kind::kPrefix)) {
-      return ErrorCode::kDecodeError;
-    }
-    auto f = DecodeField(dec);
-    if (!f.ok()) {
-      return f.status();
-    }
-    DsTField tf;
-    tf.kind = static_cast<DsTField::Kind>(*kind);
-    tf.value = std::move(*f);
-    t.push_back(std::move(tf));
-  }
-  return t;
-}
-
-std::vector<uint8_t> DsOp::Encode() const {
-  Encoder enc;
-  enc.PutU8(static_cast<uint8_t>(type));
-  EncodeTuple(enc, tuple);
-  EncodeTemplate(enc, templ);
-  enc.PutI64(lease);
-  enc.PutVarint(map_version);
-  return enc.Release();
-}
-
-Result<DsOp> DsOp::Decode(const std::vector<uint8_t>& buf) {
-  Decoder dec(buf);
-  DsOp op;
-  auto type = dec.GetU8();
-  if (!type.ok() || *type > static_cast<uint8_t>(DsOpType::kSetMapVersion)) {
-    return ErrorCode::kDecodeError;
-  }
-  op.type = static_cast<DsOpType>(*type);
-  auto tuple = DecodeTuple(dec);
-  if (!tuple.ok()) {
-    return tuple.status();
-  }
-  op.tuple = std::move(*tuple);
-  auto templ = DecodeTemplate(dec);
-  if (!templ.ok()) {
-    return templ.status();
-  }
-  op.templ = std::move(*templ);
-  auto lease = dec.GetI64();
-  if (!lease.ok()) {
-    return lease.status();
-  }
-  op.lease = *lease;
-  auto map_version = dec.GetVarint();
-  if (!map_version.ok()) {
-    return map_version.status();
-  }
-  op.map_version = *map_version;
-  return op;
-}
-
-std::vector<uint8_t> DsReply::Encode() const {
-  Encoder enc;
-  enc.PutU32(static_cast<uint32_t>(code));
-  enc.PutVarint(tuples.size());
-  for (const DsTuple& t : tuples) {
-    EncodeTuple(enc, t);
-  }
-  enc.PutString(value);
-  return enc.Release();
-}
-
-Result<DsReply> DsReply::Decode(const std::vector<uint8_t>& buf) {
-  Decoder dec(buf);
-  DsReply r;
-  auto code = dec.GetU32();
-  if (!code.ok()) {
-    return code.status();
-  }
-  r.code = static_cast<ErrorCode>(*code);
-  auto n = dec.GetVarint();
-  if (!n.ok()) {
-    return n.status();
-  }
-  for (uint64_t i = 0; i < *n; ++i) {
-    auto t = DecodeTuple(dec);
-    if (!t.ok()) {
-      return t.status();
-    }
-    r.tuples.push_back(std::move(*t));
-  }
-  auto value = dec.GetString();
-  if (!value.ok()) {
-    return value.status();
-  }
-  r.value = std::move(*value);
-  return r;
-}
-
 }  // namespace edc

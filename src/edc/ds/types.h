@@ -33,6 +33,7 @@ struct DsTField {
   static DsTField Exact(DsField v) { return DsTField{Kind::kExact, std::move(v)}; }
   static DsTField Any() { return DsTField{Kind::kAny, int64_t{0}}; }
   static DsTField Prefix(std::string p) { return DsTField{Kind::kPrefix, std::move(p)}; }
+  bool operator==(const DsTField&) const = default;
 };
 
 using DsTuple = std::vector<DsField>;
@@ -49,13 +50,6 @@ std::string TupleToString(const DsTuple& t);
 DsTuple ObjectTuple(const std::string& path, const std::string& data);
 DsTemplate ObjectTemplate(const std::string& path);          // exact path, ANY data
 DsTemplate ObjectPrefixTemplate(const std::string& prefix);  // path prefix, ANY data
-
-void EncodeField(Encoder& enc, const DsField& f);
-Result<DsField> DecodeField(Decoder& dec);
-void EncodeTuple(Encoder& enc, const DsTuple& t);
-Result<DsTuple> DecodeTuple(Decoder& dec);
-void EncodeTemplate(Encoder& enc, const DsTemplate& t);
-Result<DsTemplate> DecodeTemplate(Decoder& dec);
 
 enum class DsOpType : uint8_t {
   kOut = 0,      // insert tuple (lease > 0: lease tuple, the monitor primitive)
@@ -83,8 +77,7 @@ struct DsOp {
   // version is newer reject with kShardMapStale. 0 = standalone client.
   uint64_t map_version = 0;
 
-  std::vector<uint8_t> Encode() const;
-  static Result<DsOp> Decode(const std::vector<uint8_t>& buf);
+  bool operator==(const DsOp&) const = default;
 };
 
 struct DsReply {
@@ -92,9 +85,53 @@ struct DsReply {
   std::vector<DsTuple> tuples;  // rdp/inp/rd/in: 0 or 1; rdAll: n
   std::string value;            // extension result / error message
 
-  std::vector<uint8_t> Encode() const;
-  static Result<DsReply> Decode(const std::vector<uint8_t>& buf);
+  bool operator==(const DsReply&) const = default;
 };
+
+// Wire formats (common/codec.h), fields in wire order. A tuple is a List of
+// fields and a template a List of template fields.
+
+template <class Io>
+void Fields(Io& io, DsField& f) {
+  uint8_t tag = static_cast<uint8_t>(f.index());
+  io.U8(tag);
+  io.Check(tag <= 1, "bad field tag");
+  if (tag == 0) {
+    if (f.index() != 0) {
+      f = int64_t{0};
+    }
+    io.I64(std::get<int64_t>(f));
+  } else if (tag == 1) {
+    if (f.index() != 1) {
+      f = std::string();
+    }
+    io.Str(std::get<std::string>(f));
+  }
+}
+
+template <class Io>
+void Fields(Io& io, DsTField& m) {
+  io.U8(m.kind);
+  io.Check(m.kind <= DsTField::Kind::kPrefix, "bad template field kind");
+  Fields(io, m.value);
+}
+
+template <class Io>
+void Fields(Io& io, DsOp& m) {
+  io.U8(m.type);
+  io.Check(m.type <= DsOpType::kSetMapVersion, "bad op type");
+  io.List(m.tuple);
+  io.List(m.templ);
+  io.I64(m.lease);
+  io.Varint(m.map_version);
+}
+
+template <class Io>
+void Fields(Io& io, DsReply& m) {
+  io.U32(m.code);
+  io.List(m.tuples, [&](DsTuple& t) { io.List(t); });
+  io.Str(m.value);
+}
 
 }  // namespace edc
 

@@ -213,25 +213,32 @@ bool ExtensionRegistry::RecordStrike(const std::string& name, int limit) {
   return ++it->second.strikes >= limit;
 }
 
+namespace {
+
+struct Registration {
+  uint64_t owner = 0;
+  std::string source;
+};
+
+template <class Io>
+void Fields(Io& io, Registration& m) {
+  io.U64(m.owner);
+  io.Str(m.source);
+}
+
+}  // namespace
+
 std::string EncodeRegistration(uint64_t owner, const std::string& source) {
-  Encoder enc;
-  enc.PutU64(owner);
-  enc.PutString(source);
-  const std::vector<uint8_t>& buf = enc.buffer();
-  return std::string(buf.begin(), buf.end());
+  std::vector<uint8_t> blob = EncodeMsg(Registration{owner, source});
+  return std::string(blob.begin(), blob.end());
 }
 
 Result<std::pair<uint64_t, std::string>> DecodeRegistration(const std::string& blob) {
-  Decoder dec(reinterpret_cast<const uint8_t*>(blob.data()), blob.size());
-  auto owner = dec.GetU64();
-  if (!owner.ok()) {
-    return owner.status();
+  auto r = DecodeMsg<Registration>({reinterpret_cast<const uint8_t*>(blob.data()), blob.size()});
+  if (!r.ok()) {
+    return r.status();
   }
-  auto source = dec.GetString();
-  if (!source.ok()) {
-    return source.status();
-  }
-  return std::make_pair(*owner, std::move(*source));
+  return std::make_pair(r->owner, std::move(r->source));
 }
 
 const char* OpHandlerFor(const std::string& kind) {

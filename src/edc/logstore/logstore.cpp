@@ -4,43 +4,9 @@
 #include <cstring>
 #include <utility>
 
-#include "edc/common/hash.h"
+#include "edc/common/codec.h"
 
 namespace edc {
-
-namespace {
-
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-uint32_t GetU32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
-constexpr size_t kRecordHeaderBytes = 12;  // u32 length + u64 checksum
-
-}  // namespace
 
 Duration LogStore::InitialWindow(const LogStoreConfig& config) {
   if (!config.adaptive_window) {
@@ -296,37 +262,29 @@ void LogStore::DropUnsynced() {
 }
 
 std::vector<uint8_t> LogStore::SerializeImage() const {
-  std::vector<uint8_t> image;
+  Encoder enc;
   for (size_t i = 0; i < durable_; ++i) {
-    std::span<const uint8_t> rec = record(i);
-    PutU32(&image, static_cast<uint32_t>(rec.size()));
-    PutU64(&image, Fnv1a64(rec.data(), rec.size()));
-    image.insert(image.end(), rec.begin(), rec.end());
+    enc.Frame(record(i));
   }
-  return image;
+  return enc.Release();
 }
 
 Result<size_t> LogStore::RestoreImage(const std::vector<uint8_t>& image) {
   std::vector<std::span<const uint8_t>> restored;
-  size_t pos = 0;
-  while (pos < image.size()) {
-    if (image.size() - pos < kRecordHeaderBytes) {
-      break;  // torn header: keep the clean prefix
+  Decoder dec(image);
+  while (!dec.AtEnd()) {
+    std::span<const uint8_t> rec;
+    bool intact = dec.Frame(rec);
+    if (!dec.ok()) {
+      break;  // torn header or payload: keep the clean prefix
     }
-    uint32_t length = GetU32(image.data() + pos);
-    uint64_t checksum = GetU64(image.data() + pos + 4);
-    if (image.size() - pos - kRecordHeaderBytes < length) {
-      break;  // torn payload: keep the clean prefix
-    }
-    std::span<const uint8_t> rec(image.data() + pos + kRecordHeaderBytes, length);
-    if (Fnv1a64(rec.data(), rec.size()) != checksum) {
+    if (!intact) {
       // A complete record whose bytes don't match its checksum is corruption,
       // not a crash mid-write; refuse the image rather than silently dropping
       // interior history.
       return Status(ErrorCode::kDecodeError, "log record checksum mismatch");
     }
     restored.push_back(rec);
-    pos += kRecordHeaderBytes + length;
   }
   Truncate(0);
   for (std::span<const uint8_t> rec : restored) {

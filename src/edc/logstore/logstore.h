@@ -133,9 +133,9 @@ class LogStore {
   // value, as a restarted process would rebuild it from scratch.
   void DropUnsynced();
 
-  // On-disk image of the durable records: each record framed as u32 length +
-  // u64 FNV-1a checksum + payload, little-endian, concatenated in append
-  // order. This is the file a crash may tear mid-write.
+  // On-disk image of the durable records: each record in the codec's length
+  // + checksum frame (Encoder::Frame), concatenated in append order. This is
+  // the file a crash may tear mid-write.
   std::vector<uint8_t> SerializeImage() const;
 
   // Replaces every record (in-flight ones are cut as by Truncate(0)) with the

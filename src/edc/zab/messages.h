@@ -5,6 +5,7 @@
 #ifndef EDC_ZAB_MESSAGES_H_
 #define EDC_ZAB_MESSAGES_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -51,50 +52,32 @@ inline uint32_t ZxidCounter(uint64_t zxid) { return static_cast<uint32_t>(zxid);
 // and never delivered to the state machine callbacks.
 constexpr uint8_t kReconfigFlag = 0x1;
 
-struct ZabProposal {
-  uint64_t zxid = 0;
-  uint8_t flags = 0;
-  std::vector<uint8_t> txn;
-
-  bool is_reconfig() const { return (flags & kReconfigFlag) != 0; }
-
-  void Encode(Encoder& enc) const {
-    enc.PutU64(zxid);
-    enc.PutU8(flags);
-    enc.PutBytes(txn);
-  }
-  static Result<ZabProposal> Decode(Decoder& dec) {
-    ZabProposal p;
-    auto zxid = dec.GetU64();
-    if (!zxid.ok()) {
-      return zxid.status();
-    }
-    p.zxid = *zxid;
-    auto flags = dec.GetU8();
-    if (!flags.ok()) {
-      return flags.status();
-    }
-    p.flags = *flags;
-    auto txn = dec.GetBytes();
-    if (!txn.ok()) {
-      return txn.status();
-    }
-    p.txn = std::move(*txn);
-    return p;
-  }
-};
-
-// A log record viewed in place. Every Zab log record is a proposal frame as
-// ZabProposal::Encode writes it (u64 zxid, u8 flags, varint txn length,
-// txn); the view borrows the record's bytes.
+// A log record viewed in place. Every Zab log record is a proposal frame
+// (u64 zxid, u8 flags, varint txn length, txn); the view borrows the
+// record's bytes, and encoding a view writes that frame.
 struct ZabRecordView {
   uint64_t zxid = 0;
   uint8_t flags = 0;
   std::span<const uint8_t> txn;
 
   bool is_reconfig() const { return (flags & kReconfigFlag) != 0; }
+  bool operator==(const ZabRecordView& o) const {
+    return zxid == o.zxid && flags == o.flags && std::ranges::equal(txn, o.txn);
+  }
 };
 
+template <class Io>
+void Fields(Io& io, ZabRecordView& m) {
+  io.U64(m.zxid);
+  io.U8(m.flags);
+  io.Bytes(m.txn);
+}
+
+// The one parser of a record frame, at the decoder's position: fills `view`
+// and returns the frame's bytes, which end where the txn ends.
+std::span<const uint8_t> ParseZabRecord(Decoder& dec, ZabRecordView& view);
+
+// A whole log record: the frame must end at its txn.
 Result<ZabRecordView> DecodeZabRecordView(std::span<const uint8_t> record);
 
 // An ensemble membership: the voter set (quorums are majorities of it) plus
@@ -122,10 +105,8 @@ struct ZabMembership {
     return false;
   }
   bool Contains(NodeId id) const { return IsVoter(id) || IsObserver(id); }
+  bool operator==(const ZabMembership&) const = default;
 };
-
-std::vector<uint8_t> EncodeZabMembership(const ZabMembership& m);
-Result<ZabMembership> DecodeZabMembership(std::span<const uint8_t> buf);
 
 // Snapshot wire/durable wrapper: the service-layer state image plus the
 // membership in force at the snapshot frontier, so a joiner installing a
@@ -134,10 +115,9 @@ Result<ZabMembership> DecodeZabMembership(std::span<const uint8_t> buf);
 struct ZabSnapshot {
   ZabMembership membership;
   std::vector<uint8_t> state;
-};
 
-std::vector<uint8_t> EncodeZabSnapshot(const ZabSnapshot& s);
-Result<ZabSnapshot> DecodeZabSnapshot(const std::vector<uint8_t>& buf);
+  bool operator==(const ZabSnapshot&) const = default;
+};
 
 // kElection payload.
 struct ElectionVote {
@@ -147,17 +127,23 @@ struct ElectionVote {
   uint32_t vote_epoch = 0;  // currentEpoch of the candidate
   NodeId from = 0;
   bool from_looking = true;
+
+  bool operator==(const ElectionVote&) const = default;
 };
 
 // kLeaderInfo payload: current leader as known by a settled node.
 struct LeaderInfo {
   NodeId leader = 0;
   uint32_t epoch = 0;
+
+  bool operator==(const LeaderInfo&) const = default;
 };
 
 // kFollowerInfo / kAckNewLeader payload.
 struct FollowerInfo {
   uint64_t last_zxid = 0;
+
+  bool operator==(const FollowerInfo&) const = default;
 };
 
 // kDiff payload: proposals after the follower's last zxid, plus the commit
@@ -167,6 +153,13 @@ struct FollowerInfo {
 struct DiffMsg {
   uint64_t committed_zxid = 0;
   std::vector<std::span<const uint8_t>> records;
+
+  bool operator==(const DiffMsg& o) const {
+    return committed_zxid == o.committed_zxid &&
+           std::ranges::equal(records, o.records, [](auto a, auto b) {
+             return std::ranges::equal(a, b);
+           });
+  }
 };
 
 // kSnap payload.
@@ -174,18 +167,24 @@ struct SnapMsg {
   uint64_t snapshot_zxid = 0;
   uint32_t epoch = 0;
   std::vector<uint8_t> snapshot;
+
+  bool operator==(const SnapMsg&) const = default;
 };
 
 // kNewLeader / kUpToDate / kHeartbeat / kHeartbeatAck share this shape.
 struct EpochMsg {
   uint32_t epoch = 0;
   uint64_t committed_zxid = 0;
+
+  bool operator==(const EpochMsg&) const = default;
 };
 
-// kPropose payload.
+// kPropose payload: the epoch, then the proposal's log record frame.
 struct ProposeMsg {
   uint32_t epoch = 0;
-  ZabProposal proposal;
+  ZabRecordView proposal;
+
+  bool operator==(const ProposeMsg&) const = default;
 };
 
 // Byte offset of the embedded proposal frame inside a kPropose payload (the
@@ -195,49 +194,101 @@ struct ProposeMsg {
 // frame slicing on followers) instead of once per consumer.
 constexpr size_t kProposeHeaderBytes = 4;
 
-// Zero-copy view of a kPropose payload: all pointers borrow the packet
-// buffer, which must outlive the view. `record` spans the proposal frame
-// (zxid + txn), i.e. the bytes a follower appends to its log verbatim.
+// Zero-copy view of a kPropose payload: the spans borrow the packet buffer,
+// which must outlive the view. `record` is the proposal frame, i.e. the
+// bytes a follower appends to its log verbatim.
 struct ProposeFrameView {
   uint32_t epoch = 0;
-  uint64_t zxid = 0;
-  uint8_t flags = 0;
-  const uint8_t* txn = nullptr;
-  size_t txn_size = 0;
-  const uint8_t* record = nullptr;
-  size_t record_size = 0;
+  ZabRecordView proposal;
+  std::span<const uint8_t> record;
 };
+
+// Validates the frame, which must end at the txn (a proposal with trailing
+// bytes is rejected, never logged), and returns borrowed spans into `buf`.
+Result<ProposeFrameView> DecodeProposeMsgView(std::span<const uint8_t> buf);
 
 // kAck / kCommit payload.
 struct ZxidMsg {
   uint32_t epoch = 0;
   uint64_t zxid = 0;
+
+  bool operator==(const ZxidMsg&) const = default;
 };
 
-// Encoding helpers (free functions so messages stay aggregates).
-std::vector<uint8_t> EncodeElectionVote(const ElectionVote& m);
-Result<ElectionVote> DecodeElectionVote(const std::vector<uint8_t>& buf);
-std::vector<uint8_t> EncodeLeaderInfo(const LeaderInfo& m);
-Result<LeaderInfo> DecodeLeaderInfo(const std::vector<uint8_t>& buf);
-std::vector<uint8_t> EncodeFollowerInfo(const FollowerInfo& m);
-Result<FollowerInfo> DecodeFollowerInfo(const std::vector<uint8_t>& buf);
-std::vector<uint8_t> EncodeDiffMsg(const DiffMsg& m);
-// Validates every record frame; the result borrows `buf`.
-Result<DiffMsg> DecodeDiffMsg(const std::vector<uint8_t>& buf);
-std::vector<uint8_t> EncodeSnapMsg(const SnapMsg& m);
-Result<SnapMsg> DecodeSnapMsg(const std::vector<uint8_t>& buf);
-std::vector<uint8_t> EncodeEpochMsg(const EpochMsg& m);
-Result<EpochMsg> DecodeEpochMsg(const std::vector<uint8_t>& buf);
-std::vector<uint8_t> EncodeProposeMsg(const ProposeMsg& m);
-// Arena variant: appends the frame to `enc` (typically a reused per-batch
-// encoder) instead of allocating a fresh buffer per message.
-void EncodeProposeMsgInto(const ProposeMsg& m, Encoder& enc);
-Result<ProposeMsg> DecodeProposeMsg(const std::vector<uint8_t>& buf);
-// Zero-copy variant: validates the frame and returns borrowed spans into
-// `buf` (no txn copy); see ProposeFrameView.
-Result<ProposeFrameView> DecodeProposeMsgView(const std::vector<uint8_t>& buf);
-std::vector<uint8_t> EncodeZxidMsg(const ZxidMsg& m);
-Result<ZxidMsg> DecodeZxidMsg(const std::vector<uint8_t>& buf);
+// Wire formats (common/codec.h), fields in wire order.
+
+template <class Io>
+void Fields(Io& io, ZabMembership& m) {
+  io.List(m.voters, [&](NodeId& v) { io.U32(v); });
+  io.List(m.observers, [&](NodeId& o) { io.U32(o); });
+  io.Check(!m.voters.empty(), "membership without voters");
+}
+
+template <class Io>
+void Fields(Io& io, ZabSnapshot& m) {
+  io.Nested(m.membership);
+  io.Bytes(m.state);
+}
+
+template <class Io>
+void Fields(Io& io, ElectionVote& m) {
+  io.U64(m.election_round);
+  io.U32(m.vote_for);
+  io.U64(m.vote_zxid);
+  io.U32(m.vote_epoch);
+  io.U32(m.from);
+  io.Bool(m.from_looking);
+}
+
+template <class Io>
+void Fields(Io& io, LeaderInfo& m) {
+  io.U32(m.leader);
+  io.U32(m.epoch);
+}
+
+template <class Io>
+void Fields(Io& io, FollowerInfo& m) {
+  io.U64(m.last_zxid);
+}
+
+// A DIFF carries its records back to back with no length prefix: written
+// verbatim, read by the record parser. The decoded spans borrow the packet.
+inline void RecordFrame(Encoder& enc, std::span<const uint8_t>& record) { enc.Raw(record); }
+inline void RecordFrame(Decoder& dec, std::span<const uint8_t>& record) {
+  ZabRecordView view;
+  record = ParseZabRecord(dec, view);
+}
+
+template <class Io>
+void Fields(Io& io, DiffMsg& m) {
+  io.U64(m.committed_zxid);
+  io.List(m.records, [&](std::span<const uint8_t>& r) { RecordFrame(io, r); });
+}
+
+template <class Io>
+void Fields(Io& io, SnapMsg& m) {
+  io.U64(m.snapshot_zxid);
+  io.U32(m.epoch);
+  io.Bytes(m.snapshot);
+}
+
+template <class Io>
+void Fields(Io& io, EpochMsg& m) {
+  io.U32(m.epoch);
+  io.U64(m.committed_zxid);
+}
+
+template <class Io>
+void Fields(Io& io, ProposeMsg& m) {
+  io.U32(m.epoch);
+  Fields(io, m.proposal);
+}
+
+template <class Io>
+void Fields(Io& io, ZxidMsg& m) {
+  io.U32(m.epoch);
+  io.U64(m.zxid);
+}
 
 }  // namespace edc
 

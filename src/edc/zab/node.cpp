@@ -114,7 +114,7 @@ void ZabNode::Start() {
   // meaningless — start empty and let the sync phase re-fetch via SNAP.
   if (log_->has_snapshot()) {
     uint64_t snap_zxid = log_->snapshot_zxid();
-    auto snap = DecodeZabSnapshot(log_->snapshot());
+    auto snap = DecodeMsg<ZabSnapshot>(log_->snapshot());
     if (snap.ok() && callbacks_->InstallSnapshot(snap_zxid, snap->state)) {
       snap->membership.version = snap_zxid;
       membership_ = std::move(snap->membership);
@@ -137,7 +137,7 @@ void ZabNode::Start() {
     // Latest-config rule: the newest reconfig entry in the durable log
     // governs (commit status is unknowable at boot; see membership_ docs).
     if (p->is_reconfig()) {
-      auto m = DecodeZabMembership(p->txn);
+      auto m = DecodeMsg<ZabMembership>(p->txn);
       if (m.ok()) {
         m->version = p->zxid;
         membership_ = std::move(*m);
@@ -230,7 +230,7 @@ void ZabNode::SendMyVote(NodeId dst_or_all) {
   vote.vote_epoch = my_vote_.epoch;
   vote.from = config_.self;
   vote.from_looking = role_ == Role::kLooking;
-  auto payload = EncodeElectionVote(vote);
+  auto payload = EncodeMsg(vote);
   if (dst_or_all == 0) {
     BroadcastMsg(ZabMsgType::kElection, payload);
   } else {
@@ -242,7 +242,7 @@ void ZabNode::OnElectionVote(const ElectionVote& vote, NodeId from) {
   if (role_ != Role::kLooking) {
     // Settled nodes point lookers at the current leader.
     if (vote.from_looking && leader_ != 0) {
-      SendTo(from, ZabMsgType::kLeaderInfo, EncodeLeaderInfo({leader_, current_epoch_}));
+      SendTo(from, ZabMsgType::kLeaderInfo, EncodeMsg(LeaderInfo{leader_, current_epoch_}));
     }
     return;
   }
@@ -334,7 +334,7 @@ void ZabNode::SendHeartbeats() {
   if (m_heartbeats_ != nullptr) {
     m_heartbeats_->Increment();
   }
-  BroadcastMsg(ZabMsgType::kHeartbeat, EncodeEpochMsg({current_epoch_, committed_zxid_}));
+  BroadcastMsg(ZabMsgType::kHeartbeat, EncodeMsg(EpochMsg{current_epoch_, committed_zxid_}));
   ArmTimer(&heartbeat_timer_, config_.heartbeat_interval, [this]() { SendHeartbeats(); });
 }
 
@@ -345,7 +345,7 @@ void ZabNode::OnFollowerInfo(NodeId from, const FollowerInfo& info) {
   TouchPeer(from);
   uint64_t my_last = last_logged();
   if (info.last_zxid > my_last) {
-    SendTo(from, ZabMsgType::kTrunc, EncodeZxidMsg({current_epoch_, my_last}));
+    SendTo(from, ZabMsgType::kTrunc, EncodeMsg(ZxidMsg{current_epoch_, my_last}));
   } else if (info.last_zxid < base_zxid_) {
     // SNAP path: our log no longer holds the entries the follower is missing
     // (they were compacted away), so ship the whole state machine plus the
@@ -353,13 +353,13 @@ void ZabNode::OnFollowerInfo(NodeId from, const FollowerInfo& info) {
     SnapMsg snap;
     snap.snapshot_zxid = committed_zxid_;
     snap.epoch = current_epoch_;
-    snap.snapshot = EncodeZabSnapshot({membership_, callbacks_->TakeSnapshot()});
-    SendTo(from, ZabMsgType::kSnap, EncodeSnapMsg(snap));
-    SendTo(from, ZabMsgType::kDiff, EncodeDiffMsg(DiffAfter(committed_zxid_)));
+    snap.snapshot = EncodeMsg(ZabSnapshot{membership_, callbacks_->TakeSnapshot()});
+    SendTo(from, ZabMsgType::kSnap, EncodeMsg(snap));
+    SendTo(from, ZabMsgType::kDiff, EncodeMsg(DiffAfter(committed_zxid_)));
   } else {
-    SendTo(from, ZabMsgType::kDiff, EncodeDiffMsg(DiffAfter(info.last_zxid)));
+    SendTo(from, ZabMsgType::kDiff, EncodeMsg(DiffAfter(info.last_zxid)));
   }
-  SendTo(from, ZabMsgType::kNewLeader, EncodeEpochMsg({current_epoch_, committed_zxid_}));
+  SendTo(from, ZabMsgType::kNewLeader, EncodeMsg(EpochMsg{current_epoch_, committed_zxid_}));
 }
 
 DiffMsg ZabNode::DiffAfter(uint64_t after_zxid) const {
@@ -399,7 +399,7 @@ void ZabNode::ActivateBroadcastIfQuorum() {
 }
 
 bool ZabNode::Broadcast(std::vector<uint8_t> txn) {
-  return BroadcastInternal(std::move(txn), 0);
+  return BroadcastInternal(txn, 0);
 }
 
 Status ZabNode::ProposeReconfig(ZabMembership next) {
@@ -413,7 +413,7 @@ Status ZabNode::ProposeReconfig(ZabMembership next) {
   if (!valid.ok()) {
     return valid;
   }
-  if (!BroadcastInternal(EncodeZabMembership(next), kReconfigFlag)) {
+  if (!BroadcastInternal(EncodeMsg(next), kReconfigFlag)) {
     return Status(ErrorCode::kNotReady, "broadcast unavailable");
   }
   return Status();
@@ -477,15 +477,11 @@ Status ZabNode::ValidateReconfig(const ZabMembership& next) const {
   return Status();
 }
 
-bool ZabNode::BroadcastInternal(std::vector<uint8_t> txn, uint8_t flags) {
+bool ZabNode::BroadcastInternal(std::span<const uint8_t> txn, uint8_t flags) {
   if (role_ != Role::kLeading || !broadcast_active_) {
     return false;
   }
-  ProposeMsg msg;
-  msg.epoch = current_epoch_;
-  msg.proposal.zxid = MakeZxid(current_epoch_, ++counter_);
-  msg.proposal.flags = flags;
-  msg.proposal.txn = std::move(txn);
+  ProposeMsg msg{current_epoch_, {MakeZxid(current_epoch_, ++counter_), flags, txn}};
   uint64_t zxid = msg.proposal.zxid;
   if (obs_ != nullptr) {
     m_proposals_->Increment();
@@ -499,7 +495,7 @@ bool ZabNode::BroadcastInternal(std::vector<uint8_t> txn, uint8_t flags) {
   // proposal suffix (epoch header stripped), which the LogStore copies into
   // its own arena: the txn bytes are serialized once and stored once.
   arena_.Clear();
-  EncodeProposeMsgInto(msg, arena_);
+  Fields(arena_, msg);
   std::span<const uint8_t> frame = arena_.buffer();
   BroadcastMsg(ZabMsgType::kPropose, arena_.buffer());
   // The proposal streams out immediately — durability of earlier proposals
@@ -582,7 +578,7 @@ void ZabNode::TryCommit() {
     // The COMMIT fans out to the *old* membership on purpose: a node the
     // reconfig removes still learns its removal committed and retires
     // cleanly instead of lingering as a live zombie.
-    BroadcastMsg(ZabMsgType::kCommit, EncodeZxidMsg({current_epoch_, zxid}));
+    BroadcastMsg(ZabMsgType::kCommit, EncodeMsg(ZxidMsg{current_epoch_, zxid}));
     if (restored) {
       obs_->tracer.SetCurrent(prev);
     }
@@ -602,7 +598,7 @@ void ZabNode::BecomeFollower(NodeId leader, uint32_t leader_epoch) {
   acked_zxid_ = 0;  // this leader has heard nothing from us yet
   current_epoch_ = std::max(current_epoch_, leader_epoch);
   EDC_LOG(kDebug) << "node " << config_.self << " FOLLOWING " << leader;
-  SendTo(leader, ZabMsgType::kFollowerInfo, EncodeFollowerInfo({last_logged()}));
+  SendTo(leader, ZabMsgType::kFollowerInfo, EncodeMsg(FollowerInfo{last_logged()}));
   ResetLeaderTimeout();
 }
 
@@ -639,7 +635,7 @@ void ZabNode::OnDiff(const DiffMsg& msg) {
                             : MakeZxid(ZxidEpoch(p->zxid), 1);
     if (p->zxid != expected || ZxidEpoch(p->zxid) < ZxidEpoch(expect_after)) {
       synced_ = false;
-      SendTo(leader_, ZabMsgType::kFollowerInfo, EncodeFollowerInfo({last_logged()}));
+      SendTo(leader_, ZabMsgType::kFollowerInfo, EncodeMsg(FollowerInfo{last_logged()}));
       ResetLeaderTimeout();
       return;
     }
@@ -691,11 +687,11 @@ void ZabNode::OnSnap(SnapMsg&& msg) {
   // state untouched so the handshake can simply be re-run — the leader
   // re-offers the same snapshot to our unchanged FollowerInfo (idempotent
   // re-fetch).
-  auto snap = DecodeZabSnapshot(msg.snapshot);
+  auto snap = DecodeMsg<ZabSnapshot>(msg.snapshot);
   if (!snap.ok() || !callbacks_->InstallSnapshot(msg.snapshot_zxid, snap->state)) {
     EDC_LOG(kInfo) << "node " << config_.self << " snapshot install failed; re-requesting sync";
     synced_ = false;
-    SendTo(leader_, ZabMsgType::kFollowerInfo, EncodeFollowerInfo({last_logged()}));
+    SendTo(leader_, ZabMsgType::kFollowerInfo, EncodeMsg(FollowerInfo{last_logged()}));
     ResetLeaderTimeout();
     return;
   }
@@ -728,7 +724,7 @@ void ZabNode::OnNewLeader(const EpochMsg& msg) {
   // AckNewLeader claims everything up to last_logged(); suppress redundant
   // cumulative acks for the same prefix.
   acked_zxid_ = last_logged();
-  SendTo(leader_, ZabMsgType::kAckNewLeader, EncodeFollowerInfo({last_logged()}));
+  SendTo(leader_, ZabMsgType::kAckNewLeader, EncodeMsg(FollowerInfo{last_logged()}));
   callbacks_->OnRoleChange(false, leader_, current_epoch_);
   ResetLeaderTimeout();
 }
@@ -748,7 +744,8 @@ void ZabNode::OnPropose(const ProposeFrameView& msg) {
     return;
   }
   uint64_t last = last_logged();
-  if (msg.zxid <= last) {
+  uint64_t zxid = msg.proposal.zxid;
+  if (zxid <= last) {
     return;  // duplicate
   }
   // Cumulative acks claim everything <= the acked zxid, so the local log
@@ -756,23 +753,21 @@ void ZabNode::OnPropose(const ProposeFrameView& msg) {
   // traffic (e.g. across a healed partition in the same epoch) — drop it
   // and restart the sync handshake instead of logging around the hole.
   uint64_t expected = ZxidEpoch(last) == msg.epoch ? last + 1 : MakeZxid(msg.epoch, 1);
-  if (msg.zxid != expected) {
+  if (zxid != expected) {
     synced_ = false;
-    SendTo(leader_, ZabMsgType::kFollowerInfo, EncodeFollowerInfo({last}));
+    SendTo(leader_, ZabMsgType::kFollowerInfo, EncodeMsg(FollowerInfo{last}));
     ResetLeaderTimeout();
     return;
   }
   // The log record is the proposal frame sliced straight out of the packet
   // payload — no re-encode on the follower, and one copy into the log.
-  std::span<const uint8_t> record(msg.record, msg.record_size);
-  uint64_t zxid = msg.zxid;
   if (config_.ack_aggregation) {
     // OnLocalBatchDurable sends one cumulative kAck per durable batch.
-    AppendRecordDurable(zxid, record, nullptr);
+    AppendRecordDurable(zxid, msg.record, nullptr);
   } else {
-    AppendRecordDurable(zxid, record, [this, zxid]() {
+    AppendRecordDurable(zxid, msg.record, [this, zxid]() {
       if (role_ == Role::kFollowing && synced_) {
-        SendTo(leader_, ZabMsgType::kAck, EncodeZxidMsg({current_epoch_, zxid}));
+        SendTo(leader_, ZabMsgType::kAck, EncodeMsg(ZxidMsg{current_epoch_, zxid}));
       }
     });
   }
@@ -787,7 +782,7 @@ void ZabNode::OnLocalBatchDurable() {
     return;
   }
   acked_zxid_ = durable_zxid_;
-  SendTo(leader_, ZabMsgType::kAck, EncodeZxidMsg({current_epoch_, acked_zxid_}));
+  SendTo(leader_, ZabMsgType::kAck, EncodeMsg(ZxidMsg{current_epoch_, acked_zxid_}));
 }
 
 void ZabNode::OnCommitMsg(const ZxidMsg& msg) {
@@ -832,7 +827,7 @@ void ZabNode::OnHeartbeat(NodeId from, const EpochMsg& msg) {
       // expires every session we host). Restart the sync handshake instead.
       synced_ = false;
       current_epoch_ = std::max(current_epoch_, msg.epoch);
-      SendTo(leader_, ZabMsgType::kFollowerInfo, EncodeFollowerInfo({last_logged()}));
+      SendTo(leader_, ZabMsgType::kFollowerInfo, EncodeMsg(FollowerInfo{last_logged()}));
       return;
     }
     if (msg.epoch == current_epoch_) {
@@ -844,7 +839,7 @@ void ZabNode::OnHeartbeat(NodeId from, const EpochMsg& msg) {
     // Answer so the leader can track which replicas are alive (dead-owner
     // session expiry keys off this).
     SendTo(leader_, ZabMsgType::kHeartbeatAck,
-           EncodeEpochMsg({current_epoch_, committed_zxid_}));
+           EncodeMsg(EpochMsg{current_epoch_, committed_zxid_}));
   }
 }
 
@@ -888,7 +883,7 @@ void ZabNode::AppendRecordDurable(uint64_t zxid, std::span<const uint8_t> record
 }
 
 bool ZabNode::ActivateMembership(uint64_t zxid, std::span<const uint8_t> txn) {
-  auto next = DecodeZabMembership(txn);
+  auto next = DecodeMsg<ZabMembership>(txn);
   if (!next.ok()) {
     return true;  // malformed entry: leave the current membership in force
   }
@@ -927,7 +922,7 @@ void ZabNode::RecomputeMembershipFromLog() {
   ZabMembership m = BootMembership();
   uint64_t version = 0;
   if (log_->has_snapshot() && log_->snapshot_zxid() == base_zxid_) {
-    auto snap = DecodeZabSnapshot(log_->snapshot());
+    auto snap = DecodeMsg<ZabSnapshot>(log_->snapshot());
     if (snap.ok()) {
       m = std::move(snap->membership);
       version = base_zxid_;
@@ -936,7 +931,7 @@ void ZabNode::RecomputeMembershipFromLog() {
   for (size_t i = 0; i < log_size(); ++i) {
     ZabRecordView p = Entry(i);
     if (p.is_reconfig()) {
-      auto nm = DecodeZabMembership(p.txn);
+      auto nm = DecodeMsg<ZabMembership>(p.txn);
       if (nm.ok()) {
         m = std::move(*nm);
         version = p.zxid;
@@ -979,7 +974,7 @@ void ZabNode::CompactLog() {
   snap.membership = membership_;
   snap.state = callbacks_->TakeSnapshot();
   base_zxid_ = Entry(drop - 1).zxid;
-  log_->StoreSnapshot(base_zxid_, EncodeZabSnapshot(snap));
+  log_->StoreSnapshot(base_zxid_, EncodeMsg(snap));
   delivered_count_ -= drop;
   log_->DropHead(drop);
 }
@@ -1017,21 +1012,21 @@ void ZabNode::HandlePacket(Packet&& pkt) {
 void ZabNode::Process(Packet&& pkt) {
   switch (static_cast<ZabMsgType>(pkt.type)) {
     case ZabMsgType::kElection: {
-      auto m = DecodeElectionVote(pkt.payload);
+      auto m = DecodeMsg<ElectionVote>(pkt.payload);
       if (m.ok()) {
         OnElectionVote(*m, pkt.src);
       }
       break;
     }
     case ZabMsgType::kLeaderInfo: {
-      auto m = DecodeLeaderInfo(pkt.payload);
+      auto m = DecodeMsg<LeaderInfo>(pkt.payload);
       if (m.ok()) {
         OnLeaderInfo(*m);
       }
       break;
     }
     case ZabMsgType::kFollowerInfo: {
-      auto m = DecodeFollowerInfo(pkt.payload);
+      auto m = DecodeMsg<FollowerInfo>(pkt.payload);
       if (m.ok()) {
         OnFollowerInfo(pkt.src, *m);
       }
@@ -1039,42 +1034,42 @@ void ZabNode::Process(Packet&& pkt) {
     }
     case ZabMsgType::kDiff: {
       // The records borrow pkt.payload, alive for the whole Process call.
-      auto m = DecodeDiffMsg(pkt.payload);
+      auto m = DecodeMsg<DiffMsg>(pkt.payload);
       if (m.ok()) {
         OnDiff(*m);
       }
       break;
     }
     case ZabMsgType::kTrunc: {
-      auto m = DecodeZxidMsg(pkt.payload);
+      auto m = DecodeMsg<ZxidMsg>(pkt.payload);
       if (m.ok()) {
         OnTrunc(*m);
       }
       break;
     }
     case ZabMsgType::kSnap: {
-      auto m = DecodeSnapMsg(pkt.payload);
+      auto m = DecodeMsg<SnapMsg>(pkt.payload);
       if (m.ok()) {
         OnSnap(std::move(*m));
       }
       break;
     }
     case ZabMsgType::kNewLeader: {
-      auto m = DecodeEpochMsg(pkt.payload);
+      auto m = DecodeMsg<EpochMsg>(pkt.payload);
       if (m.ok()) {
         OnNewLeader(*m);
       }
       break;
     }
     case ZabMsgType::kAckNewLeader: {
-      auto m = DecodeFollowerInfo(pkt.payload);
+      auto m = DecodeMsg<FollowerInfo>(pkt.payload);
       if (m.ok()) {
         OnAckNewLeader(pkt.src, *m);
       }
       break;
     }
     case ZabMsgType::kUpToDate: {
-      auto m = DecodeEpochMsg(pkt.payload);
+      auto m = DecodeMsg<EpochMsg>(pkt.payload);
       if (m.ok()) {
         OnUpToDate(*m);
       }
@@ -1090,28 +1085,28 @@ void ZabNode::Process(Packet&& pkt) {
       break;
     }
     case ZabMsgType::kAck: {
-      auto m = DecodeZxidMsg(pkt.payload);
+      auto m = DecodeMsg<ZxidMsg>(pkt.payload);
       if (m.ok()) {
         OnAck(pkt.src, *m);
       }
       break;
     }
     case ZabMsgType::kCommit: {
-      auto m = DecodeZxidMsg(pkt.payload);
+      auto m = DecodeMsg<ZxidMsg>(pkt.payload);
       if (m.ok()) {
         OnCommitMsg(*m);
       }
       break;
     }
     case ZabMsgType::kHeartbeat: {
-      auto m = DecodeEpochMsg(pkt.payload);
+      auto m = DecodeMsg<EpochMsg>(pkt.payload);
       if (m.ok()) {
         OnHeartbeat(pkt.src, *m);
       }
       break;
     }
     case ZabMsgType::kHeartbeatAck: {
-      auto m = DecodeEpochMsg(pkt.payload);
+      auto m = DecodeMsg<EpochMsg>(pkt.payload);
       if (m.ok()) {
         OnHeartbeatAck(pkt.src, *m);
       }

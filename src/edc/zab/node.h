@@ -256,7 +256,7 @@ class ZabNode {
   void TryCommit();
   void ActivateBroadcastIfQuorum();
   void SendHeartbeats();
-  bool BroadcastInternal(std::vector<uint8_t> txn, uint8_t flags);
+  bool BroadcastInternal(std::span<const uint8_t> txn, uint8_t flags);
 
   // Following.
   void BecomeFollower(NodeId leader, uint32_t leader_epoch);

@@ -44,7 +44,7 @@ void ZkClient::SendConnect() {
   pkt.src = id_;
   pkt.dst = server_;
   pkt.type = static_cast<uint32_t>(ZkMsgType::kConnect);
-  pkt.payload = EncodeZkConnect(ZkConnectMsg{options_.session_timeout, lost_session_});
+  pkt.payload = EncodeMsg(ZkConnectMsg{options_.session_timeout, lost_session_});
   net_->Send(std::move(pkt));
 }
 
@@ -78,7 +78,7 @@ void ZkClient::SendRequest(ZkOp op, ReplyCb done) {
   pkt.src = id_;
   pkt.dst = server_;
   pkt.type = static_cast<uint32_t>(ZkMsgType::kRequest);
-  pkt.payload = EncodeZkRequest(msg);
+  pkt.payload = EncodeMsg(msg);
   net_->Send(std::move(pkt));
 }
 
@@ -214,7 +214,7 @@ void ZkClient::HandlePacket(Packet&& pkt) {
   last_rx_ = loop_->now();
   switch (static_cast<ZkMsgType>(pkt.type)) {
     case ZkMsgType::kConnectReply: {
-      auto m = DecodeZkConnectReply(pkt.payload);
+      auto m = DecodeMsg<ZkConnectReplyMsg>(pkt.payload);
       if (!m.ok() || session_ != 0) {
         return;  // duplicate/stale connect reply
       }
@@ -240,7 +240,7 @@ void ZkClient::HandlePacket(Packet&& pkt) {
       break;
     }
     case ZkMsgType::kReply: {
-      auto m = DecodeZkReply(pkt.payload);
+      auto m = DecodeMsg<ZkReplyMsg>(pkt.payload);
       if (!m.ok()) {
         return;
       }
@@ -273,7 +273,7 @@ void ZkClient::HandlePacket(Packet&& pkt) {
       break;
     }
     case ZkMsgType::kMembershipEvent: {
-      auto m = DecodeZkMembershipEvent(pkt.payload);
+      auto m = DecodeMsg<ZkMembershipEventMsg>(pkt.payload);
       if (!m.ok() || m->version <= membership_version_) {
         break;  // stale or reordered push
       }
@@ -303,7 +303,7 @@ void ZkClient::HandlePacket(Packet&& pkt) {
       break;
     }
     case ZkMsgType::kWatchEvent: {
-      auto m = DecodeZkWatchEvent(pkt.payload);
+      auto m = DecodeMsg<ZkWatchEventMsg>(pkt.payload);
       if (!m.ok()) {
         break;
       }

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "edc/common/hash.h"
 #include "edc/common/strings.h"
 
 namespace edc {
@@ -179,10 +178,7 @@ std::vector<std::string> DataTree::EphemeralsOf(uint64_t session) const {
 }
 
 void DataTree::SerializeNode(Encoder& enc, const std::string& path, const Node& node) {
-  enc.PutString(path);
-  enc.PutString(node.data);
-  node.stat.Encode(enc);
-  enc.PutU64(node.next_seq);
+  NodeFields(enc, const_cast<std::string&>(path), const_cast<Node&>(node));  // only read
   for (const auto& [name, child] : node.children) {
     SerializeNode(enc, path == "/" ? "/" + name : path + "/" + name, *child);
   }
@@ -195,37 +191,29 @@ std::vector<uint8_t> DataTree::Serialize() const {
 }
 
 Status DataTree::LoadNode(Decoder& dec) {
-  auto path = dec.GetString();
-  auto data = dec.GetString();
-  if (!path.ok() || !data.ok()) {
-    return Status(ErrorCode::kDecodeError, "snapshot node header");
+  std::string path;
+  auto fresh = std::make_unique<Node>();
+  NodeFields(dec, path, *fresh);
+  if (!dec.ok()) {
+    return Status(ErrorCode::kDecodeError, "snapshot node truncated");
   }
-  auto stat = ZkStat::Decode(dec);
-  auto next_seq = stat.ok() ? dec.GetU64() : Result<uint64_t>(ErrorCode::kDecodeError);
-  if (!stat.ok() || !next_seq.ok()) {
-    return Status(ErrorCode::kDecodeError, "snapshot node stat");
+  if (path == "/") {
+    root_.data = std::move(fresh->data);
+    root_.stat = fresh->stat;
+    root_.next_seq = fresh->next_seq;
+    return Status::Ok();
   }
-  Node* node;
-  if (*path == "/") {
-    node = &root_;
-  } else {
-    std::string name;
-    Node* parent = FindParent(*path, &name);
-    if (parent == nullptr) {
-      return Status(ErrorCode::kDecodeError, "snapshot parent ordering");
-    }
-    auto fresh = std::make_unique<Node>();
-    node = fresh.get();
-    parent->children.emplace(name, std::move(fresh));
-    ++node_count_;
+  std::string name;
+  Node* parent = FindParent(path, &name);
+  if (parent == nullptr) {
+    return Status(ErrorCode::kDecodeError, "snapshot parent ordering");
   }
-  node->data = std::move(*data);
-  node->stat = *stat;
-  node->next_seq = *next_seq;
+  parent->children.emplace(name, std::move(fresh));
+  ++node_count_;
   return Status::Ok();
 }
 
-Status DataTree::Load(const std::vector<uint8_t>& snapshot) {
+Status DataTree::Load(std::span<const uint8_t> snapshot) {
   root_ = Node{};
   node_count_ = 1;
   Decoder dec(snapshot);
@@ -237,54 +225,28 @@ Status DataTree::Load(const std::vector<uint8_t>& snapshot) {
   return Status::Ok();
 }
 
-namespace {
-// The frame header matches LogStore's on-disk record layout exactly:
-// u32 payload length + u64 FNV-1a of the payload, both little-endian.
-constexpr size_t kImageHeaderBytes = 12;
-}  // namespace
-
 std::vector<uint8_t> DataTree::SerializeImage() const {
-  std::vector<uint8_t> payload = Serialize();
-  std::vector<uint8_t> image;
-  image.reserve(kImageHeaderBytes + payload.size());
-  uint32_t len = static_cast<uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i) {
-    image.push_back(static_cast<uint8_t>(len >> (8 * i)));
-  }
-  uint64_t sum = Fnv1a64(payload.data(), payload.size());
-  for (int i = 0; i < 8; ++i) {
-    image.push_back(static_cast<uint8_t>(sum >> (8 * i)));
-  }
-  image.insert(image.end(), payload.begin(), payload.end());
-  return image;
+  Encoder enc;
+  enc.Frame(Serialize());
+  return enc.Release();
 }
 
-Status DataTree::RestoreImage(const std::vector<uint8_t>& image) {
-  if (image.size() < kImageHeaderBytes) {
-    return Status(ErrorCode::kDecodeError, "snapshot image shorter than header");
-  }
-  uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= static_cast<uint32_t>(image[i]) << (8 * i);
-  }
-  uint64_t sum = 0;
-  for (int i = 0; i < 8; ++i) {
-    sum |= static_cast<uint64_t>(image[4 + i]) << (8 * i);
-  }
-  // Truncation (image ends early) and trailing garbage (image longer than the
-  // frame claims) are both rejected: a snapshot file is a single frame.
-  if (image.size() != kImageHeaderBytes + len) {
+Status DataTree::RestoreImage(std::span<const uint8_t> image) {
+  // A snapshot file is a single frame: truncation (image ends early) and
+  // trailing garbage (image longer than the frame claims) are both rejected.
+  Decoder dec(image);
+  std::span<const uint8_t> payload;
+  bool intact = dec.Frame(payload);
+  if (!dec.ok() || !dec.AtEnd()) {
     return Status(ErrorCode::kDecodeError, "snapshot image length mismatch");
   }
-  const uint8_t* payload = image.data() + kImageHeaderBytes;
-  if (Fnv1a64(payload, len) != sum) {
+  if (!intact) {
     return Status(ErrorCode::kDecodeError, "snapshot image checksum mismatch");
   }
   // Decode into a scratch tree and swap only on full success, so a payload
   // that passes the checksum but fails structural decode never half-applies.
   DataTree scratch;
-  std::vector<uint8_t> body(payload, payload + len);
-  if (auto s = scratch.Load(body); !s.ok()) {
+  if (auto s = scratch.Load(payload); !s.ok()) {
     return s;
   }
   root_ = std::move(scratch.root_);

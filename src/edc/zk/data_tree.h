@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,16 +59,16 @@ class DataTree {
   size_t node_count() const { return node_count_; }
 
   std::vector<uint8_t> Serialize() const;
-  Status Load(const std::vector<uint8_t>& snapshot);
+  Status Load(std::span<const uint8_t> snapshot);
 
-  // Framed snapshot codec for state transfer, using the LogStore's on-disk
-  // record convention: u32 payload length + u64 FNV-1a checksum + payload
-  // (the Serialize() bytes), little-endian. RestoreImage verifies the frame,
+  // Framed snapshot codec for state transfer: the Serialize() bytes in the
+  // codec's length + checksum frame (Encoder::Frame, the LogStore's record
+  // convention). RestoreImage verifies the frame,
   // decodes into a scratch tree and swaps only on full success — a truncated
   // or corrupted image (any byte, any offset) fails with kDecodeError and
   // leaves this tree exactly as it was. Never half-applies.
   std::vector<uint8_t> SerializeImage() const;
-  Status RestoreImage(const std::vector<uint8_t>& image);
+  Status RestoreImage(std::span<const uint8_t> image);
 
  private:
   struct Node {
@@ -76,6 +77,15 @@ class DataTree {
     uint64_t next_seq = 0;
     std::map<std::string, std::unique_ptr<Node>> children;
   };
+
+  // A node's snapshot record, fields in wire order; its children follow it.
+  template <class Io>
+  static void NodeFields(Io& io, std::string& path, Node& node) {
+    io.Str(path);
+    io.Str(node.data);
+    Fields(io, node.stat);
+    io.U64(node.next_seq);
+  }
 
   Node* Find(const std::string& path);
   const Node* Find(const std::string& path) const;

@@ -177,14 +177,14 @@ void ZkServer::ProcessClientPacket(Packet&& pkt) {
       OnClientRequest(std::move(pkt));
       break;
     case ZkMsgType::kForward: {
-      auto m = DecodeZkForward(pkt.payload);
+      auto m = DecodeMsg<ZkForwardMsg>(pkt.payload);
       if (m.ok()) {
         PrepAndPropose(m->origin, std::move(m->request));
       }
       break;
     }
     case ZkMsgType::kForwardReply: {
-      auto m = DecodeZkForwardReply(pkt.payload);
+      auto m = DecodeMsg<ZkForwardReplyMsg>(pkt.payload);
       if (m.ok()) {
         SendReplyToClient(m->session, m->reply);
       }
@@ -196,7 +196,7 @@ void ZkServer::ProcessClientPacket(Packet&& pkt) {
 }
 
 void ZkServer::OnConnect(Packet&& pkt) {
-  auto m = DecodeZkConnect(pkt.payload);
+  auto m = DecodeMsg<ZkConnectMsg>(pkt.payload);
   if (!m.ok()) {
     return;
   }
@@ -212,7 +212,7 @@ void ZkServer::OnConnect(Packet&& pkt) {
 }
 
 void ZkServer::OnClientRequest(Packet&& pkt) {
-  auto m = DecodeZkRequest(pkt.payload);
+  auto m = DecodeMsg<ZkRequestMsg>(pkt.payload);
   if (!m.ok()) {
     return;
   }
@@ -222,7 +222,7 @@ void ZkServer::OnClientRequest(Packet&& pkt) {
     ZkReplyMsg reply;
     reply.req_id = msg.req_id;
     reply.code = ErrorCode::kSessionExpired;
-    SendPacket(pkt.src, ZkMsgType::kReply, EncodeZkReply(reply));
+    SendPacket(pkt.src, ZkMsgType::kReply, EncodeMsg(reply));
     return;
   }
   client_nodes_[msg.session] = pkt.src;
@@ -233,7 +233,7 @@ void ZkServer::OnClientRequest(Packet&& pkt) {
   if (msg.op.type == ZkOpType::kPing) {
     ZkReplyMsg reply;
     reply.req_id = msg.req_id;
-    SendPacket(pkt.src, ZkMsgType::kReply, EncodeZkReply(reply));
+    SendPacket(pkt.src, ZkMsgType::kReply, EncodeMsg(reply));
     return;
   }
 
@@ -248,7 +248,7 @@ void ZkServer::OnClientRequest(Packet&& pkt) {
     reply.req_id = msg.req_id;
     reply.code = ErrorCode::kShardMapStale;
     reply.value = std::to_string(expected_map_version_);
-    SendPacket(pkt.src, ZkMsgType::kReply, EncodeZkReply(reply));
+    SendPacket(pkt.src, ZkMsgType::kReply, EncodeMsg(reply));
     return;
   }
 
@@ -321,7 +321,7 @@ void ZkServer::ServeRead(uint64_t session, const ZkRequestMsg& msg, NodeId clien
       reply.code = ErrorCode::kInvalidArgument;
       break;
   }
-  SendPacket(client, ZkMsgType::kReply, EncodeZkReply(reply));
+  SendPacket(client, ZkMsgType::kReply, EncodeMsg(reply));
 }
 
 void ZkServer::RouteToLeader(uint32_t origin, const ZkRequestMsg& msg) {
@@ -340,7 +340,7 @@ void ZkServer::RouteToLeader(uint32_t origin, const ZkRequestMsg& msg) {
   ZkForwardMsg fwd;
   fwd.origin = origin;
   fwd.request = msg;
-  SendPacket(leader, ZkMsgType::kForward, EncodeZkForward(fwd));
+  SendPacket(leader, ZkMsgType::kForward, EncodeMsg(fwd));
 }
 
 void ZkServer::PrepAndPropose(uint32_t origin, ZkRequestMsg msg) {
@@ -523,7 +523,7 @@ void ZkServer::DoPrep(uint32_t origin, ZkRequestMsg msg) {
   txn.has_result = has_result;
   txn.result = std::move(result);
   outstanding_.push_back(prep.TakeDelta());
-  if (!zab_->Broadcast(txn.Encode())) {
+  if (!zab_->Broadcast(EncodeMsg(txn))) {
     outstanding_.pop_back();
     fail(Status(ErrorCode::kNotReady, "broadcast failed"));
   }
@@ -619,7 +619,7 @@ bool ZkServer::ProposeFromPrep(PrepSession* prep, bool has_result, std::string r
   txn.result = std::move(result);
   txn.ext_depth = ext_depth;
   outstanding_.push_back(prep->TakeDelta());
-  if (!zab_->Broadcast(txn.Encode())) {
+  if (!zab_->Broadcast(EncodeMsg(txn))) {
     outstanding_.pop_back();
     return false;
   }
@@ -644,7 +644,7 @@ bool ZkServer::TxnIsDeferred(const ZkTxn& txn) {
 void ZkServer::OnDeliver(uint64_t zxid, std::span<const uint8_t> txn_bytes) {
   uint64_t txn_hash = Fnv1a64(txn_bytes.data(), txn_bytes.size());
   applied_log_.emplace_back(zxid, txn_hash);
-  auto txn = ZkTxn::Decode(txn_bytes);
+  auto txn = DecodeMsg<ZkTxn>(txn_bytes);
   if (!txn.ok()) {
     EDC_LOG(kError) << "server " << id_ << ": undecodable txn at zxid " << zxid;
     return;
@@ -715,7 +715,7 @@ void ZkServer::ApplyTxn(uint64_t zxid, const ZkTxn& txn) {
             reply.old_session_expired = it->second.old_session != 0 &&
                                         sessions_.count(it->second.old_session) == 0;
             SendPacket(it->second.client, ZkMsgType::kConnectReply,
-                       EncodeZkConnectReply(reply));
+                       EncodeMsg(reply));
             pending_connects_.erase(it);
           }
         }
@@ -799,7 +799,7 @@ void ZkServer::ApplyTxn(uint64_t zxid, const ZkTxn& txn) {
         ZkWatchEventMsg ev{event.type, event.path};
         int copies = options_.test_double_fire_watches ? 2 : 1;
         for (int c = 0; c < copies; ++c) {
-          SendPacket(it->second, ZkMsgType::kWatchEvent, EncodeZkWatchEvent(ev));
+          SendPacket(it->second, ZkMsgType::kWatchEvent, EncodeMsg(ev));
         }
       }
     }
@@ -835,22 +835,9 @@ std::vector<uint8_t> ZkServer::TakeSnapshot() {
   Encoder enc;
   // The tree section is itself framed (length + FNV) so truncation or
   // corruption anywhere inside it is detected before a byte is applied.
-  enc.PutBytes(tree_.SerializeImage());
-  enc.PutVarint(sessions_.size());
-  for (const auto& [session, info] : sessions_) {
-    enc.PutU64(session);
-    enc.PutU32(info.owner);
-    enc.PutI64(info.timeout);
-  }
-  enc.PutVarint(block_table_.size());
-  for (const auto& [path, waiters] : block_table_) {
-    enc.PutString(path);
-    enc.PutVarint(waiters.size());
-    for (const auto& [session, req_id] : waiters) {
-      enc.PutU64(session);
-      enc.PutU64(req_id);
-    }
-  }
+  enc.Bytes(tree_.SerializeImage());
+  SessionTable(enc, sessions_);
+  BlockTable(enc, block_table_);
   return enc.Release();
 }
 
@@ -861,51 +848,26 @@ bool ZkServer::InstallSnapshot(uint64_t zxid, const std::vector<uint8_t>& snapsh
   // state transfer (the joiner re-sends FollowerInfo and the leader re-offers
   // the snapshot).
   Decoder dec(snapshot);
-  auto tree_bytes = dec.GetBytes();
-  if (!tree_bytes.ok()) {
+  std::span<const uint8_t> tree_bytes;
+  dec.Bytes(tree_bytes);
+  if (!dec.ok()) {
     EDC_LOG(kError) << "server " << id_ << ": snapshot tree section missing";
     return false;
   }
   std::map<uint64_t, SessionInfo> fresh_sessions;
-  auto n_sessions = dec.GetVarint();
-  if (!n_sessions.ok()) {
+  SessionTable(dec, fresh_sessions);
+  if (!dec.ok()) {
+    EDC_LOG(kError) << "server " << id_ << ": snapshot session table truncated";
     return false;
   }
-  for (uint64_t i = 0; i < *n_sessions; ++i) {
-    auto session = dec.GetU64();
-    auto owner = dec.GetU32();
-    auto timeout = dec.GetI64();
-    if (!session.ok() || !owner.ok() || !timeout.ok()) {
-      EDC_LOG(kError) << "server " << id_ << ": snapshot session table truncated";
-      return false;
-    }
-    SessionInfo info;
-    info.owner = *owner;
-    info.timeout = *timeout;
+  for (auto& [session, info] : fresh_sessions) {
     info.last_seen = loop_->now();
-    fresh_sessions[*session] = info;
   }
-  std::map<std::string, std::vector<std::pair<uint64_t, uint64_t>>> fresh_blocks;
-  auto n_blocks = dec.GetVarint();
-  if (!n_blocks.ok()) {
+  BlockTableMap fresh_blocks;
+  BlockTable(dec, fresh_blocks);
+  if (!dec.ok()) {
+    EDC_LOG(kError) << "server " << id_ << ": snapshot block table truncated";
     return false;
-  }
-  for (uint64_t i = 0; i < *n_blocks; ++i) {
-    auto path = dec.GetString();
-    auto n_waiters = dec.GetVarint();
-    if (!path.ok() || !n_waiters.ok()) {
-      EDC_LOG(kError) << "server " << id_ << ": snapshot block table truncated";
-      return false;
-    }
-    auto& waiters = fresh_blocks[*path];
-    for (uint64_t j = 0; j < *n_waiters; ++j) {
-      auto session = dec.GetU64();
-      auto req_id = dec.GetU64();
-      if (!session.ok() || !req_id.ok()) {
-        return false;
-      }
-      waiters.emplace_back(*session, *req_id);
-    }
   }
   if (!dec.AtEnd()) {
     EDC_LOG(kError) << "server " << id_ << ": snapshot has trailing bytes";
@@ -913,7 +875,7 @@ bool ZkServer::InstallSnapshot(uint64_t zxid, const std::vector<uint8_t>& snapsh
   }
   // The framed tree image is validated (length + checksum + structure) and
   // swapped in atomically by RestoreImage; it is the last fallible step.
-  if (auto s = tree_.RestoreImage(*tree_bytes); !s.ok()) {
+  if (auto s = tree_.RestoreImage(tree_bytes); !s.ok()) {
     EDC_LOG(kError) << "server " << id_ << ": snapshot tree load failed: " << s.ToString();
     return false;
   }
@@ -946,7 +908,7 @@ void ZkServer::OnMembershipChange(uint64_t zxid, const ZabMembership& membership
     clients.insert(node);
   }
   for (NodeId c : clients) {
-    SendPacket(c, ZkMsgType::kMembershipEvent, EncodeZkMembershipEvent(ev));
+    SendPacket(c, ZkMsgType::kMembershipEvent, EncodeMsg(ev));
   }
   if (pending_reconfig_.active) {
     ZkReplyMsg reply;
@@ -977,7 +939,7 @@ void ZkServer::RouteReply(uint32_t origin, uint64_t session, ZkReplyMsg reply) {
   ZkForwardReplyMsg msg;
   msg.session = session;
   msg.reply = std::move(reply);
-  SendPacket(origin, ZkMsgType::kForwardReply, EncodeZkForwardReply(msg));
+  SendPacket(origin, ZkMsgType::kForwardReply, EncodeMsg(msg));
 }
 
 void ZkServer::SendReplyToClient(uint64_t session, const ZkReplyMsg& reply) {
@@ -987,10 +949,10 @@ void ZkServer::SendReplyToClient(uint64_t session, const ZkReplyMsg& reply) {
     if (pending == pending_connects_.end()) {
       return;
     }
-    SendPacket(pending->second.client, ZkMsgType::kReply, EncodeZkReply(reply));
+    SendPacket(pending->second.client, ZkMsgType::kReply, EncodeMsg(reply));
     return;
   }
-  SendPacket(it->second, ZkMsgType::kReply, EncodeZkReply(reply));
+  SendPacket(it->second, ZkMsgType::kReply, EncodeMsg(reply));
 }
 
 }  // namespace edc

@@ -162,6 +162,28 @@ class ZkServer : public NetworkNode, public ZabCallbacks {
     Duration timeout = 0;
     SimTime last_seen = 0;  // meaningful on the owner replica only
   };
+  // Path -> (session, req_id) of each client blocked on its creation.
+  using BlockTableMap = std::map<std::string, std::vector<std::pair<uint64_t, uint64_t>>>;
+
+  // Snapshot sections (fields in wire order); `last_seen` is not replicated.
+  template <class Io>
+  static void SessionTable(Io& io, std::map<uint64_t, SessionInfo>& sessions) {
+    io.List(sessions, [&](auto& s) {
+      io.U64(s.first);
+      io.U32(s.second.owner);
+      io.I64(s.second.timeout);
+    });
+  }
+  template <class Io>
+  static void BlockTable(Io& io, BlockTableMap& blocks) {
+    io.List(blocks, [&](auto& b) {
+      io.Str(b.first);
+      io.List(b.second, [&](auto& w) {
+        io.U64(w.first);
+        io.U64(w.second);
+      });
+    });
+  }
 
   bool OwnerReplicaDead(const SessionInfo& info) const;
 
@@ -207,7 +229,7 @@ class ZkServer : public NetworkNode, public ZabCallbacks {
   // Replicated state machine.
   DataTree tree_;
   std::map<uint64_t, SessionInfo> sessions_;
-  std::map<std::string, std::vector<std::pair<uint64_t, uint64_t>>> block_table_;
+  BlockTableMap block_table_;
 
   // Leader-only pipeline state.
   std::deque<PendingDelta> outstanding_;

@@ -11,7 +11,6 @@
 #define EDC_ZK_TXN_H_
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -39,8 +38,7 @@ struct ZkTxnOp {
   uint32_t session_owner = 0;    // kCreateSession: replica owning the connection
   uint64_t req_id = 0;           // kBlock
 
-  void Encode(Encoder& enc) const;
-  static Result<ZkTxnOp> Decode(Decoder& dec);
+  bool operator==(const ZkTxnOp&) const = default;
 };
 
 struct ZkTxn {
@@ -55,9 +53,31 @@ struct ZkTxn {
   // (0 = client request); bounds extension-triggered cascades.
   uint8_t ext_depth = 0;
 
-  std::vector<uint8_t> Encode() const;
-  static Result<ZkTxn> Decode(std::span<const uint8_t> buf);
+  bool operator==(const ZkTxn&) const = default;
 };
+
+template <class Io>
+void Fields(Io& io, ZkTxnOp& m) {
+  io.U8(m.type);
+  io.Check(m.type <= ZkTxnOpType::kBlock, "bad txn op type");
+  io.Str(m.path);
+  io.Str(m.data);
+  io.U64(m.ephemeral_owner);
+  io.U64(m.session);
+  io.U32(m.session_owner);
+  io.U64(m.req_id);
+}
+
+template <class Io>
+void Fields(Io& io, ZkTxn& m) {
+  io.U64(m.session);
+  io.U64(m.req_id);
+  io.I64(m.time);
+  io.Bool(m.has_result);
+  io.Str(m.result);
+  io.U8(m.ext_depth);
+  io.List(m.ops);
+}
 
 }  // namespace edc
 

@@ -71,8 +71,7 @@ struct ZkOp {
   bool sequential = false;
   std::vector<ZkOp> ops;  // multi
 
-  void Encode(Encoder& enc) const;
-  static Result<ZkOp> Decode(Decoder& dec, int depth = 0);
+  bool operator==(const ZkOp&) const = default;
 };
 
 // Node metadata, ZooKeeper Stat analogue.
@@ -87,8 +86,7 @@ struct ZkStat {
   uint64_t ephemeral_owner = 0;
   uint32_t num_children = 0;
 
-  void Encode(Encoder& enc) const;
-  static Result<ZkStat> Decode(Decoder& dec);
+  bool operator==(const ZkStat&) const = default;
 };
 
 struct ZkRequestMsg {
@@ -99,6 +97,8 @@ struct ZkRequestMsg {
   // kShardMapStale. 0 = standalone client, never rejected.
   uint64_t map_version = 0;
   ZkOp op;
+
+  bool operator==(const ZkRequestMsg&) const = default;
 };
 
 struct ZkReplyMsg {
@@ -108,6 +108,8 @@ struct ZkReplyMsg {
   bool has_stat = false;
   ZkStat stat;
   std::vector<std::string> children;
+
+  bool operator==(const ZkReplyMsg&) const = default;
 };
 
 enum class ZkEventType : uint8_t {
@@ -120,6 +122,8 @@ enum class ZkEventType : uint8_t {
 struct ZkWatchEventMsg {
   ZkEventType type = ZkEventType::kNodeCreated;
   std::string path;
+
+  bool operator==(const ZkWatchEventMsg&) const = default;
 };
 
 struct ZkConnectMsg {
@@ -129,6 +133,8 @@ struct ZkConnectMsg {
   // from the replicated session table (kSessionExpired) or merely detached
   // (kConnectionLoss).
   uint64_t old_session = 0;
+
+  bool operator==(const ZkConnectMsg&) const = default;
 };
 
 struct ZkConnectReplyMsg {
@@ -137,35 +143,25 @@ struct ZkConnectReplyMsg {
   // True iff ZkConnectMsg::old_session was nonzero and no longer exists in
   // the replicated session table at the zxid that created the new session.
   bool old_session_expired = false;
-};
 
-std::vector<uint8_t> EncodeZkRequest(const ZkRequestMsg& m);
-Result<ZkRequestMsg> DecodeZkRequest(const std::vector<uint8_t>& buf);
-std::vector<uint8_t> EncodeZkReply(const ZkReplyMsg& m);
-Result<ZkReplyMsg> DecodeZkReply(const std::vector<uint8_t>& buf);
-std::vector<uint8_t> EncodeZkWatchEvent(const ZkWatchEventMsg& m);
-Result<ZkWatchEventMsg> DecodeZkWatchEvent(const std::vector<uint8_t>& buf);
-std::vector<uint8_t> EncodeZkConnect(const ZkConnectMsg& m);
-Result<ZkConnectMsg> DecodeZkConnect(const std::vector<uint8_t>& buf);
-std::vector<uint8_t> EncodeZkConnectReply(const ZkConnectReplyMsg& m);
-Result<ZkConnectReplyMsg> DecodeZkConnectReply(const std::vector<uint8_t>& buf);
+  bool operator==(const ZkConnectReplyMsg&) const = default;
+};
 
 // Forwarded request: the origin replica wraps the client request so the
 // leader can route the (error) reply back.
 struct ZkForwardMsg {
   uint32_t origin = 0;  // replica that owns the client connection
   ZkRequestMsg request;
+
+  bool operator==(const ZkForwardMsg&) const = default;
 };
 
 struct ZkForwardReplyMsg {
   uint64_t session = 0;
   ZkReplyMsg reply;
-};
 
-std::vector<uint8_t> EncodeZkForward(const ZkForwardMsg& m);
-Result<ZkForwardMsg> DecodeZkForward(const std::vector<uint8_t>& buf);
-std::vector<uint8_t> EncodeZkForwardReply(const ZkForwardReplyMsg& m);
-Result<ZkForwardReplyMsg> DecodeZkForwardReply(const std::vector<uint8_t>& buf);
+  bool operator==(const ZkForwardReplyMsg&) const = default;
+};
 
 // Pushed by a replica to its connected clients when a reconfiguration
 // activates: the authoritative voter list (the servers a session can fail
@@ -175,10 +171,103 @@ struct ZkMembershipEventMsg {
   uint64_t version = 0;  // zxid of the activating reconfig commit
   std::vector<uint32_t> voters;     // NodeId; this header stays network-free
   std::vector<uint32_t> observers;
+
+  bool operator==(const ZkMembershipEventMsg&) const = default;
 };
 
-std::vector<uint8_t> EncodeZkMembershipEvent(const ZkMembershipEventMsg& m);
-Result<ZkMembershipEventMsg> DecodeZkMembershipEvent(const std::vector<uint8_t>& buf);
+// Wire formats (common/codec.h): each function lists its message's fields
+// in wire order, for EncodeMsg and DecodeMsg alike.
+
+// A multi nests at most two levels deep.
+template <class Io>
+void Fields(Io& io, ZkOp& m, int depth = 0) {
+  io.Check(depth <= 2, "multi nested too deep");
+  io.U8(m.type);
+  io.Check(m.type <= ZkOpType::kReconfig, "bad op type");
+  io.Str(m.path);
+  io.Str(m.data);
+  io.U32(m.version);
+  io.Bool(m.watch);
+  io.Bool(m.ephemeral);
+  io.Bool(m.sequential);
+  io.List(m.ops, [&](ZkOp& sub) { Fields(io, sub, depth + 1); });
+}
+
+template <class Io>
+void Fields(Io& io, ZkStat& m) {
+  io.U64(m.czxid);
+  io.U64(m.mzxid);
+  io.U64(m.pzxid);
+  io.I64(m.ctime);
+  io.I64(m.mtime);
+  io.U32(m.version);
+  io.U32(m.cversion);
+  io.U64(m.ephemeral_owner);
+  io.U32(m.num_children);
+}
+
+template <class Io>
+void Fields(Io& io, ZkRequestMsg& m) {
+  io.U64(m.session);
+  io.U64(m.req_id);
+  io.Varint(m.map_version);
+  Fields(io, m.op);
+}
+
+template <class Io>
+void Fields(Io& io, ZkReplyMsg& m) {
+  io.U64(m.req_id);
+  io.U32(m.code);
+  io.Str(m.value);
+  io.Bool(m.has_stat);
+  if (m.has_stat) {
+    Fields(io, m.stat);
+  }
+  io.List(m.children, [&](std::string& c) { io.Str(c); });
+}
+
+template <class Io>
+void Fields(Io& io, ZkWatchEventMsg& m) {
+  io.U8(m.type);
+  io.Check(m.type <= ZkEventType::kNodeChildrenChanged, "bad event type");
+  io.Str(m.path);
+}
+
+template <class Io>
+void Fields(Io& io, ZkConnectMsg& m) {
+  io.I64(m.session_timeout);
+  io.U64(m.old_session);
+}
+
+template <class Io>
+void Fields(Io& io, ZkConnectReplyMsg& m) {
+  io.U64(m.session);
+  io.U32(m.code);
+  io.Bool(m.old_session_expired);
+}
+
+// The shard-map version stays with the origin replica, which checked it.
+template <class Io>
+void Fields(Io& io, ZkForwardMsg& m) {
+  io.U32(m.origin);
+  io.U64(m.request.session);
+  io.U64(m.request.req_id);
+  Fields(io, m.request.op);
+}
+
+template <class Io>
+void Fields(Io& io, ZkForwardReplyMsg& m) {
+  io.U64(m.session);
+  io.Nested(m.reply);
+}
+
+template <class Io>
+void Fields(Io& io, ZkMembershipEventMsg& m) {
+  io.U64(m.version);
+  io.List(m.voters, [&](uint32_t& v) { io.U32(v); });
+  io.List(m.observers, [&](uint32_t& o) { io.U32(o); });
+  io.Check(!m.voters.empty(), "membership event without voters");
+}
 
 }  // namespace edc
 

@@ -66,23 +66,26 @@ class CounterReplica : public NetworkNode, public BftCallbacks {
 
   std::vector<uint8_t> TakeSnapshot() override {
     Encoder enc;
-    enc.PutI64(counter);
-    enc.PutU64(last_seq);
-    enc.PutI64(last_ts);
+    enc.I64(counter);
+    enc.U64(last_seq);
+    enc.I64(last_ts);
     return enc.Release();
   }
 
   Status RestoreSnapshot(const std::vector<uint8_t>& snapshot) override {
     Decoder dec(snapshot);
-    auto value = dec.GetI64();
-    auto seq = dec.GetU64();
-    auto ts = dec.GetI64();
-    if (!value.ok() || !seq.ok() || !ts.ok()) {
+    int64_t value = 0;
+    uint64_t seq = 0;
+    SimTime ts = 0;
+    dec.I64(value);
+    dec.U64(seq);
+    dec.I64(ts);
+    if (!dec.ok()) {
       return Status(ErrorCode::kDecodeError, "bad counter snapshot");
     }
-    counter = *value;
-    last_seq = *seq;
-    last_ts = *ts;
+    counter = value;
+    last_seq = seq;
+    last_ts = ts;
     return Status::Ok();
   }
 
@@ -128,7 +131,7 @@ class VotingClient : public NetworkNode {
     if (pkt.type != static_cast<uint32_t>(BftMsgType::kReply)) {
       return;
     }
-    auto reply = DecodeReplyMsg(pkt.payload);
+    auto reply = DecodeMsg<ReplyMsg>(pkt.payload);
     if (!reply.ok()) {
       return;
     }
@@ -168,7 +171,7 @@ class VotingClient : public NetworkNode {
       pkt.src = id_;
       pkt.dst = r;
       pkt.type = static_cast<uint32_t>(BftMsgType::kRequest);
-      pkt.payload = EncodeBftRequest(req);
+      pkt.payload = EncodeMsg(req);
       net_->Send(std::move(pkt));
     }
   }

@@ -183,17 +183,18 @@ class SnapCounter : public NetworkNode, public BftCallbacks {
 
   std::vector<uint8_t> TakeSnapshot() override {
     Encoder enc;
-    enc.PutI64(counter);
+    enc.I64(counter);
     return enc.Release();
   }
 
   Status RestoreSnapshot(const std::vector<uint8_t>& snapshot) override {
     Decoder dec(snapshot);
-    auto value = dec.GetI64();
-    if (!value.ok()) {
-      return value.status();
+    int64_t value = 0;
+    dec.I64(value);
+    if (!dec.ok()) {
+      return dec.status();
     }
-    counter = *value;
+    counter = value;
     return Status::Ok();
   }
 
@@ -233,7 +234,7 @@ TEST(BftRecovery, TransferredDedupBlocksReexecution) {
       pkt.src = 100;
       pkt.dst = r;
       pkt.type = static_cast<uint32_t>(BftMsgType::kRequest);
-      pkt.payload = EncodeBftRequest(req);
+      pkt.payload = EncodeMsg(req);
       net.Send(std::move(pkt));
     }
   };
@@ -272,7 +273,7 @@ TEST(BftRecovery, TransferredDedupBlocksReexecution) {
   pkt.src = 100;
   pkt.dst = 4;
   pkt.type = static_cast<uint32_t>(BftMsgType::kRequest);
-  pkt.payload = EncodeBftRequest(dup);
+  pkt.payload = EncodeMsg(dup);
   net.Send(std::move(pkt));
   settle(Seconds(2));
   EXPECT_EQ(replicas[3]->executions, executions_before);

@@ -171,7 +171,7 @@ TEST_F(BftClusterTest, ForgedNewViewFromBackupIsIgnored) {
   entry.batch.push_back(BftRequest{kClient, 99, Bytes("add:100")});
   forged.reproposed.push_back(entry);
   for (NodeId dst : {1u, 2u, 4u}) {
-    Forge(3, dst, BftMsgType::kNewView, EncodeNewView(forged));
+    Forge(3, dst, BftMsgType::kNewView, EncodeMsg(forged));
   }
   Settle(Millis(100));
   for (auto& r : replicas_) {
@@ -204,7 +204,7 @@ TEST_F(BftClusterTest, ViewChangeKeepsBatchPreparedInHighestView) {
     e.ts = ts;
     e.batch.push_back(BftRequest{kClient, req_id, Bytes(body)});
     vc.prepared.push_back(e);
-    return EncodeViewChange(vc);
+    return EncodeMsg(vc);
   };
   Forge(1, 3, BftMsgType::kViewChange, view_change(0, Millis(1), "add:1", 1));
   Forge(2, 3, BftMsgType::kViewChange, view_change(1, Millis(2), "add:2", 2));

@@ -127,7 +127,7 @@ std::vector<uint8_t> EncodeOp(DsOpType type, DsTuple tuple, DsTemplate templ,
   op.tuple = std::move(tuple);
   op.templ = std::move(templ);
   op.lease = lease;
-  return op.Encode();
+  return EncodeMsg(op);
 }
 
 TEST(DsModelTest, OutRdpInpRoundTrip) {

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -14,36 +15,54 @@ namespace {
 
 TEST(CodecTest, RoundTripsScalars) {
   Encoder enc;
-  enc.PutU8(0xab);
-  enc.PutBool(true);
-  enc.PutBool(false);
-  enc.PutU16(0x1234);
-  enc.PutU32(0xdeadbeef);
-  enc.PutU64(0x1122334455667788ULL);
-  enc.PutI64(-42);
+  enc.U8(0xab);
+  enc.Bool(true);
+  enc.Bool(false);
+  enc.U32(0xdeadbeef);
+  enc.U64(0x1122334455667788ULL);
+  enc.I64(-42);
 
   Decoder dec(enc.buffer());
-  EXPECT_EQ(*dec.GetU8(), 0xab);
-  EXPECT_TRUE(*dec.GetBool());
-  EXPECT_FALSE(*dec.GetBool());
-  EXPECT_EQ(*dec.GetU16(), 0x1234);
-  EXPECT_EQ(*dec.GetU32(), 0xdeadbeefu);
-  EXPECT_EQ(*dec.GetU64(), 0x1122334455667788ULL);
-  EXPECT_EQ(*dec.GetI64(), -42);
+  uint8_t u8 = 0;
+  bool t = false;
+  bool f = true;
+  uint32_t u32 = 0;
+  uint64_t u64 = 0;
+  int64_t i64 = 0;
+  dec.U8(u8);
+  dec.Bool(t);
+  dec.Bool(f);
+  dec.U32(u32);
+  dec.U64(u64);
+  dec.I64(i64);
+  ASSERT_TRUE(dec.ok());
+  EXPECT_EQ(u8, 0xab);
+  EXPECT_TRUE(t);
+  EXPECT_FALSE(f);
+  EXPECT_EQ(u32, 0xdeadbeefu);
+  EXPECT_EQ(u64, 0x1122334455667788ULL);
+  EXPECT_EQ(i64, -42);
   EXPECT_TRUE(dec.AtEnd());
 }
 
 TEST(CodecTest, RoundTripsStringsAndBytes) {
   Encoder enc;
-  enc.PutString("hello");
-  enc.PutString("");
+  enc.Str("hello");
+  enc.Str("");
   std::vector<uint8_t> blob{0, 1, 2, 255};
-  enc.PutBytes(blob);
+  enc.Bytes(blob);
 
   Decoder dec(enc.buffer());
-  EXPECT_EQ(*dec.GetString(), "hello");
-  EXPECT_EQ(*dec.GetString(), "");
-  EXPECT_EQ(*dec.GetBytes(), blob);
+  std::string hello;
+  std::string empty = "x";
+  std::vector<uint8_t> bytes;
+  dec.Str(hello);
+  dec.Str(empty);
+  dec.Bytes(bytes);
+  ASSERT_TRUE(dec.ok());
+  EXPECT_EQ(hello, "hello");
+  EXPECT_EQ(empty, "");
+  EXPECT_EQ(bytes, blob);
   EXPECT_TRUE(dec.AtEnd());
 }
 
@@ -51,11 +70,12 @@ class VarintParamTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(VarintParamTest, RoundTrips) {
   Encoder enc;
-  enc.PutVarint(GetParam());
+  enc.Varint(GetParam());
   Decoder dec(enc.buffer());
-  auto v = dec.GetVarint();
-  ASSERT_TRUE(v.ok());
-  EXPECT_EQ(*v, GetParam());
+  uint64_t v = 0;
+  dec.Varint(v);
+  ASSERT_TRUE(dec.ok());
+  EXPECT_EQ(v, GetParam());
   EXPECT_TRUE(dec.AtEnd());
 }
 
@@ -66,51 +86,71 @@ INSTANTIATE_TEST_SUITE_P(Boundaries, VarintParamTest,
 
 TEST(CodecTest, VarintIsCompact) {
   Encoder enc;
-  enc.PutVarint(5);
+  enc.Varint(5);
   EXPECT_EQ(enc.size(), 1u);
   Encoder enc2;
-  enc2.PutVarint(300);
+  enc2.Varint(300);
   EXPECT_EQ(enc2.size(), 2u);
 }
 
 TEST(CodecTest, TruncatedScalarFails) {
   Encoder enc;
-  enc.PutU32(7);
-  Decoder dec(enc.buffer().data(), 2);
-  auto v = dec.GetU32();
-  EXPECT_FALSE(v.ok());
-  EXPECT_EQ(v.code(), ErrorCode::kDecodeError);
+  enc.U32(7);
+  Decoder dec(std::span(enc.buffer()).first(2));
+  uint32_t v = 0;
+  dec.U32(v);
+  EXPECT_FALSE(dec.ok());
+  EXPECT_EQ(dec.status().code(), ErrorCode::kDecodeError);
 }
 
 TEST(CodecTest, TruncatedStringFails) {
   Encoder enc;
-  enc.PutString("hello world");
-  Decoder dec(enc.buffer().data(), 4);
-  EXPECT_FALSE(dec.GetString().ok());
+  enc.Str("hello world");
+  Decoder dec(std::span(enc.buffer()).first(4));
+  std::string s;
+  dec.Str(s);
+  EXPECT_FALSE(dec.ok());
 }
 
 TEST(CodecTest, StringLengthLyingBeyondBufferFails) {
   Encoder enc;
-  enc.PutVarint(1000);  // claims 1000 bytes follow
-  enc.PutU8('x');
+  enc.Varint(1000);  // claims 1000 bytes follow
+  enc.U8('x');
   Decoder dec(enc.buffer());
-  EXPECT_FALSE(dec.GetString().ok());
+  std::string s;
+  dec.Str(s);
+  EXPECT_FALSE(dec.ok());
 }
 
 TEST(CodecTest, MalformedVarintFails) {
   // Eleven continuation bytes exceed the 64-bit shift budget.
   std::vector<uint8_t> bad(11, 0x80);
   Decoder dec(bad);
-  EXPECT_FALSE(dec.GetVarint().ok());
+  uint64_t v = 0;
+  dec.Varint(v);
+  EXPECT_FALSE(dec.ok());
 }
 
+// The decoder is sticky: once a read fails, every later read is a no-op and
+// leaves its target untouched.
 TEST(CodecTest, EmptyBufferFailsEverything) {
   std::vector<uint8_t> empty;
   Decoder dec(empty);
-  EXPECT_FALSE(dec.GetU8().ok());
-  EXPECT_FALSE(dec.GetU64().ok());
-  EXPECT_FALSE(dec.GetVarint().ok());
-  EXPECT_FALSE(dec.GetString().ok());
+  uint8_t u8 = 7;
+  dec.U8(u8);
+  EXPECT_FALSE(dec.ok());
+  uint64_t u64 = 7;
+  uint64_t var = 7;
+  std::string s = "kept";
+  dec.U64(u64);
+  dec.Varint(var);
+  dec.Str(s);
+  EXPECT_FALSE(dec.ok());
+  EXPECT_EQ(u8, 7);
+  EXPECT_EQ(u64, 7u);
+  EXPECT_EQ(var, 7u);
+  EXPECT_EQ(s, "kept");
+  EXPECT_EQ(dec.status().code(), ErrorCode::kDecodeError);
 }
 
 TEST(CodecTest, FuzzRoundTripRandomSequences) {
@@ -123,23 +163,24 @@ TEST(CodecTest, FuzzRoundTripRandomSequences) {
     for (int i = 0; i < n; ++i) {
       uint64_t v = rng.NextU64() >> rng.UniformU64(64);
       ints.push_back(v);
-      enc.PutVarint(v);
+      enc.Varint(v);
       std::string s;
       size_t len = rng.UniformU64(50);
       for (size_t j = 0; j < len; ++j) {
         s += static_cast<char>(rng.UniformU64(256));
       }
       strs.push_back(s);
-      enc.PutString(s);
+      enc.Str(s);
     }
     Decoder dec(enc.buffer());
     for (int i = 0; i < n; ++i) {
-      auto v = dec.GetVarint();
-      ASSERT_TRUE(v.ok());
-      EXPECT_EQ(*v, ints[static_cast<size_t>(i)]);
-      auto s = dec.GetString();
-      ASSERT_TRUE(s.ok());
-      EXPECT_EQ(*s, strs[static_cast<size_t>(i)]);
+      uint64_t v = 0;
+      std::string s;
+      dec.Varint(v);
+      dec.Str(s);
+      ASSERT_TRUE(dec.ok());
+      EXPECT_EQ(v, ints[static_cast<size_t>(i)]);
+      EXPECT_EQ(s, strs[static_cast<size_t>(i)]);
     }
     EXPECT_TRUE(dec.AtEnd());
   }

@@ -138,14 +138,14 @@ TEST(TupleSpaceTest, SerializeLoadRoundTrip) {
 TEST(TupleSpaceTest, LoadRejectsSeqsOutOfOrder) {
   auto image = [](uint64_t next_seq, std::vector<uint64_t> seqs) {
     Encoder enc;
-    enc.PutU64(next_seq);
-    enc.PutVarint(seqs.size());
+    enc.U64(next_seq);
+    enc.Varint(seqs.size());
     for (uint64_t seq : seqs) {
-      EncodeTuple(enc, T("/a", "x"));
-      enc.PutU64(seq);
-      enc.PutI64(10);
-      enc.PutI64(0);
-      enc.PutU32(1);
+      enc.List(T("/a", "x"));
+      enc.U64(seq);
+      enc.I64(10);
+      enc.I64(0);
+      enc.U32(1);
     }
     return enc.Release();
   };

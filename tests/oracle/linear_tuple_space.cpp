@@ -105,15 +105,8 @@ bool LinearTupleSpace::HasMatch(const DsTemplate& templ) const {
 
 std::vector<uint8_t> LinearTupleSpace::Serialize() const {
   Encoder enc;
-  enc.PutU64(next_seq_);
-  enc.PutVarint(entries_.size());
-  for (const DsEntry& e : entries_) {
-    EncodeTuple(enc, e.tuple);
-    enc.PutU64(e.seq);
-    enc.PutI64(e.ctime);
-    enc.PutI64(e.deadline);
-    enc.PutU32(e.owner);
-  }
+  enc.U64(next_seq_);
+  enc.List(entries_);
   return enc.Release();
 }
 
@@ -126,30 +119,9 @@ Status LinearTupleSpace::Load(const std::vector<uint8_t>& snapshot) {
     return Status::Ok();
   }
   Decoder dec(snapshot);
-  auto next_seq = dec.GetU64();
-  auto n = dec.GetVarint();
-  if (!next_seq.ok() || !n.ok()) {
-    return Status(ErrorCode::kDecodeError, "tuple space header");
-  }
-  next_seq_ = *next_seq;
-  for (uint64_t i = 0; i < *n; ++i) {
-    DsEntry e;
-    auto tuple = DecodeTuple(dec);
-    auto seq = dec.GetU64();
-    auto ctime = dec.GetI64();
-    auto deadline = dec.GetI64();
-    auto owner = dec.GetU32();
-    if (!tuple.ok() || !seq.ok() || !ctime.ok() || !deadline.ok() || !owner.ok()) {
-      return Status(ErrorCode::kDecodeError, "tuple space entry");
-    }
-    e.tuple = std::move(*tuple);
-    e.seq = *seq;
-    e.ctime = *ctime;
-    e.deadline = *deadline;
-    e.owner = *owner;
-    entries_.push_back(std::move(e));
-  }
-  return Status::Ok();
+  dec.U64(next_seq_);
+  dec.List(entries_);
+  return dec.status();
 }
 
 }  // namespace edc

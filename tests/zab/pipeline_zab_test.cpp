@@ -412,10 +412,8 @@ Packet FromLeader(ZabMsgType type, std::vector<uint8_t> payload) {
 }
 
 Packet Propose(uint32_t counter) {
-  ZabProposal p;
-  p.zxid = MakeZxid(1, counter);
-  p.txn = Txn("t" + std::to_string(counter));
-  return FromLeader(ZabMsgType::kPropose, EncodeProposeMsg({1, p}));
+  std::vector<uint8_t> txn = Txn("t" + std::to_string(counter));
+  return FromLeader(ZabMsgType::kPropose, EncodeMsg(ProposeMsg{1, {MakeZxid(1, counter), 0, txn}}));
 }
 
 TEST(PipelineZabTrunc, TruncCutsInFlightAppendsAndSurvivesRestart) {
@@ -440,9 +438,9 @@ TEST(PipelineZabTrunc, TruncCutsInFlightAppendsAndSurvivesRestart) {
   auto step = [&loop](Duration d) { loop.RunUntil(loop.now() + d); };
 
   zab.Start();
-  zab.HandlePacket(FromLeader(ZabMsgType::kLeaderInfo, EncodeLeaderInfo({1, 1})));
-  zab.HandlePacket(FromLeader(ZabMsgType::kDiff, EncodeDiffMsg(DiffMsg{})));
-  zab.HandlePacket(FromLeader(ZabMsgType::kNewLeader, EncodeEpochMsg({1, 0})));
+  zab.HandlePacket(FromLeader(ZabMsgType::kLeaderInfo, EncodeMsg(LeaderInfo{1, 1})));
+  zab.HandlePacket(FromLeader(ZabMsgType::kDiff, EncodeMsg(DiffMsg{})));
+  zab.HandlePacket(FromLeader(ZabMsgType::kNewLeader, EncodeMsg(EpochMsg{1, 0})));
   for (uint32_t i = 1; i <= 3; ++i) {
     zab.HandlePacket(Propose(i));
   }
@@ -459,7 +457,7 @@ TEST(PipelineZabTrunc, TruncCutsInFlightAppendsAndSurvivesRestart) {
   ASSERT_EQ(follower.log.durable_size(), 3u);
   ASSERT_EQ(follower.log.inflight_batches(), 1u);
 
-  zab.HandlePacket(FromLeader(ZabMsgType::kTrunc, EncodeZxidMsg({1, cut})));
+  zab.HandlePacket(FromLeader(ZabMsgType::kTrunc, EncodeMsg(ZxidMsg{1, cut})));
   step(Micros(5));  // the TRUNC's CPU charge; the fsync is still in flight
   ASSERT_EQ(follower.log.inflight_batches(), 1u);
   ASSERT_EQ(follower.log.appended_size(), 2u);
@@ -484,6 +482,48 @@ TEST(PipelineZabTrunc, TruncCutsInFlightAppendsAndSurvivesRestart) {
     EXPECT_EQ(entry->zxid, MakeZxid(1, i + 1));
     EXPECT_EQ(TxnStr(entry->txn), "t" + std::to_string(i + 1));
   }
+}
+
+// A kPropose whose frame runs past the end of its txn is malformed: logging
+// it would store a record that no longer parses as a log record. The
+// follower must drop it and log the next valid proposal as usual.
+TEST(PipelineZabPropose, TrailingBytesAreNotLoggedAndTheNextProposalIs) {
+  EventLoop loop;
+  Network net(&loop, Rng(5), LinkParams{});
+  SinkNode leader_sink;
+  SinkNode peer_sink;
+  net.Register(1, &leader_sink);
+  net.Register(3, &peer_sink);
+  ZabConfig cfg;
+  cfg.members = {1, 2, 3};
+  PipelineReplica follower(&loop, &net, 2, LogStoreConfig{}, cfg);
+  ZabNode& zab = *follower.zab;
+  auto step = [&loop](Duration d) { loop.RunUntil(loop.now() + d); };
+
+  zab.Start();
+  zab.HandlePacket(FromLeader(ZabMsgType::kLeaderInfo, EncodeMsg(LeaderInfo{1, 1})));
+  zab.HandlePacket(FromLeader(ZabMsgType::kDiff, EncodeMsg(DiffMsg{})));
+  zab.HandlePacket(FromLeader(ZabMsgType::kNewLeader, EncodeMsg(EpochMsg{1, 0})));
+  zab.HandlePacket(Propose(1));
+  step(Millis(1));
+  ASSERT_TRUE(zab.is_active_follower());
+  ASSERT_EQ(follower.log.durable_size(), 1u);
+
+  Packet malformed = Propose(2);
+  malformed.payload.push_back(0);
+  zab.HandlePacket(std::move(malformed));
+  step(Millis(1));
+  EXPECT_EQ(follower.log.appended_size(), 1u);
+  EXPECT_EQ(zab.last_logged(), MakeZxid(1, 1));
+
+  zab.HandlePacket(Propose(2));
+  step(Millis(1));
+  ASSERT_EQ(follower.log.durable_size(), 2u);
+  EXPECT_EQ(zab.last_logged(), MakeZxid(1, 2));
+  auto entry = DecodeZabRecordView(follower.log.record(1));
+  ASSERT_TRUE(entry.ok());
+  EXPECT_EQ(entry->zxid, MakeZxid(1, 2));
+  EXPECT_EQ(TxnStr(entry->txn), "t2");
 }
 
 // --- explorer crash sweep over pipelined configs ----------------------------
