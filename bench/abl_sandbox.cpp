@@ -57,7 +57,7 @@ extension strings {
 // compiler refuses (the bench scripts are all verified shapes).
 CompiledModule CompileBenchModule(const char* source) {
   auto program = ParseProgram(source);
-  auto module = CompileProgram(**program, CompileOptions{});
+  auto module = CompileProgram(**program);
   if (!module.ok()) {
     std::abort();
   }

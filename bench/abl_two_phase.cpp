@@ -74,7 +74,7 @@ constexpr char kTxid[] = "t42";
 
 CompiledModule CompileTwoPhase() {
   auto program = ParseProgram(kTwoPhaseExtension);
-  auto module = CompileProgram(**program, CompileOptions{});
+  auto module = CompileProgram(**program);
   if (!module.ok()) {
     std::abort();  // the 2PC handler must stay compilable
   }

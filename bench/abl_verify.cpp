@@ -95,7 +95,7 @@ void BM_ExtensionInvocation(benchmark::State& state) {
   // The queue extension's `read` on the VM, compiled as registration
   // compiles it and metered like every run.
   auto program = ParseProgram(kQueueExtension);
-  auto module = CompileProgram(**program, CompileOptions{});
+  auto module = CompileProgram(**program);
   CannedHost host;
   for (auto _ : state) {
     Vm vm(&*module, &host, ExecBudget{});

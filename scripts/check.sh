@@ -110,6 +110,12 @@ ctest --output-on-failure -j "$JOBS" --no-tests=error \
 echo "== spotlight: EDS schedule sweep (crash-restart grammar) =="
 ctest --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'DsScheduleSweep\.'
+# The analyzer's certified bounds hold only while it and the VM agree on
+# scoping and caps; these pin its output, so a change on either side that
+# moves a verdict, a bound or a diagnostic fails here.
+echo "== spotlight: pinned analyzer output (docs/static_analysis.md) =="
+ctest --output-on-failure -j "$JOBS" --no-tests=error \
+  -R 'AnalyzerPinTest\.'
 echo "== spotlight: VM vs oracle at every step budget (docs/bytecode_vm.md) =="
 ctest --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'VmBudgetSweepTest\.'

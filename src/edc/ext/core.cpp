@@ -104,8 +104,8 @@ Result<Value> SandboxHost::Call(const std::string& name, std::vector<Value>& arg
     if (!list.ok()) {
       return ProxyError(list.status());
     }
-    if (list->size() > limits_.max_collection_items) {
-      list->resize(limits_.max_collection_items);
+    if (list->size() > limits_.budget.max_collection_items) {
+      list->resize(limits_.budget.max_collection_items);
     }
     return Value::List(std::move(*list));
   };
@@ -175,11 +175,8 @@ ExtensionManagerCore::ExtensionManagerCore(const ExtensionLimits& limits, HostSe
   // *actual* runtime limits: a tighter budget gets tighter (still sound)
   // bounds, and max_steps below a handler's bound rejects certification
   // instead of mis-certifying.
-  verifier_config_.certify_max_steps = limits_.max_steps;
+  verifier_config_.budget = limits_.budget;
   verifier_config_.collection_functions = {"children", "sub_objects"};
-  verifier_config_.max_collection_items = limits_.max_collection_items;
-  verifier_config_.max_input_bytes = limits_.max_input_bytes;
-  verifier_config_.max_value_bytes = limits_.max_value_bytes;
 }
 
 Status ExtensionManagerCore::CheckRegistration(const std::string& source,
@@ -209,7 +206,7 @@ Status ExtensionManagerCore::CheckRegistration(const std::string& source,
   }
   // Load compiles again at apply time; a refusal must reject the request
   // here, before the registration is written.
-  return CompileProgram(**program, ExtensionCompileOptions(verifier_config_)).status();
+  return CompileProgram(**program).status();
 }
 
 Status ExtensionManagerCore::Load(const std::string& name, uint64_t owner,

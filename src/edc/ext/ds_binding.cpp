@@ -195,7 +195,7 @@ DsExecOutcome DsExtensionManager::HandleOperation(DsExecContext* ctx, NodeId cli
     return outcome;
   }
   outcome.handled = true;
-  DsStateProxy proxy(ctx, &views_, core_.limits().max_collection_items);
+  DsStateProxy proxy(ctx, &views_, core_.limits().budget.max_collection_items);
   Invocation inv =
       core_.RunOperation(*ext, kind, path, TupleData(op.tuple), &proxy, server_->obs());
   outcome.cpu_cost = inv.cpu;
@@ -289,7 +289,7 @@ void DsExtensionManager::DispatchEvents(DsExecContext* ctx,
       }
       // Event handlers run inline on every replica; the hook has no CPU
       // charge to report, so their steps are counted but not charged.
-      DsStateProxy proxy(ctx, &views_, core_.limits().max_collection_items);
+      DsStateProxy proxy(ctx, &views_, core_.limits().budget.max_collection_items);
       Invocation inv = core_.RunEvent(*ext, handler, path, &proxy, server_->obs());
       if (!inv.result.ok()) {
         EDC_LOG(kDebug) << "event extension '" << ext->name
@@ -315,7 +315,7 @@ bool DsExtensionManager::AllowUnblock(NodeId client, const DsTemplate& /*templ*/
     // A read-only veto: the sandbox exposes only reads, issued through a
     // scratch context with the waiting client's access rights.
     DsExecContext scratch(server_, client, 0, 0);
-    DsStateProxy proxy(&scratch, &views_, core_.limits().max_collection_items);
+    DsStateProxy proxy(&scratch, &views_, core_.limits().budget.max_collection_items);
     Invocation inv = core_.Invoke(*ext, "on_unblocked", {Value(path)}, &proxy, kReadOnlyHost,
                                   server_->obs());
     // Convention: a falsy return re-blocks the operation (§5.2.2).

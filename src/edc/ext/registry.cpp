@@ -10,13 +10,6 @@
 
 namespace edc {
 
-CompileOptions ExtensionCompileOptions(const VerifierConfig& config) {
-  CompileOptions options;
-  options.collection_functions = config.collection_functions;
-  options.max_collection_items = static_cast<int64_t>(config.max_collection_items);
-  return options;
-}
-
 Status ExtensionRegistry::Load(const std::string& name, uint64_t owner,
                                const std::string& source, const VerifierConfig& config) {
   auto program = ParseProgram(source);
@@ -30,7 +23,7 @@ Status ExtensionRegistry::Load(const std::string& name, uint64_t owner,
   // Compile every handler once, here, so every later invocation dispatches
   // straight into bytecode ("verification pays once", §4.2). A handler the
   // compiler refuses rejects the registration: the VM is the only engine.
-  auto compiled = CompileProgram(**program, ExtensionCompileOptions(config));
+  auto compiled = CompileProgram(**program);
   if (!compiled.ok()) {
     return compiled.status();
   }
@@ -60,11 +53,6 @@ HandlerRun RunExtensionHandler(const LoadedExtension& ext, const std::string& ha
                                const ExtensionLimits& limits) {
   HandlerRun run;
   run.certified = ext.Certified(handler_name);
-  ExecBudget budget;
-  budget.max_steps = limits.max_steps;
-  budget.max_value_bytes = limits.max_value_bytes;
-  budget.max_input_bytes = limits.max_input_bytes;
-  budget.max_collection_items = limits.max_collection_items;
   // Argument ingest check (pre-dispatch, zero steps): the analyzer seeded
   // the handler's parameter bounds from max_input_bytes, so an oversized
   // argument must never reach a certified handler — the proven step bound
@@ -73,10 +61,10 @@ HandlerRun RunExtensionHandler(const LoadedExtension& ext, const std::string& ha
     bool oversized = false;
     if (arg.is_list()) {
       for (const Value& item : arg.AsList()) {
-        oversized = oversized || item.ApproxSize() > limits.max_input_bytes;
+        oversized = oversized || item.ApproxSize() > limits.budget.max_input_bytes;
       }
     } else {
-      oversized = arg.ApproxSize() > limits.max_input_bytes;
+      oversized = arg.ApproxSize() > limits.budget.max_input_bytes;
     }
     if (oversized) {
       run.result = Status(ErrorCode::kExtensionLimit,
@@ -85,7 +73,7 @@ HandlerRun RunExtensionHandler(const LoadedExtension& ext, const std::string& ha
       return run;
     }
   }
-  Vm vm(ext.compiled.get(), host, budget);
+  Vm vm(ext.compiled.get(), host, limits.budget);
   run.result = vm.Invoke(handler_name, std::move(args));
   run.steps_used = vm.stats().steps_used;
   run.vm_dispatched = true;

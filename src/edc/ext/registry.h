@@ -34,8 +34,11 @@ namespace edc {
 
 // Resource-consumption bounds enforced by the sandbox (§4.1.2).
 struct ExtensionLimits {
-  int64_t max_steps = 100000;          // VM steps (AST nodes) per invocation
-  size_t max_value_bytes = 64 * 1024;  // largest intermediate value
+  // The VM's caps per invocation (steps, value bytes, input bytes,
+  // collection items). The manager certifies handlers against this same
+  // budget (VerifierConfig::budget), so the analyzer's proven step bounds
+  // rest on the caps the VM enforces.
+  ExecBudget budget;
   size_t max_state_ops = 256;          // coordination-state accesses per invocation
   size_t max_created_objects = 64;     // objects created per invocation
   // Consecutive runtime failures before the manager evicts the extension
@@ -43,18 +46,6 @@ struct ExtensionLimits {
   // runtime errors (§4.1.2); eviction bounds the damage of a crash-looping
   // extension.
   int strike_limit = 0;
-  // Cap on list sizes returned by collection host functions (children,
-  // sub_objects). The static cost pass assumes this cap when bounding
-  // foreach loops, so the sandbox must enforce it at runtime. The same cap
-  // bounds lists built by builtins (split, append) inside the sandbox.
-  size_t max_collection_items = 256;
-  // Ingest cap on values crossing into the sandbox: handler arguments and
-  // host-call results (element-wise for lists) must fit in this many
-  // ApproxSize bytes. The abstract-interpretation layer seeds its input
-  // string-length intervals from this number, so handlers looping over
-  // split() of their inputs get finite certified step bounds
-  // (docs/static_analysis.md).
-  size_t max_input_bytes = 2048;
 };
 
 struct LoadedExtension {
@@ -87,15 +78,11 @@ struct HandlerRun {
 };
 
 // Handler dispatch under ExtensionManagerCore::Invoke: applies the argument
-// ingest cap, builds the ExecBudget from `limits` and runs `handler_name`
-// on the bytecode VM, metered whether or not the handler is certified.
+// ingest cap and runs `handler_name` on the bytecode VM under
+// `limits.budget`, metered whether or not the handler is certified.
 HandlerRun RunExtensionHandler(const LoadedExtension& ext, const std::string& handler_name,
                                std::vector<Value> args, ScriptHost* host,
                                const ExtensionLimits& limits);
-
-// Compiler options matching `config`'s collection cap (the foreach
-// loop-bound annotation).
-CompileOptions ExtensionCompileOptions(const VerifierConfig& config);
 
 class ExtensionRegistry {
  public:

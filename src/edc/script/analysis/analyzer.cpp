@@ -173,19 +173,6 @@ AnalysisReport AnalyzeProgram(const Program& program, const VerifierConfig& conf
   }
 
   // ---- Per-handler passes ----
-  CostContext cost_ctx;
-  cost_ctx.collection_functions = config.collection_functions;
-  cost_ctx.collection_cap = static_cast<int64_t>(config.max_collection_items);
-  cost_ctx.max_input_bytes = static_cast<int64_t>(config.max_input_bytes);
-  cost_ctx.max_value_bytes = static_cast<int64_t>(config.max_value_bytes);
-
-  DeterminismContext det_ctx;
-  det_ctx.allowed_functions = &config.allowed_functions;
-  det_ctx.read_only_functions = config.read_only_functions.empty()
-                                    ? DefaultReadOnlyFunctions()
-                                    : config.read_only_functions;
-  det_ctx.enforce = config.require_deterministic;
-
   size_t statements = 0;
   for (const auto& [name, handler] : program.handlers) {
     if (!IsKnownOpHandler(name) && !IsKnownEventHandler(name)) {
@@ -204,11 +191,11 @@ AnalysisReport AnalyzeProgram(const Program& program, const VerifierConfig& conf
     RunDataflowChecks(handler, cfg, names, &diags);
 
     HandlerReport hr;
-    CostResult cost = BoundHandlerCost(handler, cost_ctx);
+    CostResult cost = BoundHandlerCost(handler, names, config);
     diags.insert(diags.end(), cost.diags.begin(), cost.diags.end());
     hr.cost_bounded = cost.bounded;
     hr.step_bound = cost.steps;
-    hr.certified = cost.bounded && cost.steps <= config.certify_max_steps;
+    hr.certified = cost.bounded && cost.steps <= config.budget.max_steps;
     if (!cost.bounded) {
       Add(&diags, kDiagCostUnbounded, Severity::kWarning, handler.line, handler.col,
           name,
@@ -220,10 +207,10 @@ AnalysisReport AnalyzeProgram(const Program& program, const VerifierConfig& conf
           name,
           "worst-case step bound " + std::to_string(cost.steps) + " of handler '" +
               name + "' exceeds the execution budget " +
-              std::to_string(config.certify_max_steps) + "; metering stays enabled");
+              std::to_string(config.budget.max_steps) + "; metering stays enabled");
     }
 
-    DeterminismResult det = CheckDeterminism(handler, det_ctx);
+    DeterminismResult det = CheckDeterminism(handler, names, config);
     hr.deterministic = det.deterministic;
     diags.insert(diags.end(), det.diags.begin(), det.diags.end());
 

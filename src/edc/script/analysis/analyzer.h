@@ -27,7 +27,7 @@ namespace edc {
 struct HandlerReport {
   bool cost_bounded = false;
   int64_t step_bound = 0;     // valid only when cost_bounded
-  bool certified = false;     // cost_bounded && step_bound <= certify_max_steps
+  bool certified = false;     // cost_bounded && step_bound <= budget.max_steps
   bool deterministic = true;  // no nondeterministic taint reaches a sink
 };
 

@@ -4,10 +4,12 @@
 // is built directly from the statement tree: one node per simple statement,
 // one branch node per `if` condition, one loop-head node per `foreach` (the
 // loop head evaluates the list, binds the loop variable, and has a back edge
-// from the body). The resolver assigns every variable *occurrence* a unique
-// definition id honoring the language's block scoping (a name may shadow
-// an outer binding), which is what makes liveness/reaching-defs precise in
-// the presence of shadowing.
+// from the body). The resolver is the one implementation of the language's
+// block scoping (a name may shadow an outer binding): it gives every
+// declaration an id, in textual order with the parameters first, and binds
+// every use to the declaration in scope. The dataflow, cost and taint
+// passes keep one value per id, and the compiler puts variable id i in
+// register i, so all of them resolve every name identically.
 
 #ifndef EDC_SCRIPT_ANALYSIS_CFG_H_
 #define EDC_SCRIPT_ANALYSIS_CFG_H_

@@ -1,26 +1,17 @@
 #include "edc/script/analysis/cost.h"
 
 #include <algorithm>
-#include <map>
+#include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "edc/script/analysis/domains.h"
+#include "edc/script/builtins.h"
 
 namespace edc {
 
 namespace {
-
-// Builtin dispatch set (builtins.cpp): calls to any other whitelisted name go
-// to the host and take the ingest-capped host transfer function instead.
-bool IsBuiltinName(const std::string& name) {
-  static const std::set<std::string> kBuiltins = {
-      "len",    "str",       "parse_int", "abs",      "min",         "max",
-      "concat", "substr",    "starts_with", "ends_with", "contains", "index_of",
-      "split",  "append",    "get",       "has",      "keys",        "min_by",
-      "max_by", "sort_by",   "error"};
-  return kBuiltins.count(name) > 0;
-}
 
 // 1 = provably truthy, 0 = provably falsy, -1 = unknown. Mirrors
 // Value::Truthy(): null/false/0/""/empty-collection are falsy.
@@ -45,53 +36,17 @@ int DefiniteTruth(const AbsValue& v) {
   return -1;
 }
 
-// Scoped environment mapping variable names to abstract values. Mirrors the
-// language's block scoping so shadowing resolves identically.
+// One abstract value per variable id (ResolveNames).
 class AbsEnv {
  public:
-  void Push() { scopes_.emplace_back(); }
-  void Pop() { scopes_.pop_back(); }
+  explicit AbsEnv(size_t num_vars) : vals_(num_vars, AbsValue::Any()) {}
 
-  void Declare(const std::string& name, const AbsValue& v) {
-    scopes_.back()[name] = v;
-  }
+  AbsValue& operator[](int id) { return vals_[id]; }
 
-  void Assign(const std::string& name, const AbsValue& v) {
-    for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-      auto found = it->find(name);
-      if (found != it->end()) {
-        found->second = v;
-        return;
-      }
-    }
-    scopes_.back()[name] = v;
-  }
-
-  AbsValue Lookup(const std::string& name) const {
-    for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-      auto found = it->find(name);
-      if (found != it->end()) {
-        return found->second;
-      }
-    }
-    return AbsValue::Any();
-  }
-
-  // Joins two environments of identical shape (both sides of an if).
   static AbsEnv Join(const AbsEnv& a, const AbsEnv& b) {
     AbsEnv out = a;
-    for (size_t i = 0; i < out.scopes_.size() && i < b.scopes_.size(); ++i) {
-      for (auto& [name, v] : out.scopes_[i]) {
-        auto it = b.scopes_[i].find(name);
-        if (it != b.scopes_[i].end()) {
-          v = AbsValue::Join(v, it->second);
-        }
-      }
-      for (const auto& [name, v] : b.scopes_[i]) {
-        if (out.scopes_[i].count(name) == 0) {
-          out.scopes_[i][name] = v;
-        }
-      }
+    for (size_t i = 0; i < out.vals_.size(); ++i) {
+      out.vals_[i] = AbsValue::Join(a.vals_[i], b.vals_[i]);
     }
     return out;
   }
@@ -101,23 +56,17 @@ class AbsEnv {
   // `before` afterwards (i.e. another fixpoint iteration is needed).
   bool WidenAgainst(const AbsEnv& before, const AbsValue& widened) {
     bool changed = false;
-    for (size_t i = 0; i < scopes_.size() && i < before.scopes_.size(); ++i) {
-      for (auto& [name, v] : scopes_[i]) {
-        auto it = before.scopes_[i].find(name);
-        if (it == before.scopes_[i].end()) {
-          continue;
-        }
-        if (v != it->second) {
-          v = widened;
-          changed = changed || widened != it->second;
-        }
+    for (size_t i = 0; i < vals_.size(); ++i) {
+      if (vals_[i] != before.vals_[i]) {
+        vals_[i] = widened;
+        changed = changed || widened != before.vals_[i];
       }
     }
     return changed;
   }
 
  private:
-  std::vector<std::map<std::string, AbsValue>> scopes_;
+  std::vector<AbsValue> vals_;
 };
 
 struct ExprResult {
@@ -127,19 +76,18 @@ struct ExprResult {
 
 class CostAnalyzer {
  public:
-  explicit CostAnalyzer(const CostContext& ctx) : ctx_(ctx) {
-    dom_.max_value_bytes = ctx.max_value_bytes;
-    dom_.max_input_bytes = ctx.max_input_bytes;
-    dom_.collection_cap = ctx.collection_cap;
-    dom_.collection_functions = &ctx.collection_functions;
+  CostAnalyzer(const ResolvedNames& names, const VerifierConfig& config)
+      : names_(names), env_(names.vars.size()) {
+    dom_.max_value_bytes = static_cast<int64_t>(config.budget.max_value_bytes);
+    dom_.max_input_bytes = static_cast<int64_t>(config.budget.max_input_bytes);
+    dom_.collection_cap = static_cast<int64_t>(config.budget.max_collection_items);
+    dom_.collection_functions = &config.collection_functions;
   }
 
   CostResult Run(const Handler& handler) {
     handler_ = handler.name;
-    env_ = AbsEnv();
-    env_.Push();
-    for (const std::string& param : handler.params) {
-      env_.Declare(param, SeedParam(dom_));
+    for (int id : names_.param_ids) {
+      env_[id] = SeedParam(dom_);
     }
     bounded_ = true;
     diags_on_ = true;
@@ -172,13 +120,6 @@ class CostAnalyzer {
     diags_.push_back(std::move(d));
   }
 
-  AffBound BlockCost(const Block& block) {
-    env_.Push();
-    AffBound total = BlockCostFrom(block, 0);
-    env_.Pop();
-    return total;
-  }
-
   // True iff executing the block always exits the handler via return.
   static bool AlwaysReturns(const Block& block) {
     for (const StmtPtr& stmt : block) {
@@ -197,7 +138,7 @@ class CostAnalyzer {
   // with no else — into max(then, rest) instead of then + rest: when the
   // then-branch runs it returns, so the rest of the block never executes.
   // two_phase's three trigger branches would otherwise be *summed*.
-  AffBound BlockCostFrom(const Block& block, size_t i) {
+  AffBound BlockCost(const Block& block, size_t i = 0) {
     if (i >= block.size()) {
       return AffBound::Const(0);
     }
@@ -209,12 +150,12 @@ class CostAnalyzer {
       AbsEnv base = env_;
       AffBound then_cost = BlockCost(stmt.body);
       env_ = base;  // the then-branch returned; the rest sees the guard-false env
-      AffBound rest = BlockCostFrom(block, i + 1);
+      AffBound rest = BlockCost(block, i + 1);
       return AffBound::Add(AffBound::AddConst(cond.cost, 1),
                            AffBound::Max(then_cost, rest));
     }
     AffBound c = StmtCost(stmt);
-    return AffBound::Add(c, BlockCostFrom(block, i + 1));
+    return AffBound::Add(c, BlockCost(block, i + 1));
   }
 
   void CheckDeadBranch(const Stmt& stmt, const AbsValue& cond) {
@@ -235,14 +176,10 @@ class CostAnalyzer {
 
   AffBound StmtCost(const Stmt& stmt) {
     switch (stmt.kind) {
-      case Stmt::Kind::kLet: {
-        ExprResult r = ExprCost(*stmt.expr);
-        env_.Declare(stmt.name, r.val);
-        return AffBound::AddConst(r.cost, 1);
-      }
+      case Stmt::Kind::kLet:
       case Stmt::Kind::kAssign: {
         ExprResult r = ExprCost(*stmt.expr);
-        env_.Assign(stmt.name, r.val);
+        env_[names_.def_ids.at(&stmt)] = r.val;
         return AffBound::AddConst(r.cost, 1);
       }
       case Stmt::Kind::kIf: {
@@ -276,14 +213,11 @@ class CostAnalyzer {
   // cost derived from the final (conservative) environment.
   AffBound LoopBodyFixpoint(const Stmt& stmt, const AbsValue& elem) {
     AffBound body_cost = AffBound::Const(0);
-    AbsValue widened = AbsValue::Widened(ctx_.max_value_bytes);
+    AbsValue widened = AbsValue::Widened(dom_.max_value_bytes);
     for (int iter = 0; iter < 64; ++iter) {
       AbsEnv before = env_;
-      env_.Push();
-      env_.Declare(stmt.name, elem);
+      env_[names_.def_ids.at(&stmt)] = elem;
       body_cost = BlockCost(stmt.body);
-      env_.Pop();
-      // Drop the loop-variable scope, compare the surviving outer scopes.
       if (!env_.WidenAgainst(before, widened)) {
         break;
       }
@@ -332,16 +266,14 @@ class CostAnalyzer {
     if (outer_diags) {
       diags_on_ = true;
       AbsEnv stable = env_;
-      env_.Push();
-      env_.Declare(stmt.name, elem);
+      env_[names_.def_ids.at(&stmt)] = elem;
       (void)BlockCost(stmt.body);
-      env_.Pop();
       env_ = stable;
     }
     diags_on_ = outer_diags;
 
     AffBound iterations_cost =
-        AffBound::PickMin(cost_a, cost_b, ctx_.max_input_bytes);
+        AffBound::PickMin(cost_a, cost_b, dom_.max_input_bytes);
     return AffBound::Add(AffBound::AddConst(list.cost, 1), iterations_cost);
   }
 
@@ -350,7 +282,7 @@ class CostAnalyzer {
       case Expr::Kind::kLiteral:
         return {AffBound::Const(1), AbsValue::OfLiteral(expr.literal)};
       case Expr::Kind::kVar:
-        return {AffBound::Const(1), env_.Lookup(expr.name)};
+        return {AffBound::Const(1), env_[names_.use_ids.at(&expr)]};
       case Expr::Kind::kUnary: {
         ExprResult r = ExprCost(*expr.lhs);
         AffBound cost = AffBound::AddConst(r.cost, 1);
@@ -402,7 +334,7 @@ class CostAnalyzer {
           arg_vals.push_back(std::move(r.val));
         }
         AbsValue out;
-        if (IsBuiltinName(expr.name)) {
+        if (BuiltinIndexOf(expr.name) >= 0) {
           if (expr.name == "get" && arg_vals.size() == 2) {
             CheckIndexRange(arg_vals[0], arg_vals[1], expr.line, expr.col);
           }
@@ -492,7 +424,7 @@ class CostAnalyzer {
         out.num = Interval::Add(a.num, b.num);
         out.str_len = AffBound::MinConst(
             AffBound::Add(StrishLen(a, dom_), StrishLen(b, dom_)),
-            ctx_.max_value_bytes);
+            dom_.max_value_bytes);
         out.card = AffBound::Inf();
         out.elem_len = AffBound::Inf();
         out.total_len = AffBound::Inf();
@@ -574,7 +506,7 @@ class CostAnalyzer {
     return {cost, AbsValue::Any()};
   }
 
-  const CostContext& ctx_;
+  const ResolvedNames& names_;
   DomainContext dom_;
   AbsEnv env_;
   bool bounded_ = true;
@@ -587,8 +519,9 @@ class CostAnalyzer {
 
 }  // namespace
 
-CostResult BoundHandlerCost(const Handler& handler, const CostContext& ctx) {
-  CostAnalyzer analyzer(ctx);
+CostResult BoundHandlerCost(const Handler& handler, const ResolvedNames& names,
+                            const VerifierConfig& config) {
+  CostAnalyzer analyzer(names, config);
   return analyzer.Run(handler);
 }
 

@@ -30,6 +30,11 @@
 // fixpoint with widening; statements after a branch that provably returns are
 // costed under max() rather than summed.
 //
+// The environment holds one abstract value per ResolveNames variable id
+// (cfg.h), so shadowing resolves exactly as it does in the VM. A variable
+// whose block has ended keeps its slot: no later use resolves to it, so its
+// value never reaches a bound or a diagnostic (it can add one fixpoint pass).
+//
 // The pass doubles as the precision-diagnostic engine: it emits EDC-W007
 // (possible division/modulo by zero), EDC-W008 (get()/index provably out of
 // range) and EDC-W009 (interval-proven dead branch) from a final
@@ -43,27 +48,14 @@
 #define EDC_SCRIPT_ANALYSIS_COST_H_
 
 #include <cstdint>
-#include <set>
-#include <string>
 #include <vector>
 
+#include "edc/script/analysis/cfg.h"
 #include "edc/script/analysis/diagnostics.h"
 #include "edc/script/ast.h"
+#include "edc/script/verifier.h"
 
 namespace edc {
-
-struct CostContext {
-  // Host functions returning collections whose size the sandbox caps at
-  // `collection_cap` items (e.g. children, sub_objects).
-  std::set<std::string> collection_functions;
-  int64_t collection_cap = 256;
-  // Element-wise ingest cap on handler arguments and host results; seeds the
-  // analyzer's input string-length intervals (ExecBudget::max_input_bytes).
-  int64_t max_input_bytes = 2048;
-  // Global materialization cap — no value a handler can hold exceeds it
-  // (ExecBudget::max_value_bytes); the analyzer's string-length top.
-  int64_t max_value_bytes = 64 * 1024;
-};
 
 struct CostResult {
   bool bounded = false;
@@ -75,7 +67,10 @@ struct CostResult {
 // Cost bounds saturate here instead of overflowing.
 inline constexpr int64_t kCostCap = INT64_MAX / 4;
 
-CostResult BoundHandlerCost(const Handler& handler, const CostContext& ctx);
+// Bounds `handler` under the caps of `config.budget`, with variables as
+// `names` resolves them.
+CostResult BoundHandlerCost(const Handler& handler, const ResolvedNames& names,
+                            const VerifierConfig& config);
 
 }  // namespace edc
 

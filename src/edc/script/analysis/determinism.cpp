@@ -1,7 +1,9 @@
 #include "edc/script/analysis/determinism.h"
 
-#include <algorithm>
+#include <set>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "edc/script/builtins.h"
 
@@ -9,71 +11,16 @@ namespace edc {
 
 namespace {
 
-// Scoped taint environment (true = possibly nondeterministic).
-class TaintEnv {
- public:
-  void Push() { scopes_.emplace_back(); }
-  void Pop() { scopes_.pop_back(); }
-
-  void Declare(const std::string& name, bool tainted) {
-    scopes_.back()[name] = tainted;
-  }
-
-  void Assign(const std::string& name, bool tainted) {
-    for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-      auto found = it->find(name);
-      if (found != it->end()) {
-        found->second = tainted;
-        return;
-      }
-    }
-    scopes_.back()[name] = tainted;
-  }
-
-  bool Lookup(const std::string& name) const {
-    for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-      auto found = it->find(name);
-      if (found != it->end()) {
-        return found->second;
-      }
-    }
-    return false;
-  }
-
-  static TaintEnv Join(const TaintEnv& a, const TaintEnv& b) {
-    TaintEnv out = a;
-    for (size_t i = 0; i < out.scopes_.size() && i < b.scopes_.size(); ++i) {
-      for (auto& [name, tainted] : out.scopes_[i]) {
-        auto it = b.scopes_[i].find(name);
-        if (it != b.scopes_[i].end()) {
-          tainted = tainted || it->second;
-        }
-      }
-      for (const auto& [name, tainted] : b.scopes_[i]) {
-        out.scopes_[i].emplace(name, tainted);
-      }
-    }
-    return out;
-  }
-
-  bool Equals(const TaintEnv& other) const { return scopes_ == other.scopes_; }
-
- private:
-  std::vector<std::map<std::string, bool>> scopes_;
-};
-
 class TaintAnalyzer {
  public:
-  TaintAnalyzer(const DeterminismContext& ctx, const std::string& handler_name)
-      : ctx_(ctx), handler_(handler_name) {}
+  TaintAnalyzer(const ResolvedNames& names, const VerifierConfig& config,
+                const std::string& handler_name)
+      : names_(names), config_(config), handler_(handler_name) {}
 
   DeterminismResult Run(const Handler& handler) {
-    env_ = TaintEnv();
-    env_.Push();
-    for (const std::string& param : handler.params) {
-      // Handler arguments are part of the replicated request: deterministic.
-      env_.Declare(param, false);
-    }
+    // One taint bit per variable id (true = possibly nondeterministic).
+    // Handler arguments are part of the replicated request: deterministic.
+    env_.assign(names_.vars.size(), false);
     WalkBlock(handler.body, /*control_tainted=*/false);
     DeterminismResult out;
     out.deterministic = diags_.empty() && !tainted_sink_;
@@ -83,34 +30,35 @@ class TaintAnalyzer {
 
  private:
   void WalkBlock(const Block& block, bool control_tainted) {
-    env_.Push();
     for (const StmtPtr& stmt : block) {
       WalkStmt(*stmt, control_tainted);
     }
-    env_.Pop();
+  }
+
+  // Joins `other` into env_ (taint is a may-property: OR).
+  void JoinFrom(const std::vector<bool>& other) {
+    for (size_t i = 0; i < env_.size(); ++i) {
+      env_[i] = env_[i] || other[i];
+    }
   }
 
   void WalkStmt(const Stmt& stmt, bool control_tainted) {
     switch (stmt.kind) {
-      case Stmt::Kind::kLet: {
-        bool t = ExprTaint(*stmt.expr, control_tainted);
-        env_.Declare(stmt.name, t || control_tainted);
-        return;
-      }
+      case Stmt::Kind::kLet:
       case Stmt::Kind::kAssign: {
         bool t = ExprTaint(*stmt.expr, control_tainted);
-        env_.Assign(stmt.name, t || control_tainted);
+        env_[names_.def_ids.at(&stmt)] = t || control_tainted;
         return;
       }
       case Stmt::Kind::kIf: {
         bool cond = ExprTaint(*stmt.expr, control_tainted);
         bool inner_control = control_tainted || cond;
-        TaintEnv base = env_;
+        std::vector<bool> base = env_;
         WalkBlock(stmt.body, inner_control);
-        TaintEnv then_env = env_;
+        std::vector<bool> then_env = env_;
         env_ = base;
         WalkBlock(stmt.else_body, inner_control);
-        env_ = TaintEnv::Join(then_env, env_);
+        JoinFrom(then_env);
         return;
       }
       case Stmt::Kind::kForEach: {
@@ -121,10 +69,10 @@ class TaintAnalyzer {
         // (the lattice is finite and monotone), then do one reporting pass.
         suppress_ += 1;
         for (int iter = 0; iter < 64; ++iter) {
-          TaintEnv before = env_;
+          std::vector<bool> before = env_;
           WalkLoopBody(stmt, inner_control, list_taint);
-          env_ = TaintEnv::Join(before, env_);
-          if (env_.Equals(before)) {
+          JoinFrom(before);
+          if (env_ == before) {
             break;
           }
         }
@@ -150,10 +98,8 @@ class TaintAnalyzer {
   }
 
   void WalkLoopBody(const Stmt& stmt, bool inner_control, bool list_taint) {
-    env_.Push();
-    env_.Declare(stmt.name, list_taint || inner_control);
+    env_[names_.def_ids.at(&stmt)] = list_taint || inner_control;
     WalkBlock(stmt.body, inner_control);
-    env_.Pop();
   }
 
   bool ExprTaint(const Expr& expr, bool control_tainted) {
@@ -161,7 +107,7 @@ class TaintAnalyzer {
       case Expr::Kind::kLiteral:
         return false;
       case Expr::Kind::kVar:
-        return env_.Lookup(expr.name);
+        return env_[names_.use_ids.at(&expr)];
       case Expr::Kind::kUnary:
         return ExprTaint(*expr.lhs, control_tainted);
       case Expr::Kind::kBinary:
@@ -182,13 +128,8 @@ class TaintAnalyzer {
         for (const ExprPtr& arg : expr.args) {
           arg_taint = ExprTaint(*arg, control_tainted) || arg_taint;
         }
-        bool source = false;
-        if (ctx_.allowed_functions != nullptr) {
-          auto it = ctx_.allowed_functions->find(expr.name);
-          if (it != ctx_.allowed_functions->end() && !it->second) {
-            source = true;
-          }
-        }
+        auto it = config_.allowed_functions.find(expr.name);
+        bool source = it != config_.allowed_functions.end() && !it->second;
         if (IsMutatingHostFn(expr.name) && (arg_taint || control_tainted)) {
           Sink(expr.line, expr.col,
                arg_taint
@@ -203,20 +144,23 @@ class TaintAnalyzer {
     return false;
   }
 
+  // Every whitelisted host function but the reads and environment queries
+  // mutates replicated state.
   bool IsMutatingHostFn(const std::string& name) const {
-    if (ctx_.allowed_functions == nullptr ||
-        ctx_.allowed_functions->count(name) == 0) {
+    static const std::set<std::string> kReadOnly = {
+        "read_object", "exists", "children", "sub_objects", "client_id", "now", "random"};
+    if (config_.allowed_functions.count(name) == 0) {
       return false;  // not whitelisted: rejected elsewhere (EDC-E012)
     }
     if (CoreBuiltins().count(name) > 0) {
       return false;  // pure builtins have no state effects
     }
-    return ctx_.read_only_functions.count(name) == 0;
+    return kReadOnly.count(name) == 0;
   }
 
   void Sink(int line, int col, const std::string& what) {
     tainted_sink_ = true;
-    if (!ctx_.enforce || suppress_ > 0) {
+    if (!config_.require_deterministic || suppress_ > 0) {
       return;
     }
     // Dedupe: the reporting pass after a loop fixpoint can re-visit a site.
@@ -230,9 +174,10 @@ class TaintAnalyzer {
         what + " in handler '" + handler_ + "' (forbidden under active replication)"});
   }
 
-  const DeterminismContext& ctx_;
+  const ResolvedNames& names_;
+  const VerifierConfig& config_;
   std::string handler_;
-  TaintEnv env_;
+  std::vector<bool> env_;
   std::vector<Diagnostic> diags_;
   bool tainted_sink_ = false;
   int suppress_ = 0;
@@ -240,13 +185,9 @@ class TaintAnalyzer {
 
 }  // namespace
 
-std::set<std::string> DefaultReadOnlyFunctions() {
-  return {"read_object", "exists",    "children", "sub_objects",
-          "client_id",   "now",       "random"};
-}
-
-DeterminismResult CheckDeterminism(const Handler& handler, const DeterminismContext& ctx) {
-  TaintAnalyzer analyzer(ctx, handler.name);
+DeterminismResult CheckDeterminism(const Handler& handler, const ResolvedNames& names,
+                                   const VerifierConfig& config) {
+  TaintAnalyzer analyzer(names, config, handler.name);
   return analyzer.Run(handler);
 }
 

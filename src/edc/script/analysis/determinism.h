@@ -9,9 +9,12 @@
 //   flow     through variables, expressions, list/map construction, and
 //            implicitly through control (assignments and effects under a
 //            branch whose condition is tainted)
-//   sinks    (a) arguments to state-mutating host functions, (b) mutating
-//            host calls executed under tainted control, (c) return values
-//            (the reply is part of the replicated outcome)
+//   sinks    (a) arguments to state-mutating host functions (every
+//            whitelisted host function but the reads and environment
+//            queries read_object, exists, children, sub_objects, client_id,
+//            now and random), (b) mutating host calls executed under
+//            tainted control, (c) return values (the reply is part of the
+//            replicated outcome)
 //
 // A nondeterministic value that provably never reaches a sink — e.g. a dead
 // `let t = now();` used only in a discarded expression — is admissible even
@@ -20,37 +23,27 @@
 #ifndef EDC_SCRIPT_ANALYSIS_DETERMINISM_H_
 #define EDC_SCRIPT_ANALYSIS_DETERMINISM_H_
 
-#include <map>
-#include <set>
-#include <string>
 #include <vector>
 
+#include "edc/script/analysis/cfg.h"
 #include "edc/script/analysis/diagnostics.h"
 #include "edc/script/ast.h"
+#include "edc/script/verifier.h"
 
 namespace edc {
-
-struct DeterminismContext {
-  // Full callable whitelist: name -> deterministic.
-  const std::map<std::string, bool>* allowed_functions = nullptr;
-  // Host functions with no replicated-state effects (reads, environment
-  // queries). Anything else that is not a core builtin counts as a mutating
-  // sink.
-  std::set<std::string> read_only_functions;
-  // When false, taint is still computed (for reports) but no diagnostics
-  // are emitted.
-  bool enforce = false;
-};
-
-// The default read-only set, used when a VerifierConfig does not override it.
-std::set<std::string> DefaultReadOnlyFunctions();
 
 struct DeterminismResult {
   bool deterministic = true;  // no taint reached a sink
   std::vector<Diagnostic> diags;
 };
 
-DeterminismResult CheckDeterminism(const Handler& handler, const DeterminismContext& ctx);
+// Sources are the functions `config.allowed_functions` marks
+// nondeterministic. Taint is tracked per ResolveNames variable id (`names`),
+// so shadowing resolves exactly as it does in the VM. Diagnostics are
+// emitted only under `config.require_deterministic`; the verdict is always
+// computed.
+DeterminismResult CheckDeterminism(const Handler& handler, const ResolvedNames& names,
+                                   const VerifierConfig& config);
 
 }  // namespace edc
 

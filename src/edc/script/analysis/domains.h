@@ -151,11 +151,13 @@ struct AbsValue {
   bool operator!=(const AbsValue& o) const { return !(*this == o); }
 };
 
-// Caps the domain transfer functions assume the runtime enforces.
+// Caps the domain transfer functions assume the runtime enforces, in the
+// domain's int64 arithmetic; the cost pass copies them from
+// VerifierConfig::budget.
 struct DomainContext {
-  int64_t max_value_bytes = 64 * 1024;
-  int64_t max_input_bytes = 2048;
-  int64_t collection_cap = 256;
+  int64_t max_value_bytes = 0;
+  int64_t max_input_bytes = 0;
+  int64_t collection_cap = 0;
   const std::set<std::string>* collection_functions = nullptr;
 };
 

@@ -18,6 +18,7 @@
 
 #include "edc/common/result.h"
 #include "edc/script/ast.h"
+#include "edc/script/budget.h"
 
 namespace edc {
 
@@ -34,31 +35,14 @@ struct VerifierConfig {
   // Full callable white list: name -> deterministic. Must include the host
   // (service API) functions the sandbox will expose.
   std::map<std::string, bool> allowed_functions;
-  // Certification threshold: a handler whose statically proven worst-case
-  // step bound is <= this is marked certified (a diagnostic; every handler
-  // runs metered). Must match the ExecBudget::max_steps the binding runs with.
-  int64_t certify_max_steps = 100000;
-  // Host functions returning collections whose size the sandbox caps at
-  // `max_collection_items` (the cost pass relies on this cap being enforced
-  // at runtime). Since the interval-domain analyzer, the cap also applies to
-  // every builtin that returns a list (split, append, keys, sort_by): the
-  // sandbox aborts the run if a builtin materializes a longer list, which is
-  // what makes `card(split(s, sep)) <= min(len(s)+1, cap)` a sound transfer
-  // function.
+  // The sandbox the handlers will run in. A handler whose statically proven
+  // worst-case step bound is <= budget.max_steps is marked certified (a
+  // diagnostic; every handler runs metered); the other caps are the runtime
+  // guarantees the cost pass's bounds rest on.
+  ExecBudget budget;
+  // Host functions returning collections the sandbox caps at
+  // budget.max_collection_items.
   std::set<std::string> collection_functions;
-  size_t max_collection_items = 256;
-  // Ingest cap the sandbox applies to handler arguments and host-call
-  // results (element-wise for lists): no admitted value exceeds this
-  // ApproxSize. Seeds the abstract-interpretation layer's input string
-  // lengths, so nested foreach-over-split loops get finite step bounds.
-  // Must match ExecBudget::max_input_bytes at run time.
-  size_t max_input_bytes = 2048;
-  // Largest intermediate value the sandbox admits; the analyzer uses it as
-  // the global string-length top. Must match ExecBudget::max_value_bytes.
-  size_t max_value_bytes = 64 * 1024;
-  // Host functions with no replicated-state effects; empty = use the
-  // analyzer's default set (see DefaultReadOnlyFunctions()).
-  std::set<std::string> read_only_functions;
 };
 
 // Returns the allowed-function map for the core builtins only; bindings add

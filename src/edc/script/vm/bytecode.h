@@ -83,9 +83,6 @@ enum class OpCode : uint8_t {
   // foreach header: type-check reg[a] as a list and snapshot it into
   // iterator slot b (cached data pointer + length; the snapshot keeps the
   // shared list alive even if the body rebinds the source variable).
-  // aux carries the compile-time iteration bound (0 = unproven): the length
-  // of a literal list, or the analyzer's collection cap for capped host
-  // collection functions — certified handlers never iterate past it.
   kIterInit,
   // As kIterInit but the compiler proved reg[a] is a list (it was built by a
   // list literal), so the runtime type check is elided.
@@ -102,7 +99,7 @@ struct Instruction {
   uint16_t dst = 0;
   uint16_t a = 0;
   uint16_t b = 0;
-  uint32_t aux = 0;    // constant index / jump target / builtin index / bound
+  uint32_t aux = 0;    // constant index / jump target / builtin index
   uint32_t steps = 0;  // ExecBudget steps charged before executing
   int32_t line = 0;    // source line for error attribution
 };

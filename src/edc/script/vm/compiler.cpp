@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "edc/script/analysis/cfg.h"
 #include "edc/script/builtins.h"
 
 namespace edc {
@@ -166,17 +167,18 @@ std::optional<Fold> TryFold(const Expr& expr) {
 
 class HandlerCompiler {
  public:
-  explicit HandlerCompiler(const CompileOptions& options) : options_(options) {}
-
   bool Compile(const Handler& handler, CompiledHandler* out) {
+    names_ = ResolveNames(handler);
+    // An undeclared name: a tree walk reports it lazily at runtime (only if
+    // the statement executes); refuse to compile rather than change when the
+    // error surfaces.
+    if (!names_.diags.empty() || names_.vars.size() >= UINT16_MAX) {
+      return false;
+    }
     out_ = out;
     out_->name = handler.name;
     out_->num_params = static_cast<uint16_t>(handler.params.size());
-    scopes_.clear();
-    scopes_.emplace_back();
-    for (const std::string& param : handler.params) {
-      scopes_.back()[param] = Alloc();
-    }
+    next_reg_ = max_reg_ = static_cast<uint16_t>(names_.vars.size());
     CompileBlock(handler.body);
     // Falling off the end returns null without charging a step (Invoke's
     // kNormal flow).
@@ -232,62 +234,34 @@ class HandlerCompiler {
     return static_cast<uint32_t>(out_->constants.size() - 1);
   }
 
-  const uint16_t* FindVar(const std::string& name) const {
-    for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-      auto found = it->find(name);
-      if (found != it->end()) {
-        return &found->second;
-      }
-    }
-    return nullptr;
+  // Variable id i lives in register i (ResolveNames numbers the parameters
+  // first, matching the VM's argument placement).
+  uint16_t UseReg(const Expr& expr) const {
+    return static_cast<uint16_t>(names_.use_ids.at(&expr));
+  }
+  uint16_t DefReg(const Stmt& stmt) const {
+    return static_cast<uint16_t>(names_.def_ids.at(&stmt));
   }
 
   // ---- statements ----
 
   void CompileBlock(const Block& block) {
-    uint16_t saved = next_reg_;
-    scopes_.emplace_back();
     for (const StmtPtr& stmt : block) {
       CompileStmt(*stmt);
       if (!ok_) {
         return;
       }
     }
-    scopes_.pop_back();
-    next_reg_ = saved;
   }
 
   void CompileStmt(const Stmt& stmt) {
     uint16_t saved = next_reg_;
     Charge(stmt.line);  // every statement costs a step
     switch (stmt.kind) {
-      case Stmt::Kind::kLet: {
-        auto it = scopes_.back().find(stmt.name);
-        if (it != scopes_.back().end()) {
-          // Re-let in the same scope overwrites the existing binding.
-          CompileExprInto(stmt.expr.get(), it->second);
-          break;
-        }
-        uint16_t dst = Alloc();
-        saved = next_reg_;  // the new variable's register outlives the stmt
-        // The name comes into scope only after its initializer, which still
-        // reads any outer binding it shadows (`let n = n + 1;`).
-        CompileExprInto(stmt.expr.get(), dst);
-        scopes_.back()[stmt.name] = dst;
+      case Stmt::Kind::kLet:
+      case Stmt::Kind::kAssign:
+        CompileExprInto(stmt.expr.get(), DefReg(stmt));
         break;
-      }
-      case Stmt::Kind::kAssign: {
-        const uint16_t* dst = FindVar(stmt.name);
-        if (dst == nullptr) {
-          // A tree walk reports this lazily at runtime (only if the
-          // statement executes); refuse to compile rather than change when
-          // the error surfaces.
-          ok_ = false;
-          return;
-        }
-        CompileExprInto(stmt.expr.get(), *dst);
-        break;
-      }
       case Stmt::Kind::kIf: {
         uint16_t cond = CompileOperand(*stmt.expr);
         Emit(OpCode::kJumpIfFalse, 0, cond, 0, 0, stmt.line);
@@ -328,23 +302,6 @@ class HandlerCompiler {
     next_reg_ = saved;
   }
 
-  // Static iteration bound for a foreach source, mirroring the cost pass's
-  // certified assumptions: exact length for list literals, the sandbox's
-  // collection cap for capped host functions. 0 = unproven (annotation only;
-  // the VM's iteration is bounds-checked against the actual list either way).
-  uint32_t StaticLoopBound(const Expr& expr) const {
-    if (expr.kind == Expr::Kind::kListLit) {
-      return static_cast<uint32_t>(expr.args.size());
-    }
-    if (expr.kind == Expr::Kind::kCall &&
-        options_.collection_functions.count(expr.name) > 0 &&
-        options_.max_collection_items > 0 &&
-        options_.max_collection_items <= INT32_MAX) {
-      return static_cast<uint32_t>(options_.max_collection_items);
-    }
-    return 0;
-  }
-
   void CompileForEach(const Stmt& stmt) {
     uint16_t saved = next_reg_;
     uint16_t list = CompileOperand(*stmt.expr);
@@ -359,20 +316,14 @@ class HandlerCompiler {
     // A list literal (folded or built by kMakeList) is a list by
     // construction: elide the runtime type check.
     bool proven_list = stmt.expr->kind == Expr::Kind::kListLit;
-    Emit(proven_list ? OpCode::kIterInitList : OpCode::kIterInit, 0, list, slot,
-         StaticLoopBound(*stmt.expr), stmt.line);
+    Emit(proven_list ? OpCode::kIterInitList : OpCode::kIterInit, 0, list, slot, 0,
+         stmt.line);
     next_reg_ = saved;  // the source temp is snapshotted into the slot
 
-    uint16_t loop_var = Alloc();
-    uint16_t body_saved = next_reg_;
     uint32_t head = Here();
-    Emit(OpCode::kIterNext, loop_var, 0, slot, 0, stmt.line);
+    Emit(OpCode::kIterNext, DefReg(stmt), 0, slot, 0, stmt.line);
     size_t next_at = out_->code.size() - 1;
-    scopes_.emplace_back();
-    scopes_.back()[stmt.name] = loop_var;
     CompileBlock(stmt.body);
-    scopes_.pop_back();
-    next_reg_ = body_saved;
     Emit(OpCode::kJump, 0, 0, 0, head, stmt.line);
     out_->code[next_at].aux = Here();
     next_iter_--;
@@ -385,13 +336,8 @@ class HandlerCompiler {
   // emitted instruction (which executes before anything can abort).
   uint16_t CompileOperand(const Expr& expr) {
     if (expr.kind == Expr::Kind::kVar) {
-      const uint16_t* reg = FindVar(expr.name);
-      if (reg != nullptr) {
-        Charge(expr.line);
-        return *reg;
-      }
-      ok_ = false;
-      return 0;
+      Charge(expr.line);
+      return UseReg(expr);
     }
     uint16_t t = Alloc();
     CompileExprInto(&expr, t);
@@ -425,16 +371,10 @@ class HandlerCompiler {
         Charge(expr->line);
         Emit(OpCode::kLoadConst, dst, 0, 0, AddConst(expr->literal), expr->line);
         return;
-      case Expr::Kind::kVar: {
-        const uint16_t* reg = FindVar(expr->name);
-        if (reg == nullptr) {
-          ok_ = false;
-          return;
-        }
+      case Expr::Kind::kVar:
         Charge(expr->line);
-        Emit(OpCode::kMove, dst, *reg, 0, 0, expr->line);
+        Emit(OpCode::kMove, dst, UseReg(*expr), 0, 0, expr->line);
         return;
-      }
       case Expr::Kind::kUnary: {
         Charge(expr->line);
         uint16_t v = CompileOperand(*expr->lhs);
@@ -549,9 +489,8 @@ class HandlerCompiler {
     Emit(op, dst, l, r, 0, expr.line);
   }
 
-  const CompileOptions& options_;
+  ResolvedNames names_;
   CompiledHandler* out_ = nullptr;
-  std::vector<std::map<std::string, uint16_t>> scopes_;
   uint16_t next_reg_ = 0;
   uint16_t max_reg_ = 0;
   uint16_t next_iter_ = 0;
@@ -562,17 +501,16 @@ class HandlerCompiler {
 
 }  // namespace
 
-bool CompileHandler(const Handler& handler, const CompileOptions& options,
-                    CompiledHandler* out) {
-  HandlerCompiler compiler(options);
+bool CompileHandler(const Handler& handler, CompiledHandler* out) {
+  HandlerCompiler compiler;
   return compiler.Compile(handler, out);
 }
 
-Result<CompiledModule> CompileProgram(const Program& program, const CompileOptions& options) {
+Result<CompiledModule> CompileProgram(const Program& program) {
   CompiledModule module;
   for (const auto& [name, handler] : program.handlers) {
     CompiledHandler compiled;
-    if (!CompileHandler(handler, options, &compiled)) {
+    if (!CompileHandler(handler, &compiled)) {
       return Status(ErrorCode::kExtensionRejected,
                     "handler '" + name + "' could not be compiled");
     }

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "edc/common/result.h"
+#include "edc/script/budget.h"
 #include "edc/script/value.h"
 #include "edc/script/vm/bytecode.h"
 
@@ -38,23 +39,6 @@ class ScriptHost {
   virtual ~ScriptHost() = default;
   virtual bool HasFunction(const std::string& name) const = 0;
   virtual Result<Value> Call(const std::string& name, std::vector<Value>& args) = 0;
-};
-
-struct ExecBudget {
-  int64_t max_steps = 100000;
-  size_t max_value_bytes = 64 * 1024;
-  // Ingest cap on values crossing the host boundary into the script: each
-  // host-call result (element-wise for lists — the list itself is governed
-  // by max_value_bytes and max_collection_items) must fit in this many
-  // ApproxSize bytes. The static analyzer seeds its input string-length
-  // intervals from the same number, so the cap is what makes certified step
-  // bounds finite for split()-heavy handlers (docs/static_analysis.md).
-  size_t max_input_bytes = 2048;
-  // Cap on the length of any list a *builtin* returns (split, append, keys,
-  // sort_by); exceeding it aborts with kExtensionLimit. List literals are
-  // exempt (their length is statically exact). The analyzer's cardinality
-  // transfer functions assume this cap is enforced here.
-  size_t max_collection_items = 256;
 };
 
 struct ExecStats {

@@ -341,7 +341,7 @@ TEST(EdsExtensionTest, FailingEventExtensionIsEvictedOnAllReplicas) {
 // strike.
 TEST(EdsExtensionTest, UncertifiedHandlerRunsMeteredOnVm) {
   ExtensionLimits limits;
-  limits.max_steps = kOverBudgetMaxSteps;
+  limits.budget.max_steps = kOverBudgetMaxSteps;
   limits.strike_limit = 3;
   EdsCluster cluster(limits);
   Obs obs;

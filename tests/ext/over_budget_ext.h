@@ -63,13 +63,8 @@ inline Result<Value> OverBudgetOracleRun(size_t num_children, const ExtensionLim
   if (!program.ok()) {
     return program.status();
   }
-  ExecBudget budget;
-  budget.max_steps = limits.max_steps;
-  budget.max_value_bytes = limits.max_value_bytes;
-  budget.max_input_bytes = limits.max_input_bytes;
-  budget.max_collection_items = limits.max_collection_items;
   ChildrenHost host(num_children);
-  Interpreter oracle(program->get(), &host, budget);
+  Interpreter oracle(program->get(), &host, limits.budget);
   return oracle.Invoke("read", {Value("/cube")});
 }
 

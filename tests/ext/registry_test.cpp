@@ -202,7 +202,7 @@ TEST(ExtensionRegistryTest, CertifiedHandlersAreStillMetered) {
   ASSERT_TRUE(full.result.ok());
   ASSERT_GT(full.steps_used, 0);
 
-  limits.max_steps = full.steps_used - 1;
+  limits.budget.max_steps = full.steps_used - 1;
   HandlerRun cut = RunExtensionHandler(ext, "read", {Value("/x")}, &host, limits);
   EXPECT_TRUE(cut.certified);
   EXPECT_EQ(cut.result.code(), ErrorCode::kExtensionLimit);

@@ -367,7 +367,7 @@ TEST(EzkExtensionTest, StrikesResetOnSuccessfulInvocation) {
 // kExtensionLimit Status, and the primary, which ran it, records a strike.
 TEST(EzkExtensionTest, UncertifiedHandlerRunsMeteredOnVm) {
   ExtensionLimits limits;
-  limits.max_steps = kOverBudgetMaxSteps;
+  limits.budget.max_steps = kOverBudgetMaxSteps;
   limits.strike_limit = 3;
   EzkCluster cluster(limits);
   Obs obs;

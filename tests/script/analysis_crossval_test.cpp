@@ -34,20 +34,6 @@ namespace {
 
 constexpr int kNumSeeds = 220;
 
-VerifierConfig CrossValConfig(bool deterministic) {
-  VerifierConfig cfg;
-  cfg.allowed_functions = CoreAllowedFunctions();
-  for (const char* fn : {"children", "update", "create"}) {
-    cfg.allowed_functions[fn] = true;
-  }
-  cfg.allowed_functions["now"] = false;
-  cfg.allowed_functions["random"] = false;
-  cfg.require_deterministic = deterministic;
-  cfg.collection_functions = {"children"};
-  cfg.max_collection_items = kGenCollectionCap;
-  return cfg;
-}
-
 struct ExecOutcome {
   bool ok = false;
   std::string result;
@@ -161,7 +147,7 @@ TEST(AnalysisCrossValTest, VmMatchesInterpreterOnGeneratedCorpus) {
     // A tight certification threshold splits the corpus between certified
     // and uncertified handlers; registration must compile both.
     VerifierConfig cfg = CrossValConfig(false);
-    cfg.certify_max_steps = 60;
+    cfg.budget.max_steps = 60;
     AnalysisReport report = AnalyzeProgram(**program, cfg);
     if (!report.ok()) {
       continue;
@@ -170,7 +156,7 @@ TEST(AnalysisCrossValTest, VmMatchesInterpreterOnGeneratedCorpus) {
     bool is_certified = report.handlers.at("read").certified;
     certified += is_certified ? 1 : 0;
     uncertified += is_certified ? 0 : 1;
-    auto module = CompileProgram(**program, GenCompileOptions());
+    auto module = CompileProgram(**program);
     ASSERT_TRUE(module.ok()) << "seed " << seed << ": " << module.status().ToString()
                              << "\n" << src;
     ASSERT_EQ(module->handlers.size(), (*program)->handlers.size()) << "seed " << seed;
@@ -198,16 +184,6 @@ TEST(AnalysisCrossValTest, VmMatchesInterpreterOnGeneratedCorpus) {
 // sprinkled densely enough that split() fans out hard, and loops nest. The
 // analyzer's bound must dominate the real step count on every certified
 // program, and the VM must stay observationally identical on the corpus.
-
-VerifierConfig SplitArmConfig() {
-  VerifierConfig cfg;
-  cfg.allowed_functions = CoreAllowedFunctions();
-  cfg.allowed_functions["fetch"] = true;
-  cfg.allowed_functions["update"] = true;
-  cfg.max_collection_items = kSplitCap;
-  cfg.max_input_bytes = kSplitInputCap;
-  return cfg;
-}
 
 TEST(AnalysisCrossValTest, SplitHeavyBoundsAreSoundAndVmMatches) {
   int certified = 0;
@@ -247,7 +223,7 @@ TEST(AnalysisCrossValTest, SplitHeavyBoundsAreSoundAndVmMatches) {
     // VM twin under the identical budget and an identically-seeded host: the
     // corpus is all builtins + host calls, so everything must compile, and
     // outcome/result/mutations/steps must match byte for byte.
-    auto module = CompileProgram(**program, SplitArmCompileOptions());
+    auto module = CompileProgram(**program);
     ASSERT_TRUE(module.ok()) << "seed " << seed << ": " << module.status().ToString()
                              << "\n" << src;
     SplitHost vm_host(seed * 7919);

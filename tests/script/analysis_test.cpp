@@ -24,7 +24,7 @@ VerifierConfig TestConfig() {
   cfg.allowed_functions["now"] = false;
   cfg.allowed_functions["random"] = false;
   cfg.collection_functions = {"children", "sub_objects"};
-  cfg.max_collection_items = 16;
+  cfg.budget.max_collection_items = 16;
   return cfg;
 }
 
@@ -42,7 +42,7 @@ struct VmRun {
 };
 
 VmRun RunRead(const Program& program, const std::string& arg, ExecBudget budget) {
-  auto module = CompileProgram(program, CompileOptions{});
+  auto module = CompileProgram(program);
   EXPECT_TRUE(module.ok()) << module.status().ToString();
   Vm vm(&*module, nullptr, budget);
   VmRun run;
@@ -255,7 +255,7 @@ TEST(AnalysisTest, UnboundedLoopIsNotCertified) {
 
 TEST(AnalysisTest, OverBudgetBoundIsNotCertified) {
   VerifierConfig cfg = TestConfig();
-  cfg.certify_max_steps = 10;  // tiny budget: nested loop bound exceeds it
+  cfg.budget.max_steps = 10;  // tiny budget: nested loop bound exceeds it
   auto report = Analyze(R"(
     extension e {
       on op read "/x";
@@ -347,6 +347,95 @@ TEST(AnalysisTest, ReadOnlyCallUnderTaintedControlAdmissible) {
     })", cfg);
   EXPECT_FALSE(HasCode(report, kDiagNondeterminism));
   EXPECT_TRUE(report.ok());
+}
+
+// ---- Block scoping in the analysis passes ----
+//
+// Every pass resolves names through ResolveNames, so shadowing must land
+// exactly where the VM puts it (vm_test.cpp pins the VM side). Each case is
+// the body of `fn read(o)`.
+
+struct ScopingCase {
+  const char* name;
+  const char* body;
+  bool flagged;  // EDC-E013 expected under require_deterministic
+};
+
+std::string ReadHandler(const std::string& body) {
+  return "extension e {\n  on op read \"/x\";\n  fn read(o) {\n" + body +
+         "\n  }\n}\n";
+}
+
+TEST(AnalysisScopingTest, TaintFollowsBlockScoping) {
+  const ScopingCase kCases[] = {
+      {"inner clean let shadows tainted outer",
+       R"(let t = now();
+          if (o == "/x") { let t = 1; update("/a", str(t)); }
+          return 0;)",
+       false},
+      {"inner assignment taints the outer binding",
+       R"(let t = 0;
+          if (o == "/x") { t = now(); }
+          update("/a", str(t));
+          return 0;)",
+       true},
+      {"inner tainted let leaves the outer binding clean",
+       R"(let t = 0;
+          if (o == "/x") { let t = now(); }
+          update("/a", str(t));
+          return 0;)",
+       false},
+      {"loop variable shadows tainted outer",
+       R"(let x = now();
+          foreach (x in [1, 2]) { update("/a", str(x)); }
+          return 0;)",
+       false},
+      {"shadowing initializer reads the tainted outer",
+       R"(let n = now();
+          if (o == "/x") { let n = n + 1; update("/a", str(n)); }
+          return 0;)",
+       true},
+      {"re-let in the same block rebinds clean",
+       R"(let t = now();
+          let t = 1;
+          update("/a", str(t));
+          return 0;)",
+       false},
+  };
+  VerifierConfig cfg = TestConfig();
+  cfg.require_deterministic = true;
+  for (const ScopingCase& c : kCases) {
+    std::string src = ReadHandler(c.body);
+    AnalysisReport report = Analyze(src.c_str(), cfg);
+    EXPECT_EQ(HasCode(report, kDiagNondeterminism), c.flagged) << c.name;
+    ASSERT_EQ(report.handlers.count("read"), 1u) << c.name;
+    EXPECT_EQ(report.handlers.at("read").deterministic, !c.flagged) << c.name;
+  }
+}
+
+TEST(AnalysisScopingTest, CostFollowsBlockScoping) {
+  VerifierConfig cfg = TestConfig();
+  cfg.budget = ExecBudget{};
+  // The inner let binds a new `l`: the loop iterates the outer 3-item
+  // literal.
+  std::string shadowed = ReadHandler(R"(let l = [1, 2, 3];
+      if (o == "/x") { let l = children("/x"); }
+      foreach (e in l) { update("/a", str(e)); }
+      return null;)");
+  // The assignment rebinds the outer `l`: the loop may iterate a capped
+  // children() list (256 items).
+  std::string assigned = ReadHandler(R"(let l = [1, 2, 3];
+      if (o == "/x") { l = children("/x"); }
+      foreach (e in l) { update("/a", str(e)); }
+      return null;)");
+  AnalysisReport a = Analyze(shadowed.c_str(), cfg);
+  AnalysisReport b = Analyze(assigned.c_str(), cfg);
+  ASSERT_EQ(a.handlers.count("read"), 1u);
+  ASSERT_EQ(b.handlers.count("read"), 1u);
+  EXPECT_TRUE(a.handlers.at("read").cost_bounded);
+  EXPECT_EQ(a.handlers.at("read").step_bound, 31);
+  EXPECT_TRUE(b.handlers.at("read").cost_bounded);
+  EXPECT_EQ(b.handlers.at("read").step_bound, 1296);
 }
 
 TEST(AnalysisTest, SubscriptionWithoutHandlerHasRealLine) {
@@ -578,7 +667,7 @@ TEST(AnalysisTest, TinyStepBudgetRejectsDefaultCertifiableHandler) {
   // is configured with max_steps=10 — the analyzer has to compare its bound
   // against the configured limit, not a baked-in default.
   VerifierConfig cfg = TestConfig();
-  cfg.certify_max_steps = 10;
+  cfg.budget.max_steps = 10;
   auto report = Analyze(kSplitLoopExt, cfg);
   EXPECT_TRUE(report.ok());
   const HandlerReport& hr = report.handlers.at("read");

@@ -82,7 +82,7 @@ int SweepUnit(const CorpusUnit& unit) {
   if (!program.ok()) {
     return 0;
   }
-  auto module = CompileProgram(**program, CorpusCompileOptions());
+  auto module = CompileProgram(**program);
   EXPECT_TRUE(module.ok()) << unit.name << ": " << module.status().ToString();
   if (!module.ok()) {
     return 0;
@@ -160,7 +160,7 @@ TEST(VmBudgetSweepTest, GeneratedCorpus) {
     std::string src = gen.Generate();
     auto program = ParseProgram(src);
     ASSERT_TRUE(program.ok()) << "seed " << seed;
-    auto module = CompileProgram(**program, GenCompileOptions());
+    auto module = CompileProgram(**program);
     ASSERT_TRUE(module.ok()) << "seed " << seed << ": " << module.status().ToString();
     int mismatches = SweepBudgets(
         "gen seed " + std::to_string(seed), ExecBudget{},
@@ -181,7 +181,7 @@ TEST(VmBudgetSweepTest, SplitCorpus) {
     std::string src = gen.Generate();
     auto program = ParseProgram(src);
     ASSERT_TRUE(program.ok()) << "seed " << seed;
-    auto module = CompileProgram(**program, SplitArmCompileOptions());
+    auto module = CompileProgram(**program);
     ASSERT_TRUE(module.ok()) << "seed " << seed << ": " << module.status().ToString();
     int mismatches = SweepBudgets(
         "split seed " + std::to_string(seed), SplitArmBudget(),

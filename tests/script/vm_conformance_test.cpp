@@ -39,7 +39,7 @@ size_t CheckConformance(const CorpusUnit& unit) {
   if (!program.ok()) {
     return 0;
   }
-  auto module = CompileProgram(**program, CorpusCompileOptions());
+  auto module = CompileProgram(**program);
   EXPECT_TRUE(module.ok()) << unit.name << ": " << module.status().ToString();
   if (!module.ok()) {
     return 0;
@@ -117,7 +117,7 @@ TEST(VmConformanceTest, AllCertifiedRecipeHandlersCompile) {
     auto program = ParseProgram(source);
     ASSERT_TRUE(program.ok()) << name;
     AnalysisReport report = AnalyzeProgram(**program, LintVerifierConfig());
-    auto module = CompileProgram(**program, CorpusCompileOptions());
+    auto module = CompileProgram(**program);
     ASSERT_TRUE(module.ok()) << name << ": " << module.status().ToString();
     EXPECT_EQ(module->handlers.size(), (*program)->handlers.size()) << name;
     for (const auto& [hname, hr] : report.handlers) {

@@ -149,15 +149,6 @@ inline std::string ReadExampleScript(const std::string& name) {
   return buf.str();
 }
 
-// The compile options of the sandbox the corpus scripts are linted for.
-inline CompileOptions CorpusCompileOptions() {
-  VerifierConfig cfg = LintVerifierConfig();
-  CompileOptions opts;
-  opts.collection_functions = cfg.collection_functions;
-  opts.max_collection_items = static_cast<int64_t>(cfg.max_collection_items);
-  return opts;
-}
-
 inline StoreHost::Store QueueStore() {
   return {{"/queue/a", {"first", 1}},
           {"/queue/b", {"second", 2}},
@@ -293,11 +284,20 @@ inline ScenarioRun RunScenarioOnVm(const CompiledModule& module, const Scenario&
 
 inline constexpr size_t kGenCollectionCap = 4;
 
-inline CompileOptions GenCompileOptions() {
-  CompileOptions opts;
-  opts.collection_functions = {"children"};
-  opts.max_collection_items = kGenCollectionCap;
-  return opts;
+// The analyzer's sandbox for ProgramGen programs: EZK-style (permissive) or,
+// with `deterministic`, EDS-style (nondeterminism reaching a sink rejected).
+inline VerifierConfig CrossValConfig(bool deterministic) {
+  VerifierConfig cfg;
+  cfg.allowed_functions = CoreAllowedFunctions();
+  for (const char* fn : {"children", "update", "create"}) {
+    cfg.allowed_functions[fn] = true;
+  }
+  cfg.allowed_functions["now"] = false;
+  cfg.allowed_functions["random"] = false;
+  cfg.require_deterministic = deterministic;
+  cfg.collection_functions = {"children"};
+  cfg.budget.max_collection_items = kGenCollectionCap;
+  return cfg;
 }
 
 // Host mirroring the sandbox contract: collections capped at
@@ -491,17 +491,21 @@ class ProgramGen {
 inline constexpr size_t kSplitCap = 64;        // builtin collection cap for this arm
 inline constexpr size_t kSplitInputCap = 512;  // host-result ingest cap for this arm
 
-inline CompileOptions SplitArmCompileOptions() {
-  CompileOptions opts;
-  opts.max_collection_items = static_cast<int64_t>(kSplitCap);
-  return opts;
-}
-
 inline ExecBudget SplitArmBudget() {
   ExecBudget budget;
   budget.max_collection_items = kSplitCap;
   budget.max_input_bytes = kSplitInputCap;
   return budget;
+}
+
+// The analyzer's sandbox for SplitGen programs: the same caps.
+inline VerifierConfig SplitArmConfig() {
+  VerifierConfig cfg;
+  cfg.allowed_functions = CoreAllowedFunctions();
+  cfg.allowed_functions["fetch"] = true;
+  cfg.allowed_functions["update"] = true;
+  cfg.budget = SplitArmBudget();
+  return cfg;
 }
 
 // Host whose fetch() returns a deterministic pseudo-random string (seeded, so

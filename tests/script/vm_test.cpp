@@ -64,13 +64,6 @@ struct EngineRun {
   std::map<std::string, std::string> store;
 };
 
-CompileOptions TestCompileOptions() {
-  CompileOptions opts;
-  opts.collection_functions = {"children", "sub_objects"};
-  opts.max_collection_items = 256;
-  return opts;
-}
-
 EngineRun RunInterp(const Program& program, const std::string& handler,
                     std::vector<Value> args, ExecBudget budget) {
   VmFakeHost host;
@@ -91,7 +84,7 @@ EngineRun RunVm(const Program& program, const std::string& handler,
                 std::vector<Value> args, ExecBudget budget) {
   const Handler& h = program.handlers.at(handler);
   CompiledHandler compiled;
-  EXPECT_TRUE(CompileHandler(h, TestCompileOptions(), &compiled))
+  EXPECT_TRUE(CompileHandler(h, &compiled))
       << "handler '" << handler << "' failed to compile";
   VmFakeHost host;
   CompiledModule module;
@@ -148,8 +141,7 @@ TEST(VmCompilerTest, RefusesUnresolvableVariable) {
       fn handle_op(r) { return missing_var; } })");
   ASSERT_TRUE(program.ok());
   CompiledHandler out;
-  EXPECT_FALSE(CompileHandler((*program)->handlers.at("handle_op"),
-                              TestCompileOptions(), &out));
+  EXPECT_FALSE(CompileHandler((*program)->handlers.at("handle_op"), &out));
 }
 
 TEST(VmCompilerTest, RefusesAssignToUndeclared) {
@@ -158,8 +150,7 @@ TEST(VmCompilerTest, RefusesAssignToUndeclared) {
       fn handle_op(r) { ghost = 1; return 0; } })");
   ASSERT_TRUE(program.ok());
   CompiledHandler out;
-  EXPECT_FALSE(CompileHandler((*program)->handlers.at("handle_op"),
-                              TestCompileOptions(), &out));
+  EXPECT_FALSE(CompileHandler((*program)->handlers.at("handle_op"), &out));
 }
 
 TEST(VmCompilerTest, CompilesEveryRecipeShape) {
@@ -178,8 +169,7 @@ TEST(VmCompilerTest, CompilesEveryRecipeShape) {
       } })");
   ASSERT_TRUE(program.ok());
   CompiledHandler out;
-  EXPECT_TRUE(CompileHandler((*program)->handlers.at("handle_op"),
-                             TestCompileOptions(), &out));
+  EXPECT_TRUE(CompileHandler((*program)->handlers.at("handle_op"), &out));
   EXPECT_GT(out.code.size(), 0u);
 }
 
@@ -429,7 +419,7 @@ TEST(VmParityTest, CompiledModuleContainsEveryHandler) {
       fn handle_op(r) { return 1; }
       fn read(oid) { return 2; } })");
   ASSERT_TRUE(program.ok());
-  auto module = CompileProgram(**program, TestCompileOptions());
+  auto module = CompileProgram(**program);
   ASSERT_TRUE(module.ok()) << module.status().ToString();
   ASSERT_NE(module->Find("handle_op"), nullptr);
   ASSERT_NE(module->Find("read"), nullptr);
@@ -443,7 +433,7 @@ TEST(VmCompilerTest, CompileProgramRejectsUnlowerableHandler) {
       fn handle_op(r) { return 1; }
       fn read(oid) { return missing_var; } })");
   ASSERT_TRUE(program.ok());
-  auto module = CompileProgram(**program, TestCompileOptions());
+  auto module = CompileProgram(**program);
   ASSERT_FALSE(module.ok());
   EXPECT_EQ(module.status().code(), ErrorCode::kExtensionRejected);
   EXPECT_NE(module.status().message().find("'read'"), std::string::npos);
