@@ -125,15 +125,18 @@ ctest --output-on-failure -j "$JOBS" --no-tests=error \
 echo "== spotlight: EDS queue digest, recorded before the tuple-space index =="
 ctest --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'ElisionDigestTest\.EdsQueueDigestsPinned'
-# The Zab log lives only in the LogStore: the EZK failover digests (replay,
-# DIFF, SNAP, TRUNC) recorded while ZabNode still kept its own copy, and the
-# LogStore ownership rules (spans, cuts with batches in flight, blocks).
+# The Zab log lives only in the LogStore, and the replicas of one cluster
+# keep one copy of each record in a shared RecordPool: the EZK failover
+# digests (replay, DIFF, SNAP, TRUNC) recorded while ZabNode still kept its
+# own copy, the LogStore ownership rules (spans, cuts with batches in flight,
+# blocks), and the pool's (one copy across stores, per-store cuts, key
+# collisions, freed blocks, restored images).
 echo "== spotlight: EZK failover digest, recorded before the single-copy log =="
 ctest --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'ElisionDigestTest\.EzkFailoverDigestsPinned'
-echo "== spotlight: LogStore ownership rules, TRUNC with appends in flight, malformed kPropose =="
+echo "== spotlight: LogStore ownership and shared-pool rules, TRUNC with appends in flight, malformed kPropose =="
 ctest --output-on-failure -j "$JOBS" --no-tests=error \
-  -R 'LogStoreOwnershipTest\.|PipelineZabTrunc\.|PipelineZabPropose\.'
+  -R 'LogStoreOwnershipTest\.|RecordPoolTest\.|PipelineZabTrunc\.|PipelineZabPropose\.'
 # Every wire message lists its fields once (src/edc/common/codec.h); these
 # pin each message's bytes to constants recorded before that change.
 echo "== spotlight: pinned wire format of every message =="

@@ -487,7 +487,7 @@ void BftReplica::ExecuteRequest(const BftRequest& req, SimTime ts) {
   }
   BftExecOutcome outcome = callbacks_->Execute(++executed_ops_, ts, req);
   if (outcome.cpu_cost > 0) {
-    cpu_->Submit(outcome.cpu_cost, []() {});  // occupy the core
+    cpu_->Charge(outcome.cpu_cost);  // occupy the core
   }
   if (restored) {
     obs_->tracer.SetCurrent(prev);

@@ -29,6 +29,9 @@ bool IsZkFamily(SystemKind kind) {
 }
 
 CoordFixture::CoordFixture(FixtureOptions options) : options_(options) {
+  if (IsZkFamily(options_.system)) {
+    log_pool_ = std::make_shared<RecordPool>();
+  }
   net_ = std::make_unique<Network>(&loop_, Rng(options_.seed), options_.link);
   faults_ = std::make_unique<FaultInjector>(&loop_, net_.get());
 }
@@ -78,7 +81,7 @@ void CoordFixture::Start() {
     std::vector<NodeId> members{1, 2, 3};
     for (NodeId id : members) {
       auto server = std::make_unique<ZkServer>(&loop_, net_.get(), id, members,
-                                               options_.costs, options_.zk_server);
+                                               options_.costs, options_.zk_server, log_pool_);
       if (options_.observability) {
         server->SetObs(&obs_);
       }
@@ -184,7 +187,7 @@ void CoordFixture::BootShard(size_t s) {
     size_t first = zk_servers.size();
     for (NodeId id : members) {
       auto server = std::make_unique<ZkServer>(&loop_, net_.get(), id, members,
-                                               options_.costs, options_.zk_server);
+                                               options_.costs, options_.zk_server, log_pool_);
       if (options_.observability) {
         server->SetObs(&obs_);
       }
@@ -357,7 +360,7 @@ ZkServer* CoordFixture::BootExtraZkReplica(NodeId id) {
   ZkServerOptions opts = options_.zk_server;
   opts.observer = true;
   auto server = std::make_unique<ZkServer>(&loop_, net_.get(), id, CurrentZkVoters(),
-                                           options_.costs, opts);
+                                           options_.costs, opts, log_pool_);
   if (options_.observability) {
     server->SetObs(&obs_);
   }

@@ -183,6 +183,9 @@ class CoordFixture {
 
   FixtureOptions options_;
   EventLoop loop_;
+  // Record bytes of every ZK-family replica's log, stored once per fixture
+  // (none for DepSpace-family fixtures, which have no LogStore).
+  std::shared_ptr<RecordPool> log_pool_;
   Obs obs_;
   std::unique_ptr<Network> net_;
   std::unique_ptr<FaultInjector> faults_;

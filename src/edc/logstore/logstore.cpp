@@ -1,7 +1,6 @@
 #include "edc/logstore/logstore.h"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "edc/common/codec.h"
@@ -14,6 +13,17 @@ Duration LogStore::InitialWindow(const LogStoreConfig& config) {
   }
   return std::clamp(config.group_commit_window, config.min_window, config.max_window);
 }
+
+LogStore::LogStore(EventLoop* loop, LogStoreConfig config, std::shared_ptr<RecordPool> pool)
+    : loop_(loop),
+      config_(config),
+      pool_(pool != nullptr ? std::move(pool) : std::make_shared<RecordPool>()),
+      owner_(pool_->NewOwner()),
+      window_(InitialWindow(config)) {
+  channel_free_at_.assign(config_.pipeline_depth > 0 ? config_.pipeline_depth : 1, 0);
+}
+
+LogStore::~LogStore() { CutTail(0); }
 
 void LogStore::SetObs(Obs* obs, uint32_t track) {
   obs_ = obs;
@@ -33,40 +43,15 @@ void LogStore::SetObs(Obs* obs, uint32_t track) {
   }
 }
 
-std::span<const uint8_t> LogStore::record(size_t i) const {
-  uint64_t prev = index_[i];
-  uint64_t cur = index_[i + 1];
-  size_t begin = BlockOf(prev) == BlockOf(cur) ? EndOf(prev) : 0;
-  const Block& block = blocks_[BlockOf(cur) - first_block_];
-  return {block.bytes.get() + begin, EndOf(cur) - begin};
-}
-
-void LogStore::Place(std::span<const uint8_t> record) {
-  // The tail block is the one the last indexed record ends in (or, with no
-  // records, the one the last dropped record ended in, if still held).
-  size_t fill = blocks_.empty() ? 0 : EndOf(index_.back());
-  if (blocks_.empty() || blocks_.back().capacity - fill < record.size()) {
-    size_t capacity = std::max(kBlockBytes, record.size());
-    blocks_.push_back(Block{std::unique_ptr<uint8_t[]>(new uint8_t[capacity]), capacity});
-    bytes_held_ += capacity;
-    fill = 0;
+void LogStore::CutTail(size_t first) {
+  for (size_t i = first; i < index_.size(); ++i) {
+    pool_->Release(index_[i]);
   }
-  if (!record.empty()) {
-    std::memcpy(blocks_.back().bytes.get() + fill, record.data(), record.size());
-  }
-  uint64_t block = first_block_ + blocks_.size() - 1;
-  index_.push_back(block << 32 | (fill + record.size()));
-}
-
-void LogStore::TrimTailBlocks() {
-  while (!blocks_.empty() && first_block_ + blocks_.size() - 1 > BlockOf(index_.back())) {
-    bytes_held_ -= blocks_.back().capacity;
-    blocks_.pop_back();
-  }
+  index_.resize(first);
 }
 
 void LogStore::Append(std::span<const uint8_t> record, DurableCallback on_durable) {
-  Place(record);
+  index_.push_back(pool_->Place(record, owner_));
   pending_bytes_ += record.size();
   Pending p{std::move(on_durable), TraceContext{}, 0};
   if (obs_ != nullptr) {
@@ -220,8 +205,7 @@ void LogStore::Truncate(size_t first_removed) {
     unpublished -= n;
   }
   durable_ = std::min(durable_, first_removed);
-  index_.resize(first_removed + 1);
-  TrimTailBlocks();
+  CutTail(first_removed);
 }
 
 void LogStore::DropHead(size_t count) {
@@ -235,15 +219,10 @@ void LogStore::DropHead(size_t count) {
   } else {
     durable_ -= count;
   }
-  index_.erase(index_.begin(), index_.begin() + static_cast<ptrdiff_t>(count));
-  // Free every block before the one the first kept record lives in (with no
-  // records left, keep the tail block for later appends).
-  uint64_t keep_from = BlockOf(index_[index_.size() > 1 ? 1 : 0]);
-  while (!blocks_.empty() && first_block_ < keep_from) {
-    bytes_held_ -= blocks_.front().capacity;
-    blocks_.pop_front();
-    ++first_block_;
+  for (size_t i = 0; i < count; ++i) {
+    pool_->Release(index_[i]);
   }
+  index_.erase(index_.begin(), index_.begin() + static_cast<ptrdiff_t>(count));
 }
 
 void LogStore::DropUnsynced() {
@@ -251,8 +230,7 @@ void LogStore::DropUnsynced() {
   pending_bytes_ = 0;
   inflight_.clear();
   dropped_unpublished_ = 0;
-  index_.resize(durable_ + 1);
-  TrimTailBlocks();
+  CutTail(durable_);
   flush_scheduled_ = false;
   window_ = InitialWindow(config_);
   ++flush_epoch_;
@@ -288,7 +266,7 @@ Result<size_t> LogStore::RestoreImage(const std::vector<uint8_t>& image) {
   }
   Truncate(0);
   for (std::span<const uint8_t> rec : restored) {
-    Place(rec);
+    index_.push_back(pool_->Place(rec, owner_));
   }
   durable_ = restored.size();
   return restored.size();

@@ -24,10 +24,14 @@
 // in-flight batch — so recovery always truncates to the published durable
 // prefix.
 //
-// The store holds the only copy of each record, durable or in flight: Append
-// copies the bytes once into an append-only arena of fixed-size blocks that
-// never move, and record(i) returns a view into it. A view stays valid until
-// a Truncate, DropHead or DropUnsynced removes that record.
+// Record bytes live in a RecordPool of fixed-size blocks that never move, and
+// record(i) returns a view into it. A store built without a pool gets a
+// private one and holds the only copy of each record, durable or in flight.
+// The stores of one cluster share a pool, so a follower logging the leader's
+// proposal takes a reference to the leader's copy instead of copying it
+// (record_pool.h). Either way each store keeps its own index, watermark,
+// batches and cuts, and a view stays valid until a Truncate, DropHead or
+// DropUnsynced on this store removes that record.
 
 #ifndef EDC_LOGSTORE_LOGSTORE_H_
 #define EDC_LOGSTORE_LOGSTORE_H_
@@ -40,6 +44,7 @@
 #include <vector>
 
 #include "edc/common/result.h"
+#include "edc/logstore/record_pool.h"
 #include "edc/obs/obs.h"
 #include "edc/sim/event_loop.h"
 #include "edc/sim/time.h"
@@ -83,21 +88,18 @@ class LogStore {
  public:
   using DurableCallback = std::function<void()>;
 
-  LogStore(EventLoop* loop, LogStoreConfig config)
-      : loop_(loop), config_(config), window_(InitialWindow(config)) {
-    channel_free_at_.assign(config_.pipeline_depth > 0 ? config_.pipeline_depth : 1, 0);
-  }
+  // `pool` holds the record bytes; nullptr gives the store a private pool.
+  LogStore(EventLoop* loop, LogStoreConfig config, std::shared_ptr<RecordPool> pool = nullptr);
+  ~LogStore();
 
   LogStore(const LogStore&) = delete;
   LogStore& operator=(const LogStore&) = delete;
 
-  // Arena block size. A record never straddles two blocks; a record larger
-  // than a block gets a block of its own.
-  static constexpr size_t kBlockBytes = 64 * 1024;
+  static constexpr size_t kBlockBytes = RecordPool::kBlockBytes;
 
-  // Appends a copy of `record` as record appended_size(); `on_durable` fires
-  // once the record's batch is durable AND every earlier batch has been
-  // published (record-order semantics).
+  // Appends `record` as record appended_size(); `on_durable` fires once the
+  // record's batch is durable AND every earlier batch has been published
+  // (record-order semantics).
   void Append(std::span<const uint8_t> record, DurableCallback on_durable);
 
   // Fires once after every publication run that completed at least one batch
@@ -109,21 +111,22 @@ class LogStore {
   // Records [0, durable_size()) are published: a crash keeps them. Records
   // [durable_size(), appended_size()) are in flight: a crash loses them.
   size_t durable_size() const { return durable_; }
-  size_t appended_size() const { return index_.size() - 1; }
+  size_t appended_size() const { return index_.size(); }
   // Record i < appended_size(), in append order.
-  std::span<const uint8_t> record(size_t i) const;
-  // Bytes of arena blocks currently allocated.
-  size_t bytes_held() const { return bytes_held_; }
+  std::span<const uint8_t> record(size_t i) const { return pool_->Get(index_[i]); }
+  // Bytes of the pool's blocks: with a private pool, exactly this store's.
+  size_t bytes_held() const { return pool_->bytes_held(); }
+  const RecordPool& pool() const { return *pool_; }
 
   // Drops every record with index >= first_removed (log truncation after
   // snapshot or divergence repair), in-flight ones included: their
   // durability callbacks never run. Their batches keep their fsync slots.
   void Truncate(size_t first_removed);
 
-  // Drops the first `count` records (checkpoint + log rotation) and frees
-  // the arena blocks no remaining record uses. In-flight records dropped
-  // this way are still written (their bytes count toward their batch's
-  // fsync) and still run their durability callbacks when it publishes.
+  // Drops the first `count` records (checkpoint + log rotation) and releases
+  // their bytes to the pool. In-flight records dropped this way are still
+  // written (their bytes count toward their batch's fsync) and still run
+  // their durability callbacks when it publishes.
   void DropHead(size_t count);
 
   // Drops in-flight appends, modeling a crash before fsync: the accumulating
@@ -184,7 +187,7 @@ class LogStore {
 
  private:
   // An appended record's bookkeeping until it publishes; its bytes are in
-  // the arena.
+  // the pool.
   struct Pending {
     DurableCallback cb;
     TraceContext ctx;   // appender's context (inactive when obs is off)
@@ -198,20 +201,10 @@ class LogStore {
     bool durable = false;  // device fsync done; publication may still wait
   };
 
-  struct Block {
-    std::unique_ptr<uint8_t[]> bytes;
-    size_t capacity = 0;
-  };
-
   static Duration InitialWindow(const LogStoreConfig& config);
 
-  // Index entries pack (block sequence number << 32 | end offset in block).
-  static uint64_t BlockOf(uint64_t entry) { return entry >> 32; }
-  static size_t EndOf(uint64_t entry) { return static_cast<uint32_t>(entry); }
-  // Copies `record` into the arena and indexes it.
-  void Place(std::span<const uint8_t> record);
-  // Frees trailing blocks no indexed record uses (after a cut).
-  void TrimTailBlocks();
+  // Releases records [first, appended_size()) to the pool.
+  void CutTail(size_t first);
 
   void Flush();
   void AdaptWindow(size_t batch_records);
@@ -219,14 +212,10 @@ class LogStore {
 
   EventLoop* loop_;
   LogStoreConfig config_;
-  // Arena: blocks_[k] has sequence number first_block_ + k. index_[i + 1]
-  // locates record i: it ends at EndOf() in block BlockOf(), and starts
-  // where record i - 1 ends if both share a block, else at offset 0.
-  // index_[0] is the end of the last record dropped from the head.
-  std::deque<Block> blocks_;
-  uint64_t first_block_ = 0;
-  std::vector<uint64_t> index_{0};
-  size_t bytes_held_ = 0;
+  std::shared_ptr<RecordPool> pool_;
+  uint32_t owner_;  // this store's tag in pool_
+  // index_[i] locates record i in pool_ and holds one reference on its block.
+  std::vector<RecordPool::Ref> index_;
   size_t durable_ = 0;  // published records at the front of index_
   // Unpublished records DropHead already removed from the index: the
   // oldest ones, submitted batches first, then the accumulating one. Their

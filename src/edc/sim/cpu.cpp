@@ -12,6 +12,10 @@ CpuQueue::CpuQueue(EventLoop* loop, int cores) : loop_(loop) {
 }
 
 void CpuQueue::Submit(Duration cost, std::function<void()> done) {
+  loop_->ScheduleAt(Charge(cost), std::move(done));
+}
+
+SimTime CpuQueue::Charge(Duration cost) {
   if (cost < 0) {
     cost = 0;
   }
@@ -38,7 +42,7 @@ void CpuQueue::Submit(Duration cost, std::function<void()> done) {
       obs_->tracer.RecordSpanIn(ctx, "cpu.run", Stage::kCpu, track_, start, finish);
     }
   }
-  loop_->ScheduleAt(finish, std::move(done));
+  return finish;
 }
 
 void CpuQueue::SetObs(Obs* obs, uint32_t track) {

@@ -32,6 +32,10 @@ class CpuQueue {
   // previously submitted work on the chosen core.
   void Submit(Duration cost, std::function<void()> done);
 
+  // Occupies a core exactly as Submit does but schedules nothing: for work
+  // whose completion nobody waits on. Returns the time it finishes.
+  SimTime Charge(Duration cost);
+
   // Total CPU-ns consumed so far (across cores).
   int64_t busy_ns() const { return busy_ns_; }
 

@@ -105,6 +105,7 @@ void ZabNode::ArmTimer(TimerId* slot, Duration delay, std::function<void()> fn) 
 
 void ZabNode::Start() {
   ++generation_;
+  CancelLeaderTimeout();  // a check armed before this boot would never fire
   membership_ = BootMembership();
   base_zxid_ = 0;
   committed_zxid_ = 0;
@@ -174,7 +175,7 @@ void ZabNode::Crash() {
   log_->DropUnsynced();
   loop_->Cancel(election_timer_);
   loop_->Cancel(heartbeat_timer_);
-  loop_->Cancel(leader_timeout_timer_);
+  CancelLeaderTimeout();
 }
 
 void ZabNode::Restart() {
@@ -192,7 +193,7 @@ void ZabNode::EnterLooking() {
   acked_zxid_ = 0;  // a future leader must hear our acks afresh
   proposal_trace_.clear();  // contexts belong to the lost leadership term
   loop_->Cancel(heartbeat_timer_);
-  loop_->Cancel(leader_timeout_timer_);
+  CancelLeaderTimeout();
   ++election_round_;
   my_vote_ = Vote{current_epoch_, last_logged(), config_.self};
   tally_.clear();
@@ -493,7 +494,8 @@ bool ZabNode::BroadcastInternal(std::span<const uint8_t> txn, uint8_t flags) {
   // Single-pass arena encode: the kPropose frame is built once in the reused
   // arena; the wire payload is the whole frame and the log record is its
   // proposal suffix (epoch header stripped), which the LogStore copies into
-  // its own arena: the txn bytes are serialized once and stored once.
+  // the cluster's record pool: the txn bytes are serialized once and stored
+  // once, for this replica and the followers alike.
   arena_.Clear();
   Fields(arena_, msg);
   std::span<const uint8_t> frame = arena_.buffer();
@@ -603,10 +605,31 @@ void ZabNode::BecomeFollower(NodeId leader, uint32_t leader_epoch) {
 }
 
 void ZabNode::ResetLeaderTimeout() {
-  ArmTimer(&leader_timeout_timer_, config_.leader_timeout, [this]() {
+  leader_deadline_ = loop_->now() + config_.leader_timeout;
+  if (leader_timeout_timer_ == kInvalidTimer) {
+    ArmLeaderTimeoutCheck();
+  }
+}
+
+void ZabNode::ArmLeaderTimeoutCheck() {
+  uint64_t gen = generation_;
+  leader_timeout_timer_ = loop_->ScheduleAt(leader_deadline_, [this, gen]() {
+    if (gen != generation_ || role_ == Role::kDown) {
+      return;
+    }
+    leader_timeout_timer_ = kInvalidTimer;
+    if (loop_->now() < leader_deadline_) {
+      ArmLeaderTimeoutCheck();  // the leader was heard since this check was armed
+      return;
+    }
     EDC_LOG(kDebug) << "node " << config_.self << " leader timeout";
     EnterLooking();
   });
+}
+
+void ZabNode::CancelLeaderTimeout() {
+  loop_->Cancel(leader_timeout_timer_);
+  leader_timeout_timer_ = kInvalidTimer;
 }
 
 void ZabNode::OnDiff(const DiffMsg& msg) {
@@ -760,7 +783,8 @@ void ZabNode::OnPropose(const ProposeFrameView& msg) {
     return;
   }
   // The log record is the proposal frame sliced straight out of the packet
-  // payload — no re-encode on the follower, and one copy into the log.
+  // payload — no re-encode on the follower; the log takes a reference to
+  // the leader's copy when the record pool still has it, else copies once.
   if (config_.ack_aggregation) {
     // OnLocalBatchDurable sends one cumulative kAck per durable batch.
     AppendRecordDurable(zxid, msg.record, nullptr);
@@ -915,7 +939,7 @@ void ZabNode::Retire() {
   // not a crash, and the history may still serve a later re-add.
   loop_->Cancel(election_timer_);
   loop_->Cancel(heartbeat_timer_);
-  loop_->Cancel(leader_timeout_timer_);
+  CancelLeaderTimeout();
 }
 
 void ZabNode::RecomputeMembershipFromLog() {

@@ -269,7 +269,12 @@ class ZabNode {
   void OnNewLeader(const EpochMsg& msg);
   void OnUpToDate(const EpochMsg& msg);
   void OnHeartbeat(NodeId from, const EpochMsg& msg);
+  // A follower presumes the leader dead once now() passes leader_deadline_.
+  // Each packet from the leader only moves the deadline; one pending check
+  // re-arms itself until the deadline passes, then starts an election.
   void ResetLeaderTimeout();
+  void ArmLeaderTimeoutCheck();
+  void CancelLeaderTimeout();
 
   // Shared.
   // Log entry i: record i of the LogStore, viewed in place. Valid until the
@@ -349,7 +354,8 @@ class ZabNode {
 
   TimerId election_timer_ = kInvalidTimer;
   TimerId heartbeat_timer_ = kInvalidTimer;
-  TimerId leader_timeout_timer_ = kInvalidTimer;
+  TimerId leader_timeout_timer_ = kInvalidTimer;  // the pending check, if any
+  SimTime leader_deadline_ = 0;
 
   // Observability.
   struct ProposalTrace {

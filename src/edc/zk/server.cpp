@@ -17,14 +17,15 @@ constexpr char kEmPath[] = "/em";
 }  // namespace
 
 ZkServer::ZkServer(EventLoop* loop, Network* net, NodeId id, std::vector<NodeId> members,
-                   const CostModel& costs, ZkServerOptions options)
+                   const CostModel& costs, ZkServerOptions options,
+                   std::shared_ptr<RecordPool> log_pool)
     : loop_(loop),
       net_(net),
       id_(id),
       costs_(costs),
       options_(options),
       cpu_(loop, options.cpu_cores),
-      log_(loop, options.log) {
+      log_(loop, options.log, std::move(log_pool)) {
   ZabConfig zcfg;
   zcfg.members = std::move(members);
   zcfg.self = id;
@@ -256,7 +257,7 @@ void ZkServer::OnClientRequest(Packet&& pkt) {
   // reads; the subscription check itself is the §6.2 "overhead" hot path.
   bool matched = false;
   if (hooks_ != nullptr) {
-    cpu_.Submit(costs_.ext_match_cpu, []() {});
+    cpu_.Charge(costs_.ext_match_cpu);
     matched = hooks_->MatchesOperation(msg.session, msg.op);
   }
   if (!matched && IsReadOp(msg.op.type)) {
@@ -381,7 +382,7 @@ void ZkServer::DoPrep(uint32_t origin, ZkRequestMsg msg) {
     Duration extra = 0;
     Status s = hooks_->PreprocessUpdate(msg.session, &msg.op, &extra);
     if (extra > 0) {
-      cpu_.Submit(extra, []() {});
+      cpu_.Charge(extra);
     }
     if (!s.ok()) {
       fail(s);
@@ -397,7 +398,7 @@ void ZkServer::DoPrep(uint32_t origin, ZkRequestMsg msg) {
   if (hooks_ != nullptr && hooks_->MatchesOperation(msg.session, msg.op)) {
     ZkPrepOutcome outcome = hooks_->HandleOperation(&prep, msg.session, msg.op);
     if (outcome.extra_cpu > 0) {
-      cpu_.Submit(outcome.extra_cpu, []() {});
+      cpu_.Charge(outcome.extra_cpu);
     }
     handled = outcome.handled;
     if (handled) {
@@ -605,7 +606,7 @@ bool ZkServer::ProposeFromPrep(PrepSession* prep, bool has_result, std::string r
     return false;
   }
   if (extra_cpu > 0) {
-    cpu_.Submit(extra_cpu, []() {});
+    cpu_.Charge(extra_cpu);
   }
   if (prep->ops().empty()) {
     return true;
@@ -750,7 +751,7 @@ void ZkServer::ApplyTxn(uint64_t zxid, const ZkTxn& txn) {
     }
   }
 
-  cpu_.Submit(static_cast<Duration>(txn.ops.size()) * costs_.apply_txn_cpu, []() {});
+  cpu_.Charge(static_cast<Duration>(txn.ops.size()) * costs_.apply_txn_cpu);
 
   // Reply to the originating client at its owner replica (results are
   // piggybacked on the transaction, §5.1.2). Deferred if the client now
@@ -795,7 +796,7 @@ void ZkServer::ApplyTxn(uint64_t zxid, const ZkTxn& txn) {
       }
       auto it = client_nodes_.find(session);
       if (it != client_nodes_.end()) {
-        cpu_.Submit(costs_.watch_fire_cpu, []() {});
+        cpu_.Charge(costs_.watch_fire_cpu);
         ZkWatchEventMsg ev{event.type, event.path};
         int copies = options_.test_double_fire_watches ? 2 : 1;
         for (int c = 0; c < copies; ++c) {

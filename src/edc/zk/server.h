@@ -65,8 +65,11 @@ struct ZkServerOptions {
 
 class ZkServer : public NetworkNode, public ZabCallbacks {
  public:
+  // `log_pool` holds the log's record bytes; the replicas of one cluster
+  // share one so each transaction is stored once (nullptr: a private pool).
   ZkServer(EventLoop* loop, Network* net, NodeId id, std::vector<NodeId> members,
-           const CostModel& costs, ZkServerOptions options);
+           const CostModel& costs, ZkServerOptions options,
+           std::shared_ptr<RecordPool> log_pool = nullptr);
   ~ZkServer() override = default;
 
   // Must be set before Start() if extensions are enabled; nullptr = plain
@@ -130,6 +133,7 @@ class ZkServer : public NetworkNode, public ZabCallbacks {
   const DataTree& tree() const { return tree_; }
   ZabNode& zab() { return *zab_; }
   CpuQueue& cpu() { return cpu_; }
+  const LogStore& log() const { return log_; }
   int64_t txns_applied() const { return txns_applied_; }
   // (zxid, FNV-1a of txn bytes) for every transaction applied since the last
   // boot/snapshot, in delivery order. Invariant checkers compare the zxid

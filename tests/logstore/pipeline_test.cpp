@@ -22,12 +22,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <memory>
 #include <set>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "edc/common/hash.h"
+#include "edc/harness/fixture.h"
 #include "edc/obs/obs.h"
 
 namespace edc {
@@ -533,6 +537,207 @@ TEST(LogStoreOwnershipTest, HeldBytesStayCloseToThePayload) {
   loop.Run();
   EXPECT_GE(log.bytes_held(), payload);
   EXPECT_LE(log.bytes_held(), payload + LogStore::kBlockBytes + 8 * records);
+}
+
+// --- One pool per cluster: replicas share identical records --------------
+
+// A Zab-shaped record: an 8-byte zxid, then `n` payload bytes.
+std::vector<uint8_t> ZxRec(uint64_t zxid, size_t n = 100) {
+  std::vector<uint8_t> r(8 + n, static_cast<uint8_t>(zxid * 7 + 1));
+  std::memcpy(r.data(), &zxid, 8);
+  return r;
+}
+
+// Three replicas on one pool; `Log(i, k)` logs record k on replica i.
+struct SharedCluster {
+  SharedCluster() {
+    for (auto& log : logs) {
+      log = std::make_unique<LogStore>(&loop, LogStoreConfig{}, pool);
+    }
+  }
+  void Log(size_t i, uint64_t k) { logs[i]->Append(ZxRec(k), nullptr); }
+  // Leader first, then each follower, in batches of 50 as a pipeline would.
+  void LogAll(uint64_t from, uint64_t to) {
+    for (uint64_t b = from; b < to; b += 50) {
+      for (size_t i = 0; i < 3; ++i) {
+        for (uint64_t k = b; k < std::min(b + 50, to); ++k) {
+          Log(i, k);
+        }
+      }
+    }
+  }
+  EventLoop loop;
+  std::shared_ptr<RecordPool> pool = std::make_shared<RecordPool>();
+  std::unique_ptr<LogStore> logs[3];
+};
+
+TEST(RecordPoolTest, ThreeStoresOnOnePoolHoldOneCopy) {
+  SharedCluster c;
+  c.LogAll(0, 3000);
+  c.loop.Run();
+  EventLoop loop;
+  LogStore alone(&loop, LogStoreConfig{});
+  for (uint64_t k = 0; k < 3000; ++k) {
+    alone.Append(ZxRec(k), nullptr);
+  }
+  loop.Run();
+  // The table is direct-mapped, so a placement evicted by a colliding one
+  // before a follower logs it is copied again: about one in a hundred here.
+  EXPECT_EQ(c.pool->placed(), 3u * 3000);
+  EXPECT_GE(c.pool->shared(), 2u * 3000 * 99 / 100);
+  EXPECT_GE(c.pool->bytes_held(), alone.bytes_held());
+  EXPECT_LE(c.pool->bytes_held(), alone.bytes_held() + RecordPool::kBlockBytes);
+  for (auto& log : c.logs) {
+    ASSERT_EQ(log->durable_size(), 3000u);
+    EXPECT_EQ(log->bytes_held(), c.pool->bytes_held());
+    for (uint64_t k = 0; k < 3000; ++k) {
+      ASSERT_EQ(At(*log, k), ZxRec(k)) << k;
+    }
+  }
+  // The simulated device still writes every replica's bytes.
+  EXPECT_EQ(c.logs[1]->appended_bytes(), alone.appended_bytes());
+}
+
+TEST(RecordPoolTest, AStoreNeverSharesItsOwnPlacements) {
+  EventLoop loop;
+  LogStore log(&loop, LogStoreConfig{});
+  log.Append(ZxRec(1), nullptr);
+  log.Append(ZxRec(1), nullptr);
+  EXPECT_EQ(log.pool().shared(), 0u);
+  EXPECT_NE(log.record(0).data(), log.record(1).data());
+  EXPECT_EQ(At(log, 0), At(log, 1));
+}
+
+TEST(RecordPoolTest, CutsOnOneStoreLeaveTheOthersUnchanged) {
+  SharedCluster c;
+  c.LogAll(0, 2000);
+  c.loop.Run();
+  c.LogAll(2000, 2100);  // in flight on every replica
+  size_t held = c.pool->bytes_held();
+  std::vector<std::span<const uint8_t>> before[3];
+  for (size_t i = 0; i < 3; ++i) {
+    for (size_t k = 0; k < c.logs[i]->appended_size(); ++k) {
+      before[i].push_back(c.logs[i]->record(k));
+    }
+  }
+  auto unchanged = [&](size_t i) {
+    ASSERT_EQ(c.logs[i]->appended_size(), before[i].size());
+    for (size_t k = 0; k < before[i].size(); ++k) {
+      ASSERT_EQ(c.logs[i]->record(k).data(), before[i][k].data()) << i << " " << k;
+      ASSERT_EQ(At(*c.logs[i], k), ZxRec(k)) << i << " " << k;
+    }
+  };
+  c.logs[0]->DropUnsynced();
+  EXPECT_EQ(c.logs[0]->appended_size(), 2000u);
+  c.logs[0]->Truncate(1500);
+  c.logs[0]->DropHead(1000);
+  EXPECT_EQ(At(*c.logs[0], 0), ZxRec(1000));
+  unchanged(1);
+  unchanged(2);
+  c.logs[1]->Truncate(0);
+  unchanged(2);
+  c.loop.Run();
+  EXPECT_EQ(c.logs[2]->durable_size(), 2100u);
+  // Replica 2 still references every record, so no block was freed.
+  EXPECT_EQ(c.pool->bytes_held(), held);
+  // Once no store references a block, only the fill block stays.
+  c.logs[0].reset();
+  c.logs[2]->DropHead(2100);
+  EXPECT_EQ(c.pool->bytes_held(), RecordPool::kBlockBytes);
+}
+
+TEST(RecordPoolTest, SameKeyDifferentBytesStaySeparate) {
+  EventLoop loop;
+  auto pool = std::make_shared<RecordPool>();
+  LogStore a(&loop, LogStoreConfig{}, pool);
+  LogStore b(&loop, LogStoreConfig{}, pool);
+  // Same length, same first and last 8 bytes: only the middle differs.
+  std::vector<uint8_t> r1 = ZxRec(42, 64);
+  std::vector<uint8_t> r2 = r1;
+  r2[40] ^= 0xff;
+  a.Append(r1, nullptr);
+  b.Append(r2, nullptr);
+  a.Append(r2, nullptr);  // now equal to b's placement
+  EXPECT_EQ(pool->shared(), 1u);
+  EXPECT_EQ(At(a, 0), r1);
+  EXPECT_EQ(At(b, 0), r2);
+  EXPECT_EQ(At(a, 1), r2);
+  EXPECT_NE(a.record(0).data(), b.record(0).data());
+  EXPECT_EQ(a.record(1).data(), b.record(0).data());
+}
+
+TEST(RecordPoolTest, FreedBlockIsNeverReturnedByALaterLookup) {
+  EventLoop loop;
+  auto pool = std::make_shared<RecordPool>();
+  LogStore a(&loop, LogStoreConfig{}, pool);
+  LogStore b(&loop, LogStoreConfig{}, pool);
+  const std::vector<uint8_t> x = ZxRec(7, 1000);
+  a.Append(x, nullptr);
+  // Fill the rest of x's block so a second block becomes the fill block.
+  const size_t per_block = RecordPool::kBlockBytes / x.size();
+  for (size_t k = 0; k < per_block; ++k) {
+    a.Append(ZxRec(100 + k, 1000), nullptr);
+  }
+  ASSERT_EQ(pool->bytes_held(), 2 * RecordPool::kBlockBytes);
+  a.Truncate(0);  // frees x's block; the fill block stays
+  ASSERT_EQ(pool->bytes_held(), RecordPool::kBlockBytes);
+  // The table still names x's placement, but its block is gone: b copies.
+  b.Append(x, nullptr);
+  EXPECT_EQ(pool->shared(), 0u);
+  EXPECT_EQ(At(b, 0), x);
+  // A block that reuses the freed slot is not mistaken for x's either.
+  a.Append(std::vector<uint8_t>(2 * RecordPool::kBlockBytes, 0x33), nullptr);
+  LogStore c(&loop, LogStoreConfig{}, pool);
+  c.Append(x, nullptr);
+  EXPECT_EQ(At(c, 0), x);
+  EXPECT_EQ(c.record(0).data(), b.record(0).data());
+}
+
+TEST(RecordPoolTest, RestoreImageGoesThroughThePool) {
+  SharedCluster c;
+  c.LogAll(0, 500);
+  c.loop.Run();
+  std::vector<uint8_t> image = c.logs[0]->SerializeImage();
+  size_t held = c.pool->bytes_held();
+  uint64_t shared = c.pool->shared();
+  // Replica 1 restarts from replica 0's image: most of its records become
+  // references to copies already in the pool (the rest were evicted from
+  // the table by later placements, or were replica 1's own copies).
+  ASSERT_EQ(c.logs[1]->RestoreImage(image).value(), 500u);
+  EXPECT_GE(c.pool->shared(), shared + 500 * 8 / 10);
+  EXPECT_LE(c.pool->bytes_held(), held + RecordPool::kBlockBytes);
+  EXPECT_EQ(Durable(*c.logs[1]), Durable(*c.logs[0]));
+  EXPECT_EQ(c.logs[1]->SerializeImage(), image);
+}
+
+TEST(RecordPoolTest, FixtureReplicasShareOnePool) {
+  FixtureOptions options;
+  options.system = SystemKind::kExtensibleZooKeeper;
+  ClusterFixture fix(options);
+  fix.Start();
+  for (int i = 0; i < 200; ++i) {
+    fix.loop().Schedule(Millis(10) + Micros(200) * i, [&fix, i]() {
+      fix.coord(0)->Create("/k" + std::to_string(i), std::string(64, 'v'),
+                           [](Result<std::string>) {});
+    });
+  }
+  fix.Settle(Seconds(2));
+  ASSERT_EQ(fix.zk_servers.size(), 3u);
+  const RecordPool& pool = fix.zk_servers[0]->log().pool();
+  const LogStore& leader_log = fix.zk_servers[0]->log();
+  ASSERT_GE(leader_log.durable_size(), 200u);
+  for (const auto& server : fix.zk_servers) {
+    const LogStore& log = server->log();
+    EXPECT_EQ(&log.pool(), &pool);
+    ASSERT_EQ(log.durable_size(), leader_log.durable_size());
+    for (size_t i = 0; i < log.durable_size(); ++i) {
+      ASSERT_EQ(At(log, i), At(leader_log, i)) << i;
+    }
+  }
+  // Every record is logged three times; all but the first placement can be
+  // a reference, and nearly all are.
+  EXPECT_EQ(pool.placed(), 3 * leader_log.appended_size());
+  EXPECT_GE(pool.shared(), 2 * leader_log.appended_size() * 95 / 100);
 }
 
 }  // namespace
