@@ -54,7 +54,7 @@ void Main() {
   depth1.num_clients = 50;
   depth1.observability = true;
   depth1.zk_server.log = LegacyLogStoreConfig();
-  depth1.zk_server.zab_ack_aggregation = false;
+  depth1.zk_server.zab.ack_aggregation = false;
   sweep.points.push_back({"ezk-depth1", 50, {"ezk-depth1", "50"}, depth1, 0, [](CoordFixture& f) {
                             return CounterRun(f, SystemKind::kExtensibleZooKeeper);
                           }});

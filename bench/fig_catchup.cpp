@@ -107,7 +107,7 @@ void Main() {
       FixtureOptions options;
       options.system = SystemKind::kZooKeeper;
       options.num_clients = 1;
-      options.zk_server.zab_snapshot_every = snapshot_ship ? 16 : 0;
+      options.zk_server.zab.snapshot_every = snapshot_ship ? 16 : 0;
       // A constrained link (10 Mbit/s) so the shipped bytes show up in the
       // catch-up time instead of disappearing into LAN serialization slack.
       options.link.bandwidth_bps = 1e7;

@@ -134,6 +134,13 @@ ctest --output-on-failure -j "$JOBS" --no-tests=error \
 echo "== spotlight: EZK failover digest, recorded before the single-copy log =="
 ctest --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'ElisionDigestTest\.EzkFailoverDigestsPinned'
+# Every replica group boots through one fixture path and both shard routers
+# share one retry core: the sharded EDS digests (fan-out join, scatter-gather,
+# crash-restart, AddShard) and the 2-shard EZK two-phase digests were recorded
+# before either was merged.
+echo "== spotlight: sharded EDS and 2-shard EZK two-phase digests =="
+ctest --output-on-failure -j "$JOBS" --no-tests=error \
+  -R 'ElisionDigestTest\.(ShardedEdsDigestsPinned|TwoPhaseDigestsIdenticalWithVmOnAndOff)'
 echo "== spotlight: LogStore ownership and shared-pool rules, TRUNC with appends in flight, malformed kPropose =="
 ctest --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'LogStoreOwnershipTest\.|RecordPoolTest\.|PipelineZabTrunc\.|PipelineZabPropose\.'

@@ -15,6 +15,13 @@
 
 namespace edc {
 
+// Faulty replicas a group of `replicas` tolerates: f with 3f + 1 <= replicas.
+// Replicas order with 2f + 1 matching votes; clients accept f + 1 matching
+// replies.
+constexpr size_t BftFaultThreshold(size_t replicas) {
+  return replicas == 0 ? 0 : (replicas - 1) / 3;
+}
+
 constexpr uint32_t kBftTypeBase = 300;
 
 enum class BftMsgType : uint32_t {

@@ -11,17 +11,15 @@
 namespace edc {
 
 BftReplica::BftReplica(EventLoop* loop, Network* net, CpuQueue* cpu, const CostModel& costs,
-                       BftConfig config, BftCallbacks* callbacks)
+                       NodeId self, std::vector<NodeId> members, BftCallbacks* callbacks)
     : loop_(loop),
       net_(net),
       cpu_(cpu),
       costs_(costs),
-      config_(std::move(config)),
-      callbacks_(callbacks) {
-  assert(config_.members.size() >= static_cast<size_t>(3 * config_.f + 1));
-  assert(config_.checkpoint_interval > 0);
-  assert(config_.watermark_window >= 2 * config_.checkpoint_interval);
-}
+      self_(self),
+      members_(std::move(members)),
+      f_(BftFaultThreshold(members_.size())),
+      callbacks_(callbacks) {}
 
 void BftReplica::Start() {
   ++generation_;
@@ -88,7 +86,7 @@ size_t BftReplica::dedup_ids() const {
 
 void BftReplica::SendTo(NodeId dst, BftMsgType type, std::vector<uint8_t> payload) {
   Packet pkt;
-  pkt.src = config_.self;
+  pkt.src = self_;
   pkt.dst = dst;
   pkt.type = static_cast<uint32_t>(type);
   pkt.payload = std::move(payload);
@@ -96,8 +94,8 @@ void BftReplica::SendTo(NodeId dst, BftMsgType type, std::vector<uint8_t> payloa
 }
 
 void BftReplica::BroadcastToReplicas(BftMsgType type, const std::vector<uint8_t>& payload) {
-  for (NodeId peer : config_.members) {
-    if (peer != config_.self) {
+  for (NodeId peer : members_) {
+    if (peer != self_) {
       SendTo(peer, type, payload);
     }
   }
@@ -303,7 +301,7 @@ void BftReplica::ProposePending() {
   if (pending_.empty()) {
     return;
   }
-  if (next_seq_ >= low_watermark_ + config_.watermark_window) {
+  if (next_seq_ >= low_watermark_ + kWatermarkWindow) {
     ArmRequestTimer();
     return;
   }
@@ -330,14 +328,14 @@ void BftReplica::Propose(BftBatch batch) {
   entry.digest = BatchDigest(seq, ts, batch);
   SetBatch(entry, batch);
   entry.has_batch = true;
-  entry.prepares.insert(config_.self);  // pre-prepare counts as the primary's prepare
+  entry.prepares.insert(self_);  // pre-prepare counts as the primary's prepare
 
   if (equivocate_) {
     // Byzantine primary: stamp a different timestamp for every backup, so
     // digests diverge and no backup ever collects a matching quorum.
     SimTime bogus = ts;
-    for (NodeId peer : config_.members) {
-      if (peer == config_.self) {
+    for (NodeId peer : members_) {
+      if (peer == self_) {
         continue;
       }
       bogus += 1;
@@ -369,7 +367,7 @@ void BftReplica::OnPrePrepare(NodeId from, PrePrepareMsg&& msg) {
   SetBatch(entry, std::move(msg.batch));
   entry.has_batch = true;
   entry.prepares.insert(from);          // primary's pre-prepare
-  entry.prepares.insert(config_.self);  // our own prepare
+  entry.prepares.insert(self_);  // our own prepare
   PhaseMsg prepare{view_, msg.seq, entry.digest};
   if (m_prepares_ != nullptr) {
     m_prepares_->Increment();
@@ -402,7 +400,7 @@ void BftReplica::CheckPrepared(uint64_t seq) {
     return;
   }
   entry.sent_commit = true;
-  entry.commits.insert(config_.self);
+  entry.commits.insert(self_);
   PhaseMsg commit{view_, seq, entry.digest};
   if (m_commits_ != nullptr) {
     m_commits_->Increment();
@@ -453,7 +451,7 @@ void BftReplica::TryExecute() {
     }
     last_exec_ts_ = entry.ts + static_cast<SimTime>(std::max<size_t>(entry.batch.size(), 1)) - 1;
     EraseEntries(it, std::next(it));
-    if (last_executed_ % config_.checkpoint_interval == 0) {
+    if (last_executed_ % kCheckpointInterval == 0) {
       TakeLocalCheckpoint();
     }
   }
@@ -477,7 +475,7 @@ void BftReplica::ExecuteRequest(const BftRequest& req, SimTime ts) {
   if (obs_ != nullptr) {
     auto rit = request_trace_.find({req.client, req.req_id});
     if (rit != request_trace_.end()) {
-      obs_->tracer.RecordSpanIn(rit->second.ctx, "bft.order", Stage::kOther, config_.self,
+      obs_->tracer.RecordSpanIn(rit->second.ctx, "bft.order", Stage::kOther, self_,
                                 rit->second.at, loop_->now());
       prev = obs_->tracer.current();
       obs_->tracer.SetCurrent(rit->second.ctx);
@@ -536,7 +534,7 @@ std::vector<uint8_t> BftReplica::ComposeCheckpoint() {
 void BftReplica::GcDedup() {
   for (auto& [client, dedup] : executed_reqs_) {
     uint64_t hi = dedup.ids.empty() ? dedup.floor : *dedup.ids.rbegin();
-    uint64_t floor = hi > config_.dedup_window ? hi - config_.dedup_window : 0;
+    uint64_t floor = hi > kDedupWindow ? hi - kDedupWindow : 0;
     if (floor > dedup.floor) {
       dedup.floor = floor;
     }
@@ -560,7 +558,7 @@ void BftReplica::TakeLocalCheckpoint() {
     m_checkpoints_->Increment();
   }
   BroadcastToReplicas(BftMsgType::kCheckpoint, EncodeMsg(msg));
-  AddCheckpointVote(config_.self, msg.seq, msg.digest, view_);
+  AddCheckpointVote(self_, msg.seq, msg.digest, view_);
 }
 
 void BftReplica::OnCheckpoint(NodeId from, const CheckpointMsg& msg) {
@@ -594,7 +592,7 @@ void BftReplica::OnStateResponse(NodeId from, StateResponseMsg&& msg) {
   }
   if (msg.seq > last_executed_) {
     auto& by_digest = offered_states_[msg.seq];
-    if (by_digest.size() < static_cast<size_t>(config_.f + 1) ||
+    if (by_digest.size() < f_ + 1 ||
         by_digest.count(msg.digest) > 0) {
       by_digest[msg.digest] = std::move(msg.state);
     }
@@ -607,7 +605,7 @@ void BftReplica::OnStateResponse(NodeId from, StateResponseMsg&& msg) {
 
 void BftReplica::AddCheckpointVote(NodeId from, uint64_t seq, uint64_t digest,
                                    uint64_t claimed_view) {
-  if (from != config_.self) {
+  if (from != self_) {
     uint64_t& claimed = claimed_views_[from];
     claimed = std::max(claimed, claimed_view);
     MaybeAdoptView();
@@ -632,7 +630,7 @@ void BftReplica::AddCheckpointVote(NodeId from, uint64_t seq, uint64_t digest,
         ++matching;
       }
     }
-    if (matching >= static_cast<size_t>(2 * config_.f + 1)) {
+    if (matching >= 2 * f_ + 1) {
       MakeStable(seq);
       return;
     }
@@ -647,7 +645,7 @@ void BftReplica::AddCheckpointVote(NodeId from, uint64_t seq, uint64_t digest,
         ++agreeing;
       }
     }
-    if (agreeing >= static_cast<size_t>(config_.f + 1)) {
+    if (agreeing >= f_ + 1) {
       bool reachable = true;
       for (uint64_t s = last_executed_ + 1; s <= seq; ++s) {
         auto it = entries_.find(s);
@@ -672,7 +670,7 @@ void BftReplica::MaybeAdoptView() {
   // f+1 peers reporting view >= v means at least one honest replica moved to
   // v: a rejoining replica adopts it instead of fighting through redundant
   // view changes. v is the (f+1)-th largest claimed view.
-  if (claimed_views_.size() < static_cast<size_t>(config_.f + 1)) {
+  if (claimed_views_.size() < f_ + 1) {
     return;
   }
   std::vector<uint64_t> views;
@@ -681,9 +679,9 @@ void BftReplica::MaybeAdoptView() {
     views.push_back(v);
   }
   std::sort(views.begin(), views.end(), std::greater<uint64_t>());
-  uint64_t adopted = views[config_.f];
+  uint64_t adopted = views[f_];
   if (adopted > view_) {
-    EDC_LOG(kDebug) << "replica " << config_.self << " adopts view " << adopted
+    EDC_LOG(kDebug) << "replica " << self_ << " adopts view " << adopted
                     << " from checkpoint traffic (was " << view_ << ")";
     view_ = adopted;
     view_changing_ = false;
@@ -710,7 +708,7 @@ void BftReplica::MakeStable(uint64_t seq) {
   for (auto it = view_changes_.begin(); it != view_changes_.end();) {
     it = it->first <= view_ ? view_changes_.erase(it) : std::next(it);
   }
-  EDC_LOG(kDebug) << "replica " << config_.self << " stable checkpoint at " << seq;
+  EDC_LOG(kDebug) << "replica " << self_ << " stable checkpoint at " << seq;
   if (is_primary() && !view_changing_) {
     ProposePending();  // the watermark advance may have reopened the window
   }
@@ -733,7 +731,7 @@ void BftReplica::MaybeInstallState() {
       ++by_digest[d];
     }
     for (const auto& [digest, votes] : by_digest) {
-      if (votes < static_cast<size_t>(config_.f + 1)) {
+      if (votes < f_ + 1) {
         continue;
       }
       auto state = offered->second.find(digest);
@@ -758,7 +756,7 @@ bool BftReplica::InstallCheckpoint(uint64_t seq, const std::vector<uint8_t>& sta
     return false;
   }
   if (auto s = callbacks_->RestoreSnapshot({service.begin(), service.end()}); !s.ok()) {
-    EDC_LOG(kWarn) << "replica " << config_.self << " snapshot restore failed: "
+    EDC_LOG(kWarn) << "replica " << self_ << " snapshot restore failed: "
                    << s.message();
     return false;
   }
@@ -792,7 +790,7 @@ bool BftReplica::InstallCheckpoint(uint64_t seq, const std::vector<uint8_t>& sta
   for (auto it = pending_.begin(); it != pending_.end();) {
     it = AlreadyOrdered(*it) ? pending_.erase(it) : std::next(it);
   }
-  EDC_LOG(kInfo) << "replica " << config_.self << " installed checkpoint " << seq
+  EDC_LOG(kInfo) << "replica " << self_ << " installed checkpoint " << seq
                  << " via state transfer";
   TryExecute();  // entries beyond the checkpoint may already be committed
   return true;
@@ -806,7 +804,7 @@ void BftReplica::ScheduleCatchupProbe() {
   StateRequestMsg req{last_executed_};
   BroadcastToReplicas(BftMsgType::kStateRequest, EncodeMsg(req));
   uint64_t gen = generation_;
-  loop_->Schedule(config_.request_timeout * 2, [this, gen]() {
+  loop_->Schedule(kRequestTimeout * 2, [this, gen]() {
     if (gen != generation_ || !running_) {
       return;
     }
@@ -831,7 +829,7 @@ void BftReplica::ArmRequestTimer() {
   }
   exec_at_arm_ = last_executed_;
   uint64_t gen = generation_;
-  request_timer_ = loop_->Schedule(config_.request_timeout, [this, gen]() {
+  request_timer_ = loop_->Schedule(kRequestTimeout, [this, gen]() {
     if (gen != generation_ || !running_) {
       return;
     }
@@ -877,11 +875,11 @@ void BftReplica::StartViewChange(uint64_t new_view) {
       msg.prepared.push_back(PreparedEntry{entry.view, seq, entry.ts, entry.batch});
     }
   }
-  EDC_LOG(kDebug) << "replica " << config_.self << " view-change to " << new_view;
-  view_changes_[new_view][config_.self] = msg;
+  EDC_LOG(kDebug) << "replica " << self_ << " view-change to " << new_view;
+  view_changes_[new_view][self_] = msg;
   BroadcastToReplicas(BftMsgType::kViewChange, EncodeMsg(msg));
   ArmRequestTimer();  // keep escalating if this view change stalls
-  OnViewChange(config_.self, std::move(msg));
+  OnViewChange(self_, std::move(msg));
 }
 
 void BftReplica::OnViewChange(NodeId from, ViewChangeMsg&& msg) {
@@ -893,12 +891,12 @@ void BftReplica::OnViewChange(NodeId from, ViewChangeMsg&& msg) {
   uint64_t new_view = quorum.begin()->second.new_view;
 
   // Join a view change that f+1 others already back, even without a timeout.
-  if (!view_changing_ && quorum.size() >= static_cast<size_t>(config_.f + 1)) {
+  if (!view_changing_ && quorum.size() >= f_ + 1) {
     StartViewChange(new_view);
     return;
   }
-  if (quorum.size() < static_cast<size_t>(2 * config_.f + 1) ||
-      PrimaryOf(new_view) != config_.self) {
+  if (quorum.size() < 2 * f_ + 1 ||
+      PrimaryOf(new_view) != self_) {
     return;
   }
   // We are the new primary: re-propose, per sequence number, the batch
@@ -932,7 +930,7 @@ void BftReplica::OnViewChange(NodeId from, ViewChangeMsg&& msg) {
     }
   }
   BroadcastToReplicas(BftMsgType::kNewView, EncodeMsg(nv));
-  OnNewView(config_.self, std::move(nv));
+  OnNewView(self_, std::move(nv));
 }
 
 void BftReplica::OnNewView(NodeId from, NewViewMsg&& msg) {
@@ -971,7 +969,7 @@ void BftReplica::AdoptEntry(const PreparedEntry& e, uint64_t view) {
   SetBatch(entry, e.batch);
   entry.has_batch = true;
   entry.prepares.insert(PrimaryOf(view));
-  entry.prepares.insert(config_.self);
+  entry.prepares.insert(self_);
   PhaseMsg prepare{view, e.seq, entry.digest};
   if (m_prepares_ != nullptr) {
     m_prepares_->Increment();

@@ -22,7 +22,7 @@
 // next batch past the previous one's last request.
 //
 // View change (simplified but quorum-sound): a backup that buffers a client
-// request and sees no execution within `request_timeout` broadcasts
+// request and sees no execution within `kRequestTimeout` broadcasts
 // VIEW-CHANGE carrying its prepared batches, each tagged with the view it
 // was prepared in. On 2f+1 such messages the new primary re-proposes, per
 // sequence number, the batch prepared in the highest view (gaps padded with
@@ -35,13 +35,13 @@
 // agreement and drives the ensemble through a view change.
 //
 // Checkpoints, log GC and state transfer (docs/bft_recovery.md): every
-// `checkpoint_interval` executed sequence numbers (batches, as in PBFT) a
+// `kCheckpointInterval` executed sequence numbers (batches, as in PBFT) a
 // replica fingerprints its full state (a header with the executed sequence
 // number and op count, the service snapshot and the bounded request-dedup
 // summary) and broadcasts CHECKPOINT(seq, digest). On 2f+1 matching digests the
 // checkpoint is stable: the low watermark advances to it, entries at or
 // below it are garbage-collected, and pre-prepares outside
-// (low, low + watermark_window] are rejected. A replica that detects f+1
+// (low, low + kWatermarkWindow] are rejected. A replica that detects f+1
 // peers vouching for a checkpoint above its own execution point (after a
 // restart, or having slept through a partition) fetches the state with
 // STATE-REQUEST/STATE-RESPONSE, verifies the payload hash against the f+1
@@ -99,27 +99,28 @@ class BftCallbacks {
   }
 };
 
-struct BftConfig {
-  std::vector<NodeId> members;  // size 3f+1
-  NodeId self = 0;
-  int f = 1;
-  Duration request_timeout = Millis(300);
+class BftReplica {
+ public:
+  // A backup that waits this long on a request it saw but the primary has not
+  // ordered suspects the primary and starts a view change.
+  static constexpr Duration kRequestTimeout = Millis(300);
   // Checkpoint every K executed sequence numbers (batches)...
-  uint64_t checkpoint_interval = 8;
+  static constexpr uint64_t kCheckpointInterval = 8;
   // ...and accept pre-prepares only within (low, low + window]. Must be a
-  // multiple of checkpoint_interval and at least 2x it, or ordering can
-  // wedge with no checkpoint boundary inside the window.
-  uint64_t watermark_window = 32;
+  // multiple of the interval and at least 2x it, or ordering can wedge with
+  // no checkpoint boundary inside the window.
+  static constexpr uint64_t kWatermarkWindow = 32;
+  static_assert(kWatermarkWindow % kCheckpointInterval == 0 &&
+                kWatermarkWindow >= 2 * kCheckpointInterval);
   // Per-client executed-request-id memory: ids more than this far below the
   // client's newest executed id are treated as already executed (GC'd at
   // checkpoint boundaries so the dedup map stays bounded).
-  uint64_t dedup_window = 64;
-};
+  static constexpr uint64_t kDedupWindow = 64;
 
-class BftReplica {
- public:
-  BftReplica(EventLoop* loop, Network* net, CpuQueue* cpu, const CostModel& costs,
-             BftConfig config, BftCallbacks* callbacks);
+  // `members` is the replica group, `self` among them. It tolerates
+  // BftFaultThreshold(members.size()) faulty replicas.
+  BftReplica(EventLoop* loop, Network* net, CpuQueue* cpu, const CostModel& costs, NodeId self,
+             std::vector<NodeId> members, BftCallbacks* callbacks);
 
   BftReplica(const BftReplica&) = delete;
   BftReplica& operator=(const BftReplica&) = delete;
@@ -135,13 +136,13 @@ class BftReplica {
 
   bool running() const { return running_; }
   uint64_t view() const { return view_; }
-  bool is_primary() const { return running_ && PrimaryOf(view_) == config_.self; }
+  bool is_primary() const { return running_ && PrimaryOf(view_) == self_; }
   uint64_t last_executed() const { return last_executed_; }
   uint64_t executed_ops() const { return executed_ops_; }
 
   // Checkpoint/GC observability (harness invariants and recovery tests).
   uint64_t low_watermark() const { return low_watermark_; }
-  uint64_t watermark_window() const { return config_.watermark_window; }
+  uint64_t watermark_window() const { return kWatermarkWindow; }
   size_t log_entries() const { return entries_.size(); }
   uint64_t min_entry_seq() const { return entries_.empty() ? 0 : entries_.begin()->first; }
   size_t dedup_ids() const;       // total request ids tracked across clients
@@ -179,13 +180,11 @@ class BftReplica {
     std::vector<uint64_t> ids;  // sorted; a client's ids mostly arrive in order
   };
 
-  size_t PrepareQuorum() const { return static_cast<size_t>(2 * config_.f + 1); }
-  size_t CommitQuorum() const { return static_cast<size_t>(2 * config_.f + 1); }
-  NodeId PrimaryOf(uint64_t view) const {
-    return config_.members[view % config_.members.size()];
-  }
+  size_t PrepareQuorum() const { return 2 * f_ + 1; }
+  size_t CommitQuorum() const { return 2 * f_ + 1; }
+  NodeId PrimaryOf(uint64_t view) const { return members_[view % members_.size()]; }
   bool InWindow(uint64_t seq) const {
-    return seq > low_watermark_ && seq <= low_watermark_ + config_.watermark_window;
+    return seq > low_watermark_ && seq <= low_watermark_ + kWatermarkWindow;
   }
 
   void SendTo(NodeId dst, BftMsgType type, std::vector<uint8_t> payload);
@@ -223,7 +222,7 @@ class BftReplica {
 
   // ---- checkpointing / GC / state transfer ----
   std::vector<uint8_t> ComposeCheckpoint();  // state at last_executed_
-  void TakeLocalCheckpoint();                // every checkpoint_interval execs
+  void TakeLocalCheckpoint();                // every kCheckpointInterval execs
   void GcDedup();
   void OnCheckpoint(NodeId from, const CheckpointMsg& msg);
   void OnStateRequest(NodeId from, const StateRequestMsg& msg);
@@ -240,7 +239,9 @@ class BftReplica {
   Network* net_;
   CpuQueue* cpu_;
   CostModel costs_;
-  BftConfig config_;
+  const NodeId self_;
+  const std::vector<NodeId> members_;  // size 3f+1
+  const size_t f_;
   BftCallbacks* callbacks_;
 
   bool running_ = false;

@@ -498,7 +498,6 @@ ScheduleResult RunSchedule(const ExplorerOptions& options, const PlanSpec& plan)
       options.num_clients);
   fo.seed = options.seed;
   fo.zk_server = options.zk_server;
-  fo.zk_server.test_double_fire_watches = options.double_fire_bug;
   // Fast failover so a schedule's fault windows are survivable within the
   // run: short session timeout, frequent pings, quick reconnect.
   fo.zk_client.session_timeout = Millis(1500);

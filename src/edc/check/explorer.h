@@ -84,13 +84,11 @@ struct ExplorerOptions {
     kWatchPair,  // deterministic: client 0 arms a watch, client 1 trips it
   };
   Workload workload = Workload::kRandom;
-  // Plants ZkServerOptions::test_double_fire_watches on every replica; the
-  // negative tests prove the checker catches and shrinks it.
-  bool double_fire_bug = false;
   // Forwarded verbatim to every ZK-family replica. The pipeline crash sweep
   // plants an aggressively pipelined LogStoreConfig here so crash episodes
-  // land while several batches are in flight; defaults reproduce the plain
-  // sweep configuration.
+  // land while several batches are in flight, and the checker's negative
+  // tests plant test_double_fire_watches to prove a double-fired watch is
+  // caught and shrunk; defaults reproduce the plain sweep configuration.
   ZkServerOptions zk_server;
 };
 

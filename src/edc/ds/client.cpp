@@ -10,6 +10,7 @@ DsClient::DsClient(EventLoop* loop, Network* net, NodeId id, ShardView view,
       net_(net),
       id_(id),
       replicas_(std::move(view.ensemble)),
+      f_(BftFaultThreshold(replicas_.size())),
       shard_id_(view.shard_id),
       map_version_(view.map_version),
       options_(options),
@@ -129,8 +130,8 @@ void DsClient::HandlePacket(Packet&& pkt) {
     return;
   }
   std::string key(reply->payload.begin(), reply->payload.end());
-  int votes = ++it->second.votes[key];
-  if (votes < options_.f + 1) {
+  size_t votes = ++it->second.votes[key];
+  if (votes < f_ + 1) {
     return;
   }
   ReplyCb done = std::move(it->second.done);

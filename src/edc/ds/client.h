@@ -29,8 +29,9 @@
 
 namespace edc {
 
+// A client accepts a result once f + 1 replicas sent the same reply, with f
+// the ensemble's BftFaultThreshold.
 struct DsClientOptions {
-  int f = 1;
   Duration lease = Seconds(2);
   Duration renew_interval = Millis(500);
   // Retransmit policy: initial_backoff is the first retransmit delay (loss
@@ -123,7 +124,7 @@ class DsClient : public NetworkNode, public DsApi {
   struct PendingCall {
     DsOp op;
     ReplyCb done;
-    std::map<std::string, int> votes;  // encoded reply -> count
+    std::map<std::string, size_t> votes;  // encoded reply -> count
     int attempts = 0;
     Duration backoff = 0;  // next retransmit delay
     TimerId retry_timer = kInvalidTimer;  // cancelled once the reply vote completes
@@ -137,6 +138,7 @@ class DsClient : public NetworkNode, public DsApi {
   Network* net_;
   NodeId id_;
   ServerList replicas_;
+  size_t f_;  // faulty replicas tolerated; f_ + 1 matching replies decide
   uint32_t shard_id_ = 0;
   uint64_t map_version_ = 0;
   DsClientOptions options_;

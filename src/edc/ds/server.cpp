@@ -135,16 +135,8 @@ DsServer::DsServer(EventLoop* loop, Network* net, NodeId id, std::vector<NodeId>
       id_(id),
       costs_(costs),
       options_(std::move(options)),
-      cpu_(loop, options_.cpu_cores) {
-  BftConfig cfg;
-  cfg.members = std::move(members);
-  cfg.self = id;
-  cfg.f = options_.f;
-  cfg.request_timeout = options_.request_timeout;
-  cfg.checkpoint_interval = options_.checkpoint_interval;
-  cfg.watermark_window = options_.watermark_window;
-  cfg.dedup_window = options_.dedup_window;
-  bft_ = std::make_unique<BftReplica>(loop, net, &cpu_, costs, cfg, this);
+      cpu_(loop, kReplicaCores) {
+  bft_ = std::make_unique<BftReplica>(loop, net, &cpu_, costs, id, std::move(members), this);
   space_.SetRemovalListener([this](const DsEntry& e) {
     if (hooks_ != nullptr) {
       hooks_->OnTupleRemoved(e.seq);
@@ -417,7 +409,7 @@ DsExecOutcome DsServer::ExecuteNormal(DsExecContext* ctx, const DsOp& op) {
 }
 
 void DsServer::ProcessEvents(DsExecContext* ctx, Duration* extra_cpu) {
-  for (size_t round = 0; round < options_.max_event_rounds; ++round) {
+  for (size_t round = 0; round < kMaxEventRounds; ++round) {
     if (ctx->events().empty()) {
       return;
     }

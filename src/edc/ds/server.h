@@ -52,17 +52,11 @@ struct DsPolicy {
   CheckFn check;  // empty = accept all
 };
 
+// The PBFT ordering layer has no knobs: its timeouts and windows are
+// BftReplica constants and f follows from the replica group's size.
 struct DsServerOptions {
-  int cpu_cores = 1;
-  int f = 1;
-  Duration request_timeout = Millis(300);
   DsAccessControl access;
   DsPolicy policy;
-  size_t max_event_rounds = 8;  // unblock/event-extension cascade cap
-  // Passed through to BftConfig (see replica.h for the constraints).
-  uint64_t checkpoint_interval = 8;
-  uint64_t watermark_window = 32;
-  uint64_t dedup_window = 64;
 };
 
 // State-access facade handed to normal execution, extensions and event
@@ -111,6 +105,9 @@ class DsExecContext {
 
 class DsServer : public NetworkNode, public BftCallbacks {
  public:
+  // Cap on the unblock/event-extension cascade one operation may trigger.
+  static constexpr size_t kMaxEventRounds = 8;
+
   DsServer(EventLoop* loop, Network* net, NodeId id, std::vector<NodeId> members,
            const CostModel& costs, DsServerOptions options);
 

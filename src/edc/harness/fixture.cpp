@@ -69,188 +69,144 @@ void CoordFixture::CollectMetrics() {
   }
 }
 
+template <typename Node>
+Node* CoordFixture::Track(std::unique_ptr<Node> node, std::vector<std::unique_ptr<Node>>& owner) {
+  if (options_.observability) {
+    node->SetObs(&obs_);
+  }
+  owner.push_back(std::move(node));
+  return owner.back().get();
+}
+
+template <typename Server, typename Manager>
+Server* CoordFixture::AddReplica(std::unique_ptr<Server> server,
+                                 std::vector<std::unique_ptr<Server>>& servers,
+                                 std::vector<std::unique_ptr<Manager>>& managers) {
+  Server* raw = Track(std::move(server), servers);
+  NodeId id = raw->id();
+  net_->Register(id, raw);
+  faults_->RegisterProcess(
+      id,
+      [this, raw, id]() {
+        raw->Crash();
+        net_->SetNodeUp(id, false);
+      },
+      [this, raw, id]() {
+        net_->SetNodeUp(id, true);
+        raw->Restart();
+      });
+  if (IsExtensible(options_.system)) {
+    managers.push_back(std::make_unique<Manager>(raw, options_.limits));
+  }
+  return raw;
+}
+
 void CoordFixture::Start() {
   if (options_.observability) {
     WireObservability();
   }
-  if (options_.num_shards > 1) {
-    StartSharded();
-    return;
+  for (size_t s = 0; s < options_.num_shards; ++s) {
+    BootShard(s);
   }
-  if (IsZkFamily(options_.system)) {
-    std::vector<NodeId> members{1, 2, 3};
-    for (NodeId id : members) {
-      auto server = std::make_unique<ZkServer>(&loop_, net_.get(), id, members,
-                                               options_.costs, options_.zk_server, log_pool_);
-      if (options_.observability) {
-        server->SetObs(&obs_);
-      }
-      net_->Register(id, server.get());
-      ZkServer* raw = server.get();
-      faults_->RegisterProcess(
-          id,
-          [this, raw, id]() {
-            raw->Crash();
-            net_->SetNodeUp(id, false);
-          },
-          [this, raw, id]() {
-            net_->SetNodeUp(id, true);
-            raw->Restart();
-          });
-      zk_servers.push_back(std::move(server));
-    }
-    if (IsExtensible(options_.system)) {
-      for (auto& server : zk_servers) {
-        zk_managers_.push_back(
-            std::make_unique<ZkExtensionManager>(server.get(), options_.limits));
-      }
-    }
-    for (auto& server : zk_servers) {
-      server->Start();
-    }
-    loop_.RunUntil(loop_.now() + Seconds(2));  // leader election
+  const bool zk = IsZkFamily(options_.system);
+  const bool sharded = options_.num_shards > 1;
+  if (zk) {
+    loop_.RunUntil(loop_.now() + Seconds(2));  // leader elections
+  }
+  if (sharded) {
+    PushShardVersions();
+  }
 
-    size_t connected = 0;
-    for (size_t i = 0; i < options_.num_clients; ++i) {
-      NodeId node = client_node(i);
-      // Full ensemble list so fixture clients fail over during chaos runs;
-      // preferred index keeps the historical round-robin initial placement.
-      ServerList ensemble{members, i % members.size()};
-      auto client = std::make_unique<ZkClient>(&loop_, net_.get(), node,
+  // One client per coord(i): a raw client on the single replica group, a
+  // router over the shard map otherwise.
+  auto source = [this]() { return shard_map_; };
+  const ServerList& group = shard_map_.entry(0).ensemble;
+  size_t connected = 0;
+  for (size_t i = 0; i < options_.num_clients; ++i) {
+    NodeId node = client_node(i);
+    if (zk) {
+      ZkApi* api = nullptr;
+      if (sharded) {
+        api = Track(std::make_unique<ZkShardRouter>(&loop_, net_.get(), node, shard_map_, source,
+                                                    options_.zk_client),
+                    zk_routers_);
+      } else {
+        // Full ensemble list so fixture clients fail over during chaos runs;
+        // preferred index keeps the historical round-robin initial placement.
+        ServerList ensemble{group.servers, i % group.size()};
+        api = Track(std::make_unique<ZkClient>(&loop_, net_.get(), node,
                                                ShardView::Standalone(std::move(ensemble)),
-                                               options_.zk_client);
-      if (options_.observability) {
-        client->SetObs(&obs_);
+                                               options_.zk_client),
+                    zk_clients_);
       }
-      client->Connect([&connected](Status s) {
+      api->Connect([&connected](Status s) {
         if (s.ok()) {
           ++connected;
         }
       });
-      coords_.push_back(std::make_unique<ZkCoordClient>(client.get(),
-                                                        IsExtensible(options_.system)));
-      zk_clients_.push_back(std::move(client));
+      coords_.push_back(std::make_unique<ZkCoordClient>(api, IsExtensible(options_.system)));
+      continue;
     }
-    loop_.RunUntil(loop_.now() + Seconds(2));
-    assert(connected == options_.num_clients && "zk clients failed to connect");
-    (void)connected;
-    return;
+    DsApi* api = nullptr;
+    if (sharded) {
+      api = Track(std::make_unique<DsShardRouter>(&loop_, net_.get(), node, shard_map_, source,
+                                                  options_.ds_client),
+                  ds_routers_);
+    } else {
+      api = Track(std::make_unique<DsClient>(&loop_, net_.get(), node,
+                                             ShardView::Standalone(group), options_.ds_client),
+                  ds_clients_);
+    }
+    coords_.push_back(std::make_unique<DsCoordClient>(&loop_, api));
   }
+  loop_.RunUntil(loop_.now() + (zk ? Seconds(2) : Millis(500)));
+  assert((!zk || connected == options_.num_clients) && "zk clients failed to connect");
+  (void)connected;
+}
 
-  std::vector<NodeId> members{1, 2, 3, 4};
-  for (NodeId id : members) {
-    auto server = std::make_unique<DsServer>(&loop_, net_.get(), id, members,
-                                             options_.costs, options_.ds_server);
-    if (options_.observability) {
-      server->SetObs(&obs_);
-    }
-    net_->Register(id, server.get());
-    DsServer* raw = server.get();
-    faults_->RegisterProcess(
-        id,
-        [this, raw, id]() {
-          raw->Crash();
-          net_->SetNodeUp(id, false);
-        },
-        [this, raw, id]() {
-          net_->SetNodeUp(id, true);
-          raw->Restart();
-        });
-    ds_servers.push_back(std::move(server));
-  }
-  if (IsExtensible(options_.system)) {
-    for (auto& server : ds_servers) {
-      ds_managers_.push_back(
-          std::make_unique<DsExtensionManager>(server.get(), options_.limits));
-    }
-  }
-  for (auto& server : ds_servers) {
-    server->Start();
-  }
-  for (size_t i = 0; i < options_.num_clients; ++i) {
-    auto client = std::make_unique<DsClient>(&loop_, net_.get(), client_node(i),
-                                             ShardView::Standalone(ServerList{members}),
-                                             options_.ds_client);
-    if (options_.observability) {
-      client->SetObs(&obs_);
-    }
-    coords_.push_back(std::make_unique<DsCoordClient>(&loop_, client.get()));
-    ds_clients_.push_back(std::move(client));
-  }
-  loop_.RunUntil(loop_.now() + Millis(500));
+ZkServer* CoordFixture::BootZkReplica(NodeId id, std::vector<NodeId> members,
+                                      const ZkServerOptions& options) {
+  return AddReplica(std::make_unique<ZkServer>(&loop_, net_.get(), id, std::move(members),
+                                               options_.costs, options, log_pool_),
+                    zk_servers, zk_managers_);
 }
 
 void CoordFixture::BootShard(size_t s) {
+  const bool zk = IsZkFamily(options_.system);
   NodeId base = static_cast<NodeId>(1 + 10 * s);
-  if (IsZkFamily(options_.system)) {
-    std::vector<NodeId> members{base, base + 1, base + 2};
+  std::vector<NodeId> members;
+  for (NodeId id = base; id < base + (zk ? 3 : 4); ++id) {
+    members.push_back(id);
+  }
+  // Build the whole group first, then start it in member order: the order of
+  // the Start() calls sets the schedule.
+  if (zk) {
     size_t first = zk_servers.size();
     for (NodeId id : members) {
-      auto server = std::make_unique<ZkServer>(&loop_, net_.get(), id, members,
-                                               options_.costs, options_.zk_server, log_pool_);
-      if (options_.observability) {
-        server->SetObs(&obs_);
-      }
-      net_->Register(id, server.get());
-      ZkServer* raw = server.get();
-      faults_->RegisterProcess(
-          id,
-          [this, raw, id]() {
-            raw->Crash();
-            net_->SetNodeUp(id, false);
-          },
-          [this, raw, id]() {
-            net_->SetNodeUp(id, true);
-            raw->Restart();
-          });
-      zk_servers.push_back(std::move(server));
+      BootZkReplica(id, members, options_.zk_server);
     }
     for (size_t i = first; i < zk_servers.size(); ++i) {
-      if (IsExtensible(options_.system)) {
-        zk_managers_.push_back(
-            std::make_unique<ZkExtensionManager>(zk_servers[i].get(), options_.limits));
-      }
       zk_servers[i]->Start();
     }
-    shard_map_.AddShard(static_cast<uint32_t>(s), ServerList{members});
-    return;
-  }
-
-  std::vector<NodeId> members{base, base + 1, base + 2, base + 3};
-  size_t first = ds_servers.size();
-  for (NodeId id : members) {
-    auto server = std::make_unique<DsServer>(&loop_, net_.get(), id, members,
-                                             options_.costs, options_.ds_server);
-    if (options_.observability) {
-      server->SetObs(&obs_);
+  } else {
+    size_t first = ds_servers.size();
+    for (NodeId id : members) {
+      AddReplica(std::make_unique<DsServer>(&loop_, net_.get(), id, members, options_.costs,
+                                            options_.ds_server),
+                 ds_servers, ds_managers_);
     }
-    net_->Register(id, server.get());
-    DsServer* raw = server.get();
-    faults_->RegisterProcess(
-        id,
-        [this, raw, id]() {
-          raw->Crash();
-          net_->SetNodeUp(id, false);
-        },
-        [this, raw, id]() {
-          net_->SetNodeUp(id, true);
-          raw->Restart();
-        });
-    ds_servers.push_back(std::move(server));
-  }
-  for (size_t i = first; i < ds_servers.size(); ++i) {
-    if (IsExtensible(options_.system)) {
-      ds_managers_.push_back(
-          std::make_unique<DsExtensionManager>(ds_servers[i].get(), options_.limits));
+    for (size_t i = first; i < ds_servers.size(); ++i) {
+      ds_servers[i]->Start();
     }
-    ds_servers[i]->Start();
+    if (options_.num_shards > 1) {
+      // Per-shard admin client for the ordered kSetMapVersion op; version 0
+      // in its own view so it is never rejected as stale itself.
+      ds_admins_.push_back(std::make_unique<DsClient>(
+          &loop_, net_.get(), static_cast<NodeId>(70000 + s),
+          ShardView::Standalone(ServerList{members}), options_.ds_client));
+    }
   }
-  // Per-shard admin client for the ordered kSetMapVersion op; version 0 in
-  // its own view so it is never rejected as stale itself.
-  ds_admins_.push_back(std::make_unique<DsClient>(
-      &loop_, net_.get(), static_cast<NodeId>(70000 + s),
-      ShardView::Standalone(ServerList{members}), options_.ds_client));
-  shard_map_.AddShard(static_cast<uint32_t>(s), ServerList{members});
+  shard_map_.AddShard(static_cast<uint32_t>(s), ServerList{std::move(members)});
 }
 
 void CoordFixture::PushShardVersions() {
@@ -270,56 +226,6 @@ void CoordFixture::PushShardVersions() {
   if (!ds_admins_.empty()) {
     loop_.RunUntil(loop_.now() + Millis(500));
   }
-}
-
-void CoordFixture::StartSharded() {
-  for (size_t s = 0; s < options_.num_shards; ++s) {
-    BootShard(s);
-  }
-  if (IsZkFamily(options_.system)) {
-    loop_.RunUntil(loop_.now() + Seconds(2));  // per-shard leader elections
-  }
-  PushShardVersions();
-
-  if (IsZkFamily(options_.system)) {
-    size_t connected = 0;
-    for (size_t i = 0; i < options_.num_clients; ++i) {
-      ZkShardRouterOptions ropts;
-      ropts.client = options_.zk_client;
-      auto router = std::make_unique<ZkShardRouter>(
-          &loop_, net_.get(), client_node(i), shard_map_,
-          [this]() { return shard_map_; }, ropts);
-      if (options_.observability) {
-        router->SetObs(&obs_);
-      }
-      router->Connect([&connected](Status s) {
-        if (s.ok()) {
-          ++connected;
-        }
-      });
-      coords_.push_back(std::make_unique<ZkCoordClient>(router.get(),
-                                                        IsExtensible(options_.system)));
-      zk_routers_.push_back(std::move(router));
-    }
-    loop_.RunUntil(loop_.now() + Seconds(2));
-    assert(connected == options_.num_clients && "zk routers failed to connect");
-    (void)connected;
-    return;
-  }
-
-  for (size_t i = 0; i < options_.num_clients; ++i) {
-    DsShardRouterOptions ropts;
-    ropts.client = options_.ds_client;
-    auto router = std::make_unique<DsShardRouter>(
-        &loop_, net_.get(), client_node(i), shard_map_,
-        [this]() { return shard_map_; }, ropts);
-    if (options_.observability) {
-      router->SetObs(&obs_);
-    }
-    coords_.push_back(std::make_unique<DsCoordClient>(&loop_, router.get()));
-    ds_routers_.push_back(std::move(router));
-  }
-  loop_.RunUntil(loop_.now() + Millis(500));
 }
 
 void CoordFixture::AddShard() {
@@ -358,28 +264,11 @@ ZkServer* CoordFixture::BootExtraZkReplica(NodeId id) {
   assert(IsZkFamily(options_.system) && options_.num_shards == 1 &&
          "BootExtraZkReplica: single-ensemble ZK fixtures only");
   ZkServerOptions opts = options_.zk_server;
-  opts.observer = true;
-  auto server = std::make_unique<ZkServer>(&loop_, net_.get(), id, CurrentZkVoters(),
-                                           options_.costs, opts, log_pool_);
-  if (options_.observability) {
-    server->SetObs(&obs_);
-  }
-  net_->Register(id, server.get());
-  ZkServer* raw = server.get();
-  faults_->RegisterProcess(
-      id,
-      [this, raw, id]() {
-        raw->Crash();
-        net_->SetNodeUp(id, false);
-      },
-      [this, raw, id]() {
-        net_->SetNodeUp(id, true);
-        raw->Restart();
-      });
-  zk_servers.push_back(std::move(server));
+  opts.zab.observer = true;
+  ZkServer* server = BootZkReplica(id, CurrentZkVoters(), opts);
   faults_->Note("boot-observer " + std::to_string(id));
-  raw->Start();
-  return raw;
+  server->Start();
+  return server;
 }
 
 ZkClient* CoordFixture::AdminZk() {
@@ -520,18 +409,15 @@ int64_t CoordFixture::ClientBytesSent() const {
 }
 
 bool CoordFixture::CheckEdsInvariants(std::string* why) const {
-  if (options_.num_shards > 1) {
-    // Each shard orders an independent history; digests are only comparable
-    // within one replica group.
-    for (const ShardEntry& entry : shard_map_.entries()) {
-      std::vector<DsServer*> group = DsShardServers(entry.shard_id);
-      if (!EdsDigestsMatch(group, why) || !EdsLogBounded(group, why)) {
-        return false;
-      }
+  // Each shard orders an independent history; digests are only comparable
+  // within one replica group.
+  for (const ShardEntry& entry : shard_map_.entries()) {
+    std::vector<DsServer*> group = DsShardServers(entry.shard_id);
+    if (!EdsDigestsMatch(group, why) || !EdsLogBounded(group, why)) {
+      return false;
     }
-    return true;
   }
-  return EdsDigestsMatch(ds_servers, why) && EdsLogBounded(ds_servers, why);
+  return true;
 }
 
 }  // namespace edc

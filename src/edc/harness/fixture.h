@@ -61,12 +61,11 @@ struct FixtureOptions {
   // Keep finished spans in memory for ExportJson (Perfetto); off = only
   // per-op breakdowns survive.
   bool retain_spans = false;
-  // Sharded coordination plane (docs/sharding.md). 1 = the exact legacy
-  // single-ensemble topology: raw clients, no ShardMap, no map-version
-  // stamping — byte-identical to pre-shard fixtures. >1 boots that many
-  // independent ensembles (shard s: ZK replicas {1+10s..3+10s}, DepSpace
-  // {1+10s..4+10s}) behind a ShardMap, and every coord(i) drives a
-  // ZkShardRouter/DsShardRouter instead of a raw client.
+  // Sharded coordination plane (docs/sharding.md). Shard s is the replica
+  // group ZK {1+10s..3+10s} / DepSpace {1+10s..4+10s}. 1 = the single
+  // ensemble: coord(i) drives a raw client, with no map-version stamping and
+  // no DepSpace admin client. >1 boots that many groups behind the ShardMap,
+  // and every coord(i) drives a ZkShardRouter/DsShardRouter instead.
   size_t num_shards = 1;
 };
 
@@ -81,9 +80,9 @@ class CoordFixture {
   size_t num_clients() const { return coords_.size(); }
   CoordClient* coord(size_t i) { return coords_[i].get(); }
   // Sharded clients are routers owning one sub-client per shard, so their
-  // node ids are spaced a ZkShardRouterOptions::id_stride apart.
+  // node ids are spaced kRouterIdStride apart.
   NodeId client_node(size_t i) const {
-    return options_.num_shards > 1 ? 1000 + static_cast<NodeId>(i) * 64
+    return options_.num_shards > 1 ? 1000 + static_cast<NodeId>(i) * kRouterIdStride
                                    : 100 + static_cast<NodeId>(i);
   }
 
@@ -93,7 +92,8 @@ class CoordFixture {
   ZkClient* zk_client(size_t i) { return i < zk_clients_.size() ? zk_clients_[i].get() : nullptr; }
   DsClient* ds_client(size_t i) { return i < ds_clients_.size() ? ds_clients_[i].get() : nullptr; }
 
-  // Sharded topology (null/empty when num_shards == 1).
+  // Sharded topology. The map lists every replica group (one, at version 1,
+  // when num_shards == 1); the routers are null when num_shards == 1.
   size_t num_shards() const { return options_.num_shards; }
   const ShardMap& shard_map() const { return shard_map_; }
   ZkShardRouter* zk_router(size_t i) {
@@ -172,12 +172,22 @@ class CoordFixture {
 
  private:
   void WireObservability();
-  void StartSharded();
   // Lazily-connected admin session used by AdminReconfig (node id 90001).
   ZkClient* AdminZk();
-  // Boots shard `s`'s ensemble (servers + extension managers + fault
-  // closures), starts it, and adds it to shard_map_ (bumps the version).
+  // Boots shard `s`'s replica group, starts it, and adds it to shard_map_
+  // (bumps the version).
   void BootShard(size_t s);
+  // Every replica boots here: built, wired to the observability sinks, the
+  // network and the fault injector (crash/restart closures), and given an
+  // extension manager when the system is extensible. The caller starts it.
+  template <typename Server, typename Manager>
+  Server* AddReplica(std::unique_ptr<Server> server,
+                     std::vector<std::unique_ptr<Server>>& servers,
+                     std::vector<std::unique_ptr<Manager>>& managers);
+  ZkServer* BootZkReplica(NodeId id, std::vector<NodeId> members, const ZkServerOptions& options);
+  // Hands `node` to `owner` after wiring it to the observability sinks.
+  template <typename Node>
+  Node* Track(std::unique_ptr<Node> node, std::vector<std::unique_ptr<Node>>& owner);
   // Pushes shard_map_.version() to every replica as its expected version.
   void PushShardVersions();
 
@@ -195,8 +205,8 @@ class CoordFixture {
   std::vector<std::unique_ptr<DsClient>> ds_clients_;
   std::vector<std::unique_ptr<CoordClient>> coords_;
   std::unique_ptr<ZkClient> admin_zk_;  // AdminReconfig session
-  // Sharded mode only.
   ShardMap shard_map_;  // authoritative copy; routers pull it via their source
+  // Sharded mode only.
   std::vector<std::unique_ptr<ZkShardRouter>> zk_routers_;
   std::vector<std::unique_ptr<DsShardRouter>> ds_routers_;
   std::vector<std::unique_ptr<DsClient>> ds_admins_;  // per-shard kSetMapVersion senders

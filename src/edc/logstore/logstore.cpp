@@ -11,7 +11,7 @@ Duration LogStore::InitialWindow(const LogStoreConfig& config) {
   if (!config.adaptive_window) {
     return config.group_commit_window;
   }
-  return std::clamp(config.group_commit_window, config.min_window, config.max_window);
+  return std::clamp(config.group_commit_window, kMinWindow, kMaxWindow);
 }
 
 LogStore::LogStore(EventLoop* loop, LogStoreConfig config, std::shared_ptr<RecordPool> pool)
@@ -76,10 +76,10 @@ void LogStore::AdaptWindow(size_t batch_records) {
   if (!config_.adaptive_window) {
     return;
   }
-  if (batch_records >= config_.window_grow_records) {
-    window_ = std::min(window_ * 2, config_.max_window);
-  } else if (batch_records <= config_.window_shrink_records) {
-    window_ = std::max(window_ / 2, config_.min_window);
+  if (batch_records >= kWindowGrowRecords) {
+    window_ = std::min(window_ * 2, kMaxWindow);
+  } else if (batch_records <= kWindowShrinkRecords) {
+    window_ = std::max(window_ / 2, kMinWindow);
   }
 }
 

@@ -63,15 +63,12 @@ struct LogStoreConfig {
 
   // Adaptive group-commit sizing: the live window starts at
   // group_commit_window and, at each batch submission, doubles when the batch
-  // had >= window_grow_records entries (queue pressure: trade latency for
-  // fewer, larger fsyncs) and halves when it had <= window_shrink_records
-  // (idle: stop making lone appends wait), clamped to
-  // [min_window, max_window]. Off = fixed window, legacy behaviour.
+  // had >= LogStore::kWindowGrowRecords entries (queue pressure: trade
+  // latency for fewer, larger fsyncs) and halves when it had
+  // <= LogStore::kWindowShrinkRecords (idle: stop making lone appends wait),
+  // clamped to [LogStore::kMinWindow, LogStore::kMaxWindow]. Off = fixed
+  // window, legacy behaviour.
   bool adaptive_window = true;
-  Duration min_window = Micros(5);
-  Duration max_window = Micros(160);
-  size_t window_grow_records = 8;
-  size_t window_shrink_records = 2;
 };
 
 // Legacy (pre-pipelining) configuration: serial fsyncs, fixed window. The
@@ -96,6 +93,12 @@ class LogStore {
   LogStore& operator=(const LogStore&) = delete;
 
   static constexpr size_t kBlockBytes = RecordPool::kBlockBytes;
+  // Bounds and watermarks of the adaptive group-commit window
+  // (LogStoreConfig::adaptive_window).
+  static constexpr Duration kMinWindow = Micros(5);
+  static constexpr Duration kMaxWindow = Micros(160);
+  static constexpr size_t kWindowGrowRecords = 8;
+  static constexpr size_t kWindowShrinkRecords = 2;
 
   // Appends `record` as record appended_size(); `on_durable` fires once the
   // record's batch is durable AND every earlier batch has been published

@@ -275,15 +275,18 @@ void DsCoordClient::Monitor(const std::string& path, Cb done) {
 
 void DsCoordClient::OnDeleted(const std::string& path, std::function<void()> fired) {
   // DepSpace exposes no deletion events; poll (the paper's election numbers
-  // for DepSpace reflect exactly this weakness).
+  // for DepSpace reflect exactly this weakness). The poll closure holds
+  // itself weakly and the pending Rdp callback or timer holds it strongly,
+  // so it is freed once the deletion fired.
   auto poll = std::make_shared<std::function<void()>>();
-  *poll = [this, path, fired = std::move(fired), poll]() {
-    client_->Rdp(ObjectTemplate(path), [this, fired, poll](Result<DsReply> r) {
+  *poll = [this, path, fired = std::move(fired),
+           weak_poll = std::weak_ptr<std::function<void()>>(poll)]() {
+    client_->Rdp(ObjectTemplate(path), [this, fired, self = weak_poll.lock()](Result<DsReply> r) {
       if (!r.ok()) {
         fired();
         return;
       }
-      loop_->Schedule(kDeletionPollInterval, [poll]() { (*poll)(); });
+      loop_->Schedule(kDeletionPollInterval, [self]() { (*self)(); });
     });
   };
   (*poll)();

@@ -1,6 +1,5 @@
 #include "edc/route/shard_router.h"
 
-#include <cassert>
 #include <memory>
 #include <utility>
 
@@ -9,87 +8,19 @@ namespace edc {
 // ------------------------------------------------------------- ZkShardRouter
 
 ZkShardRouter::ZkShardRouter(EventLoop* loop, Network* net, NodeId base_id, ShardMap map,
-                             ShardMapSource source, ZkShardRouterOptions options)
-    : loop_(loop),
-      net_(net),
-      base_id_(base_id),
-      map_(std::move(map)),
-      source_(std::move(source)),
-      options_(std::move(options)) {
-  assert(!map_.empty() && "router needs at least one shard");
-}
+                             ShardMapSource source, ZkClientOptions options)
+    : ShardRouterCore(loop, net, base_id, std::move(map), std::move(source),
+                      std::move(options)) {}
 
-ZkShardRouter::~ZkShardRouter() = default;
-
-ZkShardRouter::Sub& ZkShardRouter::EnsureSub(size_t entry_idx) {
-  const ShardEntry& e = map_.entry(entry_idx);
-  auto it = subs_.find(e.shard_id);
-  if (it != subs_.end()) {
-    return it->second;
-  }
-  ShardView view{e.shard_id, map_.version(), e.ensemble};
-  // Spread the initial replica placement of a shard's many routers across the
-  // ensemble instead of dog-piling replica 0.
-  if (!view.ensemble.empty()) {
-    view.ensemble.preferred =
-        (base_id_ / options_.id_stride + e.shard_id) % view.ensemble.size();
-  }
-  Sub& sub = subs_[e.shard_id];
-  sub.client = std::make_unique<ZkClient>(loop_, net_, base_id_ + e.shard_id,
-                                          std::move(view), options_.client);
-  if (obs_ != nullptr) {
-    sub.client->SetObs(obs_);
-  }
+void ZkShardRouter::OnNewSub(uint32_t shard_id, ZkClient* client) {
   if (watch_handler_) {
-    sub.client->SetWatchHandler(watch_handler_);
+    client->SetWatchHandler(watch_handler_);
   }
   if (session_cb_) {
-    sub.client->SetSessionEventHandler(session_cb_);
+    client->SetSessionEventHandler(session_cb_);
   }
-  if (sub_hook_) {
-    sub_hook_(e.shard_id, sub.client.get());
-  }
-  uint32_t shard_id = e.shard_id;
-  sub.connecting = true;
-  sub.client->Connect([this, shard_id](Status) {
-    Sub& s = subs_[shard_id];
-    s.connecting = false;
-    // Flush even on a (rare, attempts-bounded) connect failure: the queued
-    // ops then fail through the sub-client with an honest error instead of
-    // hanging forever.
-    s.connected = s.client->connected();
-    std::vector<std::function<void(ZkClient*)>> waiting;
-    waiting.swap(s.waiting);
-    for (auto& fn : waiting) {
-      fn(s.client.get());
-    }
-  });
-  return sub;
-}
-
-void ZkShardRouter::WhenReady(size_t entry_idx, std::function<void(ZkClient*)> fn) {
-  Sub& sub = EnsureSub(entry_idx);
-  if (sub.connected || sub.client->connected()) {
-    fn(sub.client.get());
-    return;
-  }
-  sub.waiting.push_back(std::move(fn));
-}
-
-bool ZkShardRouter::RefreshMap() {
-  if (!source_) {
-    return false;
-  }
-  ShardMap fresh = source_();
-  if (fresh.version() <= map_.version()) {
-    return false;
-  }
-  map_ = std::move(fresh);
-  ++stale_refreshes_;
-  for (auto& [shard_id, sub] : subs_) {
-    sub.client->set_map_version(map_.version());
-  }
-  return true;
+  client->Connect(
+      [this, shard_id, client](Status) { Flush(shard_id, client->connected()); });
 }
 
 void ZkShardRouter::Connect(VoidCb done) {
@@ -108,28 +39,10 @@ void ZkShardRouter::Close(VoidCb done) {
     }
     return;
   }
-  for (auto& [shard_id, sub] : subs_) {
-    sub.client->Close([remaining, done](Status) {
+  ForEachSub([remaining, done](ZkClient* c) {
+    c->Close([remaining, done](Status) {
       if (--*remaining == 0 && done) {
         done(Status());
-      }
-    });
-  }
-}
-
-void ZkShardRouter::IssueV(const CoordKey& key,
-                           std::function<void(ZkClient*, VoidCb)> issue, VoidCb done,
-                           int attempt) {
-  uint64_t issued = map_.version();
-  WhenReady(map_.IndexFor(key), [this, key, issue, done, attempt, issued](ZkClient* c) {
-    issue(c, [this, key, issue, done, attempt, issued](Status s) {
-      if (Stale(s) && attempt < options_.stale_retry_limit &&
-          (RefreshMap() || map_.version() > issued)) {
-        IssueV(key, issue, done, attempt + 1);
-        return;
-      }
-      if (done) {
-        done(s);
       }
     });
   });
@@ -137,7 +50,7 @@ void ZkShardRouter::IssueV(const CoordKey& key,
 
 void ZkShardRouter::Create(const std::string& path, const std::string& data,
                            bool ephemeral, bool sequential, StringCb done) {
-  Issue<std::string>(
+  Issue<Result<std::string>>(
       CoordKey::ForPath(path),
       [path, data, ephemeral, sequential](ZkClient* c, StringCb cb) {
         c->Create(path, data, ephemeral, sequential, std::move(cb));
@@ -146,21 +59,21 @@ void ZkShardRouter::Create(const std::string& path, const std::string& data,
 }
 
 void ZkShardRouter::Delete(const std::string& path, int32_t version, VoidCb done) {
-  IssueV(
+  Issue<Status>(
       CoordKey::ForPath(path),
       [path, version](ZkClient* c, VoidCb cb) { c->Delete(path, version, std::move(cb)); },
       std::move(done));
 }
 
 void ZkShardRouter::Exists(const std::string& path, bool watch, ExistsCb done) {
-  Issue<ExistsResult>(
+  Issue<Result<ExistsResult>>(
       CoordKey::ForPath(path),
       [path, watch](ZkClient* c, ExistsCb cb) { c->Exists(path, watch, std::move(cb)); },
       std::move(done));
 }
 
 void ZkShardRouter::GetData(const std::string& path, bool watch, NodeCb done) {
-  Issue<NodeResult>(
+  Issue<Result<NodeResult>>(
       CoordKey::ForPath(path),
       [path, watch](ZkClient* c, NodeCb cb) { c->GetData(path, watch, std::move(cb)); },
       std::move(done));
@@ -168,7 +81,7 @@ void ZkShardRouter::GetData(const std::string& path, bool watch, NodeCb done) {
 
 void ZkShardRouter::SetData(const std::string& path, const std::string& data,
                             int32_t version, VoidCb done) {
-  IssueV(
+  Issue<Status>(
       CoordKey::ForPath(path),
       [path, data, version](ZkClient* c, VoidCb cb) {
         c->SetData(path, data, version, std::move(cb));
@@ -177,7 +90,7 @@ void ZkShardRouter::SetData(const std::string& path, const std::string& data,
 }
 
 void ZkShardRouter::GetChildren(const std::string& path, bool watch, ChildrenCb done) {
-  Issue<std::vector<std::string>>(
+  Issue<Result<std::vector<std::string>>>(
       CoordKey::ForPath(path),
       [path, watch](ZkClient* c, ChildrenCb cb) {
         c->GetChildren(path, watch, std::move(cb));
@@ -204,7 +117,7 @@ void ZkShardRouter::Multi(std::vector<ZkOp> ops, VoidCb done) {
     }
   }
   auto shared_ops = std::make_shared<std::vector<ZkOp>>(std::move(ops));
-  IssueV(
+  Issue<Status>(
       key,
       [shared_ops](ZkClient* c, VoidCb cb) { c->Multi(*shared_ops, std::move(cb)); },
       std::move(done));
@@ -224,7 +137,7 @@ void ZkShardRouter::Reconfig(size_t entry_idx, const std::string& spec, VoidCb d
 
 void ZkShardRouter::CallExtension(const std::string& trigger_path, const std::string& args,
                                   ExtensionCb done) {
-  Issue<ExtensionResult>(
+  Issue<Result<ExtensionResult>>(
       CoordKey::ForPath(trigger_path),
       [trigger_path, args](ZkClient* c, ExtensionCb cb) {
         c->CallExtension(trigger_path, args, std::move(cb));
@@ -232,27 +145,9 @@ void ZkShardRouter::CallExtension(const std::string& trigger_path, const std::st
       std::move(done));
 }
 
-void ZkShardRouter::FanOut(std::function<void(ZkClient*, VoidCb)> issue, VoidCb done) {
-  size_t n = map_.size();
-  auto remaining = std::make_shared<size_t>(n);
-  auto first_error = std::make_shared<Status>();
-  for (size_t i = 0; i < n; ++i) {
-    WhenReady(i, [issue, remaining, first_error, done](ZkClient* c) {
-      issue(c, [remaining, first_error, done](Status s) {
-        if (!s.ok() && first_error->ok()) {
-          *first_error = s;
-        }
-        if (--*remaining == 0 && done) {
-          done(*first_error);
-        }
-      });
-    });
-  }
-}
-
 void ZkShardRouter::RegisterExtension(const std::string& name, const std::string& code,
                                       VoidCb done) {
-  FanOut(
+  FanOut<Status>(
       [name, code](ZkClient* c, VoidCb cb) {
         c->RegisterExtension(name, code, std::move(cb));
       },
@@ -260,84 +155,49 @@ void ZkShardRouter::RegisterExtension(const std::string& name, const std::string
 }
 
 void ZkShardRouter::DeregisterExtension(const std::string& name, VoidCb done) {
-  FanOut([name](ZkClient* c, VoidCb cb) { c->DeregisterExtension(name, std::move(cb)); },
-         std::move(done));
+  FanOut<Status>(
+      [name](ZkClient* c, VoidCb cb) { c->DeregisterExtension(name, std::move(cb)); },
+      std::move(done));
 }
 
 void ZkShardRouter::AcknowledgeExtension(const std::string& name, VoidCb done) {
-  FanOut([name](ZkClient* c, VoidCb cb) { c->AcknowledgeExtension(name, std::move(cb)); },
-         std::move(done));
+  FanOut<Status>(
+      [name](ZkClient* c, VoidCb cb) { c->AcknowledgeExtension(name, std::move(cb)); },
+      std::move(done));
 }
 
 void ZkShardRouter::SetWatchHandler(WatchCb handler) {
   watch_handler_ = std::move(handler);
-  for (auto& [shard_id, sub] : subs_) {
-    sub.client->SetWatchHandler(watch_handler_);
-  }
+  ForEachSub([this](ZkClient* c) { c->SetWatchHandler(watch_handler_); });
 }
 
 void ZkShardRouter::SetSessionEventHandler(SessionEventCb handler) {
   session_cb_ = std::move(handler);
-  for (auto& [shard_id, sub] : subs_) {
-    sub.client->SetSessionEventHandler(session_cb_);
-  }
+  ForEachSub([this](ZkClient* c) { c->SetSessionEventHandler(session_cb_); });
 }
 
 bool ZkShardRouter::connected() const {
-  auto it = subs_.find(map_.entry(0).shard_id);
-  return it != subs_.end() && it->second.client->connected();
+  ZkClient* primary = shard_client(map_.entry(0).shard_id);
+  return primary != nullptr && primary->connected();
 }
 
 uint64_t ZkShardRouter::session() const {
-  auto it = subs_.find(map_.entry(0).shard_id);
-  return it == subs_.end() ? 0 : it->second.client->session();
-}
-
-ZkClient* ZkShardRouter::shard_client(uint32_t shard_id) const {
-  auto it = subs_.find(shard_id);
-  return it == subs_.end() ? nullptr : it->second.client.get();
-}
-
-std::vector<NodeId> ZkShardRouter::sub_client_ids() const {
-  std::vector<NodeId> ids;
-  ids.reserve(subs_.size());
-  for (const auto& [shard_id, sub] : subs_) {
-    ids.push_back(sub.client->id());
-  }
-  return ids;
-}
-
-void ZkShardRouter::SetSubClientHook(std::function<void(uint32_t, ZkClient*)> hook) {
-  sub_hook_ = std::move(hook);
-  if (!sub_hook_) {
-    return;
-  }
-  for (auto& [shard_id, sub] : subs_) {
-    sub_hook_(shard_id, sub.client.get());
-  }
-}
-
-void ZkShardRouter::SetObs(Obs* obs) {
-  obs_ = obs;
-  for (auto& [shard_id, sub] : subs_) {
-    sub.client->SetObs(obs);
-  }
+  ZkClient* primary = shard_client(map_.entry(0).shard_id);
+  return primary == nullptr ? 0 : primary->session();
 }
 
 // ------------------------------------------------------------- DsShardRouter
 
 DsShardRouter::DsShardRouter(EventLoop* loop, Network* net, NodeId base_id, ShardMap map,
-                             ShardMapSource source, DsShardRouterOptions options)
-    : loop_(loop),
-      net_(net),
-      base_id_(base_id),
-      map_(std::move(map)),
-      source_(std::move(source)),
-      options_(std::move(options)) {
-  assert(!map_.empty() && "router needs at least one shard");
-}
+                             ShardMapSource source, DsClientOptions options)
+    : ShardRouterCore(loop, net, base_id, std::move(map), std::move(source),
+                      std::move(options)) {}
 
-DsShardRouter::~DsShardRouter() = default;
+void DsShardRouter::OnNewSub(uint32_t, DsClient* client) {
+  if (auto_renew_all_) {
+    client->EnableAutoRenewAll();
+  }
+}
 
 CoordKey DsShardRouter::KeyOf(const DsTuple& tuple) {
   if (tuple.empty()) {
@@ -355,189 +215,108 @@ CoordKey DsShardRouter::KeyOf(const DsTemplate& templ) {
   return CoordKey::ForField(FieldToString(templ[0].value));
 }
 
-DsClient* DsShardRouter::EnsureSub(size_t entry_idx) {
-  const ShardEntry& e = map_.entry(entry_idx);
-  auto it = subs_.find(e.shard_id);
-  if (it != subs_.end()) {
-    return it->second.get();
+void DsShardRouter::Route(const CoordKey& key, const char* op,
+                          std::function<void(DsClient*, ReplyCb)> issue, ReplyCb done) {
+  if (!key.routable()) {
+    if (done) {
+      done(Status(ErrorCode::kInvalidArgument,
+                  std::string(op) +
+                      ": wildcard first field cannot be routed to one shard; "
+                      "pin the first field (RdAll scatter-gathers)"));
+    }
+    return;
   }
-  ShardView view{e.shard_id, map_.version(), e.ensemble};
-  auto client = std::make_unique<DsClient>(loop_, net_, base_id_ + e.shard_id,
-                                           std::move(view), options_.client);
-  DsClient* raw = client.get();
-  if (obs_ != nullptr) {
-    raw->SetObs(obs_);
-  }
-  if (auto_renew_all_) {
-    raw->EnableAutoRenewAll();
-  }
-  if (sub_hook_) {
-    sub_hook_(e.shard_id, raw);
-  }
-  subs_[e.shard_id] = std::move(client);
-  return raw;
+  Issue<Result<DsReply>>(key, std::move(issue), std::move(done));
 }
-
-bool DsShardRouter::RefreshMap() {
-  if (!source_) {
-    return false;
-  }
-  ShardMap fresh = source_();
-  if (fresh.version() <= map_.version()) {
-    return false;
-  }
-  map_ = std::move(fresh);
-  ++stale_refreshes_;
-  for (auto& [shard_id, sub] : subs_) {
-    sub->set_map_version(map_.version());
-  }
-  return true;
-}
-
-namespace {
-
-bool RejectUnroutable(const CoordKey& key, const char* op, const DsApi::ReplyCb& done) {
-  if (key.routable()) {
-    return false;
-  }
-  if (done) {
-    done(Status(ErrorCode::kInvalidArgument,
-                std::string(op) +
-                    ": wildcard first field cannot be routed to one shard; "
-                    "pin the first field (RdAll scatter-gathers)"));
-  }
-  return true;
-}
-
-}  // namespace
 
 void DsShardRouter::Out(DsTuple tuple, ReplyCb done) {
   CoordKey key = KeyOf(tuple);
-  if (RejectUnroutable(key, "out", done)) {
-    return;
-  }
   auto shared = std::make_shared<DsTuple>(std::move(tuple));
-  Issue<DsReply>(
-      key, [shared](DsClient* c, ReplyCb cb) { c->Out(*shared, std::move(cb)); },
-      std::move(done));
+  Route(key, "out", [shared](DsClient* c, ReplyCb cb) { c->Out(*shared, std::move(cb)); },
+        std::move(done));
 }
 
 void DsShardRouter::OutLease(DsTuple tuple, ReplyCb done) {
   CoordKey key = KeyOf(tuple);
-  if (RejectUnroutable(key, "outLease", done)) {
-    return;
-  }
   auto shared = std::make_shared<DsTuple>(std::move(tuple));
-  Issue<DsReply>(
-      key, [shared](DsClient* c, ReplyCb cb) { c->OutLease(*shared, std::move(cb)); },
-      std::move(done));
+  Route(key, "outLease",
+        [shared](DsClient* c, ReplyCb cb) { c->OutLease(*shared, std::move(cb)); },
+        std::move(done));
 }
 
 void DsShardRouter::ReleaseLease(const DsTemplate& templ) {
   CoordKey key = KeyOf(templ);
   if (key.routable()) {
-    EnsureSub(map_.IndexFor(key))->ReleaseLease(templ);
+    EnsureSub(map_.IndexFor(key)).client->ReleaseLease(templ);
     return;
   }
   // Wildcard release: leases only live on shards this router has touched.
-  for (auto& [shard_id, sub] : subs_) {
-    sub->ReleaseLease(templ);
-  }
+  ForEachSub([&templ](DsClient* c) { c->ReleaseLease(templ); });
 }
 
 void DsShardRouter::Rdp(DsTemplate templ, ReplyCb done) {
   CoordKey key = KeyOf(templ);
-  if (RejectUnroutable(key, "rdp", done)) {
-    return;
-  }
   auto shared = std::make_shared<DsTemplate>(std::move(templ));
-  Issue<DsReply>(
-      key, [shared](DsClient* c, ReplyCb cb) { c->Rdp(*shared, std::move(cb)); },
-      std::move(done));
+  Route(key, "rdp", [shared](DsClient* c, ReplyCb cb) { c->Rdp(*shared, std::move(cb)); },
+        std::move(done));
 }
 
 void DsShardRouter::Inp(DsTemplate templ, ReplyCb done) {
   CoordKey key = KeyOf(templ);
-  if (RejectUnroutable(key, "inp", done)) {
-    return;
-  }
   auto shared = std::make_shared<DsTemplate>(std::move(templ));
-  Issue<DsReply>(
-      key, [shared](DsClient* c, ReplyCb cb) { c->Inp(*shared, std::move(cb)); },
-      std::move(done));
+  Route(key, "inp", [shared](DsClient* c, ReplyCb cb) { c->Inp(*shared, std::move(cb)); },
+        std::move(done));
 }
 
 void DsShardRouter::Rd(DsTemplate templ, ReplyCb done) {
   CoordKey key = KeyOf(templ);
-  if (RejectUnroutable(key, "rd", done)) {
-    return;
-  }
   auto shared = std::make_shared<DsTemplate>(std::move(templ));
-  Issue<DsReply>(
-      key, [shared](DsClient* c, ReplyCb cb) { c->Rd(*shared, std::move(cb)); },
-      std::move(done));
+  Route(key, "rd", [shared](DsClient* c, ReplyCb cb) { c->Rd(*shared, std::move(cb)); },
+        std::move(done));
 }
 
 void DsShardRouter::In(DsTemplate templ, ReplyCb done) {
   CoordKey key = KeyOf(templ);
-  if (RejectUnroutable(key, "in", done)) {
+  auto shared = std::make_shared<DsTemplate>(std::move(templ));
+  Route(key, "in", [shared](DsClient* c, ReplyCb cb) { c->In(*shared, std::move(cb)); },
+        std::move(done));
+}
+
+void DsShardRouter::RoutePair(const CoordKey& templ_key, const CoordKey& tuple_key,
+                              const char* op, std::function<void(DsClient*, ReplyCb)> issue,
+                              ReplyCb done) {
+  if (templ_key.routable() && tuple_key.routable() &&
+      map_.IndexFor(templ_key) != map_.IndexFor(tuple_key)) {
+    if (done) {
+      done(Status(ErrorCode::kInvalidArgument,
+                  std::string(op) + " template and tuple route to different shards"));
+    }
     return;
   }
-  auto shared = std::make_shared<DsTemplate>(std::move(templ));
-  Issue<DsReply>(
-      key, [shared](DsClient* c, ReplyCb cb) { c->In(*shared, std::move(cb)); },
-      std::move(done));
+  Route(templ_key.routable() ? templ_key : tuple_key, op, std::move(issue), std::move(done));
 }
 
 void DsShardRouter::Cas(DsTemplate templ, DsTuple tuple, ReplyCb done) {
-  CoordKey tkey = KeyOf(templ);
-  CoordKey vkey = KeyOf(tuple);
-  CoordKey key = tkey.routable() ? tkey : vkey;
-  if (RejectUnroutable(key, "cas", done)) {
-    return;
-  }
-  if (tkey.routable() && vkey.routable() &&
-      map_.IndexFor(tkey) != map_.IndexFor(vkey)) {
-    if (done) {
-      done(Status(ErrorCode::kInvalidArgument,
-                  "cas template and tuple route to different shards"));
-    }
-    return;
-  }
   auto st = std::make_shared<DsTemplate>(std::move(templ));
   auto sv = std::make_shared<DsTuple>(std::move(tuple));
-  Issue<DsReply>(
-      key, [st, sv](DsClient* c, ReplyCb cb) { c->Cas(*st, *sv, std::move(cb)); },
-      std::move(done));
+  RoutePair(KeyOf(*st), KeyOf(*sv), "cas",
+            [st, sv](DsClient* c, ReplyCb cb) { c->Cas(*st, *sv, std::move(cb)); },
+            std::move(done));
 }
 
 void DsShardRouter::Replace(DsTemplate templ, DsTuple tuple, ReplyCb done) {
-  CoordKey tkey = KeyOf(templ);
-  CoordKey vkey = KeyOf(tuple);
-  CoordKey key = tkey.routable() ? tkey : vkey;
-  if (RejectUnroutable(key, "replace", done)) {
-    return;
-  }
-  if (tkey.routable() && vkey.routable() &&
-      map_.IndexFor(tkey) != map_.IndexFor(vkey)) {
-    if (done) {
-      done(Status(ErrorCode::kInvalidArgument,
-                  "replace template and tuple route to different shards"));
-    }
-    return;
-  }
   auto st = std::make_shared<DsTemplate>(std::move(templ));
   auto sv = std::make_shared<DsTuple>(std::move(tuple));
-  Issue<DsReply>(
-      key, [st, sv](DsClient* c, ReplyCb cb) { c->Replace(*st, *sv, std::move(cb)); },
-      std::move(done));
+  RoutePair(KeyOf(*st), KeyOf(*sv), "replace",
+            [st, sv](DsClient* c, ReplyCb cb) { c->Replace(*st, *sv, std::move(cb)); },
+            std::move(done));
 }
 
 void DsShardRouter::RdAll(DsTemplate templ, ReplyCb done) {
   CoordKey key = KeyOf(templ);
   auto shared = std::make_shared<DsTemplate>(std::move(templ));
   if (key.routable()) {
-    Issue<DsReply>(
+    Issue<Result<DsReply>>(
         key, [shared](DsClient* c, ReplyCb cb) { c->RdAll(*shared, std::move(cb)); },
         std::move(done));
     return;
@@ -548,8 +327,7 @@ void DsShardRouter::RdAll(DsTemplate templ, ReplyCb done) {
   auto legs = std::make_shared<std::vector<Result<DsReply>>>(n, Result<DsReply>(DsReply{}));
   auto remaining = std::make_shared<size_t>(n);
   for (size_t i = 0; i < n; ++i) {
-    DsClient* c = EnsureSub(i);
-    c->RdAll(*shared, [i, legs, remaining, done](Result<DsReply> r) {
+    EnsureSub(i).client->RdAll(*shared, [i, legs, remaining, done](Result<DsReply> r) {
       (*legs)[i] = std::move(r);
       if (--*remaining != 0) {
         return;
@@ -579,7 +357,7 @@ void DsShardRouter::RdAll(DsTemplate templ, ReplyCb done) {
 
 void DsShardRouter::CallExtension(const std::string& trigger_path, const std::string& args,
                                   ExtensionCb done) {
-  Issue<ExtensionResult>(
+  Issue<Result<ExtensionResult>>(
       CoordKey::ForPath(trigger_path),
       [trigger_path, args](DsClient* c, ExtensionCb cb) {
         c->CallExtension(trigger_path, args, std::move(cb));
@@ -587,121 +365,34 @@ void DsShardRouter::CallExtension(const std::string& trigger_path, const std::st
       std::move(done));
 }
 
-namespace {
-
-// Joins a DS fan-out: first failed leg (transport error or reply error code)
-// wins; otherwise the last ok reply is delivered.
-struct DsFanJoin {
-  size_t remaining;
-  Result<DsReply> outcome{DsReply{}};
-  bool failed = false;
-};
-
-}  // namespace
-
 void DsShardRouter::RegisterExtension(const std::string& name, const std::string& code,
                                       ReplyCb done) {
-  size_t n = map_.size();
-  auto join = std::make_shared<DsFanJoin>();
-  join->remaining = n;
-  for (size_t i = 0; i < n; ++i) {
-    EnsureSub(i)->RegisterExtension(name, code, [join, done](Result<DsReply> r) {
-      bool bad = !r.ok() || r->code != ErrorCode::kOk;
-      if (bad && !join->failed) {
-        join->failed = true;
-        join->outcome = std::move(r);
-      } else if (!join->failed) {
-        join->outcome = std::move(r);
-      }
-      if (--join->remaining == 0 && done) {
-        done(std::move(join->outcome));
-      }
-    });
-  }
+  FanOut<Result<DsReply>>(
+      [name, code](DsClient* c, ReplyCb cb) {
+        c->RegisterExtension(name, code, std::move(cb));
+      },
+      std::move(done));
 }
 
 void DsShardRouter::DeregisterExtension(const std::string& name, ReplyCb done) {
-  size_t n = map_.size();
-  auto join = std::make_shared<DsFanJoin>();
-  join->remaining = n;
-  for (size_t i = 0; i < n; ++i) {
-    EnsureSub(i)->DeregisterExtension(name, [join, done](Result<DsReply> r) {
-      bool bad = !r.ok() || r->code != ErrorCode::kOk;
-      if (bad && !join->failed) {
-        join->failed = true;
-        join->outcome = std::move(r);
-      } else if (!join->failed) {
-        join->outcome = std::move(r);
-      }
-      if (--join->remaining == 0 && done) {
-        done(std::move(join->outcome));
-      }
-    });
-  }
+  FanOut<Result<DsReply>>(
+      [name](DsClient* c, ReplyCb cb) { c->DeregisterExtension(name, std::move(cb)); },
+      std::move(done));
 }
 
 void DsShardRouter::AcknowledgeExtension(const std::string& name, ReplyCb done) {
-  size_t n = map_.size();
-  auto join = std::make_shared<DsFanJoin>();
-  join->remaining = n;
-  for (size_t i = 0; i < n; ++i) {
-    EnsureSub(i)->AcknowledgeExtension(name, [join, done](Result<DsReply> r) {
-      bool bad = !r.ok() || r->code != ErrorCode::kOk;
-      if (bad && !join->failed) {
-        join->failed = true;
-        join->outcome = std::move(r);
-      } else if (!join->failed) {
-        join->outcome = std::move(r);
-      }
-      if (--join->remaining == 0 && done) {
-        done(std::move(join->outcome));
-      }
-    });
-  }
+  FanOut<Result<DsReply>>(
+      [name](DsClient* c, ReplyCb cb) { c->AcknowledgeExtension(name, std::move(cb)); },
+      std::move(done));
 }
 
 void DsShardRouter::EnableAutoRenewAll() {
   auto_renew_all_ = true;
-  for (auto& [shard_id, sub] : subs_) {
-    sub->EnableAutoRenewAll();
-  }
-}
-
-DsClient* DsShardRouter::shard_client(uint32_t shard_id) const {
-  auto it = subs_.find(shard_id);
-  return it == subs_.end() ? nullptr : it->second.get();
-}
-
-std::vector<NodeId> DsShardRouter::sub_client_ids() const {
-  std::vector<NodeId> ids;
-  ids.reserve(subs_.size());
-  for (const auto& [shard_id, sub] : subs_) {
-    ids.push_back(sub->id());
-  }
-  return ids;
+  ForEachSub([](DsClient* c) { c->EnableAutoRenewAll(); });
 }
 
 void DsShardRouter::Kill() {
-  for (auto& [shard_id, sub] : subs_) {
-    sub->Kill();
-  }
-}
-
-void DsShardRouter::SetSubClientHook(std::function<void(uint32_t, DsClient*)> hook) {
-  sub_hook_ = std::move(hook);
-  if (!sub_hook_) {
-    return;
-  }
-  for (auto& [shard_id, sub] : subs_) {
-    sub_hook_(shard_id, sub.get());
-  }
-}
-
-void DsShardRouter::SetObs(Obs* obs) {
-  obs_ = obs;
-  for (auto& [shard_id, sub] : subs_) {
-    sub->SetObs(obs);
-  }
+  ForEachSub([](DsClient* c) { c->Kill(); });
 }
 
 }  // namespace edc

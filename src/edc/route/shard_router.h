@@ -10,8 +10,9 @@
 // When a replica that has been told a newer version rejects with
 // kShardMapStale, the router pulls a fresh map from its ShardMapSource,
 // raises every sub-client's stamp, re-routes the op (possibly to a different,
-// newly added shard) and retries — bounded by stale_retry_limit so a router
-// whose source is itself behind surfaces the error instead of spinning.
+// newly added shard) and retries — at most kStaleRetryLimit times, so a
+// router whose source is itself behind surfaces the error instead of
+// spinning.
 //
 // Cross-shard operations: ZK Multi spanning shards is rejected with
 // kInvalidArgument (atomicity across shards is the TwoPhaseMulti recipe's
@@ -24,10 +25,12 @@
 #ifndef EDC_ROUTE_SHARD_ROUTER_H_
 #define EDC_ROUTE_SHARD_ROUTER_H_
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -50,24 +53,240 @@ namespace edc {
 // the version.
 using ShardMapSource = std::function<ShardMap()>;
 
-struct ZkShardRouterOptions {
-  ZkClientOptions client;  // applied to every per-shard sub-client
-  // Give up and surface kShardMapStale after this many refresh+retry rounds.
-  int stale_retry_limit = 3;
-  // Sub-client node id = base_id + shard_id; callers space router base ids at
-  // least this far apart and keep shard ids below it.
-  uint32_t id_stride = 64;
+// Refresh+retry rounds before a router surfaces kShardMapStale.
+inline constexpr int kStaleRetryLimit = 3;
+// Sub-client node id = base id + shard id: callers space router base ids at
+// least this far apart and keep shard ids below it.
+inline constexpr uint32_t kRouterIdStride = 64;
+
+namespace route_internal {
+
+inline bool IsStale(const Status& s) { return s.code() == ErrorCode::kShardMapStale; }
+template <typename T>
+bool IsStale(const Result<T>& r) {
+  return !r.ok() && r.status().code() == ErrorCode::kShardMapStale;
+}
+// A DS stale rejection is an ordered, executed reply — it arrives as a
+// successful vote whose reply code is kShardMapStale.
+inline bool IsStale(const Result<DsReply>& r) {
+  return r.ok() ? r->code == ErrorCode::kShardMapStale
+                : r.status().code() == ErrorCode::kShardMapStale;
+}
+
+// A failed fan-out leg: a transport error, or (DS) an error reply code.
+inline bool Failed(const Status& s) { return !s.ok(); }
+inline bool Failed(const Result<DsReply>& r) { return !r.ok() || r->code != ErrorCode::kOk; }
+
+// Whether ops may go to a sub-client now: a ZK session must be up (ops wait
+// for it), a DS client multicasts at once.
+inline bool SessionUp(const ZkClient& c) { return c.connected(); }
+inline bool SessionUp(const DsClient&) { return true; }
+
+}  // namespace route_internal
+
+// What both routers share: the map, the per-shard sub-clients, the stale-map
+// refresh + retry, and the fan-out join. Each router adds only its family's
+// sub-client setup and its routing rules.
+template <typename Client, typename ClientOptions>
+class ShardRouterCore {
+ public:
+  ShardRouterCore(const ShardRouterCore&) = delete;
+  ShardRouterCore& operator=(const ShardRouterCore&) = delete;
+
+  // Topology introspection (tests, harness, benches).
+  size_t shard_count() const { return map_.size(); }
+  uint64_t map_version() const { return map_.version(); }
+  const ShardMap& map() const { return map_; }
+  // The sub-client serving `shard_id`, or null if none was created yet.
+  Client* shard_client(uint32_t shard_id) const {
+    auto it = subs_.find(shard_id);
+    return it == subs_.end() ? nullptr : it->second.client.get();
+  }
+  std::vector<NodeId> sub_client_ids() const {
+    std::vector<NodeId> ids;
+    ids.reserve(subs_.size());
+    for (const auto& [shard_id, sub] : subs_) {
+      ids.push_back(sub.client->id());
+    }
+    return ids;
+  }
+  int stale_refreshes() const { return stale_refreshes_; }
+
+  // Invoked for every sub-client at creation (and immediately for existing
+  // ones when set) — the conformance harness attaches per-shard observers
+  // here. Runs before a ZK sub-client's Connect.
+  void SetSubClientHook(std::function<void(uint32_t shard_id, Client*)> hook) {
+    sub_hook_ = std::move(hook);
+    if (!sub_hook_) {
+      return;
+    }
+    for (auto& [shard_id, sub] : subs_) {
+      sub_hook_(shard_id, sub.client.get());
+    }
+  }
+  void SetObs(Obs* obs) {
+    obs_ = obs;
+    ForEachSub([obs](Client* c) { c->SetObs(obs); });
+  }
+
+ protected:
+  struct Sub {
+    std::unique_ptr<Client> client;
+    bool ready = false;  // the first connect opened a session (ZK only)
+    std::vector<std::function<void(Client*)>> waiting;
+  };
+
+  // `map` must be non-empty. `source` may be null (stale errors surface).
+  ShardRouterCore(EventLoop* loop, Network* net, NodeId base_id, ShardMap map,
+                  ShardMapSource source, ClientOptions options)
+      : loop_(loop),
+        net_(net),
+        base_id_(base_id),
+        map_(std::move(map)),
+        source_(std::move(source)),
+        options_(std::move(options)) {
+    assert(!map_.empty() && "router needs at least one shard");
+  }
+  virtual ~ShardRouterCore() = default;
+
+  // The family's setup of a sub-client just created for `shard_id`, after
+  // the sub-client hook ran.
+  virtual void OnNewSub(uint32_t shard_id, Client* client) = 0;
+
+  Sub& EnsureSub(size_t entry_idx) {
+    const ShardEntry& e = map_.entry(entry_idx);
+    auto it = subs_.find(e.shard_id);
+    if (it != subs_.end()) {
+      return it->second;
+    }
+    ShardView view{e.shard_id, map_.version(), e.ensemble};
+    // Spread the initial replica placement of a shard's many routers across
+    // the ensemble instead of dog-piling replica 0.
+    if (!view.ensemble.empty()) {
+      view.ensemble.preferred = (base_id_ / kRouterIdStride + e.shard_id) % view.ensemble.size();
+    }
+    Sub& sub = subs_[e.shard_id];
+    sub.client =
+        std::make_unique<Client>(loop_, net_, base_id_ + e.shard_id, std::move(view), options_);
+    if (obs_ != nullptr) {
+      sub.client->SetObs(obs_);
+    }
+    if (sub_hook_) {
+      sub_hook_(e.shard_id, sub.client.get());
+    }
+    OnNewSub(e.shard_id, sub.client.get());
+    return sub;
+  }
+
+  // Runs `fn` on the sub-client for map entry `entry_idx` once it can take
+  // ops (immediately if it already can).
+  void WhenReady(size_t entry_idx, std::function<void(Client*)> fn) {
+    Sub& sub = EnsureSub(entry_idx);
+    if (sub.ready || route_internal::SessionUp(*sub.client)) {
+      fn(sub.client.get());
+      return;
+    }
+    sub.waiting.push_back(std::move(fn));
+  }
+
+  // Marks the sub-client of `shard_id` ready (or not) and runs the ops that
+  // waited for it, in order. Runs them even when not ready: they then fail
+  // through the sub-client with an honest error instead of hanging forever.
+  void Flush(uint32_t shard_id, bool ready) {
+    Sub& s = subs_[shard_id];
+    s.ready = ready;
+    std::vector<std::function<void(Client*)>> waiting;
+    waiting.swap(s.waiting);
+    for (auto& fn : waiting) {
+      fn(s.client.get());
+    }
+  }
+
+  bool RefreshMap() {
+    if (!source_) {
+      return false;
+    }
+    ShardMap fresh = source_();
+    if (fresh.version() <= map_.version()) {
+      return false;
+    }
+    map_ = std::move(fresh);
+    ++stale_refreshes_;
+    uint64_t version = map_.version();
+    ForEachSub([version](Client* c) { c->set_map_version(version); });
+    return true;
+  }
+
+  // Routes `issue` to the shard owning `key`; on a stale rejection, refreshes
+  // the map and re-routes (the key may now land on a different shard).
+  template <typename R>
+  void Issue(const CoordKey& key, std::function<void(Client*, std::function<void(R)>)> issue,
+             std::function<void(R)> done, int attempt = 0) {
+    uint64_t issued = map_.version();
+    WhenReady(map_.IndexFor(key), [this, key, issue, done, attempt, issued](Client* c) {
+      issue(c, [this, key, issue, done, attempt, issued](R r) {
+        if (route_internal::IsStale(r) && attempt < kStaleRetryLimit &&
+            (RefreshMap() || map_.version() > issued)) {
+          Issue<R>(key, issue, done, attempt + 1);
+          return;
+        }
+        if (done) {
+          done(std::move(r));
+        }
+      });
+    });
+  }
+
+  // Fans `issue` out to every shard in the current map; `done` fires once
+  // after all legs returned, with the first failed leg or else the last one.
+  template <typename R>
+  void FanOut(std::function<void(Client*, std::function<void(R)>)> issue,
+              std::function<void(R)> done) {
+    struct Join {
+      size_t remaining = 0;
+      std::optional<R> outcome;
+      bool failed = false;
+    };
+    auto join = std::make_shared<Join>();
+    join->remaining = map_.size();
+    for (size_t i = 0; i < map_.size(); ++i) {
+      WhenReady(i, [issue, join, done](Client* c) {
+        issue(c, [join, done](R r) {
+          if (!join->failed) {
+            join->failed = route_internal::Failed(r);
+            join->outcome = std::move(r);
+          }
+          if (--join->remaining == 0 && done) {
+            done(std::move(*join->outcome));
+          }
+        });
+      });
+    }
+  }
+
+  template <typename F>
+  void ForEachSub(F fn) {
+    for (auto& [shard_id, sub] : subs_) {
+      fn(sub.client.get());
+    }
+  }
+
+  EventLoop* loop_;
+  Network* net_;
+  NodeId base_id_;
+  ShardMap map_;
+  ShardMapSource source_;
+  ClientOptions options_;  // applied to every sub-client
+  std::map<uint32_t, Sub> subs_;  // by shard id; survives map refreshes
+  std::function<void(uint32_t, Client*)> sub_hook_;
+  Obs* obs_ = nullptr;
+  int stale_refreshes_ = 0;
 };
 
-class ZkShardRouter : public ZkApi {
+class ZkShardRouter : public ZkApi, public ShardRouterCore<ZkClient, ZkClientOptions> {
  public:
-  // `map` must be non-empty. `source` may be null (stale errors surface).
   ZkShardRouter(EventLoop* loop, Network* net, NodeId base_id, ShardMap map,
-                ShardMapSource source, ZkShardRouterOptions options);
-  ~ZkShardRouter() override;
-
-  ZkShardRouter(const ZkShardRouter&) = delete;
-  ZkShardRouter& operator=(const ZkShardRouter&) = delete;
+                ShardMapSource source, ZkClientOptions options);
 
   // ZkApi. Connect establishes the primary (entry 0) session — other shards'
   // sessions open on first use; ops issued before their shard is connected
@@ -101,95 +320,18 @@ class ZkShardRouter : public ZkApi {
   // make up the shard) is the map source's business, not the router's.
   void Reconfig(size_t entry_idx, const std::string& spec, VoidCb done);
 
-  // Topology introspection (tests, harness, benches).
-  size_t shard_count() const { return map_.size(); }
-  uint64_t map_version() const { return map_.version(); }
-  const ShardMap& map() const { return map_; }
-  // The sub-client serving `shard_id`, or null if none was created yet.
-  ZkClient* shard_client(uint32_t shard_id) const;
-  std::vector<NodeId> sub_client_ids() const;
-  int stale_refreshes() const { return stale_refreshes_; }
-
-  // Invoked for every sub-client at creation (and immediately for existing
-  // ones when set) — the conformance harness attaches per-shard observers
-  // here. Runs before the sub-client's Connect.
-  void SetSubClientHook(std::function<void(uint32_t shard_id, ZkClient*)> hook);
-  void SetObs(Obs* obs);
-
  private:
-  struct Sub {
-    std::unique_ptr<ZkClient> client;
-    bool connected = false;
-    bool connecting = false;
-    std::vector<std::function<void(ZkClient*)>> waiting;
-  };
+  // Installs the handlers and opens the session; ops wait for it.
+  void OnNewSub(uint32_t shard_id, ZkClient* client) override;
 
-  Sub& EnsureSub(size_t entry_idx);
-  // Runs `fn` on the sub-client for map entry `entry_idx` once its session is
-  // up (immediately if it already is).
-  void WhenReady(size_t entry_idx, std::function<void(ZkClient*)> fn);
-  bool RefreshMap();
-  // Fan `issue` out to every shard in the current map; `done` fires once with
-  // the first error (or ok) after all legs returned.
-  void FanOut(std::function<void(ZkClient*, VoidCb)> issue, VoidCb done);
-
-  template <typename T>
-  static bool Stale(const Result<T>& r) {
-    return !r.ok() && r.status().code() == ErrorCode::kShardMapStale;
-  }
-  static bool Stale(const Status& s) { return s.code() == ErrorCode::kShardMapStale; }
-
-  // Routes `issue` to the shard owning `key`; on a stale rejection, refreshes
-  // the map and re-routes (the key may now land on a different shard).
-  template <typename T>
-  void Issue(const CoordKey& key, std::function<void(ZkClient*, ResultCb<T>)> issue,
-             ResultCb<T> done, int attempt = 0) {
-    uint64_t issued = map_.version();
-    WhenReady(map_.IndexFor(key),
-              [this, key, issue, done, attempt, issued](ZkClient* c) {
-                issue(c, [this, key, issue, done, attempt, issued](Result<T> r) {
-                  if (Stale(r) && attempt < options_.stale_retry_limit &&
-                      (RefreshMap() || map_.version() > issued)) {
-                    Issue<T>(key, issue, done, attempt + 1);
-                    return;
-                  }
-                  if (done) {
-                    done(std::move(r));
-                  }
-                });
-              });
-  }
-  void IssueV(const CoordKey& key, std::function<void(ZkClient*, VoidCb)> issue,
-              VoidCb done, int attempt = 0);
-
-  EventLoop* loop_;
-  Network* net_;
-  NodeId base_id_;
-  ShardMap map_;
-  ShardMapSource source_;
-  ZkShardRouterOptions options_;
-  std::map<uint32_t, Sub> subs_;  // by shard id; survives map refreshes
   WatchCb watch_handler_;
   SessionEventCb session_cb_;
-  std::function<void(uint32_t, ZkClient*)> sub_hook_;
-  Obs* obs_ = nullptr;
-  int stale_refreshes_ = 0;
 };
 
-struct DsShardRouterOptions {
-  DsClientOptions client;
-  int stale_retry_limit = 3;
-  uint32_t id_stride = 64;
-};
-
-class DsShardRouter : public DsApi {
+class DsShardRouter : public DsApi, public ShardRouterCore<DsClient, DsClientOptions> {
  public:
   DsShardRouter(EventLoop* loop, Network* net, NodeId base_id, ShardMap map,
-                ShardMapSource source, DsShardRouterOptions options);
-  ~DsShardRouter() override;
-
-  DsShardRouter(const DsShardRouter&) = delete;
-  DsShardRouter& operator=(const DsShardRouter&) = delete;
+                ShardMapSource source, DsClientOptions options);
 
   // DsApi.
   void Out(DsTuple tuple, ReplyCb done) override;
@@ -216,60 +358,20 @@ class DsShardRouter : public DsApi {
   static CoordKey KeyOf(const DsTuple& tuple);
   static CoordKey KeyOf(const DsTemplate& templ);
 
-  // Topology introspection.
-  size_t shard_count() const { return map_.size(); }
-  uint64_t map_version() const { return map_.version(); }
-  const ShardMap& map() const { return map_; }
-  DsClient* shard_client(uint32_t shard_id) const;
-  std::vector<NodeId> sub_client_ids() const;
-  int stale_refreshes() const { return stale_refreshes_; }
   void Kill();  // simulate process death across all sub-clients
 
-  void SetSubClientHook(std::function<void(uint32_t shard_id, DsClient*)> hook);
-  void SetObs(Obs* obs);
-
  private:
-  DsClient* EnsureSub(size_t entry_idx);
-  bool RefreshMap();
+  void OnNewSub(uint32_t shard_id, DsClient* client) override;
+  // Routes a single-tuple op by `key`, or rejects it when `key` is a
+  // wildcard (`op` names it in the error).
+  void Route(const CoordKey& key, const char* op,
+             std::function<void(DsClient*, ReplyCb)> issue, ReplyCb done);
+  // Routes an op carrying a template and a tuple (cas, replace); rejects it
+  // when the two route to different shards.
+  void RoutePair(const CoordKey& templ_key, const CoordKey& tuple_key, const char* op,
+                 std::function<void(DsClient*, ReplyCb)> issue, ReplyCb done);
 
-  static bool Stale(const Result<DsReply>& r) {
-    // A DS stale rejection is an ordered, executed reply — it arrives as a
-    // successful vote whose reply code is kShardMapStale.
-    return r.ok() ? r->code == ErrorCode::kShardMapStale
-                  : r.status().code() == ErrorCode::kShardMapStale;
-  }
-  static bool Stale(const Result<ExtensionResult>& r) {
-    return !r.ok() && r.status().code() == ErrorCode::kShardMapStale;
-  }
-
-  template <typename T>
-  void Issue(const CoordKey& key, std::function<void(DsClient*, ResultCb<T>)> issue,
-             ResultCb<T> done, int attempt = 0) {
-    uint64_t issued = map_.version();
-    DsClient* c = EnsureSub(map_.IndexFor(key));
-    issue(c, [this, key, issue, done, attempt, issued](Result<T> r) {
-      if (Stale(r) && attempt < options_.stale_retry_limit &&
-          (RefreshMap() || map_.version() > issued)) {
-        Issue<T>(key, issue, done, attempt + 1);
-        return;
-      }
-      if (done) {
-        done(std::move(r));
-      }
-    });
-  }
-
-  EventLoop* loop_;
-  Network* net_;
-  NodeId base_id_;
-  ShardMap map_;
-  ShardMapSource source_;
-  DsShardRouterOptions options_;
-  std::map<uint32_t, std::unique_ptr<DsClient>> subs_;  // by shard id
-  std::function<void(uint32_t, DsClient*)> sub_hook_;
-  Obs* obs_ = nullptr;
   bool auto_renew_all_ = false;
-  int stale_refreshes_ = 0;
 };
 
 }  // namespace edc

@@ -19,6 +19,9 @@
 
 namespace edc {
 
+// Cores of every simulated replica's CpuQueue.
+inline constexpr int kReplicaCores = 1;
+
 class CpuQueue {
  public:
   // `cores` parallel workers; work is dispatched to the earliest-free core

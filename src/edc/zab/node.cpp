@@ -9,35 +9,44 @@
 
 namespace edc {
 
+namespace {
+
+// The membership a node boots into: `members` are the voters, and an
+// observer lists itself as the one observer instead.
+ZabMembership BootMembership(NodeId self, const std::vector<NodeId>& members, bool observer) {
+  ZabMembership m;
+  for (NodeId n : members) {
+    if (!observer || n != self) {
+      m.voters.push_back(n);
+    }
+  }
+  if (observer) {
+    m.observers.push_back(self);
+  }
+  return m;
+}
+
+}  // namespace
+
 ZabNode::ZabNode(EventLoop* loop, Network* net, CpuQueue* cpu, LogStore* log,
-                 const CostModel& costs, ZabConfig config, ZabCallbacks* callbacks)
+                 const CostModel& costs, NodeId self, std::vector<NodeId> members,
+                 ZabConfig config, ZabCallbacks* callbacks)
     : loop_(loop),
       net_(net),
       cpu_(cpu),
       log_(log),
       costs_(costs),
+      self_(self),
+      boot_membership_(BootMembership(self, members, config.observer)),
       config_(std::move(config)),
       callbacks_(callbacks) {
-  assert(!config_.members.empty());
-  membership_ = BootMembership();
+  assert(!members.empty());
+  membership_ = boot_membership_;
   ResetAdmission();
   // One cumulative ack per durable log batch (instead of one per record):
   // the LogStore tells us when a publication run finished; by then every
   // per-record callback has advanced durable_zxid_.
   log_->SetBatchDurableCallback([this]() { OnLocalBatchDurable(); });
-}
-
-ZabMembership ZabNode::BootMembership() const {
-  ZabMembership m;
-  for (NodeId n : config_.members) {
-    if (!config_.observer || n != config_.self) {
-      m.voters.push_back(n);
-    }
-  }
-  if (config_.observer) {
-    m.observers.push_back(config_.self);
-  }
-  return m;
 }
 
 uint64_t ZabNode::last_logged() const {
@@ -65,7 +74,7 @@ void ZabNode::TouchPeer(NodeId from) {
 
 void ZabNode::SendTo(NodeId dst, ZabMsgType type, std::vector<uint8_t> payload) {
   Packet pkt;
-  pkt.src = config_.self;
+  pkt.src = self_;
   pkt.dst = dst;
   pkt.type = static_cast<uint32_t>(type);
   pkt.payload = std::move(payload);
@@ -76,12 +85,12 @@ void ZabNode::BroadcastMsg(ZabMsgType type, const std::vector<uint8_t>& payload)
   // Observers get the full stream (proposals, commits, heartbeats) — they
   // just never count toward a quorum.
   for (NodeId peer : membership_.voters) {
-    if (peer != config_.self) {
+    if (peer != self_) {
       SendTo(peer, type, payload);
     }
   }
   for (NodeId peer : membership_.observers) {
-    if (peer != config_.self) {
+    if (peer != self_) {
       SendTo(peer, type, payload);
     }
   }
@@ -106,7 +115,7 @@ void ZabNode::ArmTimer(TimerId* slot, Duration delay, std::function<void()> fn) 
 void ZabNode::Start() {
   ++generation_;
   CancelLeaderTimeout();  // a check armed before this boot would never fire
-  membership_ = BootMembership();
+  membership_ = boot_membership_;
   base_zxid_ = 0;
   committed_zxid_ = 0;
   // Recover the durable snapshot first (it is the log's floor): the log
@@ -122,7 +131,7 @@ void ZabNode::Start() {
       base_zxid_ = snap_zxid;
       committed_zxid_ = snap_zxid;
     } else {
-      EDC_LOG(kInfo) << "node " << config_.self
+      EDC_LOG(kInfo) << "node " << self_
                      << " durable snapshot unusable; discarding log suffix";
       log_->ClearSnapshot();
       log_->Truncate(0);
@@ -195,19 +204,19 @@ void ZabNode::EnterLooking() {
   loop_->Cancel(heartbeat_timer_);
   CancelLeaderTimeout();
   ++election_round_;
-  my_vote_ = Vote{current_epoch_, last_logged(), config_.self};
+  my_vote_ = Vote{current_epoch_, last_logged(), self_};
   tally_.clear();
   if (is_voter()) {
-    tally_[config_.self] = my_vote_;
+    tally_[self_] = my_vote_;
   } else if (!membership_.voters.empty()) {
     // Observers/learners never stand for election; they vote for some actual
     // voter purely so settled nodes answer with LeaderInfo and pull them in.
     my_vote_ = Vote{0, 0, membership_.voters.front()};
   }
-  EDC_LOG(kDebug) << "node " << config_.self << " LOOKING round=" << election_round_
+  EDC_LOG(kDebug) << "node " << self_ << " LOOKING round=" << election_round_
                   << " zxid=" << my_vote_.zxid;
   SendMyVote(0);
-  ArmTimer(&election_timer_, config_.election_retry, [this]() { ElectionRetryTick(); });
+  ArmTimer(&election_timer_, kElectionRetry, [this]() { ElectionRetryTick(); });
   // A quorum of one (single-node ensemble) decides immediately.
   CheckElectionDecision();
 }
@@ -219,7 +228,7 @@ void ZabNode::ElectionRetryTick() {
   SendMyVote(0);
   CheckElectionDecision();
   if (role_ == Role::kLooking) {
-    ArmTimer(&election_timer_, config_.election_retry, [this]() { ElectionRetryTick(); });
+    ArmTimer(&election_timer_, kElectionRetry, [this]() { ElectionRetryTick(); });
   }
 }
 
@@ -229,7 +238,7 @@ void ZabNode::SendMyVote(NodeId dst_or_all) {
   vote.vote_for = my_vote_.node;
   vote.vote_zxid = my_vote_.zxid;
   vote.vote_epoch = my_vote_.epoch;
-  vote.from = config_.self;
+  vote.from = self_;
   vote.from_looking = role_ == Role::kLooking;
   auto payload = EncodeMsg(vote);
   if (dst_or_all == 0) {
@@ -251,7 +260,7 @@ void ZabNode::OnElectionVote(const ElectionVote& vote, NodeId from) {
     election_round_ = vote.election_round;
     tally_.clear();
     if (is_voter()) {
-      tally_[config_.self] = my_vote_;
+      tally_[self_] = my_vote_;
     }
   } else if (vote.election_round < election_round_) {
     SendMyVote(from);
@@ -263,7 +272,7 @@ void ZabNode::OnElectionVote(const ElectionVote& vote, NodeId from) {
   Vote candidate{vote.vote_epoch, vote.vote_zxid, vote.vote_for};
   if (is_voter() && membership_.IsVoter(candidate.node) && candidate.BetterThan(my_vote_)) {
     my_vote_ = candidate;
-    tally_[config_.self] = my_vote_;
+    tally_[self_] = my_vote_;
     SendMyVote(0);
   }
   if (membership_.IsVoter(from) && membership_.IsVoter(candidate.node)) {
@@ -291,7 +300,7 @@ void ZabNode::CheckElectionDecision() {
 
 void ZabNode::DecideLeader(NodeId leader, uint32_t max_epoch_seen) {
   loop_->Cancel(election_timer_);
-  if (leader == config_.self) {
+  if (leader == self_) {
     current_epoch_ = std::max(current_epoch_, max_epoch_seen) + 1;
     BecomeLeader();
   } else {
@@ -303,7 +312,7 @@ void ZabNode::OnLeaderInfo(const LeaderInfo& info) {
   if (role_ != Role::kLooking) {
     return;
   }
-  if (info.leader == config_.self) {
+  if (info.leader == self_) {
     return;  // stale; keep looking
   }
   loop_->Cancel(election_timer_);
@@ -314,16 +323,16 @@ void ZabNode::OnLeaderInfo(const LeaderInfo& info) {
 
 void ZabNode::BecomeLeader() {
   role_ = Role::kLeading;
-  leader_ = config_.self;
+  leader_ = self_;
   counter_ = 0;
   broadcast_active_ = false;
   acked_.clear();
   newleader_acks_.clear();
-  newleader_acks_.insert(config_.self);
+  newleader_acks_.insert(self_);
   peer_last_seen_.clear();
   // Our whole durable history counts as self-acked.
-  acked_[config_.self] = last_logged();
-  EDC_LOG(kInfo) << "node " << config_.self << " LEADING epoch=" << current_epoch_;
+  acked_[self_] = last_logged();
+  EDC_LOG(kInfo) << "node " << self_ << " LEADING epoch=" << current_epoch_;
   ActivateBroadcastIfQuorum();
   SendHeartbeats();
 }
@@ -396,7 +405,7 @@ void ZabNode::ActivateBroadcastIfQuorum() {
   }
   broadcast_active_ = true;
   TryCommit();
-  callbacks_->OnRoleChange(true, config_.self, current_epoch_);
+  callbacks_->OnRoleChange(true, self_, current_epoch_);
 }
 
 bool ZabNode::Broadcast(std::vector<uint8_t> txn) {
@@ -467,7 +476,7 @@ Status ZabNode::ValidateReconfig(const ZabMembership& next) const {
   if (changes > 1) {
     return Status(ErrorCode::kInvalidArgument, "one membership change at a time");
   }
-  if (new_voter != 0 && new_voter != config_.self) {
+  if (new_voter != 0 && new_voter != self_) {
     // Promotion gate: a voter that is far behind the commit frontier would
     // stall every future quorum. Let it catch up as an observer first.
     uint64_t window = PeerAckWindow(new_voter);
@@ -504,7 +513,7 @@ bool ZabNode::BroadcastInternal(std::span<const uint8_t> txn, uint8_t flags) {
   // is NOT awaited; the LogStore pipelines this append behind any fsync
   // still in flight, and the self-ack below lands whenever its batch does.
   AppendRecordDurable(zxid, frame.subspan(kProposeHeaderBytes), [this, zxid]() {
-    RecordAck(config_.self, zxid);
+    RecordAck(self_, zxid);
     TryCommit();
   });
   return true;
@@ -565,7 +574,7 @@ void ZabNode::TryCommit() {
       m_commits_->Increment();
       auto tit = proposal_trace_.find(zxid);
       if (tit != proposal_trace_.end()) {
-        obs_->tracer.RecordSpanIn(tit->second.ctx, "zab.order", Stage::kOther, config_.self,
+        obs_->tracer.RecordSpanIn(tit->second.ctx, "zab.order", Stage::kOther, self_,
                                   tit->second.at, loop_->now());
         prev = obs_->tracer.current();
         obs_->tracer.SetCurrent(tit->second.ctx);
@@ -599,7 +608,7 @@ void ZabNode::BecomeFollower(NodeId leader, uint32_t leader_epoch) {
   synced_ = false;
   acked_zxid_ = 0;  // this leader has heard nothing from us yet
   current_epoch_ = std::max(current_epoch_, leader_epoch);
-  EDC_LOG(kDebug) << "node " << config_.self << " FOLLOWING " << leader;
+  EDC_LOG(kDebug) << "node " << self_ << " FOLLOWING " << leader;
   SendTo(leader, ZabMsgType::kFollowerInfo, EncodeMsg(FollowerInfo{last_logged()}));
   ResetLeaderTimeout();
 }
@@ -622,7 +631,7 @@ void ZabNode::ArmLeaderTimeoutCheck() {
       ArmLeaderTimeoutCheck();  // the leader was heard since this check was armed
       return;
     }
-    EDC_LOG(kDebug) << "node " << config_.self << " leader timeout";
+    EDC_LOG(kDebug) << "node " << self_ << " leader timeout";
     EnterLooking();
   });
 }
@@ -712,7 +721,7 @@ void ZabNode::OnSnap(SnapMsg&& msg) {
   // re-fetch).
   auto snap = DecodeMsg<ZabSnapshot>(msg.snapshot);
   if (!snap.ok() || !callbacks_->InstallSnapshot(msg.snapshot_zxid, snap->state)) {
-    EDC_LOG(kInfo) << "node " << config_.self << " snapshot install failed; re-requesting sync";
+    EDC_LOG(kInfo) << "node " << self_ << " snapshot install failed; re-requesting sync";
     synced_ = false;
     SendTo(leader_, ZabMsgType::kFollowerInfo, EncodeMsg(FollowerInfo{last_logged()}));
     ResetLeaderTimeout();
@@ -728,7 +737,7 @@ void ZabNode::OnSnap(SnapMsg&& msg) {
   delivered_count_ = 0;
   snap->membership.version = msg.snapshot_zxid;
   membership_ = std::move(snap->membership);
-  if (membership_.Contains(config_.self)) {
+  if (membership_.Contains(self_)) {
     admitted_ = true;  // exclusion stays provisional: the snapshot may predate our add
   }
   ResetLeaderTimeout();
@@ -914,15 +923,15 @@ bool ZabNode::ActivateMembership(uint64_t zxid, std::span<const uint8_t> txn) {
   bool was_admitted = admitted_;
   next->version = zxid;
   membership_ = std::move(*next);
-  if (membership_.Contains(config_.self)) {
+  if (membership_.Contains(self_)) {
     admitted_ = true;
   }
-  EDC_LOG(kInfo) << "node " << config_.self << " membership v" << zxid << " voters="
+  EDC_LOG(kInfo) << "node " << self_ << " membership v" << zxid << " voters="
                  << membership_.voters.size() << " observers=" << membership_.observers.size();
   callbacks_->OnMembershipChange(zxid, membership_);
   // Only an admitted member retires on exclusion: a joiner catching up
   // replays configs that predate its own add and must sail past them.
-  if (was_admitted && !membership_.Contains(config_.self)) {
+  if (was_admitted && !membership_.Contains(self_)) {
     Retire();
     return false;
   }
@@ -930,7 +939,7 @@ bool ZabNode::ActivateMembership(uint64_t zxid, std::span<const uint8_t> txn) {
 }
 
 void ZabNode::Retire() {
-  EDC_LOG(kInfo) << "node " << config_.self << " retired by reconfig";
+  EDC_LOG(kInfo) << "node " << self_ << " retired by reconfig";
   ++generation_;  // kills timers and pending log callbacks, like a crash...
   role_ = Role::kDown;
   leader_ = 0;
@@ -943,7 +952,7 @@ void ZabNode::Retire() {
 }
 
 void ZabNode::RecomputeMembershipFromLog() {
-  ZabMembership m = BootMembership();
+  ZabMembership m = boot_membership_;
   uint64_t version = 0;
   if (log_->has_snapshot() && log_->snapshot_zxid() == base_zxid_) {
     auto snap = DecodeMsg<ZabSnapshot>(log_->snapshot());
@@ -971,7 +980,7 @@ void ZabNode::ResetAdmission() {
   // A version-0 membership is pure boot config: voters are the bootstrap
   // ensemble (admitted by construction) while an observer's self-entry is
   // provisional. Anything with version > 0 is durable evidence and governs.
-  admitted_ = membership_.version > 0 ? membership_.Contains(config_.self) : !config_.observer;
+  admitted_ = membership_.version > 0 ? membership_.Contains(self_) : !config_.observer;
 }
 
 void ZabNode::MaybeAutoCompact() {

@@ -89,20 +89,19 @@ class ZabCallbacks {
   }
 };
 
+// The membership a node boots with and its own id are constructor
+// arguments of ZabNode, not fields here.
 struct ZabConfig {
-  std::vector<NodeId> members;
-  NodeId self = 0;
   Duration heartbeat_interval = Millis(50);
   Duration leader_timeout = Millis(250);
-  Duration election_retry = Millis(120);
   // Followers send one cumulative kAck per durable log batch instead of one
   // per record. Off reproduces the legacy per-record ack stream packet for
   // packet (the pipeline determinism suite uses that for trace-digest
   // comparisons across pipeline depths).
   bool ack_aggregation = true;
-  // This node boots as a non-voting observer: `members` is its contact list
-  // of voters (self is NOT a voter until a reconfig promotes it). Voting
-  // nodes list themselves in `members` and leave this false.
+  // This node boots as a non-voting observer: the boot members are its
+  // contact list of voters (self is NOT a voter until a reconfig promotes
+  // it). Voting nodes list themselves among the boot members.
   bool observer = false;
   // Promotion gate: a reconfig adding a voter is rejected unless the
   // candidate's cumulative ack window is within this many zxids of the
@@ -116,8 +115,13 @@ struct ZabConfig {
 
 class ZabNode {
  public:
+  // Vote-round retry delay of an election that has not converged.
+  static constexpr Duration kElectionRetry = Millis(120);
+
+  // `members` is the boot membership: the voters, and `self` among them
+  // unless config.observer.
   ZabNode(EventLoop* loop, Network* net, CpuQueue* cpu, LogStore* log, const CostModel& costs,
-          ZabConfig config, ZabCallbacks* callbacks);
+          NodeId self, std::vector<NodeId> members, ZabConfig config, ZabCallbacks* callbacks);
 
   ZabNode(const ZabNode&) = delete;
   ZabNode& operator=(const ZabNode&) = delete;
@@ -146,7 +150,7 @@ class ZabNode {
   bool HasPendingReconfig() const;
 
   const ZabMembership& membership() const { return membership_; }
-  bool is_voter() const { return membership_.IsVoter(config_.self); }
+  bool is_voter() const { return membership_.IsVoter(self_); }
   // Whether any activated (version > 0) membership — or the bootstrap voter
   // config — includes this node. A joining observer stays un-admitted while
   // it catches up past configs that predate its add; only an admitted node
@@ -218,7 +222,6 @@ class ZabNode {
   void Process(Packet&& pkt);
 
   // Membership.
-  ZabMembership BootMembership() const;
   Status ValidateReconfig(const ZabMembership& next) const;
   // Decodes and installs the membership carried by a committed reconfig
   // entry, fires OnMembershipChange, and retires this node when the new
@@ -293,6 +296,8 @@ class ZabNode {
   CpuQueue* cpu_;
   LogStore* log_;
   CostModel costs_;
+  const NodeId self_;
+  const ZabMembership boot_membership_;
   ZabConfig config_;
   ZabCallbacks* callbacks_;
 

@@ -247,7 +247,7 @@ void ZkClient::HandlePacket(Packet&& pkt) {
       if (m->req_id == 0) {
         // Failed connect (e.g. no leader yet): retry.
         if (session_ == 0 && connect_cb_ && !closing_) {
-          loop_->Schedule(options_.connect_retry, [this]() {
+          loop_->Schedule(kConnectRetry, [this]() {
             if (session_ == 0 && connect_cb_ && !closing_) {
               SendConnect();
             }

@@ -37,7 +37,6 @@ namespace edc {
 struct ZkClientOptions {
   Duration session_timeout = Seconds(5);
   Duration ping_interval = Seconds(1);
-  Duration connect_retry = Millis(200);
   ReconnectOptions reconnect;
 };
 
@@ -54,6 +53,9 @@ struct ZkClientObserver {
 class ZkClient : public NetworkNode, public ZkApi {
  public:
   using ReplyCb = std::function<void(const ZkReplyMsg&)>;
+
+  // Delay before re-sending a connect the server refused (e.g. no leader yet).
+  static constexpr Duration kConnectRetry = Millis(200);
 
   ZkClient(EventLoop* loop, Network* net, NodeId id, ShardView view,
            ZkClientOptions options);

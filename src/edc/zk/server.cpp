@@ -24,19 +24,10 @@ ZkServer::ZkServer(EventLoop* loop, Network* net, NodeId id, std::vector<NodeId>
       id_(id),
       costs_(costs),
       options_(options),
-      cpu_(loop, options.cpu_cores),
+      cpu_(loop, kReplicaCores),
       log_(loop, options.log, std::move(log_pool)) {
-  ZabConfig zcfg;
-  zcfg.members = std::move(members);
-  zcfg.self = id;
-  zcfg.heartbeat_interval = options.zab_heartbeat;
-  zcfg.leader_timeout = options.zab_leader_timeout;
-  zcfg.election_retry = options.zab_election_retry;
-  zcfg.ack_aggregation = options.zab_ack_aggregation;
-  zcfg.observer = options.observer;
-  zcfg.snapshot_every = options.zab_snapshot_every;
-  zcfg.promote_lag = options.zab_promote_lag;
-  zab_ = std::make_unique<ZabNode>(loop, net, &cpu_, &log_, costs, zcfg, this);
+  zab_ = std::make_unique<ZabNode>(loop, net, &cpu_, &log_, costs, id, std::move(members),
+                                   options.zab, this);
 }
 
 void ZkServer::Start() {

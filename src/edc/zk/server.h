@@ -37,30 +37,15 @@
 namespace edc {
 
 struct ZkServerOptions {
-  int cpu_cores = 1;
   LogStoreConfig log;
-  Duration zab_heartbeat = Millis(50);
-  Duration zab_leader_timeout = Millis(250);
-  Duration zab_election_retry = Millis(120);
-  // Followers ack once per durable log batch (cumulative) instead of once
-  // per record; off = legacy per-record ack stream (ZabConfig::ack_aggregation).
-  bool zab_ack_aggregation = true;
+  // Zab replication (heartbeats, leader timeout, ack aggregation, observer
+  // boot, promotion lag, auto-compaction; docs/reconfig.md).
+  ZabConfig zab;
   Duration session_check_interval = Millis(200);
   // Test-only: deliver every watch notification twice. The conformance
   // checker's negative tests plant this bug to prove a single-fire violation
   // is caught and shrunk (docs/model_checking.md).
   bool test_double_fire_watches = false;
-  // Boot as a non-voting observer (docs/reconfig.md): `members` is then the
-  // contact list of the current voters, not a tier this replica belongs to.
-  // A later "promote" reconfig turns the replica into a voter.
-  bool observer = false;
-  // Auto-compaction: snapshot + drop the delivered log prefix every N
-  // delivered transactions (ZabConfig::snapshot_every). 0 = never (legacy);
-  // joiners then always catch up by full log replay.
-  size_t zab_snapshot_every = 0;
-  // Commit-frontier slack a candidate voter must be within before a
-  // "promote" reconfig is accepted (ZabConfig::promote_lag).
-  uint64_t zab_promote_lag = 32;
 };
 
 class ZkServer : public NetworkNode, public ZabCallbacks {

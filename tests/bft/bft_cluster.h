@@ -34,11 +34,8 @@ class CounterReplica : public NetworkNode, public BftCallbacks {
  public:
   CounterReplica(EventLoop* loop, Network* net, NodeId id, std::vector<NodeId> members)
       : cpu(loop, 1), loop_(loop) {
-    BftConfig cfg;
-    cfg.members = std::move(members);
-    cfg.self = id;
-    cfg.f = 1;
-    replica = std::make_unique<BftReplica>(loop, net, &cpu, CostModel{}, cfg, this);
+    replica = std::make_unique<BftReplica>(loop, net, &cpu, CostModel{}, id, std::move(members),
+                                           this);
     net->Register(id, this);
   }
 

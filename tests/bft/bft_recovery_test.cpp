@@ -155,11 +155,8 @@ class SnapCounter : public NetworkNode, public BftCallbacks {
  public:
   SnapCounter(EventLoop* loop, Network* net, NodeId id, std::vector<NodeId> members)
       : cpu(loop, 1) {
-    BftConfig cfg;
-    cfg.members = std::move(members);
-    cfg.self = id;
-    cfg.f = 1;
-    replica = std::make_unique<BftReplica>(loop, net, &cpu, CostModel{}, cfg, this);
+    replica = std::make_unique<BftReplica>(loop, net, &cpu, CostModel{}, id, std::move(members),
+                                           this);
     net->Register(id, this);
   }
 

@@ -131,13 +131,8 @@ TEST_F(BftClusterTest, SevenReplicasF2ToleratesTwoCrashes) {
   std::vector<std::unique_ptr<Shell>> shells;
   for (NodeId id : members) {
     auto shell = std::make_unique<Shell>(&loop_);
-    BftConfig cfg;
-    cfg.members = members;
-    cfg.self = id;
-    cfg.f = 2;
-    shell->replica =
-        std::make_unique<BftReplica>(&loop_, net_.get(), &shell->cpu, CostModel{}, cfg,
-                                     shell.get());
+    shell->replica = std::make_unique<BftReplica>(&loop_, net_.get(), &shell->cpu, CostModel{},
+                                                  id, members, shell.get());
     net_->Register(id, shell.get());
     shell->replica->Start();
     shells.push_back(std::move(shell));

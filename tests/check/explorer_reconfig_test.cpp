@@ -24,7 +24,7 @@ void RunReconfigSeeds(uint64_t lo, uint64_t hi) {
     options.seed = seed;
     options.ops_per_client = 16;
     if (seed % 3 == 0) {
-      options.zk_server.zab_snapshot_every = 10;
+      options.zk_server.zab.snapshot_every = 10;
     }
     PlanSpec plan = GenerateReconfigPlan(options.system, options.seed);
     ScheduleResult result = RunSchedule(options, plan);
@@ -74,7 +74,7 @@ TEST(ReconfigScheduleSweep, SameSeedSameSchedule) {
   ExplorerOptions options;
   options.system = SystemKind::kZooKeeper;
   options.seed = 17;
-  options.zk_server.zab_snapshot_every = 10;
+  options.zk_server.zab.snapshot_every = 10;
   PlanSpec plan_a = GenerateReconfigPlan(options.system, options.seed);
   PlanSpec plan_b = GenerateReconfigPlan(options.system, options.seed);
   EXPECT_EQ(plan_a.ToString(), plan_b.ToString());

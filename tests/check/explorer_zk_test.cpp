@@ -62,7 +62,7 @@ TEST(ZkScheduleNegative, DoubleFireWatchCaughtAndShrunk) {
   options.system = SystemKind::kZooKeeper;
   options.seed = 7;
   options.workload = ExplorerOptions::Workload::kWatchPair;
-  options.double_fire_bug = true;
+  options.zk_server.test_double_fire_watches = true;
 
   PlanSpec plan = GeneratePlan(options.system, options.seed);
   ScheduleResult full = RunSchedule(options, plan);

@@ -3,6 +3,7 @@
 #include <string>
 #include <vector>
 
+#include "edc/common/codec.h"
 #include "tests/ds/ds_cluster.h"
 
 namespace edc {
@@ -13,6 +14,50 @@ std::string DataOf(const DsReply& reply) {
     return "";
   }
   return FieldToString(reply.tuples[0][1]);
+}
+
+// A replica that swallows the client's requests; the test plays its replies.
+class SilentReplica : public NetworkNode {
+ public:
+  void HandlePacket(Packet&&) override {}
+};
+
+// How many matching replies a client over `replicas` replicas waits for
+// before it accepts a result: f + 1, with f computed from the ensemble size.
+size_t RepliesToDecide(size_t replicas) {
+  EventLoop loop;
+  Network net(&loop, Rng(3), LinkParams{});
+  std::vector<SilentReplica> nodes(replicas);
+  std::vector<NodeId> members;
+  for (size_t i = 0; i < replicas; ++i) {
+    members.push_back(static_cast<NodeId>(i + 1));
+    net.Register(members.back(), &nodes[i]);
+  }
+  DsClient client(&loop, &net, 100, ShardView::Standalone(ServerList{members}),
+                  DsClientOptions{});
+  bool decided = false;
+  client.Out(DsTuple{DsField{std::string("/k")}}, [&decided](Result<DsReply> r) {
+    EXPECT_TRUE(r.ok());
+    decided = true;
+  });
+  loop.RunUntil(Millis(1));
+  ReplyMsg reply{/*req_id=*/1, /*view=*/0, EncodeMsg(DsReply{})};
+  for (size_t n = 1; n <= replicas; ++n) {
+    client.HandlePacket(Packet{members[n - 1], 100, static_cast<uint32_t>(BftMsgType::kReply),
+                               EncodeMsg(reply)});
+    if (decided) {
+      return n;
+    }
+  }
+  return 0;
+}
+
+TEST(DsClientQuorumTest, SevenReplicasNeedThreeMatchingReplies) {
+  EXPECT_EQ(RepliesToDecide(7), 3u);
+}
+
+TEST(DsClientQuorumTest, FourReplicasNeedTwoMatchingReplies) {
+  EXPECT_EQ(RepliesToDecide(4), 2u);
 }
 
 TEST(DsServiceTest, OutThenRdpOnAllReplicas) {

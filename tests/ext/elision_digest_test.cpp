@@ -13,6 +13,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "edc/common/result.h"
 #include "edc/harness/fixture.h"
@@ -426,6 +427,159 @@ TEST(ElisionDigestTest, EzkFailoverDigestsPinned) {
 
   EXPECT_EQ(run.packet_digest, kEzkFailoverPacketDigest);
   EXPECT_EQ(run.state_hash, kEzkFailoverStateHash);
+}
+
+// Sharded EDS through every router path: an extension registered and
+// acknowledged on every shard (fan-out join), counters and a queue pinned to
+// chosen shards, plain objects spread over the ring, a wildcard RdAll
+// (scatter-gather), a replica of shard 1 that crashes and rejoins by state
+// transfer, and a shard added mid-run, after which both routers are rejected
+// as stale, refresh and re-route. These digests were recorded before the
+// fixture's boot code and the two routers' retry code were merged: neither
+// may move a packet or a tuple.
+struct ShardedEdsSig {
+  uint64_t packet_digest = 0;
+  std::vector<uint64_t> shard_hashes;  // per shard, in map order
+  int ops_failed = 0;
+  std::string removed;  // the values the queue removes returned, in order
+  std::string reads;    // what each read after AddShard saw; "-" = absent
+  size_t scattered = 0;  // tuples the wildcard RdAll gathered
+  int stale_refreshes = 0;
+  uint64_t state_transfers = 0;
+};
+
+ShardedEdsSig RunShardedEdsWorkload(uint64_t seed) {
+  FixtureOptions options;
+  options.system = SystemKind::kExtensibleDepSpace;
+  options.num_clients = 2;
+  options.num_shards = 2;
+  options.seed = seed;
+  options.observability = true;
+  ClusterFixture fix(options);
+  fix.faults().EnablePacketTrace();
+  fix.Start();
+
+  ShardedEdsSig sig;
+  EventLoop& loop = fix.loop();
+  SimTime t0 = loop.now();
+  auto at = [&loop, t0](Duration d, std::function<void()> fn) {
+    loop.ScheduleAt(t0 + d, std::move(fn));
+  };
+  auto count = [&sig](const Status& s) { sig.ops_failed += s.ok() ? 0 : 1; };
+  auto count_value = [&sig](const Result<std::string>& r) { sig.ops_failed += r.ok() ? 0 : 1; };
+  auto count_int = [&sig](const Result<int64_t>& r) { sig.ops_failed += r.ok() ? 0 : 1; };
+
+  const ShardMap& map = fix.shard_map();
+  SharedCounter c0(fix.coord(0), /*use_extension=*/true, map.SubtreeForShard("/ca", 0));
+  SharedCounter c1(fix.coord(1), /*use_extension=*/true, map.SubtreeForShard("/ca", 0));
+  DistributedQueue q0(fix.coord(0), /*use_extension=*/true, map.SubtreeForShard("/qb", 1));
+  DistributedQueue q1(fix.coord(1), /*use_extension=*/true, map.SubtreeForShard("/qb", 1));
+  at(Millis(10), [&]() {
+    c0.Setup(count);
+    q0.Setup(count);
+  });
+  at(Millis(600), [&]() {
+    c1.Attach(count);
+    q1.Attach(count);
+  });
+  auto obj = [](int i) { return "/obj" + std::to_string(i); };
+  for (int i = 0; i < 12; ++i) {
+    at(Millis(900) + Millis(20) * i, [&, i]() {
+      fix.coord(i % 2)->Create(obj(i), "v" + std::to_string(i), count_value);
+    });
+  }
+  for (int i = 0; i < 10; ++i) {
+    at(Millis(1300) + Millis(40) * i, [&, i]() {
+      SharedCounter& c = i % 2 == 0 ? c0 : c1;
+      c.Increment(count_int);
+      DistributedQueue& q = i % 2 == 0 ? q0 : q1;
+      q.Add("e" + std::to_string(100 + i), "q" + std::to_string(i), count);
+    });
+  }
+  for (int i = 0; i < 6; ++i) {
+    at(Millis(1800) + Millis(60) * i, [&, i]() {
+      DistributedQueue& q = i % 2 == 0 ? q1 : q0;
+      q.Remove([&sig](Result<std::string> r) {
+        sig.removed += r.ok() ? *r + "," : "!,";
+      });
+      fix.coord((i + 1) % 2)->Update(obj(i), "u" + std::to_string(i), count);
+    });
+  }
+  at(Millis(2300), [&]() {
+    fix.ds_router(0)->RdAll(DsTemplate{DsTField::Any(), DsTField::Any()},
+                            [&sig](Result<DsReply> r) {
+                              if (r.ok()) {
+                                sig.scattered = r->tuples.size();
+                              }
+                            });
+  });
+  // Shard 1's replica 12 misses traffic and rejoins by state transfer.
+  FaultPlan plan;
+  plan.CrashAt(t0 + Millis(1500), 12).RestartAt(t0 + Millis(2600), 12);
+  fix.RunPlan(plan);
+  fix.Settle(Millis(3000));
+
+  // A third shard joins; the next op of each router is rejected as stale.
+  fix.AddShard();
+  SimTime t1 = loop.now();
+  for (int i = 12; i < 24; ++i) {
+    loop.ScheduleAt(t1 + Millis(20) * (i - 12), [&, i]() {
+      fix.coord(i % 2)->Create(obj(i), "v" + std::to_string(i), count_value);
+    });
+  }
+  for (int i = 0; i < 24; ++i) {
+    loop.ScheduleAt(t1 + Millis(400) + Millis(15) * i, [&, i]() {
+      fix.coord((i + 1) % 2)->Read(obj(i), [&sig](Result<std::string> r) {
+        sig.reads += r.ok() ? *r + "," : r.code() == ErrorCode::kNoNode ? "-," : "!,";
+      });
+    });
+  }
+  for (int i = 0; i < 4; ++i) {
+    loop.ScheduleAt(t1 + Millis(900) + Millis(50) * i, [&, i]() {
+      SharedCounter& c = i % 2 == 0 ? c1 : c0;
+      c.Increment(count_int);
+      fix.coord(i % 2)->Delete(obj(i + 12), count);
+    });
+  }
+  fix.Settle(Seconds(3));
+
+  std::string why;
+  EXPECT_TRUE(fix.CheckEdsInvariants(&why)) << why;
+  sig.packet_digest = fix.faults().TraceDigest();
+  for (const ShardEntry& entry : fix.shard_map().entries()) {
+    uint64_t h = 1469598103934665603ull;
+    for (DsServer* s : fix.DsShardServers(entry.shard_id)) {
+      h = Fnv1aMix(h, s->space().Digest());
+    }
+    sig.shard_hashes.push_back(h);
+  }
+  sig.stale_refreshes = fix.ds_router(0)->stale_refreshes() + fix.ds_router(1)->stale_refreshes();
+  sig.state_transfers = fix.DsShardServers(1)[1]->bft().state_transfers();
+  return sig;
+}
+
+constexpr uint64_t kShardedEdsPacketDigest = 0xc8a987c364f252b4ull;
+constexpr uint64_t kShardedEdsShardHashes[3] = {0x7add91d68729064bull, 0x09ce65e2cfe77803ull,
+                                                0x583460bdb9f1e97bull};
+
+TEST(ElisionDigestTest, ShardedEdsDigestsPinned) {
+  ShardedEdsSig run = RunShardedEdsWorkload(59);
+
+  EXPECT_EQ(run.ops_failed, 0);
+  EXPECT_EQ(run.stale_refreshes, 2) << "each router refreshes once after AddShard";
+  EXPECT_GE(run.state_transfers, 1u) << "replica 12 must rejoin by state transfer";
+  EXPECT_EQ(run.scattered, 28u);
+  EXPECT_EQ(run.removed, "q0,q1,q2,q3,q4,q5,");
+  // AddShard moves no data: the three keys the new shard took over read as
+  // absent through either router.
+  EXPECT_EQ(run.reads,
+            "-,-,-,u3,u4,u5,v6,v7,v8,v9,v10,v11,v12,v13,v14,v15,v16,v17,v18,v19,v20,v21,v22,v23,");
+  ASSERT_EQ(run.shard_hashes.size(), 3u);
+
+  EXPECT_EQ(run.packet_digest, kShardedEdsPacketDigest);
+  for (size_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(run.shard_hashes[s], kShardedEdsShardHashes[s]) << "shard " << s;
+  }
 }
 
 }  // namespace

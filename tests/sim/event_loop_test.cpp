@@ -142,10 +142,9 @@ class HeartbeatShell : public NetworkNode, public ZabCallbacks {
   HeartbeatShell(EventLoop* loop, Network* net, NodeId id, std::vector<NodeId> members)
       : cpu(loop, 1), log(loop, LogStoreConfig{}) {
     ZabConfig cfg;
-    cfg.members = std::move(members);
-    cfg.self = id;
     cfg.heartbeat_interval = Millis(1);
-    zab = std::make_unique<ZabNode>(loop, net, &cpu, &log, CostModel{}, cfg, this);
+    zab = std::make_unique<ZabNode>(loop, net, &cpu, &log, CostModel{}, id, std::move(members),
+                                    cfg, this);
     net->Register(id, this);
   }
   void HandlePacket(Packet&& pkt) override {

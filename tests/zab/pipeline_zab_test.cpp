@@ -56,11 +56,11 @@ std::string TxnStr(std::span<const uint8_t> b) { return std::string(b.begin(), b
 
 class PipelineReplica : public NetworkNode, public ZabCallbacks {
  public:
-  PipelineReplica(EventLoop* loop, Network* net, NodeId id, const LogStoreConfig& log_cfg,
-                  ZabConfig cfg)
+  PipelineReplica(EventLoop* loop, Network* net, NodeId id, std::vector<NodeId> members,
+                  const LogStoreConfig& log_cfg, const ZabConfig& cfg)
       : cpu(loop, 1), log(loop, log_cfg) {
-    cfg.self = id;
-    zab = std::make_unique<ZabNode>(loop, net, &cpu, &log, CostModel{}, std::move(cfg), this);
+    zab = std::make_unique<ZabNode>(loop, net, &cpu, &log, CostModel{}, id, std::move(members),
+                                    cfg, this);
     net->Register(id, this);
   }
 
@@ -103,10 +103,8 @@ class PipelineCluster {
       members.push_back(static_cast<NodeId>(i));
     }
     for (size_t i = 0; i < log_cfgs.size(); ++i) {
-      ZabConfig cfg = base;
-      cfg.members = members;
-      replicas_.push_back(std::make_unique<PipelineReplica>(
-          &loop_, &net_, members[i], log_cfgs[i], cfg));
+      replicas_.push_back(std::make_unique<PipelineReplica>(&loop_, &net_, members[i], members,
+                                                            log_cfgs[i], base));
     }
     for (auto& r : replicas_) {
       r->zab->Start();
@@ -430,9 +428,7 @@ TEST(PipelineZabTrunc, TruncCutsInFlightAppendsAndSurvivesRestart) {
   net.Register(3, &peer_sink);
   LogStoreConfig log_cfg;
   log_cfg.adaptive_window = false;
-  ZabConfig cfg;
-  cfg.members = {1, 2, 3};
-  PipelineReplica follower(&loop, &net, 2, log_cfg, cfg);
+  PipelineReplica follower(&loop, &net, 2, {1, 2, 3}, log_cfg, ZabConfig{});
   ZabNode& zab = *follower.zab;
   const uint64_t cut = MakeZxid(1, 2);
   auto step = [&loop](Duration d) { loop.RunUntil(loop.now() + d); };
@@ -494,9 +490,7 @@ TEST(PipelineZabPropose, TrailingBytesAreNotLoggedAndTheNextProposalIs) {
   SinkNode peer_sink;
   net.Register(1, &leader_sink);
   net.Register(3, &peer_sink);
-  ZabConfig cfg;
-  cfg.members = {1, 2, 3};
-  PipelineReplica follower(&loop, &net, 2, LogStoreConfig{}, cfg);
+  PipelineReplica follower(&loop, &net, 2, {1, 2, 3}, LogStoreConfig{}, ZabConfig{});
   ZabNode& zab = *follower.zab;
   auto step = [&loop](Duration d) { loop.RunUntil(loop.now() + d); };
 
@@ -536,7 +530,6 @@ ZkServerOptions PipelinedServerOptions() {
   ZkServerOptions zk;
   zk.log.pipeline_depth = 8;
   zk.log.adaptive_window = true;
-  zk.log.min_window = Micros(5);
   zk.log.group_commit_window = Micros(5);
   return zk;
 }

@@ -26,10 +26,11 @@ std::string TxnStr(std::span<const uint8_t> b) { return std::string(b.begin(), b
 
 class Replica : public NetworkNode, public ZabCallbacks {
  public:
-  Replica(EventLoop* loop, Network* net, NodeId id, ZabConfig cfg)
+  Replica(EventLoop* loop, Network* net, NodeId id, std::vector<NodeId> members,
+          const ZabConfig& cfg)
       : id(id), cpu(loop, 1), log(loop, LogStoreConfig{}) {
-    cfg.self = id;
-    zab = std::make_unique<ZabNode>(loop, net, &cpu, &log, CostModel{}, cfg, this);
+    zab = std::make_unique<ZabNode>(loop, net, &cpu, &log, CostModel{}, id, std::move(members),
+                                    cfg, this);
     net->Register(id, this);
   }
 
@@ -89,12 +90,12 @@ class ReconfigZabTest : public ::testing::Test {
  protected:
   void Boot(size_t n, uint64_t seed = 11) {
     net_ = std::make_unique<Network>(&loop_, Rng(seed), LinkParams{});
-    base_.members.clear();
+    std::vector<NodeId> members;
     for (size_t i = 1; i <= n; ++i) {
-      base_.members.push_back(static_cast<NodeId>(i));
+      members.push_back(static_cast<NodeId>(i));
     }
-    for (NodeId id : base_.members) {
-      replicas_.push_back(std::make_unique<Replica>(&loop_, net_.get(), id, base_));
+    for (NodeId id : members) {
+      replicas_.push_back(std::make_unique<Replica>(&loop_, net_.get(), id, members, base_));
     }
     for (auto& r : replicas_) {
       r->zab->Start();
@@ -106,9 +107,9 @@ class ReconfigZabTest : public ::testing::Test {
   // `observer` it joins as a learner; pair with ProposeAddObserver.
   Replica* AddNode(NodeId id, bool observer) {
     ZabConfig cfg = base_;
-    cfg.members = Leader()->zab->membership().voters;
     cfg.observer = observer;
-    replicas_.push_back(std::make_unique<Replica>(&loop_, net_.get(), id, cfg));
+    replicas_.push_back(std::make_unique<Replica>(&loop_, net_.get(), id,
+                                                  Leader()->zab->membership().voters, cfg));
     Replica* raw = replicas_.back().get();
     raw->zab->Start();
     return raw;
@@ -471,10 +472,10 @@ TEST(ReconfigZabDeterminism, SameSeedSameOutcome) {
     EventLoop loop;
     auto net = std::make_unique<Network>(&loop, Rng(seed), LinkParams{});
     ZabConfig base;
-    base.members = {1, 2, 3};
+    std::vector<NodeId> members = {1, 2, 3};
     std::vector<std::unique_ptr<Replica>> replicas;
-    for (NodeId id : base.members) {
-      replicas.push_back(std::make_unique<Replica>(&loop, net.get(), id, base));
+    for (NodeId id : members) {
+      replicas.push_back(std::make_unique<Replica>(&loop, net.get(), id, members, base));
     }
     for (auto& r : replicas) {
       r->zab->Start();
@@ -497,9 +498,9 @@ TEST(ReconfigZabDeterminism, SameSeedSameOutcome) {
     add.observers.push_back(4);
     leader()->zab->ProposeReconfig(add);
     ZabConfig joiner_cfg = base;
-    joiner_cfg.members = leader()->zab->membership().voters;
     joiner_cfg.observer = true;
-    replicas.push_back(std::make_unique<Replica>(&loop, net.get(), 4, joiner_cfg));
+    replicas.push_back(std::make_unique<Replica>(&loop, net.get(), 4,
+                                                 leader()->zab->membership().voters, joiner_cfg));
     replicas.back()->zab->Start();
     settle(Seconds(2));
     ZabMembership promote = leader()->zab->membership();

@@ -25,10 +25,8 @@ class TestReplica : public NetworkNode, public ZabCallbacks {
  public:
   TestReplica(EventLoop* loop, Network* net, NodeId id, std::vector<NodeId> members)
       : cpu(loop, 1), log(loop, LogStoreConfig{}) {
-    ZabConfig cfg;
-    cfg.members = std::move(members);
-    cfg.self = id;
-    zab = std::make_unique<ZabNode>(loop, net, &cpu, &log, CostModel{}, cfg, this);
+    zab = std::make_unique<ZabNode>(loop, net, &cpu, &log, CostModel{}, id, std::move(members),
+                                    ZabConfig{}, this);
     net->Register(id, this);
   }
 

@@ -90,7 +90,7 @@ class ReconfigServiceTest : public ::testing::Test {
 
   ZkServer* AddServerNode(NodeId id, std::vector<NodeId> members, bool observer) {
     ZkServerOptions opts = opts_;
-    opts.observer = observer;
+    opts.zab.observer = observer;
     auto server =
         std::make_unique<ZkServer>(&loop_, net_.get(), id, std::move(members), CostModel{}, opts);
     net_->Register(id, server.get());
@@ -260,7 +260,7 @@ TEST(ReconfigAcceptance, JoinerCatchesUpViaSnapshotUnderTrafficAndMatchesIncumbe
   fo.system = SystemKind::kZooKeeper;
   fo.num_clients = 1;
   fo.seed = 21;
-  fo.zk_server.zab_snapshot_every = 12;  // compaction forces the SNAP path
+  fo.zk_server.zab.snapshot_every = 12;  // compaction forces the SNAP path
   CoordFixture fx(fo);
   fx.Start();
   ZkClient* c = fx.zk_client(0);
@@ -344,7 +344,7 @@ TEST(ReconfigAcceptance, TraceAndStateDigestsStableAcrossReruns) {
     fo.system = SystemKind::kZooKeeper;
     fo.num_clients = 1;
     fo.seed = 23;
-    fo.zk_server.zab_snapshot_every = 12;
+    fo.zk_server.zab.snapshot_every = 12;
     CoordFixture fx(fo);
     fx.Start();
     fx.faults().EnablePacketTrace();
