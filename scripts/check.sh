@@ -130,10 +130,13 @@ ctest --output-on-failure -j "$JOBS" --no-tests=error \
 # digests (replay, DIFF, SNAP, TRUNC) recorded while ZabNode still kept its
 # own copy, the LogStore ownership rules (spans, cuts with batches in flight,
 # blocks), and the pool's (one copy across stores, per-store cuts, key
-# collisions, freed blocks, restored images).
-echo "== spotlight: EZK failover digest, recorded before the single-copy log =="
+# collisions, freed blocks, restored images). One crash incarnation per
+# replica host: the failover digests and the reconfig digests (join, then
+# the leader retires without crashing) recorded while each replica layer
+# still kept its own generation counter.
+echo "== spotlight: EZK failover and reconfig digests =="
 ctest --output-on-failure -j "$JOBS" --no-tests=error \
-  -R 'ElisionDigestTest\.EzkFailoverDigestsPinned'
+  -R 'ElisionDigestTest\.(EzkFailoverDigestsPinned|ReconfigDigestsPinned)'
 # Every replica group boots through one fixture path and both shard routers
 # share one retry core: the sharded EDS digests (fan-out join, scatter-gather,
 # crash-restart, AddShard) and the 2-shard EZK two-phase digests were recorded

@@ -22,7 +22,7 @@ BftReplica::BftReplica(EventLoop* loop, Network* net, CpuQueue* cpu, const CostM
       callbacks_(callbacks) {}
 
 void BftReplica::Start() {
-  ++generation_;
+  cpu_->NextIncarnation();
   running_ = true;
   view_ = 0;
   view_changing_ = false;
@@ -49,7 +49,7 @@ void BftReplica::Start() {
 }
 
 void BftReplica::Crash() {
-  ++generation_;
+  cpu_->NextIncarnation();
   running_ = false;
   request_trace_.clear();
   loop_->Cancel(request_timer_);
@@ -110,14 +110,8 @@ void BftReplica::HandlePacket(Packet&& pkt) {
   if (!running_) {
     return;
   }
-  uint64_t gen = generation_;
   auto shared = std::make_shared<Packet>(std::move(pkt));
-  cpu_->Submit(costs_.bft_msg_cpu, [this, gen, shared]() {
-    if (gen != generation_ || !running_) {
-      return;
-    }
-    Process(std::move(*shared));
-  });
+  cpu_->Submit(costs_.bft_msg_cpu, [this, shared]() { Process(std::move(*shared)); });
 }
 
 void BftReplica::Process(Packet&& pkt) {
@@ -282,11 +276,7 @@ void BftReplica::ScheduleFlush() {
     return;
   }
   flush_scheduled_ = true;
-  uint64_t gen = generation_;
-  cpu_->Submit(0, [this, gen]() {
-    if (gen != generation_ || !running_) {
-      return;
-    }
+  cpu_->Submit(0, [this]() {
     flush_scheduled_ = false;
     if (is_primary() && !view_changing_) {
       ProposePending();
@@ -803,11 +793,7 @@ void BftReplica::ScheduleCatchupProbe() {
   --probe_budget_;
   StateRequestMsg req{last_executed_};
   BroadcastToReplicas(BftMsgType::kStateRequest, EncodeMsg(req));
-  uint64_t gen = generation_;
-  loop_->Schedule(kRequestTimeout * 2, [this, gen]() {
-    if (gen != generation_ || !running_) {
-      return;
-    }
+  loop_->Schedule(kRequestTimeout * 2, cpu_->Guard([this]() {
     // Keep probing while any peer has vouched for state beyond us (or we
     // have yet to execute anything at all); the budget bounds the idle-timer
     // lifetime so an up-to-date ensemble quiesces.
@@ -818,7 +804,7 @@ void BftReplica::ScheduleCatchupProbe() {
     if (ahead > last_executed_ || last_executed_ == 0) {
       ScheduleCatchupProbe();
     }
-  });
+  }));
 }
 
 // -------------------------------------------------------------- view change
@@ -828,14 +814,10 @@ void BftReplica::ArmRequestTimer() {
     return;
   }
   exec_at_arm_ = last_executed_;
-  uint64_t gen = generation_;
-  request_timer_ = loop_->Schedule(kRequestTimeout, [this, gen]() {
-    if (gen != generation_ || !running_) {
-      return;
-    }
+  request_timer_ = loop_->Schedule(kRequestTimeout, cpu_->Guard([this]() {
     request_timer_ = kInvalidTimer;
     OnRequestTimeout();
-  });
+  }));
 }
 
 void BftReplica::OnRequestTimeout() {

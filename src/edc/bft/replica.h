@@ -125,6 +125,8 @@ class BftReplica {
   BftReplica(const BftReplica&) = delete;
   BftReplica& operator=(const BftReplica&) = delete;
 
+  // Start and Crash each begin a new incarnation of the host's CpuQueue:
+  // timers and queued packets of the previous one never run.
   void Start();
   void Crash();
   void Restart();  // Rejoins with empty state and probes peers for the
@@ -245,7 +247,6 @@ class BftReplica {
   BftCallbacks* callbacks_;
 
   bool running_ = false;
-  uint64_t generation_ = 0;
   bool equivocate_ = false;
 
   uint64_t view_ = 0;

@@ -11,12 +11,14 @@
 #ifndef EDC_COMMON_CLIENT_API_H_
 #define EDC_COMMON_CLIENT_API_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "edc/common/result.h"
+#include "edc/common/rng.h"
 #include "edc/sim/network.h"
 #include "edc/sim/time.h"
 
@@ -58,18 +60,32 @@ struct ReconnectOptions {
   // determinism makes every client disconnected by the same fault retry in
   // perfect lockstep, hammering the recovering replica with synchronized
   // bursts. 0 disables jitter (tests that pin exact timings use this). Each
-  // client seeds its private stream from jitter_seed mixed with its own node
-  // id, so runs stay replayable per seed while clients decorrelate.
+  // client seeds its private stream from its own node id (JitterSeedFor), so
+  // runs stay replayable while clients decorrelate.
   double backoff_jitter = 0.5;
-  uint64_t jitter_seed = 0;
 };
 
-// Mixes a ReconnectOptions jitter seed with a client's node id (splitmix-
-// style odd-constant multiply) so distinct clients draw distinct, stable
+// Seeds a client's private jitter stream from its node id (splitmix-style
+// odd-constant multiply, never 0) so distinct clients draw distinct, stable
 // jitter streams.
-inline uint64_t JitterSeedFor(const ReconnectOptions& options, NodeId id) {
-  uint64_t mixed = options.jitter_seed ^ (0x9E3779B97F4A7C15ULL * (static_cast<uint64_t>(id) + 1));
-  return mixed == 0 ? 0x9E3779B97F4A7C15ULL : mixed;
+inline uint64_t JitterSeedFor(NodeId id) {
+  return 0x9E3779B97F4A7C15ULL * (static_cast<uint64_t>(id) + 1);
+}
+
+// One step of both clients' retry schedule: returns `*backoff` shortened by
+// one draw from [0, backoff_jitter * *backoff], and doubles `*backoff` up to
+// max_backoff (0 steps to initial_backoff).
+inline Duration NextBackoff(const ReconnectOptions& options, Duration* backoff, Rng* rng) {
+  Duration delay = *backoff;
+  *backoff = *backoff == 0 ? options.initial_backoff
+                           : std::min(*backoff * 2, options.max_backoff);
+  if (options.backoff_jitter > 0.0 && delay > 0) {
+    auto span = static_cast<uint64_t>(options.backoff_jitter * static_cast<double>(delay));
+    if (span > 0) {
+      delay -= static_cast<Duration>(rng->UniformU64(span + 1));
+    }
+  }
+  return delay;
 }
 
 // Session lifecycle notifications a failover-aware application (or recipe

@@ -14,7 +14,7 @@ DsClient::DsClient(EventLoop* loop, Network* net, NodeId id, ShardView view,
       shard_id_(view.shard_id),
       map_version_(view.map_version),
       options_(options),
-      jitter_rng_(JitterSeedFor(options.reconnect, id)) {
+      jitter_rng_(JitterSeedFor(id)) {
   net_->Register(id_, this);
 }
 
@@ -75,16 +75,8 @@ void DsClient::ArmRetry(uint64_t req_id) {
   if (arm == calls_.end()) {
     return;
   }
-  Duration delay = arm->second.backoff;
-  // Seeded jitter: shorten each retransmit delay by up to backoff_jitter of
-  // itself so clients hit by the same fault don't retransmit in lockstep.
-  if (options_.reconnect.backoff_jitter > 0.0 && delay > 0) {
-    auto span = static_cast<uint64_t>(options_.reconnect.backoff_jitter *
-                                      static_cast<double>(delay));
-    if (span > 0) {
-      delay -= static_cast<Duration>(jitter_rng_.UniformU64(span + 1));
-    }
-  }
+  // Jittered so clients hit by the same fault don't retransmit in lockstep.
+  Duration delay = NextBackoff(options_.reconnect, &arm->second.backoff, &jitter_rng_);
   arm->second.retry_timer = loop_->Schedule(delay, [this, req_id]() {
     auto it = calls_.find(req_id);
     if (!alive_ || it == calls_.end()) {
@@ -108,7 +100,6 @@ void DsClient::ArmRetry(uint64_t req_id) {
     // the replicas, so retrying is harmless and covers lost packets and
     // primary failover.
     ++it->second.attempts;
-    it->second.backoff = std::min(it->second.backoff * 2, options_.reconnect.max_backoff);
     if (m_retransmits_ != nullptr) {
       m_retransmits_->Increment();
     }

@@ -132,6 +132,7 @@ Result<DsTuple> DsExecContext::PrivilegedInp(const DsTemplate& templ) {
 DsServer::DsServer(EventLoop* loop, Network* net, NodeId id, std::vector<NodeId> members,
                    const CostModel& costs, DsServerOptions options)
     : loop_(loop),
+      net_(net),
       id_(id),
       costs_(costs),
       options_(std::move(options)),
@@ -144,32 +145,36 @@ DsServer::DsServer(EventLoop* loop, Network* net, NodeId id, std::vector<NodeId>
   });
 }
 
-void DsServer::Start() {
-  running_ = true;
-  space_.Load({});
-  waiters_.clear();
-  map_version_ = 0;
-  ops_executed_ = 0;
-  if (hooks_ != nullptr) {
-    hooks_->OnStateReloaded();
-  }
-  bft_->Start();
-}
+void DsServer::Start() { Boot(/*rejoin=*/false); }
 
 void DsServer::Crash() {
   running_ = false;
   bft_->Crash();
+  net_->SetNodeUp(id_, false);
 }
 
 void DsServer::Restart() {
+  net_->SetNodeUp(id_, true);
+  Boot(/*rejoin=*/true);
+}
+
+// Boot and reboot alike: the replicated state starts empty and is rebuilt by
+// state transfer (bft_->Start()/Restart() begins the host's next
+// incarnation). DS replicas keep no durable log; next_waiter_order_ is left
+// as it was until a transferred snapshot overwrites it.
+void DsServer::Boot(bool rejoin) {
   running_ = true;
   space_.Load({});
   waiters_.clear();
-  map_version_ = 0;  // rebuilt by log replay / state transfer
+  map_version_ = 0;  // rebuilt by state transfer
   if (hooks_ != nullptr) {
     hooks_->OnStateReloaded();
   }
-  bft_->Restart();
+  if (rejoin) {
+    bft_->Restart();
+  } else {
+    bft_->Start();
+  }
 }
 
 void DsServer::HandlePacket(Packet&& pkt) {
@@ -244,7 +249,6 @@ BftExecOutcome DsServer::Execute(uint64_t seq, SimTime ts, const BftRequest& req
   if (exec_observer_) {
     exec_observer_(seq, ts, request);
   }
-  ++ops_executed_;
   Duration extra_cpu = costs_.bft_execute_cpu;
 
   DsExecContext ctx(this, request.client, request.req_id, ts);

@@ -122,8 +122,13 @@ class DsServer : public NetworkNode, public BftCallbacks {
   }
   Obs* obs() const { return obs_; }
 
+  // Boots the replica with an empty tuple space (docs/fault_model.md).
   void Start();
+  // Simulated process crash: volatile state is lost, the host's incarnation
+  // ends, and the node leaves the network.
   void Crash();
+  // Rejoins the network, boots as Start() does, and fetches the group's
+  // state by state transfer.
   void Restart();
 
   // NetworkNode.
@@ -147,7 +152,6 @@ class DsServer : public NetworkNode, public BftCallbacks {
   const TupleSpace& space() const { return space_; }
   BftReplica& bft() { return *bft_; }
   CpuQueue& cpu() { return cpu_; }
-  int64_t ops_executed() const { return ops_executed_; }
 
   // Fault injection passthrough.
   void SetEquivocate(bool on) { bft_->SetEquivocate(on); }
@@ -180,6 +184,7 @@ class DsServer : public NetworkNode, public BftCallbacks {
     }
   };
 
+  void Boot(bool rejoin);
   Status CheckAccess(NodeId client, DsOpType type, const DsTuple* tuple,
                      const DsTemplate* templ) const;
   Status CheckPolicy(const DsOp& op) const;
@@ -190,6 +195,7 @@ class DsServer : public NetworkNode, public BftCallbacks {
   void Reply(NodeId client, uint64_t req_id, const DsReply& reply);
 
   EventLoop* loop_;
+  Network* net_;
   NodeId id_;
   CostModel costs_;
   DsServerOptions options_;
@@ -203,7 +209,6 @@ class DsServer : public NetworkNode, public BftCallbacks {
   std::vector<Waiter> waiters_;
   uint64_t map_version_ = 0;  // replicated; see map_version()
   uint64_t next_waiter_order_ = 1;
-  int64_t ops_executed_ = 0;
   ExecObserver exec_observer_;
 };
 

@@ -85,16 +85,7 @@ Server* CoordFixture::AddReplica(std::unique_ptr<Server> server,
   Server* raw = Track(std::move(server), servers);
   NodeId id = raw->id();
   net_->Register(id, raw);
-  faults_->RegisterProcess(
-      id,
-      [this, raw, id]() {
-        raw->Crash();
-        net_->SetNodeUp(id, false);
-      },
-      [this, raw, id]() {
-        net_->SetNodeUp(id, true);
-        raw->Restart();
-      });
+  faults_->RegisterProcess(id, [raw]() { raw->Crash(); }, [raw]() { raw->Restart(); });
   if (IsExtensible(options_.system)) {
     managers.push_back(std::make_unique<Manager>(raw, options_.limits));
   }

@@ -2,17 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <utility>
 
 namespace edc {
 
 CpuQueue::CpuQueue(EventLoop* loop, int cores) : loop_(loop) {
   assert(cores >= 1);
   free_at_.assign(static_cast<size_t>(cores), 0);
-}
-
-void CpuQueue::Submit(Duration cost, std::function<void()> done) {
-  loop_->ScheduleAt(Charge(cost), std::move(done));
 }
 
 SimTime CpuQueue::Charge(Duration cost) {

@@ -5,12 +5,18 @@
 // what produces realistic saturation — when offered load exceeds capacity the
 // queue grows and latency climbs, exactly the regime the paper's contention
 // experiments (Fig. 6/8) exercise.
+//
+// The queue also carries the host's incarnation, shared by every layer that
+// runs on the host (ZkServer and its ZabNode, DsServer and its BftReplica).
+// A crash, a restart and a retirement each begin a new incarnation; work,
+// timers and log callbacks armed in an older one are skipped when they fire
+// (docs/fault_model.md, "Process faults").
 
 #ifndef EDC_SIM_CPU_H_
 #define EDC_SIM_CPU_H_
 
 #include <cstdint>
-#include <functional>
+#include <utility>
 #include <vector>
 
 #include "edc/obs/obs.h"
@@ -32,8 +38,12 @@ class CpuQueue {
   CpuQueue& operator=(const CpuQueue&) = delete;
 
   // Runs `done` once `cost` ns of CPU time have been spent, after all
-  // previously submitted work on the chosen core.
-  void Submit(Duration cost, std::function<void()> done);
+  // previously submitted work on the chosen core, unless the host has begun
+  // a new incarnation by then (the core time and the event are spent anyway).
+  template <class F>
+  void Submit(Duration cost, F done) {
+    loop_->ScheduleAt(Charge(cost), Guard(std::move(done)));
+  }
 
   // Occupies a core exactly as Submit does but schedules nothing: for work
   // whose completion nobody waits on. Returns the time it finishes.
@@ -48,6 +58,20 @@ class CpuQueue {
 
   int cores() const { return static_cast<int>(free_at_.size()); }
 
+  // Ends the host's current incarnation: a crash, a restart or a retirement.
+  void NextIncarnation() { ++incarnation_; }
+
+  // Wraps `fn` (a timer or a log callback) so that it runs only if the host
+  // is still in the incarnation current at this call.
+  template <class F>
+  auto Guard(F fn) {
+    return [this, incarnation = incarnation_, fn = std::move(fn)]() {
+      if (incarnation == incarnation_) {
+        fn();
+      }
+    };
+  }
+
   // Observability (nullable): queue-wait + run spans under the submitter's
   // trace context (both endpoints are known at Submit time), a queue-wait
   // histogram, and a cpu-ns counter. `track` is the owning node's id.
@@ -57,6 +81,7 @@ class CpuQueue {
   EventLoop* loop_;
   std::vector<SimTime> free_at_;
   int64_t busy_ns_ = 0;
+  uint64_t incarnation_ = 0;
   Obs* obs_ = nullptr;
   uint32_t track_ = 0;
   Recorder* m_queue_wait_ = nullptr;

@@ -103,17 +103,11 @@ uint64_t ZabNode::PeerAckWindow(NodeId peer) const {
 
 void ZabNode::ArmTimer(TimerId* slot, Duration delay, std::function<void()> fn) {
   loop_->Cancel(*slot);
-  uint64_t gen = generation_;
-  *slot = loop_->Schedule(delay, [this, gen, fn = std::move(fn)]() {
-    if (gen != generation_ || role_ == Role::kDown) {
-      return;
-    }
-    fn();
-  });
+  *slot = loop_->Schedule(delay, cpu_->Guard(std::move(fn)));
 }
 
 void ZabNode::Start() {
-  ++generation_;
+  cpu_->NextIncarnation();
   CancelLeaderTimeout();  // a check armed before this boot would never fire
   membership_ = boot_membership_;
   base_zxid_ = 0;
@@ -178,7 +172,7 @@ void ZabNode::SetObs(Obs* obs) {
 }
 
 void ZabNode::Crash() {
-  ++generation_;
+  cpu_->NextIncarnation();
   role_ = Role::kDown;
   proposal_trace_.clear();
   log_->DropUnsynced();
@@ -621,11 +615,7 @@ void ZabNode::ResetLeaderTimeout() {
 }
 
 void ZabNode::ArmLeaderTimeoutCheck() {
-  uint64_t gen = generation_;
-  leader_timeout_timer_ = loop_->ScheduleAt(leader_deadline_, [this, gen]() {
-    if (gen != generation_ || role_ == Role::kDown) {
-      return;
-    }
+  leader_timeout_timer_ = loop_->ScheduleAt(leader_deadline_, cpu_->Guard([this]() {
     leader_timeout_timer_ = kInvalidTimer;
     if (loop_->now() < leader_deadline_) {
       ArmLeaderTimeoutCheck();  // the leader was heard since this check was armed
@@ -633,7 +623,7 @@ void ZabNode::ArmLeaderTimeoutCheck() {
     }
     EDC_LOG(kDebug) << "node " << self_ << " leader timeout";
     EnterLooking();
-  });
+  }));
 }
 
 void ZabNode::CancelLeaderTimeout() {
@@ -901,18 +891,14 @@ void ZabNode::DeliverUpTo(uint64_t frontier) {
 
 void ZabNode::AppendRecordDurable(uint64_t zxid, std::span<const uint8_t> record,
                                   std::function<void()> on_durable) {
-  uint64_t gen = generation_;
-  log_->Append(record, [this, gen, zxid, cb = std::move(on_durable)]() {
-    if (gen != generation_) {
-      return;
-    }
+  log_->Append(record, cpu_->Guard([this, zxid, cb = std::move(on_durable)]() {
     // The LogStore publishes durability strictly in append order, so this
     // watermark is the highest *contiguously* durable zxid.
     durable_zxid_ = std::max(durable_zxid_, zxid);
     if (cb) {
       cb();
     }
-  });
+  }));
 }
 
 bool ZabNode::ActivateMembership(uint64_t zxid, std::span<const uint8_t> txn) {
@@ -940,7 +926,7 @@ bool ZabNode::ActivateMembership(uint64_t zxid, std::span<const uint8_t> txn) {
 
 void ZabNode::Retire() {
   EDC_LOG(kInfo) << "node " << self_ << " retired by reconfig";
-  ++generation_;  // kills timers and pending log callbacks, like a crash...
+  cpu_->NextIncarnation();  // kills timers and pending log callbacks, like a crash...
   role_ = Role::kDown;
   leader_ = 0;
   proposal_trace_.clear();
@@ -1032,14 +1018,8 @@ void ZabNode::HandlePacket(Packet&& pkt) {
     default:
       break;
   }
-  uint64_t gen = generation_;
   auto shared = std::make_shared<Packet>(std::move(pkt));
-  cpu_->Submit(cost, [this, gen, shared]() {
-    if (gen != generation_ || role_ == Role::kDown) {
-      return;
-    }
-    Process(std::move(*shared));
-  });
+  cpu_->Submit(cost, [this, shared]() { Process(std::move(*shared)); });
 }
 
 void ZabNode::Process(Packet&& pkt) {

@@ -24,7 +24,9 @@
 //     Commits remain strictly zxid-ordered; see docs/replication_pipeline.md.
 //
 // Crash/recovery: Crash() wipes volatile state (the durable LogStore
-// survives); Restart() reloads the log and re-enters election. Delivery
+// survives); Restart() reloads the log and re-enters election. Start, Crash
+// and Retire each begin a new incarnation of the host's CpuQueue, so timers,
+// queued packets and log callbacks of the previous one never run. Delivery
 // replays from zxid 0 (or from the durable snapshot's zxid when the LogStore
 // holds one), so the owning service must reset its state machine on restart
 // and rebuild via OnDeliver/InstallSnapshot.
@@ -302,7 +304,6 @@ class ZabNode {
   ZabCallbacks* callbacks_;
 
   Role role_ = Role::kDown;
-  uint64_t generation_ = 0;  // invalidates timers/log-callbacks across crashes
   uint32_t current_epoch_ = 0;
   NodeId leader_ = 0;
 

@@ -17,7 +17,7 @@ ZkClient::ZkClient(EventLoop* loop, Network* net, NodeId id, ShardView view,
       shard_id_(view.shard_id),
       map_version_(view.map_version),
       options_(options),
-      jitter_rng_(JitterSeedFor(options.reconnect, id)) {
+      jitter_rng_(JitterSeedFor(id)) {
   server_idx_ = servers_.preferred;
   server_ = servers_.at(server_idx_);
   net_->Register(id_, this);
@@ -184,18 +184,9 @@ void ZkClient::ScheduleReconnect() {
   if (m_reconnects_ != nullptr) {
     m_reconnects_->Increment();
   }
-  Duration delay = backoff_;
-  backoff_ = backoff_ == 0 ? options_.reconnect.initial_backoff
-                           : std::min(backoff_ * 2, options_.reconnect.max_backoff);
-  // Seeded jitter: shorten the delay by up to backoff_jitter of itself so
-  // clients disconnected by the same fault don't reconnect in lockstep.
-  if (options_.reconnect.backoff_jitter > 0.0 && delay > 0) {
-    auto span = static_cast<uint64_t>(options_.reconnect.backoff_jitter *
-                                      static_cast<double>(delay));
-    if (span > 0) {
-      delay -= static_cast<Duration>(jitter_rng_.UniformU64(span + 1));
-    }
-  }
+  // Jittered so clients disconnected by the same fault don't reconnect in
+  // lockstep.
+  Duration delay = NextBackoff(options_.reconnect, &backoff_, &jitter_rng_);
   loop_->Cancel(reconnect_timer_);
   reconnect_timer_ = loop_->Schedule(delay, [this]() {
     if (closing_ || session_ != 0) {

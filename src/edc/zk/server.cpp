@@ -30,8 +30,12 @@ ZkServer::ZkServer(EventLoop* loop, Network* net, NodeId id, std::vector<NodeId>
                                    options.zab, this);
 }
 
+// Boot and reboot alike: every volatile member starts empty and the
+// replicated state is rebuilt from the durable log (zab_->Start() replays
+// it and begins the host's next incarnation). What survives a crash is the
+// LogStore (log and snapshot), shard_id_/expected_map_version_, and the
+// session and internal request-id counters.
 void ZkServer::Start() {
-  ++generation_;
   running_ = true;
   sessions_.clear();
   block_table_.clear();
@@ -41,7 +45,6 @@ void ZkServer::Start() {
   pending_connects_.clear();
   expiring_sessions_.clear();
   pending_reconfig_ = PendingReconfig{};
-  txns_applied_ = 0;
   applied_log_.clear();
   tree_.Load({});  // empty tree
   (void)tree_.Create(kEmPath, "", 0, false, 0, 0);
@@ -53,43 +56,23 @@ void ZkServer::Start() {
 }
 
 void ZkServer::Crash() {
-  ++generation_;
   running_ = false;
   zab_->Crash();
   loop_->Cancel(session_timer_);
   session_timer_ = kInvalidTimer;
+  net_->SetNodeUp(id_, false);
 }
 
 void ZkServer::Restart() {
-  ++generation_;
-  running_ = true;
-  sessions_.clear();
-  block_table_.clear();
-  outstanding_.clear();
-  watch_mgr_.Clear();
-  client_nodes_.clear();
-  pending_connects_.clear();
-  expiring_sessions_.clear();
-  pending_reconfig_ = PendingReconfig{};
-  applied_log_.clear();
-  tree_.Load({});
-  (void)tree_.Create(kEmPath, "", 0, false, 0, 0);
-  if (hooks_ != nullptr) {
-    hooks_->OnStateReloaded();
-  }
-  zab_->Restart();
-  StartSessionTimer();
+  net_->SetNodeUp(id_, true);
+  Start();
 }
 
 void ZkServer::StartSessionTimer() {
-  uint64_t gen = generation_;
-  session_timer_ = loop_->Schedule(options_.session_check_interval, [this, gen]() {
-    if (gen != generation_ || !running_) {
-      return;
-    }
+  session_timer_ = loop_->Schedule(options_.session_check_interval, cpu_.Guard([this]() {
     CheckSessions();
     StartSessionTimer();
-  });
+  }));
 }
 
 bool ZkServer::OwnerReplicaDead(const SessionInfo& info) const {
@@ -150,14 +133,9 @@ void ZkServer::HandlePacket(Packet&& pkt) {
   if (!IsZkPacket(pkt.type)) {
     return;
   }
-  uint64_t gen = generation_;
   auto shared = std::make_shared<Packet>(std::move(pkt));
-  cpu_.Submit(costs_.rpc_decode_cpu, [this, gen, shared]() {
-    if (gen != generation_ || !running_) {
-      return;
-    }
-    ProcessClientPacket(std::move(*shared));
-  });
+  cpu_.Submit(costs_.rpc_decode_cpu,
+              [this, shared]() { ProcessClientPacket(std::move(*shared)); });
 }
 
 void ZkServer::ProcessClientPacket(Packet&& pkt) {
@@ -252,15 +230,10 @@ void ZkServer::OnClientRequest(Packet&& pkt) {
     matched = hooks_->MatchesOperation(msg.session, msg.op);
   }
   if (!matched && IsReadOp(msg.op.type)) {
-    uint64_t gen = generation_;
     NodeId client = pkt.src;
     auto shared = std::make_shared<ZkRequestMsg>(std::move(msg));
-    cpu_.Submit(costs_.read_cpu, [this, gen, shared, client]() {
-      if (gen != generation_ || !running_) {
-        return;
-      }
-      ServeRead(shared->session, *shared, client);
-    });
+    cpu_.Submit(costs_.read_cpu,
+                [this, shared, client]() { ServeRead(shared->session, *shared, client); });
     return;
   }
   RouteToLeader(id_, msg);
@@ -336,14 +309,9 @@ void ZkServer::RouteToLeader(uint32_t origin, const ZkRequestMsg& msg) {
 }
 
 void ZkServer::PrepAndPropose(uint32_t origin, ZkRequestMsg msg) {
-  uint64_t gen = generation_;
   auto shared = std::make_shared<ZkRequestMsg>(std::move(msg));
-  cpu_.Submit(costs_.prep_cpu, [this, gen, origin, shared]() {
-    if (gen != generation_ || !running_) {
-      return;
-    }
-    DoPrep(origin, std::move(*shared));
-  });
+  cpu_.Submit(costs_.prep_cpu,
+              [this, origin, shared]() { DoPrep(origin, std::move(*shared)); });
 }
 
 void ZkServer::DoPrep(uint32_t origin, ZkRequestMsg msg) {
@@ -507,16 +475,7 @@ void ZkServer::DoPrep(uint32_t origin, ZkRequestMsg msg) {
     return;
   }
 
-  ZkTxn txn;
-  txn.session = msg.session;
-  txn.req_id = msg.req_id;
-  txn.time = loop_->now();
-  txn.ops = std::move(prep.ops());
-  txn.has_result = has_result;
-  txn.result = std::move(result);
-  outstanding_.push_back(prep.TakeDelta());
-  if (!zab_->Broadcast(EncodeMsg(txn))) {
-    outstanding_.pop_back();
+  if (!ProposeFromPrep(&prep, has_result, std::move(result), /*extra_cpu=*/0)) {
     fail(Status(ErrorCode::kNotReady, "broadcast failed"));
   }
 }
@@ -652,7 +611,6 @@ void ZkServer::OnDeliver(uint64_t zxid, std::span<const uint8_t> txn_bytes) {
 }
 
 void ZkServer::ApplyTxn(uint64_t zxid, const ZkTxn& txn) {
-  ++txns_applied_;
   std::vector<ZkEvent> events;
   std::vector<std::string> block_candidates;
 
@@ -911,12 +869,12 @@ void ZkServer::OnMembershipChange(uint64_t zxid, const ZabMembership& membership
   }
   if (!membership.Contains(id_) && zab_->admitted()) {
     // Removed from the ensemble: the Zab node retires itself right after this
-    // callback; stop serving clients too. The durable log is kept. A joiner
+    // callback, which begins the host's next incarnation; stop serving
+    // clients too. The durable log is kept. A joiner
     // that was never admitted is just replaying configs that predate its own
     // add — it keeps running and waits for the entry that admits it.
     EDC_LOG(kInfo) << "server " << id_ << " removed from ensemble at zxid " << zxid
                    << "; retiring";
-    ++generation_;
     running_ = false;
     loop_->Cancel(session_timer_);
     session_timer_ = kInvalidTimer;

@@ -88,8 +88,14 @@ class ZkServer : public NetworkNode, public ZabCallbacks {
   }
   Obs* obs() const { return obs_; }
 
+  // Boots the replica: volatile state starts empty and the replicated state
+  // is rebuilt from the durable log (docs/fault_model.md lists what a crash
+  // keeps).
   void Start();
+  // Simulated process crash: volatile state is lost, the host's incarnation
+  // ends, and the node leaves the network.
   void Crash();
+  // Rejoins the network, then boots exactly as Start() does.
   void Restart();
 
   // NetworkNode.
@@ -119,7 +125,6 @@ class ZkServer : public NetworkNode, public ZabCallbacks {
   ZabNode& zab() { return *zab_; }
   CpuQueue& cpu() { return cpu_; }
   const LogStore& log() const { return log_; }
-  int64_t txns_applied() const { return txns_applied_; }
   // (zxid, FNV-1a of txn bytes) for every transaction applied since the last
   // boot/snapshot, in delivery order. Invariant checkers compare the zxid
   // overlap of these across replicas (prefix consistency).
@@ -211,7 +216,6 @@ class ZkServer : public NetworkNode, public ZabCallbacks {
   Obs* obs_ = nullptr;
 
   bool running_ = false;
-  uint64_t generation_ = 0;
   uint32_t shard_id_ = 0;
   uint64_t expected_map_version_ = 0;  // survives Crash()/Restart()
 
@@ -244,7 +248,6 @@ class ZkServer : public NetworkNode, public ZabCallbacks {
   std::set<uint64_t> expiring_sessions_;
   uint64_t session_counter_ = 0;
   uint64_t internal_req_counter_ = 0;
-  int64_t txns_applied_ = 0;
   std::vector<std::pair<uint64_t, uint64_t>> applied_log_;  // (zxid, txn hash)
   SimTime leader_since_ = 0;  // when this replica last became leader
   TimerId session_timer_ = kInvalidTimer;

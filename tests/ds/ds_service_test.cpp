@@ -339,7 +339,6 @@ TEST(DsServiceTest, SurvivesPrimaryCrash) {
   cluster.Settle();
   ASSERT_TRUE(before);
   cluster.servers[0]->Crash();
-  cluster.net->SetNodeUp(1, false);
   bool after = false;
   client->Out(ObjectTuple("/post", ""), [&](Result<DsReply> r) { after = r.ok(); });
   cluster.Settle(Seconds(6));

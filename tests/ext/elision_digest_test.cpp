@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -427,6 +428,110 @@ TEST(ElisionDigestTest, EzkFailoverDigestsPinned) {
 
   EXPECT_EQ(run.packet_digest, kEzkFailoverPacketDigest);
   EXPECT_EQ(run.state_hash, kEzkFailoverStateHash);
+}
+
+// The EZK counter through a membership change under load: replica 4 joins
+// (observer, catch-up, promotion) while three clients keep incrementing,
+// then the current leader is removed and retires without crashing, and the
+// survivors elect a new leader and carry on. These digests were recorded
+// while each replica layer still kept its own crash generation counter:
+// folding them into one host incarnation may not move a packet or an
+// applied transaction on the retire path.
+struct ReconfigSig {
+  uint64_t packet_digest = 0;
+  std::vector<uint64_t> replica_hashes;  // applied-log digest, in zk_servers order
+  int increments_ok = 0;
+  int increments_failed = 0;
+  bool joined = false;
+  bool removed = false;
+  bool retired_stopped = false;
+  bool logs_agree = false;
+};
+
+ReconfigSig RunEzkReconfigWorkload(uint64_t seed) {
+  FixtureOptions options;
+  options.system = SystemKind::kExtensibleZooKeeper;
+  options.num_clients = 3;
+  options.seed = seed;
+  ClusterFixture fix(options);
+  fix.faults().EnablePacketTrace();
+  fix.Start();
+
+  ReconfigSig sig;
+  EventLoop& loop = fix.loop();
+  SimTime t0 = loop.now();
+  SimTime load_end = t0 + Seconds(9);
+  std::vector<std::unique_ptr<SharedCounter>> counters;
+  for (size_t i = 0; i < fix.num_clients(); ++i) {
+    counters.push_back(std::make_unique<SharedCounter>(fix.coord(i), /*use_extension=*/true));
+  }
+  counters[0]->Setup([](Status) {});
+  fix.Settle(Millis(300));
+  counters[1]->Attach([](Status) {});
+  counters[2]->Attach([](Status) {});
+  fix.Settle(Millis(200));
+  // One increment every 40 ms, round-robin over the clients, until load_end.
+  int next = 0;
+  std::function<void()> tick = [&]() {
+    if (loop.now() >= load_end) {
+      return;
+    }
+    counters[static_cast<size_t>(next++) % counters.size()]->Increment(
+        [&sig](Result<int64_t> r) { ++(r.ok() ? sig.increments_ok : sig.increments_failed); });
+    loop.Schedule(Millis(40), tick);
+  };
+  tick();
+  fix.Settle(Millis(500));
+
+  sig.joined = fix.JoinReplica(4).ok();
+  fix.Settle(Millis(500));
+  NodeId leader = 0;
+  for (auto& s : fix.zk_servers) {
+    if (s->running() && s->IsLeader()) {
+      leader = s->id();
+    }
+  }
+  sig.removed = leader != 0 && fix.RemoveReplica(leader).ok();
+  fix.Settle(std::max<Duration>(load_end - loop.now(), 0) + Seconds(3));
+
+  sig.packet_digest = fix.faults().TraceDigest();
+  for (auto& s : fix.zk_servers) {
+    uint64_t h = 1469598103934665603ull;
+    for (const auto& [zxid, txn_hash] : s->applied_log()) {
+      h = Fnv1aMix(h, zxid);
+      h = Fnv1aMix(h, txn_hash);
+    }
+    sig.replica_hashes.push_back(h);
+  }
+  ZkServer* retired = fix.ZkServerById(leader);
+  sig.retired_stopped = retired != nullptr && !retired->running();
+  sig.logs_agree = PrefixConsistentLogs(fix.zk_servers);
+  return sig;
+}
+
+constexpr uint64_t kEzkReconfigPacketDigest = 0x59092383fade3fedull;
+constexpr uint64_t kEzkReconfigReplicaHashes[4] = {0xe277e266fbdf11e2ull, 0xe277e266fbdf11e2ull,
+                                                   0xffb54af86b69ca71ull, 0xe277e266fbdf11e2ull};
+
+TEST(ElisionDigestTest, ReconfigDigestsPinned) {
+  ReconfigSig run = RunEzkReconfigWorkload(67);
+
+  EXPECT_TRUE(run.joined);
+  EXPECT_TRUE(run.removed);
+  EXPECT_TRUE(run.retired_stopped) << "the removed leader must retire";
+  EXPECT_TRUE(run.logs_agree);
+  // 209 increments are issued. The client whose session lived on the
+  // removed leader fails every one after the removal: first with
+  // kSessionExpired, then, from its new session, which never acknowledged
+  // the extension, with kNoNode.
+  EXPECT_EQ(run.increments_ok, 148);
+  EXPECT_EQ(run.increments_failed, 61);
+  ASSERT_EQ(run.replica_hashes.size(), 4u);
+
+  EXPECT_EQ(run.packet_digest, kEzkReconfigPacketDigest);
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(run.replica_hashes[i], kEzkReconfigReplicaHashes[i]) << "replica " << i;
+  }
 }
 
 // Sharded EDS through every router path: an extension registered and

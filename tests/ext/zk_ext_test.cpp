@@ -501,9 +501,9 @@ TEST(EzkExtensionTest, ExtensionsSurviveReplicaRestart) {
   client->Create("/ctr", "0", false, false, [](Result<std::string>) {});
   cluster.Settle();
   ASSERT_TRUE(RegisterAndWait(cluster, client, "ctr_increment", kCounterExt).ok());
-  cluster.CrashServer(follower);
+  follower->Crash();
   cluster.Settle();
-  cluster.RestartServer(follower);
+  follower->Restart();
   cluster.Settle(Seconds(3));
   // The restarted replica's manager reloaded the extension from the
   // replicated /em state (§3.8).

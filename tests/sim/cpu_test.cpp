@@ -70,5 +70,26 @@ TEST(CpuQueueTest, IdleGapDoesNotAccumulateBusyTime) {
   EXPECT_EQ(loop.now(), Millis(1) + Micros(20));
 }
 
+// A crash and a restart at the same instant: work and timers armed before
+// the crash never run, yet the work keeps its core time and both keep their
+// events; work and timers armed after the restart run.
+TEST(CpuQueueTest, OlderIncarnationSkippedButKeepsCoreTime) {
+  EventLoop loop;
+  CpuQueue cpu(&loop, 1);
+  std::vector<int> ran;
+  cpu.Submit(Micros(10), [&] { ran.push_back(1); });
+  loop.Schedule(Micros(5), cpu.Guard([&] { ran.push_back(2); }));
+  cpu.NextIncarnation();  // crash
+  cpu.NextIncarnation();  // restart
+  cpu.Submit(Micros(10), [&] {
+    ran.push_back(3);
+    EXPECT_EQ(loop.now(), Micros(20));  // behind the skipped item's core time
+  });
+  loop.Schedule(Micros(5), cpu.Guard([&] { ran.push_back(4); }));
+  EXPECT_EQ(loop.Run(), 4u);
+  EXPECT_EQ(ran, (std::vector<int>{4, 3}));
+  EXPECT_EQ(cpu.busy_ns(), Micros(20));
+}
+
 }  // namespace
 }  // namespace edc

@@ -74,16 +74,6 @@ class ZkCluster {
 
   void Settle(Duration d = Millis(500)) { loop.RunUntil(loop.now() + d); }
 
-  void CrashServer(ZkServer* s) {
-    s->Crash();
-    net->SetNodeUp(s->id(), false);
-  }
-
-  void RestartServer(ZkServer* s) {
-    net->SetNodeUp(s->id(), true);
-    s->Restart();
-  }
-
   EventLoop loop;
   std::unique_ptr<Network> net;
   std::vector<std::unique_ptr<ZkServer>> servers;

@@ -266,7 +266,7 @@ TEST(ZkServiceTest, ClientsSurviveLeaderFailover) {
   ZkClient* client = cluster.AddClient(follower->id());
   client->Create("/before", "", false, false, [](Result<std::string>) {});
   cluster.Settle();
-  cluster.CrashServer(leader);
+  leader->Crash();
   cluster.Settle(Seconds(3));
   // Retry loop: kNotReady during election is expected, then success.
   Status status = Status(ErrorCode::kNotReady);
@@ -290,10 +290,10 @@ TEST(ZkServiceTest, RestartedReplicaRebuildsFullState) {
                    [](Result<std::string>) {});
   }
   cluster.Settle();
-  cluster.CrashServer(follower);
+  follower->Crash();
   client->Create("/while-down", "", false, false, [](Result<std::string>) {});
   cluster.Settle();
-  cluster.RestartServer(follower);
+  follower->Restart();
   cluster.Settle(Seconds(3));
   for (int i = 0; i < 5; ++i) {
     EXPECT_TRUE(follower->tree().Exists("/n" + std::to_string(i)));
