@@ -137,6 +137,13 @@ ctest --output-on-failure -j "$JOBS" --no-tests=error \
 echo "== spotlight: EZK failover and reconfig digests =="
 ctest --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'ElisionDigestTest\.(EzkFailoverDigestsPinned|ReconfigDigestsPinned)'
+# The extension-manager namespace (docs/coordscript.md, "The /em
+# namespace"): every client write outside register / acknowledge-as-yourself
+# / deregister-as-owner is refused on both services, a deregistration is one
+# request, and a recipe client re-acknowledges after a session change.
+echo "== spotlight: /em rules on EZK and EDS =="
+ctest --output-on-failure -j "$JOBS" --no-tests=error \
+  -R 'EmRules/|EzkExtensionTest\.DeregistrationTakesAcksInOneRequest|ElisionDigestTest\.ReconfigFailedOverClientKeepsItsExtension'
 # Every replica group boots through one fixture path and both shard routers
 # share one retry core: the sharded EDS digests (fan-out join, scatter-gather,
 # crash-restart, AddShard) and the 2-shard EZK two-phase digests were recorded

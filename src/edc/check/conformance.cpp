@@ -158,7 +158,7 @@ CheckReport CheckZkHistory(const HistoryRecorder& history) {
     }
   };
   record_path("/");
-  record_path("/em");
+  record_path(kEmRoot);
 
   struct CommitInfo {
     uint64_t zxid = 0;
@@ -206,7 +206,7 @@ CheckReport CheckZkHistory(const HistoryRecorder& history) {
     if (it == path_histories.end()) {
       return true;  // never existed during the run
     }
-    if (path != "/" && path != "/em") {
+    if (path != "/" && path != kEmRoot) {
       return true;  // initial state of every run-created path is "absent"
     }
     for (const PathState& st : it->second) {

@@ -5,28 +5,6 @@
 
 namespace edc {
 
-namespace {
-
-bool PathIsEm(const DsField& f) {
-  return std::holds_alternative<std::string>(f) &&
-         std::get<std::string>(f).rfind("/em", 0) == 0;
-}
-
-}  // namespace
-
-Status DsModel::CheckAccess(const DsTuple* tuple, const DsTemplate* templ) {
-  if (tuple != nullptr && !tuple->empty() && PathIsEm((*tuple)[0])) {
-    return Status(ErrorCode::kAccessDenied, "extension-manager namespace");
-  }
-  if (templ != nullptr && !templ->empty()) {
-    const DsTField& tf = (*templ)[0];
-    if (tf.kind != DsTField::Kind::kAny && PathIsEm(tf.value)) {
-      return Status(ErrorCode::kAccessDenied, "extension-manager namespace");
-    }
-  }
-  return Status::Ok();
-}
-
 bool DsModel::HasMatch(const DsTemplate& templ) const { return FindMatch(templ) >= 0; }
 
 int DsModel::FindMatch(const DsTemplate& templ) const {
@@ -126,12 +104,20 @@ std::vector<DsModelReply> DsModel::Execute(SimTime ts, NodeId client, uint64_t r
     return replies;
   }
 
+  // The default /em access rule, on the tuple an op writes and the template
+  // it matches, before the op touches the space. RdAll's denial is an empty
+  // OK reply (DsExecContext::RdAll swallows the status); Renew skips it.
+  const bool writes = op->type == DsOpType::kOut || op->type == DsOpType::kCas ||
+                      op->type == DsOpType::kReplace;
+  Status access = CheckEmAccess(writes ? &op->tuple : nullptr,
+                                op->type == DsOpType::kOut ? nullptr : &op->templ);
+  if (!access.ok() && op->type != DsOpType::kRdAll && op->type != DsOpType::kRenew) {
+    reply_error(access);
+    return replies;
+  }
+
   switch (op->type) {
     case DsOpType::kOut: {
-      if (auto s = CheckAccess(&op->tuple, nullptr); !s.ok()) {
-        reply_error(s);
-        break;
-      }
       DsTuple created = op->tuple;
       entries_.push_back(Entry{op->tuple, op->lease > 0 ? ts + op->lease : 0, client});
       reply_ok(DsReply{});
@@ -139,10 +125,6 @@ std::vector<DsModelReply> DsModel::Execute(SimTime ts, NodeId client, uint64_t r
       break;
     }
     case DsOpType::kRdp: {
-      if (auto s = CheckAccess(nullptr, &op->templ); !s.ok()) {
-        reply_error(s);
-        break;
-      }
       int idx = FindMatch(op->templ);
       if (idx < 0) {
         reply_error(Status(ErrorCode::kNoNode, "no matching tuple"));
@@ -154,10 +136,6 @@ std::vector<DsModelReply> DsModel::Execute(SimTime ts, NodeId client, uint64_t r
       break;
     }
     case DsOpType::kInp: {
-      if (auto s = CheckAccess(nullptr, &op->templ); !s.ok()) {
-        reply_error(s);
-        break;
-      }
       int idx = FindMatch(op->templ);
       if (idx < 0) {
         reply_error(Status(ErrorCode::kNoNode, "no matching tuple"));
@@ -172,10 +150,6 @@ std::vector<DsModelReply> DsModel::Execute(SimTime ts, NodeId client, uint64_t r
     case DsOpType::kRd:
     case DsOpType::kIn: {
       bool consume = op->type == DsOpType::kIn;
-      if (auto s = CheckAccess(nullptr, &op->templ); !s.ok()) {
-        reply_error(s);
-        break;
-      }
       int idx = FindMatch(op->templ);
       if (idx >= 0) {
         DsReply reply;
@@ -190,10 +164,6 @@ std::vector<DsModelReply> DsModel::Execute(SimTime ts, NodeId client, uint64_t r
       break;
     }
     case DsOpType::kCas: {
-      if (auto s = CheckAccess(&op->tuple, &op->templ); !s.ok()) {
-        reply_error(s);
-        break;
-      }
       if (HasMatch(op->templ)) {
         reply_error(Status(ErrorCode::kNodeExists, "template already matched"));
         break;
@@ -205,10 +175,6 @@ std::vector<DsModelReply> DsModel::Execute(SimTime ts, NodeId client, uint64_t r
       break;
     }
     case DsOpType::kReplace: {
-      if (auto s = CheckAccess(&op->tuple, &op->templ); !s.ok()) {
-        reply_error(s);
-        break;
-      }
       int idx = FindMatch(op->templ);
       if (idx < 0) {
         reply_error(Status(ErrorCode::kNoNode, "no matching tuple"));
@@ -223,15 +189,11 @@ std::vector<DsModelReply> DsModel::Execute(SimTime ts, NodeId client, uint64_t r
     }
     case DsOpType::kRdAll: {
       DsReply reply;
-      if (CheckAccess(nullptr, &op->templ).ok()) {
-        for (const Entry& e : entries_) {
-          if (TupleMatches(op->templ, e.tuple)) {
-            reply.tuples.push_back(e.tuple);
-          }
+      for (const Entry& e : entries_) {
+        if (access.ok() && TupleMatches(op->templ, e.tuple)) {
+          reply.tuples.push_back(e.tuple);
         }
       }
-      // ACL denial yields an empty OK reply (DsExecContext::RdAll swallows
-      // the status); mirror the quirk.
       reply_ok(std::move(reply));
       break;
     }

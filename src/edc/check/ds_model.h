@@ -53,7 +53,6 @@ class DsModel {
     uint64_t order = 0;
   };
 
-  static Status CheckAccess(const DsTuple* tuple, const DsTemplate* templ);
   bool HasMatch(const DsTemplate& templ) const;
   // First match in insertion order; removes it when `consume`.
   int FindMatch(const DsTemplate& templ) const;  // index or -1

@@ -6,7 +6,7 @@ namespace edc {
 
 ZkModel::ZkModel() {
   nodes_["/"] = ZkModelNode{};
-  (void)CreateNode("/em", "", 0, 0, 0);
+  (void)CreateNode(kEmRoot, "", 0, 0, 0);
 }
 
 const ZkModelNode* ZkModel::Get(const std::string& path) const {

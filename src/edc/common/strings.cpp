@@ -109,4 +109,36 @@ Result<int64_t> ParseInt64(std::string_view text) {
   return static_cast<int64_t>(v);
 }
 
+std::string EmLayout::RegistrationPath(std::string_view name) {
+  return std::string(kEmRoot) + "/" + std::string(name);
+}
+
+std::string EmLayout::RegisteredName(std::string_view path) {
+  const size_t start = std::string_view(kEmRoot).size() + 1;  // past "/em/"
+  if (path.size() <= start || !path.starts_with(kEmRoot) || path[start - 1] != '/' ||
+      path.find('/', start) != std::string_view::npos) {
+    return "";
+  }
+  return std::string(path.substr(start));
+}
+
+std::string EmLayout::AckPath(std::string_view name, uint64_t client) const {
+  return RegistrationPath(name) + "/" + std::string(ack_prefix) + std::to_string(client);
+}
+
+std::optional<EmAck> EmLayout::ParseAck(std::string_view path) const {
+  size_t slash = path.find('/', std::string_view(kEmRoot).size() + 1);  // after <name>
+  std::string name = RegisteredName(path.substr(0, slash));
+  if (name.empty() || slash == std::string_view::npos ||
+      !path.substr(slash + 1).starts_with(ack_prefix)) {
+    return std::nullopt;
+  }
+  std::string_view id = path.substr(slash + 1 + ack_prefix.size());
+  auto client = ParseInt64(id);
+  if (!client.ok() || *client <= 0 || std::to_string(*client) != id) {
+    return std::nullopt;
+  }
+  return EmAck{std::move(name), static_cast<uint64_t>(*client)};
+}
+
 }  // namespace edc

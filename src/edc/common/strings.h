@@ -8,6 +8,7 @@
 #define EDC_COMMON_STRINGS_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -38,6 +39,33 @@ std::string SequenceSuffix(uint64_t n);
 
 // Lexical int64 parse; full-string match required.
 Result<int64_t> ParseInt64(std::string_view text);
+
+// The extension manager's namespace (§3.5): registrations and
+// acknowledgments live under it. Clients may only register, acknowledge and
+// deregister there, and extensions may neither subscribe to nor write under
+// it (§5.2.2).
+inline constexpr char kEmRoot[] = "/em";
+
+// A client's acknowledgment of extension `name` (§3.6).
+struct EmAck {
+  std::string name;
+  uint64_t client = 0;
+};
+
+// How a service names its /em entries. The registration of extension
+// <name> is kEmRoot/<name> on every service; an acknowledgment is
+// kEmRoot/<name>/<ack_prefix><client id>, with the service's own prefix.
+struct EmLayout {
+  std::string_view ack_prefix;
+
+  static std::string RegistrationPath(std::string_view name);
+  // The extension a registration path names; empty if `path` is not one.
+  static std::string RegisteredName(std::string_view path);
+  std::string AckPath(std::string_view name, uint64_t client) const;
+  // The acknowledgment `path` records (canonical decimal id > 0 only);
+  // nullopt if `path` is not one.
+  std::optional<EmAck> ParseAck(std::string_view path) const;
+};
 
 }  // namespace edc
 

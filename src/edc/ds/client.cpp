@@ -289,15 +289,15 @@ void DsClient::CallExtension(const std::string& trigger_path, const std::string&
 
 void DsClient::RegisterExtension(const std::string& name, const std::string& code,
                                  ReplyCb done) {
-  Out(ObjectTuple("/em/" + name, code), std::move(done));
+  Out(ObjectTuple(EmLayout::RegistrationPath(name), code), std::move(done));
 }
 
 void DsClient::DeregisterExtension(const std::string& name, ReplyCb done) {
-  Inp(ObjectTemplate("/em/" + name), std::move(done));
+  Inp(ObjectTemplate(EmLayout::RegistrationPath(name)), std::move(done));
 }
 
 void DsClient::AcknowledgeExtension(const std::string& name, ReplyCb done) {
-  Out(ObjectTuple("/em/" + name + "/ack/" + std::to_string(id_), ""), std::move(done));
+  Out(ObjectTuple(kDsEmLayout.AckPath(name, id_), ""), std::move(done));
 }
 
 void DsClient::Kill() {

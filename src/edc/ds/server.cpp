@@ -7,27 +7,6 @@
 
 namespace edc {
 
-namespace {
-
-bool TouchesEmNamespace(const DsTuple* tuple, const DsTemplate* templ) {
-  auto path_is_em = [](const DsField& f) {
-    return std::holds_alternative<std::string>(f) &&
-           std::get<std::string>(f).rfind("/em", 0) == 0;
-  };
-  if (tuple != nullptr && !tuple->empty() && path_is_em((*tuple)[0])) {
-    return true;
-  }
-  if (templ != nullptr && !templ->empty()) {
-    const DsTField& tf = (*templ)[0];
-    if (tf.kind != DsTField::Kind::kAny && path_is_em(tf.value)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
 // ------------------------------------------------------------ exec context
 
 DsExecContext::DsExecContext(DsServer* server, NodeId client, uint64_t req_id, SimTime ts)
@@ -225,13 +204,7 @@ Status DsServer::CheckAccess(NodeId client, DsOpType type, const DsTuple* tuple,
   if (options_.access.check) {
     return options_.access.check(client, type, tuple, templ);
   }
-  // Default rule: the extension manager's namespace is off limits to regular
-  // operations (§5.2.2: "a tuple space dedicated to the extension manager
-  // and not accessible via regular operations").
-  if (TouchesEmNamespace(tuple, templ)) {
-    return Status(ErrorCode::kAccessDenied, "extension-manager namespace");
-  }
-  return Status::Ok();
+  return CheckEmAccess(tuple, templ);
 }
 
 Status DsServer::CheckPolicy(const DsOp& op) const {

@@ -37,6 +37,19 @@ bool TupleMatches(const DsTemplate& templ, const DsTuple& tuple) {
   return true;
 }
 
+Status CheckEmAccess(const DsTuple* tuple, const DsTemplate* templ) {
+  auto path_is_em = [](const DsField& f) {
+    return std::holds_alternative<std::string>(f) &&
+           std::get<std::string>(f).rfind(kEmRoot, 0) == 0;
+  };
+  if ((tuple != nullptr && !tuple->empty() && path_is_em((*tuple)[0])) ||
+      (templ != nullptr && !templ->empty() && (*templ)[0].kind != DsTField::Kind::kAny &&
+       path_is_em((*templ)[0].value))) {
+    return Status(ErrorCode::kAccessDenied, "extension-manager namespace");
+  }
+  return Status::Ok();
+}
+
 std::string FieldToString(const DsField& f) {
   if (std::holds_alternative<int64_t>(f)) {
     return std::to_string(std::get<int64_t>(f));

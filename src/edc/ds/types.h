@@ -19,9 +19,14 @@
 
 #include "edc/common/codec.h"
 #include "edc/common/result.h"
+#include "edc/common/strings.h"
 #include "edc/sim/time.h"
 
 namespace edc {
+
+// EDS's /em tuples: <"/em/<name>", registration> and, for each client that
+// acknowledged it, <"/em/<name>/ack/<client id>", client id>.
+inline constexpr EmLayout kDsEmLayout{"ack/"};
 
 using DsField = std::variant<int64_t, std::string>;
 
@@ -50,6 +55,11 @@ std::string TupleToString(const DsTuple& t);
 DsTuple ObjectTuple(const std::string& path, const std::string& data);
 DsTemplate ObjectTemplate(const std::string& path);          // exact path, ANY data
 DsTemplate ObjectPrefixTemplate(const std::string& prefix);  // path prefix, ANY data
+
+// The default access rule (§5.2.2: "a tuple space dedicated to the extension
+// manager and not accessible via regular operations"): kAccessDenied when the
+// first field of `tuple` or of `templ` names a path under kEmRoot.
+Status CheckEmAccess(const DsTuple* tuple, const DsTemplate* templ);
 
 enum class DsOpType : uint8_t {
   kOut = 0,      // insert tuple (lease > 0: lease tuple, the monitor primitive)

@@ -1,13 +1,12 @@
 #include "edc/ext/core.h"
 
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "edc/common/logging.h"
 #include "edc/common/strings.h"
-#include "edc/script/analysis/diagnostics.h"
 #include "edc/script/builtins.h"
-#include "edc/script/parser.h"
 #include "edc/sim/costs.h"
 
 namespace edc {
@@ -155,8 +154,9 @@ Result<Value> SandboxHost::Call(const std::string& name, std::vector<Value>& arg
   return ScriptError("unknown host function '" + name + "'");
 }
 
-ExtensionManagerCore::ExtensionManagerCore(const ExtensionLimits& limits, HostSet set)
-    : limits_(limits), set_(set) {
+ExtensionManagerCore::ExtensionManagerCore(const ExtensionLimits& limits, HostSet set,
+                                           EmLayout layout)
+    : limits_(limits), set_(set), layout_(layout) {
   verifier_config_.allowed_functions = CoreAllowedFunctions();
   for (const auto& [name, spec] : HostTable()) {
     if ((spec.sets & set) != 0) {
@@ -179,44 +179,82 @@ ExtensionManagerCore::ExtensionManagerCore(const ExtensionLimits& limits, HostSe
   verifier_config_.collection_functions = {"children", "sub_objects"};
 }
 
-Status ExtensionManagerCore::CheckRegistration(const std::string& source,
-                                               Duration* cpu) const {
-  *cpu += static_cast<Duration>(source.size()) * CostModel{}.ext_verify_cpu_per_byte;
-  // The source cap is enforced before parsing: the parser and the analyzer
-  // recurse over the source, and a large enough one exhausts the stack. The
-  // Status is the verifier's own EDC-E001 rejection.
-  if (source.size() > verifier_config_.max_source_bytes) {
-    return Status(ErrorCode::kExtensionRejected,
-                  "verification failed at line 1: source exceeds " +
-                      std::to_string(verifier_config_.max_source_bytes) + " bytes [" +
-                      kDiagSourceTooLarge + "]");
-  }
-  auto program = ParseProgram(source);
-  if (!program.ok()) {
-    return program.status();
-  }
-  if (auto s = VerifyProgram(**program, verifier_config_); !s.ok()) {
-    return s;
-  }
-  for (const Subscription& sub : (*program)->subscriptions) {
-    if (PathIsUnder(sub.pattern, kEmRoot)) {
-      return Status(ErrorCode::kExtensionRejected,
-                    "subscriptions may not target the /em namespace");
+Result<EmRequest> ExtensionManagerCore::AdmitClientWrite(EmWrite write, const std::string& path,
+                                                         uint64_t client,
+                                                         const std::string& data,
+                                                         Duration* cpu) {
+  std::string name = EmLayout::RegisteredName(path);
+  if (write == EmWrite::kCreate && !name.empty()) {
+    *cpu += static_cast<Duration>(data.size()) * CostModel{}.ext_verify_cpu_per_byte;
+    auto ext = AdmitExtension(name, client, data, verifier_config_);
+    if (!ext.ok()) {
+      return ext.status();
     }
+    std::string registration = EncodeRegistration(client, data);
+    admitted_[name] = {registration, std::move(*ext)};
+    return EmRequest{EmRequest::Kind::kRegister, name, std::move(registration)};
   }
-  // Load compiles again at apply time; a refusal must reject the request
-  // here, before the registration is written.
-  return CompileProgram(**program).status();
+  std::optional<EmAck> ack = layout_.ParseAck(path);
+  if (write == EmWrite::kCreate && ack && ack->client == client) {
+    if (registry_.Find(ack->name) == nullptr) {
+      return Status(ErrorCode::kNoNode, "no extension '" + ack->name + "'");
+    }
+    return EmRequest{EmRequest::Kind::kAcknowledge, ack->name, ""};
+  }
+  if (write == EmWrite::kDelete && !name.empty()) {
+    const LoadedExtension* ext = registry_.Find(name);
+    if (ext == nullptr) {
+      return Status(ErrorCode::kNoNode, path);
+    }
+    if (ext->owner != client) {
+      return Status(ErrorCode::kAccessDenied, "only the registering client may deregister");
+    }
+    return EmRequest{EmRequest::Kind::kDeregister, name, ""};
+  }
+  return Status(ErrorCode::kAccessDenied, "extension-manager namespace");
 }
 
-Status ExtensionManagerCore::Load(const std::string& name, uint64_t owner,
-                                  const std::string& source, Obs* obs) {
-  Status s = registry_.Load(name, owner, source, verifier_config_);
-  if (s.ok() && obs != nullptr) {
-    obs->metrics.GetCounter("ext.compiled")
-        ->Add(static_cast<int64_t>(registry_.Find(name)->compiled->handlers.size()));
+void ExtensionManagerCore::Created(const std::string& path, const std::string& data, Obs* obs) {
+  std::string name = EmLayout::RegisteredName(path);
+  if (name.empty()) {
+    if (std::optional<EmAck> ack = layout_.ParseAck(path)) {
+      registry_.RecordAck(ack->name, ack->client);
+    }
+    return;
   }
-  return s;
+  auto admitted = admitted_.extract(name);
+  Result<LoadedExtension> ext = Status(ErrorCode::kInternal, "");
+  if (admitted && admitted.mapped().first == data) {
+    ext = std::move(admitted.mapped().second);
+  } else if (auto reg = DecodeRegistration(data); reg.ok()) {
+    ext = AdmitExtension(name, reg->first, reg->second, verifier_config_);
+  } else {
+    ext = reg.status();
+  }
+  if (!ext.ok()) {
+    EDC_LOG(kError) << "extension at " << path << " failed to load: " << ext.status().ToString();
+    return;
+  }
+  if (obs != nullptr) {
+    obs->metrics.GetCounter("ext.compiled")
+        ->Add(static_cast<int64_t>(ext->compiled->handlers.size()));
+  }
+  registry_.Install(std::move(*ext));
+}
+
+void ExtensionManagerCore::Removed(const std::string& path) {
+  std::string name = EmLayout::RegisteredName(path);
+  if (!name.empty()) {
+    admitted_.erase(name);
+    registry_.Unload(name);
+  } else if (std::optional<EmAck> ack = layout_.ParseAck(path)) {
+    registry_.RemoveAck(ack->name, ack->client);
+  }
+}
+
+void ExtensionManagerCore::Clear() {
+  registry_.Clear();
+  admitted_.clear();
 }
 
 Invocation ExtensionManagerCore::RunOperation(const LoadedExtension& ext,

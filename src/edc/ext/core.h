@@ -1,31 +1,33 @@
 // The service-independent half of the extension manager (paper §3–§4).
 //
 // Both bindings hold one ExtensionManagerCore. It owns the registry, the
-// sandbox limits and the verifier settings, runs the registration checks,
-// selects and dispatches handlers through one sandbox host (with the step
-// cost and the ext.* counters recorded on one path), and keeps the strike
-// count. What the bindings keep is what §5.1 and §5.2 make different: where
-// a handler runs and how its writes reach the replicas (EZK: on the primary,
-// shipped as multi-txn deltas; EDS: inline on every replica), expressed as a
-// StateProxy over the service's own state.
+// sandbox limits and the verifier settings, makes every decision about the
+// /em namespace (the client write rules, one admission per registration,
+// the registry following /em entries), selects and dispatches handlers
+// through one sandbox host (with the step cost and the ext.* counters
+// recorded on one path), and keeps the strike count. What the bindings keep
+// is what §5.1 and §5.2 make different: the /em path format (an EmLayout)
+// and how /em entries are written, where a handler runs and how its writes
+// reach the replicas (EZK: on the primary, shipped as multi-txn deltas; EDS:
+// inline on every replica), expressed as a StateProxy over the service's
+// own state.
 
 #ifndef EDC_EXT_CORE_H_
 #define EDC_EXT_CORE_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "edc/common/result.h"
+#include "edc/common/strings.h"
 #include "edc/ext/registry.h"
 #include "edc/obs/obs.h"
 #include "edc/sim/time.h"
 
 namespace edc {
-
-// Extension-manager namespace: registrations and acknowledgments live here,
-// and extensions may neither subscribe to nor write under it.
-inline constexpr char kEmRoot[] = "/em";
 
 // Host-function sets a sandbox can expose (bit mask over the host table).
 enum HostSet : uint8_t {
@@ -57,6 +59,11 @@ class StateProxy {
   // Only the EZK set exposes these (§4.1.1).
   virtual SimTime Now() { return 0; }
   virtual int64_t Random(int64_t /*bound*/) { return 0; }
+  // Block registered a wait: the reply is deferred until it fires.
+  bool blocked() const { return blocked_; }
+
+ protected:
+  bool blocked_ = false;
 };
 
 // The one sandbox host (§4.1.2): looks the call up in the host table, then
@@ -86,22 +93,46 @@ struct Invocation {
   bool evict = false;
 };
 
+// A client write under kEmRoot: a plain create (no ephemeral, sequential or
+// lease flavour), a delete of one exact path, or anything else.
+enum class EmWrite { kCreate, kDelete, kOther };
+
+// A client write the /em rules admit.
+struct EmRequest {
+  enum class Kind { kRegister, kAcknowledge, kDeregister };
+  Kind kind = Kind::kRegister;
+  std::string name;          // the extension
+  std::string registration;  // kRegister: the entry's data (owner + source)
+};
+
 class ExtensionManagerCore {
  public:
-  ExtensionManagerCore(const ExtensionLimits& limits, HostSet set);
+  ExtensionManagerCore(const ExtensionLimits& limits, HostSet set, EmLayout layout);
 
   const ExtensionLimits& limits() const { return limits_; }
   ExtensionRegistry& registry() { return registry_; }
   const ExtensionRegistry& registry() const { return registry_; }
   const VerifierConfig& verifier_config() const { return verifier_config_; }
 
-  // Registration checks (§3.6): source cap, parse, verify, no /em
-  // subscriptions, compile (so Load cannot refuse a registration that
-  // passed). Adds
-  // the verification CPU to `*cpu` whether or not the source passes.
-  Status CheckRegistration(const std::string& source, Duration* cpu) const;
-  // Installs a replicated registration and counts its compiled handlers.
-  Status Load(const std::string& name, uint64_t owner, const std::string& source, Obs* obs);
+  // The /em rules for a client write (§3.6, §5.2.2): a client may register
+  // kEmRoot/<name> (the source passes admission; its verification CPU is
+  // added to `*cpu` whether or not it does), acknowledge a loaded extension
+  // as itself, and deregister what it registered (kNoNode if nothing is).
+  // Every other write is kAccessDenied. The binding then writes the entry
+  // (refusing a taken name), or deletes the registration with its
+  // acknowledgments.
+  Result<EmRequest> AdmitClientWrite(EmWrite write, const std::string& path, uint64_t client,
+                                     const std::string& data, Duration* cpu);
+  // The registry follows an /em entry that appeared (every replica, in
+  // order): a registration is installed, reusing this replica's admission
+  // of it if any, and an acknowledgment is recorded.
+  void Created(const std::string& path, const std::string& data, Obs* obs);
+  // ... and one that disappeared.
+  void Removed(const std::string& path);
+  // Forgets every extension. A reload (after a snapshot, a checkpoint or a
+  // restart) then replays each /em entry through Created, as they were
+  // made: registrations in order, each before its acknowledgments.
+  void Clear();
 
   // The op handler named for `kind`, or handle_op with an op map. Failures
   // add a strike, successes clear them.
@@ -124,8 +155,12 @@ class ExtensionManagerCore {
 
   ExtensionLimits limits_;
   HostSet set_;
+  EmLayout layout_;
   VerifierConfig verifier_config_;
   ExtensionRegistry registry_;
+  // Admitted here, not yet Created, by name: the registration data and the
+  // ready extension (a failed write's stays until the name is reused).
+  std::map<std::string, std::pair<std::string, LoadedExtension>> admitted_;
 };
 
 }  // namespace edc

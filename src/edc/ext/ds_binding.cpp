@@ -40,8 +40,6 @@ class DsStateProxy : public StateProxy {
   DsStateProxy(DsExecContext* ctx, ObjectViews* views, size_t max_items)
       : ctx_(ctx), views_(views), max_items_(max_items) {}
 
-  bool blocked() const { return blocked_; }
-
   uint64_t client() const override { return ctx_->client(); }
   size_t state_ops() const override { return ctx_->state_ops(); }
   Value Read(const std::string& path) override {
@@ -116,7 +114,6 @@ class DsStateProxy : public StateProxy {
   DsExecContext* ctx_;
   ObjectViews* views_;
   size_t max_items_;
-  bool blocked_ = false;
 };
 
 std::string KindOf(const DsOp& op) {
@@ -160,6 +157,19 @@ std::string PathOf(const DsOp& op) {
   return "";
 }
 
+// The kind of a client write under /em: only a plain out or an inp of one
+// exact path can be one of the three /em operations.
+EmWrite WriteOf(const DsOp& op) {
+  if (op.type == DsOpType::kOut && op.lease == 0) {
+    return EmWrite::kCreate;
+  }
+  if (op.type == DsOpType::kInp && !op.templ.empty() &&
+      op.templ[0].kind == DsTField::Kind::kExact) {
+    return EmWrite::kDelete;
+  }
+  return EmWrite::kOther;
+}
+
 const char* EventKindOf(DsEvent::Type type) {
   switch (type) {
     case DsEvent::Type::kCreated:
@@ -175,7 +185,7 @@ const char* EventKindOf(DsEvent::Type type) {
 }  // namespace
 
 DsExtensionManager::DsExtensionManager(DsServer* server, ExtensionLimits limits)
-    : server_(server), core_(limits, kEdsHost) {
+    : server_(server), core_(limits, kEdsHost, kDsEmLayout) {
   server_->SetHooks(this);
 }
 
@@ -218,60 +228,34 @@ DsExecOutcome DsExtensionManager::HandleEmTraffic(DsExecContext* ctx, NodeId cli
   DsExecOutcome outcome;
   outcome.handled = true;
   std::string path = PathOf(op);
-
-  if (op.type == DsOpType::kOut && ParentPath(path) == kEmRoot) {
-    // Registration.
-    std::string source = TupleData(op.tuple);
-    outcome.status = core_.CheckRegistration(source, &outcome.cpu_cost);
-    if (server_->space().HasMatch(ObjectTemplate(path))) {
-      outcome.status = Status(ErrorCode::kNodeExists, path);
-    }
-    if (outcome.status.ok()) {
-      ctx->PrivilegedOut(ObjectTuple(path, EncodeRegistration(client, source)));
-      outcome.status = core_.Load(BaseName(path), client, source, server_->obs());
-      outcome.has_result = outcome.status.ok();
-    }
+  auto request = core_.AdmitClientWrite(WriteOf(op), path, client, TupleData(op.tuple),
+                                        &outcome.cpu_cost);
+  if (!request.ok()) {
+    outcome.status = request.status();
     return outcome;
   }
-
-  if (op.type == DsOpType::kOut && BaseName(ParentPath(path)) == "ack") {
-    // Acknowledgment: /em/<name>/ack/<client>.
-    std::string name = BaseName(ParentPath(ParentPath(path)));
-    if (core_.registry().Find(name) == nullptr) {
-      outcome.status = Status(ErrorCode::kNoNode, "no extension '" + name + "'");
-      return outcome;
-    }
-    ctx->PrivilegedOut(ObjectTuple(path, std::to_string(client)));
-    core_.registry().RecordAck(name, client);
-    outcome.has_result = true;
+  const bool registering = request->kind == EmRequest::Kind::kRegister;
+  if (request->kind == EmRequest::Kind::kDeregister) {
+    Deregister(ctx, request->name);
+  } else if (registering && server_->space().HasMatch(ObjectTemplate(path))) {
+    outcome.status = Status(ErrorCode::kNodeExists, path);
     return outcome;
+  } else {
+    // A registration tuple holds its owner and source, an acknowledgment its client.
+    std::string data = registering ? request->registration : std::to_string(client);
+    ctx->PrivilegedOut(ObjectTuple(path, data));
+    core_.Created(path, data, server_->obs());
   }
-
-  if (op.type == DsOpType::kInp && ParentPath(path) == kEmRoot) {
-    // Deregistration: owner only.
-    const LoadedExtension* ext = core_.registry().Find(BaseName(path));
-    if (ext == nullptr) {
-      outcome.status = Status(ErrorCode::kNoNode, path);
-    } else if (ext->owner != client) {
-      outcome.status =
-          Status(ErrorCode::kAccessDenied, "only the registering client may deregister");
-    } else {
-      Deregister(ctx, ext->name);
-      outcome.has_result = true;
-    }
-    return outcome;
-  }
-
-  outcome.status = Status(ErrorCode::kAccessDenied, "extension-manager namespace");
+  outcome.has_result = true;
   return outcome;
 }
 
-void DsExtensionManager::Deregister(DsExecContext* ctx, std::string name) {
-  std::string em_path = std::string(kEmRoot) + "/" + name;
-  (void)ctx->PrivilegedInp(ObjectTemplate(em_path));
-  while (ctx->PrivilegedInp(ObjectPrefixTemplate(em_path)).ok()) {
+void DsExtensionManager::Deregister(DsExecContext* ctx, const std::string& name) {
+  std::string path = EmLayout::RegistrationPath(name);
+  (void)ctx->PrivilegedInp(ObjectTemplate(path));
+  while (ctx->PrivilegedInp(ObjectPrefixTemplate(path)).ok()) {
   }
-  core_.registry().Unload(name);
+  core_.Removed(path);
 }
 
 void DsExtensionManager::DispatchEvents(DsExecContext* ctx,
@@ -330,26 +314,11 @@ void DsExtensionManager::OnTupleRemoved(uint64_t seq) { views_.Drop(seq); }
 
 void DsExtensionManager::OnStateReloaded() {
   views_.Clear();
-  ExtensionRegistry& registry = core_.registry();
-  registry.Clear();
+  core_.Clear();
+  // The tuple space lists in insertion order: registrations in the order
+  // they were made, each before its acknowledgments.
   for (const DsEntry& e : server_->space().RdAll(ObjectPrefixTemplate(kEmRoot))) {
-    std::string path = TuplePath(e.tuple);
-    if (ParentPath(path) == kEmRoot) {
-      auto reg = DecodeRegistration(TupleData(e.tuple));
-      if (reg.ok()) {
-        (void)registry.Load(BaseName(path), reg->first, reg->second, verifier_config());
-      }
-    }
-  }
-  // Second pass: acknowledgments (extensions must already be loaded).
-  for (const DsEntry& e : server_->space().RdAll(ObjectPrefixTemplate(kEmRoot))) {
-    std::string path = TuplePath(e.tuple);
-    if (BaseName(ParentPath(path)) == "ack") {
-      auto cid = ParseInt64(BaseName(path));
-      if (cid.ok()) {
-        registry.RecordAck(BaseName(ParentPath(ParentPath(path))), static_cast<uint64_t>(*cid));
-      }
-    }
+    core_.Created(TuplePath(e.tuple), TupleData(e.tuple), nullptr);
   }
 }
 

@@ -8,9 +8,9 @@
 // EDS white list contains no now()/random() (§4.1.1).
 //
 // The /em tuple namespace is the manager's dedicated space: registrations,
-// acknowledgments and deregistrations are ordinary out/inp operations on it
-// (intercepted here), and the registry is rebuilt from those tuples after a
-// restart (§3.8).
+// acknowledgments and deregistrations are ordinary out/inp operations on it,
+// intercepted here and admitted by the core's rules, and the registry is
+// rebuilt from those tuples after a restart or a state transfer (§3.8).
 
 #ifndef EDC_EXT_DS_BINDING_H_
 #define EDC_EXT_DS_BINDING_H_
@@ -61,7 +61,7 @@ class DsExtensionManager : public DsServerHooks {
   DsExecOutcome HandleEmTraffic(DsExecContext* ctx, NodeId client, const DsOp& op);
   // Removes the extension's /em tuples and unloads it. Every replica runs
   // this at the same point of the order, so eviction is deterministic too.
-  void Deregister(DsExecContext* ctx, std::string name);
+  void Deregister(DsExecContext* ctx, const std::string& name);
 
   DsServer* server_;
   ExtensionManagerCore core_;

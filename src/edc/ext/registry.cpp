@@ -4,14 +4,25 @@
 #include <utility>
 
 #include "edc/common/strings.h"
+#include "edc/script/analysis/diagnostics.h"
 #include "edc/script/analysis/registry_lint.h"
 #include "edc/script/parser.h"
 #include "edc/script/vm/vm.h"
 
 namespace edc {
 
-Status ExtensionRegistry::Load(const std::string& name, uint64_t owner,
-                               const std::string& source, const VerifierConfig& config) {
+Result<LoadedExtension> AdmitExtension(const std::string& name, uint64_t owner,
+                                       const std::string& source,
+                                       const VerifierConfig& config) {
+  // The source cap is enforced before parsing: the parser and the analyzer
+  // recurse over the source, and a large enough one exhausts the stack. The
+  // Status is the verifier's own EDC-E001 rejection.
+  if (source.size() > config.max_source_bytes) {
+    return Status(ErrorCode::kExtensionRejected,
+                  "verification failed at line 1: source exceeds " +
+                      std::to_string(config.max_source_bytes) + " bytes [" +
+                      kDiagSourceTooLarge + "]");
+  }
   auto program = ParseProgram(source);
   if (!program.ok()) {
     return program.status();
@@ -19,6 +30,12 @@ Status ExtensionRegistry::Load(const std::string& name, uint64_t owner,
   AnalysisReport report = AnalyzeProgram(**program, config);
   if (auto s = ToVerifierStatus(report); !s.ok()) {
     return s;
+  }
+  for (const Subscription& sub : (*program)->subscriptions) {
+    if (PathIsUnder(sub.pattern, kEmRoot)) {
+      return Status(ErrorCode::kExtensionRejected,
+                    "subscriptions may not target the /em namespace");
+    }
   }
   // Compile every handler once, here, so every later invocation dispatches
   // straight into bytecode ("verification pays once", §4.2). A handler the
@@ -31,12 +48,26 @@ Status ExtensionRegistry::Load(const std::string& name, uint64_t owner,
   ext.name = name;
   ext.owner = owner;
   ext.program = std::move(*program);
-  ext.reg_order = next_order_++;
   ext.reports = std::move(report.handlers);
   ext.compiled = std::make_shared<const CompiledModule>(std::move(*compiled));
+  return ext;
+}
+
+Status ExtensionRegistry::Load(const std::string& name, uint64_t owner,
+                               const std::string& source, const VerifierConfig& config) {
+  auto ext = AdmitExtension(name, owner, source, config);
+  if (!ext.ok()) {
+    return ext.status();
+  }
+  Install(std::move(*ext));
+  return Status::Ok();
+}
+
+void ExtensionRegistry::Install(LoadedExtension ext) {
+  ext.reg_order = next_order_++;
+  std::string name = ext.name;
   extensions_[name] = std::move(ext);
   RefreshLint();
-  return Status::Ok();
 }
 
 void ExtensionRegistry::RefreshLint() {
@@ -111,8 +142,7 @@ LoadedExtension* ExtensionRegistry::Find(const std::string& name) {
 }
 
 const LoadedExtension* ExtensionRegistry::Find(const std::string& name) const {
-  auto it = extensions_.find(name);
-  return it == extensions_.end() ? nullptr : &it->second;
+  return const_cast<ExtensionRegistry*>(this)->Find(name);
 }
 
 bool ExtensionRegistry::Authorized(const LoadedExtension& ext, uint64_t client) {
@@ -137,21 +167,28 @@ bool ExtensionRegistry::SubscriptionMatches(const Subscription& sub, bool is_eve
   return sub.pattern == path;
 }
 
+namespace {
+
+bool Subscribes(const LoadedExtension& ext, bool is_event, const std::string& kind,
+                const std::string& path) {
+  for (const Subscription& sub : ext.program->subscriptions) {
+    if (ExtensionRegistry::SubscriptionMatches(sub, is_event, kind, path)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
 const LoadedExtension* ExtensionRegistry::MatchOperation(uint64_t client,
                                                          const std::string& kind,
                                                          const std::string& path) const {
   const LoadedExtension* best = nullptr;
   for (const auto& [name, ext] : extensions_) {
-    if (!Authorized(ext, client)) {
-      continue;
-    }
-    for (const Subscription& sub : ext.program->subscriptions) {
-      if (SubscriptionMatches(sub, /*is_event=*/false, kind, path)) {
-        if (best == nullptr || ext.reg_order > best->reg_order) {
-          best = &ext;
-        }
-        break;
-      }
+    if (Authorized(ext, client) && Subscribes(ext, /*is_event=*/false, kind, path) &&
+        (best == nullptr || ext.reg_order > best->reg_order)) {
+      best = &ext;
     }
   }
   return best;
@@ -161,11 +198,8 @@ std::vector<LoadedExtension*> ExtensionRegistry::MatchEvent(const std::string& k
                                                             const std::string& path) {
   std::vector<LoadedExtension*> matches;
   for (auto& [name, ext] : extensions_) {
-    for (const Subscription& sub : ext.program->subscriptions) {
-      if (SubscriptionMatches(sub, /*is_event=*/true, kind, path)) {
-        matches.push_back(&ext);
-        break;
-      }
+    if (Subscribes(ext, /*is_event=*/true, kind, path)) {
+      matches.push_back(&ext);
     }
   }
   std::sort(matches.begin(), matches.end(),
@@ -178,13 +212,8 @@ std::vector<LoadedExtension*> ExtensionRegistry::MatchEvent(const std::string& k
 bool ExtensionRegistry::HasEventExtensionFor(uint64_t client, const std::string& kind,
                                              const std::string& path) const {
   for (const auto& [name, ext] : extensions_) {
-    if (!Authorized(ext, client)) {
-      continue;
-    }
-    for (const Subscription& sub : ext.program->subscriptions) {
-      if (SubscriptionMatches(sub, /*is_event=*/true, kind, path)) {
-        return true;
-      }
+    if (Authorized(ext, client) && Subscribes(ext, /*is_event=*/true, kind, path)) {
+      return true;
     }
   }
   return false;

@@ -84,12 +84,21 @@ HandlerRun RunExtensionHandler(const LoadedExtension& ext, const std::string& ha
                                std::vector<Value> args, ScriptHost* host,
                                const ExtensionLimits& limits);
 
+// Admission (§3.6), the one pass every registration takes: the source cap,
+// parse, analysis, no subscription under /em, compile. The result is ready
+// to Install. kExtensionRejected on any verifier violation or compile
+// refusal.
+Result<LoadedExtension> AdmitExtension(const std::string& name, uint64_t owner,
+                                       const std::string& source,
+                                       const VerifierConfig& config);
+
 class ExtensionRegistry {
  public:
-  // Parses, verifies, compiles and installs `source` under `name`.
-  // kExtensionRejected on any verifier violation or compile refusal.
+  // AdmitExtension, then Install.
   Status Load(const std::string& name, uint64_t owner, const std::string& source,
               const VerifierConfig& config);
+  // Adds an admitted extension as the newest registration.
+  void Install(LoadedExtension ext);
   void Unload(const std::string& name);
   void Clear();
 

@@ -1,7 +1,7 @@
 #include "edc/ext/zk_binding.h"
 
+#include <map>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "edc/common/logging.h"
@@ -78,6 +78,7 @@ class ZkStateProxy : public StateProxy {
       return Read(path);
     }
     prep_->Block(path);
+    blocked_ = true;
     return Value();
   }
   SimTime Now() override { return now_; }
@@ -127,19 +128,19 @@ const char* EventKindOf(ZkEventType type) {
   return nullptr;
 }
 
-// Session of an acknowledgment node /em/<name>/ack-<session>.
-std::optional<uint64_t> AckSession(const std::string& base) {
-  if (base.rfind("ack-", 0) != 0) {
-    return std::nullopt;
+// The kind of a client write under /em: only a plain create or a delete can
+// be one of the three /em operations.
+EmWrite WriteOf(const ZkOp& op) {
+  if (op.type == ZkOpType::kCreate && !op.ephemeral && !op.sequential) {
+    return EmWrite::kCreate;
   }
-  auto sid = ParseInt64(base.substr(4));
-  return sid.ok() ? std::optional<uint64_t>(static_cast<uint64_t>(*sid)) : std::nullopt;
+  return op.type == ZkOpType::kDelete ? EmWrite::kDelete : EmWrite::kOther;
 }
 
 }  // namespace
 
 ZkExtensionManager::ZkExtensionManager(ZkServer* server, ExtensionLimits limits)
-    : server_(server), core_(limits, kEzkHost) {
+    : server_(server), core_(limits, kEzkHost, kZkEmLayout) {
   server_->SetHooks(this);
 }
 
@@ -151,34 +152,25 @@ bool ZkExtensionManager::MatchesOperation(uint64_t session, const ZkOp& op) cons
   return core_.registry().MatchOperation(session, kind, op.path) != nullptr;
 }
 
-Status ZkExtensionManager::PreprocessUpdate(uint64_t session, ZkOp* op,
-                                            Duration* extra_cpu) {
-  if (op->type == ZkOpType::kCreate && ParentPath(op->path) == kEmRoot) {
-    // Extension registration (§3.6): verify, compile, embed the owner.
-    if (auto s = core_.CheckRegistration(op->data, extra_cpu); !s.ok()) {
-      return s;
-    }
-    op->data = EncodeRegistration(session, op->data);
-    return Status::Ok();
-  }
-  if (op->type == ZkOpType::kDelete && ParentPath(op->path) == kEmRoot) {
-    // Deregistration: only the owner may remove an extension.
-    const LoadedExtension* ext = core_.registry().Find(BaseName(op->path));
-    if (ext != nullptr && ext->owner != session) {
-      return Status(ErrorCode::kAccessDenied, "only the registering client may deregister");
-    }
-  }
-  return Status::Ok();
-}
-
 ZkPrepOutcome ZkExtensionManager::HandleOperation(PrepSession* prep, uint64_t session,
                                                   const ZkOp& op) {
+  const ZkOp* em_op = &op;
+  EmWrite write = WriteOf(op);
+  for (const ZkOp& sub : op.ops) {
+    if (PathIsUnder(sub.path, kEmRoot)) {
+      em_op = &sub;
+      write = EmWrite::kOther;  // inside a multi, no /em write is admitted
+    }
+  }
+  if (!IsReadOp(op.type) && PathIsUnder(em_op->path, kEmRoot)) {
+    return HandleEmWrite(prep, session, *em_op, write);
+  }
   ZkPrepOutcome outcome;
-  std::string kind = KindOf(op);
-  const LoadedExtension* ext = core_.registry().MatchOperation(session, kind, op.path);
-  if (ext == nullptr) {
+  if (!MatchesOperation(session, op)) {
     return outcome;  // not handled; normal processing continues
   }
+  std::string kind = KindOf(op);
+  const LoadedExtension* ext = core_.registry().MatchOperation(session, kind, op.path);
   outcome.handled = true;
   ZkStateProxy proxy(prep, session, server_->now(), &ext_rng_);
   Invocation inv = core_.RunOperation(*ext, kind, op.path, op.data, &proxy, server_->obs());
@@ -192,21 +184,47 @@ ZkPrepOutcome ZkExtensionManager::HandleOperation(PrepSession* prep, uint64_t se
   }
   // A pending server-side block defers the reply (§6.1.3); otherwise the
   // returned value is piggybacked as the result.
-  for (const ZkTxnOp& txn_op : prep->ops()) {
-    if (txn_op.type == ZkTxnOpType::kBlock && txn_op.session == session &&
-        txn_op.req_id == prep->req_id()) {
-      return outcome;
-    }
+  if (proxy.blocked()) {
+    return outcome;
   }
   outcome.has_result = true;
   outcome.result = inv.result->is_null() ? "" : inv.result->ToString();
   return outcome;
 }
 
+ZkPrepOutcome ZkExtensionManager::HandleEmWrite(PrepSession* prep, uint64_t session,
+                                                const ZkOp& op, EmWrite write) {
+  ZkPrepOutcome outcome;
+  outcome.handled = true;
+  auto request = core_.AdmitClientWrite(write, op.path, session, op.data, &outcome.extra_cpu);
+  if (!request.ok()) {
+    outcome.status = request.status();
+    return outcome;
+  }
+  if (request->kind == EmRequest::Kind::kDeregister) {
+    outcome.status = Deregister(prep, request->name);
+    return outcome;
+  }
+  const std::string& data =
+      request->kind == EmRequest::Kind::kRegister ? request->registration : op.data;
+  auto made = prep->Create(op.path, data, false, false);
+  if (!made.ok()) {
+    outcome.status = made.status();
+    return outcome;
+  }
+  outcome.has_result = true;
+  outcome.result = *made;
+  return outcome;
+}
+
 void ZkExtensionManager::AfterApply(const ZkTxn& txn, const std::vector<ZkEvent>& events,
                                     bool is_leader) {
   for (const ZkTxnOp& op : txn.ops) {
-    ObserveAppliedOp(op);
+    if (op.type == ZkTxnOpType::kCreate) {
+      core_.Created(op.path, op.data, server_->obs());
+    } else if (op.type == ZkTxnOpType::kDelete) {
+      core_.Removed(op.path);
+    }
   }
   if (!is_leader || txn.ext_depth >= kMaxEventDepth) {
     return;
@@ -242,52 +260,21 @@ void ZkExtensionManager::RunEventExtensions(const ZkEvent& event, const std::str
   }
 }
 
-void ZkExtensionManager::EvictExtension(const std::string& name) {
-  auto prep = server_->BeginInternalPrep(0);
-  std::string path = std::string(kEmRoot) + "/" + name;
-  auto children = prep->Children(path);
-  if (children.ok()) {
-    for (const std::string& child : *children) {
-      (void)prep->Delete(path + "/" + child, -1);
+Status ZkExtensionManager::Deregister(PrepSession* prep, const std::string& name) {
+  std::string path = EmLayout::RegistrationPath(name);
+  auto acks = prep->Children(path);
+  if (acks.ok()) {
+    for (const std::string& ack : *acks) {
+      (void)prep->Delete(path + "/" + ack, -1);
     }
   }
-  (void)prep->Delete(path, -1);
-  server_->ProposeFromPrep(prep.get(), false, "", 0, kMaxEventDepth);
+  return prep->Delete(path, -1);
 }
 
-void ZkExtensionManager::ObserveAppliedOp(const ZkTxnOp& op) {
-  if (op.type != ZkTxnOpType::kCreate && op.type != ZkTxnOpType::kDelete) {
-    return;
-  }
-  const bool created = op.type == ZkTxnOpType::kCreate;
-  std::string parent = ParentPath(op.path);
-  if (parent == kEmRoot) {
-    if (!created) {
-      core_.registry().Unload(BaseName(op.path));
-      return;
-    }
-    auto reg = DecodeRegistration(op.data);
-    if (!reg.ok()) {
-      EDC_LOG(kError) << "undecodable extension registration at " << op.path;
-      return;
-    }
-    Status s = core_.Load(BaseName(op.path), reg->first, reg->second, server_->obs());
-    if (!s.ok()) {
-      EDC_LOG(kError) << "replicated extension failed to load: " << s.ToString();
-    }
-    return;
-  }
-  if (ParentPath(parent) != kEmRoot) {
-    return;
-  }
-  // Acknowledgment child: /em/<name>/ack-<session>.
-  if (std::optional<uint64_t> sid = AckSession(BaseName(op.path))) {
-    if (created) {
-      core_.registry().RecordAck(BaseName(parent), *sid);
-    } else {
-      core_.registry().RemoveAck(BaseName(parent), *sid);
-    }
-  }
+void ZkExtensionManager::EvictExtension(const std::string& name) {
+  auto prep = server_->BeginInternalPrep(0);
+  (void)Deregister(prep.get(), name);
+  server_->ProposeFromPrep(prep.get(), false, "", 0, kMaxEventDepth);
 }
 
 bool ZkExtensionManager::SuppressNotification(uint64_t session, const ZkEvent& event) const {
@@ -296,31 +283,20 @@ bool ZkExtensionManager::SuppressNotification(uint64_t session, const ZkEvent& e
 }
 
 void ZkExtensionManager::OnStateReloaded() {
-  ExtensionRegistry& registry = core_.registry();
-  registry.Clear();
+  core_.Clear();
+  // Registrations in creation order, each followed by its acknowledgments.
+  std::map<uint64_t, std::string> registrations;  // by creation zxid
   const DataTree& tree = server_->tree();
-  auto names = tree.GetChildren(kEmRoot);
-  if (!names.ok()) {
-    return;
+  for (const std::string& name : tree.GetChildren(kEmRoot).value_or({})) {
+    std::string path = EmLayout::RegistrationPath(name);
+    if (auto node = tree.Get(path); node.ok()) {
+      registrations[node->stat.czxid] = path;
+    }
   }
-  for (const std::string& name : *names) {
-    std::string path = std::string(kEmRoot) + "/" + name;
-    auto node = tree.Get(path);
-    if (!node.ok()) {
-      continue;
-    }
-    auto reg = DecodeRegistration(node->data);
-    if (!reg.ok() || !registry.Load(name, reg->first, reg->second, verifier_config()).ok()) {
-      continue;
-    }
-    auto acks = tree.GetChildren(path);
-    if (!acks.ok()) {
-      continue;
-    }
-    for (const std::string& ack : *acks) {
-      if (std::optional<uint64_t> sid = AckSession(ack)) {
-        registry.RecordAck(name, *sid);
-      }
+  for (const auto& [czxid, path] : registrations) {
+    core_.Created(path, tree.Get(path)->data, nullptr);
+    for (const std::string& ack : tree.GetChildren(path).value_or({})) {
+      core_.Created(path + "/" + ack, "", nullptr);
     }
   }
 }

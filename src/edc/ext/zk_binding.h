@@ -8,10 +8,12 @@
 //     leader's PrepSession — every state change lands in one
 //     multi-transaction, and the extension result is piggybacked on it
 //     (§5.1.2);
-//   * registrations are standard creates under /em: verified, compiled, and
-//     rewritten to carry the owner before replication; every replica's
-//     manager rebuilds its registry from the applied transactions (or from a
-//     snapshot), which is the paper's fault-tolerance story (§3.8);
+//   * registrations, acknowledgments and deregistrations are plain creates
+//     and deletes under /em that the core's rules admit at prep (a
+//     registration is stored with its owner, a deregistration takes the
+//     acknowledgments with it); every replica's manager follows the applied
+//     transactions (or reloads from a snapshot), which is the paper's
+//     fault-tolerance story (§3.8);
 //   * event extensions run at the primary when a transaction's events match;
 //     their writes are proposed as follow-up internal transactions with a
 //     bounded chain depth; matching client notifications are suppressed.
@@ -39,7 +41,6 @@ class ZkExtensionManager : public ZkServerHooks {
 
   // ZkServerHooks.
   bool MatchesOperation(uint64_t session, const ZkOp& op) const override;
-  Status PreprocessUpdate(uint64_t session, ZkOp* op, Duration* extra_cpu) override;
   ZkPrepOutcome HandleOperation(PrepSession* prep, uint64_t session, const ZkOp& op) override;
   void AfterApply(const ZkTxn& txn, const std::vector<ZkEvent>& events,
                   bool is_leader) override;
@@ -53,11 +54,13 @@ class ZkExtensionManager : public ZkServerHooks {
   static constexpr uint8_t kMaxEventDepth = 4;
 
  private:
+  ZkPrepOutcome HandleEmWrite(PrepSession* prep, uint64_t session, const ZkOp& op,
+                              EmWrite write);
   void RunEventExtensions(const ZkEvent& event, const std::string& kind, uint8_t depth);
+  // Deletes the registration and its acknowledgments in `prep`: a client's
+  // deregistration and an eviction are one transaction each.
+  static Status Deregister(PrepSession* prep, const std::string& name);
   void EvictExtension(const std::string& name);
-
-  // Registry maintenance driven by applied transactions.
-  void ObserveAppliedOp(const ZkTxnOp& op);
 
   ZkServer* server_;
   ExtensionManagerCore core_;

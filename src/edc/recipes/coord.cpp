@@ -39,85 +39,133 @@ void ZkCoordClient::DispatchWatchEvent(const ZkWatchEventMsg& event) {
   }
 }
 
+void ZkCoordClient::Reacknowledge() {
+  if (!client_->connected()) {
+    return;
+  }
+  for (auto& [name, session] : acked_) {
+    if (session == client_->session()) {
+      continue;
+    }
+    session = client_->session();
+    ++reacks_in_flight_;
+    client_->AcknowledgeExtension(name, [this](Status) {
+      if (--reacks_in_flight_ == 0) {
+        for (auto& call : std::exchange(deferred_, {})) {
+          AfterAcks(std::move(call));
+        }
+      }
+    });
+  }
+}
+
 void ZkCoordClient::Create(const std::string& path, const std::string& data, ValueCb done) {
-  client_->Create(path, data, false, false, std::move(done));
+  AfterAcks([=, this, done = std::move(done)]() mutable {
+    client_->Create(path, data, false, false, std::move(done));
+  });
 }
 
 void ZkCoordClient::Delete(const std::string& path, Cb done) {
-  client_->Delete(path, -1, std::move(done));
+  AfterAcks([=, this, done = std::move(done)]() mutable {
+    client_->Delete(path, -1, std::move(done));
+  });
 }
 
 void ZkCoordClient::Read(const std::string& path, ValueCb done) {
-  client_->GetData(path, false, [this, path, done = std::move(done)](
-                                    Result<ZkApi::NodeResult> r) {
-    if (!r.ok()) {
-      done(r.status());
-      return;
-    }
-    last_read_version_[path] = r->stat.version;
-    done(r->data);
+  AfterAcks([=, this, done = std::move(done)]() mutable {
+    client_->GetData(path, false, [this, path, done = std::move(done)](
+                                      Result<ZkApi::NodeResult> r) {
+      if (!r.ok()) {
+        done(r.status());
+        return;
+      }
+      last_read_version_[path] = r->stat.version;
+      done(r->data);
+    });
   });
 }
 
 void ZkCoordClient::Update(const std::string& path, const std::string& data, Cb done) {
-  client_->SetData(path, data, -1, std::move(done));
+  AfterAcks([=, this, done = std::move(done)]() mutable {
+    client_->SetData(path, data, -1, std::move(done));
+  });
 }
 
 void ZkCoordClient::Cas(const std::string& path, const std::string& expected,
                         const std::string& next, Cb done) {
   (void)expected;  // ZooKeeper cas conditions on the version seen by Read
-  auto it = last_read_version_.find(path);
-  int32_t version = it == last_read_version_.end() ? 0 : it->second;
-  client_->SetData(path, next, version, std::move(done));
-}
-
-void ZkCoordClient::SubObjects(const std::string& path, ListCb done) {
-  client_->GetChildren(path, false, [this, path, done = std::move(done)](
-                                        Result<std::vector<std::string>> r) {
-    if (!r.ok()) {
-      done(r.status());
-      return;
-    }
-    auto objects = std::make_shared<std::vector<CoordObject>>(r->size());
-    auto remaining = std::make_shared<size_t>(r->size());
-    if (*remaining == 0) {
-      done(std::vector<CoordObject>{});
-      return;
-    }
-    // Step 2 of Table 2: fetch each child's data (and ctime).
-    for (size_t i = 0; i < r->size(); ++i) {
-      std::string child = path == "/" ? "/" + (*r)[i] : path + "/" + (*r)[i];
-      client_->GetData(child, false,
-                       [child, i, objects, remaining, done](
-                           Result<ZkApi::NodeResult> node) {
-                         if (node.ok()) {
-                           (*objects)[i] =
-                               CoordObject{child, node->data, node->stat.ctime};
-                         } else {
-                           (*objects)[i] = CoordObject{child, "", 0};
-                         }
-                         if (--*remaining == 0) {
-                           done(std::move(*objects));
-                         }
-                       });
-    }
+  AfterAcks([=, this, done = std::move(done)]() mutable {
+    auto it = last_read_version_.find(path);
+    int32_t version = it == last_read_version_.end() ? 0 : it->second;
+    client_->SetData(path, next, version, std::move(done));
   });
 }
 
-void ZkCoordClient::Block(const std::string& path, ValueCb done) {
-  if (ext_mode_) {
-    // A block extension holds the request server-side: one RPC. If no
-    // extension intercepted (none registered / not acknowledged), the typed
-    // result is the plain exists answer and we fall back to the traditional
-    // watch protocol.
-    client_->CallExtension(path, "", [this, path, done = std::move(done)](
-                                         Result<ExtensionResult> r) mutable {
+void ZkCoordClient::SubObjects(const std::string& path, ListCb done) {
+  AfterAcks([=, this, done = std::move(done)]() mutable {
+    client_->GetChildren(path, false, [this, path, done = std::move(done)](
+                                          Result<std::vector<std::string>> r) {
       if (!r.ok()) {
         done(r.status());
         return;
       }
-      if (r->intercepted) {
-        done(std::move(r->value));  // extension result / deferred unblock payload
+      auto objects = std::make_shared<std::vector<CoordObject>>(r->size());
+      auto remaining = std::make_shared<size_t>(r->size());
+      if (*remaining == 0) {
+        done(std::vector<CoordObject>{});
+        return;
+      }
+      // Step 2 of Table 2: fetch each child's data (and ctime).
+      for (size_t i = 0; i < r->size(); ++i) {
+        std::string child = path == "/" ? "/" + (*r)[i] : path + "/" + (*r)[i];
+        client_->GetData(child, false,
+                         [child, i, objects, remaining, done](
+                             Result<ZkApi::NodeResult> node) {
+                           if (node.ok()) {
+                             (*objects)[i] =
+                                 CoordObject{child, node->data, node->stat.ctime};
+                           } else {
+                             (*objects)[i] = CoordObject{child, "", 0};
+                           }
+                           if (--*remaining == 0) {
+                             done(std::move(*objects));
+                           }
+                         });
+      }
+    });
+  });
+}
+
+void ZkCoordClient::Block(const std::string& path, ValueCb done) {
+  AfterAcks([=, this, done = std::move(done)]() mutable {
+    if (ext_mode_) {
+      // A block extension holds the request server-side: one RPC. If no
+      // extension intercepted (none registered / not acknowledged), the
+      // typed result is the plain exists answer and we fall back to the
+      // traditional watch protocol.
+      client_->CallExtension(path, "", [this, path, done = std::move(done)](
+                                           Result<ExtensionResult> r) mutable {
+        if (!r.ok()) {
+          done(r.status());
+          return;
+        }
+        if (r->intercepted) {
+          done(std::move(r->value));  // extension result / deferred unblock payload
+          return;
+        }
+        if (r->exists) {
+          Read(path, std::move(done));
+          return;
+        }
+        block_waiters_[path].push_back(std::move(done));
+      });
+      return;
+    }
+    // Traditional: exists-with-watch, then wait for the creation notification.
+    client_->Exists(path, true, [this, path, done = std::move(done)](
+                                    Result<ZkApi::ExistsResult> r) mutable {
+      if (!r.ok()) {
+        done(r.status());
         return;
       }
       if (r->exists) {
@@ -126,46 +174,42 @@ void ZkCoordClient::Block(const std::string& path, ValueCb done) {
       }
       block_waiters_[path].push_back(std::move(done));
     });
-    return;
-  }
-  // Traditional: exists-with-watch, then wait for the creation notification.
-  client_->Exists(path, true, [this, path, done = std::move(done)](
-                                  Result<ZkApi::ExistsResult> r) mutable {
-    if (!r.ok()) {
-      done(r.status());
-      return;
-    }
-    if (r->exists) {
-      Read(path, std::move(done));
-      return;
-    }
-    block_waiters_[path].push_back(std::move(done));
   });
 }
 
 void ZkCoordClient::Monitor(const std::string& path, Cb done) {
-  client_->Create(path, "", /*ephemeral=*/true, false,
-                  [done = std::move(done)](Result<std::string> r) { done(r.status()); });
+  AfterAcks([=, this, done = std::move(done)]() mutable {
+    client_->Create(path, "", /*ephemeral=*/true, false,
+                    [done = std::move(done)](Result<std::string> r) { done(r.status()); });
+  });
 }
 
 void ZkCoordClient::OnDeleted(const std::string& path, std::function<void()> fired) {
-  client_->Exists(path, true, [this, path, fired = std::move(fired)](
-                                  Result<ZkApi::ExistsResult> r) mutable {
-    if (!r.ok() || !r->exists) {
-      fired();  // already gone
-      return;
-    }
-    deletion_waiters_[path].push_back(std::move(fired));
+  AfterAcks([=, this, fired = std::move(fired)]() mutable {
+    client_->Exists(path, true, [this, path, fired = std::move(fired)](
+                                    Result<ZkApi::ExistsResult> r) mutable {
+      if (!r.ok() || !r->exists) {
+        fired();  // already gone
+        return;
+      }
+      deletion_waiters_[path].push_back(std::move(fired));
+    });
   });
 }
 
 void ZkCoordClient::RegisterExtension(const std::string& name, const std::string& code,
                                       Cb done) {
-  client_->RegisterExtension(name, code, std::move(done));
+  acked_[name] = client_->session();
+  AfterAcks([=, this, done = std::move(done)]() mutable {
+    client_->RegisterExtension(name, code, std::move(done));
+  });
 }
 
 void ZkCoordClient::AcknowledgeExtension(const std::string& name, Cb done) {
-  client_->AcknowledgeExtension(name, std::move(done));
+  acked_[name] = client_->session();
+  AfterAcks([=, this, done = std::move(done)]() mutable {
+    client_->AcknowledgeExtension(name, std::move(done));
+  });
 }
 
 // ---------------------------------------------------------------------- DS
@@ -175,13 +219,22 @@ DsCoordClient::DsCoordClient(EventLoop* loop, DsApi* client)
 
 namespace {
 
-Status DsStatus(const Result<DsReply>& r) { return r.status(); }
+DsApi::ReplyCb StatusOf(CoordClient::Cb done) {
+  return [done = std::move(done)](Result<DsReply> r) { done(r.status()); };
+}
 
-std::string DsData(const DsReply& reply) {
-  if (!reply.tuples.empty() && reply.tuples[0].size() > 1) {
-    return FieldToString(reply.tuples[0][1]);
-  }
-  return reply.value;
+// The object's data: the matched tuple's second field, or an extension's
+// result.
+DsApi::ReplyCb DataOf(CoordClient::ValueCb done) {
+  return [done = std::move(done)](Result<DsReply> r) {
+    if (!r.ok()) {
+      done(r.status());
+    } else if (!r->tuples.empty() && r->tuples[0].size() > 1) {
+      done(FieldToString(r->tuples[0][1]));
+    } else {
+      done(r->value);
+    }
+  };
 }
 
 }  // namespace
@@ -190,32 +243,20 @@ void DsCoordClient::Create(const std::string& path, const std::string& data, Val
   // cas gives create-if-absent semantics matching ZooKeeper's create.
   client_->Cas(ObjectTemplate(path), ObjectTuple(path, data),
                [path, done = std::move(done)](Result<DsReply> r) {
-                 if (!r.ok()) {
-                   done(r.status());
-                   return;
-                 }
-                 done(path);
+                 done(r.ok() ? Result<std::string>(path) : r.status());
                });
 }
 
 void DsCoordClient::Delete(const std::string& path, Cb done) {
-  client_->Inp(ObjectTemplate(path),
-               [done = std::move(done)](Result<DsReply> r) { done(DsStatus(r)); });
+  client_->Inp(ObjectTemplate(path), StatusOf(std::move(done)));
 }
 
 void DsCoordClient::Read(const std::string& path, ValueCb done) {
-  client_->Rdp(ObjectTemplate(path), [done = std::move(done)](Result<DsReply> r) {
-    if (!r.ok()) {
-      done(r.status());
-      return;
-    }
-    done(DsData(*r));
-  });
+  client_->Rdp(ObjectTemplate(path), DataOf(std::move(done)));
 }
 
 void DsCoordClient::Update(const std::string& path, const std::string& data, Cb done) {
-  client_->Replace(ObjectTemplate(path), ObjectTuple(path, data),
-                   [done = std::move(done)](Result<DsReply> r) { done(DsStatus(r)); });
+  client_->Replace(ObjectTemplate(path), ObjectTuple(path, data), StatusOf(std::move(done)));
 }
 
 void DsCoordClient::Cas(const std::string& path, const std::string& expected,
@@ -228,7 +269,7 @@ void DsCoordClient::Cas(const std::string& path, const std::string& expected,
                        done(Status(ErrorCode::kBadVersion, "conditional replace failed"));
                        return;
                      }
-                     done(DsStatus(r));
+                     done(r.status());
                    });
 }
 
@@ -259,18 +300,11 @@ void DsCoordClient::SubObjects(const std::string& path, ListCb done) {
 }
 
 void DsCoordClient::Block(const std::string& path, ValueCb done) {
-  client_->Rd(ObjectTemplate(path), [done = std::move(done)](Result<DsReply> r) {
-    if (!r.ok()) {
-      done(r.status());
-      return;
-    }
-    done(DsData(*r));
-  });
+  client_->Rd(ObjectTemplate(path), DataOf(std::move(done)));
 }
 
 void DsCoordClient::Monitor(const std::string& path, Cb done) {
-  client_->OutLease(ObjectTuple(path, tag()),
-                    [done = std::move(done)](Result<DsReply> r) { done(DsStatus(r)); });
+  client_->OutLease(ObjectTuple(path, tag()), StatusOf(std::move(done)));
 }
 
 void DsCoordClient::OnDeleted(const std::string& path, std::function<void()> fired) {
@@ -294,13 +328,11 @@ void DsCoordClient::OnDeleted(const std::string& path, std::function<void()> fir
 
 void DsCoordClient::RegisterExtension(const std::string& name, const std::string& code,
                                       Cb done) {
-  client_->RegisterExtension(name, code,
-                             [done = std::move(done)](Result<DsReply> r) { done(DsStatus(r)); });
+  client_->RegisterExtension(name, code, StatusOf(std::move(done)));
 }
 
 void DsCoordClient::AcknowledgeExtension(const std::string& name, Cb done) {
-  client_->AcknowledgeExtension(
-      name, [done = std::move(done)](Result<DsReply> r) { done(DsStatus(r)); });
+  client_->AcknowledgeExtension(name, StatusOf(std::move(done)));
 }
 
 }  // namespace edc

@@ -17,6 +17,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "edc/ds/api.h"
@@ -104,9 +105,26 @@ class ZkCoordClient : public CoordClient {
 
  private:
   void DispatchWatchEvent(const ZkWatchEventMsg& event);
+  // Acknowledgments belong to a session (§3.6): after a failover, the first
+  // call waits while the new session acknowledges again every extension
+  // this client registered or acknowledged. Calls made meanwhile wait too.
+  template <typename Call>
+  void AfterAcks(Call call) {
+    Reacknowledge();
+    if (reacks_in_flight_ == 0) {
+      call();
+      return;
+    }
+    deferred_.emplace_back(std::move(call));
+  }
+  // Re-sends the acknowledgments the current session has not made.
+  void Reacknowledge();
 
   ZkApi* client_;
   bool ext_mode_;
+  std::map<std::string, uint64_t> acked_;  // extension -> session when (re)acknowledged
+  int reacks_in_flight_ = 0;
+  std::vector<std::function<void()>> deferred_;
   std::map<std::string, int32_t> last_read_version_;
   std::map<std::string, std::vector<ValueCb>> block_waiters_;
   std::map<std::string, std::vector<std::function<void()>>> deletion_waiters_;

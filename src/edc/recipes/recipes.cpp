@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "edc/common/strings.h"
 #include "edc/recipes/scripts.h"
@@ -10,15 +11,34 @@ namespace edc {
 
 namespace {
 
-// Setup helpers tolerate re-creation (several benches share one namespace).
-void CreateIgnoringExists(CoordClient* client, const std::string& path,
-                          const std::string& data, CoordClient::Cb done) {
-  client->Create(path, data, [done = std::move(done)](Result<std::string> r) {
+using Objects = std::vector<std::pair<std::string, std::string>>;  // path, data
+
+// The owner's Setup of every recipe: creates `objects` in order (one that
+// exists already is fine: several benches share one namespace; an empty
+// path is skipped), then, in extension mode, registers `script` as
+// `ext_name`.
+void SetupRecipe(CoordClient* client, Objects objects, bool use_extension,
+                 const std::string& ext_name, const std::string& script, CoordClient::Cb done) {
+  if (objects.empty()) {
+    if (!use_extension) {
+      done(Status::Ok());
+      return;
+    }
+    client->RegisterExtension(ext_name, script, std::move(done));
+    return;
+  }
+  auto [path, data] = std::move(objects.front());
+  objects.erase(objects.begin());
+  if (path.empty()) {  // a recipe without a prefix has no prefix object
+    SetupRecipe(client, std::move(objects), use_extension, ext_name, script, std::move(done));
+    return;
+  }
+  client->Create(path, data, [=, done = std::move(done)](Result<std::string> r) mutable {
     if (!r.ok() && r.code() != ErrorCode::kNodeExists) {
       done(r.status());
       return;
     }
-    done(Status::Ok());
+    SetupRecipe(client, std::move(objects), use_extension, ext_name, script, std::move(done));
   });
 }
 
@@ -60,37 +80,20 @@ std::string NamespacedScript(const std::string& script, const std::string& old_n
   return rewritten;
 }
 
-// ------------------------------------------------------------ SharedCounter
-
-void SharedCounter::Setup(CoordClient::Cb done) {
-  auto rest = [this, done](Status s0) {
-    if (!s0.ok()) {
-      done(s0);
-      return;
-    }
-    CreateIgnoringExists(client_, prefix_ + "/ctr", "0", [this, done](Status s) {
-      if (!s.ok() || !use_extension_) {
-        done(s);
-        return;
-      }
-      client_->RegisterExtension(
-          ext_name_, NamespacedScript(kCounterExtension, "ctr_increment", ext_name_, prefix_),
-          done);
-    });
-  };
-  if (prefix_.empty()) {
-    rest(Status::Ok());
-    return;
-  }
-  CreateIgnoringExists(client_, prefix_, "", rest);
-}
-
-void SharedCounter::Attach(CoordClient::Cb done) {
+void ExtensionRecipe::Attach(CoordClient::Cb done) {
   if (!use_extension_) {
     done(Status::Ok());
     return;
   }
   client_->AcknowledgeExtension(ext_name_, std::move(done));
+}
+
+// ------------------------------------------------------------ SharedCounter
+
+void SharedCounter::Setup(CoordClient::Cb done) {
+  SetupRecipe(client_, {{prefix_, ""}, {prefix_ + "/ctr", "0"}}, use_extension_, ext_name_,
+              NamespacedScript(kCounterExtension, "ctr_increment", ext_name_, prefix_),
+              std::move(done));
 }
 
 void SharedCounter::Increment(IntCb done) {
@@ -144,34 +147,9 @@ void SharedCounter::TryIncrement(std::shared_ptr<IntCb> done) {
 // --------------------------------------------------------- DistributedQueue
 
 void DistributedQueue::Setup(CoordClient::Cb done) {
-  auto rest = [this, done](Status s0) {
-    if (!s0.ok()) {
-      done(s0);
-      return;
-    }
-    CreateIgnoringExists(client_, prefix_ + "/queue", "", [this, done](Status s) {
-      if (!s.ok() || !use_extension_) {
-        done(s);
-        return;
-      }
-      client_->RegisterExtension(
-          ext_name_, NamespacedScript(kQueueExtension, "queue_remove", ext_name_, prefix_),
-          done);
-    });
-  };
-  if (prefix_.empty()) {
-    rest(Status::Ok());
-    return;
-  }
-  CreateIgnoringExists(client_, prefix_, "", rest);
-}
-
-void DistributedQueue::Attach(CoordClient::Cb done) {
-  if (!use_extension_) {
-    done(Status::Ok());
-    return;
-  }
-  client_->AcknowledgeExtension(ext_name_, std::move(done));
+  SetupRecipe(client_, {{prefix_, ""}, {prefix_ + "/queue", ""}}, use_extension_, ext_name_,
+              NamespacedScript(kQueueExtension, "queue_remove", ext_name_, prefix_),
+              std::move(done));
 }
 
 void DistributedQueue::Add(const std::string& element_id, const std::string& data,
@@ -240,29 +218,8 @@ void DistributedQueue::TryRemove(std::shared_ptr<ValueCb> done, int attempts) {
 // ------------------------------------------------------- DistributedBarrier
 
 void DistributedBarrier::Setup(CoordClient::Cb done) {
-  CreateIgnoringExists(client_, "/barrier", "", [this, done = std::move(done)](Status s) {
-    if (!s.ok()) {
-      done(s);
-      return;
-    }
-    CreateIgnoringExists(
-        client_, "/barrier-size", std::to_string(size_),
-        [this, done = std::move(done)](Status s2) {
-          if (!s2.ok() || !use_extension_) {
-            done(s2);
-            return;
-          }
-          client_->RegisterExtension("barrier_enter", kBarrierExtension, std::move(done));
-        });
-  });
-}
-
-void DistributedBarrier::Attach(CoordClient::Cb done) {
-  if (!use_extension_) {
-    done(Status::Ok());
-    return;
-  }
-  client_->AcknowledgeExtension("barrier_enter", std::move(done));
+  SetupRecipe(client_, {{"/barrier", ""}, {"/barrier-size", std::to_string(size_)}},
+              use_extension_, ext_name_, kBarrierExtension, std::move(done));
 }
 
 void DistributedBarrier::Enter(CoordClient::Cb done) {
@@ -323,29 +280,8 @@ void DistributedBarrier::Reset(CoordClient::Cb done) {
 // ---------------------------------------------------------- LeaderElection
 
 void LeaderElection::Setup(CoordClient::Cb done) {
-  CreateIgnoringExists(client_, "/leader", "", [this, done = std::move(done)](Status s) {
-    if (!s.ok()) {
-      done(s);
-      return;
-    }
-    CreateIgnoringExists(client_, "/clients", "",
-                         [this, done = std::move(done)](Status s2) {
-                           if (!s2.ok() || !use_extension_) {
-                             done(s2);
-                             return;
-                           }
-                           client_->RegisterExtension("leader_elect", kElectionExtension,
-                                                      std::move(done));
-                         });
-  });
-}
-
-void LeaderElection::Attach(CoordClient::Cb done) {
-  if (!use_extension_) {
-    done(Status::Ok());
-    return;
-  }
-  client_->AcknowledgeExtension("leader_elect", std::move(done));
+  SetupRecipe(client_, {{"/leader", ""}, {"/clients", ""}}, use_extension_, ext_name_,
+              kElectionExtension, std::move(done));
 }
 
 void LeaderElection::BecomeLeader(CoordClient::Cb done) {

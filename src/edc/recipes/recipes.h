@@ -28,21 +28,34 @@ std::string PrefixedExtensionName(const std::string& prefix, const std::string& 
 std::string NamespacedScript(const std::string& script, const std::string& old_name,
                              const std::string& new_name, const std::string& prefix);
 
+// What the recipes share: the client, the variant, and the extension the
+// owner registers in Setup and every other client acknowledges in Attach
+// (extension mode only).
+class ExtensionRecipe {
+ public:
+  // Non-owners in extension mode: acknowledge the owner's extension.
+  void Attach(CoordClient::Cb done);
+
+ protected:
+  ExtensionRecipe(CoordClient* client, bool use_extension, std::string ext_name)
+      : client_(client), use_extension_(use_extension), ext_name_(std::move(ext_name)) {}
+
+  CoordClient* client_;
+  bool use_extension_;
+  std::string ext_name_;
+};
+
 // Fig. 5: shared counter.
-class SharedCounter {
+class SharedCounter : public ExtensionRecipe {
  public:
   using IntCb = std::function<void(Result<int64_t>)>;
 
   SharedCounter(CoordClient* client, bool use_extension, std::string prefix = "")
-      : client_(client),
-        use_extension_(use_extension),
-        prefix_(std::move(prefix)),
-        ext_name_(PrefixedExtensionName(prefix_, "ctr_increment")) {}
+      : ExtensionRecipe(client, use_extension, PrefixedExtensionName(prefix, "ctr_increment")),
+        prefix_(std::move(prefix)) {}
 
   // Owner: creates /ctr (and registers the extension).
   void Setup(CoordClient::Cb done);
-  // Non-owners in extension mode: acknowledge the owner's extension.
-  void Attach(CoordClient::Cb done);
   void Increment(IntCb done);
 
   int64_t retries() const { return retries_; }
@@ -50,26 +63,20 @@ class SharedCounter {
  private:
   void TryIncrement(std::shared_ptr<IntCb> done);
 
-  CoordClient* client_;
-  bool use_extension_;
   std::string prefix_;
-  std::string ext_name_;
   int64_t retries_ = 0;
 };
 
 // Fig. 7: distributed queue.
-class DistributedQueue {
+class DistributedQueue : public ExtensionRecipe {
  public:
   using ValueCb = CoordClient::ValueCb;
 
   DistributedQueue(CoordClient* client, bool use_extension, std::string prefix = "")
-      : client_(client),
-        use_extension_(use_extension),
-        prefix_(std::move(prefix)),
-        ext_name_(PrefixedExtensionName(prefix_, "queue_remove")) {}
+      : ExtensionRecipe(client, use_extension, PrefixedExtensionName(prefix, "queue_remove")),
+        prefix_(std::move(prefix)) {}
 
   void Setup(CoordClient::Cb done);
-  void Attach(CoordClient::Cb done);
   void Add(const std::string& element_id, const std::string& data, CoordClient::Cb done);
   void Remove(ValueCb done);
 
@@ -78,40 +85,33 @@ class DistributedQueue {
  private:
   void TryRemove(std::shared_ptr<ValueCb> done, int attempts);
 
-  CoordClient* client_;
-  bool use_extension_;
   std::string prefix_;
-  std::string ext_name_;
   int64_t retries_ = 0;
 };
 
 // Fig. 9: distributed barrier for `size` participants.
-class DistributedBarrier {
+class DistributedBarrier : public ExtensionRecipe {
  public:
   DistributedBarrier(CoordClient* client, bool use_extension, int size)
-      : client_(client), use_extension_(use_extension), size_(size) {}
+      : ExtensionRecipe(client, use_extension, "barrier_enter"), size_(size) {}
 
   void Setup(CoordClient::Cb done);
-  void Attach(CoordClient::Cb done);
   // Completes once all `size` participants entered.
   void Enter(CoordClient::Cb done);
   // Clears barrier state for the next round (driven by the harness).
   void Reset(CoordClient::Cb done);
 
  private:
-  CoordClient* client_;
-  bool use_extension_;
   int size_;
 };
 
 // Fig. 11: leader election.
-class LeaderElection {
+class LeaderElection : public ExtensionRecipe {
  public:
   LeaderElection(CoordClient* client, bool use_extension)
-      : client_(client), use_extension_(use_extension) {}
+      : ExtensionRecipe(client, use_extension, "leader_elect") {}
 
   void Setup(CoordClient::Cb done);
-  void Attach(CoordClient::Cb done);
   // Completes when this client becomes leader.
   void BecomeLeader(CoordClient::Cb done);
   // Steps down (deletes the id object); triggers the next election round.
@@ -120,8 +120,6 @@ class LeaderElection {
  private:
   void CheckLeader(std::shared_ptr<CoordClient::Cb> done);
 
-  CoordClient* client_;
-  bool use_extension_;
   // Traditional variant: unique id object per candidacy round. Reusing the
   // same name across rounds would let deletion observers miss the
   // delete/recreate pair entirely (ABA) — the reason real recipes use

@@ -1,7 +1,6 @@
 #include "edc/zk/client.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "edc/common/logging.h"
@@ -97,10 +96,10 @@ void ZkClient::Emit(SessionEvent event) {
   }
 }
 
-void ZkClient::FailPending(ErrorCode code) {
-  std::map<uint64_t, ReplyCb> pending = std::move(pending_);
-  pending_.clear();
-  for (auto& [req_id, cb] : pending) {
+void ZkClient::Fail(std::map<uint64_t, ReplyCb>* calls, ErrorCode code) {
+  std::map<uint64_t, ReplyCb> failed = std::move(*calls);
+  calls->clear();
+  for (auto& [req_id, cb] : failed) {
     ZkReplyMsg reply;
     reply.req_id = req_id;
     reply.code = code;
@@ -116,20 +115,6 @@ void ZkClient::ParkPending() {
     parked_.emplace(req_id, std::move(cb));
   }
   pending_.clear();
-}
-
-void ZkClient::FailParked(ErrorCode code) {
-  std::map<uint64_t, ReplyCb> parked = std::move(parked_);
-  parked_.clear();
-  for (auto& [req_id, cb] : parked) {
-    ZkReplyMsg reply;
-    reply.req_id = req_id;
-    reply.code = code;
-    if (observer_.on_reply) {
-      observer_.on_reply(req_id, reply, /*synthetic=*/true);
-    }
-    cb(reply);
-  }
 }
 
 void ZkClient::OnConnectionLoss() {
@@ -160,8 +145,8 @@ void ZkClient::OnSessionExpired() {
   loop_->Cancel(ping_timer_);
   session_ = 0;
   lost_session_ = 0;
-  FailPending(ErrorCode::kSessionExpired);
-  FailParked(ErrorCode::kSessionExpired);
+  Fail(&pending_, ErrorCode::kSessionExpired);
+  Fail(&parked_, ErrorCode::kSessionExpired);
   Emit(SessionEvent::kSessionLost);
   ScheduleReconnect();
 }
@@ -172,7 +157,7 @@ void ZkClient::ScheduleReconnect() {
   }
   if (options_.reconnect.max_attempts > 0 &&
       reconnect_attempts_ >= options_.reconnect.max_attempts) {
-    FailParked(ErrorCode::kConnectionLoss);
+    Fail(&parked_, ErrorCode::kConnectionLoss);
     if (connect_cb_) {
       auto cb = std::move(connect_cb_);
       connect_cb_ = nullptr;
@@ -217,8 +202,8 @@ void ZkClient::HandlePacket(Packet&& pkt) {
       // Calls parked at connection loss resolve now: the replica reports
       // whether the old session was already expired out of the replicated
       // state (its writes can never complete) or merely detached.
-      FailParked(m->old_session_expired ? ErrorCode::kSessionExpired
-                                        : ErrorCode::kConnectionLoss);
+      Fail(&parked_, m->old_session_expired ? ErrorCode::kSessionExpired
+                                            : ErrorCode::kConnectionLoss);
       bool first = !ever_connected_;
       ever_connected_ = true;
       Emit(first ? SessionEvent::kConnected : SessionEvent::kReconnected);
@@ -442,39 +427,17 @@ void ZkClient::CallExtension(const std::string& trigger_path, const std::string&
 
 void ZkClient::RegisterExtension(const std::string& name, const std::string& code,
                                  VoidCb done) {
-  Create("/em/" + name, code, false, false,
+  Create(EmLayout::RegistrationPath(name), code, false, false,
          [done = std::move(done)](Result<std::string> r) { done(r.status()); });
 }
 
+// One delete: the leader removes the acknowledgments with the registration.
 void ZkClient::DeregisterExtension(const std::string& name, VoidCb done) {
-  // Remove acknowledgment children first (delete requires an empty node).
-  std::string path = "/em/" + name;
-  GetChildren(path, false,
-              [this, path, done = std::move(done)](Result<std::vector<std::string>> r) {
-                if (!r.ok()) {
-                  done(r.status());
-                  return;
-                }
-                auto remaining = std::make_shared<size_t>(r->size());
-                auto finish = [this, path, done]() {
-                  Delete(path, -1, [done](Status s) { done(s); });
-                };
-                if (*remaining == 0) {
-                  finish();
-                  return;
-                }
-                for (const std::string& child : *r) {
-                  Delete(path + "/" + child, -1, [remaining, finish](Status) {
-                    if (--*remaining == 0) {
-                      finish();
-                    }
-                  });
-                }
-              });
+  Delete(EmLayout::RegistrationPath(name), -1, std::move(done));
 }
 
 void ZkClient::AcknowledgeExtension(const std::string& name, VoidCb done) {
-  Create("/em/" + name + "/ack-" + std::to_string(session_), "", false, false,
+  Create(kZkEmLayout.AckPath(name, session_), "", false, false,
          [done = std::move(done)](Result<std::string> r) { done(r.status()); });
 }
 
@@ -482,7 +445,7 @@ void ZkClient::Close(VoidCb done) {
   closing_ = true;
   loop_->Cancel(ping_timer_);
   loop_->Cancel(reconnect_timer_);
-  FailParked(ErrorCode::kConnectionLoss);
+  Fail(&parked_, ErrorCode::kConnectionLoss);
   if (session_ == 0) {
     done(Status::Ok());  // nothing to close server-side
     return;

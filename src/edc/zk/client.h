@@ -145,12 +145,12 @@ class ZkClient : public NetworkNode, public ZkApi {
   void SendRequest(ZkOp op, ReplyCb done);
   void OnConnectionLoss();
   void OnSessionExpired();
-  void FailPending(ErrorCode code);
+  // Fails every call in `calls` (pending_ or parked_) with `code`.
+  void Fail(std::map<uint64_t, ReplyCb>* calls, ErrorCode code);
   // Moves pending calls aside on connection loss; their fate (kConnectionLoss
   // vs kSessionExpired) is decided when the reconnect lands and the replica
   // reports whether the old session still exists.
   void ParkPending();
-  void FailParked(ErrorCode code);
   void ScheduleReconnect();
   void Emit(SessionEvent event);
   static Status StatusOf(const ZkReplyMsg& reply);

@@ -44,11 +44,9 @@ class ZkServerHooks {
   // leader path even if they are reads.
   virtual bool MatchesOperation(uint64_t session, const ZkOp& op) const = 0;
 
-  // Leader prep: registration-time processing of update ops (verify and
-  // rewrite extension registrations under /em). Non-OK rejects the request.
-  virtual Status PreprocessUpdate(uint64_t session, ZkOp* op, Duration* extra_cpu) = 0;
-
-  // Leader prep: run the matching operation extension against `prep`.
+  // Leader prep, for every op: a client write under /em follows the
+  // extension manager's rules, carried out in `prep`; otherwise the matching
+  // operation extension runs against `prep`. Other ops come back unhandled.
   virtual ZkPrepOutcome HandleOperation(PrepSession* prep, uint64_t session,
                                         const ZkOp& op) = 0;
 

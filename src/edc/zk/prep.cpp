@@ -1,6 +1,7 @@
 #include "edc/zk/prep.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "edc/common/strings.h"
 
@@ -77,6 +78,24 @@ Result<std::vector<std::string>> PrepSession::Children(const std::string& path) 
   }
   apply(delta_);
   return std::vector<std::string>(names.begin(), names.end());
+}
+
+Status PrepSession::Apply(const ZkOp& op, std::string* created) {
+  switch (op.type) {
+    case ZkOpType::kCreate: {
+      auto actual = Create(op.path, op.data, op.ephemeral, op.sequential);
+      if (actual.ok() && created != nullptr) {
+        *created = std::move(*actual);
+      }
+      return actual.status();
+    }
+    case ZkOpType::kDelete:
+      return Delete(op.path, op.version);
+    case ZkOpType::kSetData:
+      return SetData(op.path, op.data, op.version);
+    default:
+      return Status(ErrorCode::kInvalidArgument, "bad op in multi");
+  }
 }
 
 Result<std::string> PrepSession::Create(const std::string& path, const std::string& data,

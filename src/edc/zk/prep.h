@@ -25,6 +25,7 @@
 #include "edc/common/result.h"
 #include "edc/zk/data_tree.h"
 #include "edc/zk/txn.h"
+#include "edc/zk/types.h"
 
 namespace edc {
 
@@ -70,6 +71,9 @@ class PrepSession {
                              bool sequential);
   Status Delete(const std::string& path, int32_t version);
   Status SetData(const std::string& path, const std::string& data, int32_t version);
+  // A client's create, delete or setData (alone or inside a multi); a
+  // create's actual path goes to `*created` when it is non-null.
+  Status Apply(const ZkOp& op, std::string* created);
   // Registers a server-side unblock: the owner replica replies to
   // (session, req_id) once `path` is created. Caller checks existence first.
   void Block(const std::string& path);

@@ -10,12 +10,6 @@
 
 namespace edc {
 
-namespace {
-// Paths present in a freshly initialized service: the extension-manager data
-// object (§3.5) exists from the start on every replica.
-constexpr char kEmPath[] = "/em";
-}  // namespace
-
 ZkServer::ZkServer(EventLoop* loop, Network* net, NodeId id, std::vector<NodeId> members,
                    const CostModel& costs, ZkServerOptions options,
                    std::shared_ptr<RecordPool> log_pool)
@@ -47,7 +41,9 @@ void ZkServer::Start() {
   pending_reconfig_ = PendingReconfig{};
   applied_log_.clear();
   tree_.Load({});  // empty tree
-  (void)tree_.Create(kEmPath, "", 0, false, 0, 0);
+  // The extension-manager data object (§3.5) exists from the start on every
+  // replica.
+  (void)tree_.Create(kEmRoot, "", 0, false, 0, 0);
   if (hooks_ != nullptr) {
     hooks_->OnStateReloaded();
   }
@@ -336,25 +332,12 @@ void ZkServer::DoPrep(uint32_t origin, ZkRequestMsg msg) {
     return;
   }
 
-  // Registration-time hook (verify + rewrite of /em creates).
-  if (hooks_ != nullptr && !IsReadOp(msg.op.type)) {
-    Duration extra = 0;
-    Status s = hooks_->PreprocessUpdate(msg.session, &msg.op, &extra);
-    if (extra > 0) {
-      cpu_.Charge(extra);
-    }
-    if (!s.ok()) {
-      fail(s);
-      return;
-    }
-  }
-
   PrepSession prep(&tree_, &outstanding_, msg.session, msg.req_id, loop_->now());
   bool has_result = false;
   std::string result;
   bool handled = false;
 
-  if (hooks_ != nullptr && hooks_->MatchesOperation(msg.session, msg.op)) {
+  if (hooks_ != nullptr) {
     ZkPrepOutcome outcome = hooks_->HandleOperation(&prep, msg.session, msg.op);
     if (outcome.extra_cpu > 0) {
       cpu_.Charge(outcome.extra_cpu);
@@ -372,59 +355,23 @@ void ZkServer::DoPrep(uint32_t origin, ZkRequestMsg msg) {
 
   if (!handled) {
     switch (msg.op.type) {
-      case ZkOpType::kCreate: {
-        auto actual = prep.Create(msg.op.path, msg.op.data, msg.op.ephemeral,
-                                  msg.op.sequential);
-        if (!actual.ok()) {
-          fail(actual.status());
-          return;
-        }
-        has_result = true;
-        result = *actual;
-        break;
-      }
-      case ZkOpType::kDelete: {
-        auto s = prep.Delete(msg.op.path, msg.op.version);
-        if (!s.ok()) {
+      case ZkOpType::kCreate:
+      case ZkOpType::kDelete:
+      case ZkOpType::kSetData:
+        if (Status s = prep.Apply(msg.op, &result); !s.ok()) {
           fail(s);
           return;
         }
+        has_result = msg.op.type == ZkOpType::kCreate;
         break;
-      }
-      case ZkOpType::kSetData: {
-        auto s = prep.SetData(msg.op.path, msg.op.data, msg.op.version);
-        if (!s.ok()) {
-          fail(s);
-          return;
-        }
-        break;
-      }
-      case ZkOpType::kMulti: {
+      case ZkOpType::kMulti:
         for (const ZkOp& sub : msg.op.ops) {
-          Status s;
-          switch (sub.type) {
-            case ZkOpType::kCreate: {
-              auto r = prep.Create(sub.path, sub.data, sub.ephemeral, sub.sequential);
-              s = r.ok() ? Status::Ok() : r.status();
-              break;
-            }
-            case ZkOpType::kDelete:
-              s = prep.Delete(sub.path, sub.version);
-              break;
-            case ZkOpType::kSetData:
-              s = prep.SetData(sub.path, sub.data, sub.version);
-              break;
-            default:
-              s = Status(ErrorCode::kInvalidArgument, "bad op in multi");
-              break;
-          }
-          if (!s.ok()) {
+          if (Status s = prep.Apply(sub, nullptr); !s.ok()) {
             fail(s);
             return;
           }
         }
         break;
-      }
       case ZkOpType::kCloseSession:
         prep.CloseSession(msg.session);
         break;

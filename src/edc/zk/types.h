@@ -13,11 +13,16 @@
 
 #include "edc/common/codec.h"
 #include "edc/common/result.h"
+#include "edc/common/strings.h"
 #include "edc/sim/time.h"
 
 namespace edc {
 
 constexpr uint32_t kZkTypeBase = 200;
+
+// EZK's /em nodes: /em/<name> holds the registration, and each session that
+// acknowledged it has a child node /em/<name>/ack-<session>.
+inline constexpr EmLayout kZkEmLayout{"ack-"};
 
 enum class ZkMsgType : uint32_t {
   kConnect = kZkTypeBase + 0,       // client -> replica

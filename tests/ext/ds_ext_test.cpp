@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -483,9 +485,9 @@ TEST(EdsExtensionTest, ExtensionsReloadAfterFullClusterRestart) {
   cluster.Start();
   DsClient* client = cluster.AddClient();
   ASSERT_TRUE(RegisterAndWait(cluster, client, "ctr_increment", kCounterExt).ok());
-  // NOTE: DS replicas have no state transfer (documented scope); restart the
-  // whole ensemble to exercise OnStateReloaded from an empty space, then
-  // re-register.
+  // Restarted replicas rejoin by state transfer, but with all four down at
+  // once none kept any state: the ensemble restarts empty (OnStateReloaded
+  // from an empty space), and the extension must be registered again.
   for (auto& server : cluster.servers) {
     server->Crash();
   }
@@ -500,6 +502,90 @@ TEST(EdsExtensionTest, ExtensionsReloadAfterFullClusterRestart) {
     EXPECT_TRUE(mgr->registry().Contains("ctr_increment"));
   }
 }
+
+// The /em rules for client writes (§5.2.2), with one replica rebuilding its
+// registry by state transfer: every replica ends with the same registry, and
+// the refused write changed none of it.
+struct EdsEmClients {
+  NodeId acker = 0;   // acknowledged the owner's extension
+  NodeId victim = 0;  // never acknowledged it
+};
+
+struct EdsEmWriteCase {
+  const char* name;
+  // Issues the refused write from the attacker's client.
+  void (*issue)(DsClient* attacker, const EdsEmClients& c, DsClient::ReplyCb done);
+};
+
+std::string CounterAck(NodeId client) { return kDsEmLayout.AckPath("ctr_increment", client); }
+
+void PrintTo(const EdsEmWriteCase& c, std::ostream* os) { *os << c.name; }
+
+const EdsEmWriteCase kEdsEmWriteCases[] = {
+    {"AckNamingAnotherClient",
+     [](DsClient* a, const EdsEmClients& c, DsClient::ReplyCb done) {
+       a->Out(ObjectTuple(CounterAck(c.victim), ""), std::move(done));
+     }},
+    {"RegistrationWithLease",
+     [](DsClient* a, const EdsEmClients&, DsClient::ReplyCb done) {
+       DsOp op;
+       op.type = DsOpType::kOut;
+       op.tuple = ObjectTuple("/em/leased", kCounterExt);
+       op.lease = Seconds(2);
+       a->Call(std::move(op), std::move(done));
+     }},
+    {"DeleteOfAnotherClientsAck",
+     [](DsClient* a, const EdsEmClients& c, DsClient::ReplyCb done) {
+       a->Inp(ObjectTemplate(CounterAck(c.acker)), std::move(done));
+     }},
+    {"NonOwnerDeregistration",
+     [](DsClient* a, const EdsEmClients&, DsClient::ReplyCb done) {
+       a->DeregisterExtension("ctr_increment", std::move(done));
+     }},
+};
+
+class EdsEmWriteTest : public ::testing::TestWithParam<EdsEmWriteCase> {};
+
+TEST_P(EdsEmWriteTest, RefusedOnEveryReplica) {
+  const EdsEmWriteCase& c = GetParam();
+  EdsCluster cluster;
+  cluster.Start();
+  DsClient* owner = cluster.AddClient();
+  DsClient* acker = cluster.AddClient();
+  DsClient* attacker = cluster.AddClient();
+  DsClient* victim = cluster.AddClient();
+  DsServer* restarted = cluster.servers[3].get();
+  restarted->Crash();
+  ASSERT_TRUE(RegisterAndWait(cluster, owner, "ctr_increment", kCounterExt).ok());
+  Status acked = Status(ErrorCode::kInternal);
+  acker->AcknowledgeExtension("ctr_increment", [&](Result<DsReply> r) { acked = r.status(); });
+  cluster.Settle();
+  ASSERT_TRUE(acked.ok()) << acked.ToString();
+
+  Status refused = Status(ErrorCode::kInternal);
+  c.issue(attacker, EdsEmClients{acker->id(), victim->id()},
+          [&](Result<DsReply> r) { refused = r.status(); });
+  cluster.Settle();
+  EXPECT_EQ(refused.code(), ErrorCode::kAccessDenied) << refused.ToString();
+
+  restarted->Restart();
+  cluster.Settle(Seconds(3));
+  EXPECT_GT(restarted->bft().state_transfers(), 0);
+  for (size_t i = 0; i < cluster.managers.size(); ++i) {
+    const ExtensionRegistry& registry = cluster.managers[i]->registry();
+    EXPECT_EQ(registry.size(), 1u) << "replica " << i;
+    const LoadedExtension* ext = registry.Find("ctr_increment");
+    ASSERT_NE(ext, nullptr) << "replica " << i;
+    EXPECT_EQ(ext->owner, owner->id());
+    EXPECT_EQ(ext->acks, std::set<uint64_t>{acker->id()}) << "replica " << i;
+  }
+  EXPECT_EQ(Increment(cluster, victim).code(), ErrorCode::kNoNode);
+}
+
+INSTANTIATE_TEST_SUITE_P(EmRules, EdsEmWriteTest, ::testing::ValuesIn(kEdsEmWriteCases),
+                         [](const ::testing::TestParamInfo<EdsEmWriteCase>& info) {
+                           return std::string(info.param.name);
+                         });
 
 }  // namespace
 }  // namespace edc

@@ -442,6 +442,7 @@ struct ReconfigSig {
   std::vector<uint64_t> replica_hashes;  // applied-log digest, in zk_servers order
   int increments_ok = 0;
   int increments_failed = 0;
+  int increments_no_node = 0;  // an increment read as a plain, missing node
   bool joined = false;
   bool removed = false;
   bool retired_stopped = false;
@@ -477,7 +478,10 @@ ReconfigSig RunEzkReconfigWorkload(uint64_t seed) {
       return;
     }
     counters[static_cast<size_t>(next++) % counters.size()]->Increment(
-        [&sig](Result<int64_t> r) { ++(r.ok() ? sig.increments_ok : sig.increments_failed); });
+        [&sig](Result<int64_t> r) {
+          ++(r.ok() ? sig.increments_ok : sig.increments_failed);
+          sig.increments_no_node += r.code() == ErrorCode::kNoNode ? 1 : 0;
+        });
     loop.Schedule(Millis(40), tick);
   };
   tick();
@@ -509,9 +513,11 @@ ReconfigSig RunEzkReconfigWorkload(uint64_t seed) {
   return sig;
 }
 
-constexpr uint64_t kEzkReconfigPacketDigest = 0x59092383fade3fedull;
-constexpr uint64_t kEzkReconfigReplicaHashes[4] = {0xe277e266fbdf11e2ull, 0xe277e266fbdf11e2ull,
-                                                   0xffb54af86b69ca71ull, 0xe277e266fbdf11e2ull};
+// Re-recorded when the recipe adapter began re-acknowledging extensions after
+// a session change: client 2's new session acknowledges the counter again.
+constexpr uint64_t kEzkReconfigPacketDigest = 0x4001d42809997813ull;
+constexpr uint64_t kEzkReconfigReplicaHashes[4] = {0x084d51b958c5b8f2ull, 0x084d51b958c5b8f2ull,
+                                                   0xffb54af86b69ca71ull, 0x084d51b958c5b8f2ull};
 
 TEST(ElisionDigestTest, ReconfigDigestsPinned) {
   ReconfigSig run = RunEzkReconfigWorkload(67);
@@ -521,17 +527,26 @@ TEST(ElisionDigestTest, ReconfigDigestsPinned) {
   EXPECT_TRUE(run.retired_stopped) << "the removed leader must retire";
   EXPECT_TRUE(run.logs_agree);
   // 209 increments are issued. The client whose session lived on the
-  // removed leader fails every one after the removal: first with
-  // kSessionExpired, then, from its new session, which never acknowledged
-  // the extension, with kNoNode.
-  EXPECT_EQ(run.increments_ok, 148);
-  EXPECT_EQ(run.increments_failed, 61);
+  // removed leader fails the 4 it issued while disconnected with
+  // kSessionExpired; its new session acknowledges the counter again before
+  // its next increment.
+  EXPECT_EQ(run.increments_ok, 205);
+  EXPECT_EQ(run.increments_failed, 4);
   ASSERT_EQ(run.replica_hashes.size(), 4u);
 
   EXPECT_EQ(run.packet_digest, kEzkReconfigPacketDigest);
   for (size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(run.replica_hashes[i], kEzkReconfigReplicaHashes[i]) << "replica " << i;
   }
+}
+
+// Acknowledgments belong to a session (§3.6): a recipe client that fails
+// over to a new session acknowledges its extension again before its next
+// call, so none of its later increments is read as a plain, missing node.
+TEST(ElisionDigestTest, ReconfigFailedOverClientKeepsItsExtension) {
+  ReconfigSig run = RunEzkReconfigWorkload(67);
+  EXPECT_TRUE(run.removed);
+  EXPECT_EQ(run.increments_no_node, 0);
 }
 
 // Sharded EDS through every router path: an extension registered and

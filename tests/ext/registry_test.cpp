@@ -4,6 +4,7 @@
 
 #include "edc/ext/core.h"
 #include "edc/script/parser.h"
+#include "edc/zk/types.h"
 
 namespace edc {
 namespace {
@@ -105,7 +106,7 @@ TEST(ExtensionRegistryTest, StrikesAccumulateToLimit) {
 TEST(ExtensionRegistryTest, AlternatingFailuresNeverReachStrikeLimit) {
   ExtensionLimits limits;
   limits.strike_limit = 2;
-  ExtensionManagerCore core(limits, kEzkHost);
+  ExtensionManagerCore core(limits, kEzkHost, kZkEmLayout);
   ASSERT_TRUE(core.registry()
                   .Load("flaky", 1, R"(extension flaky {
                     on op update "/f";
@@ -131,7 +132,7 @@ TEST(ExtensionRegistryTest, AlternatingFailuresNeverReachStrikeLimit) {
 // nested deeply enough to exhaust the parser's stack is refused with the
 // verifier's own EDC-E001 Status, and still pays the verification CPU.
 TEST(ExtensionRegistryTest, OversizedSourceIsRejectedBeforeParsing) {
-  ExtensionManagerCore core(ExtensionLimits{}, kEzkHost);
+  ExtensionManagerCore core(ExtensionLimits{}, kEzkHost, kZkEmLayout);
   const size_t cap = core.verifier_config().max_source_bytes;
   std::string parseable = "extension big { on op read \"/x\"; fn read(o) {\n";
   while (parseable.size() <= cap) {
@@ -143,15 +144,18 @@ TEST(ExtensionRegistryTest, OversizedSourceIsRejectedBeforeParsing) {
   Status verifier = VerifyProgram(**program, core.verifier_config());
   EXPECT_NE(verifier.message().find("[EDC-E001]"), std::string::npos) << verifier.ToString();
 
+  auto admit = [&core](const std::string& source, Duration* cpu) {
+    return core.AdmitClientWrite(EmWrite::kCreate, "/em/big", 1, source, cpu).status();
+  };
   Duration cpu = 0;
-  EXPECT_EQ(core.CheckRegistration(parseable, &cpu).ToString(), verifier.ToString());
+  EXPECT_EQ(admit(parseable, &cpu).ToString(), verifier.ToString());
   EXPECT_GT(cpu, 0);
 
   const size_t depth = 200000;
   std::string nested = "extension deep { on op read \"/x\"; fn read(o) { return " +
                        std::string(depth, '(') + "1" + std::string(depth, ')') + "; } }";
   cpu = 0;
-  EXPECT_EQ(core.CheckRegistration(nested, &cpu).ToString(), verifier.ToString());
+  EXPECT_EQ(admit(nested, &cpu).ToString(), verifier.ToString());
   EXPECT_GT(cpu, 0);
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -635,6 +637,137 @@ TEST(EzkExtensionTest, RegularClientsUnaffectedByOthersExtensions) {
   cluster.Settle();
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(read->data, "v");
+}
+
+// The /em rules for client writes (§5.2.2): a client may register, acknowledge
+// as itself and deregister as owner; every other write under /em is refused
+// and leaves the registry, the /em nodes and the victim's reads untouched.
+struct EmSessions {
+  uint64_t acker = 0;   // acknowledged the owner's extension
+  uint64_t victim = 0;  // never acknowledged it
+};
+
+struct EmWriteCase {
+  const char* name;
+  // Issues the refused write from the attacker's client.
+  void (*issue)(ZkClient* attacker, const EmSessions& s, ZkClient::VoidCb done);
+};
+
+ZkOp EmCreate(const std::string& path, bool sequential = false, bool ephemeral = false) {
+  ZkOp op;
+  op.type = ZkOpType::kCreate;
+  op.path = path;
+  op.sequential = sequential;
+  op.ephemeral = ephemeral;
+  return op;
+}
+
+std::string CounterAck(uint64_t session) { return kZkEmLayout.AckPath("ctr_increment", session); }
+
+void PrintTo(const EmWriteCase& c, std::ostream* os) { *os << c.name; }
+
+const EmWriteCase kEmWriteCases[] = {
+    {"AckNamingAnotherSession",
+     [](ZkClient* a, const EmSessions& s, ZkClient::VoidCb done) {
+       a->Create(CounterAck(s.victim), "", false, false,
+                 [done](Result<std::string> r) { done(r.status()); });
+     }},
+    {"SetDataOnRegistration",
+     [](ZkClient* a, const EmSessions&, ZkClient::VoidCb done) {
+       a->SetData("/em/ctr_increment", "junk", -1, done);
+     }},
+    {"NonOwnerDeregistration",
+     [](ZkClient* a, const EmSessions&, ZkClient::VoidCb done) {
+       a->DeregisterExtension("ctr_increment", done);
+     }},
+    {"SequentialCreateUnderRegistration",
+     [](ZkClient* a, const EmSessions&, ZkClient::VoidCb done) {
+       a->Create("/em/ctr_increment/ack-", "", false, true,
+                 [done](Result<std::string> r) { done(r.status()); });
+     }},
+    {"EphemeralAckOfOwnSession",
+     [](ZkClient* a, const EmSessions&, ZkClient::VoidCb done) {
+       a->Create(CounterAck(a->session()), "", true, false,
+                 [done](Result<std::string> r) { done(r.status()); });
+     }},
+    {"DeleteOfAnotherSessionsAck",
+     [](ZkClient* a, const EmSessions& s, ZkClient::VoidCb done) {
+       a->Delete(CounterAck(s.acker), -1, done);
+     }},
+    {"AckNamingAnotherSessionInsideMulti",
+     [](ZkClient* a, const EmSessions& s, ZkClient::VoidCb done) {
+       a->Multi({EmCreate("/plain"), EmCreate(CounterAck(s.victim))}, done);
+     }},
+};
+
+class EzkEmWriteTest : public ::testing::TestWithParam<EmWriteCase> {};
+
+TEST_P(EzkEmWriteTest, RefusedAndHarmless) {
+  const EmWriteCase& c = GetParam();
+  EzkCluster cluster;
+  cluster.Start();
+  ZkClient* owner = cluster.AddClient(1);
+  ZkClient* acker = cluster.AddClient(2);
+  ZkClient* attacker = cluster.AddClient(3);
+  ZkClient* victim = cluster.AddClient(1);
+  owner->Create("/ctr", "0", false, false, [](Result<std::string>) {});
+  cluster.Settle();
+  ASSERT_TRUE(RegisterAndWait(cluster, owner, "ctr_increment", kCounterExt).ok());
+  Status acked = Status(ErrorCode::kInternal);
+  acker->AcknowledgeExtension("ctr_increment", [&](Status s) { acked = s; });
+  cluster.Settle();
+  ASSERT_TRUE(acked.ok()) << acked.ToString();
+
+  Status refused = Status(ErrorCode::kInternal);
+  c.issue(attacker, EmSessions{acker->session(), victim->session()},
+          [&](Status s) { refused = s; });
+  cluster.Settle();
+  EXPECT_EQ(refused.code(), ErrorCode::kAccessDenied) << refused.ToString();
+
+  for (size_t i = 0; i < cluster.servers.size(); ++i) {
+    const LoadedExtension* ext = cluster.managers[i]->registry().Find("ctr_increment");
+    ASSERT_NE(ext, nullptr) << "replica " << i;
+    EXPECT_EQ(ext->owner, owner->session());
+    EXPECT_EQ(ext->acks, std::set<uint64_t>{acker->session()}) << "replica " << i;
+    const DataTree& tree = cluster.servers[i]->tree();
+    EXPECT_EQ(*tree.GetChildren("/em/ctr_increment"),
+              std::vector<std::string>{"ack-" + std::to_string(acker->session())});
+    auto reg = DecodeRegistration(tree.Get("/em/ctr_increment")->data);
+    ASSERT_TRUE(reg.ok());
+    EXPECT_EQ(reg->first, owner->session());
+    EXPECT_FALSE(tree.Exists("/plain"));
+  }
+  EXPECT_EQ(Increment(cluster, victim).code(), ErrorCode::kNoNode);
+}
+
+INSTANTIATE_TEST_SUITE_P(EmRules, EzkEmWriteTest, ::testing::ValuesIn(kEmWriteCases),
+                         [](const ::testing::TestParamInfo<EmWriteCase>& info) {
+                           return std::string(info.param.name);
+                         });
+
+// A deregistration is one request: the leader deletes the acknowledgments
+// with the registration, in one transaction.
+TEST(EzkExtensionTest, DeregistrationTakesAcksInOneRequest) {
+  EzkCluster cluster;
+  cluster.Start();
+  ZkClientOptions quiet;
+  quiet.ping_interval = Seconds(100);  // keep pings out of the packet count
+  ZkClient* owner = cluster.AddClient(1, quiet);
+  ZkClient* other = cluster.AddClient(2);
+  ASSERT_TRUE(RegisterAndWait(cluster, owner, "ctr_increment", kCounterExt).ok());
+  other->AcknowledgeExtension("ctr_increment", [](Status) {});
+  cluster.Settle();
+  ASSERT_TRUE(cluster.servers[0]->tree().Exists(CounterAck(other->session())));
+  cluster.net->ResetStats();
+  Status dereg = Status(ErrorCode::kInternal);
+  owner->DeregisterExtension("ctr_increment", [&](Status s) { dereg = s; });
+  cluster.Settle();
+  ASSERT_TRUE(dereg.ok()) << dereg.ToString();
+  EXPECT_EQ(cluster.net->StatsFor(owner->id()).packets_sent, 1);
+  for (size_t i = 0; i < cluster.servers.size(); ++i) {
+    EXPECT_FALSE(cluster.servers[i]->tree().Exists("/em/ctr_increment"));
+    EXPECT_FALSE(cluster.managers[i]->registry().Contains("ctr_increment"));
+  }
 }
 
 }  // namespace
