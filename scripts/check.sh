@@ -147,10 +147,14 @@ ctest --output-on-failure -j "$JOBS" --no-tests=error \
 # Every replica group boots through one fixture path and both shard routers
 # share one retry core: the sharded EDS digests (fan-out join, scatter-gather,
 # crash-restart, AddShard) and the 2-shard EZK two-phase digests were recorded
-# before either was merged.
-echo "== spotlight: sharded EDS and 2-shard EZK two-phase digests =="
+# before either was merged. Each router routes in one function, its API's
+# request entry point: the sharded EZK digests (recipes, plain ops, a
+# deletion watch, same- and cross-shard Multi, crash-restart, AddShard) were
+# recorded before that, and the router tests hold every routing rule
+# (cross-shard and empty Multi, unroutable single-tuple ops, scatter-gather).
+echo "== spotlight: sharded EDS and EZK digests, 2-shard two-phase digests, router rules =="
 ctest --output-on-failure -j "$JOBS" --no-tests=error \
-  -R 'ElisionDigestTest\.(ShardedEdsDigestsPinned|TwoPhaseDigestsIdenticalWithVmOnAndOff)'
+  -R 'ElisionDigestTest\.(ShardedEdsDigestsPinned|ShardedEzkDigestsPinned|TwoPhaseDigestsIdenticalWithVmOnAndOff)|ShardRouterTest\.|DsShardRouterTest\.'
 echo "== spotlight: LogStore ownership and shared-pool rules, TRUNC with appends in flight, malformed kPropose =="
 ctest --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'LogStoreOwnershipTest\.|RecordPoolTest\.|PipelineZabTrunc\.|PipelineZabPropose\.'

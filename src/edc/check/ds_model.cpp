@@ -109,7 +109,7 @@ std::vector<DsModelReply> DsModel::Execute(SimTime ts, NodeId client, uint64_t r
   // OK reply (DsExecContext::RdAll swallows the status); Renew skips it.
   const bool writes = op->type == DsOpType::kOut || op->type == DsOpType::kCas ||
                       op->type == DsOpType::kReplace;
-  Status access = CheckEmAccess(writes ? &op->tuple : nullptr,
+  Status access = CheckEmAccess(op->type, writes ? &op->tuple : nullptr,
                                 op->type == DsOpType::kOut ? nullptr : &op->templ);
   if (!access.ok() && op->type != DsOpType::kRdAll && op->type != DsOpType::kRenew) {
     reply_error(access);

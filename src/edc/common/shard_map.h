@@ -103,7 +103,6 @@ class ShardMap {
 
   // Entry index serving `key`. Requires key.routable() and !empty().
   size_t IndexFor(const CoordKey& key) const;
-  const ShardEntry& EntryFor(const CoordKey& key) const { return entries_[IndexFor(key)]; }
 
   // Deterministically finds a top-level path "<stem><salt>" whose subtree
   // routes to entries_[target] — benches and tests use it to pin a workload

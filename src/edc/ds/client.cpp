@@ -144,13 +144,6 @@ void DsClient::HandlePacket(Packet&& pkt) {
   done(std::move(result));
 }
 
-void DsClient::Out(DsTuple tuple, ReplyCb done) {
-  DsOp op;
-  op.type = DsOpType::kOut;
-  op.tuple = std::move(tuple);
-  Call(std::move(op), std::move(done));
-}
-
 void DsClient::OutLease(DsTuple tuple, ReplyCb done) {
   DsOp op;
   op.type = DsOpType::kOut;
@@ -214,77 +207,6 @@ void DsClient::RenewTick() {
     }
   }
   renew_timer_ = loop_->Schedule(options_.renew_interval, [this]() { RenewTick(); });
-}
-
-void DsClient::Rdp(DsTemplate templ, ReplyCb done) {
-  DsOp op;
-  op.type = DsOpType::kRdp;
-  op.templ = std::move(templ);
-  Call(std::move(op), std::move(done));
-}
-
-void DsClient::Inp(DsTemplate templ, ReplyCb done) {
-  DsOp op;
-  op.type = DsOpType::kInp;
-  op.templ = std::move(templ);
-  Call(std::move(op), std::move(done));
-}
-
-void DsClient::Rd(DsTemplate templ, ReplyCb done) {
-  DsOp op;
-  op.type = DsOpType::kRd;
-  op.templ = std::move(templ);
-  Call(std::move(op), std::move(done));
-}
-
-void DsClient::In(DsTemplate templ, ReplyCb done) {
-  DsOp op;
-  op.type = DsOpType::kIn;
-  op.templ = std::move(templ);
-  Call(std::move(op), std::move(done));
-}
-
-void DsClient::Cas(DsTemplate templ, DsTuple tuple, ReplyCb done) {
-  DsOp op;
-  op.type = DsOpType::kCas;
-  op.templ = std::move(templ);
-  op.tuple = std::move(tuple);
-  Call(std::move(op), std::move(done));
-}
-
-void DsClient::Replace(DsTemplate templ, DsTuple tuple, ReplyCb done) {
-  DsOp op;
-  op.type = DsOpType::kReplace;
-  op.templ = std::move(templ);
-  op.tuple = std::move(tuple);
-  Call(std::move(op), std::move(done));
-}
-
-void DsClient::RdAll(DsTemplate templ, ReplyCb done) {
-  DsOp op;
-  op.type = DsOpType::kRdAll;
-  op.templ = std::move(templ);
-  Call(std::move(op), std::move(done));
-}
-
-void DsClient::CallExtension(const std::string& trigger_path, const std::string& args,
-                             ExtensionCb done) {
-  (void)args;  // DepSpace extensions take their arguments from the tuple space
-  Rd(ObjectTemplate(trigger_path), [done = std::move(done)](Result<DsReply> r) {
-    if (!r.ok()) {
-      done(r.status());
-      return;
-    }
-    ExtensionResult result;
-    result.intercepted = true;  // rd returned: extension result or the object
-    result.exists = true;
-    if (!r->tuples.empty() && r->tuples[0].size() > 1) {
-      result.value = FieldToString(r->tuples[0][1]);
-    } else {
-      result.value = r->value;
-    }
-    done(result);
-  });
 }
 
 void DsClient::RegisterExtension(const std::string& name, const std::string& code,

@@ -51,10 +51,8 @@ struct DsClientObserver {
 
 class DsClient : public NetworkNode, public DsApi {
  public:
-  using ReplyCb = ResultCb<DsReply>;
-
-  // The one entry point: a ShardView names the replica ensemble to multicast
-  // to plus the shard-map version to stamp on every operation
+  // A ShardView names the replica ensemble to multicast to plus the
+  // shard-map version to stamp on every operation
   // (ShardView::Standalone(ServerList{...}) for unsharded deployments).
   DsClient(EventLoop* loop, Network* net, NodeId id, ShardView view,
            DsClientOptions options);
@@ -62,38 +60,14 @@ class DsClient : public NetworkNode, public DsApi {
   DsClient(const DsClient&) = delete;
   DsClient& operator=(const DsClient&) = delete;
 
-  void Out(DsTuple tuple, ReplyCb done) override;
-  // Lease tuple (monitor primitive); auto-renewed until ReleaseLease/crash.
+  void Call(DsOp op, ReplyCb done) override;
   void OutLease(DsTuple tuple, ReplyCb done) override;
   void ReleaseLease(const DsTemplate& templ) override;
-  void Rdp(DsTemplate templ, ReplyCb done) override;
-  void Inp(DsTemplate templ, ReplyCb done) override;
-  void Rd(DsTemplate templ, ReplyCb done) override;   // blocking
-  void In(DsTemplate templ, ReplyCb done) override;   // blocking
-  void Cas(DsTemplate templ, DsTuple tuple, ReplyCb done) override;
-  void Replace(DsTemplate templ, DsTuple tuple, ReplyCb done) override;
-  void RdAll(DsTemplate templ, ReplyCb done) override;
-  void Call(DsOp op, ReplyCb done);
-
-  // Invokes the extension listening on `trigger_path` (§5.2.2): a blocking
-  // rd on the trigger object the extension intercepts. DepSpace extensions
-  // read their arguments from the tuple space, so `args` is unused here; it
-  // exists for API parity with ZkClient::CallExtension.
-  void CallExtension(const std::string& trigger_path, const std::string& args,
-                     ExtensionCb done) override;
-
-  // EDS conveniences (§5.2.2): registration/ack/deregistration are ordinary
-  // tuple operations on the extension manager's dedicated namespace.
+  void EnableAutoRenewAll() override;
   void RegisterExtension(const std::string& name, const std::string& code,
                          ReplyCb done) override;
   void DeregisterExtension(const std::string& name, ReplyCb done) override;
   void AcknowledgeExtension(const std::string& name, ReplyCb done) override;
-
-  // Periodically renews EVERY lease tuple this client owns (universal
-  // template) — needed when a server-side extension created lease tuples on
-  // the client's behalf (monitor inside an extension): the client is the
-  // owner and must keep them alive.
-  void EnableAutoRenewAll() override;
 
   // Simulate process death: stop renewing leases and drop pending calls.
   void Kill();

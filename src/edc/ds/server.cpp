@@ -204,7 +204,7 @@ Status DsServer::CheckAccess(NodeId client, DsOpType type, const DsTuple* tuple,
   if (options_.access.check) {
     return options_.access.check(client, type, tuple, templ);
   }
-  return CheckEmAccess(tuple, templ);
+  return CheckEmAccess(type, tuple, templ);
 }
 
 Status DsServer::CheckPolicy(const DsOp& op) const {

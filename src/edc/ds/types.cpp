@@ -37,17 +37,22 @@ bool TupleMatches(const DsTemplate& templ, const DsTuple& tuple) {
   return true;
 }
 
-Status CheckEmAccess(const DsTuple* tuple, const DsTemplate* templ) {
+Status CheckEmAccess(DsOpType type, const DsTuple* tuple, const DsTemplate* templ) {
   auto path_is_em = [](const DsField& f) {
     return std::holds_alternative<std::string>(f) &&
-           std::get<std::string>(f).rfind(kEmRoot, 0) == 0;
+           PathIsUnder(std::get<std::string>(f), kEmRoot);
   };
-  if ((tuple != nullptr && !tuple->empty() && path_is_em((*tuple)[0])) ||
-      (templ != nullptr && !templ->empty() && (*templ)[0].kind != DsTField::Kind::kAny &&
-       path_is_em((*templ)[0].value))) {
-    return Status(ErrorCode::kAccessDenied, "extension-manager namespace");
+  bool denied = tuple != nullptr && !tuple->empty() && path_is_em((*tuple)[0]);
+  if (templ != nullptr && !templ->empty()) {
+    const DsTField& first = (*templ)[0];
+    denied = denied || (first.kind != DsTField::Kind::kAny && path_is_em(first.value));
+    // A removal through a first field that also matches kEmRoot itself (a
+    // wildcard, the root prefix) could take /em tuples with it.
+    const bool removes =
+        type == DsOpType::kInp || type == DsOpType::kIn || type == DsOpType::kReplace;
+    denied = denied || (removes && FieldMatches(first, DsField{std::string(kEmRoot)}));
   }
-  return Status::Ok();
+  return denied ? Status(ErrorCode::kAccessDenied, "extension-manager namespace") : Status::Ok();
 }
 
 std::string FieldToString(const DsField& f) {

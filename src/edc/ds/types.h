@@ -56,11 +56,6 @@ DsTuple ObjectTuple(const std::string& path, const std::string& data);
 DsTemplate ObjectTemplate(const std::string& path);          // exact path, ANY data
 DsTemplate ObjectPrefixTemplate(const std::string& prefix);  // path prefix, ANY data
 
-// The default access rule (§5.2.2: "a tuple space dedicated to the extension
-// manager and not accessible via regular operations"): kAccessDenied when the
-// first field of `tuple` or of `templ` names a path under kEmRoot.
-Status CheckEmAccess(const DsTuple* tuple, const DsTemplate* templ);
-
 enum class DsOpType : uint8_t {
   kOut = 0,      // insert tuple (lease > 0: lease tuple, the monitor primitive)
   kRdp = 1,      // read, non-blocking (null if no match)
@@ -89,6 +84,14 @@ struct DsOp {
 
   bool operator==(const DsOp&) const = default;
 };
+
+// The default access rule (§5.2.2: "a tuple space dedicated to the extension
+// manager and not accessible via regular operations"): kAccessDenied when the
+// first field of `tuple` or of `templ` names a path under kEmRoot, and when
+// an op of `type` that removes or replaces a tuple (inp, in, replace) has a
+// template whose first field also matches /em paths (a wildcard or the root
+// prefix). Reads through such templates stay allowed, as on EZK.
+Status CheckEmAccess(DsOpType type, const DsTuple* tuple, const DsTemplate* templ);
 
 struct DsReply {
   ErrorCode code = ErrorCode::kOk;

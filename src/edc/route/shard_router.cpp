@@ -48,78 +48,33 @@ void ZkShardRouter::Close(VoidCb done) {
   });
 }
 
-void ZkShardRouter::Create(const std::string& path, const std::string& data,
-                           bool ephemeral, bool sequential, StringCb done) {
-  Issue<Result<std::string>>(
-      CoordKey::ForPath(path),
-      [path, data, ephemeral, sequential](ZkClient* c, StringCb cb) {
-        c->Create(path, data, ephemeral, sequential, std::move(cb));
-      },
-      std::move(done));
-}
-
-void ZkShardRouter::Delete(const std::string& path, int32_t version, VoidCb done) {
-  Issue<Status>(
-      CoordKey::ForPath(path),
-      [path, version](ZkClient* c, VoidCb cb) { c->Delete(path, version, std::move(cb)); },
-      std::move(done));
-}
-
-void ZkShardRouter::Exists(const std::string& path, bool watch, ExistsCb done) {
-  Issue<Result<ExistsResult>>(
-      CoordKey::ForPath(path),
-      [path, watch](ZkClient* c, ExistsCb cb) { c->Exists(path, watch, std::move(cb)); },
-      std::move(done));
-}
-
-void ZkShardRouter::GetData(const std::string& path, bool watch, NodeCb done) {
-  Issue<Result<NodeResult>>(
-      CoordKey::ForPath(path),
-      [path, watch](ZkClient* c, NodeCb cb) { c->GetData(path, watch, std::move(cb)); },
-      std::move(done));
-}
-
-void ZkShardRouter::SetData(const std::string& path, const std::string& data,
-                            int32_t version, VoidCb done) {
-  Issue<Status>(
-      CoordKey::ForPath(path),
-      [path, data, version](ZkClient* c, VoidCb cb) {
-        c->SetData(path, data, version, std::move(cb));
-      },
-      std::move(done));
-}
-
-void ZkShardRouter::GetChildren(const std::string& path, bool watch, ChildrenCb done) {
-  Issue<Result<std::vector<std::string>>>(
-      CoordKey::ForPath(path),
-      [path, watch](ZkClient* c, ChildrenCb cb) {
-        c->GetChildren(path, watch, std::move(cb));
-      },
-      std::move(done));
-}
-
-void ZkShardRouter::Multi(std::vector<ZkOp> ops, VoidCb done) {
-  if (ops.empty()) {
+void ZkShardRouter::Submit(ZkOp op, ReplyCb done) {
+  auto reject = [&done](const char* why) {
+    ZkReplyMsg reply;
+    reply.code = ErrorCode::kInvalidArgument;
+    reply.value = why;
     if (done) {
-      done(Status(ErrorCode::kInvalidArgument, "empty multi"));
+      done(reply);
     }
-    return;
-  }
-  CoordKey key = CoordKey::ForPath(ops[0].path);
-  size_t shard = map_.IndexFor(key);
-  for (const ZkOp& op : ops) {
-    if (map_.IndexFor(CoordKey::ForPath(op.path)) != shard) {
-      if (done) {
-        done(Status(ErrorCode::kInvalidArgument,
-                    "multi spans shards; use the TwoPhaseMulti recipe"));
-      }
+  };
+  CoordKey key = CoordKey::ForPath(op.path);
+  if (op.type == ZkOpType::kMulti) {
+    if (op.ops.empty()) {
+      reject("empty multi");
       return;
     }
+    key = CoordKey::ForPath(op.ops[0].path);
+    size_t shard = map_.IndexFor(key);
+    for (const ZkOp& sub : op.ops) {
+      if (map_.IndexFor(CoordKey::ForPath(sub.path)) != shard) {
+        reject("multi spans shards; use the TwoPhaseMulti recipe");
+        return;
+      }
+    }
   }
-  auto shared_ops = std::make_shared<std::vector<ZkOp>>(std::move(ops));
-  Issue<Status>(
-      key,
-      [shared_ops](ZkClient* c, VoidCb cb) { c->Multi(*shared_ops, std::move(cb)); },
+  auto shared = std::make_shared<const ZkOp>(std::move(op));
+  Issue(
+      key, [shared](ZkClient* c, ReplyCb cb) { c->Submit(*shared, std::move(cb)); },
       std::move(done));
 }
 
@@ -133,16 +88,6 @@ void ZkShardRouter::Reconfig(size_t entry_idx, const std::string& spec, VoidCb d
   WhenReady(entry_idx, [spec, done = std::move(done)](ZkClient* c) {
     c->Reconfig(spec, done);
   });
-}
-
-void ZkShardRouter::CallExtension(const std::string& trigger_path, const std::string& args,
-                                  ExtensionCb done) {
-  Issue<Result<ExtensionResult>>(
-      CoordKey::ForPath(trigger_path),
-      [trigger_path, args](ZkClient* c, ExtensionCb cb) {
-        c->CallExtension(trigger_path, args, std::move(cb));
-      },
-      std::move(done));
 }
 
 void ZkShardRouter::RegisterExtension(const std::string& name, const std::string& code,
@@ -215,33 +160,48 @@ CoordKey DsShardRouter::KeyOf(const DsTemplate& templ) {
   return CoordKey::ForField(FieldToString(templ[0].value));
 }
 
-void DsShardRouter::Route(const CoordKey& key, const char* op,
-                          std::function<void(DsClient*, ReplyCb)> issue, ReplyCb done) {
+void DsShardRouter::Route(const CoordKey& key, std::function<void(DsClient*, ReplyCb)> issue,
+                          ReplyCb done) {
   if (!key.routable()) {
     if (done) {
       done(Status(ErrorCode::kInvalidArgument,
-                  std::string(op) +
-                      ": wildcard first field cannot be routed to one shard; "
-                      "pin the first field (RdAll scatter-gathers)"));
+                  "wildcard first field cannot be routed to one shard; "
+                  "pin the first field (RdAll scatter-gathers)"));
     }
     return;
   }
-  Issue<Result<DsReply>>(key, std::move(issue), std::move(done));
+  Issue(key, std::move(issue), std::move(done));
 }
 
-void DsShardRouter::Out(DsTuple tuple, ReplyCb done) {
-  CoordKey key = KeyOf(tuple);
-  auto shared = std::make_shared<DsTuple>(std::move(tuple));
-  Route(key, "out", [shared](DsClient* c, ReplyCb cb) { c->Out(*shared, std::move(cb)); },
-        std::move(done));
+void DsShardRouter::Call(DsOp op, ReplyCb done) {
+  CoordKey key = op.type == DsOpType::kOut ? KeyOf(op.tuple) : KeyOf(op.templ);
+  if (op.type == DsOpType::kCas || op.type == DsOpType::kReplace) {
+    CoordKey tuple_key = KeyOf(op.tuple);
+    if (key.routable() && tuple_key.routable() &&
+        map_.IndexFor(key) != map_.IndexFor(tuple_key)) {
+      if (done) {
+        done(Status(ErrorCode::kInvalidArgument,
+                    "template and tuple route to different shards"));
+      }
+      return;
+    }
+  }
+  auto shared = std::make_shared<const DsOp>(std::move(op));
+  if (!key.routable() && shared->type == DsOpType::kRdAll) {
+    Gather(std::move(shared), std::move(done));
+    return;
+  }
+  Route(
+      key, [shared](DsClient* c, ReplyCb cb) { c->Call(*shared, std::move(cb)); },
+      std::move(done));
 }
 
 void DsShardRouter::OutLease(DsTuple tuple, ReplyCb done) {
   CoordKey key = KeyOf(tuple);
   auto shared = std::make_shared<DsTuple>(std::move(tuple));
-  Route(key, "outLease",
-        [shared](DsClient* c, ReplyCb cb) { c->OutLease(*shared, std::move(cb)); },
-        std::move(done));
+  Route(
+      key, [shared](DsClient* c, ReplyCb cb) { c->OutLease(*shared, std::move(cb)); },
+      std::move(done));
 }
 
 void DsShardRouter::ReleaseLease(const DsTemplate& templ) {
@@ -254,80 +214,14 @@ void DsShardRouter::ReleaseLease(const DsTemplate& templ) {
   ForEachSub([&templ](DsClient* c) { c->ReleaseLease(templ); });
 }
 
-void DsShardRouter::Rdp(DsTemplate templ, ReplyCb done) {
-  CoordKey key = KeyOf(templ);
-  auto shared = std::make_shared<DsTemplate>(std::move(templ));
-  Route(key, "rdp", [shared](DsClient* c, ReplyCb cb) { c->Rdp(*shared, std::move(cb)); },
-        std::move(done));
-}
-
-void DsShardRouter::Inp(DsTemplate templ, ReplyCb done) {
-  CoordKey key = KeyOf(templ);
-  auto shared = std::make_shared<DsTemplate>(std::move(templ));
-  Route(key, "inp", [shared](DsClient* c, ReplyCb cb) { c->Inp(*shared, std::move(cb)); },
-        std::move(done));
-}
-
-void DsShardRouter::Rd(DsTemplate templ, ReplyCb done) {
-  CoordKey key = KeyOf(templ);
-  auto shared = std::make_shared<DsTemplate>(std::move(templ));
-  Route(key, "rd", [shared](DsClient* c, ReplyCb cb) { c->Rd(*shared, std::move(cb)); },
-        std::move(done));
-}
-
-void DsShardRouter::In(DsTemplate templ, ReplyCb done) {
-  CoordKey key = KeyOf(templ);
-  auto shared = std::make_shared<DsTemplate>(std::move(templ));
-  Route(key, "in", [shared](DsClient* c, ReplyCb cb) { c->In(*shared, std::move(cb)); },
-        std::move(done));
-}
-
-void DsShardRouter::RoutePair(const CoordKey& templ_key, const CoordKey& tuple_key,
-                              const char* op, std::function<void(DsClient*, ReplyCb)> issue,
-                              ReplyCb done) {
-  if (templ_key.routable() && tuple_key.routable() &&
-      map_.IndexFor(templ_key) != map_.IndexFor(tuple_key)) {
-    if (done) {
-      done(Status(ErrorCode::kInvalidArgument,
-                  std::string(op) + " template and tuple route to different shards"));
-    }
-    return;
-  }
-  Route(templ_key.routable() ? templ_key : tuple_key, op, std::move(issue), std::move(done));
-}
-
-void DsShardRouter::Cas(DsTemplate templ, DsTuple tuple, ReplyCb done) {
-  auto st = std::make_shared<DsTemplate>(std::move(templ));
-  auto sv = std::make_shared<DsTuple>(std::move(tuple));
-  RoutePair(KeyOf(*st), KeyOf(*sv), "cas",
-            [st, sv](DsClient* c, ReplyCb cb) { c->Cas(*st, *sv, std::move(cb)); },
-            std::move(done));
-}
-
-void DsShardRouter::Replace(DsTemplate templ, DsTuple tuple, ReplyCb done) {
-  auto st = std::make_shared<DsTemplate>(std::move(templ));
-  auto sv = std::make_shared<DsTuple>(std::move(tuple));
-  RoutePair(KeyOf(*st), KeyOf(*sv), "replace",
-            [st, sv](DsClient* c, ReplyCb cb) { c->Replace(*st, *sv, std::move(cb)); },
-            std::move(done));
-}
-
-void DsShardRouter::RdAll(DsTemplate templ, ReplyCb done) {
-  CoordKey key = KeyOf(templ);
-  auto shared = std::make_shared<DsTemplate>(std::move(templ));
-  if (key.routable()) {
-    Issue<Result<DsReply>>(
-        key, [shared](DsClient* c, ReplyCb cb) { c->RdAll(*shared, std::move(cb)); },
-        std::move(done));
-    return;
-  }
-  // Scatter-gather over every shard; merged tuples come back in shard-index
-  // order so same-seed runs stay byte-identical.
+void DsShardRouter::Gather(std::shared_ptr<const DsOp> op, ReplyCb done) {
+  // Merged tuples come back in shard-index order so same-seed runs stay
+  // byte-identical.
   size_t n = map_.size();
   auto legs = std::make_shared<std::vector<Result<DsReply>>>(n, Result<DsReply>(DsReply{}));
   auto remaining = std::make_shared<size_t>(n);
   for (size_t i = 0; i < n; ++i) {
-    EnsureSub(i).client->RdAll(*shared, [i, legs, remaining, done](Result<DsReply> r) {
+    EnsureSub(i).client->Call(*op, [i, legs, remaining, done](Result<DsReply> r) {
       (*legs)[i] = std::move(r);
       if (--*remaining != 0) {
         return;
@@ -353,16 +247,6 @@ void DsShardRouter::RdAll(DsTemplate templ, ReplyCb done) {
       }
     });
   }
-}
-
-void DsShardRouter::CallExtension(const std::string& trigger_path, const std::string& args,
-                                  ExtensionCb done) {
-  Issue<Result<ExtensionResult>>(
-      CoordKey::ForPath(trigger_path),
-      [trigger_path, args](DsClient* c, ExtensionCb cb) {
-        c->CallExtension(trigger_path, args, std::move(cb));
-      },
-      std::move(done));
 }
 
 void DsShardRouter::RegisterExtension(const std::string& name, const std::string& code,

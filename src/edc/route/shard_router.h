@@ -2,9 +2,11 @@
 //
 // A router implements the same abstract client surface as a plain client
 // (ZkApi / DsApi) but owns one lazily created sub-client per shard of a
-// ShardMap. Every operation's CoordKey picks the shard on the consistent-hash
-// ring; the op is forwarded to that shard's sub-client unchanged, so recipes
-// written against the API run on a sharded deployment without edits.
+// ShardMap. Each router routes in one function, its family's request entry
+// point (ZkShardRouter::Submit, DsShardRouter::Call): the op's CoordKey
+// picks the shard on the consistent-hash ring and the op is forwarded to
+// that shard's sub-client unchanged, so recipes written against the API run
+// on a sharded deployment without edits.
 //
 // Map refresh: sub-clients stamp the router's map version on every request.
 // When a replica that has been told a newer version rejects with
@@ -61,11 +63,7 @@ inline constexpr uint32_t kRouterIdStride = 64;
 
 namespace route_internal {
 
-inline bool IsStale(const Status& s) { return s.code() == ErrorCode::kShardMapStale; }
-template <typename T>
-bool IsStale(const Result<T>& r) {
-  return !r.ok() && r.status().code() == ErrorCode::kShardMapStale;
-}
+inline bool IsStale(const ZkReplyMsg& r) { return r.code == ErrorCode::kShardMapStale; }
 // A DS stale rejection is an ordered, executed reply — it arrives as a
 // successful vote whose reply code is kShardMapStale.
 inline bool IsStale(const Result<DsReply>& r) {
@@ -217,21 +215,23 @@ class ShardRouterCore {
     return true;
   }
 
+  // The family's reply callback: a raw ZkReplyMsg, or a voted Result<DsReply>.
+  using Reply = typename Client::ReplyCb;
+
   // Routes `issue` to the shard owning `key`; on a stale rejection, refreshes
   // the map and re-routes (the key may now land on a different shard).
-  template <typename R>
-  void Issue(const CoordKey& key, std::function<void(Client*, std::function<void(R)>)> issue,
-             std::function<void(R)> done, int attempt = 0) {
+  void Issue(const CoordKey& key, std::function<void(Client*, Reply)> issue, Reply done,
+             int attempt = 0) {
     uint64_t issued = map_.version();
     WhenReady(map_.IndexFor(key), [this, key, issue, done, attempt, issued](Client* c) {
-      issue(c, [this, key, issue, done, attempt, issued](R r) {
+      issue(c, [this, key, issue, done, attempt, issued](auto&& r) {
         if (route_internal::IsStale(r) && attempt < kStaleRetryLimit &&
             (RefreshMap() || map_.version() > issued)) {
-          Issue<R>(key, issue, done, attempt + 1);
+          Issue(key, issue, done, attempt + 1);
           return;
         }
         if (done) {
-          done(std::move(r));
+          done(std::forward<decltype(r)>(r));
         }
       });
     });
@@ -293,17 +293,9 @@ class ZkShardRouter : public ZkApi, public ShardRouterCore<ZkClient, ZkClientOpt
   // queue and drain in order once it is.
   void Connect(VoidCb done) override;
   void Close(VoidCb done) override;
-  void Create(const std::string& path, const std::string& data, bool ephemeral,
-              bool sequential, StringCb done) override;
-  void Delete(const std::string& path, int32_t version, VoidCb done) override;
-  void Exists(const std::string& path, bool watch, ExistsCb done) override;
-  void GetData(const std::string& path, bool watch, NodeCb done) override;
-  void SetData(const std::string& path, const std::string& data, int32_t version,
-               VoidCb done) override;
-  void GetChildren(const std::string& path, bool watch, ChildrenCb done) override;
-  void Multi(std::vector<ZkOp> ops, VoidCb done) override;
-  void CallExtension(const std::string& trigger_path, const std::string& args,
-                     ExtensionCb done) override;
+  // Routes by the op's path; a Multi by its sub-ops, which must all live on
+  // one shard (an empty one is rejected too).
+  void Submit(ZkOp op, ReplyCb done) override;
   void RegisterExtension(const std::string& name, const std::string& code,
                          VoidCb done) override;
   void DeregisterExtension(const std::string& name, VoidCb done) override;
@@ -333,24 +325,19 @@ class DsShardRouter : public DsApi, public ShardRouterCore<DsClient, DsClientOpt
   DsShardRouter(EventLoop* loop, Network* net, NodeId base_id, ShardMap map,
                 ShardMapSource source, DsClientOptions options);
 
-  // DsApi.
-  void Out(DsTuple tuple, ReplyCb done) override;
+  // DsApi. Call routes by the op's first field: the tuple's for out, the
+  // template's otherwise; cas and replace carry both, and the two must land
+  // on one shard. A wildcard RdAll scatter-gathers; any other wildcard op is
+  // rejected.
+  void Call(DsOp op, ReplyCb done) override;
+  // Routed like out; the sub-client that sent the lease renews it.
   void OutLease(DsTuple tuple, ReplyCb done) override;
   void ReleaseLease(const DsTemplate& templ) override;
-  void Rdp(DsTemplate templ, ReplyCb done) override;
-  void Inp(DsTemplate templ, ReplyCb done) override;
-  void Rd(DsTemplate templ, ReplyCb done) override;
-  void In(DsTemplate templ, ReplyCb done) override;
-  void Cas(DsTemplate templ, DsTuple tuple, ReplyCb done) override;
-  void Replace(DsTemplate templ, DsTuple tuple, ReplyCb done) override;
-  void RdAll(DsTemplate templ, ReplyCb done) override;
-  void CallExtension(const std::string& trigger_path, const std::string& args,
-                     ExtensionCb done) override;
+  void EnableAutoRenewAll() override;
   void RegisterExtension(const std::string& name, const std::string& code,
                          ReplyCb done) override;
   void DeregisterExtension(const std::string& name, ReplyCb done) override;
   void AcknowledgeExtension(const std::string& name, ReplyCb done) override;
-  void EnableAutoRenewAll() override;
   NodeId id() const override { return base_id_; }
 
   // Routing keys (exposed for tests): a tuple routes by its first field, a
@@ -362,14 +349,10 @@ class DsShardRouter : public DsApi, public ShardRouterCore<DsClient, DsClientOpt
 
  private:
   void OnNewSub(uint32_t shard_id, DsClient* client) override;
-  // Routes a single-tuple op by `key`, or rejects it when `key` is a
-  // wildcard (`op` names it in the error).
-  void Route(const CoordKey& key, const char* op,
-             std::function<void(DsClient*, ReplyCb)> issue, ReplyCb done);
-  // Routes an op carrying a template and a tuple (cas, replace); rejects it
-  // when the two route to different shards.
-  void RoutePair(const CoordKey& templ_key, const CoordKey& tuple_key, const char* op,
-                 std::function<void(DsClient*, ReplyCb)> issue, ReplyCb done);
+  // Issues on the shard owning `key`, or rejects when `key` is a wildcard.
+  void Route(const CoordKey& key, std::function<void(DsClient*, ReplyCb)> issue, ReplyCb done);
+  // A wildcard RdAll: every shard's matches, merged in shard-index order.
+  void Gather(std::shared_ptr<const DsOp> op, ReplyCb done);
 
   bool auto_renew_all_ = false;
 };

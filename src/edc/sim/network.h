@@ -88,7 +88,6 @@ class Network {
   void Disconnect(NodeId a, NodeId b);
   void Reconnect(NodeId a, NodeId b);
   void HealAllPartitions();
-  bool Partitioned(NodeId a, NodeId b) const { return IsPartitioned(a, b); }
 
   // Observer invoked for every packet actually handed to a node (after
   // drops, partitions and crashes are resolved). The fault-injection layer

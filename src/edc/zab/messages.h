@@ -28,7 +28,7 @@ enum class ZabMsgType : uint32_t {
   kSnap = kZabTypeBase + 5,       // leader -> follower: full snapshot
   kNewLeader = kZabTypeBase + 6,  // leader -> follower: end of sync
   kAckNewLeader = kZabTypeBase + 7,
-  kUpToDate = kZabTypeBase + 8,   // leader -> follower: broadcast phase open
+  // kZabTypeBase + 8 is unassigned: the values are wire format, so none moves.
   kPropose = kZabTypeBase + 9,
   kAck = kZabTypeBase + 10,
   kCommit = kZabTypeBase + 11,
@@ -45,7 +45,6 @@ inline uint64_t MakeZxid(uint32_t epoch, uint32_t counter) {
   return (static_cast<uint64_t>(epoch) << 32) | counter;
 }
 inline uint32_t ZxidEpoch(uint64_t zxid) { return static_cast<uint32_t>(zxid >> 32); }
-inline uint32_t ZxidCounter(uint64_t zxid) { return static_cast<uint32_t>(zxid); }
 
 // Proposal flag bits. A reconfiguration proposal carries an encoded
 // ZabMembership as its txn; it is activated by the protocol layer at commit
@@ -171,7 +170,7 @@ struct SnapMsg {
   bool operator==(const SnapMsg&) const = default;
 };
 
-// kNewLeader / kUpToDate / kHeartbeat / kHeartbeatAck share this shape.
+// kNewLeader / kHeartbeat / kHeartbeatAck share this shape.
 struct EpochMsg {
   uint32_t epoch = 0;
   uint64_t committed_zxid = 0;

@@ -751,16 +751,6 @@ void ZabNode::OnNewLeader(const EpochMsg& msg) {
   ResetLeaderTimeout();
 }
 
-void ZabNode::OnUpToDate(const EpochMsg& msg) {
-  if (role_ == Role::kFollowing && synced_) {
-    DeliverUpTo(msg.committed_zxid);
-    if (role_ != Role::kFollowing) {
-      return;  // delivering a reconfig retired this node
-    }
-    ResetLeaderTimeout();
-  }
-}
-
 void ZabNode::OnPropose(const ProposeFrameView& msg) {
   if (role_ != Role::kFollowing || !synced_ || msg.epoch != current_epoch_) {
     return;
@@ -1078,13 +1068,6 @@ void ZabNode::Process(Packet&& pkt) {
       auto m = DecodeMsg<FollowerInfo>(pkt.payload);
       if (m.ok()) {
         OnAckNewLeader(pkt.src, *m);
-      }
-      break;
-    }
-    case ZabMsgType::kUpToDate: {
-      auto m = DecodeMsg<EpochMsg>(pkt.payload);
-      if (m.ok()) {
-        OnUpToDate(*m);
       }
       break;
     }

@@ -272,7 +272,6 @@ class ZabNode {
   void OnTrunc(const ZxidMsg& msg);
   void OnSnap(SnapMsg&& msg);
   void OnNewLeader(const EpochMsg& msg);
-  void OnUpToDate(const EpochMsg& msg);
   void OnHeartbeat(NodeId from, const EpochMsg& msg);
   // A follower presumes the leader dead once now() passes leader_deadline_.
   // Each packet from the leader only moves the deadline; one pending check

@@ -59,11 +59,11 @@ void ZkClient::SendPing() {
   }
   ZkOp op;
   op.type = ZkOpType::kPing;
-  SendRequest(std::move(op), [](const ZkReplyMsg&) {});
+  Submit(std::move(op), [](const ZkReplyMsg&) {});
   ping_timer_ = loop_->Schedule(options_.ping_interval, [this]() { SendPing(); });
 }
 
-void ZkClient::SendRequest(ZkOp op, ReplyCb done) {
+void ZkClient::Submit(ZkOp op, ReplyCb done) {
   ZkRequestMsg msg;
   msg.session = session_;
   msg.req_id = ++next_req_;
@@ -79,15 +79,6 @@ void ZkClient::SendRequest(ZkOp op, ReplyCb done) {
   pkt.type = static_cast<uint32_t>(ZkMsgType::kRequest);
   pkt.payload = EncodeMsg(msg);
   net_->Send(std::move(pkt));
-}
-
-void ZkClient::Request(ZkOp op, ReplyCb done) { SendRequest(std::move(op), std::move(done)); }
-
-Status ZkClient::StatusOf(const ZkReplyMsg& reply) {
-  if (reply.code == ErrorCode::kOk) {
-    return Status::Ok();
-  }
-  return Status(reply.code, reply.value);
 }
 
 void ZkClient::Emit(SessionEvent event) {
@@ -296,133 +287,12 @@ void ZkClient::HandlePacket(Packet&& pkt) {
   }
 }
 
-void ZkClient::Create(const std::string& path, const std::string& data, bool ephemeral,
-                      bool sequential, StringCb done) {
-  ZkOp op;
-  op.type = ZkOpType::kCreate;
-  op.path = path;
-  op.data = data;
-  op.ephemeral = ephemeral;
-  op.sequential = sequential;
-  SendRequest(std::move(op), [done = std::move(done)](const ZkReplyMsg& reply) {
-    if (reply.code != ErrorCode::kOk) {
-      done(StatusOf(reply));
-      return;
-    }
-    done(reply.value);
-  });
-}
-
-void ZkClient::Delete(const std::string& path, int32_t version, VoidCb done) {
-  ZkOp op;
-  op.type = ZkOpType::kDelete;
-  op.path = path;
-  op.version = version;
-  SendRequest(std::move(op),
-              [done = std::move(done)](const ZkReplyMsg& reply) { done(StatusOf(reply)); });
-}
-
-void ZkClient::Exists(const std::string& path, bool watch, ExistsCb done) {
-  ZkOp op;
-  op.type = ZkOpType::kExists;
-  op.path = path;
-  op.watch = watch;
-  SendRequest(std::move(op), [done = std::move(done)](const ZkReplyMsg& reply) {
-    if (reply.code != ErrorCode::kOk) {
-      done(StatusOf(reply));
-      return;
-    }
-    ExistsResult result;
-    result.exists = reply.value == "1";
-    if (reply.has_stat) {
-      result.stat = reply.stat;
-    }
-    done(result);
-  });
-}
-
-void ZkClient::GetData(const std::string& path, bool watch, NodeCb done) {
-  ZkOp op;
-  op.type = ZkOpType::kGetData;
-  op.path = path;
-  op.watch = watch;
-  SendRequest(std::move(op), [done = std::move(done)](const ZkReplyMsg& reply) {
-    if (reply.code != ErrorCode::kOk) {
-      done(StatusOf(reply));
-      return;
-    }
-    done(NodeResult{reply.value, reply.stat});
-  });
-}
-
-void ZkClient::SetData(const std::string& path, const std::string& data, int32_t version,
-                       VoidCb done) {
-  ZkOp op;
-  op.type = ZkOpType::kSetData;
-  op.path = path;
-  op.data = data;
-  op.version = version;
-  SendRequest(std::move(op),
-              [done = std::move(done)](const ZkReplyMsg& reply) { done(StatusOf(reply)); });
-}
-
-void ZkClient::GetChildren(const std::string& path, bool watch, ChildrenCb done) {
-  ZkOp op;
-  op.type = ZkOpType::kGetChildren;
-  op.path = path;
-  op.watch = watch;
-  SendRequest(std::move(op), [done = std::move(done)](const ZkReplyMsg& reply) {
-    if (reply.code != ErrorCode::kOk) {
-      done(StatusOf(reply));
-      return;
-    }
-    done(reply.children);
-  });
-}
-
 void ZkClient::Reconfig(const std::string& spec, VoidCb done) {
   ZkOp op;
   op.type = ZkOpType::kReconfig;
   op.data = spec;
-  SendRequest(std::move(op),
-              [done = std::move(done)](const ZkReplyMsg& reply) { done(StatusOf(reply)); });
-}
-
-void ZkClient::Multi(std::vector<ZkOp> ops, VoidCb done) {
-  ZkOp op;
-  op.type = ZkOpType::kMulti;
-  op.ops = std::move(ops);
-  SendRequest(std::move(op),
-              [done = std::move(done)](const ZkReplyMsg& reply) { done(StatusOf(reply)); });
-}
-
-void ZkClient::CallExtension(const std::string& trigger_path, const std::string& args,
-                             ExtensionCb done) {
-  // The invocation is an exists-with-watch on the trigger object; a matching
-  // acknowledged extension intercepts it server-side and its result rides
-  // back on the reply (§5.1.2). Without one, the reply is the plain exists
-  // answer and the creation watch stays armed as the traditional fallback.
-  ZkOp op;
-  op.type = ZkOpType::kExists;
-  op.path = trigger_path;
-  op.data = args;
-  op.watch = true;
-  SendRequest(std::move(op), [done = std::move(done)](const ZkReplyMsg& reply) {
-    if (reply.code != ErrorCode::kOk) {
-      done(StatusOf(reply));
-      return;
-    }
-    ExtensionResult result;
-    if (reply.has_stat && reply.value == "1") {
-      result.exists = true;  // plain answer: trigger object present
-    } else if (!reply.has_stat && reply.value == "0") {
-      result.exists = false;  // plain answer: absent, watch armed
-    } else {
-      result.intercepted = true;
-      result.value = reply.value;
-    }
-    done(result);
-  });
+  Submit(std::move(op),
+         [done = std::move(done)](const ZkReplyMsg& reply) { done(StatusOf(reply)); });
 }
 
 void ZkClient::RegisterExtension(const std::string& name, const std::string& code,
@@ -452,7 +322,7 @@ void ZkClient::Close(VoidCb done) {
   }
   ZkOp op;
   op.type = ZkOpType::kCloseSession;
-  SendRequest(std::move(op), [this, done = std::move(done)](const ZkReplyMsg& reply) {
+  Submit(std::move(op), [this, done = std::move(done)](const ZkReplyMsg& reply) {
     session_ = 0;
     done(StatusOf(reply));
   });

@@ -52,8 +52,6 @@ struct ZkClientObserver {
 
 class ZkClient : public NetworkNode, public ZkApi {
  public:
-  using ReplyCb = std::function<void(const ZkReplyMsg&)>;
-
   // Delay before re-sending a connect the server refused (e.g. no leader yet).
   static constexpr Duration kConnectRetry = Millis(200);
 
@@ -68,23 +66,7 @@ class ZkClient : public NetworkNode, public ZkApi {
 
   void Connect(VoidCb done) override;
   void Close(VoidCb done) override;
-
-  void Create(const std::string& path, const std::string& data, bool ephemeral,
-              bool sequential, StringCb done) override;
-  void Delete(const std::string& path, int32_t version, VoidCb done) override;
-  void Exists(const std::string& path, bool watch, ExistsCb done) override;
-  void GetData(const std::string& path, bool watch, NodeCb done) override;
-  void SetData(const std::string& path, const std::string& data, int32_t version,
-               VoidCb done) override;
-  void GetChildren(const std::string& path, bool watch, ChildrenCb done) override;
-  void Multi(std::vector<ZkOp> ops, VoidCb done) override;
-
-  // Invokes the extension listening on `trigger_path` (§5.1.2): one RPC that
-  // either returns the extension's result (intercepted) or, when no
-  // acknowledged extension matches, a plain exists answer with a creation
-  // watch armed on the trigger object (the traditional fallback).
-  void CallExtension(const std::string& trigger_path, const std::string& args,
-                     ExtensionCb done) override;
+  void Submit(ZkOp op, ReplyCb done) override;
 
   // Administrative ensemble reconfiguration (docs/reconfig.md): a
   // single-change spec such as "add_observer 4", "promote 4" or "remove 2".
@@ -92,9 +74,6 @@ class ZkClient : public NetworkNode, public ZkApi {
   // reply is sent at activation); the membership push that accompanies it
   // refreshes this client's failover list.
   void Reconfig(const std::string& spec, VoidCb done);
-
-  // Deprecated raw escape hatch; use the typed operations or CallExtension.
-  [[deprecated("use typed operations or CallExtension")]] void Request(ZkOp op, ReplyCb done);
 
   // EZK conveniences (§5.1.2).
   void RegisterExtension(const std::string& name, const std::string& code,
@@ -142,7 +121,6 @@ class ZkClient : public NetworkNode, public ZkApi {
  private:
   void SendConnect();
   void SendPing();
-  void SendRequest(ZkOp op, ReplyCb done);
   void OnConnectionLoss();
   void OnSessionExpired();
   // Fails every call in `calls` (pending_ or parked_) with `code`.
@@ -153,7 +131,6 @@ class ZkClient : public NetworkNode, public ZkApi {
   void ParkPending();
   void ScheduleReconnect();
   void Emit(SessionEvent event);
-  static Status StatusOf(const ZkReplyMsg& reply);
 
   EventLoop* loop_;
   Network* net_;

@@ -542,6 +542,24 @@ const EdsEmWriteCase kEdsEmWriteCases[] = {
      [](DsClient* a, const EdsEmClients&, DsClient::ReplyCb done) {
        a->DeregisterExtension("ctr_increment", std::move(done));
      }},
+    // Removals through a first field that also matches /em paths.
+    {"WildcardInp",
+     [](DsClient* a, const EdsEmClients&, DsClient::ReplyCb done) {
+       a->Inp(DsTemplate{DsTField::Any(), DsTField::Any()}, std::move(done));
+     }},
+    {"RootPrefixInp",
+     [](DsClient* a, const EdsEmClients&, DsClient::ReplyCb done) {
+       a->Inp(ObjectPrefixTemplate("/"), std::move(done));
+     }},
+    {"WildcardReplace",
+     [](DsClient* a, const EdsEmClients&, DsClient::ReplyCb done) {
+       a->Replace(DsTemplate{DsTField::Any(), DsTField::Any()}, ObjectTuple("/x", "y"),
+                  std::move(done));
+     }},
+    {"WildcardIn",
+     [](DsClient* a, const EdsEmClients&, DsClient::ReplyCb done) {
+       a->In(DsTemplate{DsTField::Any(), DsTField::Any()}, std::move(done));
+     }},
 };
 
 class EdsEmWriteTest : public ::testing::TestWithParam<EdsEmWriteCase> {};

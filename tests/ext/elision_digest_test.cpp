@@ -702,5 +702,183 @@ TEST(ElisionDigestTest, ShardedEdsDigestsPinned) {
   }
 }
 
+// The EZK shard router's whole surface on two shards, through both routers:
+// the counter and queue extensions in per-shard namespaces, plain creates,
+// reads, updates and deletes, a deletion watch, a same-shard Multi and a
+// cross-shard one the router rejects, a replica of shard 1 that crashes and
+// restarts, and a shard added mid-run, after which both routers are
+// rejected as stale, refresh and re-route. These digests were recorded
+// before the routers' per-operation wrappers were folded into one routing
+// function: that may move no packet and no transaction.
+struct ShardedEzkSig {
+  uint64_t packet_digest = 0;
+  std::vector<uint64_t> shard_hashes;  // applied logs per shard, in map order
+  int ops_failed = 0;
+  int multis_rejected = 0;  // kInvalidArgument from the cross-shard Multi
+  std::string removed;      // the values the queue removes returned, in order
+  std::string reads;        // what each read after AddShard saw; "-" = absent
+  std::string deleted;      // the deletion watches that fired
+  int stale_refreshes = 0;
+};
+
+ShardedEzkSig RunShardedEzkWorkload(uint64_t seed) {
+  FixtureOptions options;
+  options.system = SystemKind::kExtensibleZooKeeper;
+  options.num_clients = 2;
+  options.num_shards = 2;
+  options.seed = seed;
+  options.observability = true;
+  ClusterFixture fix(options);
+  fix.faults().EnablePacketTrace();
+  fix.Start();
+
+  ShardedEzkSig sig;
+  EventLoop& loop = fix.loop();
+  SimTime t0 = loop.now();
+  auto at = [&loop, t0](Duration d, std::function<void()> fn) {
+    loop.ScheduleAt(t0 + d, std::move(fn));
+  };
+  auto count = [&sig](const Status& s) { sig.ops_failed += s.ok() ? 0 : 1; };
+  auto count_value = [&sig](const Result<std::string>& r) { sig.ops_failed += r.ok() ? 0 : 1; };
+  auto count_int = [&sig](const Result<int64_t>& r) { sig.ops_failed += r.ok() ? 0 : 1; };
+
+  const ShardMap& map = fix.shard_map();
+  SharedCounter c0(fix.coord(0), /*use_extension=*/true, map.SubtreeForShard("/ca", 0));
+  SharedCounter c1(fix.coord(1), /*use_extension=*/true, map.SubtreeForShard("/ca", 0));
+  DistributedQueue q0(fix.coord(0), /*use_extension=*/true, map.SubtreeForShard("/qb", 1));
+  DistributedQueue q1(fix.coord(1), /*use_extension=*/true, map.SubtreeForShard("/qb", 1));
+  at(Millis(10), [&]() {
+    c0.Setup(count);
+    q0.Setup(count);
+  });
+  at(Millis(600), [&]() {
+    c1.Attach(count);
+    q1.Attach(count);
+  });
+  auto obj = [](int i) { return "/obj" + std::to_string(i); };
+  for (int i = 0; i < 12; ++i) {
+    at(Millis(900) + Millis(20) * i, [&, i]() {
+      fix.coord(i % 2)->Create(obj(i), "v" + std::to_string(i), count_value);
+    });
+  }
+  at(Millis(1200), [&]() {
+    for (int i : {6, 7}) {
+      fix.coord(i % 2)->OnDeleted(obj(i), [&sig, i]() {
+        sig.deleted += "obj" + std::to_string(i) + ",";
+      });
+    }
+  });
+  for (int i = 0; i < 10; ++i) {
+    at(Millis(1300) + Millis(40) * i, [&, i]() {
+      SharedCounter& c = i % 2 == 0 ? c0 : c1;
+      c.Increment(count_int);
+      DistributedQueue& q = i % 2 == 0 ? q0 : q1;
+      q.Add("e" + std::to_string(100 + i), "q" + std::to_string(i), count);
+    });
+  }
+  for (int i = 0; i < 6; ++i) {
+    at(Millis(1800) + Millis(60) * i, [&, i]() {
+      DistributedQueue& q = i % 2 == 0 ? q1 : q0;
+      q.Remove([&sig](Result<std::string> r) {
+        sig.removed += r.ok() ? *r + "," : "!,";
+      });
+      fix.coord((i + 1) % 2)->Update(obj(i), "u" + std::to_string(i), count);
+    });
+  }
+  auto create_op = [](const std::string& path) {
+    ZkOp op;
+    op.type = ZkOpType::kCreate;
+    op.path = path;
+    op.data = "m";
+    return op;
+  };
+  std::string same = map.SubtreeForShard("/ma", 0);
+  at(Millis(2100), [&]() {
+    fix.zk_router(0)->Multi({create_op(same), create_op(same + "/x")}, count);
+    fix.zk_router(1)->Multi(
+        {create_op(map.SubtreeForShard("/mb", 0)), create_op(map.SubtreeForShard("/mc", 1))},
+        [&sig](Status s) { sig.multis_rejected += s.code() == ErrorCode::kInvalidArgument; });
+    fix.coord(1)->Delete(obj(6), count);
+  });
+  at(Millis(2200), [&]() { fix.coord(0)->Delete(obj(7), count); });
+  // A replica of shard 1 that holds neither router's session misses traffic
+  // and catches up on restart.
+  NodeId victim = 0;
+  at(Millis(1500), [&]() {
+    uint32_t shard1 = map.entry(1).shard_id;
+    for (ZkServer* s : fix.ZkShardServers(shard1)) {
+      if (s->id() != fix.zk_router(0)->shard_client(shard1)->current_server() &&
+          s->id() != fix.zk_router(1)->shard_client(shard1)->current_server()) {
+        victim = s->id();
+      }
+    }
+    fix.faults().Crash(victim);
+  });
+  at(Millis(2600), [&]() { fix.faults().Restart(victim); });
+  fix.Settle(Millis(3000));
+
+  // A third shard joins; the next op of each router is rejected as stale.
+  fix.AddShard();
+  SimTime t1 = loop.now();
+  for (int i = 12; i < 24; ++i) {
+    loop.ScheduleAt(t1 + Millis(20) * (i - 12), [&, i]() {
+      fix.coord(i % 2)->Create(obj(i), "v" + std::to_string(i), count_value);
+    });
+  }
+  for (int i = 0; i < 24; ++i) {
+    loop.ScheduleAt(t1 + Millis(400) + Millis(15) * i, [&, i]() {
+      fix.coord((i + 1) % 2)->Read(obj(i), [&sig](Result<std::string> r) {
+        sig.reads += r.ok() ? *r + "," : r.code() == ErrorCode::kNoNode ? "-," : "!,";
+      });
+    });
+  }
+  for (int i = 0; i < 4; ++i) {
+    loop.ScheduleAt(t1 + Millis(900) + Millis(50) * i, [&, i]() {
+      SharedCounter& c = i % 2 == 0 ? c1 : c0;
+      c.Increment(count_int);
+      fix.coord(i % 2)->Delete(obj(i + 12), count);
+    });
+  }
+  fix.Settle(Seconds(3));
+
+  sig.packet_digest = fix.faults().TraceDigest();
+  for (const ShardEntry& entry : fix.shard_map().entries()) {
+    uint64_t h = 1469598103934665603ull;
+    for (ZkServer* s : fix.ZkShardServers(entry.shard_id)) {
+      for (const auto& [zxid, txn_hash] : s->applied_log()) {
+        h = Fnv1aMix(h, zxid);
+        h = Fnv1aMix(h, txn_hash);
+      }
+    }
+    sig.shard_hashes.push_back(h);
+  }
+  sig.stale_refreshes = fix.zk_router(0)->stale_refreshes() + fix.zk_router(1)->stale_refreshes();
+  return sig;
+}
+
+constexpr uint64_t kShardedEzkPacketDigest = 0x112b6cba0a5ecf6eull;
+constexpr uint64_t kShardedEzkShardHashes[3] = {0x79677a9b0faacaa7ull, 0x362f48d3e7b202beull,
+                                                0x75929183e2543181ull};
+
+TEST(ElisionDigestTest, ShardedEzkDigestsPinned) {
+  ShardedEzkSig run = RunShardedEzkWorkload(61);
+
+  EXPECT_EQ(run.ops_failed, 0);
+  EXPECT_EQ(run.multis_rejected, 1) << "the cross-shard Multi is the router's to reject";
+  EXPECT_EQ(run.stale_refreshes, 2) << "each router refreshes once after AddShard";
+  EXPECT_EQ(run.removed, "q0,q1,q2,q3,q4,q5,");
+  EXPECT_EQ(run.deleted, "obj6,obj7,");
+  // AddShard moves no data: the three keys the new shard took over read as
+  // absent through either router, as do the two deleted under a watch.
+  EXPECT_EQ(run.reads,
+            "-,-,-,u3,u4,u5,-,-,v8,v9,v10,v11,v12,v13,v14,v15,v16,v17,v18,v19,v20,v21,v22,v23,");
+  ASSERT_EQ(run.shard_hashes.size(), 3u);
+
+  EXPECT_EQ(run.packet_digest, kShardedEzkPacketDigest);
+  for (size_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(run.shard_hashes[s], kShardedEzkShardHashes[s]) << "shard " << s;
+  }
+}
+
 }  // namespace
 }  // namespace edc

@@ -69,7 +69,7 @@ Result<std::string> Increment(EzkCluster& cluster, ZkClient* client) {
   ZkOp op;
   op.type = ZkOpType::kGetData;
   op.path = "/ctr-increment";
-  client->Request(op, [&](const ZkReplyMsg& reply) {
+  client->Submit(op, [&](const ZkReplyMsg& reply) {
     if (reply.code != ErrorCode::kOk) {
       result = Status(reply.code, reply.value);
     } else {
@@ -231,7 +231,7 @@ TEST(EzkExtensionTest, QueueExtensionRemovesHeadAtomically) {
     ZkOp op;
     op.type = ZkOpType::kGetData;
     op.path = "/queue-head";
-    client->Request(op, [&](const ZkReplyMsg& reply) {
+    client->Submit(op, [&](const ZkReplyMsg& reply) {
       ASSERT_EQ(reply.code, ErrorCode::kOk);
       data = reply.value;
     });
@@ -243,7 +243,7 @@ TEST(EzkExtensionTest, QueueExtensionRemovesHeadAtomically) {
   ZkOp op;
   op.type = ZkOpType::kGetData;
   op.path = "/queue-head";
-  client->Request(op, [&](const ZkReplyMsg& reply) { code = reply.code; });
+  client->Submit(op, [&](const ZkReplyMsg& reply) { code = reply.code; });
   cluster.Settle();
   EXPECT_EQ(code, ErrorCode::kExtensionError);
   EXPECT_TRUE(cluster.Leader()->tree().GetChildren("/queue")->empty());
@@ -266,7 +266,7 @@ TEST(EzkExtensionTest, FailedExtensionLeavesNoPartialState) {
   ZkOp op;
   op.type = ZkOpType::kGetData;
   op.path = "/go";
-  client->Request(op, [&](const ZkReplyMsg& reply) { code = reply.code; });
+  client->Submit(op, [&](const ZkReplyMsg& reply) { code = reply.code; });
   cluster.Settle();
   EXPECT_EQ(code, ErrorCode::kExtensionError);
   // Atomicity: the create before the failure was rolled up into a txn that
@@ -292,7 +292,7 @@ TEST(EzkExtensionTest, StateOpBudgetEnforced) {
   ZkOp op;
   op.type = ZkOpType::kGetData;
   op.path = "/go";
-  client->Request(op, [&](const ZkReplyMsg& reply) { code = reply.code; });
+  client->Submit(op, [&](const ZkReplyMsg& reply) { code = reply.code; });
   cluster.Settle();
   EXPECT_EQ(code, ErrorCode::kExtensionLimit);
   EXPECT_FALSE(cluster.Leader()->tree().Exists("/greedy-1"));
@@ -313,7 +313,7 @@ TEST(EzkExtensionTest, StrikeLimitEvictsCrashLoopingExtension) {
   op.type = ZkOpType::kGetData;
   op.path = "/boom";
   for (int i = 0; i < 3; ++i) {
-    client->Request(op, [](const ZkReplyMsg&) {});
+    client->Submit(op, [](const ZkReplyMsg&) {});
     cluster.Settle();
   }
   cluster.Settle();
@@ -340,7 +340,7 @@ TEST(EzkExtensionTest, StrikesResetOnSuccessfulInvocation) {
     ZkOp op;
     op.type = ZkOpType::kGetData;
     op.path = "/queue-head";
-    client->Request(op, [&](const ZkReplyMsg& reply) { code = reply.code; });
+    client->Submit(op, [&](const ZkReplyMsg& reply) { code = reply.code; });
     cluster.Settle();
     return code;
   };
@@ -395,7 +395,7 @@ TEST(EzkExtensionTest, UncertifiedHandlerRunsMeteredOnVm) {
     ZkOp op;
     op.type = ZkOpType::kGetData;
     op.path = "/cube";
-    client->Request(op, [&](const ZkReplyMsg& reply) {
+    client->Submit(op, [&](const ZkReplyMsg& reply) {
       result = reply.code == ErrorCode::kOk ? Result<std::string>(reply.value)
                                             : Status(reply.code, reply.value);
     });
@@ -447,7 +447,7 @@ TEST(EzkExtensionTest, MonitorCannotForgeAcknowledgment) {
   ZkOp op;
   op.type = ZkOpType::kGetData;
   op.path = "/forge";
-  attacker->Request(op, [&](const ZkReplyMsg& reply) { forged = reply; });
+  attacker->Submit(op, [&](const ZkReplyMsg& reply) { forged = reply; });
   cluster.Settle();
   EXPECT_EQ(forged.code, ErrorCode::kExtensionError);
   EXPECT_EQ(forged.value, "extensions may not touch the /em namespace");
@@ -478,7 +478,7 @@ TEST(EzkExtensionTest, CasCannotOverwriteRegistration) {
   ZkOp op;
   op.type = ZkOpType::kGetData;
   op.path = "/smash";
-  attacker->Request(op, [&](const ZkReplyMsg& reply) { smashed = reply; });
+  attacker->Submit(op, [&](const ZkReplyMsg& reply) { smashed = reply; });
   cluster.Settle();
   EXPECT_EQ(smashed.code, ErrorCode::kExtensionError);
   EXPECT_EQ(smashed.value, "extensions may not touch the /em namespace");
@@ -530,7 +530,7 @@ TEST(EzkExtensionTest, BlockHostFunctionDefersReplyUntilCreation) {
   op.type = ZkOpType::kExists;
   op.path = "/gate/w1";
   op.watch = true;
-  waiter->Request(op, [&](const ZkReplyMsg& reply) {
+  waiter->Submit(op, [&](const ZkReplyMsg& reply) {
     unblocked = reply.code == ErrorCode::kOk;
   });
   cluster.Settle();

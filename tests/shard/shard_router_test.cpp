@@ -149,6 +149,24 @@ TEST(ShardRouterTest, CrossShardMultiRejectedSameShardAccepted) {
   EXPECT_TRUE(same.ok()) << same.ToString();
 }
 
+TEST(ShardRouterTest, EmptyMultiRejectedWithoutSending) {
+  CoordFixture fixture(ShardedZk(2, 1));
+  fixture.Start();
+  ZkShardRouter* router = fixture.zk_router(0);
+
+  int64_t bytes_before = fixture.ClientBytesSent();
+  Status empty = Status::Ok();
+  bool done = false;
+  router->Multi({}, [&](Status s) {
+    empty = s;
+    done = true;
+  });
+  // The router answers at once: nothing reached any shard.
+  ASSERT_TRUE(done);
+  EXPECT_EQ(empty.code(), ErrorCode::kInvalidArgument) << empty.ToString();
+  EXPECT_EQ(fixture.ClientBytesSent(), bytes_before);
+}
+
 TEST(ShardRouterTest, StaleRejectionRefreshesMapAndRetries) {
   CoordFixture fixture(ShardedZk(2, 1));
   fixture.Start();
@@ -288,6 +306,67 @@ TEST(DsShardRouterTest, WildcardSingleTupleOpsRejectedRdAllGathers) {
   EXPECT_EQ(gathered, 12u);
   // The workload really did span several shards.
   EXPECT_GT(router->sub_client_ids().size(), 1u);
+}
+
+// Every single-tuple op whose template cannot be routed to one shard — a
+// wildcard first field, or (cas, replace) a template and a tuple that land on
+// different shards — is answered by the router before anything is sent.
+struct UnroutableCase {
+  const char* name;
+  void (*issue)(DsShardRouter* r, const ShardMap& map, DsApi::ReplyCb done);
+};
+
+DsTemplate WildcardTemplate() { return DsTemplate{DsTField::Any(), DsTField::Exact("payload")}; }
+
+const UnroutableCase kUnroutableCases[] = {
+    {"rdp", [](DsShardRouter* r, const ShardMap&,
+               DsApi::ReplyCb done) { r->Rdp(WildcardTemplate(), std::move(done)); }},
+    {"inp", [](DsShardRouter* r, const ShardMap&,
+               DsApi::ReplyCb done) { r->Inp(WildcardTemplate(), std::move(done)); }},
+    {"rd", [](DsShardRouter* r, const ShardMap&,
+              DsApi::ReplyCb done) { r->Rd(WildcardTemplate(), std::move(done)); }},
+    {"in", [](DsShardRouter* r, const ShardMap&,
+              DsApi::ReplyCb done) { r->In(WildcardTemplate(), std::move(done)); }},
+    {"cas",
+     [](DsShardRouter* r, const ShardMap&, DsApi::ReplyCb done) {
+       r->Cas(WildcardTemplate(), Tup("g0", "payload"), std::move(done));
+     }},
+    {"replace",
+     [](DsShardRouter* r, const ShardMap&, DsApi::ReplyCb done) {
+       r->Replace(WildcardTemplate(), Tup("g0", "payload"), std::move(done));
+     }},
+    {"cas across shards",
+     [](DsShardRouter* r, const ShardMap& map, DsApi::ReplyCb done) {
+       r->Cas(ObjectTemplate(map.SubtreeForShard("/pa", 0)),
+              ObjectTuple(map.SubtreeForShard("/pb", 1), "v"), std::move(done));
+     }},
+    {"replace across shards",
+     [](DsShardRouter* r, const ShardMap& map, DsApi::ReplyCb done) {
+       r->Replace(ObjectTemplate(map.SubtreeForShard("/pa", 0)),
+                  ObjectTuple(map.SubtreeForShard("/pb", 1), "v"), std::move(done));
+     }},
+};
+
+TEST(DsShardRouterTest, UnroutableSingleTupleOpsRejectedWithoutSending) {
+  CoordFixture fixture(ShardedDs(4, 1));
+  fixture.Start();
+  DsShardRouter* router = fixture.ds_router(0);
+  router->Out(Tup("g0", "payload"), [](Result<DsReply>) {});
+  fixture.Settle(Seconds(1));
+
+  for (const UnroutableCase& c : kUnroutableCases) {
+    SCOPED_TRACE(c.name);
+    int64_t bytes_before = fixture.ClientBytesSent();
+    Status status = Status::Ok();
+    bool done = false;
+    c.issue(router, fixture.shard_map(), [&](Result<DsReply> r) {
+      status = r.ok() ? Status::Ok() : r.status();
+      done = true;
+    });
+    ASSERT_TRUE(done);
+    EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument) << status.ToString();
+    EXPECT_EQ(fixture.ClientBytesSent(), bytes_before);
+  }
 }
 
 TEST(DsShardRouterTest, StaleRejectionRefreshesMap) {

@@ -313,7 +313,7 @@ TEST(ZkServiceTest, UnknownSessionRejected) {
   ZkOp op;
   op.type = ZkOpType::kGetData;
   op.path = "/";
-  rogue->Request(op, [&](const ZkReplyMsg& reply) { code = reply.code; });
+  rogue->Submit(op, [&](const ZkReplyMsg& reply) { code = reply.code; });
   cluster.Settle();
   EXPECT_EQ(code, ErrorCode::kSessionExpired);
   (void)client;
