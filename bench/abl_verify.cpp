@@ -8,7 +8,6 @@
 
 #include "bench/gbench_json.h"
 #include "edc/ext/registry.h"
-#include "edc/script/analysis/analyzer.h"
 #include "edc/recipes/scripts.h"
 #include "edc/script/builtins.h"
 #include "edc/script/parser.h"
@@ -61,25 +60,25 @@ void BM_ParseAndVerify(benchmark::State& state) {
   for (auto _ : state) {
     auto program = ParseProgram(kQueueExtension);
     benchmark::DoNotOptimize(program);
-    Status s = VerifyProgram(**program, cfg);
-    benchmark::DoNotOptimize(s);
+    Admission admission = VerifyProgram(**program, cfg);
+    benchmark::DoNotOptimize(admission);
   }
 }
 BENCHMARK(BM_ParseAndVerify);
 
-void BM_AnalyzeProgram(benchmark::State& state) {
-  // The full registration-time analysis: CFG + dataflow + cost bounding +
-  // determinism taint (docs/static_analysis.md). This is the one-time price
-  // whose payoff is measured by BM_CertifiedInvocation below.
+void BM_VerifyProgram(benchmark::State& state) {
+  // The registration-time analysis alone: structure, name resolution, cost
+  // bounding and determinism taint (docs/static_analysis.md). This is the
+  // one-time price whose payoff is measured by BM_ExtensionInvocation below.
   VerifierConfig cfg = BenchConfig();
   cfg.collection_functions = {"children", "sub_objects"};
   auto program = ParseProgram(kQueueExtension);
   for (auto _ : state) {
-    AnalysisReport report = AnalyzeProgram(**program, cfg);
-    benchmark::DoNotOptimize(report);
+    Admission admission = VerifyProgram(**program, cfg);
+    benchmark::DoNotOptimize(admission);
   }
 }
-BENCHMARK(BM_AnalyzeProgram);
+BENCHMARK(BM_VerifyProgram);
 
 void BM_RegistryLoad(benchmark::State& state) {
   VerifierConfig cfg = BenchConfig();

@@ -61,9 +61,9 @@ run_lint_tier() {
     exit 1
   fi
   if command -v clang-tidy >/dev/null 2>&1; then
-    echo "== lint: clang-tidy (script + ext) =="
+    echo "== lint: clang-tidy (script + ext + lint) =="
     clang-tidy -p "$BUILD_DIR" --quiet \
-      src/edc/script/*.cpp src/edc/script/analysis/*.cpp src/edc/ext/*.cpp
+      src/edc/script/*.cpp src/edc/script/analysis/*.cpp src/edc/ext/*.cpp tools/lint/*.cpp
   else
     echo "== lint: clang-tidy not installed; skipping C++ tidy pass =="
   fi
@@ -112,10 +112,11 @@ ctest --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'DsScheduleSweep\.'
 # The analyzer's certified bounds hold only while it and the VM agree on
 # scoping and caps; these pin its output, so a change on either side that
-# moves a verdict, a bound or a diagnostic fails here.
-echo "== spotlight: pinned analyzer output (docs/static_analysis.md) =="
+# moves a verdict, a bound or a diagnostic fails here. The parity test
+# checks that edc-lint's errors are exactly what replicas admit on.
+echo "== spotlight: pinned analyzer output, admission/lint parity (docs/static_analysis.md) =="
 ctest --output-on-failure -j "$JOBS" --no-tests=error \
-  -R 'AnalyzerPinTest\.'
+  -R 'AnalyzerPinTest\.|AdmissionParityTest\.'
 echo "== spotlight: VM vs oracle at every step budget (docs/bytecode_vm.md) =="
 ctest --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'VmBudgetSweepTest\.'

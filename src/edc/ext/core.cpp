@@ -1,6 +1,5 @@
 #include "edc/ext/core.h"
 
-#include <map>
 #include <optional>
 #include <utility>
 
@@ -13,69 +12,16 @@ namespace edc {
 
 namespace {
 
-enum class HostFn {
-  kClientId, kNow, kRandom, kRead, kExists, kChildren, kSubObjects, kBlock,
-  kCreate, kDelete, kUpdate, kCas,
-};
-
-constexpr uint8_t kStateOp = 1;  // subject to the state-op budget
-constexpr uint8_t kWrites = 2;   // mutating: subject to the /em guard
-constexpr uint8_t kCreates = 4;  // subject to the object-creation budget
-constexpr uint8_t kEphemeral = 8;
-constexpr uint8_t kSequential = 16;
-constexpr uint8_t kMutation = kStateOp | kWrites;
-constexpr uint8_t kCreation = kMutation | kCreates;
-
-constexpr uint8_t kBoth = kEzkHost | kEdsHost;
-constexpr uint8_t kReads = kBoth | kReadOnlyHost;
-
-// The service-API host functions (the state-proxy interface of Fig. 2).
-struct HostSpec {
-  HostFn fn;
-  bool deterministic;
-  uint8_t sets;      // HostSet bits exposing the function
-  size_t arity;
-  int path_arg;      // index of the str path argument, -1 = none
-  uint8_t flags;
-};
-
-const std::map<std::string, HostSpec>& HostTable() {
-  static const auto* kTable = new std::map<std::string, HostSpec>{
-      {"client_id", {HostFn::kClientId, true, kReads, 0, -1, 0}},
-      {"now", {HostFn::kNow, false, kEzkHost, 0, -1, 0}},
-      {"random", {HostFn::kRandom, false, kEzkHost, 1, -1, 0}},
-      {"read_object", {HostFn::kRead, true, kReads, 1, 0, kStateOp}},
-      {"exists", {HostFn::kExists, true, kReads, 1, 0, kStateOp}},
-      {"children", {HostFn::kChildren, true, kReads, 1, 0, kStateOp}},
-      {"sub_objects", {HostFn::kSubObjects, true, kReads, 1, 0, kStateOp}},
-      {"block", {HostFn::kBlock, true, kBoth, 1, 0, kStateOp}},
-      {"create", {HostFn::kCreate, true, kBoth, 2, 0, kCreation}},
-      {"create_ephemeral", {HostFn::kCreate, true, kBoth, 2, 0, kCreation | kEphemeral}},
-      {"create_sequential", {HostFn::kCreate, true, kEzkHost, 2, 0, kCreation | kSequential}},
-      // monitor(data, path): an ephemeral tied to the invoking client.
-      {"monitor", {HostFn::kCreate, true, kBoth, 2, 1, kCreation | kEphemeral}},
-      {"delete_object", {HostFn::kDelete, true, kBoth, 1, 0, kMutation}},
-      {"update", {HostFn::kUpdate, true, kBoth, 2, 0, kMutation}},
-      {"cas", {HostFn::kCas, true, kBoth, 3, 0, kMutation}},
-  };
-  return *kTable;
-}
-
-const HostSpec* FindHost(const std::string& name, HostSet set) {
-  auto it = HostTable().find(name);
-  return it != HostTable().end() && (it->second.sets & set) != 0 ? &it->second : nullptr;
-}
-
 Result<Value> ProxyError(const Status& s) { return ScriptError(s.ToString()); }
 
 }  // namespace
 
 bool SandboxHost::HasFunction(const std::string& name) const {
-  return FindHost(name, set_) != nullptr;
+  return FindHostFn(name, set_) != nullptr;
 }
 
 Result<Value> SandboxHost::Call(const std::string& name, std::vector<Value>& args) {
-  const HostSpec* spec = FindHost(name, set_);
+  const HostSpec* spec = FindHostFn(name, set_);
   if (spec == nullptr) {
     return ScriptError("unknown host function '" + name + "'");
   }
@@ -157,12 +103,7 @@ Result<Value> SandboxHost::Call(const std::string& name, std::vector<Value>& arg
 ExtensionManagerCore::ExtensionManagerCore(const ExtensionLimits& limits, HostSet set,
                                            EmLayout layout)
     : limits_(limits), set_(set), layout_(layout) {
-  verifier_config_.allowed_functions = CoreAllowedFunctions();
-  for (const auto& [name, spec] : HostTable()) {
-    if ((spec.sets & set) != 0) {
-      verifier_config_.allowed_functions[name] = spec.deterministic;
-    }
-  }
+  verifier_config_ = SandboxVerifierConfig(set);
   // Active replication executes every extension on every replica, so the
   // EDS white list must be fully deterministic; primary-backup EZK may use
   // nondeterministic functions (§4.1.1).
@@ -176,7 +117,6 @@ ExtensionManagerCore::ExtensionManagerCore(const ExtensionLimits& limits, HostSe
   // bounds, and max_steps below a handler's bound rejects certification
   // instead of mis-certifying.
   verifier_config_.budget = limits_.budget;
-  verifier_config_.collection_functions = {"children", "sub_objects"};
 }
 
 Result<EmRequest> ExtensionManagerCore::AdmitClientWrite(EmWrite write, const std::string& path,
@@ -262,29 +202,24 @@ Invocation ExtensionManagerCore::RunOperation(const LoadedExtension& ext,
                                               const std::string& path,
                                               const std::string& data, StateProxy* proxy,
                                               Obs* obs) {
-  const char* handler = OpHandlerFor(kind);
+  const EntryPoint& entry = EntryPointFor(*ext.program, /*is_event=*/false, kind);
   std::vector<Value> args;
-  if (handler != nullptr && ext.program->handlers.count(handler) > 0) {
+  if (entry.kind != nullptr) {
     args.emplace_back(path);
     if (kind == "create" || kind == "update" || kind == "cas") {
       args.emplace_back(data);
     }
   } else {
-    handler = "handle_op";
     args.push_back(
         Value::Map({{"type", Value(kind)}, {"path", Value(path)}, {"data", Value(data)}}));
   }
-  return Settle(ext.name, Invoke(ext, handler, std::move(args), proxy, set_, obs));
+  return Settle(ext.name, Invoke(ext, entry.handler, std::move(args), proxy, set_, obs));
 }
 
 const char* ExtensionManagerCore::EventHandler(const LoadedExtension& ext,
                                                const std::string& kind) {
-  for (const char* handler : {EventHandlerFor(kind), "handle_event"}) {
-    if (handler != nullptr && ext.program->handlers.count(handler) > 0) {
-      return handler;
-    }
-  }
-  return nullptr;
+  const char* handler = EntryPointFor(*ext.program, /*is_event=*/true, kind).handler;
+  return ext.program->handlers.count(handler) > 0 ? handler : nullptr;
 }
 
 Invocation ExtensionManagerCore::RunEvent(const LoadedExtension& ext, const char* handler,

@@ -25,16 +25,10 @@
 #include "edc/common/strings.h"
 #include "edc/ext/registry.h"
 #include "edc/obs/obs.h"
+#include "edc/script/host_api.h"
 #include "edc/sim/time.h"
 
 namespace edc {
-
-// Host-function sets a sandbox can expose (bit mask over the host table).
-enum HostSet : uint8_t {
-  kEzkHost = 1,       // primary-backup: adds now/random/create_sequential
-  kEdsHost = 2,       // active replication: deterministic functions only
-  kReadOnlyHost = 4,  // EDS on_unblocked vetoes: reads and client_id
-};
 
 // Per-service state behind the sandbox. Arguments arrive checked: arity,
 // string paths, budgets and the /em write guard are the host's job.

@@ -293,14 +293,15 @@ bool DsExtensionManager::AllowUnblock(NodeId client, const DsTemplate& /*templ*/
     return true;
   }
   for (LoadedExtension* ext : core_.registry().MatchEvent("unblocked", path)) {
-    if (ext->program->handlers.count("on_unblocked") == 0) {
-      continue;
+    const EntryPoint& veto = EntryPointFor(*ext->program, /*is_event=*/true, "unblocked");
+    if (veto.kind == nullptr) {
+      continue;  // handle_event does not veto
     }
     // A read-only veto: the sandbox exposes only reads, issued through a
     // scratch context with the waiting client's access rights.
     DsExecContext scratch(server_, client, 0, 0);
     DsStateProxy proxy(&scratch, &views_, core_.limits().budget.max_collection_items);
-    Invocation inv = core_.Invoke(*ext, "on_unblocked", {Value(path)}, &proxy, kReadOnlyHost,
+    Invocation inv = core_.Invoke(*ext, veto.handler, {Value(path)}, &proxy, kReadOnlyHost,
                                   server_->obs());
     // Convention: a falsy return re-blocks the operation (§5.2.2).
     if (inv.result.ok() && !inv.result->Truthy()) {

@@ -5,7 +5,6 @@
 
 #include "edc/common/strings.h"
 #include "edc/script/analysis/diagnostics.h"
-#include "edc/script/analysis/registry_lint.h"
 #include "edc/script/parser.h"
 #include "edc/script/vm/vm.h"
 
@@ -18,18 +17,17 @@ Result<LoadedExtension> AdmitExtension(const std::string& name, uint64_t owner,
   // recurse over the source, and a large enough one exhausts the stack. The
   // Status is the verifier's own EDC-E001 rejection.
   if (source.size() > config.max_source_bytes) {
-    return Status(ErrorCode::kExtensionRejected,
-                  "verification failed at line 1: source exceeds " +
-                      std::to_string(config.max_source_bytes) + " bytes [" +
-                      kDiagSourceTooLarge + "]");
+    return Rejection(Diagnostic{kDiagSourceTooLarge, Severity::kError, 1, 1, "",
+                                "source exceeds " +
+                                    std::to_string(config.max_source_bytes) + " bytes"});
   }
   auto program = ParseProgram(source);
   if (!program.ok()) {
     return program.status();
   }
-  AnalysisReport report = AnalyzeProgram(**program, config);
-  if (auto s = ToVerifierStatus(report); !s.ok()) {
-    return s;
+  Admission admission = VerifyProgram(**program, config);
+  if (!admission.status.ok()) {
+    return admission.status;
   }
   for (const Subscription& sub : (*program)->subscriptions) {
     if (PathIsUnder(sub.pattern, kEmRoot)) {
@@ -48,7 +46,7 @@ Result<LoadedExtension> AdmitExtension(const std::string& name, uint64_t owner,
   ext.name = name;
   ext.owner = owner;
   ext.program = std::move(*program);
-  ext.reports = std::move(report.handlers);
+  ext.reports = std::move(admission.handlers);
   ext.compiled = std::make_shared<const CompiledModule>(std::move(*compiled));
   return ext;
 }
@@ -67,16 +65,6 @@ void ExtensionRegistry::Install(LoadedExtension ext) {
   ext.reg_order = next_order_++;
   std::string name = ext.name;
   extensions_[name] = std::move(ext);
-  RefreshLint();
-}
-
-void ExtensionRegistry::RefreshLint() {
-  std::vector<RegistryLintUnit> units;
-  units.reserve(extensions_.size());
-  for (const auto& [name, ext] : extensions_) {
-    units.push_back(RegistryLintUnit{name, ext.reg_order, ext.program.get()});
-  }
-  lint_warnings_ = LintRegistry(units);
 }
 
 HandlerRun RunExtensionHandler(const LoadedExtension& ext, const std::string& handler_name,
@@ -113,12 +101,10 @@ HandlerRun RunExtensionHandler(const LoadedExtension& ext, const std::string& ha
 
 void ExtensionRegistry::Unload(const std::string& name) {
   extensions_.erase(name);
-  RefreshLint();
 }
 
 void ExtensionRegistry::Clear() {
   extensions_.clear();
-  lint_warnings_.clear();
   next_order_ = 1;
 }
 
@@ -256,31 +242,6 @@ Result<std::pair<uint64_t, std::string>> DecodeRegistration(const std::string& b
     return r.status();
   }
   return std::make_pair(r->owner, std::move(r->source));
-}
-
-const char* OpHandlerFor(const std::string& kind) {
-  for (const char* known : {"read", "create", "update", "delete", "cas", "block"}) {
-    if (kind == known) {
-      return known;
-    }
-  }
-  return nullptr;
-}
-
-const char* EventHandlerFor(const std::string& kind) {
-  if (kind == "created") {
-    return "on_created";
-  }
-  if (kind == "deleted") {
-    return "on_deleted";
-  }
-  if (kind == "changed") {
-    return "on_changed";
-  }
-  if (kind == "unblocked") {
-    return "on_unblocked";
-  }
-  return nullptr;
 }
 
 }  // namespace edc

@@ -23,7 +23,6 @@
 
 #include "edc/common/codec.h"
 #include "edc/common/result.h"
-#include "edc/script/analysis/analyzer.h"
 #include "edc/script/ast.h"
 #include "edc/script/verifier.h"
 #include "edc/script/vm/bytecode.h"
@@ -85,7 +84,7 @@ HandlerRun RunExtensionHandler(const LoadedExtension& ext, const std::string& ha
                                const ExtensionLimits& limits);
 
 // Admission (§3.6), the one pass every registration takes: the source cap,
-// parse, analysis, no subscription under /em, compile. The result is ready
+// parse, VerifyProgram, no subscription under /em, compile. The result is ready
 // to Install. kExtensionRejected on any verifier violation or compile
 // refusal.
 Result<LoadedExtension> AdmitExtension(const std::string& name, uint64_t owner,
@@ -133,17 +132,8 @@ class ExtensionRegistry {
   static bool SubscriptionMatches(const Subscription& sub, bool is_event,
                                   const std::string& kind, const std::string& path);
 
-  // Cross-extension lint findings (EDC-W010..W012: shadowed triggers,
-  // redundant subscriptions, conflicting-type writes), recomputed over the
-  // whole registry after every Load/Unload. Warnings only — they never
-  // reject a registration. Diagnostic::handler carries the extension name.
-  const std::vector<Diagnostic>& lint_warnings() const { return lint_warnings_; }
-
  private:
-  void RefreshLint();
-
   std::map<std::string, LoadedExtension> extensions_;
-  std::vector<Diagnostic> lint_warnings_;
   uint64_t next_order_ = 1;
 };
 
@@ -151,11 +141,6 @@ class ExtensionRegistry {
 // the owner id plus the verified source (§3.8 makes the manager stateless).
 std::string EncodeRegistration(uint64_t owner, const std::string& source);
 Result<std::pair<uint64_t, std::string>> DecodeRegistration(const std::string& blob);
-
-// Handler entry point the manager dispatches to for an op kind ("read" ->
-// fn read, ...), or nullptr if only handle_op applies.
-const char* OpHandlerFor(const std::string& kind);
-const char* EventHandlerFor(const std::string& kind);
 
 }  // namespace edc
 

@@ -28,14 +28,29 @@ void ZkCoordClient::DispatchWatchEvent(const ZkWatchEventMsg& event) {
     }
   }
   if (event.type == ZkEventType::kNodeDeleted) {
-    auto it = deletion_waiters_.find(event.path);
-    if (it != deletion_waiters_.end()) {
-      std::vector<std::function<void()>> waiters = std::move(it->second);
-      deletion_waiters_.erase(it);
-      for (auto& cb : waiters) {
-        cb();
-      }
-    }
+    FireDeletionWaiters(event.path);
+  }
+  // An update fires the one-shot exists watch too: watch again, unless the
+  // object is already gone.
+  if (event.type == ZkEventType::kNodeDataChanged && deletion_waiters_.count(event.path) > 0) {
+    client_->Exists(event.path, true,
+                    [this, path = event.path](Result<ZkApi::ExistsResult> r) {
+                      if (!r.ok() || !r->exists) {
+                        FireDeletionWaiters(path);
+                      }
+                    });
+  }
+}
+
+void ZkCoordClient::FireDeletionWaiters(const std::string& path) {
+  auto it = deletion_waiters_.find(path);
+  if (it == deletion_waiters_.end()) {
+    return;
+  }
+  std::vector<std::function<void()>> waiters = std::move(it->second);
+  deletion_waiters_.erase(it);
+  for (auto& cb : waiters) {
+    cb();
   }
 }
 

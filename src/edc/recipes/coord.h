@@ -105,6 +105,7 @@ class ZkCoordClient : public CoordClient {
 
  private:
   void DispatchWatchEvent(const ZkWatchEventMsg& event);
+  void FireDeletionWaiters(const std::string& path);
   // Acknowledgments belong to a session (§3.6): after a failover, the first
   // call waits while the new session acknowledges again every extension
   // this client registered or acknowledged. Calls made meanwhile wait too.

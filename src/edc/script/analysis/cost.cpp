@@ -76,8 +76,9 @@ struct ExprResult {
 
 class CostAnalyzer {
  public:
-  CostAnalyzer(const ResolvedNames& names, const VerifierConfig& config)
-      : names_(names), env_(names.vars.size()) {
+  CostAnalyzer(const ResolvedNames& names, const VerifierConfig& config,
+               std::vector<Diagnostic>* precision)
+      : names_(names), env_(names.vars.size()), precision_(precision) {
     dom_.max_value_bytes = static_cast<int64_t>(config.budget.max_value_bytes);
     dom_.max_input_bytes = static_cast<int64_t>(config.budget.max_input_bytes);
     dom_.collection_cap = static_cast<int64_t>(config.budget.max_collection_items);
@@ -90,13 +91,15 @@ class CostAnalyzer {
       env_[id] = SeedParam(dom_);
     }
     bounded_ = true;
-    diags_on_ = true;
+    diags_on_ = precision_ != nullptr;
     AffBound total = BlockCost(handler.body);
     CostResult out;
     out.bounded = bounded_ && !total.IsInf();
     out.steps = out.bounded ? total.EvalAt(0) : 0;
-    SortDiagnostics(&diags_);
-    out.diags = std::move(diags_);
+    if (precision_ != nullptr) {
+      SortDiagnostics(&diags_);
+      precision_->insert(precision_->end(), diags_.begin(), diags_.end());
+    }
     return out;
   }
 
@@ -513,6 +516,7 @@ class CostAnalyzer {
   bool sym_active_ = false;
   bool diags_on_ = true;
   std::string handler_;
+  std::vector<Diagnostic>* precision_;
   std::vector<Diagnostic> diags_;
   std::set<std::string> emitted_;
 };
@@ -520,8 +524,9 @@ class CostAnalyzer {
 }  // namespace
 
 CostResult BoundHandlerCost(const Handler& handler, const ResolvedNames& names,
-                            const VerifierConfig& config) {
-  CostAnalyzer analyzer(names, config);
+                            const VerifierConfig& config,
+                            std::vector<Diagnostic>* precision) {
+  CostAnalyzer analyzer(names, config, precision);
   return analyzer.Run(handler);
 }
 

@@ -31,14 +31,15 @@
 // costed under max() rather than summed.
 //
 // The environment holds one abstract value per ResolveNames variable id
-// (cfg.h), so shadowing resolves exactly as it does in the VM. A variable
+// (names.h), so shadowing resolves exactly as it does in the VM. A variable
 // whose block has ended keeps its slot: no later use resolves to it, so its
 // value never reaches a bound or a diagnostic (it can add one fixpoint pass).
 //
-// The pass doubles as the precision-diagnostic engine: it emits EDC-W007
-// (possible division/modulo by zero), EDC-W008 (get()/index provably out of
-// range) and EDC-W009 (interval-proven dead branch) from a final
-// diagnostics-enabled pass over the stabilized environments.
+// The pass doubles as edc-lint's precision-diagnostic engine: given a sink,
+// it emits EDC-W007 (possible division/modulo by zero), EDC-W008
+// (get()/index provably out of range) and EDC-W009 (interval-proven dead
+// branch) from a final pass over each loop's stabilized environment.
+// Admission passes none and skips that pass.
 //
 // A handler whose total bound is finite is `bounded`; if the bound also fits
 // the execution budget it is *certified*: the certificate proves the VM's
@@ -50,7 +51,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "edc/script/analysis/cfg.h"
+#include "edc/script/analysis/names.h"
 #include "edc/script/analysis/diagnostics.h"
 #include "edc/script/ast.h"
 #include "edc/script/verifier.h"
@@ -60,17 +61,17 @@ namespace edc {
 struct CostResult {
   bool bounded = false;
   int64_t steps = 0;  // valid only if bounded; saturating arithmetic
-  // Precision diagnostics (EDC-W007..W009) found while propagating bounds.
-  std::vector<Diagnostic> diags;
 };
 
 // Cost bounds saturate here instead of overflowing.
 inline constexpr int64_t kCostCap = INT64_MAX / 4;
 
 // Bounds `handler` under the caps of `config.budget`, with variables as
-// `names` resolves them.
+// `names` resolves them. With `precision`, the EDC-W007..W009 warnings found
+// on the way are appended to it, sorted.
 CostResult BoundHandlerCost(const Handler& handler, const ResolvedNames& names,
-                            const VerifierConfig& config);
+                            const VerifierConfig& config,
+                            std::vector<Diagnostic>* precision = nullptr);
 
 }  // namespace edc
 

@@ -1,11 +1,11 @@
 #include "edc/script/analysis/determinism.h"
 
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "edc/script/builtins.h"
+#include "edc/script/host_api.h"
 
 namespace edc {
 
@@ -144,18 +144,17 @@ class TaintAnalyzer {
     return false;
   }
 
-  // Every whitelisted host function but the reads and environment queries
-  // mutates replicated state.
+  // The host table's taint sinks. A whitelisted function it does not list
+  // (a test's own host) is assumed to mutate replicated state.
   bool IsMutatingHostFn(const std::string& name) const {
-    static const std::set<std::string> kReadOnly = {
-        "read_object", "exists", "children", "sub_objects", "client_id", "now", "random"};
     if (config_.allowed_functions.count(name) == 0) {
       return false;  // not whitelisted: rejected elsewhere (EDC-E012)
     }
     if (CoreBuiltins().count(name) > 0) {
       return false;  // pure builtins have no state effects
     }
-    return kReadOnly.count(name) == 0;
+    const HostSpec* spec = FindHostFn(name);
+    return spec == nullptr || (spec->flags & kTaintSink) != 0;
   }
 
   void Sink(int line, int col, const std::string& what) {

@@ -9,12 +9,10 @@
 //   flow     through variables, expressions, list/map construction, and
 //            implicitly through control (assignments and effects under a
 //            branch whose condition is tainted)
-//   sinks    (a) arguments to state-mutating host functions (every
-//            whitelisted host function but the reads and environment
-//            queries read_object, exists, children, sub_objects, client_id,
-//            now and random), (b) mutating host calls executed under
-//            tainted control, (c) return values (the reply is part of the
-//            replicated outcome)
+//   sinks    (a) arguments to state-mutating host functions (the host
+//            table's kTaintSink entries, host_api.h: the writes and block),
+//            (b) mutating host calls executed under tainted control,
+//            (c) return values (the reply is part of the replicated outcome)
 //
 // A nondeterministic value that provably never reaches a sink — e.g. a dead
 // `let t = now();` used only in a discarded expression — is admissible even
@@ -25,7 +23,7 @@
 
 #include <vector>
 
-#include "edc/script/analysis/cfg.h"
+#include "edc/script/analysis/names.h"
 #include "edc/script/analysis/diagnostics.h"
 #include "edc/script/ast.h"
 #include "edc/script/verifier.h"

@@ -15,8 +15,10 @@
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "edc/common/result.h"
+#include "edc/script/analysis/diagnostics.h"
 #include "edc/script/ast.h"
 #include "edc/script/budget.h"
 
@@ -46,18 +48,50 @@ struct VerifierConfig {
 };
 
 // Returns the allowed-function map for the core builtins only; bindings add
-// their service API on top.
+// their service API on top (host_api.h).
 std::map<std::string, bool> CoreAllowedFunctions();
 
-// Validates `program` against `config`. kExtensionRejected on any violation;
-// the message names the first offending construct and line.
-Status VerifyProgram(const Program& program, const VerifierConfig& config);
+// What registration decides about one handler (§4.2).
+struct HandlerReport {
+  bool cost_bounded = false;
+  int64_t step_bound = 0;     // valid only when cost_bounded
+  bool certified = false;     // cost_bounded && step_bound <= budget.max_steps
+  bool deterministic = true;  // no nondeterministic taint reaches a sink
+};
 
-// Entry-point names the extension manager dispatches to.
+// The admission verdict on a program.
+struct Admission {
+  Status status;  // Ok, or the Rejection of the first error
+  std::vector<Diagnostic> errors;  // every error found, in SortDiagnostics order
+  std::map<std::string, HandlerReport> handlers;
+};
+
+// Admission (paper §4.1.1), the analysis every replica runs on a
+// registration: program structure, the statement/nesting budget and the
+// white list, name resolution, the worst-case step bound and determinism
+// taint. Warnings are edc-lint's (tools/lint/analyzer.h), not admission's.
+Admission VerifyProgram(const Program& program, const VerifierConfig& config);
+
+// kExtensionRejected, "verification failed at line N: <message> [CODE]".
+Status Rejection(const Diagnostic& error);
+
+// The handler entry points: one per op and event kind, plus the catch-alls
+// handle_op and handle_event. Subscriptions name the kinds, and op kind
+// "any" matches every op.
+struct EntryPoint {
+  bool is_event;
+  const char* kind;  // null for the catch-all
+  const char* handler;
+};
 bool IsKnownOpHandler(const std::string& name);
 bool IsKnownEventHandler(const std::string& name);
 bool IsKnownOpKind(const std::string& kind);
 bool IsKnownEventKind(const std::string& kind);
+// The entry point an op (event) of `kind` runs in `program`: the one named
+// for `kind` ("read" -> read, "deleted" -> on_deleted) if `program` defines
+// it, else the catch-all, defined or not.
+const EntryPoint& EntryPointFor(const Program& program, bool is_event,
+                                const std::string& kind);
 
 }  // namespace edc
 

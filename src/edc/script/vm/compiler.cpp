@@ -5,7 +5,7 @@
 #include <utility>
 #include <vector>
 
-#include "edc/script/analysis/cfg.h"
+#include "edc/script/analysis/names.h"
 #include "edc/script/builtins.h"
 
 namespace edc {

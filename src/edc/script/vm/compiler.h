@@ -1,7 +1,7 @@
 // AST -> register bytecode compiler for verified CoordScript handlers.
 //
 // Lowering performed here (docs/bytecode_vm.md):
-//   * static scope resolution — ResolveNames (analysis/cfg.h) gives every
+//   * static scope resolution — ResolveNames (analysis/names.h) gives every
 //     variable an id, and variable id i lives in register i (parameters
 //     first, so argument i lands in register i); temporaries go above
 //   * constant folding of pure literal subtrees, carrying the tree walk's

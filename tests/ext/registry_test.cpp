@@ -141,7 +141,7 @@ TEST(ExtensionRegistryTest, OversizedSourceIsRejectedBeforeParsing) {
   parseable += "return 0; } }";
   auto program = ParseProgram(parseable);
   ASSERT_TRUE(program.ok());
-  Status verifier = VerifyProgram(**program, core.verifier_config());
+  Status verifier = VerifyProgram(**program, core.verifier_config()).status;
   EXPECT_NE(verifier.message().find("[EDC-E001]"), std::string::npos) << verifier.ToString();
 
   auto admit = [&core](const std::string& source, Duration* cpu) {
@@ -169,12 +169,21 @@ TEST(ExtensionRegistryTest, RegistrationBlobRoundTrips) {
 }
 
 TEST(ExtensionRegistryTest, HandlerNameMapping) {
-  EXPECT_STREQ(OpHandlerFor("read"), "read");
-  EXPECT_STREQ(OpHandlerFor("block"), "block");
-  EXPECT_EQ(OpHandlerFor("any"), nullptr);
-  EXPECT_STREQ(EventHandlerFor("deleted"), "on_deleted");
-  EXPECT_STREQ(EventHandlerFor("unblocked"), "on_unblocked");
-  EXPECT_EQ(EventHandlerFor("nonsense"), nullptr);
+  auto program = ParseProgram(R"(extension m {
+    on op any "/m"; on event deleted "/m";
+    fn read(o) { return 1; } fn block(o) { return 1; }
+    fn on_deleted(o) { return 1; } fn on_unblocked(o) { return 1; } })");
+  ASSERT_TRUE(program.ok());
+  const Program& p = **program;
+  EXPECT_STREQ(EntryPointFor(p, false, "read").handler, "read");
+  EXPECT_STREQ(EntryPointFor(p, false, "block").handler, "block");
+  EXPECT_STREQ(EntryPointFor(p, true, "deleted").handler, "on_deleted");
+  EXPECT_STREQ(EntryPointFor(p, true, "unblocked").handler, "on_unblocked");
+  // A kind the program has no handler for, or no such kind: the catch-all.
+  EXPECT_STREQ(EntryPointFor(p, false, "update").handler, "handle_op");
+  EXPECT_EQ(EntryPointFor(p, false, "any").kind, nullptr);
+  EXPECT_STREQ(EntryPointFor(p, true, "created").handler, "handle_event");
+  EXPECT_EQ(EntryPointFor(p, true, "nonsense").kind, nullptr);
 }
 
 TEST(ExtensionRegistryTest, ClearResetsEverything) {

@@ -9,9 +9,9 @@
 #include <vector>
 
 #include "edc/obs/obs.h"
-#include "edc/script/analysis/analyzer.h"
 #include "tests/ext/over_budget_ext.h"
 #include "tests/zk/zk_cluster.h"
+#include "tools/lint/analyzer.h"
 
 namespace edc {
 namespace {

@@ -271,5 +271,51 @@ TEST_P(RecipeTest, LeaderElectionRotatesOnAbdication) {
   EXPECT_EQ(leadership_order[2], 2u);
 }
 
+// OnDeleted on ZooKeeper arms a one-shot exists watch, which an update of
+// the object fires as well: the waiter must outlast every update and fire
+// once, at the deletion.
+class DeletionWatchTest : public RecipeTest {
+ protected:
+  // Creates /w, waits for its deletion through client 0 while client 1
+  // updates it `updates` times and then deletes it; returns how often the
+  // waiter fired.
+  int FiredAfterUpdatesThenDelete(int updates) {
+    auto fixture = MakeFixture(2);
+    CoordClient* watcher = fixture->coord(0);
+    CoordClient* writer = fixture->coord(1);
+    Status status = Status(ErrorCode::kInternal);
+    writer->Create("/w", "0", [&](Result<std::string> r) { status = r.status(); });
+    fixture->Settle(Seconds(1));
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    int fired = 0;
+    watcher->OnDeleted("/w", [&fired]() { ++fired; });
+    fixture->Settle(Seconds(1));
+    for (int i = 1; i <= updates; ++i) {
+      writer->Update("/w", std::to_string(i), [&](Status s) { status = s; });
+      fixture->Settle(Seconds(1));
+      EXPECT_TRUE(status.ok()) << status.ToString();
+      EXPECT_EQ(fired, 0) << "after update " << i;
+    }
+    writer->Delete("/w", [&](Status s) { status = s; });
+    fixture->Settle(Seconds(1));
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    return fired;
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    ZkFamily, DeletionWatchTest,
+    ::testing::Values(SystemParam{.kind = SystemKind::kZooKeeper, .name = "ZooKeeper"},
+                      SystemParam{.kind = SystemKind::kExtensibleZooKeeper, .name = "EZK"}),
+    [](const ::testing::TestParamInfo<SystemParam>& info) { return info.param.name; });
+
+TEST_P(DeletionWatchTest, UpdateThenDeleteFiresOnce) {
+  EXPECT_EQ(FiredAfterUpdatesThenDelete(1), 1);
+}
+
+TEST_P(DeletionWatchTest, TwoUpdatesThenDeleteFiresOnce) {
+  EXPECT_EQ(FiredAfterUpdatesThenDelete(2), 1);
+}
+
 }  // namespace
 }  // namespace edc

@@ -21,13 +21,13 @@
 #include <string>
 #include <vector>
 
-#include "edc/script/analysis/analyzer.h"
 #include "edc/script/parser.h"
 #include "edc/script/verifier.h"
 #include "edc/script/vm/compiler.h"
 #include "edc/script/vm/vm.h"
 #include "tests/oracle/interpreter.h"
 #include "tests/script/vm_corpus.h"
+#include "tools/lint/analyzer.h"
 
 namespace edc {
 namespace {

@@ -18,10 +18,10 @@
 
 #include "edc/common/hash.h"
 #include "edc/recipes/scripts.h"
-#include "edc/script/analysis/analyzer.h"
-#include "edc/script/analysis/lint.h"
 #include "edc/script/parser.h"
 #include "tests/script/vm_corpus.h"
+#include "tools/lint/analyzer.h"
+#include "tools/lint/lint.h"
 
 namespace edc {
 namespace {

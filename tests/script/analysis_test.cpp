@@ -1,14 +1,14 @@
-#include "edc/script/analysis/analyzer.h"
+#include "tools/lint/analyzer.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "edc/script/analysis/lint.h"
 #include "edc/script/parser.h"
 #include "edc/script/verifier.h"
 #include "edc/script/vm/compiler.h"
 #include "edc/script/vm/vm.h"
+#include "tools/lint/lint.h"
 
 namespace edc {
 namespace {
@@ -477,7 +477,7 @@ TEST(AnalysisTest, VerifierStatusKeepsLegacyFormat) {
   auto prog = ParseProgram(R"(
     extension e { on op read "/x"; fn read(o) { return system("x"); } })");
   ASSERT_TRUE(prog.ok());
-  Status s = VerifyProgram(**prog, TestConfig());
+  Status s = VerifyProgram(**prog, TestConfig()).status;
   EXPECT_EQ(s.code(), ErrorCode::kExtensionRejected);
   EXPECT_NE(s.message().find("verification failed at line"), std::string::npos);
   EXPECT_NE(s.message().find("white list"), std::string::npos);

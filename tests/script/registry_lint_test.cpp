@@ -4,17 +4,19 @@
 // sibling /x1), while "/x/*" is a path subtree (it matches /x and /x/... but
 // never /x1) — a lint that conflated the two would report false shadowing.
 
-#include "edc/script/analysis/registry_lint.h"
+#include "tools/lint/registry_lint.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "edc/ext/registry.h"
 #include "edc/recipes/scripts.h"
 #include "edc/script/parser.h"
+#include "edc/script/verifier.h"
+#include "tools/lint/lint.h"
 
 namespace edc {
 namespace {
@@ -167,56 +169,22 @@ TEST(RegistryLintTest, CasConflictUsesWrittenValueNotCompareValue) {
   EXPECT_TRUE(LintRegistry(units).empty());
 }
 
-// End-to-end wiring: ExtensionRegistry recomputes the lint after every
-// Load/Unload and exposes it via lint_warnings().
-TEST(RegistryLintTest, RegistryLoadRefreshesLintWarnings) {
-  VerifierConfig cfg;
-  cfg.allowed_functions = CoreAllowedFunctions();
-
-  ExtensionRegistry registry;
-  ASSERT_TRUE(
-      registry
-          .Load("a", 1,
-                R"(extension a { on op read "/q/head"; fn read(oid) { return 1; } })",
-                cfg)
-          .ok());
-  EXPECT_TRUE(registry.lint_warnings().empty());
-
-  ASSERT_TRUE(
-      registry
-          .Load("b", 1,
-                R"(extension b { on op read "/q/*"; fn read(oid) { return 2; } })",
-                cfg)
-          .ok());
-  ASSERT_EQ(registry.lint_warnings().size(), 1u);
-  EXPECT_EQ(registry.lint_warnings()[0].code, "EDC-W010");
-  EXPECT_EQ(registry.lint_warnings()[0].handler, "a");
-
-  registry.Unload("b");
-  EXPECT_TRUE(registry.lint_warnings().empty());
-}
-
 TEST(RegistryLintTest, BuiltInRecipesAreCleanTogether) {
   // The six paper recipes must not shadow or conflict with one another in
   // any registration order the benchmarks use.
-  ExtensionRegistry registry;
-  VerifierConfig cfg;
-  cfg.allowed_functions = CoreAllowedFunctions();
-  for (const char* name :
-       {"create", "create_ephemeral", "create_sequential", "delete_object",
-        "update", "cas", "read_object", "exists", "children", "sub_objects",
-        "block", "monitor", "client_id"}) {
-    cfg.allowed_functions[name] = true;
+  const std::pair<const char*, const char*> kRecipes[] = {
+      {"counter", kCounterExtension},   {"queue", kQueueExtension},
+      {"barrier", kBarrierExtension},   {"election", kElectionExtension},
+      {"rename", kRenameExtension},     {"two_phase", kTwoPhaseExtension}};
+  std::vector<std::shared_ptr<Program>> programs;
+  std::vector<RegistryLintUnit> units;
+  for (const auto& [name, source] : kRecipes) {
+    programs.push_back(Parse(source));
+    ASSERT_TRUE(VerifyProgram(*programs.back(), LintVerifierConfig()).status.ok()) << name;
+    units.push_back({name, units.size() + 1, programs.back().get()});
   }
-  cfg.collection_functions = {"children", "sub_objects"};
-  ASSERT_TRUE(registry.Load("counter", 1, kCounterExtension, cfg).ok());
-  ASSERT_TRUE(registry.Load("queue", 1, kQueueExtension, cfg).ok());
-  ASSERT_TRUE(registry.Load("barrier", 1, kBarrierExtension, cfg).ok());
-  ASSERT_TRUE(registry.Load("election", 1, kElectionExtension, cfg).ok());
-  ASSERT_TRUE(registry.Load("rename", 1, kRenameExtension, cfg).ok());
-  ASSERT_TRUE(registry.Load("two_phase", 1, kTwoPhaseExtension, cfg).ok());
-  EXPECT_TRUE(registry.lint_warnings().empty())
-      << registry.lint_warnings()[0].message;
+  std::vector<Diagnostic> diags = LintRegistry(units);
+  EXPECT_TRUE(diags.empty()) << diags[0].message;
 }
 
 }  // namespace

@@ -25,7 +25,7 @@ Status Verify(const char* src, const VerifierConfig& cfg) {
   if (!prog.ok()) {
     return prog.status();
   }
-  return VerifyProgram(**prog, cfg);
+  return VerifyProgram(**prog, cfg).status;
 }
 
 TEST(VerifierTest, AcceptsWellFormedExtension) {

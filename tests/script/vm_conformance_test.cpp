@@ -19,13 +19,13 @@
 
 #include "edc/ext/registry.h"
 #include "edc/recipes/scripts.h"
-#include "edc/script/analysis/analyzer.h"
-#include "edc/script/analysis/lint.h"
 #include "edc/script/parser.h"
 #include "edc/script/vm/compiler.h"
 #include "edc/script/vm/vm.h"
 #include "tests/oracle/interpreter.h"
 #include "tests/script/vm_corpus.h"
+#include "tools/lint/analyzer.h"
+#include "tools/lint/lint.h"
 
 namespace edc {
 namespace {

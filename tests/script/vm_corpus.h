@@ -25,11 +25,11 @@
 
 #include "edc/common/rng.h"
 #include "edc/recipes/scripts.h"
-#include "edc/script/analysis/lint.h"
 #include "edc/script/value.h"
 #include "edc/script/vm/compiler.h"
 #include "edc/script/vm/vm.h"
 #include "tests/oracle/interpreter.h"
+#include "tools/lint/lint.h"
 
 namespace edc {
 

@@ -1,8 +1,8 @@
 // edc-lint: static-analysis driver for CoordScript extension sources.
 //
-// Runs the full registration-time analyzer (structure, scoping, dataflow,
-// interval/length cost bounding, precision diagnostics, determinism taint)
-// over each input file and prints every diagnostic, gcc-style:
+// Runs admission (structure, scoping, interval/length cost bounding,
+// determinism taint) and the lint-only passes (dataflow, cost and precision
+// warnings) over each input file and prints every diagnostic, gcc-style:
 // "file:line:col: severity: message [EDC-Xnnn]". With several input files it
 // also runs the whole-registry lint (EDC-W010..W012) over the set, treating
 // the files as extensions registered in command-line order.
@@ -25,15 +25,12 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "edc/script/analysis/lint.h"
-#include "edc/script/analysis/registry_lint.h"
-#include "edc/script/parser.h"
+#include "tools/lint/lint.h"
 
 namespace {
 
@@ -99,12 +96,6 @@ std::string JsonHandler(const std::string& name, const edc::HandlerReport& hr) {
   return out;
 }
 
-struct FileLint {
-  std::string file;
-  edc::LintResult result;
-  std::shared_ptr<edc::Program> program;  // null when the source won't parse
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -142,7 +133,7 @@ int main(int argc, char** argv) {
     return Usage();
   }
 
-  std::vector<FileLint> lints;
+  std::vector<edc::LintInput> sources;
   for (const std::string& file : files) {
     std::ifstream in(file);
     if (!in) {
@@ -151,55 +142,36 @@ int main(int argc, char** argv) {
     }
     std::ostringstream buf;
     buf << in.rdbuf();
-    FileLint fl;
-    fl.file = file;
-    fl.result = edc::LintSource(file, buf.str(), config);
-    if (auto program = edc::ParseProgram(buf.str()); program.ok()) {
-      fl.program = std::move(*program);
-    }
-    lints.push_back(std::move(fl));
+    sources.push_back(edc::LintInput{file, buf.str()});
   }
-
-  // Whole-registry pass: treat the parseable files as extensions registered
-  // in command-line order, the way the dispatcher would see them.
-  std::vector<edc::Diagnostic> registry_diags;
-  if (lints.size() > 1) {
-    std::vector<edc::RegistryLintUnit> units;
-    for (size_t i = 0; i < lints.size(); ++i) {
-      if (lints[i].program != nullptr) {
-        units.push_back(
-            edc::RegistryLintUnit{lints[i].file, i + 1, lints[i].program.get()});
-      }
-    }
-    registry_diags = edc::LintRegistry(units);
-  }
+  edc::LintSetResult lint = edc::LintSources(sources, config);
 
   bool any_error = false;
-  bool any_warning = !registry_diags.empty();
-  for (const FileLint& fl : lints) {
-    any_error = any_error || fl.result.has_errors;
-    for (const edc::Diagnostic& d : fl.result.diagnostics) {
+  bool any_warning = !lint.registry.empty();
+  for (const edc::LintResult& fl : lint.files) {
+    any_error = any_error || fl.has_errors;
+    for (const edc::Diagnostic& d : fl.diagnostics) {
       any_warning = any_warning || d.severity == edc::Severity::kWarning;
     }
   }
 
   if (json) {
     std::string out = "{\"files\":[";
-    for (size_t i = 0; i < lints.size(); ++i) {
-      const FileLint& fl = lints[i];
+    for (size_t i = 0; i < lint.files.size(); ++i) {
+      const edc::LintResult& fl = lint.files[i];
       if (i > 0) {
         out += ",";
       }
-      out += "{\"file\":\"" + JsonEscape(fl.file) + "\",\"diagnostics\":[";
-      for (size_t j = 0; j < fl.result.diagnostics.size(); ++j) {
+      out += "{\"file\":\"" + JsonEscape(fl.unit) + "\",\"diagnostics\":[";
+      for (size_t j = 0; j < fl.diagnostics.size(); ++j) {
         if (j > 0) {
           out += ",";
         }
-        out += JsonDiagnostic(fl.file, fl.result.diagnostics[j]);
+        out += JsonDiagnostic(fl.unit, fl.diagnostics[j]);
       }
       out += "],\"handlers\":[";
       size_t j = 0;
-      for (const auto& [name, hr] : fl.result.handlers) {
+      for (const auto& [name, hr] : fl.handlers) {
         if (j++ > 0) {
           out += ",";
         }
@@ -208,32 +180,17 @@ int main(int argc, char** argv) {
       out += "]}";
     }
     out += "],\"registry\":[";
-    for (size_t j = 0; j < registry_diags.size(); ++j) {
+    for (size_t j = 0; j < lint.registry.size(); ++j) {
       if (j > 0) {
         out += ",";
       }
       // Registry diagnostics carry the extension (= file) in `handler`.
-      out += JsonDiagnostic(registry_diags[j].handler, registry_diags[j]);
+      out += JsonDiagnostic(lint.registry[j].handler, lint.registry[j]);
     }
     out += "]}";
     std::cout << out << "\n";
   } else {
-    for (const FileLint& fl : lints) {
-      std::cout << fl.result.formatted;
-      if (dump_bounds) {
-        for (const auto& [name, hr] : fl.result.handlers) {
-          std::cout << fl.file << ": handler " << name << ": bound="
-                    << (hr.cost_bounded ? std::to_string(hr.step_bound)
-                                        : std::string("unbounded"))
-                    << " certified=" << (hr.certified ? "yes" : "no")
-                    << " deterministic=" << (hr.deterministic ? "yes" : "no")
-                    << "\n";
-        }
-      }
-    }
-    for (const edc::Diagnostic& d : registry_diags) {
-      std::cout << edc::FormatDiagnostic(d.handler, d) << "\n";
-    }
+    std::cout << lint.Format(dump_bounds);
   }
 
   return (any_error || (werror && any_warning)) ? 1 : 0;

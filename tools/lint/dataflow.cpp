@@ -1,4 +1,4 @@
-#include "edc/script/analysis/dataflow.h"
+#include "tools/lint/dataflow.h"
 
 #include <set>
 #include <string>

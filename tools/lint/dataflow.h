@@ -9,14 +9,15 @@
 //   it validates the CFG machinery and would catch regressions if the
 //   grammar ever grows uninitialized declarations.
 
-#ifndef EDC_SCRIPT_ANALYSIS_DATAFLOW_H_
-#define EDC_SCRIPT_ANALYSIS_DATAFLOW_H_
+#ifndef EDC_TOOLS_LINT_DATAFLOW_H_
+#define EDC_TOOLS_LINT_DATAFLOW_H_
 
 #include <vector>
 
-#include "edc/script/analysis/cfg.h"
 #include "edc/script/analysis/diagnostics.h"
+#include "edc/script/analysis/names.h"
 #include "edc/script/ast.h"
+#include "tools/lint/cfg.h"
 
 namespace edc {
 
@@ -27,4 +28,4 @@ void RunDataflowChecks(const Handler& handler, const Cfg& cfg,
 
 }  // namespace edc
 
-#endif  // EDC_SCRIPT_ANALYSIS_DATAFLOW_H_
+#endif  // EDC_TOOLS_LINT_DATAFLOW_H_

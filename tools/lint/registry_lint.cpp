@@ -1,10 +1,11 @@
-#include "edc/script/analysis/registry_lint.h"
+#include "tools/lint/registry_lint.h"
 
 #include <algorithm>
 #include <map>
 #include <utility>
 
 #include "edc/common/strings.h"
+#include "edc/script/host_api.h"
 
 namespace edc {
 
@@ -64,17 +65,11 @@ void CollectWrites(const Expr& expr, const RegistryLintUnit& unit,
                    const std::string& handler,
                    std::map<std::string, std::vector<LiteralWrite>>* writes) {
   if (expr.kind == Expr::Kind::kCall) {
-    // create*/update write args[1]; cas writes args[2] (args[1] is the
-    // compare-against value).
-    size_t value_idx = 0;
-    if (expr.name == "create" || expr.name == "create_ephemeral" ||
-        expr.name == "create_sequential" || expr.name == "update") {
-      value_idx = 1;
-    } else if (expr.name == "cas") {
-      value_idx = 2;
-    }
-    const Expr* path = LiteralArg(expr, 0);
-    const Expr* value = value_idx > 0 ? LiteralArg(expr, value_idx) : nullptr;
+    // The value written is the last argument (cas's second is only compared).
+    const HostSpec* spec = FindHostFn(expr.name);
+    const bool typed = spec != nullptr && (spec->flags & kTypedWrite) != 0;
+    const Expr* path = typed ? LiteralArg(expr, spec->path_arg) : nullptr;
+    const Expr* value = typed ? LiteralArg(expr, spec->arity - 1) : nullptr;
     if (path != nullptr && value != nullptr && path->literal.is_str()) {
       LiteralWrite w;
       w.extension = unit.extension;

@@ -12,15 +12,16 @@
 //   EDC-W011  a subscription is redundant within its own extension — an
 //             earlier subscription in the same program already covers it.
 //   EDC-W012  two handlers write literal values of conflicting types to the
-//             same literal key (create/update/cas with literal path + value).
+//             same literal key (a kTypedWrite host call, host_api.h, with a
+//             literal path and value).
 //
 // Subsumption respects the two prefix flavors exactly as SubscriptionMatches
 // does: "/x*" is a plain string prefix (matches the sibling /x1), "/x/*" is a
 // path subtree (PathIsUnder; matches /x itself and /x/...), and op kind "any"
 // covers every op kind.
 
-#ifndef EDC_SCRIPT_ANALYSIS_REGISTRY_LINT_H_
-#define EDC_SCRIPT_ANALYSIS_REGISTRY_LINT_H_
+#ifndef EDC_TOOLS_LINT_REGISTRY_LINT_H_
+#define EDC_TOOLS_LINT_REGISTRY_LINT_H_
 
 #include <cstdint>
 #include <string>
@@ -48,4 +49,4 @@ std::vector<Diagnostic> LintRegistry(const std::vector<RegistryLintUnit>& units)
 
 }  // namespace edc
 
-#endif  // EDC_SCRIPT_ANALYSIS_REGISTRY_LINT_H_
+#endif  // EDC_TOOLS_LINT_REGISTRY_LINT_H_
