@@ -107,6 +107,13 @@ ctest --output-on-failure -j "$JOBS" --no-tests=error -L bft
 echo "== spotlight: BFT recovery + crash-restart chaos =="
 ctest --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'BftRecovery\.|ChaosTest\.CrashRestartEdsReplicaRejoinsViaStateTransfer'
+# One fault model (docs/fault_model.md): a FaultPlan is one list of episodes,
+# each end undoing only its own begin, and the network keeps one record per
+# directed link: plan execution, composing partitions, link faults, FIFO
+# floors across crashes, and the fixture chaos scenarios.
+echo "== spotlight: fault episodes, per-link network records, chaos scenarios =="
+ctest --output-on-failure -j "$JOBS" --no-tests=error \
+  -R 'FaultsTest\.|NetworkTest\.|ChaosTest\.'
 echo "== spotlight: EDS schedule sweep (crash-restart grammar) =="
 ctest --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'DsScheduleSweep\.'

@@ -20,8 +20,6 @@ constexpr Duration kOpTimeout = Millis(2000);
 constexpr Duration kWorkloadDeadline = Seconds(15);
 constexpr Duration kDrainTime = Seconds(3);
 
-std::string MillisStr(Duration d) { return std::to_string(d / 1000000) + "ms"; }
-
 // Drives one client through a seeded sequence of operations. Each operation
 // is raced against a timeout: a pending ZK call can legitimately hang
 // forever (parked across a reconnect, or a blocking DS read with no matching
@@ -198,15 +196,10 @@ void RunWatchPair(CoordFixture& fx) {
   }
 }
 
-bool IsMembershipEpisode(EpisodeKind kind) {
-  return kind == EpisodeKind::kJoin || kind == EpisodeKind::kRemoveFollower ||
-         kind == EpisodeKind::kRemoveLeader || kind == EpisodeKind::kObserverPromote;
-}
-
 // Executes one membership episode against a running ZK fixture. Reconfig
 // failures (no quorum inside an overlapping fault window, leader churn) are
 // tolerated: the sweep asserts safety after the drain, not reconfig liveness.
-void RunMembershipEpisode(CoordFixture& fx, const PlanEpisode& ep) {
+void RunMembershipEpisode(CoordFixture& fx, const MembershipEpisode& ep) {
   auto leader_of = [&fx]() -> ZkServer* {
     for (const auto& s : fx.zk_servers) {
       if (s->running() && s->zab().is_leader()) {
@@ -220,10 +213,10 @@ void RunMembershipEpisode(CoordFixture& fx, const PlanEpisode& ep) {
            s.code() == ErrorCode::kConnectionLoss;
   };
   switch (ep.kind) {
-    case EpisodeKind::kJoin:
+    case MembershipKind::kJoin:
       fx.JoinReplica(ep.node, Seconds(20));
       break;
-    case EpisodeKind::kObserverPromote: {
+    case MembershipKind::kObserverPromote: {
       // Two-phase: register + boot the observer now, promote after the
       // episode's duration of commit-stream tailing.
       if (fx.ZkServerById(ep.node) == nullptr) {
@@ -245,7 +238,7 @@ void RunMembershipEpisode(CoordFixture& fx, const PlanEpisode& ep) {
       } while (fx.loop().now() < deadline);
       break;
     }
-    case EpisodeKind::kRemoveFollower: {
+    case MembershipKind::kRemoveFollower: {
       ZkServer* leader = leader_of();
       for (NodeId v : fx.CurrentZkVoters()) {
         if (leader != nullptr && v == leader->id()) {
@@ -260,99 +253,43 @@ void RunMembershipEpisode(CoordFixture& fx, const PlanEpisode& ep) {
       }
       break;
     }
-    case EpisodeKind::kRemoveLeader: {
+    case MembershipKind::kRemoveLeader: {
       if (ZkServer* leader = leader_of()) {
         fx.RemoveReplica(leader->id());
       }
       break;
     }
-    default:
-      break;
   }
 }
 
 }  // namespace
 
-FaultPlan PlanSpec::Build(SimTime base) const {
-  FaultPlan plan;
-  for (const PlanEpisode& ep : episodes) {
-    SimTime at = base + ep.start;
-    SimTime end = at + ep.duration;
-    switch (ep.kind) {
-      case EpisodeKind::kCrashRestart:
-        plan.CrashAt(at, ep.node);
-        plan.RestartAt(end, ep.node);
-        break;
-      case EpisodeKind::kPartition:
-        plan.PartitionAt(at, ep.group_a, ep.group_b);
-        plan.HealAt(end);
-        break;
-      case EpisodeKind::kLinkDelay:
-        plan.LinkFaultsAt(at, ep.link_a, ep.link_b, LinkFaults{0.0, 0.0, ep.delay});
-        plan.ClearLinkFaultsAt(end, ep.link_a, ep.link_b);
-        break;
-      case EpisodeKind::kLinkDup:
-        plan.LinkFaultsAt(at, ep.link_a, ep.link_b,
-                          LinkFaults{0.0, ep.dup_probability, 0});
-        plan.ClearLinkFaultsAt(end, ep.link_a, ep.link_b);
-        break;
-      case EpisodeKind::kJoin:
-      case EpisodeKind::kRemoveFollower:
-      case EpisodeKind::kRemoveLeader:
-      case EpisodeKind::kObserverPromote:
-        // Membership episodes are executed by RunSchedule's drive loop, not
-        // scheduled as fault steps (see explorer.h).
-        break;
-    }
-  }
-  return plan;
-}
-
 std::string PlanSpec::ToString() const {
-  if (episodes.empty()) {
-    return "(no fault episodes)";
+  if (membership.empty()) {
+    return faults.ToString();
   }
   std::ostringstream os;
-  for (const PlanEpisode& ep : episodes) {
+  if (!faults.episodes.empty()) {
+    os << faults.ToString();
+  }
+  for (const MembershipEpisode& ep : membership) {
     os << "  ";
     switch (ep.kind) {
-      case EpisodeKind::kCrashRestart:
-        os << "crash-restart node=" << ep.node;
-        break;
-      case EpisodeKind::kPartition: {
-        os << "partition {";
-        for (size_t i = 0; i < ep.group_a.size(); ++i) {
-          os << (i ? "," : "") << ep.group_a[i];
-        }
-        os << "}|{";
-        for (size_t i = 0; i < ep.group_b.size(); ++i) {
-          os << (i ? "," : "") << ep.group_b[i];
-        }
-        os << "}";
-        break;
-      }
-      case EpisodeKind::kLinkDelay:
-        os << "link-delay " << ep.link_a << "<->" << ep.link_b << " +"
-           << MillisStr(ep.delay);
-        break;
-      case EpisodeKind::kLinkDup:
-        os << "link-dup " << ep.link_a << "<->" << ep.link_b
-           << " p=" << ep.dup_probability;
-        break;
-      case EpisodeKind::kJoin:
+      case MembershipKind::kJoin:
         os << "join node=" << ep.node;
         break;
-      case EpisodeKind::kRemoveFollower:
+      case MembershipKind::kRemoveFollower:
         os << "remove-follower";
         break;
-      case EpisodeKind::kRemoveLeader:
+      case MembershipKind::kRemoveLeader:
         os << "remove-leader";
         break;
-      case EpisodeKind::kObserverPromote:
+      case MembershipKind::kObserverPromote:
         os << "observer-promote node=" << ep.node;
         break;
     }
-    os << " start=+" << MillisStr(ep.start) << " dur=" << MillisStr(ep.duration) << "\n";
+    os << " start=+" << DurationString(ep.start) << " dur=" << DurationString(ep.duration)
+       << "\n";
   }
   return os.str();
 }
@@ -360,11 +297,19 @@ std::string PlanSpec::ToString() const {
 PlanSpec GeneratePlan(SystemKind system, uint64_t seed) {
   bool zk = IsZkFamily(system);
   Rng rng(seed * 0x9e3779b97f4a7c15ULL + (zk ? 1 : 2));
+  // A link-faults episode on a link between two of the servers {1..n}.
+  auto draw_link = [&rng](Episode& ep, uint64_t n) {
+    ep.kind = EpisodeKind::kLinkFaults;
+    ep.node = static_cast<NodeId>(1 + rng.UniformU64(n));
+    do {
+      ep.peer = static_cast<NodeId>(1 + rng.UniformU64(n));
+    } while (ep.peer == ep.node);
+  };
   PlanSpec spec;
   size_t count = 1 + rng.UniformU64(3);
-  SimTime cursor = Millis(500 + rng.UniformU64(500));
+  Duration cursor = Millis(500 + rng.UniformU64(500));
   for (size_t i = 0; i < count; ++i) {
-    PlanEpisode ep;
+    Episode ep;
     ep.start = cursor;
     ep.duration = Millis(300 + rng.UniformU64(900));
     if (zk) {
@@ -387,12 +332,8 @@ PlanSpec GeneratePlan(SystemKind system, uint64_t seed) {
           break;
         }
         default: {
-          ep.kind = EpisodeKind::kLinkDelay;
-          ep.link_a = static_cast<NodeId>(1 + rng.UniformU64(3));
-          do {
-            ep.link_b = static_cast<NodeId>(1 + rng.UniformU64(3));
-          } while (ep.link_b == ep.link_a);
-          ep.delay = Millis(20 + rng.UniformU64(100));
+          draw_link(ep, 3);
+          ep.faults.extra_delay = Millis(20 + rng.UniformU64(100));
           break;
         }
       }
@@ -420,27 +361,20 @@ PlanSpec GeneratePlan(SystemKind system, uint64_t seed) {
           break;
         }
         case 2: {
-          ep.kind = EpisodeKind::kLinkDelay;
-          ep.link_a = static_cast<NodeId>(1 + rng.UniformU64(4));
-          do {
-            ep.link_b = static_cast<NodeId>(1 + rng.UniformU64(4));
-          } while (ep.link_b == ep.link_a);
-          ep.delay = Millis(20 + rng.UniformU64(100));
+          draw_link(ep, 4);
+          ep.faults.extra_delay = Millis(20 + rng.UniformU64(100));
           break;
         }
         default: {
-          ep.kind = EpisodeKind::kLinkDup;
-          ep.link_a = static_cast<NodeId>(1 + rng.UniformU64(4));
-          do {
-            ep.link_b = static_cast<NodeId>(1 + rng.UniformU64(4));
-          } while (ep.link_b == ep.link_a);
-          ep.dup_probability = 0.2 + 0.1 * static_cast<double>(rng.UniformU64(5));
+          draw_link(ep, 4);
+          ep.faults.duplicate_probability =
+              0.2 + 0.1 * static_cast<double>(rng.UniformU64(5));
           break;
         }
       }
     }
     cursor = ep.start + ep.duration + Millis(200 + rng.UniformU64(600));
-    spec.episodes.push_back(std::move(ep));
+    spec.faults.episodes.push_back(std::move(ep));
   }
   return spec;
 }
@@ -453,8 +387,8 @@ PlanSpec GenerateReconfigPlan(SystemKind system, uint64_t seed) {
   // Separate Rng stream: the fault half of the plan stays identical to
   // GeneratePlan's draw for the same seed.
   Rng rng(seed * 0x2545f4914f6cdd1dULL + 3);
-  SimTime cursor = 0;
-  for (const PlanEpisode& ep : spec.episodes) {
+  Duration cursor = 0;
+  for (const Episode& ep : spec.faults.episodes) {
     cursor = std::max(cursor, ep.start + ep.duration);
   }
   cursor += Millis(300 + rng.UniformU64(700));
@@ -462,27 +396,27 @@ PlanSpec GenerateReconfigPlan(SystemKind system, uint64_t seed) {
   // Fresh replica ids: the base ensemble is {1,2,3}.
   NodeId next_joiner = 4;
   for (size_t i = 0; i < count; ++i) {
-    PlanEpisode ep;
+    MembershipEpisode ep;
     ep.start = cursor;
     ep.duration = Millis(400 + rng.UniformU64(800));
     switch (rng.UniformU64(4)) {
       case 0:
-        ep.kind = EpisodeKind::kJoin;
+        ep.kind = MembershipKind::kJoin;
         ep.node = next_joiner++;
         break;
       case 1:
-        ep.kind = EpisodeKind::kRemoveFollower;
+        ep.kind = MembershipKind::kRemoveFollower;
         break;
       case 2:
-        ep.kind = EpisodeKind::kRemoveLeader;
+        ep.kind = MembershipKind::kRemoveLeader;
         break;
       default:
-        ep.kind = EpisodeKind::kObserverPromote;
+        ep.kind = MembershipKind::kObserverPromote;
         ep.node = next_joiner++;
         break;
     }
     cursor = ep.start + ep.duration + Millis(500 + rng.UniformU64(1500));
-    spec.episodes.push_back(std::move(ep));
+    spec.membership.push_back(ep);
   }
   return spec;
 }
@@ -511,23 +445,20 @@ ScheduleResult RunSchedule(const ExplorerOptions& options, const PlanSpec& plan)
   recorder.Attach(fx);
 
   SimTime base = fx.loop().now();
-  fx.RunPlan(plan.Build(base));
+  fx.RunPlan(plan.faults);
   SimTime plan_end = base;
-  for (const PlanEpisode& ep : plan.episodes) {
+  for (const Episode& ep : plan.faults.episodes) {
+    plan_end = std::max(plan_end, base + ep.start + ep.duration);
+  }
+  for (const MembershipEpisode& ep : plan.membership) {
     plan_end = std::max(plan_end, base + ep.start + ep.duration);
   }
 
   bool zk = IsZkFamily(options.system);
   // Membership episodes run inline from the drive loop (their actions block
   // on catch-up / activation replies, advancing sim time themselves).
-  std::vector<PlanEpisode> membership;
-  if (zk) {
-    for (const PlanEpisode& ep : plan.episodes) {
-      if (IsMembershipEpisode(ep.kind)) {
-        membership.push_back(ep);
-      }
-    }
-  }
+  const std::vector<MembershipEpisode> membership =
+      zk ? plan.membership : std::vector<MembershipEpisode>{};
   size_t next_membership = 0;
   auto run_due_membership = [&] {
     while (next_membership < membership.size() &&
@@ -618,11 +549,8 @@ ScheduleResult RunSchedule(const ExplorerOptions& options, const PlanSpec& plan)
     }
   } else {
     std::string why;
-    if (!EdsDigestsMatch(fx.ds_servers, &why)) {
-      result.violations.push_back("EDS digests diverge: " + why);
-    }
-    if (!EdsLogBounded(fx.ds_servers, &why)) {
-      result.violations.push_back("EDS log unbounded: " + why);
+    if (!fx.CheckEdsInvariants(&why)) {
+      result.violations.push_back("EDS invariants violated: " + why);
     }
   }
   result.passed = result.violations.empty();
@@ -633,14 +561,24 @@ PlanSpec ShrinkPlan(const ExplorerOptions& options, const PlanSpec& plan) {
   auto still_fails = [&options](const PlanSpec& candidate) {
     return !RunSchedule(options, candidate).passed;
   };
+  // Episode i of the spec: the fault episodes, then the membership ones.
+  auto size = [](const PlanSpec& p) { return p.faults.episodes.size() + p.membership.size(); };
+  auto drop = [](PlanSpec& p, size_t i) {
+    size_t faults = p.faults.episodes.size();
+    if (i < faults) {
+      p.faults.episodes.erase(p.faults.episodes.begin() + static_cast<ptrdiff_t>(i));
+    } else {
+      p.membership.erase(p.membership.begin() + static_cast<ptrdiff_t>(i - faults));
+    }
+  };
   PlanSpec current = plan;
   // Pass 1: greedily drop whole episodes.
   bool progress = true;
   while (progress) {
     progress = false;
-    for (size_t i = 0; i < current.episodes.size(); ++i) {
+    for (size_t i = 0; i < size(current); ++i) {
       PlanSpec candidate = current;
-      candidate.episodes.erase(candidate.episodes.begin() + i);
+      drop(candidate, i);
       if (still_fails(candidate)) {
         current = std::move(candidate);
         progress = true;
@@ -650,13 +588,18 @@ PlanSpec ShrinkPlan(const ExplorerOptions& options, const PlanSpec& plan) {
   }
   // Pass 2: halve durations and delays of what remains (two rounds).
   for (int round = 0; round < 2; ++round) {
-    for (size_t i = 0; i < current.episodes.size(); ++i) {
-      if (current.episodes[i].duration < Millis(100)) {
+    for (size_t i = 0; i < size(current); ++i) {
+      PlanSpec candidate = current;
+      size_t faults = candidate.faults.episodes.size();
+      Duration* duration = i < faults ? &candidate.faults.episodes[i].duration
+                                      : &candidate.membership[i - faults].duration;
+      if (*duration < Millis(100)) {
         continue;
       }
-      PlanSpec candidate = current;
-      candidate.episodes[i].duration /= 2;
-      candidate.episodes[i].delay /= 2;
+      *duration /= 2;
+      if (i < faults) {
+        candidate.faults.episodes[i].faults.extra_delay /= 2;
+      }
       if (still_fails(candidate)) {
         current = std::move(candidate);
       }

@@ -1,12 +1,12 @@
 // Randomized schedule explorer for conformance checking.
 //
-// A PlanSpec is a small, shrinkable fault-schedule grammar on top of
-// FaultPlan: a sequence of non-overlapping episodes (crash+restart,
-// partition+heal, degraded link windows) with times relative to a base
-// instant. GeneratePlan draws a spec from the grammar for a seed (the same
-// seed always yields the same spec); RunSchedule boots a fixture, attaches a
-// HistoryRecorder, drives a seeded client workload while the plan executes,
-// and runs the conformance checker over the recorded history. On a
+// A PlanSpec is a small, shrinkable schedule: a FaultPlan (crash+restart,
+// partition+heal, degraded link windows; sim/faults.h) plus the membership
+// episodes only the fixture can run, all with times relative to the instant
+// the schedule starts. GeneratePlan draws a spec from the grammar for a seed
+// (the same seed always yields the same spec); RunSchedule boots a fixture,
+// attaches a HistoryRecorder, drives a seeded client workload while the plan
+// executes, and runs the conformance checker over the recorded history. On a
 // violation, ShrinkPlan delta-debugs the spec — dropping episodes, then
 // halving durations and delays — to a minimal plan that still reproduces it.
 //
@@ -21,8 +21,8 @@
 // family draws crash-restart episodes for its BFT replicas: episodes are
 // sequential, so at most one replica (= f) is down at a time, and a restarted
 // replica must rejoin via checkpoint state transfer — RunSchedule checks the
-// EdsDigestsMatch and EdsLogBounded invariants after the drain on top of the
-// history conformance check.
+// fixture's EDS invariants (CoordFixture::CheckEdsInvariants) after the
+// drain on top of the history conformance check.
 
 #ifndef EDC_CHECK_EXPLORER_H_
 #define EDC_CHECK_EXPLORER_H_
@@ -36,16 +36,12 @@
 
 namespace edc {
 
-enum class EpisodeKind : uint8_t {
-  kCrashRestart,  // crash `node`, restart after `duration`
-  kPartition,     // partition group_a | group_b, heal after `duration`
-  kLinkDelay,     // add `delay` to link (link_a, link_b) for `duration`
-  kLinkDup,       // duplicate packets on link (link_a, link_b) for `duration`
-  // Membership episodes (ZK family only, docs/reconfig.md). These are not
-  // FaultPlan steps — RunSchedule executes them inline from its drive loop
-  // via the fixture's membership drivers, because a join blocks on
-  // snapshot-shipped catch-up and a removal must resolve "the leader" at
-  // execution time, not plan-generation time.
+// Membership episodes (ZK family only, docs/reconfig.md). The fault
+// injector cannot run these: RunSchedule executes them inline from its drive
+// loop via the fixture's membership drivers, because a join blocks on
+// snapshot-shipped catch-up and a removal must resolve "the leader" at
+// execution time, not plan-generation time.
+enum class MembershipKind : uint8_t {
   kJoin,             // boot `node` as observer, catch it up, promote to voter
   kRemoveFollower,   // remove the first running non-leader voter
   kRemoveLeader,     // remove the current leader (step-down + re-election)
@@ -53,24 +49,18 @@ enum class EpisodeKind : uint8_t {
                      // `start + duration` (two-phase join)
 };
 
-struct PlanEpisode {
-  EpisodeKind kind = EpisodeKind::kCrashRestart;
+struct MembershipEpisode {
+  MembershipKind kind = MembershipKind::kJoin;
   NodeId node = 0;
-  std::vector<NodeId> group_a;
-  std::vector<NodeId> group_b;
-  NodeId link_a = 0;
-  NodeId link_b = 0;
-  Duration delay = 0;
-  double dup_probability = 0.0;
-  SimTime start = 0;  // relative to the plan base passed to Build()
+  Duration start = 0;  // offset from the instant the plan is run
   Duration duration = 0;
 };
 
 struct PlanSpec {
-  std::vector<PlanEpisode> episodes;
+  FaultPlan faults;
+  std::vector<MembershipEpisode> membership;
 
-  FaultPlan Build(SimTime base) const;
-  // One line per episode, readable and sufficient to reconstruct the spec.
+  // FaultPlan::ToString's lines, then one line per membership episode.
   std::string ToString() const;
 };
 
@@ -107,7 +97,7 @@ struct ScheduleResult {
 PlanSpec GeneratePlan(SystemKind system, uint64_t seed);
 
 // GeneratePlan's fault episodes plus one or two membership episodes (join /
-// remove-follower / remove-leader / observer-promote) appended after them.
+// remove-follower / remove-leader / observer-promote) that start after them.
 // ZK family only: DepSpace has no reconfig path.
 PlanSpec GenerateReconfigPlan(SystemKind system, uint64_t seed);
 
@@ -115,7 +105,8 @@ PlanSpec GenerateReconfigPlan(SystemKind system, uint64_t seed);
 ScheduleResult RunSchedule(const ExplorerOptions& options, const PlanSpec& plan);
 
 // Requires RunSchedule(options, plan) to fail; returns a locally minimal
-// spec that still fails (greedy episode drops, then duration/delay halving).
+// spec that still fails (greedy episode drops, then duration/delay halving,
+// over the fault episodes followed by the membership episodes).
 PlanSpec ShrinkPlan(const ExplorerOptions& options, const PlanSpec& plan);
 
 // GeneratePlan + RunSchedule, shrinking on violation. The returned result's

@@ -1,5 +1,7 @@
 #include "edc/sim/faults.h"
 
+#include <memory>
+#include <sstream>
 #include <utility>
 
 #include "edc/common/hash.h"
@@ -7,62 +9,46 @@
 
 namespace edc {
 
-FaultPlan& FaultPlan::CrashAt(SimTime at, NodeId node) {
-  Step s;
-  s.at = at;
-  s.kind = Kind::kCrash;
-  s.node = node;
-  steps_.push_back(std::move(s));
-  return *this;
+namespace {
+
+void PrintGroup(std::ostream& os, const std::vector<NodeId>& group) {
+  os << "{";
+  for (size_t i = 0; i < group.size(); ++i) {
+    os << (i ? "," : "") << group[i];
+  }
+  os << "}";
 }
 
-FaultPlan& FaultPlan::RestartAt(SimTime at, NodeId node) {
-  Step s;
-  s.at = at;
-  s.kind = Kind::kRestart;
-  s.node = node;
-  steps_.push_back(std::move(s));
-  return *this;
-}
+}  // namespace
 
-FaultPlan& FaultPlan::PartitionAt(SimTime at, std::vector<NodeId> group_a,
-                                  std::vector<NodeId> group_b) {
-  Step s;
-  s.at = at;
-  s.kind = Kind::kPartition;
-  s.group_a = std::move(group_a);
-  s.group_b = std::move(group_b);
-  steps_.push_back(std::move(s));
-  return *this;
-}
-
-FaultPlan& FaultPlan::HealAt(SimTime at) {
-  Step s;
-  s.at = at;
-  s.kind = Kind::kHeal;
-  steps_.push_back(std::move(s));
-  return *this;
-}
-
-FaultPlan& FaultPlan::LinkFaultsAt(SimTime at, NodeId a, NodeId b, LinkFaults faults) {
-  Step s;
-  s.at = at;
-  s.kind = Kind::kLinkFaults;
-  s.node = a;
-  s.peer = b;
-  s.faults = faults;
-  steps_.push_back(std::move(s));
-  return *this;
-}
-
-FaultPlan& FaultPlan::ClearLinkFaultsAt(SimTime at, NodeId a, NodeId b) {
-  Step s;
-  s.at = at;
-  s.kind = Kind::kClearLinkFaults;
-  s.node = a;
-  s.peer = b;
-  steps_.push_back(std::move(s));
-  return *this;
+std::string FaultPlan::ToString() const {
+  if (episodes.empty()) {
+    return "(no fault episodes)";
+  }
+  std::ostringstream os;
+  for (const Episode& ep : episodes) {
+    os << "  ";
+    switch (ep.kind) {
+      case EpisodeKind::kCrashRestart:
+        os << "crash-restart node=" << ep.node;
+        break;
+      case EpisodeKind::kPartition:
+        os << "partition ";
+        PrintGroup(os, ep.group_a);
+        os << "|";
+        PrintGroup(os, ep.group_b);
+        break;
+      case EpisodeKind::kLinkFaults:
+        os << "link-faults " << ep.node << "<->" << ep.peer
+           << " drop=" << ep.faults.drop_probability
+           << " dup=" << ep.faults.duplicate_probability
+           << " delay=+" << DurationString(ep.faults.extra_delay);
+        break;
+    }
+    os << " start=+" << DurationString(ep.start) << " dur=" << DurationString(ep.duration)
+       << "\n";
+  }
+  return os.str();
 }
 
 void FaultInjector::RegisterProcess(NodeId id, std::function<void()> crash,
@@ -109,6 +95,16 @@ void FaultInjector::Partition(const std::vector<NodeId>& group_a,
   }
 }
 
+void FaultInjector::Heal(const std::vector<NodeId>& group_a,
+                         const std::vector<NodeId>& group_b) {
+  Record("heal t=" + std::to_string(loop_->now()));
+  for (NodeId a : group_a) {
+    for (NodeId b : group_b) {
+      net_->Reconnect(a, b);
+    }
+  }
+}
+
 void FaultInjector::Heal() {
   Record("heal t=" + std::to_string(loop_->now()));
   net_->HealAllPartitions();
@@ -119,44 +115,36 @@ void FaultInjector::SetLinkFaults(NodeId a, NodeId b, const LinkFaults& faults) 
          " b=" + std::to_string(b) + " drop=" + std::to_string(faults.drop_probability) +
          " dup=" + std::to_string(faults.duplicate_probability) +
          " delay=" + std::to_string(faults.extra_delay));
-  LinkParams params = net_->LinkFor(a, b);
-  params.drop_probability = faults.drop_probability;
-  params.duplicate_probability = faults.duplicate_probability;
-  params.extra_delay = faults.extra_delay;
-  net_->SetLink(a, b, params);
+  net_->SetLinkFaults(a, b, faults);
 }
 
 void FaultInjector::ClearLinkFaults(NodeId a, NodeId b) {
   Record("clear_link_faults t=" + std::to_string(loop_->now()) + " a=" + std::to_string(a) +
          " b=" + std::to_string(b));
-  net_->ClearLink(a, b);
+  net_->SetLinkFaults(a, b, LinkFaults{});
 }
 
 void FaultInjector::Run(const FaultPlan& plan) {
-  for (const FaultPlan::Step& step : plan.steps_) {
-    FaultPlan::Step s = step;  // own a copy in the closure
-    loop_->ScheduleAt(s.at, [this, s = std::move(s)]() {
-      switch (s.kind) {
-        case FaultPlan::Kind::kCrash:
-          Crash(s.node);
-          break;
-        case FaultPlan::Kind::kRestart:
-          Restart(s.node);
-          break;
-        case FaultPlan::Kind::kPartition:
-          Partition(s.group_a, s.group_b);
-          break;
-        case FaultPlan::Kind::kHeal:
-          Heal();
-          break;
-        case FaultPlan::Kind::kLinkFaults:
-          SetLinkFaults(s.node, s.peer, s.faults);
-          break;
-        case FaultPlan::Kind::kClearLinkFaults:
-          ClearLinkFaults(s.node, s.peer);
-          break;
-      }
-    });
+  const SimTime base = loop_->now();
+  for (const Episode& episode : plan.episodes) {
+    auto ep = std::make_shared<const Episode>(episode);
+    loop_->ScheduleAt(base + ep->start, [this, ep] { Apply(*ep, /*begin=*/true); });
+    loop_->ScheduleAt(base + ep->start + ep->duration,
+                      [this, ep] { Apply(*ep, /*begin=*/false); });
+  }
+}
+
+void FaultInjector::Apply(const Episode& ep, bool begin) {
+  switch (ep.kind) {
+    case EpisodeKind::kCrashRestart:
+      begin ? Crash(ep.node) : Restart(ep.node);
+      break;
+    case EpisodeKind::kPartition:
+      begin ? Partition(ep.group_a, ep.group_b) : Heal(ep.group_a, ep.group_b);
+      break;
+    case EpisodeKind::kLinkFaults:
+      begin ? SetLinkFaults(ep.node, ep.peer, ep.faults) : ClearLinkFaults(ep.node, ep.peer);
+      break;
   }
 }
 

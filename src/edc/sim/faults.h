@@ -4,7 +4,8 @@
 // turns "chaos" into a replayable schedule: every fault — crash, restart,
 // partition, heal, lossy/duplicating/slow links — is an event on the shared
 // EventLoop, and every probabilistic decision is drawn from the Network's
-// seeded Rng. Two runs with the same seed and the same FaultPlan therefore
+// seeded Rng. A FaultPlan lists the faults as episodes, each with a start
+// and a duration. Two runs with the same seed and the same FaultPlan therefore
 // produce byte-identical event traces; TraceDigest() folds the trace (and,
 // when packet tracing is on, every delivered packet) into a single uint64
 // that tests compare across runs.
@@ -29,47 +30,37 @@
 
 namespace edc {
 
-// Per-link fault knobs applied on top of the network's default LinkParams.
-struct LinkFaults {
-  double drop_probability = 0.0;
-  double duplicate_probability = 0.0;
-  Duration extra_delay = 0;
+// One fault over the window [start, start + duration): its begin and its
+// end are injector actions.
+enum class EpisodeKind : uint8_t {
+  kCrashRestart,  // crash `node`; restart it
+  kPartition,     // cut every group_a x group_b pair; reconnect those pairs
+  kLinkFaults,    // install `faults` on link node <-> peer; clear the link
 };
 
-// A scheduled sequence of fault events, built fluently and executed by
-// FaultInjector::Run. Times are absolute sim times (ns).
-class FaultPlan {
- public:
-  FaultPlan& CrashAt(SimTime at, NodeId node);
-  FaultPlan& RestartAt(SimTime at, NodeId node);
-  // Partitions every node in `group_a` from every node in `group_b`.
-  FaultPlan& PartitionAt(SimTime at, std::vector<NodeId> group_a, std::vector<NodeId> group_b);
-  // Heals all partitions installed on the network (not just this plan's).
-  FaultPlan& HealAt(SimTime at);
-  FaultPlan& LinkFaultsAt(SimTime at, NodeId a, NodeId b, LinkFaults faults);
-  FaultPlan& ClearLinkFaultsAt(SimTime at, NodeId a, NodeId b);
+// Every member has a default initializer, so a designated initializer names
+// only the kind's targets.
+struct Episode {
+  EpisodeKind kind = EpisodeKind::kCrashRestart;
+  Duration start = 0;  // offset from the instant the plan is run
+  Duration duration = 0;
+  NodeId node = 0;  // crash-restart target; link endpoint
+  NodeId peer = 0;  // link endpoint
+  std::vector<NodeId> group_a = {};  // partition sides
+  std::vector<NodeId> group_b = {};
+  LinkFaults faults = {};
+};
 
- private:
-  friend class FaultInjector;
+// A fault schedule, executed by FaultInjector::Run. Partition episodes
+// compose: a pair cut by two live episodes stays cut until both have ended.
+// Two live episodes on one node or one link do not: the earlier end
+// restarts the node or clears the link.
+struct FaultPlan {
+  std::vector<Episode> episodes;
 
-  enum class Kind : uint8_t {
-    kCrash,
-    kRestart,
-    kPartition,
-    kHeal,
-    kLinkFaults,
-    kClearLinkFaults,
-  };
-  struct Step {
-    SimTime at = 0;
-    Kind kind = Kind::kCrash;
-    NodeId node = 0;       // crash/restart; link endpoint a
-    NodeId peer = 0;       // link endpoint b
-    std::vector<NodeId> group_a;  // partition
-    std::vector<NodeId> group_b;
-    LinkFaults faults;
-  };
-  std::vector<Step> steps_;
+  // One line per episode, readable and sufficient to rebuild the plan, e.g.
+  // "  partition {1}|{2,3} start=+500ms dur=700ms".
+  std::string ToString() const;
 };
 
 class FaultInjector {
@@ -88,11 +79,15 @@ class FaultInjector {
   void Crash(NodeId id);
   void Restart(NodeId id);
   void Partition(const std::vector<NodeId>& group_a, const std::vector<NodeId>& group_b);
+  // Undoes one Partition(group_a, group_b): pairs another live partition
+  // also cut stay cut.
+  void Heal(const std::vector<NodeId>& group_a, const std::vector<NodeId>& group_b);
+  // Heals every partition on the network.
   void Heal();
   void SetLinkFaults(NodeId a, NodeId b, const LinkFaults& faults);
   void ClearLinkFaults(NodeId a, NodeId b);
 
-  // Schedules every step of `plan` on the event loop. Call before loop->Run().
+  // Schedules the begin and end of every episode of `plan`, offset from now.
   void Run(const FaultPlan& plan);
 
   // Appends an arbitrary event line to the trace (and digest). Harness-level
@@ -124,6 +119,8 @@ class FaultInjector {
   uint64_t SemanticPacketDigest() const { return semantic_digest_; }
 
  private:
+  // The begin or the end of one episode, as one of the actions above.
+  void Apply(const Episode& ep, bool begin);
   void Record(const std::string& line);
 
   EventLoop* loop_;

@@ -8,23 +8,31 @@
 
 namespace edc {
 
+namespace {
+
+uint64_t LinkKey(NodeId src, NodeId dst) { return static_cast<uint64_t>(src) << 32 | dst; }
+
+}  // namespace
+
 void Network::Register(NodeId id, NetworkNode* node) {
-  nodes_[id] = node;
-  node_up_[id] = true;
+  Node& n = nodes_[id];
+  n.handler = node;
+  n.up = true;
 }
 
 void Network::Unregister(NodeId id) {
-  nodes_.erase(id);
-  node_up_.erase(id);
-  ClearPeerState(id);
+  auto it = nodes_.find(id);
+  if (it != nodes_.end()) {
+    it->second.handler = nullptr;
+    it->second.up = false;
+  }
+  ClearFifoFloors(id);
 }
 
-void Network::ClearPeerState(NodeId id) {
-  for (auto it = last_delivery_.begin(); it != last_delivery_.end();) {
-    if (it->first.a == id || it->first.b == id) {
-      it = last_delivery_.erase(it);
-    } else {
-      ++it;
+void Network::ClearFifoFloors(NodeId id) {
+  for (auto& [key, link] : links_) {
+    if (key >> 32 == id || static_cast<NodeId>(key) == id) {
+      link.fifo_floor = 0;
     }
   }
 }
@@ -42,8 +50,13 @@ void Network::SetObs(Obs* obs) {
 }
 
 void Network::DumpLinkMetrics(MetricsRegistry* metrics) const {
-  for (const auto& [key, stats] : link_obs_) {
-    std::string prefix = "net.link." + std::to_string(key.a) + "->" + std::to_string(key.b);
+  for (const auto& [key, link] : links_) {
+    const LinkObsStats& stats = link.obs;
+    if (stats.packets == 0) {
+      continue;  // the link only holds faults, cuts or a floor
+    }
+    std::string prefix = "net.link." + std::to_string(key >> 32) + "->" +
+                         std::to_string(static_cast<NodeId>(key));
     metrics->SetGauge(prefix + ".packets", stats.packets);
     metrics->SetGauge(prefix + ".bytes", stats.bytes);
     if (stats.drops > 0) {
@@ -55,106 +68,108 @@ void Network::DumpLinkMetrics(MetricsRegistry* metrics) const {
   }
 }
 
-void Network::SetLink(NodeId a, NodeId b, const LinkParams& params) {
-  link_overrides_[PairKey{a, b}] = params;
-  link_overrides_[PairKey{b, a}] = params;
-}
-
-void Network::ClearLink(NodeId a, NodeId b) {
-  link_overrides_.erase(PairKey{a, b});
-  link_overrides_.erase(PairKey{b, a});
+void Network::SetLinkFaults(NodeId a, NodeId b, const LinkFaults& faults) {
+  links_[LinkKey(a, b)].faults = faults;
+  links_[LinkKey(b, a)].faults = faults;
 }
 
 void Network::Disconnect(NodeId a, NodeId b) {
-  partitioned_[PairKey{a, b}] = true;
-  partitioned_[PairKey{b, a}] = true;
+  ++links_[LinkKey(a, b)].cuts;
+  ++links_[LinkKey(b, a)].cuts;
 }
 
 void Network::Reconnect(NodeId a, NodeId b) {
-  partitioned_.erase(PairKey{a, b});
-  partitioned_.erase(PairKey{b, a});
+  for (uint64_t key : {LinkKey(a, b), LinkKey(b, a)}) {
+    auto it = links_.find(key);
+    if (it != links_.end() && it->second.cuts > 0) {
+      --it->second.cuts;
+    }
+  }
 }
 
-void Network::HealAllPartitions() { partitioned_.clear(); }
+void Network::HealAllPartitions() {
+  for (auto& [key, link] : links_) {
+    link.cuts = 0;
+  }
+}
 
 void Network::SetNodeUp(NodeId id, bool up) {
-  node_up_[id] = up;
+  nodes_[id].up = up;
   if (!up) {
     // A crash resets every connection the node participated in; the FIFO
     // floors belong to those dead connections, not to the reincarnation.
-    ClearPeerState(id);
+    ClearFifoFloors(id);
   }
 }
 
 bool Network::IsNodeUp(NodeId id) const {
-  auto it = node_up_.find(id);
-  return it != node_up_.end() && it->second;
+  auto it = nodes_.find(id);
+  return it != nodes_.end() && it->second.up;
 }
 
-const LinkParams& Network::ParamsFor(NodeId src, NodeId dst) const {
-  auto it = link_overrides_.find(PairKey{src, dst});
-  return it != link_overrides_.end() ? it->second : defaults_;
-}
-
-bool Network::IsPartitioned(NodeId a, NodeId b) const {
-  return partitioned_.count(PairKey{a, b}) > 0;
+void Network::ResetStats() {
+  for (auto& [id, node] : nodes_) {
+    node.stats = NodeNetStats{};
+  }
 }
 
 void Network::Send(Packet pkt) {
-  if (!IsNodeUp(pkt.src)) {
+  auto src = nodes_.find(pkt.src);
+  if (src == nodes_.end() || !src->second.up) {
     return;  // a crashed node produces no traffic
   }
   const size_t wire = WireSize(pkt);
-  auto& src_stats = stats_[pkt.src];
+  NodeNetStats& src_stats = src->second.stats;
   src_stats.packets_sent += 1;
   src_stats.bytes_sent += static_cast<int64_t>(wire);
   total_bytes_sent_ += static_cast<int64_t>(wire);
-  LinkObsStats* link_obs = nullptr;
+  Link& link = links_[LinkKey(pkt.src, pkt.dst)];
   if (obs_ != nullptr) {
     m_packets_->Increment();
     m_bytes_->Add(static_cast<int64_t>(wire));
-    link_obs = &link_obs_[PairKey{pkt.src, pkt.dst}];
-    link_obs->packets += 1;
-    link_obs->bytes += static_cast<int64_t>(wire);
+    link.obs.packets += 1;
+    link.obs.bytes += static_cast<int64_t>(wire);
   }
 
-  if (IsPartitioned(pkt.src, pkt.dst)) {
+  if (link.cuts > 0) {
     return;
   }
-  const LinkParams& link = ParamsFor(pkt.src, pkt.dst);
-  if (link.drop_probability > 0.0 && rng_.NextDouble() < link.drop_probability) {
+  const LinkFaults& faults = link.faults;
+  if (faults.drop_probability > 0.0 && rng_.NextDouble() < faults.drop_probability) {
     EDC_LOG(kDebug) << "drop " << pkt.src << "->" << pkt.dst << " type=" << pkt.type;
-    if (link_obs != nullptr) {
+    if (obs_ != nullptr) {
       m_drops_->Increment();
-      link_obs->drops += 1;
+      link.obs.drops += 1;
     }
     return;
   }
 
-  Duration jitter = link.jitter > 0 ? static_cast<Duration>(
-                                          rng_.UniformU64(static_cast<uint64_t>(link.jitter)))
-                                    : 0;
+  Duration jitter = defaults_.jitter > 0
+                        ? static_cast<Duration>(
+                              rng_.UniformU64(static_cast<uint64_t>(defaults_.jitter)))
+                        : 0;
   Duration serialization =
-      static_cast<Duration>(static_cast<double>(wire) * 8.0 / link.bandwidth_bps * 1e9);
-  SimTime arrival = loop_->now() + link.latency + jitter + serialization + link.extra_delay;
+      static_cast<Duration>(static_cast<double>(wire) * 8.0 / defaults_.bandwidth_bps * 1e9);
+  SimTime arrival =
+      loop_->now() + defaults_.latency + jitter + serialization + faults.extra_delay;
 
   // Fault injection: a duplicated packet arrives twice (one extra copy, the
   // TCP-reset-and-retransmit shape), still respecting per-connection FIFO.
   int copies = 1;
-  if (link.duplicate_probability > 0.0 && rng_.NextDouble() < link.duplicate_probability) {
+  if (faults.duplicate_probability > 0.0 &&
+      rng_.NextDouble() < faults.duplicate_probability) {
     copies = 2;
-    if (link_obs != nullptr) {
+    if (obs_ != nullptr) {
       m_dups_->Increment();
-      link_obs->dups += 1;
+      link.obs.dups += 1;
     }
   }
 
   for (int copy = 0; copy < copies; ++copy) {
     // Enforce per-connection FIFO: never deliver before an earlier packet on
     // the same (src, dst) pair.
-    auto& last = last_delivery_[PairKey{pkt.src, pkt.dst}];
-    arrival = std::max(arrival, last + 1);
-    last = arrival;
+    arrival = std::max(arrival, link.fifo_floor + 1);
+    link.fifo_floor = arrival;
 
     // The arrival instant is fully determined here, so the in-flight span can
     // be recorded fully formed — no extra event needed.
@@ -166,20 +181,17 @@ void Network::Send(Packet pkt) {
     NodeId dst = pkt.dst;
     Packet p = copy + 1 < copies ? pkt : std::move(pkt);
     loop_->ScheduleAt(arrival, [this, p = std::move(p), dst]() mutable {
-      if (!IsNodeUp(dst)) {
-        return;
-      }
       auto it = nodes_.find(dst);
-      if (it == nodes_.end()) {
+      if (it == nodes_.end() || !it->second.up || it->second.handler == nullptr) {
         return;
       }
-      auto& dst_stats = stats_[dst];
+      NodeNetStats& dst_stats = it->second.stats;
       dst_stats.packets_received += 1;
       dst_stats.bytes_received += static_cast<int64_t>(WireSize(p));
       if (delivery_sink_) {
         delivery_sink_(loop_->now(), p);
       }
-      it->second->HandlePacket(std::move(p));
+      it->second.handler->HandlePacket(std::move(p));
     });
   }
 }

@@ -1,11 +1,11 @@
 // Simulated switched network.
 //
 // Nodes register under a NodeId and receive packets via HandlePacket. Each
-// (src, dst) pair behaves like a TCP connection: FIFO delivery, per-link
-// latency + jitter, serialization delay from a configurable bandwidth, and an
-// optional drop probability (drops break FIFO like a connection reset would;
-// protocols that need reliability must retransmit). Crashed nodes and
-// partitioned pairs silently discard traffic.
+// (src, dst) pair behaves like a TCP connection: FIFO delivery, latency +
+// jitter and serialization delay from the network-wide LinkParams, and
+// optional per-link faults: drops (which break FIFO like a connection reset
+// would; protocols that need reliability must retransmit), duplicates and
+// extra delay. Crashed nodes and partitioned pairs silently discard traffic.
 //
 // The network charges every packet a fixed per-frame overhead
 // (kFrameOverheadBytes, Ethernet+IP+TCP headers) on top of the encoded
@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -48,14 +47,20 @@ class NetworkNode {
   virtual void HandlePacket(Packet&& pkt) = 0;
 };
 
+// Network-wide link defaults: every directed link shares them.
 struct LinkParams {
   Duration latency = Micros(100);     // one-way propagation
   Duration jitter = Micros(20);       // uniform [0, jitter)
   double bandwidth_bps = 1e9;         // bits per second
+};
+
+// Fault knobs of one directed link, applied on top of LinkParams (see
+// sim/faults.h). A knob at zero draws nothing from the network's Rng.
+struct LinkFaults {
   double drop_probability = 0.0;
-  // Fault-injection knobs (see sim/faults.h): probability that a delivered
-  // packet arrives twice, and a fixed delay added on top of latency+jitter.
+  // Probability that a delivered packet arrives twice.
   double duplicate_probability = 0.0;
+  // Fixed delay added on top of latency + jitter.
   Duration extra_delay = 0;
 };
 
@@ -77,14 +82,12 @@ class Network {
   void Register(NodeId id, NetworkNode* node);
   void Unregister(NodeId id);
 
-  // Overrides link parameters in both directions between a and b.
-  void SetLink(NodeId a, NodeId b, const LinkParams& params);
-  // Removes a per-pair override (back to the defaults).
-  void ClearLink(NodeId a, NodeId b);
-  // Effective parameters currently governing src -> dst.
-  const LinkParams& LinkFor(NodeId src, NodeId dst) const { return ParamsFor(src, dst); }
+  // Installs `faults` on both directions between a and b; LinkFaults{}
+  // clears them.
+  void SetLinkFaults(NodeId a, NodeId b, const LinkFaults& faults);
 
-  // Partition control (bidirectional).
+  // Partition control (bidirectional). Cuts nest: a pair disconnected twice
+  // stays cut until it is reconnected twice, or until every cut is healed.
   void Disconnect(NodeId a, NodeId b);
   void Reconnect(NodeId a, NodeId b);
   void HealAllPartitions();
@@ -106,10 +109,10 @@ class Network {
   void Send(Packet pkt);
 
   NodeNetStats StatsFor(NodeId id) const {
-    auto it = stats_.find(id);
-    return it == stats_.end() ? NodeNetStats{} : it->second;
+    auto it = nodes_.find(id);
+    return it == nodes_.end() ? NodeNetStats{} : it->second.stats;
   }
-  void ResetStats() { stats_.clear(); }
+  void ResetStats();
   int64_t total_bytes_sent() const { return total_bytes_sent_; }
 
   // Observability (nullable). Counters net.{packets,bytes,drops,dups} are
@@ -121,37 +124,39 @@ class Network {
   void DumpLinkMetrics(MetricsRegistry* metrics) const;
 
  private:
-  struct PairKey {
-    NodeId a;
-    NodeId b;
-    bool operator<(const PairKey& o) const {
-      return a != o.a ? a < o.a : b < o.b;
-    }
-  };
   struct LinkObsStats {
     int64_t packets = 0;
     int64_t bytes = 0;
     int64_t drops = 0;
     int64_t dups = 0;
   };
+  // One directed link src -> dst.
+  struct Link {
+    LinkFaults faults;
+    int cuts = 0;            // live Disconnects; while > 0 traffic is discarded
+    SimTime fifo_floor = 0;  // latest arrival scheduled on the connection
+    LinkObsStats obs;        // totals for DumpLinkMetrics (observability on)
+  };
+  // A node has a record once it is registered or toggled; a node without
+  // one is down. Unregistering drops the handler and marks the node down but
+  // keeps its byte counters.
+  struct Node {
+    NetworkNode* handler = nullptr;
+    bool up = false;
+    NodeNetStats stats;
+  };
 
   // A node going away (crash or unregister) tears down its connections; the
-  // per-pair FIFO floors die with them. Without this, a restarted node's
-  // first packets inherit the pre-crash ordering floor and arrive late.
-  void ClearPeerState(NodeId id);
-
-  const LinkParams& ParamsFor(NodeId src, NodeId dst) const;
-  bool IsPartitioned(NodeId a, NodeId b) const;
+  // FIFO floors die with them, while the links' faults and cuts stay.
+  // Without this, a restarted node's first packets inherit the pre-crash
+  // ordering floor and arrive late.
+  void ClearFifoFloors(NodeId id);
 
   EventLoop* loop_;
   Rng rng_;
   LinkParams defaults_;
-  std::unordered_map<NodeId, NetworkNode*> nodes_;
-  std::unordered_map<NodeId, bool> node_up_;  // absent => up
-  std::map<PairKey, LinkParams> link_overrides_;
-  std::map<PairKey, bool> partitioned_;
-  std::map<PairKey, SimTime> last_delivery_;  // FIFO enforcement
-  std::unordered_map<NodeId, NodeNetStats> stats_;
+  std::unordered_map<NodeId, Node> nodes_;
+  std::unordered_map<uint64_t, Link> links_;  // keyed by src << 32 | dst
   int64_t total_bytes_sent_ = 0;
   DeliverySink delivery_sink_;
   Obs* obs_ = nullptr;
@@ -159,7 +164,6 @@ class Network {
   Counter* m_bytes_ = nullptr;
   Counter* m_drops_ = nullptr;
   Counter* m_dups_ = nullptr;
-  std::map<PairKey, LinkObsStats> link_obs_;
 };
 
 }  // namespace edc

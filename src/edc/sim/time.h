@@ -5,6 +5,7 @@
 #define EDC_SIM_TIME_H_
 
 #include <cstdint>
+#include <string>
 
 namespace edc {
 
@@ -18,6 +19,17 @@ constexpr Duration Seconds(int64_t n) { return n * 1000 * 1000 * 1000; }
 
 constexpr double ToMillis(Duration d) { return static_cast<double>(d) / 1e6; }
 constexpr double ToSeconds(Duration d) { return static_cast<double>(d) / 1e9; }
+
+// "500ms", "300us" or "7ns": the largest of these units that divides `d`.
+inline std::string DurationString(Duration d) {
+  if (d % Millis(1) == 0) {
+    return std::to_string(d / Millis(1)) + "ms";
+  }
+  if (d % Micros(1) == 0) {
+    return std::to_string(d / Micros(1)) + "us";
+  }
+  return std::to_string(d) + "ns";
+}
 
 }  // namespace edc
 

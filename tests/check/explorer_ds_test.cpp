@@ -31,7 +31,7 @@ size_t RunDsSeeds(uint64_t lo, uint64_t hi) {
     EXPECT_TRUE(result.passed) << "seed " << seed << " violations:\n"
                                << violations << "minimal plan:\n"
                                << result.plan.ToString();
-    for (const PlanEpisode& ep : result.plan.episodes) {
+    for (const Episode& ep : result.plan.faults.episodes) {
       if (ep.kind == EpisodeKind::kCrashRestart) {
         ++crash_restarts;
       }
@@ -64,8 +64,8 @@ TEST(DsScheduleSweep, GrammarDrawsCrashRestartEpisodes) {
   for (uint64_t seed = 1; seed <= 200; ++seed) {
     PlanSpec spec = GeneratePlan(
         seed % 2 == 0 ? SystemKind::kDepSpace : SystemKind::kExtensibleDepSpace, seed);
-    episodes += spec.episodes.size();
-    for (const PlanEpisode& ep : spec.episodes) {
+    episodes += spec.faults.episodes.size();
+    for (const Episode& ep : spec.faults.episodes) {
       if (ep.kind == EpisodeKind::kCrashRestart) {
         ++crash_restarts;
       }

@@ -55,11 +55,11 @@ TEST(ReconfigScheduleSweep, GrammarCoversEveryMembershipKind) {
   bool join = false, remove_follower = false, remove_leader = false, promote = false;
   for (uint64_t seed = 1; seed <= 200; ++seed) {
     PlanSpec plan = GenerateReconfigPlan(SystemKind::kZooKeeper, seed);
-    for (const PlanEpisode& ep : plan.episodes) {
-      join = join || ep.kind == EpisodeKind::kJoin;
-      remove_follower = remove_follower || ep.kind == EpisodeKind::kRemoveFollower;
-      remove_leader = remove_leader || ep.kind == EpisodeKind::kRemoveLeader;
-      promote = promote || ep.kind == EpisodeKind::kObserverPromote;
+    for (const MembershipEpisode& ep : plan.membership) {
+      join = join || ep.kind == MembershipKind::kJoin;
+      remove_follower = remove_follower || ep.kind == MembershipKind::kRemoveFollower;
+      remove_leader = remove_leader || ep.kind == MembershipKind::kRemoveLeader;
+      promote = promote || ep.kind == MembershipKind::kObserverPromote;
     }
   }
   EXPECT_TRUE(join);

@@ -74,7 +74,8 @@ TEST(ZkScheduleNegative, DoubleFireWatchCaughtAndShrunk) {
   EXPECT_TRUE(saw_one_shot) << CheckReport{full.violations}.ToString();
 
   PlanSpec shrunk = ShrinkPlan(options, plan);
-  EXPECT_TRUE(shrunk.episodes.empty()) << "not minimal:\n" << shrunk.ToString();
+  EXPECT_TRUE(shrunk.faults.episodes.empty() && shrunk.membership.empty())
+      << "not minimal:\n" << shrunk.ToString();
   ScheduleResult minimal = RunSchedule(options, shrunk);
   EXPECT_FALSE(minimal.passed);
 }

@@ -256,7 +256,10 @@ QueueSig RunQueueWorkload(uint64_t seed) {
     });
   }
   FaultPlan plan;
-  plan.CrashAt(t0 + Millis(1200), 3).RestartAt(t0 + Millis(4500), 3);
+  plan.episodes.push_back({.kind = EpisodeKind::kCrashRestart,
+                           .start = Millis(1200),
+                           .duration = Millis(3300),
+                           .node = 3});
   fix.RunPlan(plan);
   fix.Settle(Seconds(12));
 
@@ -635,7 +638,10 @@ ShardedEdsSig RunShardedEdsWorkload(uint64_t seed) {
   });
   // Shard 1's replica 12 misses traffic and rejoins by state transfer.
   FaultPlan plan;
-  plan.CrashAt(t0 + Millis(1500), 12).RestartAt(t0 + Millis(2600), 12);
+  plan.episodes.push_back({.kind = EpisodeKind::kCrashRestart,
+                           .start = Millis(1500),
+                           .duration = Millis(1100),
+                           .node = 12});
   fix.RunPlan(plan);
   fix.Settle(Millis(3000));
 

@@ -83,9 +83,11 @@ RunSig RunEzk(uint64_t seed, bool observe) {
     }
   }
   EXPECT_NE(leader, 0u);
-  SimTime t = fix.loop().now();
   FaultPlan plan;
-  plan.CrashAt(t + Millis(200), leader).RestartAt(t + Seconds(3), leader);
+  plan.episodes.push_back({.kind = EpisodeKind::kCrashRestart,
+                           .start = Millis(200),
+                           .duration = Millis(2800),
+                           .node = leader});
   fix.RunPlan(plan);
   DriveWorkload(fix, observe);
   fix.Settle(Seconds(8));
@@ -114,9 +116,11 @@ RunSig RunEds(uint64_t seed, bool observe) {
   fix.faults().EnablePacketTrace();
   fix.Start();
 
-  SimTime t = fix.loop().now();
   FaultPlan plan;
-  plan.CrashAt(t + Millis(300), 3).RestartAt(t + Seconds(3), 3);
+  plan.episodes.push_back({.kind = EpisodeKind::kCrashRestart,
+                           .start = Millis(300),
+                           .duration = Millis(2700),
+                           .node = 3});
   fix.RunPlan(plan);
   DriveWorkload(fix, observe);
   fix.Settle(Seconds(10));

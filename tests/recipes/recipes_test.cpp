@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -15,14 +16,15 @@
 namespace edc {
 namespace {
 
-// gtest prints a parameter that has no PrintTo as its raw bytes, and the test
-// names ctest lists carry that print. `reserved` fills the padding after
-// `kind`, which would otherwise print stale stack bytes.
 struct SystemParam {
   SystemKind kind;
-  int32_t reserved = 0;
   const char* name;
 };
+
+// The test names ctest lists carry gtest's print of the parameter. Without
+// this, gtest prints the raw bytes, `name`'s address among them, and the
+// names change with every build.
+void PrintTo(const SystemParam& param, std::ostream* os) { *os << param.name; }
 
 class RecipeTest : public ::testing::TestWithParam<SystemParam> {
  protected:

@@ -63,9 +63,11 @@ TEST(ChaosTest, CrashRestartEdsReplicaRejoinsViaStateTransfer) {
   ClusterFixture fix(options);
   fix.Start();
 
-  SimTime t = fix.loop().now();
   FaultPlan plan;
-  plan.CrashAt(t + Millis(300), 3).RestartAt(t + Seconds(4), 3);
+  plan.episodes.push_back({.kind = EpisodeKind::kCrashRestart,
+                           .start = Millis(300),
+                           .duration = Millis(3700),
+                           .node = 3});
   fix.RunPlan(plan);
 
   int completed = 0;
@@ -192,9 +194,11 @@ TEST(ChaosTest, SameSeedFixtureRunsProduceIdenticalTraces) {
     }
     EXPECT_NE(leader, 0);
 
-    SimTime t = fix.loop().now();
     FaultPlan plan;
-    plan.CrashAt(t + Millis(200), leader).RestartAt(t + Seconds(3), leader);
+    plan.episodes.push_back({.kind = EpisodeKind::kCrashRestart,
+                             .start = Millis(200),
+                             .duration = Millis(2800),
+                             .node = leader});
     fix.RunPlan(plan);
     for (int i = 0; i < 10; ++i) {
       fix.loop().Schedule(Millis(100) * i, [&fix, i]() {

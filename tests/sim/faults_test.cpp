@@ -130,7 +130,10 @@ TEST_F(FaultsTest, PlanFiresStepsAtScheduledTimes) {
       3, [&]() { crashed_at = loop_.now(); }, [&]() { restarted_at = loop_.now(); });
 
   FaultPlan plan;
-  plan.CrashAt(Millis(10), 3).RestartAt(Millis(30), 3);
+  plan.episodes.push_back({.kind = EpisodeKind::kCrashRestart,
+                           .start = Millis(10),
+                           .duration = Millis(20),
+                           .node = 3});
   injector_.Run(plan);
   loop_.Run();
 
@@ -156,13 +159,105 @@ TEST_F(FaultsTest, UnregisteredNodeFallsBackToNetworkUpDown) {
 
 TEST_F(FaultsTest, PlanPartitionBlocksTrafficUntilHeal) {
   FaultPlan plan;
-  plan.PartitionAt(Millis(1), {1}, {2}).HealAt(Millis(20));
+  plan.episodes.push_back({.kind = EpisodeKind::kPartition,
+                           .start = Millis(1),
+                           .duration = Millis(19),
+                           .group_a = {1},
+                           .group_b = {2}});
   injector_.Run(plan);
   loop_.ScheduleAt(Millis(5), [this]() { net_.Send(Make(1, 2, 1)); });
   loop_.ScheduleAt(Millis(25), [this]() { net_.Send(Make(1, 2, 2)); });
   loop_.Run();
   ASSERT_EQ(b_.received.size(), 1u);
   EXPECT_EQ(b_.received[0].type, 2u);
+}
+
+// Overlapping partition episodes compose: the end of the first reconnects
+// only its own pairs, so the second's pairs keep dropping traffic.
+TEST_F(FaultsTest, OverlappingPartitionsEachHealOnlyTheirOwnPairs) {
+  FaultPlan plan;
+  plan.episodes.push_back({.kind = EpisodeKind::kPartition,
+                           .start = Millis(1),
+                           .duration = Millis(10),
+                           .group_a = {1},
+                           .group_b = {2}});
+  plan.episodes.push_back({.kind = EpisodeKind::kPartition,
+                           .start = Millis(5),
+                           .duration = Millis(20),
+                           .group_a = {1},
+                           .group_b = {3}});
+  injector_.Run(plan);
+  loop_.ScheduleAt(Millis(15), [this]() {
+    net_.Send(Make(1, 2, 1));  // first episode over: delivered
+    net_.Send(Make(1, 3, 2));  // second episode live: dropped
+    net_.Send(Make(3, 1, 3));
+  });
+  loop_.ScheduleAt(Millis(30), [this]() { net_.Send(Make(1, 3, 4)); });
+  loop_.Run();
+  ASSERT_EQ(b_.received.size(), 1u);
+  EXPECT_EQ(b_.received[0].type, 1u);
+  EXPECT_TRUE(a_.received.empty());
+  ASSERT_EQ(c_.received.size(), 1u);
+  EXPECT_EQ(c_.received[0].type, 4u);
+}
+
+// A pair cut by two live episodes stays cut until the later one ends.
+TEST_F(FaultsTest, PairCutTwiceStaysCutUntilTheLaterEpisodeEnds) {
+  FaultPlan plan;
+  plan.episodes.push_back({.kind = EpisodeKind::kPartition,
+                           .start = Millis(1),
+                           .duration = Millis(10),
+                           .group_a = {1},
+                           .group_b = {2}});
+  plan.episodes.push_back({.kind = EpisodeKind::kPartition,
+                           .start = Millis(5),
+                           .duration = Millis(15),
+                           .group_a = {1, 3},
+                           .group_b = {2}});
+  injector_.Run(plan);
+  loop_.ScheduleAt(Millis(15), [this]() {
+    net_.Send(Make(1, 2, 1));
+    net_.Send(Make(2, 1, 2));
+  });
+  loop_.ScheduleAt(Millis(25), [this]() {
+    net_.Send(Make(1, 2, 3));
+    net_.Send(Make(2, 1, 4));
+  });
+  loop_.Run();
+  ASSERT_EQ(b_.received.size(), 1u);
+  EXPECT_EQ(b_.received[0].type, 3u);
+  ASSERT_EQ(a_.received.size(), 1u);
+  EXPECT_EQ(a_.received[0].type, 4u);
+  // Begin and end of each episode, in time order.
+  ASSERT_EQ(injector_.trace().size(), 4u);
+  EXPECT_EQ(injector_.trace()[2], "heal t=" + std::to_string(Millis(11)));
+  EXPECT_EQ(injector_.trace()[3], "heal t=" + std::to_string(Millis(20)));
+}
+
+TEST_F(FaultsTest, PlanToStringIsDeterministicAndPrintsEachEpisodeOnce) {
+  FaultPlan plan;
+  EXPECT_EQ(plan.ToString(), "(no fault episodes)");
+  plan.episodes.push_back({.kind = EpisodeKind::kCrashRestart,
+                           .start = Millis(10),
+                           .duration = Millis(20),
+                           .node = 3});
+  plan.episodes.push_back({.kind = EpisodeKind::kPartition,
+                           .start = Millis(1),
+                           .duration = Millis(19),
+                           .group_a = {1},
+                           .group_b = {2, 3}});
+  plan.episodes.push_back({.kind = EpisodeKind::kLinkFaults,
+                           .start = Millis(1),
+                           .duration = Micros(15500),
+                           .node = 1,
+                           .peer = 2,
+                           .faults = LinkFaults{0.5, 0.3, Micros(300)}});
+  const std::string printed = plan.ToString();
+  EXPECT_EQ(printed,
+            "  crash-restart node=3 start=+10ms dur=20ms\n"
+            "  partition {1}|{2,3} start=+1ms dur=19ms\n"
+            "  link-faults 1<->2 drop=0.5 dup=0.3 delay=+300us start=+1ms dur=15500us\n");
+  EXPECT_EQ(plan.ToString(), printed);
 }
 
 // The headline property: a chaos schedule over a lossy, duplicating, slow
@@ -181,10 +276,16 @@ TEST_F(FaultsTest, SameSeedSamePlanSameDigest) {
     injector.EnablePacketTrace();
 
     FaultPlan plan;
-    plan.LinkFaultsAt(Millis(1), 1, 2, LinkFaults{0.5, 0.3, Micros(300)})
-        .CrashAt(Millis(8), 3)
-        .RestartAt(Millis(14), 3)
-        .ClearLinkFaultsAt(Millis(16), 1, 2);
+    plan.episodes.push_back({.kind = EpisodeKind::kLinkFaults,
+                             .start = Millis(1),
+                             .duration = Millis(15),
+                             .node = 1,
+                             .peer = 2,
+                             .faults = LinkFaults{0.5, 0.3, Micros(300)}});
+    plan.episodes.push_back({.kind = EpisodeKind::kCrashRestart,
+                             .start = Millis(8),
+                             .duration = Millis(6),
+                             .node = 3});
     injector.Run(plan);
     for (uint32_t i = 0; i < 50; ++i) {
       loop.ScheduleAt(Millis(2) + i * Micros(400), [&net, i]() {

@@ -103,15 +103,11 @@ TEST_F(NetworkTest, CrashClearsStaleFifoFloor) {
   // far into the future; after 2 crashes and restarts, fresh packets belong
   // to a NEW connection and must arrive at normal link latency instead of
   // being held behind the dead connection's floor.
-  LinkParams slow;
-  slow.latency = 0;
-  slow.jitter = 0;
-  slow.extra_delay = Seconds(30);
-  net_.SetLink(1, 2, slow);
-  net_.Send(Make(1, 2, 1));   // floors (1,2) delivery near t=30s
-  net_.SetNodeUp(2, false);   // crash tears down the connection + its floor
-  net_.SetNodeUp(2, true);    // restart
-  net_.ClearLink(1, 2);       // restarted node talks over a normal link
+  net_.SetLinkFaults(1, 2, LinkFaults{.extra_delay = Seconds(30)});
+  net_.Send(Make(1, 2, 1));                // floors (1,2) delivery near t=30s
+  net_.SetNodeUp(2, false);                // crash tears down the connection + its floor
+  net_.SetNodeUp(2, true);                 // restart
+  net_.SetLinkFaults(1, 2, LinkFaults{});  // restarted node talks over a normal link
 
   SimTime delivered = 0;
   net_.SetDeliverySink([&](SimTime at, const Packet& pkt) {
@@ -130,16 +126,12 @@ TEST_F(NetworkTest, CrashClearsStaleFifoFloor) {
 }
 
 TEST_F(NetworkTest, UnregisterClearsStaleFifoFloor) {
-  LinkParams slow;
-  slow.latency = 0;
-  slow.jitter = 0;
-  slow.extra_delay = Seconds(30);
-  net_.SetLink(1, 2, slow);
+  net_.SetLinkFaults(1, 2, LinkFaults{.extra_delay = Seconds(30)});
   net_.Send(Make(1, 2, 1));
   net_.Unregister(2);
   Sink b2;
   net_.Register(2, &b2);
-  net_.ClearLink(1, 2);
+  net_.SetLinkFaults(1, 2, LinkFaults{});
 
   SimTime delivered = 0;
   net_.SetDeliverySink([&](SimTime at, const Packet& pkt) {
@@ -156,9 +148,7 @@ TEST_F(NetworkTest, UnregisterClearsStaleFifoFloor) {
 }
 
 TEST_F(NetworkTest, DropProbabilityOneLosesEverything) {
-  LinkParams lossy;
-  lossy.drop_probability = 1.0;
-  net_.SetLink(1, 2, lossy);
+  net_.SetLinkFaults(1, 2, LinkFaults{.drop_probability = 1.0});
   for (int i = 0; i < 10; ++i) {
     net_.Send(Make(1, 2, 0));
   }
@@ -169,22 +159,21 @@ TEST_F(NetworkTest, DropProbabilityOneLosesEverything) {
 }
 
 TEST_F(NetworkTest, BandwidthAddsSerializationDelay) {
-  LinkParams slow;
-  slow.latency = 0;
-  slow.jitter = 0;
-  slow.bandwidth_bps = 8000.0;  // 1000 bytes/s
-  net_.SetLink(1, 2, slow);
-  net_.Send(Make(1, 2, 0, 1000 - kFrameOverheadBytes));  // 1000 wire bytes
-  loop_.Run();
-  ASSERT_EQ(b_.received.size(), 1u);
-  EXPECT_NEAR(static_cast<double>(loop_.now()), 1e9, 1e7);  // ~1 simulated second
+  EventLoop loop;
+  Network net(&loop, Rng(1),
+              LinkParams{.latency = 0, .jitter = 0, .bandwidth_bps = 8000.0});  // 1000 bytes/s
+  Sink a;
+  Sink b;
+  net.Register(1, &a);
+  net.Register(2, &b);
+  net.Send(Make(1, 2, 0, 1000 - kFrameOverheadBytes));  // 1000 wire bytes
+  loop.Run();
+  ASSERT_EQ(b.received.size(), 1u);
+  EXPECT_NEAR(static_cast<double>(loop.now()), 1e9, 1e7);  // ~1 simulated second
 }
 
-TEST_F(NetworkTest, LinkOverrideAppliesSymmetrically) {
-  LinkParams wan;
-  wan.latency = Millis(20);
-  wan.jitter = 0;
-  net_.SetLink(1, 2, wan);
+TEST_F(NetworkTest, LinkFaultsApplyInBothDirections) {
+  net_.SetLinkFaults(1, 2, LinkFaults{.extra_delay = Millis(20)});
   net_.Send(Make(2, 1, 0));
   loop_.Run();
   EXPECT_GE(loop_.now(), Millis(20));

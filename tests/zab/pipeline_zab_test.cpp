@@ -543,7 +543,7 @@ void RunPipelinedZkSeeds(uint64_t lo, uint64_t hi) {
     options.seed = seed;
     options.zk_server = PipelinedServerOptions();
     PlanSpec plan = GeneratePlan(options.system, options.seed);
-    for (const PlanEpisode& ep : plan.episodes) {
+    for (const Episode& ep : plan.faults.episodes) {
       crash_episodes += ep.kind == EpisodeKind::kCrashRestart ? 1 : 0;
     }
     ScheduleResult result = RunSchedule(options, plan);

@@ -176,13 +176,17 @@ TEST(ZabChaosTest, DeterministicPrimaryCrashReelection) {
 
     InvariantMonitor monitor(&cluster.loop, &cluster.servers);
     monitor.Start();
-    SimTime t = cluster.loop.now();
     FaultPlan plan;
-    plan.CrashAt(t + Millis(300), out.old_leader)
-        .RestartAt(t + Seconds(4), out.old_leader)
-        .PartitionAt(t + Seconds(6), {out.old_leader},
-                     {out.old_leader % 3 + 1, (out.old_leader + 1) % 3 + 1})
-        .HealAt(t + Seconds(7));
+    plan.episodes.push_back({.kind = EpisodeKind::kCrashRestart,
+                             .start = Millis(300),
+                             .duration = Millis(3700),
+                             .node = out.old_leader});
+    plan.episodes.push_back({.kind = EpisodeKind::kPartition,
+                             .start = Seconds(6),
+                             .duration = Seconds(1),
+                             .group_a = {out.old_leader},
+                             .group_b = {out.old_leader % 3 + 1,
+                                         (out.old_leader + 1) % 3 + 1}});
     cluster.faults->Run(plan);
     for (int i = 0; i < 12; ++i) {
       cluster.loop.Schedule(Millis(250) * i, [client, i]() {
