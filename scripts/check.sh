@@ -11,7 +11,9 @@
 # edc-lint golden tests, edc-lint over the example scripts, and clang-tidy
 # when available; last, the benchmark's own unit tests (perfbench/README.md),
 # which build perfbench against the extension-manager and registry API of
-# this checkout. A spotlight re-runs the deterministic bench gate (label
+# this checkout. One spotlight checks that every suite ported onto the
+# per-layer harnesses (CoordFixture, the Zab shell, the PBFT shell) still
+# registers. A spotlight re-runs the deterministic bench gate (label
 # bench): three benches whose stdout must match bench_results/. Any failure
 # aborts.
 #
@@ -180,6 +182,12 @@ ctest --output-on-failure -j "$JOBS" --no-tests=error \
 echo "== spotlight: snapshot-shipped join + leader removal (docs/reconfig.md) =="
 ctest --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'ReconfigAcceptance\.|ReconfigZabTest\.JoinerBehindLogFloorCatchesUpViaSnapshot|ReconfigServiceTest\.RollingReplacementKeepsClientConnected'
+# One harness per layer: the service suites run on CoordFixture, the Zab
+# suites on tests/zab/zab_cluster.h, the PBFT suites on
+# tests/bft/bft_cluster.h. A suite that stops registering fails here.
+echo "== spotlight: suites ported onto the per-layer harnesses =="
+ctest --output-on-failure -j "$JOBS" --no-tests=error \
+  -R '^(ZkServiceTest|DsServiceTest|EzkExtensionTest|EdsExtensionTest|ZabClusterTest|ReconfigZabTest|BftClusterTest|BftRecovery|ZabChaosTest)\.'
 echo "== spotlight: membership-episode schedule sweep =="
 ctest --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'ReconfigScheduleSweep\.'

@@ -152,6 +152,7 @@ class DsServer : public NetworkNode, public BftCallbacks {
   const TupleSpace& space() const { return space_; }
   BftReplica& bft() { return *bft_; }
   CpuQueue& cpu() { return cpu_; }
+  const CostModel& costs() const { return costs_; }
 
   // Fault injection passthrough.
   void SetEquivocate(bool on) { bft_->SetEquivocate(on); }

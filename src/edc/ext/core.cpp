@@ -100,9 +100,9 @@ Result<Value> SandboxHost::Call(const std::string& name, std::vector<Value>& arg
   return ScriptError("unknown host function '" + name + "'");
 }
 
-ExtensionManagerCore::ExtensionManagerCore(const ExtensionLimits& limits, HostSet set,
-                                           EmLayout layout)
-    : limits_(limits), set_(set), layout_(layout) {
+ExtensionManagerCore::ExtensionManagerCore(const ExtensionLimits& limits,
+                                           const CostModel& costs, HostSet set, EmLayout layout)
+    : limits_(limits), costs_(costs), set_(set), layout_(layout) {
   verifier_config_ = SandboxVerifierConfig(set);
   // Active replication executes every extension on every replica, so the
   // EDS white list must be fully deterministic; primary-backup EZK may use
@@ -125,7 +125,7 @@ Result<EmRequest> ExtensionManagerCore::AdmitClientWrite(EmWrite write, const st
                                                          Duration* cpu) {
   std::string name = EmLayout::RegisteredName(path);
   if (write == EmWrite::kCreate && !name.empty()) {
-    *cpu += static_cast<Duration>(data.size()) * CostModel{}.ext_verify_cpu_per_byte;
+    *cpu += static_cast<Duration>(data.size()) * costs_.ext_verify_cpu_per_byte;
     auto ext = AdmitExtension(name, client, data, verifier_config_);
     if (!ext.ok()) {
       return ext.status();
@@ -233,9 +233,8 @@ Invocation ExtensionManagerCore::Invoke(const LoadedExtension& ext, const std::s
                                         HostSet set, Obs* obs) {
   SandboxHost host(proxy, limits_, set);
   HandlerRun run = RunExtensionHandler(ext, handler, std::move(args), &host, limits_);
-  CostModel costs;
   Invocation inv;
-  inv.cpu = costs.ext_invoke_cpu + run.steps_used * costs.ext_step_cpu;
+  inv.cpu = costs_.ext_invoke_cpu + run.steps_used * costs_.ext_step_cpu;
   if (obs != nullptr) {
     obs->metrics.GetCounter("ext.invocations")->Increment();
     obs->metrics.GetCounter("ext.steps")->Add(run.steps_used);

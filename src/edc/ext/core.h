@@ -26,6 +26,7 @@
 #include "edc/ext/registry.h"
 #include "edc/obs/obs.h"
 #include "edc/script/host_api.h"
+#include "edc/sim/costs.h"
 #include "edc/sim/time.h"
 
 namespace edc {
@@ -101,7 +102,10 @@ struct EmRequest {
 
 class ExtensionManagerCore {
  public:
-  ExtensionManagerCore(const ExtensionLimits& limits, HostSet set, EmLayout layout);
+  // `costs` is the replica's cost model: it prices admission and every
+  // handler run.
+  ExtensionManagerCore(const ExtensionLimits& limits, const CostModel& costs, HostSet set,
+                       EmLayout layout);
 
   const ExtensionLimits& limits() const { return limits_; }
   ExtensionRegistry& registry() { return registry_; }
@@ -148,6 +152,7 @@ class ExtensionManagerCore {
   Invocation Settle(const std::string& name, Invocation inv);
 
   ExtensionLimits limits_;
+  CostModel costs_;
   HostSet set_;
   EmLayout layout_;
   VerifierConfig verifier_config_;

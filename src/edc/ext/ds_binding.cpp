@@ -185,7 +185,7 @@ const char* EventKindOf(DsEvent::Type type) {
 }  // namespace
 
 DsExtensionManager::DsExtensionManager(DsServer* server, ExtensionLimits limits)
-    : server_(server), core_(limits, kEdsHost, kDsEmLayout) {
+    : server_(server), core_(limits, server->costs(), kEdsHost, kDsEmLayout) {
   server_->SetHooks(this);
 }
 

@@ -140,7 +140,7 @@ EmWrite WriteOf(const ZkOp& op) {
 }  // namespace
 
 ZkExtensionManager::ZkExtensionManager(ZkServer* server, ExtensionLimits limits)
-    : server_(server), core_(limits, kEzkHost, kZkEmLayout) {
+    : server_(server), core_(limits, server->costs(), kEzkHost, kZkEmLayout) {
   server_->SetHooks(this);
 }
 

@@ -124,11 +124,7 @@ void CoordFixture::Start() {
       } else {
         // Full ensemble list so fixture clients fail over during chaos runs;
         // preferred index keeps the historical round-robin initial placement.
-        ServerList ensemble{group.servers, i % group.size()};
-        api = Track(std::make_unique<ZkClient>(&loop_, net_.get(), node,
-                                               ShardView::Standalone(std::move(ensemble)),
-                                               options_.zk_client),
-                    zk_clients_);
+        api = AddZkClient(ServerList{group.servers, i % group.size()}, options_.zk_client);
       }
       api->Connect([&connected](Status s) {
         if (s.ok()) {
@@ -144,15 +140,27 @@ void CoordFixture::Start() {
                                                   options_.ds_client),
                   ds_routers_);
     } else {
-      api = Track(std::make_unique<DsClient>(&loop_, net_.get(), node,
-                                             ShardView::Standalone(group), options_.ds_client),
-                  ds_clients_);
+      api = AddDsClient(group, options_.ds_client);
     }
     coords_.push_back(std::make_unique<DsCoordClient>(&loop_, api));
   }
   loop_.RunUntil(loop_.now() + (zk ? Seconds(2) : Millis(500)));
   assert((!zk || connected == options_.num_clients) && "zk clients failed to connect");
   (void)connected;
+}
+
+ZkClient* CoordFixture::AddZkClient(ServerList servers, const ZkClientOptions& options) {
+  NodeId node = 100 + static_cast<NodeId>(zk_clients_.size());
+  return Track(std::make_unique<ZkClient>(&loop_, net_.get(), node,
+                                          ShardView::Standalone(std::move(servers)), options),
+               zk_clients_);
+}
+
+DsClient* CoordFixture::AddDsClient(ServerList servers, const DsClientOptions& options) {
+  NodeId node = 100 + static_cast<NodeId>(ds_clients_.size());
+  return Track(std::make_unique<DsClient>(&loop_, net_.get(), node,
+                                          ShardView::Standalone(std::move(servers)), options),
+               ds_clients_);
 }
 
 ZkServer* CoordFixture::BootZkReplica(NodeId id, std::vector<NodeId> members,

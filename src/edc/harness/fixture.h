@@ -91,6 +91,12 @@ class CoordFixture {
   // zk_router(i)/ds_router(i) expose the per-shard sub-clients instead.
   ZkClient* zk_client(size_t i) { return i < zk_clients_.size() ? zk_clients_[i].get() : nullptr; }
   DsClient* ds_client(size_t i) { return i < ds_clients_.size() ? ds_clients_[i].get() : nullptr; }
+  // Builds one raw client over `servers` on the next client node id (100,
+  // 101, ...; zk_client(i) / ds_client(i) list them). Start() builds every
+  // unsharded client here; a test that boots with num_clients = 0 adds its
+  // own. The caller connects it.
+  ZkClient* AddZkClient(ServerList servers, const ZkClientOptions& options);
+  DsClient* AddDsClient(ServerList servers, const DsClientOptions& options);
 
   // Sharded topology. The map lists every replica group (one, at version 1,
   // when num_shards == 1); the routers are null when num_shards == 1.
@@ -169,6 +175,13 @@ class CoordFixture {
   // Direct server access for special benches (fault injection, CPU stats).
   std::vector<std::unique_ptr<ZkServer>> zk_servers;
   std::vector<std::unique_ptr<DsServer>> ds_servers;
+  // Extensible systems only: the manager of zk_servers[i] / ds_servers[i].
+  const std::vector<std::unique_ptr<ZkExtensionManager>>& zk_managers() const {
+    return zk_managers_;
+  }
+  const std::vector<std::unique_ptr<DsExtensionManager>>& ds_managers() const {
+    return ds_managers_;
+  }
 
  private:
   void WireObservability();

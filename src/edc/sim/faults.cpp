@@ -1,5 +1,6 @@
 #include "edc/sim/faults.h"
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -136,15 +137,41 @@ void FaultInjector::Run(const FaultPlan& plan) {
 
 void FaultInjector::Apply(const Episode& ep, bool begin) {
   switch (ep.kind) {
-    case EpisodeKind::kCrashRestart:
-      begin ? Crash(ep.node) : Restart(ep.node);
+    case EpisodeKind::kCrashRestart: {
+      int& live = live_crashes_[ep.node];
+      if (begin) {
+        ++live;
+        Crash(ep.node);
+      } else if (--live == 0) {
+        Restart(ep.node);
+      }
       break;
+    }
     case EpisodeKind::kPartition:
       begin ? Partition(ep.group_a, ep.group_b) : Heal(ep.group_a, ep.group_b);
       break;
-    case EpisodeKind::kLinkFaults:
-      begin ? SetLinkFaults(ep.node, ep.peer, ep.faults) : ClearLinkFaults(ep.node, ep.peer);
+    case EpisodeKind::kLinkFaults: {
+      std::vector<const Episode*>& live =
+          live_link_faults_[std::minmax(ep.node, ep.peer)];
+      if (begin) {
+        live.push_back(&ep);
+        SetLinkFaults(ep.node, ep.peer, ep.faults);
+        break;
+      }
+      // Only the newest live episode's faults are on the link: an older
+      // episode's end changes nothing.
+      bool newest = live.back() == &ep;
+      live.erase(std::find(live.begin(), live.end(), &ep));
+      if (!newest) {
+        break;
+      }
+      if (live.empty()) {
+        ClearLinkFaults(ep.node, ep.peer);
+      } else {
+        SetLinkFaults(live.back()->node, live.back()->peer, live.back()->faults);
+      }
       break;
+    }
   }
 }
 

@@ -20,8 +20,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "edc/sim/event_loop.h"
@@ -51,10 +53,13 @@ struct Episode {
   LinkFaults faults = {};
 };
 
-// A fault schedule, executed by FaultInjector::Run. Partition episodes
-// compose: a pair cut by two live episodes stays cut until both have ended.
-// Two live episodes on one node or one link do not: the earlier end
-// restarts the node or clears the link.
+// A fault schedule, executed by FaultInjector::Run. Every episode's end
+// undoes only its own begin, so live episodes nest: a pair cut by two live
+// partition episodes stays cut until both have ended; a node crashed by two
+// live crash-restart episodes restarts when the last of them ends; and a
+// link carries the faults of its latest-begun live episode, so an end
+// restores the faults of the newest episode still live on the link, or
+// clears them when none is.
 struct FaultPlan {
   std::vector<Episode> episodes;
 
@@ -130,6 +135,10 @@ class FaultInjector {
     std::function<void()> restart;
   };
   std::unordered_map<NodeId, Process> procs_;
+  // Plan episodes live now: crash-restart episodes per node, and link-fault
+  // episodes per link (lower id first) in begin order.
+  std::unordered_map<NodeId, int> live_crashes_;
+  std::map<std::pair<NodeId, NodeId>, std::vector<const Episode*>> live_link_faults_;
   std::vector<std::string> trace_;
   uint64_t digest_ = 0xcbf29ce484222325ULL;  // kFnvOffset
   uint64_t semantic_digest_ = 0;

@@ -57,9 +57,6 @@ class ZkClient : public NetworkNode, public ZkApi {
 
   ZkClient(EventLoop* loop, Network* net, NodeId id, ShardView view,
            ZkClientOptions options);
-  // Single-replica convenience (no failover targets, standalone map).
-  ZkClient(EventLoop* loop, Network* net, NodeId id, NodeId server, ZkClientOptions options)
-      : ZkClient(loop, net, id, ShardView::Standalone(ServerList{server}), options) {}
 
   ZkClient(const ZkClient&) = delete;
   ZkClient& operator=(const ZkClient&) = delete;

@@ -124,6 +124,7 @@ class ZkServer : public NetworkNode, public ZabCallbacks {
   const DataTree& tree() const { return tree_; }
   ZabNode& zab() { return *zab_; }
   CpuQueue& cpu() { return cpu_; }
+  const CostModel& costs() const { return costs_; }
   const LogStore& log() const { return log_; }
   // (zxid, FNV-1a of txn bytes) for every transaction applied since the last
   // boot/snapshot, in delivery order. Invariant checkers compare the zxid

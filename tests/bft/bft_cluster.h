@@ -1,5 +1,7 @@
-// Shared raw-PBFT cluster fixture for the bft tests: counter replicas behind
-// BftReplica, a voting client, and helpers to forge protocol packets.
+// The PBFT-level test substrate: counter replicas behind BftReplica, a voting
+// client, and helpers to crash, restart and forge protocol packets. Every raw
+// PBFT suite (BftClusterTest, the batching tests, BftRecovery's dedup check)
+// runs on it; the service-level suites run on CoordFixture instead.
 
 #ifndef EDC_TESTS_BFT_BFT_CLUSTER_H_
 #define EDC_TESTS_BFT_BFT_CLUSTER_H_
@@ -10,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "edc/bft/replica.h"
@@ -26,7 +29,7 @@ inline std::string Str(const std::vector<uint8_t>& b) { return std::string(b.beg
 
 // Deterministic state machine: applies "add:<n>" requests to a counter and
 // replies with the post-state, so divergence between replicas is visible to
-// the voting client. Execute() checks the BftCallbacks contract: op numbers
+// the voting client; any other request is echoed back unchanged. Execute() checks the BftCallbacks contract: op numbers
 // rise by one and timestamps strictly increase. Both are part of the
 // snapshot, so after a state transfer the check also covers the op count the
 // replica restored from the checkpoint header.
@@ -52,12 +55,14 @@ class CounterReplica : public NetworkNode, public BftCallbacks {
     last_seq = seq;
     last_ts = ts;
     std::string body = Str(request.payload);
+    std::string reply = body;
     if (body.rfind("add:", 0) == 0) {
       counter += std::stoll(body.substr(4));
+      reply = std::to_string(counter);
     }
     order.push_back(body);
     executed.emplace_back(request.client, request.req_id);
-    replica->SendReply(request.client, request.req_id, Bytes(std::to_string(counter)));
+    replica->SendReply(request.client, request.req_id, Bytes(reply));
     return BftExecOutcome{};
   }
 
@@ -191,12 +196,15 @@ class VotingClient : public NetworkNode {
   std::map<uint64_t, Call> calls_;
 };
 
-class BftClusterTest : public ::testing::Test {
- protected:
+// Replicas 1..n on one network and a voting client (node kClient) that
+// accepts a reply from f + 1 of them, f = (n - 1) / 3.
+class BftCluster {
+ public:
   static constexpr NodeId kClient = 100;
 
-  void Boot(int n = 4, LinkParams link = LinkParams{}) {
-    net_ = std::make_unique<Network>(&loop_, Rng(3), link);
+  // Builds every replica, then starts them in id order.
+  void Boot(int n = 4, LinkParams link = LinkParams{}, uint64_t seed = 3) {
+    net_ = std::make_unique<Network>(&loop_, Rng(seed), link);
     for (int i = 1; i <= n; ++i) {
       members_.push_back(static_cast<NodeId>(i));
     }
@@ -206,7 +214,20 @@ class BftClusterTest : public ::testing::Test {
     for (auto& r : replicas_) {
       r->replica->Start();
     }
-    client_ = std::make_unique<VotingClient>(&loop_, net_.get(), kClient, members_, 1);
+    client_ = std::make_unique<VotingClient>(&loop_, net_.get(), kClient, members_, (n - 1) / 3);
+  }
+
+  // A crash stops replica `id` and takes it off the network; a restart puts
+  // it back, empties its state machine and restarts the replica.
+  void Crash(NodeId id) {
+    replicas_[id - 1]->replica->Crash();
+    net_->SetNodeUp(id, false);
+  }
+
+  void Restart(NodeId id) {
+    net_->SetNodeUp(id, true);
+    replicas_[id - 1]->ResetState();
+    replicas_[id - 1]->replica->Restart();
   }
 
   void Settle(Duration d = Seconds(2)) { loop_.RunUntil(loop_.now() + d); }
@@ -236,12 +257,21 @@ class BftClusterTest : public ::testing::Test {
     net_->Send(std::move(pkt));
   }
 
+  EventLoop& loop() { return loop_; }
+  Network& net() { return *net_; }
+  const std::vector<NodeId>& members() const { return members_; }
+  const std::vector<std::unique_ptr<CounterReplica>>& replicas() const { return replicas_; }
+  VotingClient* client() { return client_.get(); }
+
+ private:
   EventLoop loop_;
   std::unique_ptr<Network> net_;
   std::vector<NodeId> members_;
   std::vector<std::unique_ptr<CounterReplica>> replicas_;
   std::unique_ptr<VotingClient> client_;
 };
+
+class BftClusterTest : public ::testing::Test, protected BftCluster {};
 
 }  // namespace edc
 

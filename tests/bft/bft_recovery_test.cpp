@@ -18,11 +18,9 @@
 #include <vector>
 
 #include "edc/bft/replica.h"
-#include "edc/common/rng.h"
 #include "edc/harness/fixture.h"
 #include "edc/harness/invariants.h"
-#include "edc/sim/cpu.h"
-#include "edc/sim/network.h"
+#include "tests/bft/bft_cluster.h"
 
 namespace edc {
 namespace {
@@ -144,116 +142,37 @@ TEST(BftRecovery, RepliesAfterTransferStayConverged) {
 
 // --------------------------------------------------------- raw BFT dedup
 
-std::vector<uint8_t> Bytes(const std::string& s) {
-  return std::vector<uint8_t>(s.begin(), s.end());
-}
-
-// Counter state machine with snapshot support: the transferred state must
-// carry the dedup summary, so a retransmission of a pre-crash request is not
-// re-executed by the recovered replica.
-class SnapCounter : public NetworkNode, public BftCallbacks {
- public:
-  SnapCounter(EventLoop* loop, Network* net, NodeId id, std::vector<NodeId> members)
-      : cpu(loop, 1) {
-    replica = std::make_unique<BftReplica>(loop, net, &cpu, CostModel{}, id, std::move(members),
-                                           this);
-    net->Register(id, this);
-  }
-
-  void HandlePacket(Packet&& pkt) override {
-    if (IsBftPacket(pkt.type)) {
-      replica->HandlePacket(std::move(pkt));
-    }
-  }
-
-  BftExecOutcome Execute(uint64_t seq, SimTime ts, const BftRequest& request) override {
-    (void)seq;
-    (void)ts;
-    std::string body(request.payload.begin(), request.payload.end());
-    if (body.rfind("add:", 0) == 0) {
-      counter += std::stoll(body.substr(4));
-    }
-    ++executions;
-    replica->SendReply(request.client, request.req_id, Bytes(std::to_string(counter)));
-    return BftExecOutcome{};
-  }
-
-  std::vector<uint8_t> TakeSnapshot() override {
-    Encoder enc;
-    enc.I64(counter);
-    return enc.Release();
-  }
-
-  Status RestoreSnapshot(const std::vector<uint8_t>& snapshot) override {
-    Decoder dec(snapshot);
-    int64_t value = 0;
-    dec.I64(value);
-    if (!dec.ok()) {
-      return dec.status();
-    }
-    counter = value;
-    return Status::Ok();
-  }
-
-  CpuQueue cpu;
-  std::unique_ptr<BftReplica> replica;
-  int64_t counter = 0;
-  int executions = 0;
-};
-
-// Absorbs replica replies so the test's synthetic client is a live node in
-// the network (packets from unregistered/down sources are dropped).
-struct ReplySink : NetworkNode {
-  void HandlePacket(Packet&&) override {}
-};
-
 TEST(BftRecovery, TransferredDedupBlocksReexecution) {
-  EventLoop loop;
-  Network net(&loop, Rng(7), LinkParams{});
-  ReplySink client_node;
-  net.Register(100, &client_node);
-  std::vector<NodeId> members{1, 2, 3, 4};
-  std::vector<std::unique_ptr<SnapCounter>> replicas;
-  for (NodeId id : members) {
-    replicas.push_back(std::make_unique<SnapCounter>(&loop, &net, id, members));
-  }
-  for (auto& r : replicas) {
-    r->replica->Start();
-  }
-
+  // The requests come from the cluster's client node but are built here, so
+  // request 1 can be retransmitted under its original id.
+  BftCluster cluster;
+  cluster.Boot(4, LinkParams{}, /*seed=*/7);
+  const std::vector<std::unique_ptr<CounterReplica>>& replicas = cluster.replicas();
   auto send = [&](uint64_t req_id, const std::string& body) {
     BftRequest req;
-    req.client = 100;
+    req.client = BftCluster::kClient;
     req.req_id = req_id;
     req.payload = Bytes(body);
-    for (NodeId r : members) {
-      Packet pkt;
-      pkt.src = 100;
-      pkt.dst = r;
-      pkt.type = static_cast<uint32_t>(BftMsgType::kRequest);
-      pkt.payload = EncodeMsg(req);
-      net.Send(std::move(pkt));
+    for (NodeId r : cluster.members()) {
+      cluster.Forge(BftCluster::kClient, r, BftMsgType::kRequest, EncodeMsg(req));
     }
   };
-  auto settle = [&](Duration d) { loop.RunUntil(loop.now() + d); };
 
   // Request 1 executes everywhere, then replica 4 sleeps through enough
   // further requests to cross a checkpoint boundary (interval 8).
   send(1, "add:1");
-  settle(Seconds(1));
+  cluster.Settle(Seconds(1));
   ASSERT_EQ(replicas[3]->counter, 1);
-  replicas[3]->replica->Crash();
-  net.SetNodeUp(4, false);
+  cluster.Crash(4);
   for (uint64_t id = 2; id <= 16; ++id) {
     send(id, "add:1");
-    settle(Millis(200));
+    cluster.Settle(Millis(200));
   }
   ASSERT_EQ(replicas[0]->counter, 16);
   ASSERT_GT(replicas[0]->replica->low_watermark(), 0u);
 
-  net.SetNodeUp(4, true);
-  replicas[3]->replica->Restart();
-  settle(Seconds(4));
+  cluster.Restart(4);
+  cluster.Settle(Seconds(4));
   EXPECT_GE(replicas[3]->replica->state_transfers(), 1);
   EXPECT_EQ(replicas[3]->counter, 16);
   EXPECT_EQ(replicas[3]->replica->last_executed(), replicas[0]->replica->last_executed());
@@ -261,19 +180,14 @@ TEST(BftRecovery, TransferredDedupBlocksReexecution) {
   // Retransmit request 1 to the recovered replica only: its transferred
   // dedup summary must classify it as already executed (req ids at or below
   // the client's floor count as executed even after GC).
-  int executions_before = replicas[3]->executions;
+  size_t executions_before = replicas[3]->executed.size();
   BftRequest dup;
-  dup.client = 100;
+  dup.client = BftCluster::kClient;
   dup.req_id = 1;
   dup.payload = Bytes("add:1");
-  Packet pkt;
-  pkt.src = 100;
-  pkt.dst = 4;
-  pkt.type = static_cast<uint32_t>(BftMsgType::kRequest);
-  pkt.payload = EncodeMsg(dup);
-  net.Send(std::move(pkt));
-  settle(Seconds(2));
-  EXPECT_EQ(replicas[3]->executions, executions_before);
+  cluster.Forge(BftCluster::kClient, 4, BftMsgType::kRequest, EncodeMsg(dup));
+  cluster.Settle(Seconds(2));
+  EXPECT_EQ(replicas[3]->executed.size(), executions_before);
   EXPECT_EQ(replicas[3]->counter, 16);
 }
 

@@ -1,10 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "edc/common/codec.h"
-#include "tests/ds/ds_cluster.h"
+#include "tests/harness/fixture_helpers.h"
 
 namespace edc {
 namespace {
@@ -14,6 +15,14 @@ std::string DataOf(const DsReply& reply) {
     return "";
   }
   return FieldToString(reply.tuples[0][1]);
+}
+
+// Four DepSpace replicas, no fixture clients: each test adds its own.
+FixtureOptions DsGroup(DsServerOptions server = DsServerOptions{}) {
+  return FixtureOptions{.system = SystemKind::kDepSpace,
+                        .num_clients = 0,
+                        .seed = 21,
+                        .ds_server = std::move(server)};
 }
 
 // A replica that swallows the client's requests; the test plays its replies.
@@ -61,14 +70,14 @@ TEST(DsClientQuorumTest, FourReplicasNeedTwoMatchingReplies) {
 }
 
 TEST(DsServiceTest, OutThenRdpOnAllReplicas) {
-  DsCluster cluster;
+  CoordFixture cluster(DsGroup());
   cluster.Start();
-  DsClient* client = cluster.AddClient();
+  DsClient* client = AddGroupDsClient(cluster);
   bool out_ok = false;
   client->Out(ObjectTuple("/a", "v"), [&](Result<DsReply> r) { out_ok = r.ok(); });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   EXPECT_TRUE(out_ok);
-  for (auto& server : cluster.servers) {
+  for (auto& server : cluster.ds_servers) {
     EXPECT_TRUE(server->space().HasMatch(ObjectTemplate("/a")));
   }
   std::string data;
@@ -76,18 +85,18 @@ TEST(DsServiceTest, OutThenRdpOnAllReplicas) {
     ASSERT_TRUE(r.ok());
     data = DataOf(*r);
   });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   EXPECT_EQ(data, "v");
 }
 
 // A call's 1 s retransmit timer is cancelled when its f+1 reply vote
 // completes, so finished calls leave nothing behind in the event queue.
 TEST(DsServiceTest, CompletedCallsCancelTheirRetryTimers) {
-  DsCluster cluster;
+  CoordFixture cluster(DsGroup());
   cluster.Start();
-  DsClient* client = cluster.AddClient();
-  cluster.Settle();
-  const size_t idle = cluster.loop.pending();
+  DsClient* client = AddGroupDsClient(cluster);
+  cluster.Settle(Millis(500));
+  const size_t idle = cluster.loop().pending();
   int done = 0;
   for (int i = 0; i < 50; ++i) {
     client->Out(ObjectTuple("/t" + std::to_string(i), "v"), [&](Result<DsReply> r) {
@@ -98,26 +107,26 @@ TEST(DsServiceTest, CompletedCallsCancelTheirRetryTimers) {
   cluster.Settle(Millis(200));  // well inside the first retransmit delay
   ASSERT_EQ(done, 50);
   EXPECT_EQ(client->outstanding(), 0u);
-  EXPECT_LE(cluster.loop.pending(), idle);
+  EXPECT_LE(cluster.loop().pending(), idle);
 }
 
 TEST(DsServiceTest, RdpMissIsNoNode) {
-  DsCluster cluster;
+  CoordFixture cluster(DsGroup());
   cluster.Start();
-  DsClient* client = cluster.AddClient();
+  DsClient* client = AddGroupDsClient(cluster);
   ErrorCode code = ErrorCode::kOk;
   client->Rdp(ObjectTemplate("/ghost"), [&](Result<DsReply> r) { code = r.code(); });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   EXPECT_EQ(code, ErrorCode::kNoNode);
 }
 
 TEST(DsServiceTest, InpRemovesExactlyOnce) {
-  DsCluster cluster;
+  CoordFixture cluster(DsGroup());
   cluster.Start();
-  DsClient* a = cluster.AddClient();
-  DsClient* b = cluster.AddClient();
+  DsClient* a = AddGroupDsClient(cluster);
+  DsClient* b = AddGroupDsClient(cluster);
   a->Out(ObjectTuple("/once", "x"), [](Result<DsReply>) {});
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   int successes = 0;
   int misses = 0;
   auto count = [&](Result<DsReply> r) {
@@ -129,88 +138,88 @@ TEST(DsServiceTest, InpRemovesExactlyOnce) {
   };
   a->Inp(ObjectTemplate("/once"), count);
   b->Inp(ObjectTemplate("/once"), count);
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   EXPECT_EQ(successes, 1);
   EXPECT_EQ(misses, 1);
 }
 
 TEST(DsServiceTest, BlockingRdUnblocksOnOut) {
-  DsCluster cluster;
+  CoordFixture cluster(DsGroup());
   cluster.Start();
-  DsClient* reader = cluster.AddClient();
-  DsClient* writer = cluster.AddClient();
+  DsClient* reader = AddGroupDsClient(cluster);
+  DsClient* writer = AddGroupDsClient(cluster);
   std::string seen;
   reader->Rd(ObjectTemplate("/later"), [&](Result<DsReply> r) {
     ASSERT_TRUE(r.ok());
     seen = DataOf(*r);
   });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   EXPECT_EQ(seen, "");  // still blocked
   writer->Out(ObjectTuple("/later", "arrived"), [](Result<DsReply>) {});
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   EXPECT_EQ(seen, "arrived");
 }
 
 TEST(DsServiceTest, BlockingInConsumesForOneWaiterOnly) {
-  DsCluster cluster;
+  CoordFixture cluster(DsGroup());
   cluster.Start();
-  DsClient* w1 = cluster.AddClient();
-  DsClient* w2 = cluster.AddClient();
-  DsClient* writer = cluster.AddClient();
+  DsClient* w1 = AddGroupDsClient(cluster);
+  DsClient* w2 = AddGroupDsClient(cluster);
+  DsClient* writer = AddGroupDsClient(cluster);
   int unblocked = 0;
   w1->In(ObjectTemplate("/job"), [&](Result<DsReply> r) { unblocked += r.ok(); });
   cluster.Settle(Millis(100));
   w2->In(ObjectTemplate("/job"), [&](Result<DsReply> r) { unblocked += r.ok(); });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   writer->Out(ObjectTuple("/job", "payload"), [](Result<DsReply>) {});
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   EXPECT_EQ(unblocked, 1);  // only the first waiter got it
-  for (auto& server : cluster.servers) {
+  for (auto& server : cluster.ds_servers) {
     EXPECT_FALSE(server->space().HasMatch(ObjectTemplate("/job")));
   }
   // Second waiter fires on the next out.
   writer->Out(ObjectTuple("/job", "payload2"), [](Result<DsReply>) {});
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   EXPECT_EQ(unblocked, 2);
 }
 
 TEST(DsServiceTest, MultipleRdWaitersAllUnblock) {
-  DsCluster cluster;
+  CoordFixture cluster(DsGroup());
   cluster.Start();
   std::vector<DsClient*> readers;
   int unblocked = 0;
   for (int i = 0; i < 5; ++i) {
-    DsClient* c = cluster.AddClient();
+    DsClient* c = AddGroupDsClient(cluster);
     readers.push_back(c);
     c->Rd(ObjectTemplate("/sig"), [&](Result<DsReply> r) { unblocked += r.ok(); });
   }
-  cluster.Settle();
-  cluster.AddClient()->Out(ObjectTuple("/sig", ""), [](Result<DsReply>) {});
-  cluster.Settle();
+  cluster.Settle(Millis(500));
+  AddGroupDsClient(cluster)->Out(ObjectTuple("/sig", ""), [](Result<DsReply>) {});
+  cluster.Settle(Millis(500));
   EXPECT_EQ(unblocked, 5);
 }
 
 TEST(DsServiceTest, CasSemantics) {
-  DsCluster cluster;
+  CoordFixture cluster(DsGroup());
   cluster.Start();
-  DsClient* client = cluster.AddClient();
+  DsClient* client = AddGroupDsClient(cluster);
   bool first = false;
   ErrorCode second = ErrorCode::kOk;
   client->Cas(ObjectTemplate("/c"), ObjectTuple("/c", "1"),
               [&](Result<DsReply> r) { first = r.ok(); });
   client->Cas(ObjectTemplate("/c"), ObjectTuple("/c", "2"),
               [&](Result<DsReply> r) { second = r.code(); });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   EXPECT_TRUE(first);
   EXPECT_EQ(second, ErrorCode::kNodeExists);
 }
 
 TEST(DsServiceTest, ReplaceConditionalOnContent) {
-  DsCluster cluster;
+  CoordFixture cluster(DsGroup());
   cluster.Start();
-  DsClient* client = cluster.AddClient();
+  DsClient* client = AddGroupDsClient(cluster);
   client->Out(ObjectTuple("/ctr", "5"), [](Result<DsReply>) {});
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   DsTemplate expect5{DsTField::Exact(DsField{std::string("/ctr")}),
                      DsTField::Exact(DsField{std::string("5")})};
   DsTemplate expect9{DsTField::Exact(DsField{std::string("/ctr")}),
@@ -221,42 +230,42 @@ TEST(DsServiceTest, ReplaceConditionalOnContent) {
                   [&](Result<DsReply> r) { bad = r.code(); });
   client->Replace(expect5, ObjectTuple("/ctr", "6"),
                   [&](Result<DsReply> r) { good = r.ok(); });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   EXPECT_EQ(bad, ErrorCode::kNoNode);
   EXPECT_TRUE(good);
 }
 
 TEST(DsServiceTest, RdAllReturnsAllMatches) {
-  DsCluster cluster;
+  CoordFixture cluster(DsGroup());
   cluster.Start();
-  DsClient* client = cluster.AddClient();
+  DsClient* client = AddGroupDsClient(cluster);
   for (int i = 0; i < 4; ++i) {
     client->Out(ObjectTuple("/set/e" + std::to_string(i), ""), [](Result<DsReply>) {});
   }
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   size_t n = 0;
   client->RdAll(ObjectPrefixTemplate("/set"), [&](Result<DsReply> r) {
     ASSERT_TRUE(r.ok());
     n = r->tuples.size();
   });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   EXPECT_EQ(n, 4u);
 }
 
 TEST(DsServiceTest, LeaseExpiresWhenClientDies) {
-  DsCluster cluster;
+  CoordFixture cluster(DsGroup());
   cluster.Start();
   DsClientOptions opt;
   opt.lease = Millis(400);
   opt.renew_interval = Millis(150);
-  DsClient* mortal = cluster.AddClient(opt);
-  DsClient* observer = cluster.AddClient();
+  DsClient* mortal = AddGroupDsClient(cluster, opt);
+  DsClient* observer = AddGroupDsClient(cluster);
   mortal->OutLease(ObjectTuple("/alive/m", ""), [](Result<DsReply>) {});
   cluster.Settle(Seconds(1));
   // Still present: renewals keep it alive well past the base lease.
   bool present = false;
   observer->Rdp(ObjectTemplate("/alive/m"), [&](Result<DsReply> r) { present = r.ok(); });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   EXPECT_TRUE(present);
   // Client dies; lease eventually lapses (observer polls drive expiry).
   mortal->Kill();
@@ -264,20 +273,20 @@ TEST(DsServiceTest, LeaseExpiresWhenClientDies) {
   bool still_present = true;
   observer->Rdp(ObjectTemplate("/alive/m"),
                 [&](Result<DsReply> r) { still_present = r.ok(); });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   EXPECT_FALSE(still_present);
 }
 
 TEST(DsServiceTest, EmNamespaceDeniedToRegularOps) {
-  DsCluster cluster;  // no hooks installed: /em must be inaccessible
+  CoordFixture cluster(DsGroup());  // no hooks installed: /em must be inaccessible
   cluster.Start();
-  DsClient* client = cluster.AddClient();
+  DsClient* client = AddGroupDsClient(cluster);
   ErrorCode out_code = ErrorCode::kOk;
   ErrorCode rd_code = ErrorCode::kOk;
   client->Out(ObjectTuple("/em/sneaky", "code"),
               [&](Result<DsReply> r) { out_code = r.code(); });
   client->Rdp(ObjectTemplate("/em/sneaky"), [&](Result<DsReply> r) { rd_code = r.code(); });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   EXPECT_EQ(out_code, ErrorCode::kAccessDenied);
   EXPECT_EQ(rd_code, ErrorCode::kAccessDenied);
 }
@@ -294,17 +303,17 @@ TEST(DsServiceTest, PolicyLayerRejectsOversizedTuples) {
     }
     return Status::Ok();
   };
-  DsCluster cluster(21, options);
+  CoordFixture cluster(DsGroup(options));
   cluster.Start();
-  DsClient* client = cluster.AddClient();
+  DsClient* client = AddGroupDsClient(cluster);
   ErrorCode code = ErrorCode::kOk;
   client->Out(ObjectTuple("/big", std::string(200, 'x')),
               [&](Result<DsReply> r) { code = r.code(); });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   EXPECT_EQ(code, ErrorCode::kPolicyViolation);
   bool small_ok = false;
   client->Out(ObjectTuple("/small", "x"), [&](Result<DsReply> r) { small_ok = r.ok(); });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   EXPECT_TRUE(small_ok);
 }
 
@@ -317,49 +326,49 @@ TEST(DsServiceTest, CustomAccessControlDeniesClient) {
     }
     return Status::Ok();
   };
-  DsCluster cluster(21, options);
+  CoordFixture cluster(DsGroup(options));
   cluster.Start();
-  DsClient* readonly = cluster.AddClient();  // gets id 100
-  DsClient* normal = cluster.AddClient();
+  DsClient* readonly = AddGroupDsClient(cluster);  // gets id 100
+  DsClient* normal = AddGroupDsClient(cluster);
   ErrorCode denied = ErrorCode::kOk;
   bool allowed = false;
   readonly->Out(ObjectTuple("/x", ""), [&](Result<DsReply> r) { denied = r.code(); });
   normal->Out(ObjectTuple("/y", ""), [&](Result<DsReply> r) { allowed = r.ok(); });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   EXPECT_EQ(denied, ErrorCode::kAccessDenied);
   EXPECT_TRUE(allowed);
 }
 
 TEST(DsServiceTest, SurvivesPrimaryCrash) {
-  DsCluster cluster;
+  CoordFixture cluster(DsGroup());
   cluster.Start();
-  DsClient* client = cluster.AddClient();
+  DsClient* client = AddGroupDsClient(cluster);
   bool before = false;
   client->Out(ObjectTuple("/pre", ""), [&](Result<DsReply> r) { before = r.ok(); });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   ASSERT_TRUE(before);
-  cluster.servers[0]->Crash();
+  cluster.ds_servers[0]->Crash();
   bool after = false;
   client->Out(ObjectTuple("/post", ""), [&](Result<DsReply> r) { after = r.ok(); });
   cluster.Settle(Seconds(6));
   EXPECT_TRUE(after);
-  EXPECT_TRUE(cluster.servers[1]->space().HasMatch(ObjectTemplate("/pre")));
-  EXPECT_TRUE(cluster.servers[1]->space().HasMatch(ObjectTemplate("/post")));
+  EXPECT_TRUE(cluster.ds_servers[1]->space().HasMatch(ObjectTemplate("/pre")));
+  EXPECT_TRUE(cluster.ds_servers[1]->space().HasMatch(ObjectTemplate("/post")));
 }
 
 TEST(DsServiceTest, AllReplicasConvergeToIdenticalSpaces) {
-  DsCluster cluster;
+  CoordFixture cluster(DsGroup());
   cluster.Start();
-  DsClient* a = cluster.AddClient();
-  DsClient* b = cluster.AddClient();
+  DsClient* a = AddGroupDsClient(cluster);
+  DsClient* b = AddGroupDsClient(cluster);
   for (int i = 0; i < 10; ++i) {
     a->Out(ObjectTuple("/m/" + std::to_string(i), "a"), [](Result<DsReply>) {});
     b->Replace(ObjectPrefixTemplate("/m"), ObjectTuple("/m/r" + std::to_string(i), "b"),
                [](Result<DsReply>) {});
   }
   cluster.Settle(Seconds(2));
-  auto reference = cluster.servers[0]->space().Serialize();
-  for (auto& server : cluster.servers) {
+  auto reference = cluster.ds_servers[0]->space().Serialize();
+  for (auto& server : cluster.ds_servers) {
     EXPECT_EQ(server->space().Serialize(), reference) << "replica " << server->id();
   }
 }

@@ -10,9 +10,8 @@
 #include <vector>
 
 #include "edc/harness/fixture.h"
-#include "edc/obs/obs.h"
-#include "tests/ds/ds_cluster.h"
 #include "tests/ext/over_budget_ext.h"
+#include "tests/harness/fixture_helpers.h"
 
 namespace edc {
 namespace {
@@ -43,28 +42,26 @@ extension queue_remove {
 }
 )";
 
-class EdsCluster : public DsCluster {
- public:
-  explicit EdsCluster(ExtensionLimits limits = ExtensionLimits{},
-                      DsServerOptions options = DsServerOptions{})
-      : DsCluster(21, std::move(options)) {
-    for (auto& server : servers) {
-      managers.push_back(std::make_unique<DsExtensionManager>(server.get(), limits));
-    }
-  }
+// Four EDS replicas, each with its extension manager, and no fixture
+// clients: each test adds its own.
+FixtureOptions EdsGroup(ExtensionLimits limits = ExtensionLimits{},
+                        DsServerOptions server = DsServerOptions{}) {
+  return FixtureOptions{.system = SystemKind::kExtensibleDepSpace,
+                        .num_clients = 0,
+                        .seed = 21,
+                        .limits = limits,
+                        .ds_server = std::move(server)};
+}
 
-  std::vector<std::unique_ptr<DsExtensionManager>> managers;
-};
-
-Status RegisterAndWait(EdsCluster& cluster, DsClient* client, const std::string& name,
+Status RegisterAndWait(CoordFixture& cluster, DsClient* client, const std::string& name,
                        const std::string& code) {
   Status status = Status(ErrorCode::kInternal);
   client->RegisterExtension(name, code, [&](Result<DsReply> r) { status = r.status(); });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   return status;
 }
 
-Result<std::string> Increment(EdsCluster& cluster, DsClient* client) {
+Result<std::string> Increment(CoordFixture& cluster, DsClient* client) {
   Result<std::string> result = Status(ErrorCode::kInternal);
   client->Rdp(ObjectTemplate("/ctr-increment"), [&](Result<DsReply> r) {
     if (!r.ok()) {
@@ -73,18 +70,18 @@ Result<std::string> Increment(EdsCluster& cluster, DsClient* client) {
       result = r->value;
     }
   });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   return result;
 }
 
 TEST(EdsExtensionTest, RegistersAndExecutesCounterOnAllReplicas) {
-  EdsCluster cluster;
+  CoordFixture cluster(EdsGroup());
   cluster.Start();
-  DsClient* client = cluster.AddClient();
+  DsClient* client = AddGroupDsClient(cluster);
   client->Out(ObjectTuple("/ctr", "0"), [](Result<DsReply>) {});
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   ASSERT_TRUE(RegisterAndWait(cluster, client, "ctr_increment", kCounterExt).ok());
-  for (auto& mgr : cluster.managers) {
+  for (auto& mgr : cluster.ds_managers()) {
     EXPECT_TRUE(mgr->registry().Contains("ctr_increment"));
   }
   auto r1 = Increment(cluster, client);
@@ -92,16 +89,16 @@ TEST(EdsExtensionTest, RegistersAndExecutesCounterOnAllReplicas) {
   EXPECT_EQ(*r1, "1");
   EXPECT_EQ(*Increment(cluster, client), "2");
   // Deterministic execution: all four replicas converge.
-  auto reference = cluster.servers[0]->space().Serialize();
-  for (auto& server : cluster.servers) {
+  auto reference = cluster.ds_servers[0]->space().Serialize();
+  for (auto& server : cluster.ds_servers) {
     EXPECT_EQ(server->space().Serialize(), reference);
   }
 }
 
 TEST(EdsExtensionTest, NondeterministicExtensionRejected) {
-  EdsCluster cluster;
+  CoordFixture cluster(EdsGroup());
   cluster.Start();
-  DsClient* client = cluster.AddClient();
+  DsClient* client = AddGroupDsClient(cluster);
   // now() is fine in EZK but must be rejected by the EDS verifier (§4.1.1:
   // active replication demands a deterministic white list).
   Status s = RegisterAndWait(cluster, client, "stamps", R"(
@@ -110,84 +107,84 @@ TEST(EdsExtensionTest, NondeterministicExtensionRejected) {
 }
 
 TEST(EdsExtensionTest, MalformedExtensionRejected) {
-  EdsCluster cluster;
+  CoordFixture cluster(EdsGroup());
   cluster.Start();
-  DsClient* client = cluster.AddClient();
+  DsClient* client = AddGroupDsClient(cluster);
   Status s = RegisterAndWait(cluster, client, "bad", "not a program");
   EXPECT_EQ(s.code(), ErrorCode::kExtensionRejected);
-  for (auto& mgr : cluster.managers) {
+  for (auto& mgr : cluster.ds_managers()) {
     EXPECT_FALSE(mgr->registry().Contains("bad"));
   }
 }
 
 TEST(EdsExtensionTest, DuplicateRegistrationRejected) {
-  EdsCluster cluster;
+  CoordFixture cluster(EdsGroup());
   cluster.Start();
-  DsClient* client = cluster.AddClient();
+  DsClient* client = AddGroupDsClient(cluster);
   ASSERT_TRUE(RegisterAndWait(cluster, client, "ctr_increment", kCounterExt).ok());
   Status again = RegisterAndWait(cluster, client, "ctr_increment", kCounterExt);
   EXPECT_EQ(again.code(), ErrorCode::kNodeExists);
 }
 
 TEST(EdsExtensionTest, AcknowledgmentGatesTriggering) {
-  EdsCluster cluster;
+  CoordFixture cluster(EdsGroup());
   cluster.Start();
-  DsClient* owner = cluster.AddClient();
-  DsClient* other = cluster.AddClient();
+  DsClient* owner = AddGroupDsClient(cluster);
+  DsClient* other = AddGroupDsClient(cluster);
   owner->Out(ObjectTuple("/ctr", "0"), [](Result<DsReply>) {});
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   ASSERT_TRUE(RegisterAndWait(cluster, owner, "ctr_increment", kCounterExt).ok());
   // Unacknowledged: plain rdp -> kNoNode (no /ctr-increment tuple exists).
   EXPECT_EQ(Increment(cluster, other).code(), ErrorCode::kNoNode);
   Status ack = Status(ErrorCode::kInternal);
   other->AcknowledgeExtension("ctr_increment", [&](Result<DsReply> r) { ack = r.status(); });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   ASSERT_TRUE(ack.ok());
   EXPECT_EQ(*Increment(cluster, other), "1");
 }
 
 TEST(EdsExtensionTest, DeregistrationByOwnerOnly) {
-  EdsCluster cluster;
+  CoordFixture cluster(EdsGroup());
   cluster.Start();
-  DsClient* owner = cluster.AddClient();
-  DsClient* other = cluster.AddClient();
+  DsClient* owner = AddGroupDsClient(cluster);
+  DsClient* other = AddGroupDsClient(cluster);
   ASSERT_TRUE(RegisterAndWait(cluster, owner, "ctr_increment", kCounterExt).ok());
   Status denied = Status(ErrorCode::kInternal);
   other->DeregisterExtension("ctr_increment", [&](Result<DsReply> r) { denied = r.status(); });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   EXPECT_EQ(denied.code(), ErrorCode::kAccessDenied);
   Status ok = Status(ErrorCode::kInternal);
   owner->DeregisterExtension("ctr_increment", [&](Result<DsReply> r) { ok = r.status(); });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   EXPECT_TRUE(ok.ok());
-  for (auto& mgr : cluster.managers) {
+  for (auto& mgr : cluster.ds_managers()) {
     EXPECT_FALSE(mgr->registry().Contains("ctr_increment"));
   }
 }
 
 TEST(EdsExtensionTest, QueueExtensionFifo) {
-  EdsCluster cluster;
+  CoordFixture cluster(EdsGroup());
   cluster.Start();
-  DsClient* client = cluster.AddClient();
+  DsClient* client = AddGroupDsClient(cluster);
   ASSERT_TRUE(RegisterAndWait(cluster, client, "queue_remove", kQueueExt).ok());
   for (int i = 0; i < 3; ++i) {
     client->Out(ObjectTuple("/queue/e" + std::to_string(i), "p" + std::to_string(i)),
                 [](Result<DsReply>) {});
     cluster.Settle(Millis(100));  // distinct ordered timestamps
   }
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   for (int i = 0; i < 3; ++i) {
     std::string data;
     client->Rdp(ObjectTemplate("/queue-head"), [&](Result<DsReply> r) {
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       data = r->value;
     });
-    cluster.Settle();
+    cluster.Settle(Millis(500));
     EXPECT_EQ(data, "p" + std::to_string(i));
   }
   ErrorCode code = ErrorCode::kOk;
   client->Rdp(ObjectTemplate("/queue-head"), [&](Result<DsReply> r) { code = r.code(); });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   EXPECT_EQ(code, ErrorCode::kExtensionError);  // empty queue
 }
 
@@ -195,17 +192,17 @@ TEST(EdsExtensionTest, QueueExtensionFifo) {
 // tuple a handler has read, dropped when the tuple leaves (through the
 // handler or any other op) and all dropped when the state is reloaded.
 TEST(EdsExtensionTest, ObjectViewsFollowLiveTuples) {
-  EdsCluster cluster;
+  CoordFixture cluster(EdsGroup());
   cluster.Start();
-  DsClient* client = cluster.AddClient();
+  DsClient* client = AddGroupDsClient(cluster);
   ASSERT_TRUE(RegisterAndWait(cluster, client, "queue_remove", kQueueExt).ok());
   for (int i = 0; i < 3; ++i) {
     client->Out(ObjectTuple("/queue/e" + std::to_string(i), "p" + std::to_string(i)),
                 [](Result<DsReply>) {});
     cluster.Settle(Millis(100));
   }
-  cluster.Settle();
-  for (auto& mgr : cluster.managers) {
+  cluster.Settle(Millis(500));
+  for (auto& mgr : cluster.ds_managers()) {
     EXPECT_EQ(mgr->views().size(), 0u);  // built on first read only
   }
 
@@ -214,21 +211,21 @@ TEST(EdsExtensionTest, ObjectViewsFollowLiveTuples) {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     data = r->value;
   });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   EXPECT_EQ(data, "p0");
-  for (auto& mgr : cluster.managers) {
+  for (auto& mgr : cluster.ds_managers()) {
     EXPECT_EQ(mgr->views().size(), 2u);  // e1 and e2; e0 left with its view
   }
 
   client->Inp(ObjectTemplate("/queue/e1"), [](Result<DsReply>) {});
-  cluster.Settle();
-  for (auto& mgr : cluster.managers) {
+  cluster.Settle(Millis(500));
+  for (auto& mgr : cluster.ds_managers()) {
     EXPECT_EQ(mgr->views().size(), 1u);
   }
 
-  cluster.servers[0]->Crash();
-  cluster.servers[0]->Restart();
-  EXPECT_EQ(cluster.managers[0]->views().size(), 0u);
+  cluster.ds_servers[0]->Crash();
+  cluster.ds_servers[0]->Restart();
+  EXPECT_EQ(cluster.ds_managers()[0]->views().size(), 0u);
 }
 
 // A custom access policy: client 100 is read-only, everyone else may do
@@ -250,18 +247,18 @@ TEST(EdsExtensionTest, ExtensionWritesRespectAccessControl) {
   // The state ops an extension performs pass through the access-control
   // layer above the EM (Fig. 4): a client that may not write cannot gain
   // privileges by invoking an extension (§4.1.2).
-  EdsCluster cluster(ExtensionLimits{}, ReadOnlyClient100Policy());
+  CoordFixture cluster(EdsGroup(ExtensionLimits{}, ReadOnlyClient100Policy()));
   cluster.Start();
-  DsClient* readonly = cluster.AddClient();  // id 100
-  DsClient* writer = cluster.AddClient();    // id 101
+  DsClient* readonly = AddGroupDsClient(cluster);  // id 100
+  DsClient* writer = AddGroupDsClient(cluster);    // id 101
   writer->Out(ObjectTuple("/ctr", "0"), [](Result<DsReply>) {});
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   ASSERT_TRUE(RegisterAndWait(cluster, readonly, "ctr_increment", kCounterExt).ok());
   auto result = Increment(cluster, readonly);
   EXPECT_EQ(result.code(), ErrorCode::kExtensionError);  // update() was denied
   // Counter unchanged.
   EXPECT_EQ(FieldToString(
-                (*cluster.servers[0]->space().Rdp(ObjectTemplate("/ctr")))[1]),
+                (*cluster.ds_servers[0]->space().Rdp(ObjectTemplate("/ctr")))[1]),
             "0");
 }
 
@@ -269,10 +266,10 @@ TEST(EdsExtensionTest, ExtensionWritesRespectAccessControl) {
 // that lets the invoking client write there does not let its extension
 // overwrite another extension's registration with cas().
 TEST(EdsExtensionTest, CasCannotOverwriteRegistrationUnderCustomPolicy) {
-  EdsCluster cluster(ExtensionLimits{}, ReadOnlyClient100Policy());
+  CoordFixture cluster(EdsGroup(ExtensionLimits{}, ReadOnlyClient100Policy()));
   cluster.Start();
-  DsClient* owner = cluster.AddClient();     // id 100
-  DsClient* attacker = cluster.AddClient();  // id 101
+  DsClient* owner = AddGroupDsClient(cluster);     // id 100
+  DsClient* attacker = AddGroupDsClient(cluster);  // id 101
   ASSERT_TRUE(RegisterAndWait(cluster, owner, "ctr_increment", kCounterExt).ok());
   ASSERT_TRUE(RegisterAndWait(cluster, attacker, "smash", R"(
     extension smash {
@@ -284,10 +281,10 @@ TEST(EdsExtensionTest, CasCannotOverwriteRegistrationUnderCustomPolicy) {
     })").ok());
   Status smashed = Status::Ok();
   attacker->Rdp(ObjectTemplate("/smash"), [&](Result<DsReply> r) { smashed = r.status(); });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   EXPECT_EQ(smashed.code(), ErrorCode::kExtensionError);
   EXPECT_EQ(smashed.message(), "extensions may not touch the /em namespace");
-  for (auto& server : cluster.servers) {
+  for (auto& server : cluster.ds_servers) {
     auto tuple = server->space().Rdp(ObjectTemplate("/em/ctr_increment"));
     ASSERT_TRUE(tuple.ok());
     auto reg = DecodeRegistration(FieldToString((*tuple)[1]));
@@ -345,19 +342,17 @@ TEST(EdsExtensionTest, UncertifiedHandlerRunsMeteredOnVm) {
   ExtensionLimits limits;
   limits.budget.max_steps = kOverBudgetMaxSteps;
   limits.strike_limit = 3;
-  EdsCluster cluster(limits);
-  Obs obs;
-  for (auto& server : cluster.servers) {
-    server->SetObs(&obs);
-  }
+  FixtureOptions options = EdsGroup(limits);
+  options.observability = true;
+  CoordFixture cluster(options);
   cluster.Start();
-  DsClient* client = cluster.AddClient();
+  DsClient* client = AddGroupDsClient(cluster);
   for (const char* path : {"/d/c0", "/d/c1"}) {
     client->Out(ObjectTuple(path, ""), [](Result<DsReply>) {});
   }
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   ASSERT_TRUE(RegisterAndWait(cluster, client, "cube", kOverBudgetExt).ok());
-  for (auto& mgr : cluster.managers) {
+  for (auto& mgr : cluster.ds_managers()) {
     ASSERT_NE(mgr->registry().Find("cube"), nullptr);
     EXPECT_FALSE(mgr->registry().Find("cube")->Certified("read"));
   }
@@ -367,12 +362,12 @@ TEST(EdsExtensionTest, UncertifiedHandlerRunsMeteredOnVm) {
     client->Rdp(ObjectTemplate("/cube"), [&](Result<DsReply> r) {
       result = r.ok() ? Result<std::string>(r->value) : r.status();
     });
-    cluster.Settle();
+    cluster.Settle(Millis(500));
     return result;
   };
   auto strikes = [&]() {
     std::vector<int> out;
-    for (auto& mgr : cluster.managers) {
+    for (auto& mgr : cluster.ds_managers()) {
       out.push_back(mgr->registry().Find("cube")->strikes);
     }
     return out;
@@ -386,7 +381,7 @@ TEST(EdsExtensionTest, UncertifiedHandlerRunsMeteredOnVm) {
   EXPECT_EQ(strikes(), std::vector<int>(4, 0));
 
   client->Out(ObjectTuple("/d/c2", ""), [](Result<DsReply>) {});
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   Result<Value> oracle_past = OverBudgetOracleRun(3, limits);
   ASSERT_EQ(oracle_past.status().code(), ErrorCode::kExtensionLimit);
   Result<std::string> past = cube();
@@ -395,16 +390,16 @@ TEST(EdsExtensionTest, UncertifiedHandlerRunsMeteredOnVm) {
   EXPECT_EQ(strikes(), std::vector<int>(4, 1));
 
   // Two requests, executed by each of the four replicas.
-  EXPECT_EQ(obs.metrics.CounterValue("ext.invocations"), 8);
-  EXPECT_EQ(obs.metrics.CounterValue("ext.vm_dispatches"), 8);
-  EXPECT_EQ(obs.metrics.CounterValue("ext.certified"), 0);
+  EXPECT_EQ(cluster.obs().metrics.CounterValue("ext.invocations"), 8);
+  EXPECT_EQ(cluster.obs().metrics.CounterValue("ext.vm_dispatches"), 8);
+  EXPECT_EQ(cluster.obs().metrics.CounterValue("ext.certified"), 0);
 }
 
 TEST(EdsExtensionTest, BlockingExtensionDefersReply) {
-  EdsCluster cluster;
+  CoordFixture cluster(EdsGroup());
   cluster.Start();
-  DsClient* waiter = cluster.AddClient();
-  DsClient* creator = cluster.AddClient();
+  DsClient* waiter = AddGroupDsClient(cluster);
+  DsClient* creator = AddGroupDsClient(cluster);
   ASSERT_TRUE(RegisterAndWait(cluster, waiter, "gate", R"(
     extension gate {
       on op block "/gate/*";
@@ -415,21 +410,21 @@ TEST(EdsExtensionTest, BlockingExtensionDefersReply) {
     })").ok());
   bool unblocked = false;
   waiter->Rd(ObjectTemplate("/gate/w1"), [&](Result<DsReply> r) { unblocked = r.ok(); });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   EXPECT_FALSE(unblocked);
   creator->Out(ObjectTuple("/gate-open", ""), [](Result<DsReply>) {});
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   EXPECT_TRUE(unblocked);
 }
 
 TEST(EdsExtensionTest, EventExtensionReactsToLeaseExpiry) {
-  EdsCluster cluster;
+  CoordFixture cluster(EdsGroup());
   cluster.Start();
   DsClientOptions mortal_opts;
   mortal_opts.lease = Millis(400);
   mortal_opts.renew_interval = Millis(150);
-  DsClient* mortal = cluster.AddClient(mortal_opts);
-  DsClient* observer = cluster.AddClient();
+  DsClient* mortal = AddGroupDsClient(cluster, mortal_opts);
+  DsClient* observer = AddGroupDsClient(cluster);
   ASSERT_TRUE(RegisterAndWait(cluster, observer, "obituary", R"(
     extension obituary {
       on event deleted "/alive/*";
@@ -446,15 +441,15 @@ TEST(EdsExtensionTest, EventExtensionReactsToLeaseExpiry) {
     observer->Rdp(ObjectTemplate("/dead/m"), [](Result<DsReply>) {});
     cluster.Settle(Millis(200));
   }
-  EXPECT_TRUE(cluster.servers[0]->space().HasMatch(ObjectTemplate("/dead/m")));
-  EXPECT_FALSE(cluster.servers[0]->space().HasMatch(ObjectTemplate("/alive/m")));
+  EXPECT_TRUE(cluster.ds_servers[0]->space().HasMatch(ObjectTemplate("/dead/m")));
+  EXPECT_FALSE(cluster.ds_servers[0]->space().HasMatch(ObjectTemplate("/alive/m")));
 }
 
 TEST(EdsExtensionTest, UnblockedVetoReblocksOperation) {
-  EdsCluster cluster;
+  CoordFixture cluster(EdsGroup());
   cluster.Start();
-  DsClient* waiter = cluster.AddClient();
-  DsClient* writer = cluster.AddClient();
+  DsClient* waiter = AddGroupDsClient(cluster);
+  DsClient* writer = AddGroupDsClient(cluster);
   // Veto unblocks while a /hold marker exists.
   ASSERT_TRUE(RegisterAndWait(cluster, waiter, "traffic_light", R"(
     extension traffic_light {
@@ -465,40 +460,40 @@ TEST(EdsExtensionTest, UnblockedVetoReblocksOperation) {
       }
     })").ok());
   writer->Out(ObjectTuple("/hold", ""), [](Result<DsReply>) {});
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   bool done = false;
   waiter->Rd(ObjectTemplate("/work/item"), [&](Result<DsReply> r) { done = r.ok(); });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   writer->Out(ObjectTuple("/work/item", ""), [](Result<DsReply>) {});
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   EXPECT_FALSE(done);  // vetoed: /hold exists
   writer->Inp(ObjectTemplate("/hold"), [](Result<DsReply>) {});
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   // Releasing the hold alone does not re-trigger; the next matching out does.
   writer->Out(ObjectTuple("/work/item", "2"), [](Result<DsReply>) {});
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   EXPECT_TRUE(done);
 }
 
 TEST(EdsExtensionTest, ExtensionsReloadAfterFullClusterRestart) {
-  EdsCluster cluster;
+  CoordFixture cluster(EdsGroup());
   cluster.Start();
-  DsClient* client = cluster.AddClient();
+  DsClient* client = AddGroupDsClient(cluster);
   ASSERT_TRUE(RegisterAndWait(cluster, client, "ctr_increment", kCounterExt).ok());
   // Restarted replicas rejoin by state transfer, but with all four down at
   // once none kept any state: the ensemble restarts empty (OnStateReloaded
   // from an empty space), and the extension must be registered again.
-  for (auto& server : cluster.servers) {
+  for (auto& server : cluster.ds_servers) {
     server->Crash();
   }
-  for (auto& server : cluster.servers) {
+  for (auto& server : cluster.ds_servers) {
     server->Restart();
   }
-  for (auto& mgr : cluster.managers) {
+  for (auto& mgr : cluster.ds_managers()) {
     EXPECT_FALSE(mgr->registry().Contains("ctr_increment"));
   }
   ASSERT_TRUE(RegisterAndWait(cluster, client, "ctr_increment", kCounterExt).ok());
-  for (auto& mgr : cluster.managers) {
+  for (auto& mgr : cluster.ds_managers()) {
     EXPECT_TRUE(mgr->registry().Contains("ctr_increment"));
   }
 }
@@ -566,31 +561,31 @@ class EdsEmWriteTest : public ::testing::TestWithParam<EdsEmWriteCase> {};
 
 TEST_P(EdsEmWriteTest, RefusedOnEveryReplica) {
   const EdsEmWriteCase& c = GetParam();
-  EdsCluster cluster;
+  CoordFixture cluster(EdsGroup());
   cluster.Start();
-  DsClient* owner = cluster.AddClient();
-  DsClient* acker = cluster.AddClient();
-  DsClient* attacker = cluster.AddClient();
-  DsClient* victim = cluster.AddClient();
-  DsServer* restarted = cluster.servers[3].get();
+  DsClient* owner = AddGroupDsClient(cluster);
+  DsClient* acker = AddGroupDsClient(cluster);
+  DsClient* attacker = AddGroupDsClient(cluster);
+  DsClient* victim = AddGroupDsClient(cluster);
+  DsServer* restarted = cluster.ds_servers[3].get();
   restarted->Crash();
   ASSERT_TRUE(RegisterAndWait(cluster, owner, "ctr_increment", kCounterExt).ok());
   Status acked = Status(ErrorCode::kInternal);
   acker->AcknowledgeExtension("ctr_increment", [&](Result<DsReply> r) { acked = r.status(); });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   ASSERT_TRUE(acked.ok()) << acked.ToString();
 
   Status refused = Status(ErrorCode::kInternal);
   c.issue(attacker, EdsEmClients{acker->id(), victim->id()},
           [&](Result<DsReply> r) { refused = r.status(); });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   EXPECT_EQ(refused.code(), ErrorCode::kAccessDenied) << refused.ToString();
 
   restarted->Restart();
   cluster.Settle(Seconds(3));
   EXPECT_GT(restarted->bft().state_transfers(), 0);
-  for (size_t i = 0; i < cluster.managers.size(); ++i) {
-    const ExtensionRegistry& registry = cluster.managers[i]->registry();
+  for (size_t i = 0; i < cluster.ds_managers().size(); ++i) {
+    const ExtensionRegistry& registry = cluster.ds_managers()[i]->registry();
     EXPECT_EQ(registry.size(), 1u) << "replica " << i;
     const LoadedExtension* ext = registry.Find("ctr_increment");
     ASSERT_NE(ext, nullptr) << "replica " << i;

@@ -22,17 +22,10 @@
 #include "edc/recipes/recipes.h"
 #include "edc/recipes/scripts.h"
 #include "edc/recipes/two_phase.h"
+#include "tests/harness/fixture_helpers.h"
 
 namespace edc {
 namespace {
-
-uint64_t Fnv1aMix(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 struct RunSig {
   uint64_t packet_digest = 0;
@@ -69,13 +62,10 @@ RunSig RunCounterWorkload(SystemKind system, uint64_t seed) {
 
   RunSig sig;
   sig.packet_digest = fix.faults().TraceDigest();
-  uint64_t h = 1469598103934665603ull;
+  uint64_t h = kStateHashSeed;
   if (IsZkFamily(system)) {
     for (auto& s : fix.zk_servers) {
-      for (const auto& [zxid, txn_hash] : s->applied_log()) {
-        h = Fnv1aMix(h, zxid);
-        h = Fnv1aMix(h, txn_hash);
-      }
+      h = FoldAppliedLog(*s, h);
     }
   } else {
     std::string why;
@@ -156,12 +146,9 @@ RunSig RunTwoPhaseWorkload(uint64_t seed) {
 
   RunSig sig;
   sig.packet_digest = fix.faults().TraceDigest();
-  uint64_t h = 1469598103934665603ull;
+  uint64_t h = kStateHashSeed;
   for (auto& s : fix.zk_servers) {
-    for (const auto& [zxid, txn_hash] : s->applied_log()) {
-      h = Fnv1aMix(h, zxid);
-      h = Fnv1aMix(h, txn_hash);
-    }
+    h = FoldAppliedLog(*s, h);
   }
   sig.state_hash = h;
   sig.invocations = fix.obs().metrics.CounterValue("ext.invocations");
@@ -266,7 +253,7 @@ QueueSig RunQueueWorkload(uint64_t seed) {
   std::string why;
   EXPECT_TRUE(fix.CheckEdsInvariants(&why)) << why;
   sig.packet_digest = fix.faults().TraceDigest();
-  uint64_t h = 1469598103934665603ull;
+  uint64_t h = kStateHashSeed;
   for (auto& s : fix.ds_servers) {
     h = Fnv1aMix(h, s->space().Digest());
   }
@@ -403,12 +390,9 @@ FailoverSig RunEzkFailoverWorkload(uint64_t seed) {
   fix.Settle(Seconds(12));
 
   sig.packet_digest = fix.faults().TraceDigest();
-  uint64_t h = 1469598103934665603ull;
+  uint64_t h = kStateHashSeed;
   for (auto& s : fix.zk_servers) {
-    for (const auto& [zxid, txn_hash] : s->applied_log()) {
-      h = Fnv1aMix(h, zxid);
-      h = Fnv1aMix(h, txn_hash);
-    }
+    h = FoldAppliedLog(*s, h);
     if (s->zab().is_leader() && s->id() != old_leader) {
       sig.leader_changed = true;
     }
@@ -503,12 +487,7 @@ ReconfigSig RunEzkReconfigWorkload(uint64_t seed) {
 
   sig.packet_digest = fix.faults().TraceDigest();
   for (auto& s : fix.zk_servers) {
-    uint64_t h = 1469598103934665603ull;
-    for (const auto& [zxid, txn_hash] : s->applied_log()) {
-      h = Fnv1aMix(h, zxid);
-      h = Fnv1aMix(h, txn_hash);
-    }
-    sig.replica_hashes.push_back(h);
+    sig.replica_hashes.push_back(FoldAppliedLog(*s));
   }
   ZkServer* retired = fix.ZkServerById(leader);
   sig.retired_stopped = retired != nullptr && !retired->running();
@@ -673,7 +652,7 @@ ShardedEdsSig RunShardedEdsWorkload(uint64_t seed) {
   EXPECT_TRUE(fix.CheckEdsInvariants(&why)) << why;
   sig.packet_digest = fix.faults().TraceDigest();
   for (const ShardEntry& entry : fix.shard_map().entries()) {
-    uint64_t h = 1469598103934665603ull;
+    uint64_t h = kStateHashSeed;
     for (DsServer* s : fix.DsShardServers(entry.shard_id)) {
       h = Fnv1aMix(h, s->space().Digest());
     }
@@ -849,12 +828,9 @@ ShardedEzkSig RunShardedEzkWorkload(uint64_t seed) {
 
   sig.packet_digest = fix.faults().TraceDigest();
   for (const ShardEntry& entry : fix.shard_map().entries()) {
-    uint64_t h = 1469598103934665603ull;
+    uint64_t h = kStateHashSeed;
     for (ZkServer* s : fix.ZkShardServers(entry.shard_id)) {
-      for (const auto& [zxid, txn_hash] : s->applied_log()) {
-        h = Fnv1aMix(h, zxid);
-        h = Fnv1aMix(h, txn_hash);
-      }
+      h = FoldAppliedLog(*s, h);
     }
     sig.shard_hashes.push_back(h);
   }

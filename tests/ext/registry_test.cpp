@@ -106,7 +106,7 @@ TEST(ExtensionRegistryTest, StrikesAccumulateToLimit) {
 TEST(ExtensionRegistryTest, AlternatingFailuresNeverReachStrikeLimit) {
   ExtensionLimits limits;
   limits.strike_limit = 2;
-  ExtensionManagerCore core(limits, kEzkHost, kZkEmLayout);
+  ExtensionManagerCore core(limits, CostModel{}, kEzkHost, kZkEmLayout);
   ASSERT_TRUE(core.registry()
                   .Load("flaky", 1, R"(extension flaky {
                     on op update "/f";
@@ -132,7 +132,7 @@ TEST(ExtensionRegistryTest, AlternatingFailuresNeverReachStrikeLimit) {
 // nested deeply enough to exhaust the parser's stack is refused with the
 // verifier's own EDC-E001 Status, and still pays the verification CPU.
 TEST(ExtensionRegistryTest, OversizedSourceIsRejectedBeforeParsing) {
-  ExtensionManagerCore core(ExtensionLimits{}, kEzkHost, kZkEmLayout);
+  ExtensionManagerCore core(ExtensionLimits{}, CostModel{}, kEzkHost, kZkEmLayout);
   const size_t cap = core.verifier_config().max_source_bytes;
   std::string parseable = "extension big { on op read \"/x\"; fn read(o) {\n";
   while (parseable.size() <= cap) {

@@ -4,44 +4,38 @@
 #include <gtest/gtest.h>
 
 #include "edc/common/strings.h"
-#include "edc/ext/ds_binding.h"
-#include "edc/ext/zk_binding.h"
 #include "edc/recipes/scripts.h"
-#include "tests/ds/ds_cluster.h"
-#include "tests/zk/zk_cluster.h"
+#include "tests/harness/fixture_helpers.h"
 
 namespace edc {
 namespace {
 
 TEST(RenameExtensionTest, AtomicRenameOnEzk) {
-  ZkCluster cluster;
-  std::vector<std::unique_ptr<ZkExtensionManager>> managers;
-  for (auto& server : cluster.servers) {
-    managers.push_back(std::make_unique<ZkExtensionManager>(server.get(), ExtensionLimits{}));
-  }
+  CoordFixture cluster(FixtureOptions{
+      .system = SystemKind::kExtensibleZooKeeper, .num_clients = 0, .seed = 11});
   cluster.Start();
-  ZkClient* client = cluster.AddClient();
+  ZkClient* client = ConnectZkClient(cluster, {1});
   Status reg = Status(ErrorCode::kInternal);
   client->RegisterExtension("scfs_rename", kRenameExtension, [&](Status s) { reg = s; });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   ASSERT_TRUE(reg.ok()) << reg.ToString();
 
   for (const char* path : {"/scfs-rename", "/dir"}) {
     client->Create(path, "", false, false, [](Result<std::string>) {});
   }
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   for (const char* path : {"/dir/a", "/dir/b"}) {
     client->Create(path, std::string("data-") + BaseName(path), false, false,
                    [](Result<std::string>) {});
   }
-  cluster.Settle();
+  cluster.Settle(Millis(500));
 
   Status renamed = Status(ErrorCode::kInternal);
   client->SetData("/scfs-rename", "/dir|/moved", -1, [&](Status s) { renamed = s; });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   ASSERT_TRUE(renamed.ok()) << renamed.ToString();
 
-  const DataTree& tree = cluster.Leader()->tree();
+  const DataTree& tree = ZkLeader(cluster)->tree();
   EXPECT_FALSE(tree.Exists("/dir"));
   EXPECT_FALSE(tree.Exists("/dir/a"));
   EXPECT_TRUE(tree.Exists("/moved"));
@@ -51,40 +45,37 @@ TEST(RenameExtensionTest, AtomicRenameOnEzk) {
   // Target collision is rejected with no partial state.
   client->Create("/dir2", "", false, false, [](Result<std::string>) {});
   client->Create("/exists", "", false, false, [](Result<std::string>) {});
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   Status conflict = Status::Ok();
   client->SetData("/scfs-rename", "/dir2|/exists", -1, [&](Status s) { conflict = s; });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   EXPECT_EQ(conflict.code(), ErrorCode::kExtensionError);
   EXPECT_TRUE(tree.Exists("/dir2"));
 }
 
 TEST(RenameExtensionTest, AtomicRenameOnEds) {
-  DsCluster cluster;
-  std::vector<std::unique_ptr<DsExtensionManager>> managers;
-  for (auto& server : cluster.servers) {
-    managers.push_back(std::make_unique<DsExtensionManager>(server.get(), ExtensionLimits{}));
-  }
+  CoordFixture cluster(FixtureOptions{
+      .system = SystemKind::kExtensibleDepSpace, .num_clients = 0, .seed = 21});
   cluster.Start();
-  DsClient* client = cluster.AddClient();
+  DsClient* client = AddGroupDsClient(cluster);
   Status reg = Status(ErrorCode::kInternal);
   client->RegisterExtension("scfs_rename", kRenameExtension,
                             [&](Result<DsReply> r) { reg = r.status(); });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   ASSERT_TRUE(reg.ok()) << reg.ToString();
 
   client->Out(ObjectTuple("/scfs-rename", ""), [](Result<DsReply>) {});
   client->Out(ObjectTuple("/dir", "dir"), [](Result<DsReply>) {});
   client->Out(ObjectTuple("/dir/a", "data-a"), [](Result<DsReply>) {});
-  cluster.Settle();
+  cluster.Settle(Millis(500));
 
   Status renamed = Status(ErrorCode::kInternal);
   client->Replace(ObjectTemplate("/scfs-rename"), ObjectTuple("/scfs-rename", "/dir|/moved"),
                   [&](Result<DsReply> r) { renamed = r.status(); });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   ASSERT_TRUE(renamed.ok()) << renamed.ToString();
 
-  const TupleSpace& space = cluster.servers[0]->space();
+  const TupleSpace& space = cluster.ds_servers[0]->space();
   EXPECT_FALSE(space.HasMatch(ObjectTemplate("/dir")));
   EXPECT_FALSE(space.HasMatch(ObjectTemplate("/dir/a")));
   EXPECT_TRUE(space.HasMatch(ObjectTemplate("/moved")));
@@ -92,7 +83,7 @@ TEST(RenameExtensionTest, AtomicRenameOnEds) {
   ASSERT_TRUE(child.ok());
   EXPECT_EQ(FieldToString((*child)[1]), "data-a");
   // Deterministic across replicas.
-  for (auto& server : cluster.servers) {
+  for (auto& server : cluster.ds_servers) {
     EXPECT_EQ(server->space().Serialize(), space.Serialize());
   }
 }

@@ -24,17 +24,10 @@
 #include "edc/harness/invariants.h"
 #include "edc/obs/obs.h"
 #include "edc/sim/faults.h"
+#include "tests/harness/fixture_helpers.h"
 
 namespace edc {
 namespace {
-
-uint64_t Fnv1aMix(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 // What a run leaves behind: the fault injector's packet-trace digest plus a
 // hash of every replica's applied state. Observability must not move either.
@@ -94,12 +87,9 @@ RunSig RunEzk(uint64_t seed, bool observe) {
 
   RunSig sig;
   sig.packet_digest = fix.faults().TraceDigest();
-  uint64_t h = 1469598103934665603ull;
+  uint64_t h = kStateHashSeed;
   for (auto& s : fix.zk_servers) {
-    for (const auto& [zxid, txn_hash] : s->applied_log()) {
-      h = Fnv1aMix(h, zxid);
-      h = Fnv1aMix(h, txn_hash);
-    }
+    h = FoldAppliedLog(*s, h);
   }
   sig.state_hash = h;
   sig.observed_packets = fix.obs().metrics.CounterValue("net.packets");
@@ -130,7 +120,7 @@ RunSig RunEds(uint64_t seed, bool observe) {
 
   RunSig sig;
   sig.packet_digest = fix.faults().TraceDigest();
-  uint64_t h = 1469598103934665603ull;
+  uint64_t h = kStateHashSeed;
   for (auto& s : fix.ds_servers) {
     h = Fnv1aMix(h, s->space().Digest());
   }

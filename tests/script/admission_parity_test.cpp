@@ -117,8 +117,10 @@ TEST(AdmissionParityTest, RecipesAndExamplesUnderEveryConfig) {
   }
   ASSERT_GE(sources.size(), 9u);
   const std::pair<const char*, VerifierConfig> configs[] = {
-      {"ezk", ExtensionManagerCore(ExtensionLimits{}, kEzkHost, kZkEmLayout).verifier_config()},
-      {"eds", ExtensionManagerCore(ExtensionLimits{}, kEdsHost, kDsEmLayout).verifier_config()},
+      {"ezk",
+       ExtensionManagerCore(ExtensionLimits{}, CostModel{}, kEzkHost, kZkEmLayout).verifier_config()},
+      {"eds",
+       ExtensionManagerCore(ExtensionLimits{}, CostModel{}, kEdsHost, kDsEmLayout).verifier_config()},
       {"lint", LintVerifierConfig()},
   };
   for (const auto& [name, source] : sources) {

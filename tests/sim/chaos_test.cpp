@@ -7,12 +7,10 @@
 #include <string>
 #include <vector>
 
-#include "edc/common/rng.h"
 #include "edc/harness/fixture.h"
 #include "edc/harness/invariants.h"
 #include "edc/sim/faults.h"
-#include "edc/zk/client.h"
-#include "edc/zk/server.h"
+#include "tests/harness/fixture_helpers.h"
 
 namespace edc {
 namespace {
@@ -95,37 +93,18 @@ TEST(ChaosTest, CrashRestartEdsReplicaRejoinsViaStateTransfer) {
 // dies must detect the silence, fail over to a live replica, surface the
 // session-lost/reconnected events, and let the application re-arm the watch.
 TEST(ChaosTest, ClientFailsOverAndReArmsWatch) {
-  EventLoop loop;
-  Network net(&loop, Rng(9), LinkParams{});
-  FaultInjector faults(&loop, &net);
-  std::vector<NodeId> members{1, 2, 3};
-  std::vector<std::unique_ptr<ZkServer>> servers;
-  for (NodeId id : members) {
-    auto server = std::make_unique<ZkServer>(&loop, &net, id, members, CostModel{},
-                                             ZkServerOptions{});
-    net.Register(id, server.get());
-    servers.push_back(std::move(server));
-  }
-  for (auto& s : servers) {
-    s->Start();
-  }
-  loop.RunUntil(loop.now() + Seconds(2));
+  ClusterFixture fix(
+      FixtureOptions{.system = SystemKind::kZooKeeper, .num_clients = 0, .seed = 9});
+  fix.Start();
+  EventLoop& loop = fix.loop();
 
   // Connect to a follower so failover does not also wait out re-election.
-  size_t follower_idx = 0;
-  for (size_t i = 0; i < servers.size(); ++i) {
-    if (servers[i]->running() && !servers[i]->IsLeader()) {
-      follower_idx = i;
-      break;
-    }
-  }
-  NodeId follower = members[follower_idx];
+  NodeId follower = ZkFollower(fix)->id();
 
   ZkClientOptions copts;
   copts.session_timeout = Seconds(1);
   copts.ping_interval = Millis(200);
-  ZkClient client(&loop, &net, 100,
-                  ShardView::Standalone(ServerList{members, follower_idx}), copts);
+  ZkClient& client = *fix.AddZkClient(ServerList{{1, 2, 3}, follower - 1}, copts);
   std::vector<SessionEvent> events;
   client.SetSessionEventHandler([&](SessionEvent e) { events.push_back(e); });
   int watch_fired = 0;
@@ -144,7 +123,7 @@ TEST(ChaosTest, ClientFailsOverAndReArmsWatch) {
   loop.RunUntil(loop.now() + Millis(500));
   ASSERT_TRUE(armed);
 
-  faults.Crash(follower);
+  fix.faults().Crash(follower);
   loop.RunUntil(loop.now() + Seconds(5));
 
   EXPECT_TRUE(client.connected());
@@ -186,12 +165,7 @@ TEST(ChaosTest, SameSeedFixtureRunsProduceIdenticalTraces) {
     fix.faults().EnablePacketTrace();
     fix.Start();
 
-    NodeId leader = 0;
-    for (auto& s : fix.zk_servers) {
-      if (s->running() && s->IsLeader()) {
-        leader = s->id();
-      }
-    }
+    NodeId leader = ZkLeaderId(fix);
     EXPECT_NE(leader, 0);
 
     FaultPlan plan;

@@ -11,10 +11,7 @@
 #include <vector>
 
 #include "edc/common/rng.h"
-#include "edc/logstore/logstore.h"
-#include "edc/sim/cpu.h"
-#include "edc/sim/network.h"
-#include "edc/zab/node.h"
+#include "tests/zab/zab_cluster.h"
 
 namespace edc {
 namespace {
@@ -133,54 +130,18 @@ TEST(EventLoopTest, CancelReleasesCallbackAtOnce) {
   EXPECT_EQ(loop.cancelled(), 0u);
 }
 
-// Minimal Zab voter: the leader's SendHeartbeats re-arms its own timer from
-// inside the timer callback (ArmTimer cancels the id that just fired), and
-// every heartbeat makes each follower cancel and re-arm its pending leader
-// timeout.
-class HeartbeatShell : public NetworkNode, public ZabCallbacks {
- public:
-  HeartbeatShell(EventLoop* loop, Network* net, NodeId id, std::vector<NodeId> members)
-      : cpu(loop, 1), log(loop, LogStoreConfig{}) {
-    ZabConfig cfg;
-    cfg.heartbeat_interval = Millis(1);
-    zab = std::make_unique<ZabNode>(loop, net, &cpu, &log, CostModel{}, id, std::move(members),
-                                    cfg, this);
-    net->Register(id, this);
-  }
-  void HandlePacket(Packet&& pkt) override {
-    if (IsZabPacket(pkt.type)) {
-      zab->HandlePacket(std::move(pkt));
-    }
-  }
-  void OnDeliver(uint64_t, std::span<const uint8_t>) override {}
-  void OnRoleChange(bool, NodeId, uint32_t) override {}
-  std::vector<uint8_t> TakeSnapshot() override { return {}; }
-  bool InstallSnapshot(uint64_t, const std::vector<uint8_t>&) override { return true; }
-
-  CpuQueue cpu;
-  LogStore log;
-  std::unique_ptr<ZabNode> zab;
-};
-
+// Zab voters with 1 ms heartbeats: the leader's SendHeartbeats re-arms its
+// own timer from inside the timer callback (ArmTimer cancels the id that just
+// fired), and every heartbeat makes each follower cancel and re-arm its
+// pending leader timeout.
 TEST(EventLoopTest, ZabHeartbeatTimersStayBounded) {
-  EventLoop loop;
-  Network net(&loop, Rng(5), LinkParams{});
-  std::vector<NodeId> members{1, 2, 3};
-  std::vector<std::unique_ptr<HeartbeatShell>> nodes;
-  for (NodeId id : members) {
-    nodes.push_back(std::make_unique<HeartbeatShell>(&loop, &net, id, members));
-  }
-  for (auto& n : nodes) {
-    n->zab->Start();
-  }
-  loop.RunUntil(Seconds(2));
-  NodeId leader = 0;
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    if (nodes[i]->zab->is_leader()) {
-      leader = members[i];
-    }
-  }
-  ASSERT_NE(leader, 0u);
+  ZabConfig cfg;
+  cfg.heartbeat_interval = Millis(1);
+  ZabCluster cluster;
+  cluster.Boot(3, /*seed=*/5, cfg);
+  EventLoop& loop = cluster.loop();
+  ZabReplica* leader = cluster.Leader();
+  ASSERT_NE(leader, nullptr);
 
   // 10^5 heartbeats at 1 ms, sampled every 100. An underflowing pending()
   // would read as a huge count.
@@ -192,7 +153,7 @@ TEST(EventLoopTest, ZabHeartbeatTimersStayBounded) {
     max_queued = std::max(max_queued, loop.queued());
     max_pending = std::max(max_pending, loop.pending());
   }
-  EXPECT_TRUE(nodes[leader - 1]->zab->is_leader());  // one leadership throughout
+  EXPECT_TRUE(leader->zab->is_leader());  // one leadership throughout
   // A handful of live timers and in-flight packets per node, plus cancelled
   // keys awaiting compaction (at most half the heap once past 64 keys).
   EXPECT_LE(max_pending, 64u);

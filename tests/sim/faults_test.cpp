@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "edc/common/rng.h"
@@ -232,6 +233,44 @@ TEST_F(FaultsTest, PairCutTwiceStaysCutUntilTheLaterEpisodeEnds) {
   ASSERT_EQ(injector_.trace().size(), 4u);
   EXPECT_EQ(injector_.trace()[2], "heal t=" + std::to_string(Millis(11)));
   EXPECT_EQ(injector_.trace()[3], "heal t=" + std::to_string(Millis(20)));
+}
+
+// Two live link-fault episodes on one link: the earlier end leaves the later
+// episode's faults in place, so a packet sent at 15 ms is still dropped.
+TEST_F(FaultsTest, LinkFaultedTwiceKeepsTheLaterEpisodesFaults) {
+  FaultPlan plan;
+  for (auto [start, duration] : {std::pair{Millis(1), Millis(10)}, {Millis(5), Millis(20)}}) {
+    plan.episodes.push_back({.kind = EpisodeKind::kLinkFaults,
+                             .start = start,
+                             .duration = duration,
+                             .node = 1,
+                             .peer = 2,
+                             .faults = LinkFaults{1.0, 0.0, 0}});
+  }
+  injector_.Run(plan);
+  loop_.ScheduleAt(Millis(15), [this]() { net_.Send(Make(1, 2, 1)); });
+  loop_.ScheduleAt(Millis(30), [this]() { net_.Send(Make(1, 2, 2)); });
+  loop_.Run();
+  ASSERT_EQ(b_.received.size(), 1u);
+  EXPECT_EQ(b_.received[0].type, 2u);
+}
+
+// Two live crash-restart episodes on one node: the node restarts only when
+// the later one ends, so a packet sent to it at 15 ms is lost.
+TEST_F(FaultsTest, NodeCrashedTwiceRestartsWhenTheLaterEpisodeEnds) {
+  FaultPlan plan;
+  for (auto [start, duration] : {std::pair{Millis(1), Millis(10)}, {Millis(5), Millis(20)}}) {
+    plan.episodes.push_back({.kind = EpisodeKind::kCrashRestart,
+                             .start = start,
+                             .duration = duration,
+                             .node = 3});
+  }
+  injector_.Run(plan);
+  loop_.ScheduleAt(Millis(15), [this]() { net_.Send(Make(1, 3, 1)); });
+  loop_.ScheduleAt(Millis(30), [this]() { net_.Send(Make(1, 3, 2)); });
+  loop_.Run();
+  ASSERT_EQ(c_.received.size(), 1u);
+  EXPECT_EQ(c_.received[0].type, 2u);
 }
 
 TEST_F(FaultsTest, PlanToStringIsDeterministicAndPrintsEachEpisodeOnce) {

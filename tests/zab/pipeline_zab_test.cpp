@@ -32,136 +32,21 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "edc/check/explorer.h"
-#include "edc/common/hash.h"
-#include "edc/common/rng.h"
 #include "edc/harness/fixture.h"
-#include "edc/logstore/logstore.h"
 #include "edc/obs/obs.h"
-#include "edc/sim/cpu.h"
-#include "edc/sim/faults.h"
-#include "edc/sim/network.h"
 #include "edc/zab/messages.h"
+#include "tests/zab/zab_cluster.h"
 
 namespace edc {
 namespace {
 
-std::vector<uint8_t> Txn(const std::string& s) { return std::vector<uint8_t>(s.begin(), s.end()); }
-std::string TxnStr(std::span<const uint8_t> b) { return std::string(b.begin(), b.end()); }
-
-class PipelineReplica : public NetworkNode, public ZabCallbacks {
- public:
-  PipelineReplica(EventLoop* loop, Network* net, NodeId id, std::vector<NodeId> members,
-                  const LogStoreConfig& log_cfg, const ZabConfig& cfg)
-      : cpu(loop, 1), log(loop, log_cfg) {
-    zab = std::make_unique<ZabNode>(loop, net, &cpu, &log, CostModel{}, id, std::move(members),
-                                    cfg, this);
-    net->Register(id, this);
-  }
-
-  void HandlePacket(Packet&& pkt) override {
-    if (IsZabPacket(pkt.type)) {
-      zab->HandlePacket(std::move(pkt));
-    }
-  }
-
-  void OnDeliver(uint64_t zxid, std::span<const uint8_t> txn) override {
-    delivered.push_back(TxnStr(txn));
-    delivered_zxids.push_back(zxid);
-    state += TxnStr(txn) + ";";
-  }
-
-  void OnRoleChange(bool, NodeId, uint32_t) override {}
-  std::vector<uint8_t> TakeSnapshot() override { return Txn(state); }
-  bool InstallSnapshot(uint64_t, const std::vector<uint8_t>& snap) override {
-    state = TxnStr(snap);
-    return true;
-  }
-
-  CpuQueue cpu;
-  LogStore log;
-  std::unique_ptr<ZabNode> zab;
-  std::vector<std::string> delivered;
-  std::vector<uint64_t> delivered_zxids;
-  std::string state;
-};
-
-// A 3-node cluster with per-replica log configs, a fault injector with packet
-// tracing on, and helpers to drive a fixed broadcast schedule.
-class PipelineCluster {
- public:
-  PipelineCluster(std::vector<LogStoreConfig> log_cfgs, const ZabConfig& base, uint64_t seed = 7)
-      : net_(&loop_, Rng(seed), LinkParams{}), faults_(&loop_, &net_) {
-    faults_.EnablePacketTrace();
-    std::vector<NodeId> members;
-    for (size_t i = 1; i <= log_cfgs.size(); ++i) {
-      members.push_back(static_cast<NodeId>(i));
-    }
-    for (size_t i = 0; i < log_cfgs.size(); ++i) {
-      replicas_.push_back(std::make_unique<PipelineReplica>(&loop_, &net_, members[i], members,
-                                                            log_cfgs[i], base));
-    }
-    for (auto& r : replicas_) {
-      r->zab->Start();
-    }
-    loop_.RunUntil(loop_.now() + Seconds(2));
-  }
-
-  PipelineReplica* Leader() {
-    for (auto& r : replicas_) {
-      if (r->zab->is_leader()) {
-        return r.get();
-      }
-    }
-    return nullptr;
-  }
-
-  PipelineReplica* replica(size_t i) { return replicas_[i].get(); }
-  size_t size() const { return replicas_.size(); }
-  EventLoop& loop() { return loop_; }
-  FaultInjector& faults() { return faults_; }
-
-  // Broadcasts `waves` waves of `per_wave` transactions, `gap` apart, from
-  // the current leader, starting one `gap` from now. Transactions are named
-  // t<index> so runs are comparable across configurations.
-  void DriveWaves(size_t waves, size_t per_wave, Duration gap) {
-    PipelineReplica* leader = Leader();
-    ASSERT_NE(leader, nullptr);
-    size_t index = 0;
-    for (size_t w = 0; w < waves; ++w) {
-      for (size_t i = 0; i < per_wave; ++i) {
-        std::string txn = "t" + std::to_string(index++);
-        loop_.ScheduleAt(loop_.now() + gap * static_cast<Duration>(w + 1),
-                         [leader, txn]() { leader->zab->Broadcast(Txn(txn)); });
-      }
-    }
-  }
-
-  // FNV fold of every replica's applied log: (zxid, txn) pairs in delivery
-  // order, replicas in member order.
-  uint64_t AppliedLogHash() const {
-    uint64_t h = kFnvOffset;
-    for (const auto& r : replicas_) {
-      for (size_t i = 0; i < r->delivered.size(); ++i) {
-        uint64_t z = r->delivered_zxids[i];
-        h = Fnv1a64(reinterpret_cast<const uint8_t*>(&z), sizeof(z), h);
-        h = Fnv1a64(r->delivered[i], h);
-      }
-    }
-    return h;
-  }
-
- private:
-  EventLoop loop_;
-  Network net_;
-  FaultInjector faults_;
-  std::vector<std::unique_ptr<PipelineReplica>> replicas_;
-};
+// Seed of every ZabCluster in this file.
+constexpr uint64_t kSeed = 7;
 
 // Heartbeats quiesced: exactly one round fires (at leader activation) inside
 // the run window, so heartbeat/ack payloads — which carry the commit frontier
@@ -186,12 +71,13 @@ struct ScenarioResult {
 };
 
 ScenarioResult RunScenario(const LogStoreConfig& log_cfg, bool ack_aggregation) {
-  PipelineCluster cluster({log_cfg, log_cfg, log_cfg}, QuiescedConfig(ack_aggregation));
+  ZabCluster cluster;
+  cluster.Boot(3, kSeed, QuiescedConfig(ack_aggregation), {log_cfg, log_cfg, log_cfg});
   cluster.DriveWaves(8, 5, Micros(300));
   cluster.loop().RunUntil(cluster.loop().now() + Seconds(1));
 
   ScenarioResult result;
-  PipelineReplica* leader = cluster.Leader();
+  ZabReplica* leader = cluster.Leader();
   EXPECT_NE(leader, nullptr);
   if (leader == nullptr) {
     return result;
@@ -279,8 +165,9 @@ TEST(PipelineZabAckWindow, SlowFollowerAndDuplicateAcksNeverCommitAGap) {
   LogStoreConfig slow = DeepConfig();
   slow.fsync_latency = Millis(3);
   ZabConfig cfg;  // default heartbeats; ack aggregation on
-  PipelineCluster cluster({fast, fast, slow}, cfg);
-  PipelineReplica* leader = cluster.Leader();
+  ZabCluster cluster;
+  cluster.Boot(3, kSeed, cfg, {fast, fast, slow});
+  ZabReplica* leader = cluster.Leader();
   ASSERT_NE(leader, nullptr);
   NodeId leader_id = leader->zab->leader();
   for (NodeId other = 1; other <= 3; ++other) {
@@ -295,7 +182,7 @@ TEST(PipelineZabAckWindow, SlowFollowerAndDuplicateAcksNeverCommitAGap) {
   cluster.loop().RunUntil(cluster.loop().now() + Seconds(5));
 
   for (size_t i = 0; i < cluster.size(); ++i) {
-    PipelineReplica* r = cluster.replica(i);
+    ZabReplica* r = cluster.replica(i);
     ASSERT_EQ(r->delivered.size(), 50u) << "replica " << i + 1;
     for (size_t k = 0; k < 50; ++k) {
       EXPECT_EQ(r->delivered[k], "t" + std::to_string(k)) << "replica " << i + 1;
@@ -319,8 +206,9 @@ TEST(PipelineZabLiveness, UnsyncedFollowerWithPipelinedBacklogResyncsFromHeartbe
   // cumulative AckNewLeader ack commits all of it.
   LogStoreConfig log_cfg;  // pipelined defaults
   ZabConfig cfg;           // default heartbeat (50ms) / leader timeout (250ms)
-  PipelineCluster cluster({log_cfg, log_cfg, log_cfg}, cfg);
-  PipelineReplica* leader = cluster.Leader();
+  ZabCluster cluster;
+  cluster.Boot(3, kSeed, cfg, {log_cfg, log_cfg, log_cfg});
+  ZabReplica* leader = cluster.Leader();
   ASSERT_NE(leader, nullptr);
   NodeId leader_id = leader->zab->leader();
 
@@ -332,26 +220,20 @@ TEST(PipelineZabLiveness, UnsyncedFollowerWithPipelinedBacklogResyncsFromHeartbe
   }
   NodeId f1_id = followers[0];
   NodeId f2_id = followers[1];
-  PipelineReplica* f1 = cluster.replica(f1_id - 1);
-  PipelineReplica* f2 = cluster.replica(f2_id - 1);
+  ZabReplica* f1 = cluster.replica(f1_id - 1);
+  ZabReplica* f2 = cluster.replica(f2_id - 1);
 
   // Take the other follower down for good: commits now require f1's acks.
-  f2->zab->Crash();
-  cluster.faults().Crash(f2_id);
+  cluster.Crash(f2);
   cluster.loop().RunUntil(cluster.loop().now() + Millis(100));
 
   // Bounce f1 and catch it the moment it starts following the leader again —
   // its FollowerInfo is already in flight, but the handshake needs a round
   // trip, so a partition planted now deterministically drops the leader's
   // DIFF and strands f1 unsynced.
-  f1->zab->Crash();
-  cluster.faults().Crash(f1_id);
+  cluster.Crash(f1);
   cluster.loop().RunUntil(cluster.loop().now() + Millis(50));
-  f1->delivered.clear();
-  f1->delivered_zxids.clear();
-  f1->state.clear();
-  cluster.faults().Restart(f1_id);
-  f1->zab->Restart();
+  cluster.Restart(f1);
 
   bool caught = false;
   SimTime deadline = cluster.loop().now() + Seconds(5);
@@ -428,7 +310,7 @@ TEST(PipelineZabTrunc, TruncCutsInFlightAppendsAndSurvivesRestart) {
   net.Register(3, &peer_sink);
   LogStoreConfig log_cfg;
   log_cfg.adaptive_window = false;
-  PipelineReplica follower(&loop, &net, 2, {1, 2, 3}, log_cfg, ZabConfig{});
+  ZabReplica follower(&loop, &net, 2, {1, 2, 3}, log_cfg, ZabConfig{});
   ZabNode& zab = *follower.zab;
   const uint64_t cut = MakeZxid(1, 2);
   auto step = [&loop](Duration d) { loop.RunUntil(loop.now() + d); };
@@ -490,7 +372,7 @@ TEST(PipelineZabPropose, TrailingBytesAreNotLoggedAndTheNextProposalIs) {
   SinkNode peer_sink;
   net.Register(1, &leader_sink);
   net.Register(3, &peer_sink);
-  PipelineReplica follower(&loop, &net, 2, {1, 2, 3}, LogStoreConfig{}, ZabConfig{});
+  ZabReplica follower(&loop, &net, 2, {1, 2, 3}, LogStoreConfig{}, ZabConfig{});
   ZabNode& zab = *follower.zab;
   auto step = [&loop](Duration d) { loop.RunUntil(loop.now() + d); };
 

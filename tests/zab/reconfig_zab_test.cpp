@@ -8,130 +8,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
-#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "edc/common/rng.h"
-#include "edc/logstore/logstore.h"
-#include "edc/sim/cpu.h"
-#include "edc/sim/network.h"
+#include "tests/zab/zab_cluster.h"
 
 namespace edc {
 namespace {
 
-std::vector<uint8_t> Txn(const std::string& s) { return std::vector<uint8_t>(s.begin(), s.end()); }
-std::string TxnStr(std::span<const uint8_t> b) { return std::string(b.begin(), b.end()); }
-
-class Replica : public NetworkNode, public ZabCallbacks {
- public:
-  Replica(EventLoop* loop, Network* net, NodeId id, std::vector<NodeId> members,
-          const ZabConfig& cfg)
-      : id(id), cpu(loop, 1), log(loop, LogStoreConfig{}) {
-    zab = std::make_unique<ZabNode>(loop, net, &cpu, &log, CostModel{}, id, std::move(members),
-                                    cfg, this);
-    net->Register(id, this);
-  }
-
-  void HandlePacket(Packet&& pkt) override {
-    if (IsZabPacket(pkt.type)) {
-      zab->HandlePacket(std::move(pkt));
-    }
-  }
-
-  void OnDeliver(uint64_t zxid, std::span<const uint8_t> txn) override {
-    delivered.push_back(TxnStr(txn));
-    delivered_zxids.push_back(zxid);
-    state += TxnStr(txn) + ";";
-  }
-
-  void OnRoleChange(bool leader, NodeId, uint32_t) override { is_leader = leader; }
-
-  void OnMembershipChange(uint64_t zxid, const ZabMembership& m) override {
-    membership_changes.push_back({zxid, m});
-  }
-
-  std::vector<uint8_t> TakeSnapshot() override { return Txn(state); }
-
-  bool InstallSnapshot(uint64_t zxid, const std::vector<uint8_t>& snap) override {
-    if (reject_installs) {
-      return false;
-    }
-    state = TxnStr(snap);
-    last_install_zxid = zxid;
-    snapshot_installs++;
-    return true;
-  }
-
-  void ResetServiceState() {
-    state.clear();
-    delivered.clear();
-    delivered_zxids.clear();
-  }
-
-  NodeId id;
-  CpuQueue cpu;
-  LogStore log;
-  std::unique_ptr<ZabNode> zab;
-  std::vector<std::string> delivered;
-  std::vector<uint64_t> delivered_zxids;
-  std::vector<std::pair<uint64_t, ZabMembership>> membership_changes;
-  std::string state;
-  bool is_leader = false;
-  int snapshot_installs = 0;
-  uint64_t last_install_zxid = 0;
-  // Fail every install, modeling a torn image / crash mid-install; the node
-  // must re-request state transfer and succeed once the flag clears.
-  bool reject_installs = false;
-};
-
-class ReconfigZabTest : public ::testing::Test {
+class ReconfigZabTest : public ::testing::Test, protected ZabCluster {
  protected:
-  void Boot(size_t n, uint64_t seed = 11) {
-    net_ = std::make_unique<Network>(&loop_, Rng(seed), LinkParams{});
-    std::vector<NodeId> members;
-    for (size_t i = 1; i <= n; ++i) {
-      members.push_back(static_cast<NodeId>(i));
-    }
-    for (NodeId id : members) {
-      replicas_.push_back(std::make_unique<Replica>(&loop_, net_.get(), id, members, base_));
-    }
-    for (auto& r : replicas_) {
-      r->zab->Start();
-    }
-    Settle(Seconds(2));
-  }
-
-  // Boots a fresh node whose contact list is the current voter set. With
-  // `observer` it joins as a learner; pair with ProposeAddObserver.
-  Replica* AddNode(NodeId id, bool observer) {
-    ZabConfig cfg = base_;
-    cfg.observer = observer;
-    replicas_.push_back(std::make_unique<Replica>(&loop_, net_.get(), id,
-                                                  Leader()->zab->membership().voters, cfg));
-    Replica* raw = replicas_.back().get();
-    raw->zab->Start();
-    return raw;
-  }
-
-  Replica* Leader() {
-    for (auto& r : replicas_) {
-      if (r->zab->is_leader()) {
-        return r.get();
-      }
-    }
-    return nullptr;
-  }
-
-  Replica* ById(NodeId id) {
-    for (auto& r : replicas_) {
-      if (r->id == id) {
-        return r.get();
-      }
-    }
-    return nullptr;
-  }
+  void Boot(size_t n) { ZabCluster::Boot(n, /*seed=*/11, base_); }
 
   Status ProposeAddObserver(NodeId id) {
     ZabMembership next = Leader()->zab->membership();
@@ -156,28 +44,12 @@ class ReconfigZabTest : public ::testing::Test {
     return Leader()->zab->ProposeReconfig(std::move(next));
   }
 
-  void Crash(Replica* r) {
-    r->zab->Crash();
-    net_->SetNodeUp(r->id, false);
-  }
-
-  void Restart(Replica* r) {
-    net_->SetNodeUp(r->id, true);
-    r->ResetServiceState();
-    r->zab->Restart();
-  }
-
-  void Settle(Duration d = Seconds(2)) { loop_.RunUntil(loop_.now() + d); }
-
-  EventLoop loop_;
   ZabConfig base_;
-  std::unique_ptr<Network> net_;
-  std::vector<std::unique_ptr<Replica>> replicas_;
 };
 
 TEST_F(ReconfigZabTest, AddObserverReceivesCommitStreamWithoutVoting) {
   Boot(3);
-  Replica* leader = Leader();
+  ZabReplica* leader = Leader();
   ASSERT_NE(leader, nullptr);
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(leader->zab->Broadcast(Txn("pre" + std::to_string(i))));
@@ -185,11 +57,11 @@ TEST_F(ReconfigZabTest, AddObserverReceivesCommitStreamWithoutVoting) {
   Settle();
 
   ASSERT_TRUE(ProposeAddObserver(4).ok());
-  Replica* obs = AddNode(4, /*observer=*/true);
+  ZabReplica* obs = AddNode(4, /*observer=*/true);
   Settle();
 
   // The reconfig activated everywhere; 4 is an observer, not a voter.
-  for (auto& r : replicas_) {
+  for (auto& r : replicas()) {
     if (r->zab->running()) {
       EXPECT_TRUE(r->zab->membership().IsObserver(4)) << "node " << r->id;
       EXPECT_FALSE(r->zab->membership().IsVoter(4)) << "node " << r->id;
@@ -216,17 +88,17 @@ TEST_F(ReconfigZabTest, ObserverNeverCountsTowardQuorum) {
 
   // Take down two voters: one voter + one observer is not a quorum of the
   // three-voter configuration, so nothing may commit.
-  Replica* leader = Leader();
+  ZabReplica* leader = Leader();
   ASSERT_NE(leader, nullptr);
-  std::vector<Replica*> downed;
-  for (auto& r : replicas_) {
+  std::vector<ZabReplica*> downed;
+  for (auto& r : replicas()) {
     if (r->id != leader->id && r->zab->membership().IsVoter(r->id) && downed.size() < 2) {
       downed.push_back(r.get());
     }
   }
   ASSERT_EQ(downed.size(), 2u);
   size_t before = leader->delivered.size();
-  for (Replica* r : downed) {
+  for (ZabReplica* r : downed) {
     Crash(r);
   }
   leader->zab->Broadcast(Txn("stuck"));
@@ -234,11 +106,11 @@ TEST_F(ReconfigZabTest, ObserverNeverCountsTowardQuorum) {
   EXPECT_EQ(leader->delivered.size(), before) << "committed without a voter quorum";
 
   // Quorum restored => the pipeline resumes and the cluster is healthy.
-  for (Replica* r : downed) {
+  for (ZabReplica* r : downed) {
     Restart(r);
   }
   Settle(Seconds(3));
-  Replica* healed = Leader();
+  ZabReplica* healed = Leader();
   ASSERT_NE(healed, nullptr);
   ASSERT_TRUE(healed->zab->Broadcast(Txn("after")));
   Settle();
@@ -249,21 +121,21 @@ TEST_F(ReconfigZabTest, ObserverNeverCountsTowardQuorum) {
 TEST_F(ReconfigZabTest, PromotedObserverVotesInQuorum) {
   Boot(3);
   ASSERT_TRUE(ProposeAddObserver(4).ok());
-  Replica* obs = AddNode(4, true);
+  ZabReplica* obs = AddNode(4, true);
   Settle();
 
   ASSERT_TRUE(ProposePromote(4).ok());
   Settle();
-  for (auto& r : replicas_) {
+  for (auto& r : replicas()) {
     EXPECT_TRUE(r->zab->membership().IsVoter(4)) << "node " << r->id;
   }
   EXPECT_TRUE(obs->zab->is_voter());
 
   // Four voters, quorum 3: with one old voter down, commits need the promoted
   // node's ack — if it weren't a real voter this would stall.
-  Replica* leader = Leader();
-  Replica* victim = nullptr;
-  for (auto& r : replicas_) {
+  ZabReplica* leader = Leader();
+  ZabReplica* victim = nullptr;
+  for (auto& r : replicas()) {
     if (r->id != leader->id && r->id != 4 && r->zab->membership().IsVoter(r->id)) {
       victim = r.get();
       break;
@@ -280,7 +152,7 @@ TEST_F(ReconfigZabTest, PromotedObserverVotesInQuorum) {
 TEST_F(ReconfigZabTest, PromotionGatedOnCatchUpLag) {
   base_.promote_lag = 4;
   Boot(3);
-  Replica* leader = Leader();
+  ZabReplica* leader = Leader();
   for (int i = 0; i < 30; ++i) {
     ASSERT_TRUE(leader->zab->Broadcast(Txn("w" + std::to_string(i))));
   }
@@ -306,7 +178,7 @@ TEST_F(ReconfigZabTest, PromotionGatedOnCatchUpLag) {
 
 TEST_F(ReconfigZabTest, SingleChangeRuleEnforced) {
   Boot(3);
-  Replica* leader = Leader();
+  ZabReplica* leader = Leader();
   // Two changes at once (add 4 and 5) is rejected.
   ZabMembership next = leader->zab->membership();
   next.observers.push_back(4);
@@ -327,7 +199,7 @@ TEST_F(ReconfigZabTest, SingleChangeRuleEnforced) {
 
 TEST_F(ReconfigZabTest, JoinerBehindLogFloorCatchesUpViaSnapshot) {
   Boot(3);
-  Replica* leader = Leader();
+  ZabReplica* leader = Leader();
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(leader->zab->Broadcast(Txn("t" + std::to_string(i))));
   }
@@ -335,7 +207,7 @@ TEST_F(ReconfigZabTest, JoinerBehindLogFloorCatchesUpViaSnapshot) {
   leader->zab->CompactLog();  // joiner's zxid 0 now predates the log floor
 
   ASSERT_TRUE(ProposeAddObserver(4).ok());
-  Replica* joiner = AddNode(4, true);
+  ZabReplica* joiner = AddNode(4, true);
   Settle();
 
   EXPECT_GE(joiner->snapshot_installs, 1) << "expected the SNAP path";
@@ -349,7 +221,7 @@ TEST_F(ReconfigZabTest, JoinerBehindLogFloorCatchesUpViaSnapshot) {
 
 TEST_F(ReconfigZabTest, RejectedInstallRetriesUntilItSucceeds) {
   Boot(3);
-  Replica* leader = Leader();
+  ZabReplica* leader = Leader();
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(leader->zab->Broadcast(Txn("t" + std::to_string(i))));
   }
@@ -357,7 +229,7 @@ TEST_F(ReconfigZabTest, RejectedInstallRetriesUntilItSucceeds) {
   leader->zab->CompactLog();
 
   ASSERT_TRUE(ProposeAddObserver(4).ok());
-  Replica* joiner = AddNode(4, true);
+  ZabReplica* joiner = AddNode(4, true);
   joiner->reject_installs = true;  // torn image / crash mid-install
   Settle(Seconds(1));
   EXPECT_EQ(joiner->snapshot_installs, 0);
@@ -371,7 +243,7 @@ TEST_F(ReconfigZabTest, RejectedInstallRetriesUntilItSucceeds) {
 
 TEST_F(ReconfigZabTest, SnapshotInstalledJoinerSurvivesItsOwnCrash) {
   Boot(3);
-  Replica* leader = Leader();
+  ZabReplica* leader = Leader();
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(leader->zab->Broadcast(Txn("t" + std::to_string(i))));
   }
@@ -379,7 +251,7 @@ TEST_F(ReconfigZabTest, SnapshotInstalledJoinerSurvivesItsOwnCrash) {
   leader->zab->CompactLog();
 
   ASSERT_TRUE(ProposeAddObserver(4).ok());
-  Replica* joiner = AddNode(4, true);
+  ZabReplica* joiner = AddNode(4, true);
   Settle();
   ASSERT_EQ(joiner->state, leader->state);
   ASSERT_TRUE(joiner->log.has_snapshot()) << "installed image must be durable";
@@ -396,9 +268,9 @@ TEST_F(ReconfigZabTest, SnapshotInstalledJoinerSurvivesItsOwnCrash) {
 
 TEST_F(ReconfigZabTest, RemoveFollowerShrinksQuorum) {
   Boot(3);
-  Replica* leader = Leader();
-  Replica* gone = nullptr;
-  for (auto& r : replicas_) {
+  ZabReplica* leader = Leader();
+  ZabReplica* gone = nullptr;
+  for (auto& r : replicas()) {
     if (r->id != leader->id) {
       gone = r.get();
       break;
@@ -408,7 +280,7 @@ TEST_F(ReconfigZabTest, RemoveFollowerShrinksQuorum) {
   Settle();
 
   EXPECT_FALSE(gone->zab->running()) << "removed replica must retire";
-  for (auto& r : replicas_) {
+  for (auto& r : replicas()) {
     if (r->zab->running()) {
       EXPECT_FALSE(r->zab->membership().Contains(gone->id));
       EXPECT_EQ(r->zab->membership().voters.size(), 2u);
@@ -422,7 +294,7 @@ TEST_F(ReconfigZabTest, RemoveFollowerShrinksQuorum) {
 
 TEST_F(ReconfigZabTest, RemoveLeaderStepsDownAndClusterReelects) {
   Boot(3);
-  Replica* old_leader = Leader();
+  ZabReplica* old_leader = Leader();
   ASSERT_NE(old_leader, nullptr);
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(old_leader->zab->Broadcast(Txn("pre" + std::to_string(i))));
@@ -434,7 +306,7 @@ TEST_F(ReconfigZabTest, RemoveLeaderStepsDownAndClusterReelects) {
   Settle(Seconds(4));  // activation + step-down + re-election
 
   EXPECT_FALSE(old_leader->zab->running()) << "removed leader must retire";
-  Replica* new_leader = Leader();
+  ZabReplica* new_leader = Leader();
   ASSERT_NE(new_leader, nullptr);
   EXPECT_NE(new_leader->id, old_leader->id);
   EXPECT_FALSE(new_leader->zab->membership().Contains(old_leader->id));
@@ -452,14 +324,14 @@ TEST_F(ReconfigZabTest, RemoveLeaderStepsDownAndClusterReelects) {
 TEST_F(ReconfigZabTest, AutoCompactionKeepsJoinPathWorking) {
   base_.snapshot_every = 8;
   Boot(3);
-  Replica* leader = Leader();
+  ZabReplica* leader = Leader();
   for (int i = 0; i < 30; ++i) {
     ASSERT_TRUE(leader->zab->Broadcast(Txn("t" + std::to_string(i))));
   }
   Settle();
   // Every replica compacted on its own; a fresh joiner needs the SNAP path.
   ASSERT_TRUE(ProposeAddObserver(4).ok());
-  Replica* joiner = AddNode(4, true);
+  ZabReplica* joiner = AddNode(4, true);
   Settle();
   EXPECT_GE(joiner->snapshot_installs, 1);
   EXPECT_EQ(joiner->state, Leader()->state);
@@ -469,55 +341,32 @@ TEST_F(ReconfigZabTest, AutoCompactionKeepsJoinPathWorking) {
 // with identical seeds produce identical states, zxids and memberships.
 TEST(ReconfigZabDeterminism, SameSeedSameOutcome) {
   auto run = [](uint64_t seed) {
-    EventLoop loop;
-    auto net = std::make_unique<Network>(&loop, Rng(seed), LinkParams{});
-    ZabConfig base;
-    std::vector<NodeId> members = {1, 2, 3};
-    std::vector<std::unique_ptr<Replica>> replicas;
-    for (NodeId id : members) {
-      replicas.push_back(std::make_unique<Replica>(&loop, net.get(), id, members, base));
-    }
-    for (auto& r : replicas) {
-      r->zab->Start();
-    }
-    auto settle = [&](Duration d) { loop.RunUntil(loop.now() + d); };
-    auto leader = [&]() -> Replica* {
-      for (auto& r : replicas) {
-        if (r->zab->is_leader()) {
-          return r.get();
-        }
-      }
-      return nullptr;
-    };
-    settle(Seconds(2));
+    ZabCluster cluster;
+    cluster.Boot(3, seed);
     for (int i = 0; i < 10; ++i) {
-      leader()->zab->Broadcast(Txn("w" + std::to_string(i)));
+      cluster.Leader()->zab->Broadcast(Txn("w" + std::to_string(i)));
     }
-    settle(Seconds(1));
-    ZabMembership add = leader()->zab->membership();
+    cluster.Settle(Seconds(1));
+    ZabMembership add = cluster.Leader()->zab->membership();
     add.observers.push_back(4);
-    leader()->zab->ProposeReconfig(add);
-    ZabConfig joiner_cfg = base;
-    joiner_cfg.observer = true;
-    replicas.push_back(std::make_unique<Replica>(&loop, net.get(), 4,
-                                                 leader()->zab->membership().voters, joiner_cfg));
-    replicas.back()->zab->Start();
-    settle(Seconds(2));
-    ZabMembership promote = leader()->zab->membership();
+    cluster.Leader()->zab->ProposeReconfig(add);
+    cluster.AddNode(4, /*observer=*/true);
+    cluster.Settle(Seconds(2));
+    ZabMembership promote = cluster.Leader()->zab->membership();
     promote.observers.clear();
     promote.voters.push_back(4);
-    leader()->zab->ProposeReconfig(promote);
-    settle(Seconds(2));
-    NodeId removed = leader()->id;
-    ZabMembership drop = leader()->zab->membership();
+    cluster.Leader()->zab->ProposeReconfig(promote);
+    cluster.Settle(Seconds(2));
+    NodeId removed = cluster.Leader()->id;
+    ZabMembership drop = cluster.Leader()->zab->membership();
     drop.voters.erase(std::remove(drop.voters.begin(), drop.voters.end(), removed),
                       drop.voters.end());
-    leader()->zab->ProposeReconfig(drop);
-    settle(Seconds(4));
-    leader()->zab->Broadcast(Txn("final"));
-    settle(Seconds(2));
+    cluster.Leader()->zab->ProposeReconfig(drop);
+    cluster.Settle(Seconds(4));
+    cluster.Leader()->zab->Broadcast(Txn("final"));
+    cluster.Settle(Seconds(2));
     std::string digest;
-    for (auto& r : replicas) {
+    for (auto& r : cluster.replicas()) {
       digest += std::to_string(r->id) + "=" + r->state + "|running=" +
                 (r->zab->running() ? "1" : "0") + "|";
       for (uint64_t z : r->delivered_zxids) {

@@ -8,94 +8,18 @@
 #include <string>
 #include <vector>
 
-#include "edc/common/rng.h"
 #include "edc/harness/invariants.h"
-#include "edc/sim/costs.h"
-#include "edc/sim/event_loop.h"
 #include "edc/sim/faults.h"
-#include "edc/sim/network.h"
-#include "edc/zk/client.h"
-#include "edc/zk/server.h"
+#include "tests/harness/fixture_helpers.h"
 
 namespace edc {
 namespace {
 
-// Three ZkServers plus a FaultInjector wired with the servers' crash/restart
-// closures (crash drops the node off the network; restart replays the log and
-// rejoins).
-struct ChaosCluster {
-  explicit ChaosCluster(uint64_t seed) {
-    net = std::make_unique<Network>(&loop, Rng(seed), LinkParams{});
-    faults = std::make_unique<FaultInjector>(&loop, net.get());
-    std::vector<NodeId> members{1, 2, 3};
-    for (NodeId id : members) {
-      auto server = std::make_unique<ZkServer>(&loop, net.get(), id, members, CostModel{},
-                                               ZkServerOptions{});
-      net->Register(id, server.get());
-      ZkServer* raw = server.get();
-      Network* n = net.get();
-      faults->RegisterProcess(
-          id,
-          [raw, n, id]() {
-            raw->Crash();
-            n->SetNodeUp(id, false);
-          },
-          [raw, n, id]() {
-            n->SetNodeUp(id, true);
-            raw->Restart();
-          });
-      servers.push_back(std::move(server));
-    }
-  }
-
-  void Start() {
-    for (auto& s : servers) {
-      s->Start();
-    }
-    Settle(Seconds(2));
-  }
-
-  NodeId LeaderId() {
-    for (auto& s : servers) {
-      if (s->running() && s->IsLeader()) {
-        return s->id();
-      }
-    }
-    return 0;
-  }
-
-  size_t FollowerIndex() {
-    for (size_t i = 0; i < servers.size(); ++i) {
-      if (servers[i]->running() && !servers[i]->IsLeader()) {
-        return i;
-      }
-    }
-    return 0;
-  }
-
-  ZkClient* AddClient(size_t preferred_idx) {
-    NodeId id = next_client_id++;
-    auto client = std::make_unique<ZkClient>(
-        &loop, net.get(), id, ShardView::Standalone(ServerList{{1, 2, 3}, preferred_idx}),
-        ZkClientOptions{});
-    ZkClient* raw = client.get();
-    clients.push_back(std::move(client));
-    bool connected = false;
-    raw->Connect([&connected](Status s) { connected = s.ok(); });
-    Settle(Seconds(1));
-    EXPECT_TRUE(connected);
-    return raw;
-  }
-
-  void Settle(Duration d) { loop.RunUntil(loop.now() + d); }
-
-  EventLoop loop;
-  std::unique_ptr<Network> net;
-  std::unique_ptr<FaultInjector> faults;
-  std::vector<std::unique_ptr<ZkServer>> servers;
-  std::vector<std::unique_ptr<ZkClient>> clients;
-  NodeId next_client_id = 100;
-};
+// Three ZooKeeper replicas whose crash/restart closures the fixture
+// registers with its FaultInjector, and no fixture clients.
+FixtureOptions ChaosGroup(uint64_t seed) {
+  return FixtureOptions{.system = SystemKind::kZooKeeper, .num_clients = 0, .seed = seed};
+}
 
 ZkOp CreateOp(const std::string& path) {
   ZkOp op;
@@ -111,24 +35,26 @@ ZkOp CreateOp(const std::string& path) {
 TEST(ZabChaosTest, PrimaryCrashMidMultiNeverHalfApplies) {
   const std::vector<Duration> crash_offsets{Micros(150), Micros(400), Millis(1), Millis(5)};
   for (Duration offset : crash_offsets) {
-    ChaosCluster cluster(17);
+    CoordFixture cluster(ChaosGroup(17));
     cluster.Start();
-    ZkClient* client = cluster.AddClient(cluster.FollowerIndex());
+    // The whole ensemble, a follower first.
+    ZkClient* client =
+        ConnectZkClient(cluster, ServerList{{1, 2, 3}, ZkFollower(cluster)->id() - 1});
     bool parent = false;
     client->Create("/m", "", false, false,
                    [&](Result<std::string> r) { parent = r.ok(); });
     cluster.Settle(Seconds(1));
     ASSERT_TRUE(parent);
 
-    NodeId leader = cluster.LeaderId();
+    NodeId leader = ZkLeaderId(cluster);
     ASSERT_NE(leader, 0);
     client->Multi({CreateOp("/m/a"), CreateOp("/m/b"), CreateOp("/m/c")},
                   [](Status) {});
-    cluster.loop.Schedule(offset,
-                          [&cluster, leader]() { cluster.faults->Crash(leader); });
+    cluster.loop().Schedule(offset,
+                          [&cluster, leader]() { cluster.faults().Crash(leader); });
     cluster.Settle(Seconds(8));  // re-election + client failover
 
-    for (auto& s : cluster.servers) {
+    for (auto& s : cluster.zk_servers) {
       if (!s->running()) {
         continue;
       }
@@ -141,8 +67,8 @@ TEST(ZabChaosTest, PrimaryCrashMidMultiNeverHalfApplies) {
                       << " (crash offset " << offset << ")";
     }
     std::string why;
-    EXPECT_TRUE(PrefixConsistentLogs(cluster.servers, &why)) << why;
-    NodeId new_leader = cluster.LeaderId();
+    EXPECT_TRUE(PrefixConsistentLogs(cluster.zk_servers, &why)) << why;
+    NodeId new_leader = ZkLeaderId(cluster);
     EXPECT_NE(new_leader, 0);
     EXPECT_NE(new_leader, leader);
   }
@@ -165,16 +91,18 @@ TEST(ZabChaosTest, DeterministicPrimaryCrashReelection) {
   };
   auto run = [](uint64_t seed) {
     Outcome out;
-    ChaosCluster cluster(seed);
-    cluster.faults->EnablePacketTrace();
+    CoordFixture cluster(ChaosGroup(seed));
+    cluster.faults().EnablePacketTrace();
     cluster.Start();
-    ZkClient* client = cluster.AddClient(cluster.FollowerIndex());
+    // The whole ensemble, a follower first.
+    ZkClient* client =
+        ConnectZkClient(cluster, ServerList{{1, 2, 3}, ZkFollower(cluster)->id() - 1});
 
-    out.old_leader = cluster.LeaderId();
+    out.old_leader = ZkLeaderId(cluster);
     EXPECT_NE(out.old_leader, 0);
-    out.old_epoch = cluster.servers[out.old_leader - 1]->zab().epoch();
+    out.old_epoch = cluster.zk_servers[out.old_leader - 1]->zab().epoch();
 
-    InvariantMonitor monitor(&cluster.loop, &cluster.servers);
+    InvariantMonitor monitor(&cluster.loop(), &cluster.zk_servers);
     monitor.Start();
     FaultPlan plan;
     plan.episodes.push_back({.kind = EpisodeKind::kCrashRestart,
@@ -187,9 +115,9 @@ TEST(ZabChaosTest, DeterministicPrimaryCrashReelection) {
                              .group_a = {out.old_leader},
                              .group_b = {out.old_leader % 3 + 1,
                                          (out.old_leader + 1) % 3 + 1}});
-    cluster.faults->Run(plan);
+    cluster.faults().Run(plan);
     for (int i = 0; i < 12; ++i) {
-      cluster.loop.Schedule(Millis(250) * i, [client, i]() {
+      cluster.loop().Schedule(Millis(250) * i, [client, i]() {
         client->Create("/chaos/" + std::to_string(i), "x", false, false,
                        [](Result<std::string>) {});
       });
@@ -197,16 +125,16 @@ TEST(ZabChaosTest, DeterministicPrimaryCrashReelection) {
     cluster.Settle(Seconds(10));
     monitor.Stop();
 
-    out.new_leader = cluster.LeaderId();
+    out.new_leader = ZkLeaderId(cluster);
     if (out.new_leader != 0) {
-      out.new_epoch = cluster.servers[out.new_leader - 1]->zab().epoch();
+      out.new_epoch = cluster.zk_servers[out.new_leader - 1]->zab().epoch();
     }
     out.single_primary = monitor.ok();
     std::string why;
-    out.prefix_consistent = PrefixConsistentLogs(cluster.servers, &why);
+    out.prefix_consistent = PrefixConsistentLogs(cluster.zk_servers, &why);
     EXPECT_TRUE(out.prefix_consistent) << why;
-    out.digest = cluster.faults->TraceDigest();
-    out.trace = cluster.faults->trace();
+    out.digest = cluster.faults().TraceDigest();
+    out.trace = cluster.faults().trace();
     return out;
   };
 

@@ -14,12 +14,9 @@
 #include <vector>
 
 #include "edc/common/hash.h"
-#include "edc/common/rng.h"
 #include "edc/harness/fixture.h"
 #include "edc/harness/invariants.h"
-#include "edc/sim/network.h"
-#include "edc/zk/client.h"
-#include "edc/zk/server.h"
+#include "tests/harness/fixture_helpers.h"
 
 namespace edc {
 namespace {
@@ -71,82 +68,24 @@ Status RetryReconfig(EventLoop& loop, ZkClient* client, const std::string& spec,
   return last;
 }
 
-// Manual cluster with observer support and ServerList clients — the
-// harness-free half of the suite, where servers are added/removed directly.
-class ReconfigServiceTest : public ::testing::Test {
- protected:
-  void Boot(ZkServerOptions opts = ZkServerOptions{}) {
-    opts_ = opts;
-    net_ = std::make_unique<Network>(&loop_, Rng(13), LinkParams{});
-    std::vector<NodeId> members{1, 2, 3};
-    for (NodeId id : members) {
-      AddServerNode(id, members, /*observer=*/false);
-    }
-    for (auto& s : servers_) {
-      s->Start();
-    }
-    Settle(Seconds(2));
-  }
+// Three ZooKeeper replicas and no fixture clients: the tests boot observers
+// (BootExtraZkReplica) and connect raw clients over explicit server lists.
+FixtureOptions ReconfigGroup() {
+  return FixtureOptions{.system = SystemKind::kZooKeeper, .num_clients = 0, .seed = 13};
+}
 
-  ZkServer* AddServerNode(NodeId id, std::vector<NodeId> members, bool observer) {
-    ZkServerOptions opts = opts_;
-    opts.zab.observer = observer;
-    auto server =
-        std::make_unique<ZkServer>(&loop_, net_.get(), id, std::move(members), CostModel{}, opts);
-    net_->Register(id, server.get());
-    servers_.push_back(std::move(server));
-    return servers_.back().get();
-  }
+// Adds a raw client over `list` and runs the sim until its connect completes.
+ZkClient* AddClient(CoordFixture& fx, ServerList list) {
+  ZkClient* client = fx.AddZkClient(std::move(list), ZkClientOptions{});
+  Status s = SyncOp(fx.loop(), [client](ZkApi::VoidCb cb) { client->Connect(std::move(cb)); });
+  EXPECT_TRUE(s.ok()) << s.message();
+  return client;
+}
 
-  // Boots a brand-new observer whose contact list is the current voter set.
-  ZkServer* BootObserver(NodeId id) {
-    ZkServer* s = AddServerNode(id, Leader()->zab().membership().voters, true);
-    s->Start();
-    return s;
-  }
-
-  ZkServer* Leader() {
-    for (auto& s : servers_) {
-      if (s->running() && s->IsLeader()) {
-        return s.get();
-      }
-    }
-    return nullptr;
-  }
-
-  ZkServer* ById(NodeId id) {
-    for (auto& s : servers_) {
-      if (s->id() == id) {
-        return s.get();
-      }
-    }
-    return nullptr;
-  }
-
-  ZkClient* AddClient(ServerList list) {
-    auto client = std::make_unique<ZkClient>(&loop_, net_.get(), next_client_id_++,
-                                             ShardView::Standalone(std::move(list)),
-                                             ZkClientOptions{});
-    ZkClient* raw = client.get();
-    clients_.push_back(std::move(client));
-    Status s = SyncOp(loop_, [raw](ZkApi::VoidCb cb) { raw->Connect(std::move(cb)); });
-    EXPECT_TRUE(s.ok()) << s.message();
-    return raw;
-  }
-
-  void Settle(Duration d = Millis(500)) { loop_.RunUntil(loop_.now() + d); }
-
-  EventLoop loop_;
-  ZkServerOptions opts_;
-  std::unique_ptr<Network> net_;
-  std::vector<std::unique_ptr<ZkServer>> servers_;
-  std::vector<std::unique_ptr<ZkClient>> clients_;
-  NodeId next_client_id_ = 100;
-};
-
-TEST_F(ReconfigServiceTest, ClientReconfigAddsObserverAndPushesMembership) {
-  Boot();
-  ZkClient* client = AddClient(ServerList{1, 2, 3});
+TEST(ReconfigServiceTest, ClientReconfigAddsObserverAndPushesMembership) {
+  CoordFixture fx(ReconfigGroup());
+  fx.Start();
+  ZkClient* client = AddClient(fx, ServerList{1, 2, 3});
   int membership_events = 0;
   client->SetSessionEventHandler([&](SessionEvent e) {
     if (e == SessionEvent::kMembershipChanged) {
@@ -154,13 +93,13 @@ TEST_F(ReconfigServiceTest, ClientReconfigAddsObserverAndPushesMembership) {
     }
   });
 
-  BootObserver(4);
-  Status s = SyncOp(loop_, [&](ZkApi::VoidCb cb) { client->Reconfig("add_observer 4", cb); });
+  fx.BootExtraZkReplica(4);
+  Status s = SyncOp(fx.loop(), [&](ZkApi::VoidCb cb) { client->Reconfig("add_observer 4", cb); });
   ASSERT_TRUE(s.ok()) << s.message();
-  Settle();
+  fx.Settle(Millis(500));
 
   // Every member (including the new observer) activated the change...
-  for (auto& server : servers_) {
+  for (auto& server : fx.zk_servers) {
     EXPECT_TRUE(server->zab().membership().IsObserver(4)) << "server " << server->id();
   }
   // ...and the session's failover list was refreshed by the push.
@@ -171,11 +110,12 @@ TEST_F(ReconfigServiceTest, ClientReconfigAddsObserverAndPushesMembership) {
       << "client failover list missing the new observer";
 }
 
-TEST_F(ReconfigServiceTest, MalformedSpecsRejected) {
-  Boot();
-  ZkClient* client = AddClient(ServerList{1, 2, 3});
+TEST(ReconfigServiceTest, MalformedSpecsRejected) {
+  CoordFixture fx(ReconfigGroup());
+  fx.Start();
+  ZkClient* client = AddClient(fx, ServerList{1, 2, 3});
   auto reconfig = [&](const std::string& spec) {
-    return SyncOp(loop_, [&](ZkApi::VoidCb cb) { client->Reconfig(spec, cb); });
+    return SyncOp(fx.loop(), [&](ZkApi::VoidCb cb) { client->Reconfig(spec, cb); });
   };
   EXPECT_EQ(reconfig("add_voter 1").code(), ErrorCode::kInvalidArgument);  // already a voter
   EXPECT_EQ(reconfig("promote 9").code(), ErrorCode::kInvalidArgument);   // not an observer
@@ -190,52 +130,53 @@ TEST_F(ReconfigServiceTest, MalformedSpecsRejected) {
 // ensemble {1,2,3} is rolled over to {4,5,6}, a client created against
 // {1,2,3} must keep working — without membership pushes it would spin on
 // dead/retired replicas forever.
-TEST_F(ReconfigServiceTest, RollingReplacementKeepsClientConnected) {
-  Boot();
-  ZkClient* client = AddClient(ServerList{1, 2, 3});
-  ASSERT_TRUE(SyncOp(loop_, [&](ZkApi::VoidCb cb) {
+TEST(ReconfigServiceTest, RollingReplacementKeepsClientConnected) {
+  CoordFixture fx(ReconfigGroup());
+  fx.Start();
+  ZkClient* client = AddClient(fx, ServerList{1, 2, 3});
+  ASSERT_TRUE(SyncOp(fx.loop(), [&](ZkApi::VoidCb cb) {
                 client->Create("/pin", "v0", false, false, [cb](Result<std::string> r) {
                   cb(r.ok() ? Status::Ok() : r.status());
                 });
               }).ok());
 
   for (NodeId joiner : {4u, 5u, 6u}) {
-    BootObserver(joiner);
-    Status added = RetryReconfig(loop_, client, "add_observer " + std::to_string(joiner));
+    fx.BootExtraZkReplica(joiner);
+    Status added = RetryReconfig(fx.loop(), client, "add_observer " + std::to_string(joiner));
     ASSERT_TRUE(added.ok()) << "add_observer " << joiner << ": " << added.message();
-    Settle(Seconds(1));
-    Status promoted = RetryReconfig(loop_, client, "promote " + std::to_string(joiner));
+    fx.Settle(Seconds(1));
+    Status promoted = RetryReconfig(fx.loop(), client, "promote " + std::to_string(joiner));
     ASSERT_TRUE(promoted.ok()) << "promote " << joiner << ": " << promoted.message();
   }
   for (NodeId retiree : {1u, 2u, 3u}) {
-    Status removed = RetryReconfig(loop_, client, "remove " + std::to_string(retiree));
+    Status removed = RetryReconfig(fx.loop(), client, "remove " + std::to_string(retiree));
     if (!removed.ok()) {
       // The retiree may be the client's own session host: it stops serving
       // the moment the removal activates, so the ack can be lost and the
       // retry reports "not a member". The durable outcome is what counts.
-      ZkServer* leader = Leader();
+      ZkServer* leader = ZkLeader(fx);
       ASSERT_NE(leader, nullptr);
       ASSERT_FALSE(leader->zab().membership().Contains(retiree))
           << "remove " << retiree << ": " << removed.message();
     }
-    Settle(Seconds(2));  // failover if the client's replica just retired
+    fx.Settle(Seconds(2));  // failover if the client's replica just retired
   }
-  Settle(Seconds(2));
+  fx.Settle(Seconds(2));
 
   // The original ensemble is fully retired.
   for (NodeId retiree : {1u, 2u, 3u}) {
-    EXPECT_FALSE(ById(retiree)->running()) << "server " << retiree;
+    EXPECT_FALSE(fx.ZkServerById(retiree)->running()) << "server " << retiree;
   }
   // The client's failover list is the new ensemble — and the session works.
   std::vector<NodeId> list = client->servers().servers;
   std::sort(list.begin(), list.end());
   EXPECT_EQ(list, (std::vector<NodeId>{4, 5, 6}));
-  SimTime deadline = loop_.now() + Seconds(10);
-  while (!client->connected() && loop_.now() < deadline) {
-    Settle(Millis(200));
+  SimTime deadline = fx.loop().now() + Seconds(10);
+  while (!client->connected() && fx.loop().now() < deadline) {
+    fx.Settle(Millis(200));
   }
   ASSERT_TRUE(client->connected()) << "client never failed over to the new ensemble";
-  Result<std::string> v = SyncGet(loop_, client, "/pin");
+  Result<std::string> v = SyncGet(fx.loop(), client, "/pin");
   ASSERT_TRUE(v.ok()) << v.status().message();
   EXPECT_EQ(*v, "v0");
 }
@@ -308,12 +249,7 @@ TEST(ReconfigAcceptance, RemovingLiveLeaderLosesNoAcknowledgedWrites) {
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(FixtureWrite(fx, c, "/k" + std::to_string(i), "v" + std::to_string(i)).ok());
   }
-  NodeId leader_id = 0;
-  for (auto& s : fx.zk_servers) {
-    if (s->running() && s->IsLeader()) {
-      leader_id = s->id();
-    }
-  }
+  NodeId leader_id = ZkLeaderId(fx);
   ASSERT_NE(leader_id, 0u);
 
   Status removed = fx.RemoveReplica(leader_id);
@@ -353,12 +289,7 @@ TEST(ReconfigAcceptance, TraceAndStateDigestsStableAcrossReruns) {
       FixtureWrite(fx, c, "/t" + std::to_string(i), "v" + std::to_string(i));
     }
     fx.JoinReplica(4);
-    NodeId leader_id = 0;
-    for (auto& s : fx.zk_servers) {
-      if (s->running() && s->IsLeader()) {
-        leader_id = s->id();
-      }
-    }
+    NodeId leader_id = ZkLeaderId(fx);
     if (leader_id != 0) {
       fx.RemoveReplica(leader_id);
     }

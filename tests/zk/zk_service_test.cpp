@@ -3,45 +3,50 @@
 #include <string>
 #include <vector>
 
-#include "tests/zk/zk_cluster.h"
+#include "tests/harness/fixture_helpers.h"
 
 namespace edc {
 namespace {
 
+// Three ZooKeeper replicas, no fixture clients: each test connects its own.
+FixtureOptions ZkGroup() {
+  return FixtureOptions{.system = SystemKind::kZooKeeper, .num_clients = 0, .seed = 11};
+}
+
 TEST(ZkServiceTest, ConnectAssignsSession) {
-  ZkCluster cluster;
+  CoordFixture cluster(ZkGroup());
   cluster.Start();
-  ZkClient* client = cluster.AddClient();
+  ZkClient* client = ConnectZkClient(cluster, {1});
   EXPECT_TRUE(client->connected());
   EXPECT_NE(client->session(), 0u);
 }
 
 TEST(ZkServiceTest, CreateThenGetData) {
-  ZkCluster cluster;
+  CoordFixture cluster(ZkGroup());
   cluster.Start();
-  ZkClient* client = cluster.AddClient();
+  ZkClient* client = ConnectZkClient(cluster, {1});
   Result<std::string> created(std::string{});
   client->Create("/foo", "bar", false, false, [&](Result<std::string> r) { created = r; });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   ASSERT_TRUE(created.ok()) << created.status().ToString();
   EXPECT_EQ(*created, "/foo");
 
   Result<ZkClient::NodeResult> got = Status(ErrorCode::kInternal);
   client->GetData("/foo", false, [&](Result<ZkClient::NodeResult> r) { got = r; });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got->data, "bar");
   EXPECT_EQ(got->stat.version, 0);
 }
 
 TEST(ZkServiceTest, WritesVisibleOnAllReplicas) {
-  ZkCluster cluster;
+  CoordFixture cluster(ZkGroup());
   cluster.Start();
-  ZkClient* c1 = cluster.AddClient(1);
-  cluster.AddClient(2);
+  ZkClient* c1 = ConnectZkClient(cluster, {1});
+  ConnectZkClient(cluster, {2});
   c1->Create("/shared", "x", false, false, [](Result<std::string>) {});
-  cluster.Settle();
-  for (auto& server : cluster.servers) {
+  cluster.Settle(Millis(500));
+  for (auto& server : cluster.zk_servers) {
     auto node = server->tree().Get("/shared");
     ASSERT_TRUE(node.ok()) << "replica " << server->id();
     EXPECT_EQ(node->data, "x");
@@ -49,64 +54,64 @@ TEST(ZkServiceTest, WritesVisibleOnAllReplicas) {
 }
 
 TEST(ZkServiceTest, ReadsServedByConnectedReplica) {
-  ZkCluster cluster;
+  CoordFixture cluster(ZkGroup());
   cluster.Start();
-  ZkServer* follower = cluster.Follower();
+  ZkServer* follower = ZkFollower(cluster);
   ASSERT_NE(follower, nullptr);
-  ZkClient* client = cluster.AddClient(follower->id());
+  ZkClient* client = ConnectZkClient(cluster, {follower->id()});
   client->Create("/r", "data", false, false, [](Result<std::string>) {});
-  cluster.Settle();
-  int64_t leader_busy_before = cluster.Leader()->cpu().busy_ns();
+  cluster.Settle(Millis(500));
+  int64_t leader_busy_before = ZkLeader(cluster)->cpu().busy_ns();
   bool read_done = false;
   client->GetData("/r", false, [&](Result<ZkClient::NodeResult> r) {
     read_done = true;
     EXPECT_TRUE(r.ok());
   });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   EXPECT_TRUE(read_done);
   // The leader did not serve the read (heartbeat work aside, its request
   // pipeline stayed idle: busy delta is only zab heartbeat processing).
-  EXPECT_LT(cluster.Leader()->cpu().busy_ns() - leader_busy_before, Millis(1));
+  EXPECT_LT(ZkLeader(cluster)->cpu().busy_ns() - leader_busy_before, Millis(1));
 }
 
 TEST(ZkServiceTest, SetDataVersionConflictUnderContention) {
-  ZkCluster cluster;
+  CoordFixture cluster(ZkGroup());
   cluster.Start();
-  ZkClient* a = cluster.AddClient(1);
-  ZkClient* b = cluster.AddClient(2);
+  ZkClient* a = ConnectZkClient(cluster, {1});
+  ZkClient* b = ConnectZkClient(cluster, {2});
   a->Create("/ctr", "0", false, false, [](Result<std::string>) {});
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   // Both clients read version 0, then both try a conditional update.
   Status sa = Status(ErrorCode::kInternal);
   Status sb = Status(ErrorCode::kInternal);
   a->SetData("/ctr", "1", 0, [&](Status s) { sa = s; });
   b->SetData("/ctr", "1", 0, [&](Status s) { sb = s; });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   EXPECT_TRUE(sa.ok() != sb.ok());  // exactly one wins
   EXPECT_TRUE(sa.code() == ErrorCode::kBadVersion || sb.code() == ErrorCode::kBadVersion);
 }
 
 TEST(ZkServiceTest, DeleteAndNoNodeErrors) {
-  ZkCluster cluster;
+  CoordFixture cluster(ZkGroup());
   cluster.Start();
-  ZkClient* client = cluster.AddClient();
+  ZkClient* client = ConnectZkClient(cluster, {1});
   Status status = Status::Ok();
   client->Delete("/ghost", -1, [&](Status s) { status = s; });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   EXPECT_EQ(status.code(), ErrorCode::kNoNode);
   client->Create("/x", "", false, false, [](Result<std::string>) {});
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   client->Delete("/x", -1, [&](Status s) { status = s; });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   EXPECT_TRUE(status.ok());
 }
 
 TEST(ZkServiceTest, SequentialCreateThroughService) {
-  ZkCluster cluster;
+  CoordFixture cluster(ZkGroup());
   cluster.Start();
-  ZkClient* client = cluster.AddClient();
+  ZkClient* client = ConnectZkClient(cluster, {1});
   client->Create("/q", "", false, false, [](Result<std::string>) {});
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   std::vector<std::string> names;
   for (int i = 0; i < 3; ++i) {
     client->Create("/q/e-", "", false, true, [&](Result<std::string> r) {
@@ -114,18 +119,18 @@ TEST(ZkServiceTest, SequentialCreateThroughService) {
       names.push_back(*r);
     });
   }
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   ASSERT_EQ(names.size(), 3u);
   EXPECT_EQ(names[0], "/q/e-0000000000");
   EXPECT_EQ(names[2], "/q/e-0000000002");
 }
 
 TEST(ZkServiceTest, MultiIsAtomic) {
-  ZkCluster cluster;
+  CoordFixture cluster(ZkGroup());
   cluster.Start();
-  ZkClient* client = cluster.AddClient();
+  ZkClient* client = ConnectZkClient(cluster, {1});
   client->Create("/m", "", false, false, [](Result<std::string>) {});
-  cluster.Settle();
+  cluster.Settle(Millis(500));
 
   // Failing multi: second op conflicts -> nothing applies.
   std::vector<ZkOp> bad(2);
@@ -135,9 +140,9 @@ TEST(ZkServiceTest, MultiIsAtomic) {
   bad[1].path = "/m/ghost";
   Status status = Status::Ok();
   client->Multi(bad, [&](Status s) { status = s; });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   EXPECT_EQ(status.code(), ErrorCode::kNoNode);
-  EXPECT_FALSE(cluster.Leader()->tree().Exists("/m/a"));
+  EXPECT_FALSE(ZkLeader(cluster)->tree().Exists("/m/a"));
 
   // Successful multi applies everything atomically.
   std::vector<ZkOp> good(2);
@@ -146,126 +151,126 @@ TEST(ZkServiceTest, MultiIsAtomic) {
   good[1].type = ZkOpType::kCreate;
   good[1].path = "/m/b";
   client->Multi(good, [&](Status s) { status = s; });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   EXPECT_TRUE(status.ok());
-  EXPECT_TRUE(cluster.Leader()->tree().Exists("/m/a"));
-  EXPECT_TRUE(cluster.Leader()->tree().Exists("/m/b"));
+  EXPECT_TRUE(ZkLeader(cluster)->tree().Exists("/m/a"));
+  EXPECT_TRUE(ZkLeader(cluster)->tree().Exists("/m/b"));
 }
 
 TEST(ZkServiceTest, DataWatchFiresOnceOnChange) {
-  ZkCluster cluster;
+  CoordFixture cluster(ZkGroup());
   cluster.Start();
-  ZkClient* watcher = cluster.AddClient(1);
-  ZkClient* writer = cluster.AddClient(2);
+  ZkClient* watcher = ConnectZkClient(cluster, {1});
+  ZkClient* writer = ConnectZkClient(cluster, {2});
   writer->Create("/w", "v0", false, false, [](Result<std::string>) {});
-  cluster.Settle();
+  cluster.Settle(Millis(500));
 
   std::vector<ZkWatchEventMsg> events;
   watcher->SetWatchHandler([&](const ZkWatchEventMsg& ev) { events.push_back(ev); });
   watcher->GetData("/w", true, [](Result<ZkClient::NodeResult>) {});
-  cluster.Settle();
+  cluster.Settle(Millis(500));
 
   writer->SetData("/w", "v1", -1, [](Status) {});
   writer->SetData("/w", "v2", -1, [](Status) {});  // second change: no watch left
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].type, ZkEventType::kNodeDataChanged);
   EXPECT_EQ(events[0].path, "/w");
 }
 
 TEST(ZkServiceTest, ExistsWatchFiresOnCreation) {
-  ZkCluster cluster;
+  CoordFixture cluster(ZkGroup());
   cluster.Start();
-  ZkClient* watcher = cluster.AddClient(2);
-  ZkClient* writer = cluster.AddClient(3);
+  ZkClient* watcher = ConnectZkClient(cluster, {2});
+  ZkClient* writer = ConnectZkClient(cluster, {3});
   std::vector<ZkWatchEventMsg> events;
   watcher->SetWatchHandler([&](const ZkWatchEventMsg& ev) { events.push_back(ev); });
   bool absent = false;
   watcher->Exists("/later", true, [&](Result<ZkClient::ExistsResult> r) {
     absent = r.ok() && !r->exists;
   });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   EXPECT_TRUE(absent);
   writer->Create("/later", "", false, false, [](Result<std::string>) {});
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].type, ZkEventType::kNodeCreated);
 }
 
 TEST(ZkServiceTest, ChildWatchFiresOnMembershipChange) {
-  ZkCluster cluster;
+  CoordFixture cluster(ZkGroup());
   cluster.Start();
-  ZkClient* watcher = cluster.AddClient(1);
-  ZkClient* writer = cluster.AddClient(2);
+  ZkClient* watcher = ConnectZkClient(cluster, {1});
+  ZkClient* writer = ConnectZkClient(cluster, {2});
   writer->Create("/dir", "", false, false, [](Result<std::string>) {});
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   std::vector<ZkWatchEventMsg> events;
   watcher->SetWatchHandler([&](const ZkWatchEventMsg& ev) { events.push_back(ev); });
   watcher->GetChildren("/dir", true, [](Result<std::vector<std::string>>) {});
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   writer->Create("/dir/kid", "", false, false, [](Result<std::string>) {});
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].type, ZkEventType::kNodeChildrenChanged);
   EXPECT_EQ(events[0].path, "/dir");
 }
 
 TEST(ZkServiceTest, EphemeralRemovedOnSessionClose) {
-  ZkCluster cluster;
+  CoordFixture cluster(ZkGroup());
   cluster.Start();
-  ZkClient* owner = cluster.AddClient(1);
-  ZkClient* observer = cluster.AddClient(2);
+  ZkClient* owner = ConnectZkClient(cluster, {1});
+  ZkClient* observer = ConnectZkClient(cluster, {2});
   owner->Create("/eph", "", true, false, [](Result<std::string>) {});
-  cluster.Settle();
-  EXPECT_TRUE(cluster.Leader()->tree().Exists("/eph"));
+  cluster.Settle(Millis(500));
+  EXPECT_TRUE(ZkLeader(cluster)->tree().Exists("/eph"));
   std::vector<ZkWatchEventMsg> events;
   observer->SetWatchHandler([&](const ZkWatchEventMsg& ev) { events.push_back(ev); });
   observer->Exists("/eph", true, [](Result<ZkClient::ExistsResult>) {});
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   owner->Close([](Status) {});
-  cluster.Settle();
-  EXPECT_FALSE(cluster.Leader()->tree().Exists("/eph"));
+  cluster.Settle(Millis(500));
+  EXPECT_FALSE(ZkLeader(cluster)->tree().Exists("/eph"));
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].type, ZkEventType::kNodeDeleted);
 }
 
 TEST(ZkServiceTest, SessionTimeoutExpiresEphemerals) {
-  ZkCluster cluster;
+  CoordFixture cluster(ZkGroup());
   cluster.Start();
   ZkClientOptions short_session;
   short_session.session_timeout = Millis(600);
   short_session.ping_interval = Millis(200);
-  ZkClient* flaky = cluster.AddClient(1, short_session);
+  ZkClient* flaky = ConnectZkClient(cluster, {1}, short_session);
   flaky->Create("/flaky-eph", "", true, false, [](Result<std::string>) {});
-  cluster.Settle();
-  ASSERT_TRUE(cluster.Leader()->tree().Exists("/flaky-eph"));
+  cluster.Settle(Millis(500));
+  ASSERT_TRUE(ZkLeader(cluster)->tree().Exists("/flaky-eph"));
   // Simulate client process death: it stops pinging.
-  cluster.net->SetNodeUp(flaky->id(), false);
+  cluster.net().SetNodeUp(flaky->id(), false);
   cluster.Settle(Seconds(3));
-  EXPECT_FALSE(cluster.Leader()->tree().Exists("/flaky-eph"));
+  EXPECT_FALSE(ZkLeader(cluster)->tree().Exists("/flaky-eph"));
 }
 
 TEST(ZkServiceTest, WritesViaFollowerAreForwarded) {
-  ZkCluster cluster;
+  CoordFixture cluster(ZkGroup());
   cluster.Start();
-  ZkServer* follower = cluster.Follower();
-  ZkClient* client = cluster.AddClient(follower->id());
+  ZkServer* follower = ZkFollower(cluster);
+  ZkClient* client = ConnectZkClient(cluster, {follower->id()});
   Result<std::string> created = Status(ErrorCode::kInternal);
   client->Create("/via-follower", "d", false, false,
                  [&](Result<std::string> r) { created = r; });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   ASSERT_TRUE(created.ok());
   EXPECT_TRUE(follower->tree().Exists("/via-follower"));
 }
 
 TEST(ZkServiceTest, ClientsSurviveLeaderFailover) {
-  ZkCluster cluster;
+  CoordFixture cluster(ZkGroup());
   cluster.Start();
-  ZkServer* leader = cluster.Leader();
-  ZkServer* follower = cluster.Follower();
-  ZkClient* client = cluster.AddClient(follower->id());
+  ZkServer* leader = ZkLeader(cluster);
+  ZkServer* follower = ZkFollower(cluster);
+  ZkClient* client = ConnectZkClient(cluster, {follower->id()});
   client->Create("/before", "", false, false, [](Result<std::string>) {});
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   leader->Crash();
   cluster.Settle(Seconds(3));
   // Retry loop: kNotReady during election is expected, then success.
@@ -280,19 +285,19 @@ TEST(ZkServiceTest, ClientsSurviveLeaderFailover) {
 }
 
 TEST(ZkServiceTest, RestartedReplicaRebuildsFullState) {
-  ZkCluster cluster;
+  CoordFixture cluster(ZkGroup());
   cluster.Start();
-  ZkServer* follower = cluster.Follower();
+  ZkServer* follower = ZkFollower(cluster);
   // Connect the client to a replica that stays up.
-  ZkClient* client = cluster.AddClient(cluster.Leader()->id());
+  ZkClient* client = ConnectZkClient(cluster, {ZkLeader(cluster)->id()});
   for (int i = 0; i < 5; ++i) {
     client->Create("/n" + std::to_string(i), "v" + std::to_string(i), false, false,
                    [](Result<std::string>) {});
   }
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   follower->Crash();
   client->Create("/while-down", "", false, false, [](Result<std::string>) {});
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   follower->Restart();
   cluster.Settle(Seconds(3));
   for (int i = 0; i < 5; ++i) {
@@ -302,19 +307,18 @@ TEST(ZkServiceTest, RestartedReplicaRebuildsFullState) {
 }
 
 TEST(ZkServiceTest, UnknownSessionRejected) {
-  ZkCluster cluster;
+  CoordFixture cluster(ZkGroup());
   cluster.Start();
-  ZkClient* client = cluster.AddClient();
+  ZkClient* client = ConnectZkClient(cluster, {1});
   // Forge a request with a bogus session by reaching into the raw API after
   // disconnect semantics: simplest is a second client that never connected.
-  auto rogue = std::make_unique<ZkClient>(&cluster.loop, cluster.net.get(), 999, 1,
-                                          ZkClientOptions{});
+  ZkClient* rogue = cluster.AddZkClient({1}, ZkClientOptions{});
   ErrorCode code = ErrorCode::kOk;
   ZkOp op;
   op.type = ZkOpType::kGetData;
   op.path = "/";
   rogue->Submit(op, [&](const ZkReplyMsg& reply) { code = reply.code; });
-  cluster.Settle();
+  cluster.Settle(Millis(500));
   EXPECT_EQ(code, ErrorCode::kSessionExpired);
   (void)client;
 }
