@@ -19,10 +19,9 @@ std::string DataOf(const DsReply& reply) {
 
 // Four DepSpace replicas, no fixture clients: each test adds its own.
 FixtureOptions DsGroup(DsServerOptions server = DsServerOptions{}) {
-  return FixtureOptions{.system = SystemKind::kDepSpace,
-                        .num_clients = 0,
-                        .seed = 21,
-                        .ds_server = std::move(server)};
+  FixtureOptions options = GroupOptions(SystemKind::kDepSpace, 21);
+  options.ds_server = std::move(server);
+  return options;
 }
 
 // A replica that swallows the client's requests; the test plays its replies.

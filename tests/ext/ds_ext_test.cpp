@@ -46,11 +46,10 @@ extension queue_remove {
 // clients: each test adds its own.
 FixtureOptions EdsGroup(ExtensionLimits limits = ExtensionLimits{},
                         DsServerOptions server = DsServerOptions{}) {
-  return FixtureOptions{.system = SystemKind::kExtensibleDepSpace,
-                        .num_clients = 0,
-                        .seed = 21,
-                        .limits = limits,
-                        .ds_server = std::move(server)};
+  FixtureOptions options = GroupOptions(SystemKind::kExtensibleDepSpace, 21);
+  options.limits = limits;
+  options.ds_server = std::move(server);
+  return options;
 }
 
 Status RegisterAndWait(CoordFixture& cluster, DsClient* client, const std::string& name,

@@ -11,8 +11,7 @@ namespace edc {
 namespace {
 
 TEST(RenameExtensionTest, AtomicRenameOnEzk) {
-  CoordFixture cluster(FixtureOptions{
-      .system = SystemKind::kExtensibleZooKeeper, .num_clients = 0, .seed = 11});
+  CoordFixture cluster(GroupOptions(SystemKind::kExtensibleZooKeeper, 11));
   cluster.Start();
   ZkClient* client = ConnectZkClient(cluster, {1});
   Status reg = Status(ErrorCode::kInternal);
@@ -54,8 +53,7 @@ TEST(RenameExtensionTest, AtomicRenameOnEzk) {
 }
 
 TEST(RenameExtensionTest, AtomicRenameOnEds) {
-  CoordFixture cluster(FixtureOptions{
-      .system = SystemKind::kExtensibleDepSpace, .num_clients = 0, .seed = 21});
+  CoordFixture cluster(GroupOptions(SystemKind::kExtensibleDepSpace, 21));
   cluster.Start();
   DsClient* client = AddGroupDsClient(cluster);
   Status reg = Status(ErrorCode::kInternal);

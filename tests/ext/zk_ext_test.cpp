@@ -44,10 +44,9 @@ extension queue_remove {
 // Three EZK replicas, each with its extension manager, and no fixture
 // clients: each test connects its own.
 FixtureOptions EzkGroup(ExtensionLimits limits = ExtensionLimits{}) {
-  return FixtureOptions{.system = SystemKind::kExtensibleZooKeeper,
-                        .num_clients = 0,
-                        .seed = 11,
-                        .limits = limits};
+  FixtureOptions options = GroupOptions(SystemKind::kExtensibleZooKeeper, 11);
+  options.limits = limits;
+  return options;
 }
 
 Status RegisterAndWait(CoordFixture& cluster, ZkClient* client, const std::string& name,

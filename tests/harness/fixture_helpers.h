@@ -15,6 +15,16 @@
 
 namespace edc {
 
+// A replica group of `system` with no fixture clients: the test adds its
+// own (AddZkClient / AddDsClient, or the helpers below).
+inline FixtureOptions GroupOptions(SystemKind system, uint64_t seed) {
+  FixtureOptions options;
+  options.system = system;
+  options.num_clients = 0;
+  options.seed = seed;
+  return options;
+}
+
 // The running ZK leader, or null. (By id: CoordFixture::ZkServerById.)
 inline ZkServer* ZkLeader(CoordFixture& fix) {
   for (auto& s : fix.zk_servers) {

@@ -93,8 +93,7 @@ TEST(ChaosTest, CrashRestartEdsReplicaRejoinsViaStateTransfer) {
 // dies must detect the silence, fail over to a live replica, surface the
 // session-lost/reconnected events, and let the application re-arm the watch.
 TEST(ChaosTest, ClientFailsOverAndReArmsWatch) {
-  ClusterFixture fix(
-      FixtureOptions{.system = SystemKind::kZooKeeper, .num_clients = 0, .seed = 9});
+  ClusterFixture fix(GroupOptions(SystemKind::kZooKeeper, 9));
   fix.Start();
   EventLoop& loop = fix.loop();
 

@@ -15,12 +15,6 @@
 namespace edc {
 namespace {
 
-// Three ZooKeeper replicas whose crash/restart closures the fixture
-// registers with its FaultInjector, and no fixture clients.
-FixtureOptions ChaosGroup(uint64_t seed) {
-  return FixtureOptions{.system = SystemKind::kZooKeeper, .num_clients = 0, .seed = seed};
-}
-
 ZkOp CreateOp(const std::string& path) {
   ZkOp op;
   op.type = ZkOpType::kCreate;
@@ -35,7 +29,7 @@ ZkOp CreateOp(const std::string& path) {
 TEST(ZabChaosTest, PrimaryCrashMidMultiNeverHalfApplies) {
   const std::vector<Duration> crash_offsets{Micros(150), Micros(400), Millis(1), Millis(5)};
   for (Duration offset : crash_offsets) {
-    CoordFixture cluster(ChaosGroup(17));
+    CoordFixture cluster(GroupOptions(SystemKind::kZooKeeper, 17));
     cluster.Start();
     // The whole ensemble, a follower first.
     ZkClient* client =
@@ -91,7 +85,7 @@ TEST(ZabChaosTest, DeterministicPrimaryCrashReelection) {
   };
   auto run = [](uint64_t seed) {
     Outcome out;
-    CoordFixture cluster(ChaosGroup(seed));
+    CoordFixture cluster(GroupOptions(SystemKind::kZooKeeper, seed));
     cluster.faults().EnablePacketTrace();
     cluster.Start();
     // The whole ensemble, a follower first.

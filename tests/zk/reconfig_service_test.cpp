@@ -68,12 +68,6 @@ Status RetryReconfig(EventLoop& loop, ZkClient* client, const std::string& spec,
   return last;
 }
 
-// Three ZooKeeper replicas and no fixture clients: the tests boot observers
-// (BootExtraZkReplica) and connect raw clients over explicit server lists.
-FixtureOptions ReconfigGroup() {
-  return FixtureOptions{.system = SystemKind::kZooKeeper, .num_clients = 0, .seed = 13};
-}
-
 // Adds a raw client over `list` and runs the sim until its connect completes.
 ZkClient* AddClient(CoordFixture& fx, ServerList list) {
   ZkClient* client = fx.AddZkClient(std::move(list), ZkClientOptions{});
@@ -83,7 +77,7 @@ ZkClient* AddClient(CoordFixture& fx, ServerList list) {
 }
 
 TEST(ReconfigServiceTest, ClientReconfigAddsObserverAndPushesMembership) {
-  CoordFixture fx(ReconfigGroup());
+  CoordFixture fx(GroupOptions(SystemKind::kZooKeeper, 13));
   fx.Start();
   ZkClient* client = AddClient(fx, ServerList{1, 2, 3});
   int membership_events = 0;
@@ -111,7 +105,7 @@ TEST(ReconfigServiceTest, ClientReconfigAddsObserverAndPushesMembership) {
 }
 
 TEST(ReconfigServiceTest, MalformedSpecsRejected) {
-  CoordFixture fx(ReconfigGroup());
+  CoordFixture fx(GroupOptions(SystemKind::kZooKeeper, 13));
   fx.Start();
   ZkClient* client = AddClient(fx, ServerList{1, 2, 3});
   auto reconfig = [&](const std::string& spec) {
@@ -131,7 +125,7 @@ TEST(ReconfigServiceTest, MalformedSpecsRejected) {
 // {1,2,3} must keep working — without membership pushes it would spin on
 // dead/retired replicas forever.
 TEST(ReconfigServiceTest, RollingReplacementKeepsClientConnected) {
-  CoordFixture fx(ReconfigGroup());
+  CoordFixture fx(GroupOptions(SystemKind::kZooKeeper, 13));
   fx.Start();
   ZkClient* client = AddClient(fx, ServerList{1, 2, 3});
   ASSERT_TRUE(SyncOp(fx.loop(), [&](ZkApi::VoidCb cb) {

@@ -10,7 +10,7 @@ namespace {
 
 // Three ZooKeeper replicas, no fixture clients: each test connects its own.
 FixtureOptions ZkGroup() {
-  return FixtureOptions{.system = SystemKind::kZooKeeper, .num_clients = 0, .seed = 11};
+  return GroupOptions(SystemKind::kZooKeeper, 11);
 }
 
 TEST(ZkServiceTest, ConnectAssignsSession) {
