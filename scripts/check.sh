@@ -176,9 +176,12 @@ ctest --output-on-failure -j "$JOBS" --no-tests=error \
 echo "== spotlight: indexed tuple space vs linear-scan oracle =="
 ctest --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'TupleSpaceDiffTest\.'
-echo "== spotlight: observability zero-perturbation guarantee =="
+# The loop owns the one Obs: observability on never perturbs a run, off
+# records nothing, and every client the fixture builds (admin sessions
+# included) reports into it.
+echo "== spotlight: observability zero-perturbation, off records nothing, fixture clients report =="
 ctest --output-on-failure -j "$JOBS" --no-tests=error \
-  -R 'ObsDeterminismTest\.'
+  -R 'ObsDeterminismTest\.|ObsFixtureTest\.'
 echo "== spotlight: snapshot-shipped join + leader removal (docs/reconfig.md) =="
 ctest --output-on-failure -j "$JOBS" --no-tests=error \
   -R 'ReconfigAcceptance\.|ReconfigZabTest\.JoinerBehindLogFloorCatchesUpViaSnapshot|ReconfigServiceTest\.RollingReplacementKeepsClientConnected'

@@ -19,7 +19,11 @@ BftReplica::BftReplica(EventLoop* loop, Network* net, CpuQueue* cpu, const CostM
       self_(self),
       members_(std::move(members)),
       f_(BftFaultThreshold(members_.size())),
-      callbacks_(callbacks) {}
+      callbacks_(callbacks),
+      m_prepares_(loop->obs().metrics.GetCounter("bft.prepares")),
+      m_commits_(loop->obs().metrics.GetCounter("bft.commits")),
+      m_checkpoints_(loop->obs().metrics.GetCounter("bft.checkpoints")),
+      m_state_transfers_(loop->obs().metrics.GetCounter("bft.state_transfers")) {}
 
 void BftReplica::Start() {
   cpu_->NextIncarnation();
@@ -53,18 +57,6 @@ void BftReplica::Crash() {
   running_ = false;
   request_trace_.clear();
   loop_->Cancel(request_timer_);
-}
-
-void BftReplica::SetObs(Obs* obs) {
-  obs_ = obs;
-  if (obs_ != nullptr) {
-    m_prepares_ = obs_->metrics.GetCounter("bft.prepares");
-    m_commits_ = obs_->metrics.GetCounter("bft.commits");
-    m_checkpoints_ = obs_->metrics.GetCounter("bft.checkpoints");
-    m_state_transfers_ = obs_->metrics.GetCounter("bft.state_transfers");
-  } else {
-    m_prepares_ = m_commits_ = m_checkpoints_ = m_state_transfers_ = nullptr;
-  }
 }
 
 void BftReplica::Restart() {
@@ -247,8 +239,8 @@ void BftReplica::OnRequest(BftRequest&& req) {
   if (AlreadyOrdered(req)) {
     return;
   }
-  if (obs_ != nullptr) {
-    const TraceContext& ctx = obs_->tracer.current();
+  if (const Obs& obs = loop_->obs(); obs.enabled()) {
+    const TraceContext& ctx = obs.tracer.current();
     if (ctx.active()) {
       // First arrival or retransmit both overwrite: the freshest context is
       // the one the eventual execution should be attributed to.
@@ -359,7 +351,7 @@ void BftReplica::OnPrePrepare(NodeId from, PrePrepareMsg&& msg) {
   entry.prepares.insert(from);          // primary's pre-prepare
   entry.prepares.insert(self_);  // our own prepare
   PhaseMsg prepare{view_, msg.seq, entry.digest};
-  if (m_prepares_ != nullptr) {
+  if (loop_->obs().enabled()) {
     m_prepares_->Increment();
   }
   BroadcastToReplicas(BftMsgType::kPrepare, EncodeMsg(prepare));
@@ -392,7 +384,7 @@ void BftReplica::CheckPrepared(uint64_t seq) {
   entry.sent_commit = true;
   entry.commits.insert(self_);
   PhaseMsg commit{view_, seq, entry.digest};
-  if (m_commits_ != nullptr) {
+  if (loop_->obs().enabled()) {
     m_commits_->Increment();
   }
   BroadcastToReplicas(BftMsgType::kCommit, EncodeMsg(commit));
@@ -460,15 +452,16 @@ void BftReplica::ExecuteRequest(const BftRequest& req, SimTime ts) {
   MarkExecuted(req.client, req.req_id);
   // Execute (and the reply it sends) runs under the context captured when
   // the request arrived, so the reply path stays attributed to it.
+  Tracer& tracer = loop_->obs().tracer;
   TraceContext prev;
   bool restored = false;
-  if (obs_ != nullptr) {
+  if (tracer.enabled()) {
     auto rit = request_trace_.find({req.client, req.req_id});
     if (rit != request_trace_.end()) {
-      obs_->tracer.RecordSpanIn(rit->second.ctx, "bft.order", Stage::kOther, self_,
-                                rit->second.at, loop_->now());
-      prev = obs_->tracer.current();
-      obs_->tracer.SetCurrent(rit->second.ctx);
+      tracer.RecordSpanIn(rit->second.ctx, "bft.order", Stage::kOther, self_, rit->second.at,
+                          loop_->now());
+      prev = tracer.current();
+      tracer.SetCurrent(rit->second.ctx);
       request_trace_.erase(rit);
       restored = true;
     }
@@ -478,7 +471,7 @@ void BftReplica::ExecuteRequest(const BftRequest& req, SimTime ts) {
     cpu_->Charge(outcome.cpu_cost);  // occupy the core
   }
   if (restored) {
-    obs_->tracer.SetCurrent(prev);
+    tracer.SetCurrent(prev);
   }
   // Drop any buffered copy so the request timer can disarm.
   for (auto p = pending_.begin(); p != pending_.end(); ++p) {
@@ -544,7 +537,7 @@ void BftReplica::TakeLocalCheckpoint() {
   own_state_seq_ = last_executed_;
   own_state_ = std::move(state);
   CheckpointMsg msg{view_, last_executed_, digest};
-  if (m_checkpoints_ != nullptr) {
+  if (loop_->obs().enabled()) {
     m_checkpoints_->Increment();
   }
   BroadcastToReplicas(BftMsgType::kCheckpoint, EncodeMsg(msg));
@@ -772,7 +765,7 @@ bool BftReplica::InstallCheckpoint(uint64_t seq, const std::vector<uint8_t>& sta
   offered_states_.erase(offered_states_.begin(), offered_states_.upper_bound(seq));
   fetch_target_ = 0;
   ++state_transfers_;
-  if (m_state_transfers_ != nullptr) {
+  if (loop_->obs().enabled()) {
     m_state_transfers_->Increment();
   }
   // Buffered requests the transferred dedup summary shows as executed will
@@ -953,7 +946,7 @@ void BftReplica::AdoptEntry(const PreparedEntry& e, uint64_t view) {
   entry.prepares.insert(PrimaryOf(view));
   entry.prepares.insert(self_);
   PhaseMsg prepare{view, e.seq, entry.digest};
-  if (m_prepares_ != nullptr) {
+  if (loop_->obs().enabled()) {
     m_prepares_->Increment();
   }
   BroadcastToReplicas(BftMsgType::kPrepare, EncodeMsg(prepare));

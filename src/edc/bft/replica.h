@@ -153,13 +153,6 @@ class BftReplica {
   // Fault injection: primary stamps a different timestamp per backup.
   void SetEquivocate(bool on) { equivocate_ = on; }
 
-  // Observability (nullable): prepare/commit/checkpoint/state-transfer
-  // counters, plus request trace propagation — the context active when a
-  // client request first arrives is remembered per (client, req_id) and
-  // restored around Execute, so the ordered execution and the reply stay
-  // attributed to the originating operation.
-  void SetObs(Obs* obs);
-
  private:
   struct Entry {
     uint64_t view = 0;
@@ -287,16 +280,19 @@ class BftReplica {
   int probe_budget_ = 0;       // remaining catch-up probes after a restart
   int64_t state_transfers_ = 0;
 
-  // Observability.
+  // Observability (the loop's Obs, while it is on): prepare/commit/
+  // checkpoint/state-transfer counters, plus request trace propagation — the
+  // context active when a client request first arrives is remembered per
+  // (client, req_id) and restored around Execute, so the ordered execution
+  // and the reply stay attributed to the originating operation.
   struct RequestTrace {
     TraceContext ctx;
     SimTime at = 0;
   };
-  Obs* obs_ = nullptr;
-  Counter* m_prepares_ = nullptr;
-  Counter* m_commits_ = nullptr;
-  Counter* m_checkpoints_ = nullptr;
-  Counter* m_state_transfers_ = nullptr;
+  Counter* m_prepares_;
+  Counter* m_commits_;
+  Counter* m_checkpoints_;
+  Counter* m_state_transfers_;
   std::map<std::pair<NodeId, uint64_t>, RequestTrace> request_trace_;
   static constexpr size_t kMaxTrackedCheckpoints = 64;  // Byzantine spam bound
 

@@ -18,7 +18,7 @@ void HistoryRecorder::AttachZkClient(EventLoop* loop, ZkClient* client) {
   obs.on_watch = [this, loop, node](uint64_t session, const ZkWatchEventMsg& event) {
     zk_watches.push_back(ZkWatchRecord{NextOrder(), node, session, event, loop->now()});
   };
-  client->SetObserver(std::move(obs));
+  client->SetHistoryObserver(std::move(obs));
 }
 
 void HistoryRecorder::AttachDsClient(EventLoop* loop, DsClient* client) {
@@ -30,7 +30,7 @@ void HistoryRecorder::AttachDsClient(EventLoop* loop, DsClient* client) {
   obs.on_reply = [this, loop, node](uint64_t req_id, const Result<DsReply>& result) {
     ds_responses.push_back(DsResponseRecord{NextOrder(), node, req_id, result, loop->now()});
   };
-  client->SetObserver(std::move(obs));
+  client->SetHistoryObserver(std::move(obs));
 }
 
 void HistoryRecorder::AttachZkServer(ZkServer* server) {

@@ -14,18 +14,10 @@ DsClient::DsClient(EventLoop* loop, Network* net, NodeId id, ShardView view,
       shard_id_(view.shard_id),
       map_version_(view.map_version),
       options_(options),
-      jitter_rng_(JitterSeedFor(id)) {
+      jitter_rng_(JitterSeedFor(id)),
+      m_retransmits_(loop->obs().metrics.GetCounter("client.ds.retransmits")),
+      m_give_ups_(loop->obs().metrics.GetCounter("client.ds.give_ups")) {
   net_->Register(id_, this);
-}
-
-void DsClient::SetObs(Obs* obs) {
-  obs_ = obs;
-  if (obs_ != nullptr) {
-    m_retransmits_ = obs_->metrics.GetCounter("client.ds.retransmits");
-    m_give_ups_ = obs_->metrics.GetCounter("client.ds.give_ups");
-  } else {
-    m_retransmits_ = m_give_ups_ = nullptr;
-  }
 }
 
 void DsClient::Call(DsOp op, ReplyCb done) {
@@ -86,7 +78,7 @@ void DsClient::ArmRetry(uint64_t req_id) {
         it->second.attempts >= options_.reconnect.max_attempts) {
       ReplyCb done = std::move(it->second.done);
       calls_.erase(it);
-      if (m_give_ups_ != nullptr) {
+      if (loop_->obs().enabled()) {
         m_give_ups_->Increment();
       }
       Result<DsReply> result{Status(ErrorCode::kConnectionLoss, "retransmit attempts exhausted")};
@@ -100,7 +92,7 @@ void DsClient::ArmRetry(uint64_t req_id) {
     // the replicas, so retrying is harmless and covers lost packets and
     // primary failover.
     ++it->second.attempts;
-    if (m_retransmits_ != nullptr) {
+    if (loop_->obs().enabled()) {
       m_retransmits_->Increment();
     }
     Transmit(req_id);

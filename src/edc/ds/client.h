@@ -73,10 +73,7 @@ class DsClient : public NetworkNode, public DsApi {
   void Kill();
 
   // History observation (conformance checking); pass {} to detach.
-  void SetObserver(DsClientObserver observer) { observer_ = std::move(observer); }
-  // Observability (nullable): retransmit / give-up counters in the shared
-  // registry.
-  void SetObs(Obs* obs);
+  void SetHistoryObserver(DsClientObserver observer) { observer_ = std::move(observer); }
 
   NodeId id() const override { return id_; }
   size_t outstanding() const { return calls_.size(); }
@@ -125,9 +122,10 @@ class DsClient : public NetworkNode, public DsApi {
   bool alive_ = true;
   bool auto_renew_all_ = false;
   TimerId renew_timer_ = kInvalidTimer;
-  Obs* obs_ = nullptr;
-  Counter* m_retransmits_ = nullptr;
-  Counter* m_give_ups_ = nullptr;
+  // Observability (the loop's Obs, while it is on): retransmit / give-up
+  // counters.
+  Counter* m_retransmits_;
+  Counter* m_give_ups_;
 };
 
 }  // namespace edc

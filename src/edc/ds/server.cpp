@@ -115,7 +115,7 @@ DsServer::DsServer(EventLoop* loop, Network* net, NodeId id, std::vector<NodeId>
       id_(id),
       costs_(costs),
       options_(std::move(options)),
-      cpu_(loop, kReplicaCores) {
+      cpu_(loop, kReplicaCores, id) {
   bft_ = std::make_unique<BftReplica>(loop, net, &cpu_, costs, id, std::move(members), this);
   space_.SetRemovalListener([this](const DsEntry& e) {
     if (hooks_ != nullptr) {

@@ -113,15 +113,6 @@ class DsServer : public NetworkNode, public BftCallbacks {
 
   void SetHooks(DsServerHooks* hooks) { hooks_ = hooks; }
 
-  // Observability (nullable): forwards to the CPU queue and the BFT replica,
-  // both reporting into the shared registry/tracer.
-  void SetObs(Obs* obs) {
-    obs_ = obs;
-    cpu_.SetObs(obs, static_cast<uint32_t>(id_));
-    bft_->SetObs(obs);
-  }
-  Obs* obs() const { return obs_; }
-
   // Boots the replica with an empty tuple space (docs/fault_model.md).
   void Start();
   // Simulated process crash: volatile state is lost, the host's incarnation
@@ -153,6 +144,7 @@ class DsServer : public NetworkNode, public BftCallbacks {
   BftReplica& bft() { return *bft_; }
   CpuQueue& cpu() { return cpu_; }
   const CostModel& costs() const { return costs_; }
+  EventLoop* loop() const { return loop_; }
 
   // Fault injection passthrough.
   void SetEquivocate(bool on) { bft_->SetEquivocate(on); }
@@ -203,7 +195,6 @@ class DsServer : public NetworkNode, public BftCallbacks {
   CpuQueue cpu_;
   std::unique_ptr<BftReplica> bft_;
   DsServerHooks* hooks_ = nullptr;
-  Obs* obs_ = nullptr;
 
   bool running_ = false;
   TupleSpace space_;

@@ -100,9 +100,18 @@ Result<Value> SandboxHost::Call(const std::string& name, std::vector<Value>& arg
   return ScriptError("unknown host function '" + name + "'");
 }
 
-ExtensionManagerCore::ExtensionManagerCore(const ExtensionLimits& limits,
+ExtensionManagerCore::ExtensionManagerCore(EventLoop* loop, const ExtensionLimits& limits,
                                            const CostModel& costs, HostSet set, EmLayout layout)
-    : limits_(limits), costs_(costs), set_(set), layout_(layout) {
+    : loop_(loop),
+      limits_(limits),
+      costs_(costs),
+      set_(set),
+      layout_(layout),
+      m_compiled_(loop->obs().metrics.GetCounter("ext.compiled")),
+      m_invocations_(loop->obs().metrics.GetCounter("ext.invocations")),
+      m_steps_(loop->obs().metrics.GetCounter("ext.steps")),
+      m_certified_(loop->obs().metrics.GetCounter("ext.certified")),
+      m_vm_dispatches_(loop->obs().metrics.GetCounter("ext.vm_dispatches")) {
   verifier_config_ = SandboxVerifierConfig(set);
   // Active replication executes every extension on every replica, so the
   // EDS white list must be fully deterministic; primary-backup EZK may use
@@ -154,13 +163,20 @@ Result<EmRequest> ExtensionManagerCore::AdmitClientWrite(EmWrite write, const st
   return Status(ErrorCode::kAccessDenied, "extension-manager namespace");
 }
 
-void ExtensionManagerCore::Created(const std::string& path, const std::string& data, Obs* obs) {
+void ExtensionManagerCore::Created(const std::string& path, const std::string& data) {
+  size_t handlers = Follow(path, data);
+  if (loop_->obs().enabled()) {
+    m_compiled_->Add(static_cast<int64_t>(handlers));
+  }
+}
+
+size_t ExtensionManagerCore::Follow(const std::string& path, const std::string& data) {
   std::string name = EmLayout::RegisteredName(path);
   if (name.empty()) {
     if (std::optional<EmAck> ack = layout_.ParseAck(path)) {
       registry_.RecordAck(ack->name, ack->client);
     }
-    return;
+    return 0;
   }
   auto admitted = admitted_.extract(name);
   Result<LoadedExtension> ext = Status(ErrorCode::kInternal, "");
@@ -173,13 +189,11 @@ void ExtensionManagerCore::Created(const std::string& path, const std::string& d
   }
   if (!ext.ok()) {
     EDC_LOG(kError) << "extension at " << path << " failed to load: " << ext.status().ToString();
-    return;
+    return 0;
   }
-  if (obs != nullptr) {
-    obs->metrics.GetCounter("ext.compiled")
-        ->Add(static_cast<int64_t>(ext->compiled->handlers.size()));
-  }
+  size_t handlers = ext->compiled->handlers.size();
   registry_.Install(std::move(*ext));
+  return handlers;
 }
 
 void ExtensionManagerCore::Removed(const std::string& path) {
@@ -192,16 +206,18 @@ void ExtensionManagerCore::Removed(const std::string& path) {
   }
 }
 
-void ExtensionManagerCore::Clear() {
+void ExtensionManagerCore::Reload(const std::vector<std::pair<std::string, std::string>>& entries) {
   registry_.Clear();
   admitted_.clear();
+  for (const auto& [path, data] : entries) {
+    Follow(path, data);
+  }
 }
 
 Invocation ExtensionManagerCore::RunOperation(const LoadedExtension& ext,
                                               const std::string& kind,
                                               const std::string& path,
-                                              const std::string& data, StateProxy* proxy,
-                                              Obs* obs) {
+                                              const std::string& data, StateProxy* proxy) {
   const EntryPoint& entry = EntryPointFor(*ext.program, /*is_event=*/false, kind);
   std::vector<Value> args;
   if (entry.kind != nullptr) {
@@ -213,7 +229,7 @@ Invocation ExtensionManagerCore::RunOperation(const LoadedExtension& ext,
     args.push_back(
         Value::Map({{"type", Value(kind)}, {"path", Value(path)}, {"data", Value(data)}}));
   }
-  return Settle(ext.name, Invoke(ext, entry.handler, std::move(args), proxy, set_, obs));
+  return Settle(ext.name, Invoke(ext, entry.handler, std::move(args), proxy, set_));
 }
 
 const char* ExtensionManagerCore::EventHandler(const LoadedExtension& ext,
@@ -223,26 +239,25 @@ const char* ExtensionManagerCore::EventHandler(const LoadedExtension& ext,
 }
 
 Invocation ExtensionManagerCore::RunEvent(const LoadedExtension& ext, const char* handler,
-                                          const std::string& path, StateProxy* proxy,
-                                          Obs* obs) {
-  return Settle(ext.name, Invoke(ext, handler, {Value(path)}, proxy, set_, obs));
+                                          const std::string& path, StateProxy* proxy) {
+  return Settle(ext.name, Invoke(ext, handler, {Value(path)}, proxy, set_));
 }
 
 Invocation ExtensionManagerCore::Invoke(const LoadedExtension& ext, const std::string& handler,
                                         std::vector<Value> args, StateProxy* proxy,
-                                        HostSet set, Obs* obs) {
+                                        HostSet set) {
   SandboxHost host(proxy, limits_, set);
   HandlerRun run = RunExtensionHandler(ext, handler, std::move(args), &host, limits_);
   Invocation inv;
   inv.cpu = costs_.ext_invoke_cpu + run.steps_used * costs_.ext_step_cpu;
-  if (obs != nullptr) {
-    obs->metrics.GetCounter("ext.invocations")->Increment();
-    obs->metrics.GetCounter("ext.steps")->Add(run.steps_used);
+  if (loop_->obs().enabled()) {
+    m_invocations_->Increment();
+    m_steps_->Add(run.steps_used);
     if (run.certified) {
-      obs->metrics.GetCounter("ext.certified")->Increment();
+      m_certified_->Increment();
     }
     if (run.vm_dispatched) {
-      obs->metrics.GetCounter("ext.vm_dispatches")->Increment();
+      m_vm_dispatches_->Increment();
     }
   }
   inv.result = std::move(run.result);

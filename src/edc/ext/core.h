@@ -27,6 +27,7 @@
 #include "edc/obs/obs.h"
 #include "edc/script/host_api.h"
 #include "edc/sim/costs.h"
+#include "edc/sim/event_loop.h"
 #include "edc/sim/time.h"
 
 namespace edc {
@@ -103,9 +104,9 @@ struct EmRequest {
 class ExtensionManagerCore {
  public:
   // `costs` is the replica's cost model: it prices admission and every
-  // handler run.
-  ExtensionManagerCore(const ExtensionLimits& limits, const CostModel& costs, HostSet set,
-                       EmLayout layout);
+  // handler run. The ext.* counters go to `loop`'s Obs while it is on.
+  ExtensionManagerCore(EventLoop* loop, const ExtensionLimits& limits, const CostModel& costs,
+                       HostSet set, EmLayout layout);
 
   const ExtensionLimits& limits() const { return limits_; }
   ExtensionRegistry& registry() { return registry_; }
@@ -123,34 +124,38 @@ class ExtensionManagerCore {
                                      const std::string& data, Duration* cpu);
   // The registry follows an /em entry that appeared (every replica, in
   // order): a registration is installed, reusing this replica's admission
-  // of it if any, and an acknowledgment is recorded.
-  void Created(const std::string& path, const std::string& data, Obs* obs);
+  // of it if any, and counted in ext.compiled; an acknowledgment is
+  // recorded.
+  void Created(const std::string& path, const std::string& data);
   // ... and one that disappeared.
   void Removed(const std::string& path);
-  // Forgets every extension. A reload (after a snapshot, a checkpoint or a
-  // restart) then replays each /em entry through Created, as they were
-  // made: registrations in order, each before its acknowledgments.
-  void Clear();
+  // A reload (after a snapshot, a checkpoint or a restart): forgets every
+  // extension, then follows each (path, data) /em entry as Created does, in
+  // the order they were made: registrations in order, each before its
+  // acknowledgments. Nothing is registered, so nothing is counted.
+  void Reload(const std::vector<std::pair<std::string, std::string>>& entries);
 
   // The op handler named for `kind`, or handle_op with an op map. Failures
   // add a strike, successes clear them.
   Invocation RunOperation(const LoadedExtension& ext, const std::string& kind,
-                          const std::string& path, const std::string& data, StateProxy* proxy,
-                          Obs* obs);
+                          const std::string& path, const std::string& data, StateProxy* proxy);
   // The handler an event of `kind` runs: the one named for it, else
   // handle_event; nullptr when the extension has neither.
   static const char* EventHandler(const LoadedExtension& ext, const std::string& kind);
   // Runs event `handler` on `path`. Strikes as RunOperation.
   Invocation RunEvent(const LoadedExtension& ext, const char* handler, const std::string& path,
-                      StateProxy* proxy, Obs* obs);
+                      StateProxy* proxy);
   // The single dispatch path: runs `handler` in a sandbox exposing `set`,
   // charges its steps and records the ext.* counters. No strikes.
   Invocation Invoke(const LoadedExtension& ext, const std::string& handler,
-                    std::vector<Value> args, StateProxy* proxy, HostSet set, Obs* obs);
+                    std::vector<Value> args, StateProxy* proxy, HostSet set);
 
  private:
+  // Created without the count: the number of handlers installed.
+  size_t Follow(const std::string& path, const std::string& data);
   Invocation Settle(const std::string& name, Invocation inv);
 
+  EventLoop* loop_;
   ExtensionLimits limits_;
   CostModel costs_;
   HostSet set_;
@@ -160,6 +165,11 @@ class ExtensionManagerCore {
   // Admitted here, not yet Created, by name: the registration data and the
   // ready extension (a failed write's stays until the name is reused).
   std::map<std::string, std::pair<std::string, LoadedExtension>> admitted_;
+  Counter* m_compiled_;
+  Counter* m_invocations_;
+  Counter* m_steps_;
+  Counter* m_certified_;
+  Counter* m_vm_dispatches_;
 };
 
 }  // namespace edc

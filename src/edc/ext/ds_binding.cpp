@@ -185,7 +185,7 @@ const char* EventKindOf(DsEvent::Type type) {
 }  // namespace
 
 DsExtensionManager::DsExtensionManager(DsServer* server, ExtensionLimits limits)
-    : server_(server), core_(limits, server->costs(), kEdsHost, kDsEmLayout) {
+    : server_(server), core_(server->loop(), limits, server->costs(), kEdsHost, kDsEmLayout) {
   server_->SetHooks(this);
 }
 
@@ -206,8 +206,7 @@ DsExecOutcome DsExtensionManager::HandleOperation(DsExecContext* ctx, NodeId cli
   }
   outcome.handled = true;
   DsStateProxy proxy(ctx, &views_, core_.limits().budget.max_collection_items);
-  Invocation inv =
-      core_.RunOperation(*ext, kind, path, TupleData(op.tuple), &proxy, server_->obs());
+  Invocation inv = core_.RunOperation(*ext, kind, path, TupleData(op.tuple), &proxy);
   outcome.cpu_cost = inv.cpu;
   if (!inv.result.ok()) {
     outcome.status = inv.result.status();
@@ -244,7 +243,7 @@ DsExecOutcome DsExtensionManager::HandleEmTraffic(DsExecContext* ctx, NodeId cli
     // A registration tuple holds its owner and source, an acknowledgment its client.
     std::string data = registering ? request->registration : std::to_string(client);
     ctx->PrivilegedOut(ObjectTuple(path, data));
-    core_.Created(path, data, server_->obs());
+    core_.Created(path, data);
   }
   outcome.has_result = true;
   return outcome;
@@ -274,7 +273,7 @@ void DsExtensionManager::DispatchEvents(DsExecContext* ctx,
       // Event handlers run inline on every replica; the hook has no CPU
       // charge to report, so their steps are counted but not charged.
       DsStateProxy proxy(ctx, &views_, core_.limits().budget.max_collection_items);
-      Invocation inv = core_.RunEvent(*ext, handler, path, &proxy, server_->obs());
+      Invocation inv = core_.RunEvent(*ext, handler, path, &proxy);
       if (!inv.result.ok()) {
         EDC_LOG(kDebug) << "event extension '" << ext->name
                         << "' failed: " << inv.result.status().ToString();
@@ -301,8 +300,7 @@ bool DsExtensionManager::AllowUnblock(NodeId client, const DsTemplate& /*templ*/
     // scratch context with the waiting client's access rights.
     DsExecContext scratch(server_, client, 0, 0);
     DsStateProxy proxy(&scratch, &views_, core_.limits().budget.max_collection_items);
-    Invocation inv = core_.Invoke(*ext, veto.handler, {Value(path)}, &proxy, kReadOnlyHost,
-                                  server_->obs());
+    Invocation inv = core_.Invoke(*ext, veto.handler, {Value(path)}, &proxy, kReadOnlyHost);
     // Convention: a falsy return re-blocks the operation (§5.2.2).
     if (inv.result.ok() && !inv.result->Truthy()) {
       return false;
@@ -315,12 +313,13 @@ void DsExtensionManager::OnTupleRemoved(uint64_t seq) { views_.Drop(seq); }
 
 void DsExtensionManager::OnStateReloaded() {
   views_.Clear();
-  core_.Clear();
   // The tuple space lists in insertion order: registrations in the order
   // they were made, each before its acknowledgments.
+  std::vector<std::pair<std::string, std::string>> entries;
   for (const DsEntry& e : server_->space().RdAll(ObjectPrefixTemplate(kEmRoot))) {
-    core_.Created(TuplePath(e.tuple), TupleData(e.tuple), nullptr);
+    entries.emplace_back(TuplePath(e.tuple), TupleData(e.tuple));
   }
+  core_.Reload(entries);
 }
 
 Value ObjectViews::Get(const DsEntry& entry) {

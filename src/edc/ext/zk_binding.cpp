@@ -140,7 +140,7 @@ EmWrite WriteOf(const ZkOp& op) {
 }  // namespace
 
 ZkExtensionManager::ZkExtensionManager(ZkServer* server, ExtensionLimits limits)
-    : server_(server), core_(limits, server->costs(), kEzkHost, kZkEmLayout) {
+    : server_(server), core_(server->loop(), limits, server->costs(), kEzkHost, kZkEmLayout) {
   server_->SetHooks(this);
 }
 
@@ -173,7 +173,7 @@ ZkPrepOutcome ZkExtensionManager::HandleOperation(PrepSession* prep, uint64_t se
   const LoadedExtension* ext = core_.registry().MatchOperation(session, kind, op.path);
   outcome.handled = true;
   ZkStateProxy proxy(prep, session, server_->now(), &ext_rng_);
-  Invocation inv = core_.RunOperation(*ext, kind, op.path, op.data, &proxy, server_->obs());
+  Invocation inv = core_.RunOperation(*ext, kind, op.path, op.data, &proxy);
   outcome.extra_cpu = inv.cpu;
   if (!inv.result.ok()) {
     outcome.status = inv.result.status();
@@ -221,7 +221,7 @@ void ZkExtensionManager::AfterApply(const ZkTxn& txn, const std::vector<ZkEvent>
                                     bool is_leader) {
   for (const ZkTxnOp& op : txn.ops) {
     if (op.type == ZkTxnOpType::kCreate) {
-      core_.Created(op.path, op.data, server_->obs());
+      core_.Created(op.path, op.data);
     } else if (op.type == ZkTxnOpType::kDelete) {
       core_.Removed(op.path);
     }
@@ -247,7 +247,7 @@ void ZkExtensionManager::RunEventExtensions(const ZkEvent& event, const std::str
     // Event extensions run with the registrant's privileges (§3.2).
     auto prep = server_->BeginInternalPrep(ext->owner);
     ZkStateProxy proxy(prep.get(), ext->owner, server_->now(), &ext_rng_);
-    Invocation inv = core_.RunEvent(*ext, handler, event.path, &proxy, server_->obs());
+    Invocation inv = core_.RunEvent(*ext, handler, event.path, &proxy);
     if (!inv.result.ok()) {
       EDC_LOG(kDebug) << "event extension '" << ext->name
                       << "' failed: " << inv.result.status().ToString();
@@ -283,7 +283,6 @@ bool ZkExtensionManager::SuppressNotification(uint64_t session, const ZkEvent& e
 }
 
 void ZkExtensionManager::OnStateReloaded() {
-  core_.Clear();
   // Registrations in creation order, each followed by its acknowledgments.
   std::map<uint64_t, std::string> registrations;  // by creation zxid
   const DataTree& tree = server_->tree();
@@ -293,12 +292,14 @@ void ZkExtensionManager::OnStateReloaded() {
       registrations[node->stat.czxid] = path;
     }
   }
+  std::vector<std::pair<std::string, std::string>> entries;
   for (const auto& [czxid, path] : registrations) {
-    core_.Created(path, tree.Get(path)->data, nullptr);
+    entries.emplace_back(path, tree.Get(path)->data);
     for (const std::string& ack : tree.GetChildren(path).value_or({})) {
-      core_.Created(path + "/" + ack, "", nullptr);
+      entries.emplace_back(path + "/" + ack, "");
     }
   }
+  core_.Reload(entries);
 }
 
 }  // namespace edc

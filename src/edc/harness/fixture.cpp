@@ -32,57 +32,37 @@ CoordFixture::CoordFixture(FixtureOptions options) : options_(options) {
   if (IsZkFamily(options_.system)) {
     log_pool_ = std::make_shared<RecordPool>();
   }
+  if (options_.observability) {
+    loop_.obs().tracer.Enable(options_.retain_spans);
+  }
   net_ = std::make_unique<Network>(&loop_, Rng(options_.seed), options_.link);
   faults_ = std::make_unique<FaultInjector>(&loop_, net_.get());
 }
 
 CoordFixture::~CoordFixture() = default;
 
-void CoordFixture::WireObservability() {
-  obs_.tracer.Enable(options_.retain_spans);
-  // Carry the active trace context across every scheduled callback: capture
-  // it when an event is scheduled, re-activate it around the callback. The
-  // hooks only move a 16-byte value — they never touch the schedule itself.
-  loop_.SetContextHooks(
-      [this]() {
-        TraceContext c = obs_.tracer.current();
-        return EventLoop::EventContext{c.trace, c.span};
-      },
-      [this](const EventLoop::EventContext& ctx) {
-        obs_.tracer.SetCurrent(TraceContext{ctx.a, ctx.b});
-      });
-  net_->SetObs(&obs_);
-}
-
 void CoordFixture::CollectMetrics() {
   if (!options_.observability) {
     return;
   }
-  net_->DumpLinkMetrics(&obs_.metrics);
+  MetricsRegistry& metrics = loop_.obs().metrics;
+  net_->DumpLinkMetrics(&metrics);
   for (const auto& server : zk_servers) {
-    obs_.metrics.SetGauge("server." + std::to_string(server->id()) + ".cpu_busy_ns",
-                          server->cpu().busy_ns());
+    metrics.SetGauge("server." + std::to_string(server->id()) + ".cpu_busy_ns",
+                     server->cpu().busy_ns());
   }
   for (const auto& server : ds_servers) {
-    obs_.metrics.SetGauge("server." + std::to_string(server->id()) + ".cpu_busy_ns",
-                          server->cpu().busy_ns());
+    metrics.SetGauge("server." + std::to_string(server->id()) + ".cpu_busy_ns",
+                     server->cpu().busy_ns());
   }
-}
-
-template <typename Node>
-Node* CoordFixture::Track(std::unique_ptr<Node> node, std::vector<std::unique_ptr<Node>>& owner) {
-  if (options_.observability) {
-    node->SetObs(&obs_);
-  }
-  owner.push_back(std::move(node));
-  return owner.back().get();
 }
 
 template <typename Server, typename Manager>
 Server* CoordFixture::AddReplica(std::unique_ptr<Server> server,
                                  std::vector<std::unique_ptr<Server>>& servers,
                                  std::vector<std::unique_ptr<Manager>>& managers) {
-  Server* raw = Track(std::move(server), servers);
+  Server* raw = server.get();
+  servers.push_back(std::move(server));
   NodeId id = raw->id();
   net_->Register(id, raw);
   faults_->RegisterProcess(id, [raw]() { raw->Crash(); }, [raw]() { raw->Restart(); });
@@ -93,9 +73,6 @@ Server* CoordFixture::AddReplica(std::unique_ptr<Server> server,
 }
 
 void CoordFixture::Start() {
-  if (options_.observability) {
-    WireObservability();
-  }
   for (size_t s = 0; s < options_.num_shards; ++s) {
     BootShard(s);
   }
@@ -118,9 +95,9 @@ void CoordFixture::Start() {
     if (zk) {
       ZkApi* api = nullptr;
       if (sharded) {
-        api = Track(std::make_unique<ZkShardRouter>(&loop_, net_.get(), node, shard_map_, source,
-                                                    options_.zk_client),
-                    zk_routers_);
+        zk_routers_.push_back(std::make_unique<ZkShardRouter>(&loop_, net_.get(), node, shard_map_,
+                                                              source, options_.zk_client));
+        api = zk_routers_.back().get();
       } else {
         // Full ensemble list so fixture clients fail over during chaos runs;
         // preferred index keeps the historical round-robin initial placement.
@@ -136,9 +113,9 @@ void CoordFixture::Start() {
     }
     DsApi* api = nullptr;
     if (sharded) {
-      api = Track(std::make_unique<DsShardRouter>(&loop_, net_.get(), node, shard_map_, source,
-                                                  options_.ds_client),
-                  ds_routers_);
+      ds_routers_.push_back(std::make_unique<DsShardRouter>(&loop_, net_.get(), node, shard_map_,
+                                                            source, options_.ds_client));
+      api = ds_routers_.back().get();
     } else {
       api = AddDsClient(group, options_.ds_client);
     }
@@ -151,16 +128,16 @@ void CoordFixture::Start() {
 
 ZkClient* CoordFixture::AddZkClient(ServerList servers, const ZkClientOptions& options) {
   NodeId node = 100 + static_cast<NodeId>(zk_clients_.size());
-  return Track(std::make_unique<ZkClient>(&loop_, net_.get(), node,
-                                          ShardView::Standalone(std::move(servers)), options),
-               zk_clients_);
+  zk_clients_.push_back(std::make_unique<ZkClient>(
+      &loop_, net_.get(), node, ShardView::Standalone(std::move(servers)), options));
+  return zk_clients_.back().get();
 }
 
 DsClient* CoordFixture::AddDsClient(ServerList servers, const DsClientOptions& options) {
   NodeId node = 100 + static_cast<NodeId>(ds_clients_.size());
-  return Track(std::make_unique<DsClient>(&loop_, net_.get(), node,
-                                          ShardView::Standalone(std::move(servers)), options),
-               ds_clients_);
+  ds_clients_.push_back(std::make_unique<DsClient>(
+      &loop_, net_.get(), node, ShardView::Standalone(std::move(servers)), options));
+  return ds_clients_.back().get();
 }
 
 ZkServer* CoordFixture::BootZkReplica(NodeId id, std::vector<NodeId> members,

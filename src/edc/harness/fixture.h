@@ -52,11 +52,12 @@ struct FixtureOptions {
   ZkClientOptions zk_client;
   DsServerOptions ds_server;
   DsClientOptions ds_client;
-  // Observability: when true, Start() wires a shared Obs (tracer + metrics
-  // registry) through the network, every server and every client, and
-  // installs the event-loop context hooks that carry trace contexts across
-  // scheduled callbacks. Instrumentation only reads the simulated clock —
-  // enabling it never changes schedules, packet traces or applied logs.
+  // Observability: when true, the event loop's Obs (tracer + metrics
+  // registry) is switched on, and every component built on the loop — the
+  // network, every server and every client — reports into it; the loop
+  // carries trace contexts across scheduled callbacks. Instrumentation only
+  // reads the simulated clock — enabling it never changes schedules, packet
+  // traces or applied logs.
   bool observability = false;
   // Keep finished spans in memory for ExportJson (Perfetto); off = only
   // per-op breakdowns survive.
@@ -160,9 +161,9 @@ class CoordFixture {
   // client", Fig. 8/10).
   int64_t ClientBytesSent() const;
 
-  // Shared observability sinks (valid whether or not observability is on;
-  // metrics/spans only accumulate when it is).
-  Obs& obs() { return obs_; }
+  // The loop's observability sinks (valid whether or not observability is
+  // on; metrics/spans only accumulate when it is).
+  Obs& obs() { return loop_.obs(); }
   // Snapshots gauge-style state into the registry: per-link packet/byte
   // totals and per-server CPU busy time. Call before exporting metrics.
   void CollectMetrics();
@@ -184,23 +185,19 @@ class CoordFixture {
   }
 
  private:
-  void WireObservability();
   // Lazily-connected admin session used by AdminReconfig (node id 90001).
   ZkClient* AdminZk();
   // Boots shard `s`'s replica group, starts it, and adds it to shard_map_
   // (bumps the version).
   void BootShard(size_t s);
-  // Every replica boots here: built, wired to the observability sinks, the
-  // network and the fault injector (crash/restart closures), and given an
-  // extension manager when the system is extensible. The caller starts it.
+  // Every replica boots here: built, registered with the network and the
+  // fault injector (crash/restart closures), and given an extension manager
+  // when the system is extensible. The caller starts it.
   template <typename Server, typename Manager>
   Server* AddReplica(std::unique_ptr<Server> server,
                      std::vector<std::unique_ptr<Server>>& servers,
                      std::vector<std::unique_ptr<Manager>>& managers);
   ZkServer* BootZkReplica(NodeId id, std::vector<NodeId> members, const ZkServerOptions& options);
-  // Hands `node` to `owner` after wiring it to the observability sinks.
-  template <typename Node>
-  Node* Track(std::unique_ptr<Node> node, std::vector<std::unique_ptr<Node>>& owner);
   // Pushes shard_map_.version() to every replica as its expected version.
   void PushShardVersions();
 
@@ -209,7 +206,6 @@ class CoordFixture {
   // Record bytes of every ZK-family replica's log, stored once per fixture
   // (none for DepSpace-family fixtures, which have no LogStore).
   std::shared_ptr<RecordPool> log_pool_;
-  Obs obs_;
   std::unique_ptr<Network> net_;
   std::unique_ptr<FaultInjector> faults_;
   std::vector<std::unique_ptr<ZkExtensionManager>> zk_managers_;
@@ -224,10 +220,6 @@ class CoordFixture {
   std::vector<std::unique_ptr<DsShardRouter>> ds_routers_;
   std::vector<std::unique_ptr<DsClient>> ds_admins_;  // per-shard kSetMapVersion senders
 };
-
-// Chaos/fault tests read better against this name: a fixture-as-cluster with
-// FaultPlan execution and registered crash/restart closures.
-using ClusterFixture = CoordFixture;
 
 }  // namespace edc
 

@@ -14,34 +14,25 @@ Duration LogStore::InitialWindow(const LogStoreConfig& config) {
   return std::clamp(config.group_commit_window, kMinWindow, kMaxWindow);
 }
 
-LogStore::LogStore(EventLoop* loop, LogStoreConfig config, std::shared_ptr<RecordPool> pool)
+LogStore::LogStore(EventLoop* loop, LogStoreConfig config, std::shared_ptr<RecordPool> pool,
+                   uint32_t track)
     : loop_(loop),
       config_(config),
       pool_(pool != nullptr ? std::move(pool) : std::make_shared<RecordPool>()),
       owner_(pool_->NewOwner()),
-      window_(InitialWindow(config)) {
+      window_(InitialWindow(config)),
+      track_(track),
+      m_syncs_(loop->obs().metrics.GetCounter("logstore.syncs")),
+      m_bytes_(loop->obs().metrics.GetCounter("logstore.bytes")),
+      m_batch_records_(loop->obs().metrics.GetHistogram("logstore.batch_records")),
+      m_batch_bytes_(loop->obs().metrics.GetHistogram("logstore.batch_bytes")),
+      m_queue_depth_(loop->obs().metrics.GetHistogram("logstore.queue_depth")),
+      m_inflight_(loop->obs().metrics.GetHistogram("logstore.inflight")),
+      m_window_us_(loop->obs().metrics.GetHistogram("logstore.window_us")) {
   channel_free_at_.assign(config_.pipeline_depth > 0 ? config_.pipeline_depth : 1, 0);
 }
 
 LogStore::~LogStore() { CutTail(0); }
-
-void LogStore::SetObs(Obs* obs, uint32_t track) {
-  obs_ = obs;
-  track_ = track;
-  if (obs_ != nullptr) {
-    m_syncs_ = obs_->metrics.GetCounter("logstore.syncs");
-    m_bytes_ = obs_->metrics.GetCounter("logstore.bytes");
-    m_batch_records_ = obs_->metrics.GetHistogram("logstore.batch_records");
-    m_batch_bytes_ = obs_->metrics.GetHistogram("logstore.batch_bytes");
-    m_queue_depth_ = obs_->metrics.GetHistogram("logstore.queue_depth");
-    m_inflight_ = obs_->metrics.GetHistogram("logstore.inflight");
-    m_window_us_ = obs_->metrics.GetHistogram("logstore.window_us");
-  } else {
-    m_syncs_ = m_bytes_ = nullptr;
-    m_batch_records_ = m_batch_bytes_ = m_queue_depth_ = nullptr;
-    m_inflight_ = m_window_us_ = nullptr;
-  }
-}
 
 void LogStore::CutTail(size_t first) {
   for (size_t i = first; i < index_.size(); ++i) {
@@ -54,8 +45,8 @@ void LogStore::Append(std::span<const uint8_t> record, DurableCallback on_durabl
   index_.push_back(pool_->Place(record, owner_));
   pending_bytes_ += record.size();
   Pending p{std::move(on_durable), TraceContext{}, 0};
-  if (obs_ != nullptr) {
-    p.ctx = obs_->tracer.current();
+  if (const Obs& obs = loop_->obs(); obs.enabled()) {
+    p.ctx = obs.tracer.current();
     p.at = loop_->now();
     m_queue_depth_->Record(static_cast<int64_t>(pending_.size()) + 1);
   }
@@ -107,7 +98,7 @@ void LogStore::Flush() {
   channel_free_at_[channel] = durable_at;
   ++syncs_;
   appended_bytes_ += static_cast<int64_t>(batch_bytes);
-  if (obs_ != nullptr) {
+  if (loop_->obs().enabled()) {
     m_syncs_->Increment();
     m_bytes_->Add(static_cast<int64_t>(batch_bytes));
     m_batch_records_->Record(static_cast<int64_t>(batch_records));
@@ -143,6 +134,7 @@ void LogStore::Flush() {
 void LogStore::PublishDurablePrefix() {
   uint64_t epoch = flush_epoch_;
   bool published = false;
+  Obs& obs = loop_->obs();
   // Channels complete out of order, but callers observe strict record order:
   // a durable batch publishes only once every earlier batch has published.
   while (!inflight_.empty() && inflight_.front().durable) {
@@ -157,20 +149,20 @@ void LogStore::PublishDurablePrefix() {
       // and submission-to-publication on the (pipelined) fsync: record both
       // as kFsync spans and run the callback under the appender's context,
       // so the reply path stays attributed to the originating operation.
-      if (obs_ != nullptr && p.ctx.active()) {
+      if (obs.enabled() && p.ctx.active()) {
         if (batch.submitted_at > p.at) {
-          obs_->tracer.RecordSpanIn(p.ctx, "log.gc_wait", Stage::kFsync, track_, p.at,
-                                    batch.submitted_at);
+          obs.tracer.RecordSpanIn(p.ctx, "log.gc_wait", Stage::kFsync, track_, p.at,
+                                  batch.submitted_at);
         }
-        obs_->tracer.RecordSpanIn(p.ctx, "log.fsync", Stage::kFsync, track_,
-                                  batch.submitted_at, loop_->now());
+        obs.tracer.RecordSpanIn(p.ctx, "log.fsync", Stage::kFsync, track_, batch.submitted_at,
+                                loop_->now());
       }
       if (p.cb) {
-        if (obs_ != nullptr) {
-          TraceContext prev = obs_->tracer.current();
-          obs_->tracer.SetCurrent(p.ctx);
+        if (obs.enabled()) {
+          TraceContext prev = obs.tracer.current();
+          obs.tracer.SetCurrent(p.ctx);
           p.cb();
-          obs_->tracer.SetCurrent(prev);
+          obs.tracer.SetCurrent(prev);
         } else {
           p.cb();
         }

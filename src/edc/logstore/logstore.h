@@ -86,7 +86,9 @@ class LogStore {
   using DurableCallback = std::function<void()>;
 
   // `pool` holds the record bytes; nullptr gives the store a private pool.
-  LogStore(EventLoop* loop, LogStoreConfig config, std::shared_ptr<RecordPool> pool = nullptr);
+  // `track` is the owning node's id, the Perfetto track of its spans.
+  LogStore(EventLoop* loop, LogStoreConfig config, std::shared_ptr<RecordPool> pool = nullptr,
+           uint32_t track = 0);
   ~LogStore();
 
   LogStore(const LogStore&) = delete;
@@ -180,14 +182,6 @@ class LogStore {
   // Live adaptive group-commit window.
   Duration current_window() const { return window_; }
 
-  // Observability (nullable): each append gets kFsync spans covering
-  // append-to-submission (group-commit wait) and submission-to-publication
-  // (fsync + disk write + in-order publication wait), its durable callback
-  // runs under the appender's captured trace context, and the registry gets
-  // sync counts + batch-size/queue-depth/pipeline-depth/window histograms.
-  // `track` is the owning node's id.
-  void SetObs(Obs* obs, uint32_t track);
-
  private:
   // An appended record's bookkeeping until it publishes; its bytes are in
   // the pool.
@@ -238,15 +232,20 @@ class LogStore {
   uint64_t snapshot_zxid_ = 0;
   std::vector<uint8_t> snapshot_;
   std::function<void()> batch_cb_;
-  Obs* obs_ = nullptr;
-  uint32_t track_ = 0;
-  Counter* m_syncs_ = nullptr;
-  Counter* m_bytes_ = nullptr;
-  Recorder* m_batch_records_ = nullptr;
-  Recorder* m_batch_bytes_ = nullptr;
-  Recorder* m_queue_depth_ = nullptr;
-  Recorder* m_inflight_ = nullptr;
-  Recorder* m_window_us_ = nullptr;
+  // Observability (the loop's Obs, while it is on): each append gets kFsync
+  // spans covering append-to-submission (group-commit wait) and
+  // submission-to-publication (fsync + disk write + in-order publication
+  // wait), its durable callback runs under the appender's captured trace
+  // context, and the registry gets sync counts + batch-size/queue-depth/
+  // pipeline-depth/window histograms.
+  uint32_t track_;
+  Counter* m_syncs_;
+  Counter* m_bytes_;
+  Recorder* m_batch_records_;
+  Recorder* m_batch_bytes_;
+  Recorder* m_queue_depth_;
+  Recorder* m_inflight_;
+  Recorder* m_window_us_;
 };
 
 }  // namespace edc

@@ -1,11 +1,11 @@
 // Name-keyed metrics for the simulator: monotonic counters, point-in-time
 // gauges, and simulated-time histograms (Recorder of ns samples).
 //
-// Hot paths resolve a name to a stable Counter*/Recorder* once (at SetObs
-// time) and bump through the pointer afterwards, so instrumentation costs one
-// branch + one increment per event. Like the tracer, the registry only
-// records — it never schedules events or draws randomness, so enabling it
-// cannot perturb a run.
+// Hot paths resolve a name to a stable Counter*/Recorder* once (when the
+// component is constructed) and bump through the pointer afterwards, while
+// observability is on, so instrumentation costs one branch + one increment
+// per event. Like the tracer, the registry only records — it never schedules
+// events or draws randomness, so enabling it cannot perturb a run.
 
 #ifndef EDC_OBS_METRICS_H_
 #define EDC_OBS_METRICS_H_

@@ -1,6 +1,8 @@
-// One observability bundle per fixture/cluster: a Tracer (causal spans) and a
-// MetricsRegistry (counters/gauges/histograms). Components take a nullable
-// Obs* via SetObs; null means all instrumentation compiles down to a branch.
+// One observability bundle per simulation: a Tracer (causal spans) and a
+// MetricsRegistry (counters/gauges/histograms). The EventLoop owns it, so
+// every component that holds the loop reports into the same sinks by
+// construction. The tracer's enabled flag is the one switch: while it is off
+// every instrument is one branch and nothing is counted, sampled or traced.
 
 #ifndef EDC_OBS_OBS_H_
 #define EDC_OBS_OBS_H_
@@ -13,6 +15,7 @@ namespace edc {
 struct Obs {
   Tracer tracer;
   MetricsRegistry metrics;
+  bool enabled() const { return tracer.enabled(); }
 };
 
 }  // namespace edc

@@ -1,9 +1,9 @@
 // Causal tracing for the simulator (Dapper-style spans over simulated time).
 //
 // A trace is a tree of spans rooted at one client operation. The current
-// TraceContext is a piece of ambient state the event loop snapshots at
-// Schedule() time and restores around each callback (see
-// EventLoop::SetContextHooks), so causality follows the event graph — client
+// TraceContext is a piece of ambient state the event loop, which owns the
+// tracer, snapshots at Schedule() time and restores around each callback
+// (edc/sim/event_loop.h), so causality follows the event graph — client
 // issue -> network link -> server dispatch -> Zab/BFT ordering -> group-commit
 // fsync -> extension sandbox -> reply — with zero changes to what the
 // simulation does: the tracer only reads clocks, never schedules events or
@@ -82,15 +82,14 @@ struct StageBreakdown {
 class Tracer {
  public:
   // Disabled tracers make every call a cheap no-op (BeginTrace returns an
-  // inactive context, so downstream spans are skipped too).
+  // inactive context, so downstream spans are skipped too). `retain_spans`
+  // keeps the spans of finished traces for ExportJson (otherwise FinishTrace
+  // frees them after computing the breakdown, bounding memory).
   void Enable(bool retain_spans = false) {
     enabled_ = true;
     retain_ = retain_spans;
   }
   bool enabled() const { return enabled_; }
-  // Keep spans of finished traces for ExportJson (otherwise FinishTrace
-  // frees them after computing the breakdown, bounding memory).
-  void SetRetain(bool retain) { retain_ = retain; }
 
   const TraceContext& current() const { return current_; }
   void SetCurrent(const TraceContext& ctx) { current_ = ctx; }

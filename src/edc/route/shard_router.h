@@ -122,10 +122,6 @@ class ShardRouterCore {
       sub_hook_(shard_id, sub.client.get());
     }
   }
-  void SetObs(Obs* obs) {
-    obs_ = obs;
-    ForEachSub([obs](Client* c) { c->SetObs(obs); });
-  }
 
  protected:
   struct Sub {
@@ -166,9 +162,6 @@ class ShardRouterCore {
     Sub& sub = subs_[e.shard_id];
     sub.client =
         std::make_unique<Client>(loop_, net_, base_id_ + e.shard_id, std::move(view), options_);
-    if (obs_ != nullptr) {
-      sub.client->SetObs(obs_);
-    }
     if (sub_hook_) {
       sub_hook_(e.shard_id, sub.client.get());
     }
@@ -279,7 +272,6 @@ class ShardRouterCore {
   ClientOptions options_;  // applied to every sub-client
   std::map<uint32_t, Sub> subs_;  // by shard id; survives map refreshes
   std::function<void(uint32_t, Client*)> sub_hook_;
-  Obs* obs_ = nullptr;
   int stale_refreshes_ = 0;
 };
 

@@ -5,7 +5,12 @@
 
 namespace edc {
 
-CpuQueue::CpuQueue(EventLoop* loop, int cores) : loop_(loop) {
+CpuQueue::CpuQueue(EventLoop* loop, int cores, uint32_t track)
+    : loop_(loop),
+      track_(track),
+      m_queue_wait_(loop->obs().metrics.GetHistogram("cpu.queue_wait_ns")),
+      m_busy_(loop->obs().metrics.GetCounter("cpu.busy_ns")),
+      m_submits_(loop->obs().metrics.GetCounter("cpu.submits")) {
   assert(cores >= 1);
   free_at_.assign(static_cast<size_t>(cores), 0);
 }
@@ -25,33 +30,19 @@ SimTime CpuQueue::Charge(Duration cost) {
   SimTime finish = start + cost;
   free_at_[best] = finish;
   busy_ns_ += cost;
-  if (obs_ != nullptr) {
+  if (Obs& obs = loop_->obs(); obs.enabled()) {
     m_submits_->Increment();
     m_busy_->Add(cost);
     m_queue_wait_->Record(start - loop_->now());
-    const TraceContext& ctx = obs_->tracer.current();
+    const TraceContext& ctx = obs.tracer.current();
     if (start > loop_->now()) {
-      obs_->tracer.RecordSpanIn(ctx, "cpu.wait", Stage::kQueue, track_, loop_->now(), start);
+      obs.tracer.RecordSpanIn(ctx, "cpu.wait", Stage::kQueue, track_, loop_->now(), start);
     }
     if (cost > 0) {
-      obs_->tracer.RecordSpanIn(ctx, "cpu.run", Stage::kCpu, track_, start, finish);
+      obs.tracer.RecordSpanIn(ctx, "cpu.run", Stage::kCpu, track_, start, finish);
     }
   }
   return finish;
-}
-
-void CpuQueue::SetObs(Obs* obs, uint32_t track) {
-  obs_ = obs;
-  track_ = track;
-  if (obs_ != nullptr) {
-    m_queue_wait_ = obs_->metrics.GetHistogram("cpu.queue_wait_ns");
-    m_busy_ = obs_->metrics.GetCounter("cpu.busy_ns");
-    m_submits_ = obs_->metrics.GetCounter("cpu.submits");
-  } else {
-    m_queue_wait_ = nullptr;
-    m_busy_ = nullptr;
-    m_submits_ = nullptr;
-  }
 }
 
 Duration CpuQueue::QueueDelay() const {

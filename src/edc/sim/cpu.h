@@ -31,8 +31,9 @@ inline constexpr int kReplicaCores = 1;
 class CpuQueue {
  public:
   // `cores` parallel workers; work is dispatched to the earliest-free core
-  // (single run queue, like a work-conserving scheduler).
-  CpuQueue(EventLoop* loop, int cores);
+  // (single run queue, like a work-conserving scheduler). `track` is the
+  // owning node's id, the Perfetto track of its spans.
+  CpuQueue(EventLoop* loop, int cores, uint32_t track = 0);
 
   CpuQueue(const CpuQueue&) = delete;
   CpuQueue& operator=(const CpuQueue&) = delete;
@@ -72,21 +73,18 @@ class CpuQueue {
     };
   }
 
-  // Observability (nullable): queue-wait + run spans under the submitter's
-  // trace context (both endpoints are known at Submit time), a queue-wait
-  // histogram, and a cpu-ns counter. `track` is the owning node's id.
-  void SetObs(Obs* obs, uint32_t track);
-
  private:
   EventLoop* loop_;
   std::vector<SimTime> free_at_;
   int64_t busy_ns_ = 0;
   uint64_t incarnation_ = 0;
-  Obs* obs_ = nullptr;
-  uint32_t track_ = 0;
-  Recorder* m_queue_wait_ = nullptr;
-  Counter* m_busy_ = nullptr;
-  Counter* m_submits_ = nullptr;
+  // Observability (the loop's Obs, while it is on): queue-wait + run spans
+  // under the submitter's trace context (both endpoints are known at Submit
+  // time), a queue-wait histogram, and a cpu-ns counter.
+  uint32_t track_;
+  Recorder* m_queue_wait_;
+  Counter* m_busy_;
+  Counter* m_submits_;
 };
 
 }  // namespace edc

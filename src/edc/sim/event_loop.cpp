@@ -42,9 +42,7 @@ TimerId EventLoop::ScheduleAt(SimTime at, Callback cb) {
   }
   Slot& s = slots_[slot];
   s.cb = std::move(cb);
-  if (capture_) {
-    s.ctx = capture_();
-  }
+  s.ctx = obs_.tracer.current();
   heap_.push_back(Key{at, next_seq_++, slot, s.gen});
   std::push_heap(heap_.begin(), heap_.end(), KeyLater());
   return MakeId(slot, s.gen);
@@ -53,7 +51,6 @@ TimerId EventLoop::ScheduleAt(SimTime at, Callback cb) {
 void EventLoop::FreeSlot(uint32_t slot) {
   Slot& s = slots_[slot];
   s.cb = nullptr;
-  s.ctx = EventContext{};
   if (++s.gen == 0) {
     s.gen = 1;
   }
@@ -93,19 +90,15 @@ bool EventLoop::PopAndRun() {
     return false;
   }
   Callback cb = std::move(s.cb);
-  EventContext ctx = s.ctx;
+  TraceContext ctx = s.ctx;
   // Freed before the callback runs, so a callback that cancels its own id
   // (or re-arms a timer stored in the same variable) is a no-op on it.
   FreeSlot(key.slot);
   assert(key.at >= now_);
   now_ = key.at;
-  if (activate_) {
-    activate_(ctx);
-    cb();
-    activate_(EventContext{});
-  } else {
-    cb();
-  }
+  obs_.tracer.SetCurrent(ctx);
+  cb();
+  obs_.tracer.SetCurrent(TraceContext{});
   ++events_processed_;
   return true;
 }

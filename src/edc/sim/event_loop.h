@@ -12,6 +12,13 @@
 // stays in the heap until it reaches the top or until cancelled keys make up
 // half the heap, when the heap is compacted. Compaction keeps every surviving
 // key, so firing order is unchanged.
+//
+// The loop also owns its simulation's one Obs (tracer + metrics registry,
+// edc/obs/obs.h): every component that holds the loop reports there. Each
+// slot keeps the tracer's TraceContext current when the event was scheduled,
+// and the loop makes it current again around the callback, so causality
+// follows every hop of the event graph. Only that 16-byte value moves: the
+// tracer never schedules events, so tracing cannot perturb the simulation.
 
 #ifndef EDC_SIM_EVENT_LOOP_H_
 #define EDC_SIM_EVENT_LOOP_H_
@@ -20,6 +27,7 @@
 #include <functional>
 #include <vector>
 
+#include "edc/obs/obs.h"
 #include "edc/sim/time.h"
 
 namespace edc {
@@ -55,23 +63,10 @@ class EventLoop {
   // Makes Run()/RunUntil() return after the current event completes.
   void Stop() { stopped_ = true; }
 
-  // Causal-context propagation (observability): `capture` runs at
-  // Schedule()/ScheduleAt() time and its result is stored with the event;
-  // `activate` runs with that value right before the event's callback and
-  // with a default EventContext right after, restoring ambient state around
-  // every hop of the event graph. The loop itself never interprets the
-  // payload. Hooks must not schedule events — they exist precisely so that
-  // tracing cannot perturb the simulation.
-  struct EventContext {
-    uint64_t a = 0;
-    uint64_t b = 0;
-  };
-  using ContextCapture = std::function<EventContext()>;
-  using ContextActivate = std::function<void(const EventContext&)>;
-  void SetContextHooks(ContextCapture capture, ContextActivate activate) {
-    capture_ = std::move(capture);
-    activate_ = std::move(activate);
-  }
+  // The simulation's tracer and metrics registry; off until
+  // obs().tracer.Enable().
+  Obs& obs() { return obs_; }
+  const Obs& obs() const { return obs_; }
 
   // Events scheduled and neither fired nor cancelled.
   size_t pending() const { return heap_.size() - cancelled_; }
@@ -98,7 +93,7 @@ class EventLoop {
   };
   struct Slot {
     Callback cb;
-    EventContext ctx;
+    TraceContext ctx;  // the tracer's context at Schedule() time
     uint32_t gen = 1;  // bumped whenever the slot is freed; never 0
   };
 
@@ -114,8 +109,7 @@ class EventLoop {
   size_t cancelled_ = 0;  // keys in heap_ whose slot was freed by Cancel()
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
-  ContextCapture capture_;
-  ContextActivate activate_;
+  Obs obs_;
 };
 
 }  // namespace edc

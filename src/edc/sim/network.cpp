@@ -14,6 +14,15 @@ uint64_t LinkKey(NodeId src, NodeId dst) { return static_cast<uint64_t>(src) << 
 
 }  // namespace
 
+Network::Network(EventLoop* loop, Rng rng, LinkParams defaults)
+    : loop_(loop),
+      rng_(rng),
+      defaults_(defaults),
+      m_packets_(loop->obs().metrics.GetCounter("net.packets")),
+      m_bytes_(loop->obs().metrics.GetCounter("net.bytes")),
+      m_drops_(loop->obs().metrics.GetCounter("net.drops")),
+      m_dups_(loop->obs().metrics.GetCounter("net.dups")) {}
+
 void Network::Register(NodeId id, NetworkNode* node) {
   Node& n = nodes_[id];
   n.handler = node;
@@ -34,18 +43,6 @@ void Network::ClearFifoFloors(NodeId id) {
     if (key >> 32 == id || static_cast<NodeId>(key) == id) {
       link.fifo_floor = 0;
     }
-  }
-}
-
-void Network::SetObs(Obs* obs) {
-  obs_ = obs;
-  if (obs_ != nullptr) {
-    m_packets_ = obs_->metrics.GetCounter("net.packets");
-    m_bytes_ = obs_->metrics.GetCounter("net.bytes");
-    m_drops_ = obs_->metrics.GetCounter("net.drops");
-    m_dups_ = obs_->metrics.GetCounter("net.dups");
-  } else {
-    m_packets_ = m_bytes_ = m_drops_ = m_dups_ = nullptr;
   }
 }
 
@@ -124,7 +121,8 @@ void Network::Send(Packet pkt) {
   src_stats.bytes_sent += static_cast<int64_t>(wire);
   total_bytes_sent_ += static_cast<int64_t>(wire);
   Link& link = links_[LinkKey(pkt.src, pkt.dst)];
-  if (obs_ != nullptr) {
+  Obs& obs = loop_->obs();
+  if (obs.enabled()) {
     m_packets_->Increment();
     m_bytes_->Add(static_cast<int64_t>(wire));
     link.obs.packets += 1;
@@ -137,7 +135,7 @@ void Network::Send(Packet pkt) {
   const LinkFaults& faults = link.faults;
   if (faults.drop_probability > 0.0 && rng_.NextDouble() < faults.drop_probability) {
     EDC_LOG(kDebug) << "drop " << pkt.src << "->" << pkt.dst << " type=" << pkt.type;
-    if (obs_ != nullptr) {
+    if (obs.enabled()) {
       m_drops_->Increment();
       link.obs.drops += 1;
     }
@@ -159,7 +157,7 @@ void Network::Send(Packet pkt) {
   if (faults.duplicate_probability > 0.0 &&
       rng_.NextDouble() < faults.duplicate_probability) {
     copies = 2;
-    if (obs_ != nullptr) {
+    if (obs.enabled()) {
       m_dups_->Increment();
       link.obs.dups += 1;
     }
@@ -173,9 +171,9 @@ void Network::Send(Packet pkt) {
 
     // The arrival instant is fully determined here, so the in-flight span can
     // be recorded fully formed — no extra event needed.
-    if (obs_ != nullptr) {
-      obs_->tracer.RecordSpanIn(obs_->tracer.current(), "net.pkt", Stage::kNetwork, pkt.dst,
-                                loop_->now(), arrival);
+    if (obs.enabled()) {
+      obs.tracer.RecordSpanIn(obs.tracer.current(), "net.pkt", Stage::kNetwork, pkt.dst,
+                              loop_->now(), arrival);
     }
 
     NodeId dst = pkt.dst;

@@ -73,8 +73,7 @@ struct NodeNetStats {
 
 class Network {
  public:
-  Network(EventLoop* loop, Rng rng, LinkParams defaults)
-      : loop_(loop), rng_(rng), defaults_(defaults) {}
+  Network(EventLoop* loop, Rng rng, LinkParams defaults);
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -115,12 +114,11 @@ class Network {
   void ResetStats();
   int64_t total_bytes_sent() const { return total_bytes_sent_; }
 
-  // Observability (nullable). Counters net.{packets,bytes,drops,dups} are
-  // bumped live; per-directed-link totals accumulate internally and are
-  // published as gauges by DumpLinkMetrics. Packets in flight get a kNetwork
-  // span under the sender's current trace context. Pure recording: no events
-  // scheduled, no extra randomness drawn.
-  void SetObs(Obs* obs);
+  // Observability (the loop's Obs, while it is on). Counters
+  // net.{packets,bytes,drops,dups} are bumped live; per-directed-link totals
+  // accumulate internally and are published as gauges by DumpLinkMetrics.
+  // Packets in flight get a kNetwork span under the sender's current trace
+  // context. Pure recording: no events scheduled, no extra randomness drawn.
   void DumpLinkMetrics(MetricsRegistry* metrics) const;
 
  private:
@@ -159,11 +157,10 @@ class Network {
   std::unordered_map<uint64_t, Link> links_;  // keyed by src << 32 | dst
   int64_t total_bytes_sent_ = 0;
   DeliverySink delivery_sink_;
-  Obs* obs_ = nullptr;
-  Counter* m_packets_ = nullptr;
-  Counter* m_bytes_ = nullptr;
-  Counter* m_drops_ = nullptr;
-  Counter* m_dups_ = nullptr;
+  Counter* m_packets_;
+  Counter* m_bytes_;
+  Counter* m_drops_;
+  Counter* m_dups_;
 };
 
 }  // namespace edc

@@ -39,7 +39,10 @@ ZabNode::ZabNode(EventLoop* loop, Network* net, CpuQueue* cpu, LogStore* log,
       self_(self),
       boot_membership_(BootMembership(self, members, config.observer)),
       config_(std::move(config)),
-      callbacks_(callbacks) {
+      callbacks_(callbacks),
+      m_proposals_(loop->obs().metrics.GetCounter("zab.proposals")),
+      m_commits_(loop->obs().metrics.GetCounter("zab.commits")),
+      m_heartbeats_(loop->obs().metrics.GetCounter("zab.heartbeats")) {
   assert(!members.empty());
   membership_ = boot_membership_;
   ResetAdmission();
@@ -158,17 +161,6 @@ void ZabNode::Start() {
   durable_zxid_ = last_logged();  // replayed records are durable by definition
   acked_zxid_ = 0;
   EnterLooking();
-}
-
-void ZabNode::SetObs(Obs* obs) {
-  obs_ = obs;
-  if (obs_ != nullptr) {
-    m_proposals_ = obs_->metrics.GetCounter("zab.proposals");
-    m_commits_ = obs_->metrics.GetCounter("zab.commits");
-    m_heartbeats_ = obs_->metrics.GetCounter("zab.heartbeats");
-  } else {
-    m_proposals_ = m_commits_ = m_heartbeats_ = nullptr;
-  }
 }
 
 void ZabNode::Crash() {
@@ -335,7 +327,7 @@ void ZabNode::SendHeartbeats() {
   if (role_ != Role::kLeading) {
     return;
   }
-  if (m_heartbeats_ != nullptr) {
+  if (loop_->obs().enabled()) {
     m_heartbeats_->Increment();
   }
   BroadcastMsg(ZabMsgType::kHeartbeat, EncodeMsg(EpochMsg{current_epoch_, committed_zxid_}));
@@ -487,9 +479,9 @@ bool ZabNode::BroadcastInternal(std::span<const uint8_t> txn, uint8_t flags) {
   }
   ProposeMsg msg{current_epoch_, {MakeZxid(current_epoch_, ++counter_), flags, txn}};
   uint64_t zxid = msg.proposal.zxid;
-  if (obs_ != nullptr) {
+  if (const Obs& obs = loop_->obs(); obs.enabled()) {
     m_proposals_->Increment();
-    const TraceContext& ctx = obs_->tracer.current();
+    const TraceContext& ctx = obs.tracer.current();
     if (ctx.active()) {
       proposal_trace_[zxid] = ProposalTrace{ctx, loop_->now()};
     }
@@ -562,16 +554,17 @@ void ZabNode::TryCommit() {
     bool reconfig = entry.is_reconfig();
     // Deliver + COMMIT fanout run under the proposing operation's context so
     // the reply path (and follower commit work) stays attributed to it.
+    Tracer& tracer = loop_->obs().tracer;
     TraceContext prev;
     bool restored = false;
-    if (obs_ != nullptr) {
+    if (tracer.enabled()) {
       m_commits_->Increment();
       auto tit = proposal_trace_.find(zxid);
       if (tit != proposal_trace_.end()) {
-        obs_->tracer.RecordSpanIn(tit->second.ctx, "zab.order", Stage::kOther, self_,
-                                  tit->second.at, loop_->now());
-        prev = obs_->tracer.current();
-        obs_->tracer.SetCurrent(tit->second.ctx);
+        tracer.RecordSpanIn(tit->second.ctx, "zab.order", Stage::kOther, self_, tit->second.at,
+                            loop_->now());
+        prev = tracer.current();
+        tracer.SetCurrent(tit->second.ctx);
         proposal_trace_.erase(tit);
         restored = true;
       }
@@ -585,7 +578,7 @@ void ZabNode::TryCommit() {
     // cleanly instead of lingering as a live zombie.
     BroadcastMsg(ZabMsgType::kCommit, EncodeMsg(ZxidMsg{current_epoch_, zxid}));
     if (restored) {
-      obs_->tracer.SetCurrent(prev);
+      tracer.SetCurrent(prev);
     }
     if (reconfig && !ActivateMembership(zxid, entry.txn)) {
       return;  // this node retired (it was removed)

@@ -188,13 +188,6 @@ class ZabNode {
   // keeping a snapshot, to force the SNAP path for lagging followers.
   void CompactLog();
 
-  // Observability (nullable): proposal/commit/heartbeat counters, plus
-  // leader-side trace propagation — the context active at Broadcast() is
-  // remembered per zxid and restored around OnDeliver + the COMMIT fanout,
-  // so a committed transaction's delivery (and the follower work the COMMIT
-  // packets trigger) stays attributed to the originating client operation.
-  void SetObs(Obs* obs);
-
  private:
   enum class Role { kDown, kLooking, kFollowing, kLeading };
 
@@ -362,15 +355,19 @@ class ZabNode {
   TimerId leader_timeout_timer_ = kInvalidTimer;  // the pending check, if any
   SimTime leader_deadline_ = 0;
 
-  // Observability.
+  // Observability (the loop's Obs, while it is on): proposal/commit/
+  // heartbeat counters, plus leader-side trace propagation — the context
+  // active at Broadcast() is remembered per zxid and restored around
+  // OnDeliver + the COMMIT fanout, so a committed transaction's delivery (and
+  // the follower work the COMMIT packets trigger) stays attributed to the
+  // originating client operation.
   struct ProposalTrace {
     TraceContext ctx;
     SimTime at = 0;
   };
-  Obs* obs_ = nullptr;
-  Counter* m_proposals_ = nullptr;
-  Counter* m_commits_ = nullptr;
-  Counter* m_heartbeats_ = nullptr;
+  Counter* m_proposals_;
+  Counter* m_commits_;
+  Counter* m_heartbeats_;
   std::map<uint64_t, ProposalTrace> proposal_trace_;  // leader-term scoped
 };
 

@@ -16,21 +16,13 @@ ZkClient::ZkClient(EventLoop* loop, Network* net, NodeId id, ShardView view,
       shard_id_(view.shard_id),
       map_version_(view.map_version),
       options_(options),
-      jitter_rng_(JitterSeedFor(id)) {
+      jitter_rng_(JitterSeedFor(id)),
+      m_failovers_(loop->obs().metrics.GetCounter("client.zk.failovers")),
+      m_reconnects_(loop->obs().metrics.GetCounter("client.zk.reconnect_attempts")),
+      m_expired_(loop->obs().metrics.GetCounter("client.zk.sessions_expired")) {
   server_idx_ = servers_.preferred;
   server_ = servers_.at(server_idx_);
   net_->Register(id_, this);
-}
-
-void ZkClient::SetObs(Obs* obs) {
-  obs_ = obs;
-  if (obs_ != nullptr) {
-    m_failovers_ = obs_->metrics.GetCounter("client.zk.failovers");
-    m_reconnects_ = obs_->metrics.GetCounter("client.zk.reconnect_attempts");
-    m_expired_ = obs_->metrics.GetCounter("client.zk.sessions_expired");
-  } else {
-    m_failovers_ = m_reconnects_ = m_expired_ = nullptr;
-  }
 }
 
 void ZkClient::Connect(VoidCb done) {
@@ -110,7 +102,7 @@ void ZkClient::ParkPending() {
 
 void ZkClient::OnConnectionLoss() {
   EDC_LOG(kDebug) << "client " << id_ << " lost replica " << server_;
-  if (m_failovers_ != nullptr) {
+  if (loop_->obs().enabled()) {
     m_failovers_->Increment();
   }
   loop_->Cancel(ping_timer_);
@@ -130,7 +122,7 @@ void ZkClient::OnConnectionLoss() {
 
 void ZkClient::OnSessionExpired() {
   EDC_LOG(kDebug) << "client " << id_ << " session expired";
-  if (m_expired_ != nullptr) {
+  if (loop_->obs().enabled()) {
     m_expired_->Increment();
   }
   loop_->Cancel(ping_timer_);
@@ -157,7 +149,7 @@ void ZkClient::ScheduleReconnect() {
     return;
   }
   ++reconnect_attempts_;
-  if (m_reconnects_ != nullptr) {
+  if (loop_->obs().enabled()) {
     m_reconnects_->Increment();
   }
   // Jittered so clients disconnected by the same fault don't reconnect in

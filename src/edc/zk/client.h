@@ -85,10 +85,7 @@ class ZkClient : public NetworkNode, public ZkApi {
     session_cb_ = std::move(handler);
   }
   // History observation (conformance checking); pass {} to detach.
-  void SetObserver(ZkClientObserver observer) { observer_ = std::move(observer); }
-  // Observability (nullable): failover / reconnect-attempt / session-expiry
-  // counters in the shared registry.
-  void SetObs(Obs* obs);
+  void SetHistoryObserver(ZkClientObserver observer) { observer_ = std::move(observer); }
 
   bool connected() const override { return session_ != 0; }
   uint64_t session() const override { return session_; }
@@ -157,10 +154,11 @@ class ZkClient : public NetworkNode, public ZkApi {
   TimerId ping_timer_ = kInvalidTimer;
   TimerId reconnect_timer_ = kInvalidTimer;
   bool closing_ = false;
-  Obs* obs_ = nullptr;
-  Counter* m_failovers_ = nullptr;
-  Counter* m_reconnects_ = nullptr;
-  Counter* m_expired_ = nullptr;
+  // Observability (the loop's Obs, while it is on): failover /
+  // reconnect-attempt / session-expiry counters.
+  Counter* m_failovers_;
+  Counter* m_reconnects_;
+  Counter* m_expired_;
 };
 
 }  // namespace edc

@@ -18,8 +18,8 @@ ZkServer::ZkServer(EventLoop* loop, Network* net, NodeId id, std::vector<NodeId>
       id_(id),
       costs_(costs),
       options_(options),
-      cpu_(loop, kReplicaCores),
-      log_(loop, options.log, std::move(log_pool)) {
+      cpu_(loop, kReplicaCores, id),
+      log_(loop, options.log, std::move(log_pool), id) {
   zab_ = std::make_unique<ZabNode>(loop, net, &cpu_, &log_, costs, id, std::move(members),
                                    options.zab, this);
 }

@@ -78,16 +78,6 @@ class ZkServer : public NetworkNode, public ZabCallbacks {
   uint32_t shard_id() const { return shard_id_; }
   uint64_t expected_map_version() const { return expected_map_version_; }
 
-  // Observability (nullable): forwards to the CPU queue, the log store and
-  // the Zab node, all reporting into the shared registry/tracer.
-  void SetObs(Obs* obs) {
-    obs_ = obs;
-    cpu_.SetObs(obs, static_cast<uint32_t>(id_));
-    log_.SetObs(obs, static_cast<uint32_t>(id_));
-    zab_->SetObs(obs);
-  }
-  Obs* obs() const { return obs_; }
-
   // Boots the replica: volatile state starts empty and the replicated state
   // is rebuilt from the durable log (docs/fault_model.md lists what a crash
   // keeps).
@@ -125,6 +115,7 @@ class ZkServer : public NetworkNode, public ZabCallbacks {
   ZabNode& zab() { return *zab_; }
   CpuQueue& cpu() { return cpu_; }
   const CostModel& costs() const { return costs_; }
+  EventLoop* loop() const { return loop_; }
   const LogStore& log() const { return log_; }
   // (zxid, FNV-1a of txn bytes) for every transaction applied since the last
   // boot/snapshot, in delivery order. Invariant checkers compare the zxid
@@ -214,7 +205,6 @@ class ZkServer : public NetworkNode, public ZabCallbacks {
   LogStore log_;
   std::unique_ptr<ZabNode> zab_;
   ZkServerHooks* hooks_ = nullptr;
-  Obs* obs_ = nullptr;
 
   bool running_ = false;
   uint32_t shard_id_ = 0;

@@ -1,7 +1,7 @@
 // PBFT checkpointing, log GC and state transfer under crash/restart and
 // partition faults (docs/bft_recovery.md).
 //
-// The EDS-cluster tests drive the full DepSpace stack through ClusterFixture
+// The EDS-cluster tests drive the full DepSpace stack through CoordFixture
 // so recovery is proven end-to-end: a replica that slept through a stable
 // checkpoint must rejoin via STATE-REQUEST/STATE-RESPONSE and converge to a
 // byte-identical TupleSpace::Digest() with its log truncated below the low
@@ -27,13 +27,13 @@ namespace {
 
 // ------------------------------------------------------- EDS cluster tests
 
-ClusterFixture MakeEdsCluster() {
+CoordFixture MakeEdsCluster() {
   FixtureOptions fo;
   fo.system = SystemKind::kExtensibleDepSpace;
   fo.num_clients = 2;
   fo.seed = 42;
   fo.ds_client.reconnect = ReconnectOptions{Millis(300), Seconds(2), 0};
-  return ClusterFixture(fo);
+  return CoordFixture(fo);
 }
 
 // Issues `n` distinct out() ops from client 0 in sequential rounds (each op
@@ -41,7 +41,7 @@ ClusterFixture MakeEdsCluster() {
 // burst would be ordered in one or two PBFT batches; one op per round gives
 // each op its own sequence number, so the run crosses n / 8 checkpoint
 // boundaries at the default interval.
-void RunOuts(ClusterFixture& fx, int n, const std::string& tag) {
+void RunOuts(CoordFixture& fx, int n, const std::string& tag) {
   int done = 0;
   std::function<void(int)> issue = [&](int i) {
     DsTuple tuple{DsField{std::string("/r")}, DsField{tag + std::to_string(i)},
@@ -61,7 +61,7 @@ void RunOuts(ClusterFixture& fx, int n, const std::string& tag) {
   ASSERT_EQ(done, n);
 }
 
-void ExpectCaughtUp(ClusterFixture& fx, size_t node_index) {
+void ExpectCaughtUp(CoordFixture& fx, size_t node_index) {
   const BftReplica& bft = fx.ds_servers[node_index]->bft();
   EXPECT_GE(bft.state_transfers(), 1);
   EXPECT_GT(bft.low_watermark(), 0u);
@@ -77,7 +77,7 @@ void ExpectCaughtUp(ClusterFixture& fx, size_t node_index) {
 }
 
 TEST(BftRecovery, SleeperCatchesUpViaStateTransfer) {
-  ClusterFixture fx = MakeEdsCluster();
+  CoordFixture fx = MakeEdsCluster();
   fx.Start();
   // Node 2 sleeps through 20 executed ops (>= 2 checkpoint boundaries at the
   // default interval of 8): on restart its log is empty and the cluster's
@@ -91,7 +91,7 @@ TEST(BftRecovery, SleeperCatchesUpViaStateTransfer) {
 }
 
 TEST(BftRecovery, PrimaryCrashMidWorkloadCheckpointSurvivesViewChange) {
-  ClusterFixture fx = MakeEdsCluster();
+  CoordFixture fx = MakeEdsCluster();
   fx.Start();
   // Node 1 is the view-0 primary: its crash forces a view change, and the
   // new primary's ensemble must still take stable checkpoints.
@@ -110,7 +110,7 @@ TEST(BftRecovery, PrimaryCrashMidWorkloadCheckpointSurvivesViewChange) {
 }
 
 TEST(BftRecovery, PartitionedReplicaTruncatesStaleLogBelowWatermark) {
-  ClusterFixture fx = MakeEdsCluster();
+  CoordFixture fx = MakeEdsCluster();
   fx.Start();
   // Node 4 stays up but isolated: it buffers client requests and may start
   // lone view changes while the majority executes past several checkpoints.
@@ -128,7 +128,7 @@ TEST(BftRecovery, RepliesAfterTransferStayConverged) {
   // Client replies must keep matching across all four replicas after one of
   // them rejoined via state transfer (f+1 identical replies per op is the
   // client acceptance rule, so divergence would hang the workload).
-  ClusterFixture fx = MakeEdsCluster();
+  CoordFixture fx = MakeEdsCluster();
   fx.Start();
   fx.faults().Crash(3);
   RunOuts(fx, 12, "d");

@@ -299,7 +299,7 @@ TEST(EdsExtensionTest, FailingEventExtensionIsEvictedOnAllReplicas) {
   FixtureOptions options;
   options.system = SystemKind::kExtensibleDepSpace;
   options.limits.strike_limit = 2;
-  ClusterFixture fix(options);
+  CoordFixture fix(options);
   fix.Start();
   CoordClient* client = fix.coord(0);
   Status reg = Status(ErrorCode::kInternal);

@@ -43,7 +43,7 @@ RunSig RunCounterWorkload(SystemKind system, uint64_t seed) {
   options.num_clients = 1;
   options.seed = seed;
   options.observability = true;  // counters only; proven non-perturbing
-  ClusterFixture fix(options);
+  CoordFixture fix(options);
   fix.faults().EnablePacketTrace();
   fix.Start();
 
@@ -125,7 +125,7 @@ RunSig RunTwoPhaseWorkload(uint64_t seed) {
   options.num_shards = 2;
   options.seed = seed;
   options.observability = true;
-  ClusterFixture fix(options);
+  CoordFixture fix(options);
   fix.faults().EnablePacketTrace();
   fix.Start();
 
@@ -193,7 +193,7 @@ QueueSig RunQueueWorkload(uint64_t seed) {
   options.num_clients = 2;
   options.seed = seed;
   options.observability = true;
-  ClusterFixture fix(options);
+  CoordFixture fix(options);
   fix.faults().EnablePacketTrace();
   fix.Start();
 
@@ -309,7 +309,7 @@ FailoverSig RunEzkFailoverWorkload(uint64_t seed) {
   options.system = SystemKind::kExtensibleZooKeeper;
   options.num_clients = 3;
   options.seed = seed;
-  ClusterFixture fix(options);
+  CoordFixture fix(options);
   fix.faults().EnablePacketTrace();
   fix.Start();
 
@@ -441,7 +441,7 @@ ReconfigSig RunEzkReconfigWorkload(uint64_t seed) {
   options.system = SystemKind::kExtensibleZooKeeper;
   options.num_clients = 3;
   options.seed = seed;
-  ClusterFixture fix(options);
+  CoordFixture fix(options);
   fix.faults().EnablePacketTrace();
   fix.Start();
 
@@ -557,7 +557,7 @@ ShardedEdsSig RunShardedEdsWorkload(uint64_t seed) {
   options.num_shards = 2;
   options.seed = seed;
   options.observability = true;
-  ClusterFixture fix(options);
+  CoordFixture fix(options);
   fix.faults().EnablePacketTrace();
   fix.Start();
 
@@ -713,7 +713,7 @@ ShardedEzkSig RunShardedEzkWorkload(uint64_t seed) {
   options.num_shards = 2;
   options.seed = seed;
   options.observability = true;
-  ClusterFixture fix(options);
+  CoordFixture fix(options);
   fix.faults().EnablePacketTrace();
   fix.Start();
 

@@ -54,7 +54,7 @@ TEST_P(HostParityTest, SharedHostFunctionsFailIdentically) {
   options.system = GetParam();
   options.limits.max_state_ops = 8;
   options.limits.max_created_objects = 2;
-  ClusterFixture fix(options);
+  CoordFixture fix(options);
   fix.Start();
   CoordClient* client = fix.coord(0);
   client->Create("/p", "0", [](Result<std::string>) {});

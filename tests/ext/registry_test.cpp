@@ -106,7 +106,8 @@ TEST(ExtensionRegistryTest, StrikesAccumulateToLimit) {
 TEST(ExtensionRegistryTest, AlternatingFailuresNeverReachStrikeLimit) {
   ExtensionLimits limits;
   limits.strike_limit = 2;
-  ExtensionManagerCore core(limits, CostModel{}, kEzkHost, kZkEmLayout);
+  EventLoop loop;
+  ExtensionManagerCore core(&loop, limits, CostModel{}, kEzkHost, kZkEmLayout);
   ASSERT_TRUE(core.registry()
                   .Load("flaky", 1, R"(extension flaky {
                     on op update "/f";
@@ -115,8 +116,7 @@ TEST(ExtensionRegistryTest, AlternatingFailuresNeverReachStrikeLimit) {
                   .ok());
   // The handler makes no host calls, so it needs no state proxy.
   auto run = [&](const std::string& data) {
-    return core.RunOperation(*core.registry().Find("flaky"), "update", "/f", data, nullptr,
-                             nullptr);
+    return core.RunOperation(*core.registry().Find("flaky"), "update", "/f", data, nullptr);
   };
   for (int i = 0; i < 5; ++i) {
     Invocation failed = run("bad");
@@ -132,7 +132,8 @@ TEST(ExtensionRegistryTest, AlternatingFailuresNeverReachStrikeLimit) {
 // nested deeply enough to exhaust the parser's stack is refused with the
 // verifier's own EDC-E001 Status, and still pays the verification CPU.
 TEST(ExtensionRegistryTest, OversizedSourceIsRejectedBeforeParsing) {
-  ExtensionManagerCore core(ExtensionLimits{}, CostModel{}, kEzkHost, kZkEmLayout);
+  EventLoop loop;
+  ExtensionManagerCore core(&loop, ExtensionLimits{}, CostModel{}, kEzkHost, kZkEmLayout);
   const size_t cap = core.verifier_config().max_source_bytes;
   std::string parseable = "extension big { on op read \"/x\"; fn read(o) {\n";
   while (parseable.size() <= cap) {

@@ -326,21 +326,21 @@ TEST(PipelineLogStoreTest, InflightHistogramShowsPipelineDepthAboveOne) {
   // The observability contract tests rely on: "logstore.inflight" proves the
   // pipeline actually overlapped batches (no vacuous determinism pass).
   EventLoop loop;
-  Obs obs;
+  loop.obs().tracer.Enable();
   LogStoreConfig cfg;
   cfg.pipeline_depth = 4;
   cfg.adaptive_window = false;
-  LogStore log(&loop, cfg);
-  log.SetObs(&obs, 1);
+  LogStore log(&loop, cfg, nullptr, 1);
   log.Append(std::vector<uint8_t>(1 << 20, 0xaa), nullptr);  // 4ms of write
   for (int i = 0; i < 3; ++i) {
     loop.ScheduleAt(Micros(30) * (i + 1), [&] { log.Append(Rec(7), nullptr); });
   }
   loop.Run();
-  const Recorder* inflight = obs.metrics.Histogram("logstore.inflight");
+  const MetricsRegistry& metrics = loop.obs().metrics;
+  const Recorder* inflight = metrics.Histogram("logstore.inflight");
   ASSERT_NE(inflight, nullptr);
   EXPECT_GT(inflight->Max(), 1);
-  const Recorder* window = obs.metrics.Histogram("logstore.window_us");
+  const Recorder* window = metrics.Histogram("logstore.window_us");
   ASSERT_NE(window, nullptr);
   EXPECT_EQ(window->count(), static_cast<size_t>(log.syncs()));
 }
@@ -713,7 +713,7 @@ TEST(RecordPoolTest, RestoreImageGoesThroughThePool) {
 TEST(RecordPoolTest, FixtureReplicasShareOnePool) {
   FixtureOptions options;
   options.system = SystemKind::kExtensibleZooKeeper;
-  ClusterFixture fix(options);
+  CoordFixture fix(options);
   fix.Start();
   for (int i = 0; i < 200; ++i) {
     fix.loop().Schedule(Millis(10) + Micros(200) * i, [&fix, i]() {

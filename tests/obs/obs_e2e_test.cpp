@@ -8,6 +8,9 @@
 //  * Seeded backoff jitter decorrelates clients that were disconnected by
 //    the same fault (no lockstep retry bursts), while jitter = 0 keeps the
 //    old fully synchronized schedule for tests that pin exact timings.
+//  * With observability off nothing is counted, sampled or traced; with it
+//    on, the clients the fixture builds for itself (the admin sessions)
+//    report like every other component built on the loop.
 //  * DsClient honors max_attempts: after that many retransmits it fails the
 //    call with kConnectionLoss (pinned here; behaviour predates this layer).
 
@@ -23,6 +26,7 @@
 #include "edc/harness/fixture.h"
 #include "edc/harness/invariants.h"
 #include "edc/obs/obs.h"
+#include "edc/recipes/scripts.h"
 #include "edc/sim/faults.h"
 #include "tests/harness/fixture_helpers.h"
 
@@ -41,7 +45,7 @@ struct RunSig {
   }
 };
 
-void DriveWorkload(ClusterFixture& fix, bool observe) {
+void DriveWorkload(CoordFixture& fix, bool observe) {
   for (int i = 0; i < 10; ++i) {
     fix.loop().Schedule(Millis(100) * i, [&fix, i, observe]() {
       Tracer& tracer = fix.obs().tracer;
@@ -65,7 +69,7 @@ RunSig RunEzk(uint64_t seed, bool observe) {
   options.num_clients = 2;
   options.seed = seed;
   options.observability = observe;
-  ClusterFixture fix(options);
+  CoordFixture fix(options);
   fix.faults().EnablePacketTrace();
   fix.Start();
 
@@ -102,7 +106,7 @@ RunSig RunEds(uint64_t seed, bool observe) {
   options.num_clients = 2;
   options.seed = seed;
   options.observability = observe;
-  ClusterFixture fix(options);
+  CoordFixture fix(options);
   fix.faults().EnablePacketTrace();
   fix.Start();
 
@@ -218,6 +222,109 @@ TEST(ObsFixtureTest, MetricsPopulatedAcrossSubsystems) {
   EXPECT_TRUE(saw_link);
 }
 
+// With observability off, nothing is counted, sampled or traced, on any
+// path: a counter extension registers and runs, a replica crashes and
+// restarts (and reloads its extensions), and every operation is issued
+// under an attempted trace. Recorder keeps raw samples, so a stray sample
+// per event would grow memory with the run.
+void ExpectUnobservedRunRecordsNothing(SystemKind system) {
+  FixtureOptions options;
+  options.system = system;
+  options.num_clients = 2;
+  options.seed = 5;
+  options.retain_spans = true;  // no effect while observability is off
+  CoordFixture fix(options);
+  fix.Start();
+
+  NodeId victim = IsZkFamily(system) ? ZkLeaderId(fix) : 3;
+  ASSERT_NE(victim, 0u);
+  FaultPlan plan;
+  plan.episodes.push_back({.kind = EpisodeKind::kCrashRestart,
+                           .start = Millis(1500),
+                           .duration = Millis(2500),
+                           .node = victim});
+  fix.RunPlan(plan);
+  fix.loop().Schedule(Millis(10), [&fix]() {
+    fix.coord(0)->Create("/ctr", "0", [](Result<std::string>) {});
+  });
+  fix.loop().Schedule(Millis(200), [&fix]() {
+    fix.coord(0)->RegisterExtension("ctr_increment", kCounterExtension, [](Status) {});
+  });
+  for (int i = 0; i < 8; ++i) {
+    fix.loop().Schedule(Millis(500) + Millis(100) * i, [&fix]() {
+      fix.coord(0)->Read("/ctr-increment", [](Result<std::string>) {});
+    });
+  }
+  DriveWorkload(fix, /*observe=*/true);  // BeginTrace on a disabled tracer
+  fix.Settle(Seconds(10));
+  std::string counter;
+  fix.coord(0)->Read("/ctr", [&counter](Result<std::string> r) {
+    counter = r.ok() ? *r : r.status().ToString();
+  });
+  fix.Settle(Seconds(1));
+  EXPECT_EQ(counter, "8");  // the extension ran
+  fix.CollectMetrics();
+
+  const Obs& obs = fix.obs();
+  EXPECT_FALSE(obs.enabled());
+  // Every component resolved its instruments from the loop at construction.
+  EXPECT_GT(obs.metrics.counters().count("ext.invocations"), 0u);
+  EXPECT_GT(obs.metrics.histograms().count("cpu.queue_wait_ns"), 0u);
+  for (const auto& [name, counter] : obs.metrics.counters()) {
+    EXPECT_EQ(counter.total(), 0) << name;
+  }
+  for (const auto& [name, histogram] : obs.metrics.histograms()) {
+    EXPECT_EQ(histogram.count(), 0u) << name;
+  }
+  EXPECT_TRUE(obs.metrics.gauges().empty());
+  EXPECT_EQ(obs.tracer.live_traces(), 0u);
+  EXPECT_EQ(obs.tracer.retained_spans(), 0u);
+}
+
+TEST(ObsFixtureTest, ObservabilityOffRecordsNothingOnEzk) {
+  ExpectUnobservedRunRecordsNothing(SystemKind::kExtensibleZooKeeper);
+}
+
+TEST(ObsFixtureTest, ObservabilityOffRecordsNothingOnEds) {
+  ExpectUnobservedRunRecordsNothing(SystemKind::kExtensibleDepSpace);
+}
+
+// Clients the fixture builds for itself report like any other: the
+// AdminReconfig session (node 90001) counts its failover.
+TEST(ObsFixtureTest, AdminSessionFailoverIsCounted) {
+  FixtureOptions options = GroupOptions(SystemKind::kZooKeeper, 41);
+  options.observability = true;
+  CoordFixture fix(options);
+  fix.Start();
+  // Four voters, so the group keeps a quorum without replica 1, the one the
+  // admin session opened on.
+  ASSERT_TRUE(fix.JoinReplica(4).ok());
+  EXPECT_EQ(fix.obs().metrics.CounterValue("client.zk.failovers"), 0);
+  fix.faults().Crash(1);
+  fix.Settle(Seconds(10));  // a session timeout of silence, then failover
+  EXPECT_GE(fix.obs().metrics.CounterValue("client.zk.failovers"), 1);
+  EXPECT_GE(fix.obs().metrics.CounterValue("client.zk.reconnect_attempts"), 1);
+}
+
+// ... and so does a sharded DepSpace admin client (node 70000 + shard),
+// which retransmits its kSetMapVersion op while cut off from its shard.
+TEST(ObsFixtureTest, ShardAdminRetransmitIsCounted) {
+  FixtureOptions options = GroupOptions(SystemKind::kDepSpace, 43);
+  options.num_shards = 2;
+  options.observability = true;
+  CoordFixture fix(options);
+  fix.Start();
+  EXPECT_EQ(fix.obs().metrics.CounterValue("client.ds.retransmits"), 0);
+  for (DsServer* server : fix.DsShardServers(0)) {
+    fix.net().Disconnect(70000, server->id());
+  }
+  fix.AddShard();
+  fix.Settle(Seconds(3));
+  fix.net().HealAllPartitions();
+  fix.Settle(Seconds(3));
+  EXPECT_GE(fix.obs().metrics.CounterValue("client.ds.retransmits"), 1);
+}
+
 // First reconnect attempt per client after a heal, bucketed to milliseconds
 // (link jitter is microseconds; backoff jitter is tens-to-hundreds of ms).
 std::set<int64_t> PostHealAttemptBuckets(double backoff_jitter) {
@@ -226,7 +333,7 @@ std::set<int64_t> PostHealAttemptBuckets(double backoff_jitter) {
   options.num_clients = 8;
   options.seed = 77;
   options.zk_client.reconnect.backoff_jitter = backoff_jitter;
-  ClusterFixture fix(options);
+  CoordFixture fix(options);
   fix.Start();
 
   for (size_t i = 0; i < fix.num_clients(); ++i) {

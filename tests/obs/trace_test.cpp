@@ -106,7 +106,7 @@ TEST(TracerTest, FinishReleasesSpansUnlessRetained) {
   EXPECT_EQ(tracer.live_traces(), 0u);
   EXPECT_EQ(tracer.retained_spans(), 0u);
 
-  tracer.SetRetain(true);
+  tracer.Enable(/*retain_spans=*/true);
   TraceContext r2 = tracer.BeginTrace("op", 1, 100);
   tracer.RecordSpanIn(r2, "net", Stage::kNetwork, 2, 100, 110);
   tracer.FinishTrace(r2, 120);

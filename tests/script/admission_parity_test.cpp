@@ -116,11 +116,12 @@ TEST(AdmissionParityTest, RecipesAndExamplesUnderEveryConfig) {
     }
   }
   ASSERT_GE(sources.size(), 9u);
+  EventLoop loop;
   const std::pair<const char*, VerifierConfig> configs[] = {
-      {"ezk",
-       ExtensionManagerCore(ExtensionLimits{}, CostModel{}, kEzkHost, kZkEmLayout).verifier_config()},
-      {"eds",
-       ExtensionManagerCore(ExtensionLimits{}, CostModel{}, kEdsHost, kDsEmLayout).verifier_config()},
+      {"ezk", ExtensionManagerCore(&loop, ExtensionLimits{}, CostModel{}, kEzkHost, kZkEmLayout)
+                  .verifier_config()},
+      {"eds", ExtensionManagerCore(&loop, ExtensionLimits{}, CostModel{}, kEdsHost, kDsEmLayout)
+                  .verifier_config()},
       {"lint", LintVerifierConfig()},
   };
   for (const auto& [name, source] : sources) {

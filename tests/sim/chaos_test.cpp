@@ -23,7 +23,7 @@ TEST(ChaosTest, PartitionThenHealEdsReplicasConverge) {
   options.system = SystemKind::kDepSpace;
   options.num_clients = 2;
   options.seed = 5;
-  ClusterFixture fix(options);
+  CoordFixture fix(options);
   fix.Start();
 
   bool pre = false;
@@ -58,7 +58,7 @@ TEST(ChaosTest, CrashRestartEdsReplicaRejoinsViaStateTransfer) {
   options.system = SystemKind::kExtensibleDepSpace;
   options.num_clients = 2;
   options.seed = 11;
-  ClusterFixture fix(options);
+  CoordFixture fix(options);
   fix.Start();
 
   FaultPlan plan;
@@ -93,7 +93,7 @@ TEST(ChaosTest, CrashRestartEdsReplicaRejoinsViaStateTransfer) {
 // dies must detect the silence, fail over to a live replica, surface the
 // session-lost/reconnected events, and let the application re-arm the watch.
 TEST(ChaosTest, ClientFailsOverAndReArmsWatch) {
-  ClusterFixture fix(GroupOptions(SystemKind::kZooKeeper, 9));
+  CoordFixture fix(GroupOptions(SystemKind::kZooKeeper, 9));
   fix.Start();
   EventLoop& loop = fix.loop();
 
@@ -160,7 +160,7 @@ TEST(ChaosTest, SameSeedFixtureRunsProduceIdenticalTraces) {
     options.system = SystemKind::kZooKeeper;
     options.num_clients = 2;
     options.seed = seed;
-    ClusterFixture fix(options);
+    CoordFixture fix(options);
     fix.faults().EnablePacketTrace();
     fix.Start();
 
